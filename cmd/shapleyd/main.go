@@ -34,6 +34,7 @@ import (
 	"repro"
 	"repro/internal/flights"
 	"repro/internal/imdb"
+	"repro/internal/optflags"
 	"repro/internal/server"
 	"repro/internal/tpch"
 )
@@ -45,14 +46,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor for tpch/imdb")
 		poolSize = flag.Int("pool", server.DefaultPoolSize, "session pool capacity (warm (dataset, query) sessions; LRU beyond)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-		timeout  = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "per-request pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
-		cworker  = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out (0 = inherit, -1 = GOMAXPROCS, 1 = sequential)")
-		spec     = flag.Bool("speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently (parallelism for single-component lineages)")
-		folio    = flag.Bool("portfolio", false, "race variable-ordering heuristics per CNF, first finisher wins (needs \u22652 compile workers)")
-		cache    = flag.Int("cache", 0, "compiled-circuit cache size (0 = default, -1 = disabled)")
-		nocanon  = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of canonically")
-		strat    = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
 		store    = flag.String("store", "", "storage backend for served datasets: memory (default) or sorted")
 		storeDir = flag.String("store-dir", "", "with -store sorted: persist each dataset under <dir>/<name> (reloaded on restart)")
 		indexes  = flag.Int("indexes", 0, "per-relation secondary-index budget (0 = backend default)")
@@ -61,12 +54,12 @@ func main() {
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing requests per work route (0 = unbounded); excess sheds with 429 + Retry-After")
 		ebudget  = flag.Duration("explain-budget", 0, "per-explain exact-attempt deadline before degrading to sampled estimates with confidence intervals (0 = no anytime tier)")
 		emaxn    = flag.Int("explain-max-nodes", 0, "per-explain compiled-circuit node budget before degrading to sampled estimates (0 = no node trigger)")
-		aminsamp = flag.Int("approx-min-samples", 0, "sampling fallback's minimum permutation count (0 = sampler default)")
 		atarget  = flag.Float64("approx-target-ci", 0, "sampling fallback's target 95%-CI half-width, in (0,1) (0 = sampler default)")
 		slowTO   = flag.Duration("slow-explain", 0, "wall-clock threshold past which an explain is logged and kept (with its stage trace) in the /v1/debug/slow ring (0 = disabled)")
 		slowCap  = flag.Int("slow-log-size", 0, "slow-explain ring capacity (0 = default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (loopback clients only)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+		parsed   = optflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -81,15 +74,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	strategy, err := repro.ParseShapleyStrategy(*strat)
-	if err != nil {
-		fatal("bad -strategy", err)
-	}
 	syncPolicy, err := repro.ParseSyncPolicy(*fsync)
 	if err != nil {
 		fatal("bad -fsync", err)
 	}
 
+	opts := *parsed
+	opts.Storage, opts.IndexBudget = *store, *indexes
+	opts.Budget.Deadline, opts.Budget.MaxNodes, opts.Budget.TargetCI = *ebudget, *emaxn, *atarget
 	cfg := server.Config{
 		Datasets:       make(map[string]*repro.Database),
 		PoolSize:       *poolSize,
@@ -99,24 +91,7 @@ func main() {
 		SlowThreshold:  *slowTO,
 		SlowLogSize:    *slowCap,
 		EnablePprof:    *pprofOn,
-		Options: repro.Options{
-			Timeout:          *timeout,
-			Workers:          *workers,
-			CompileWorkers:   *cworker,
-			Speculate:        *spec,
-			Portfolio:        *folio,
-			CacheSize:        *cache,
-			NoCanonicalCache: *nocanon,
-			Strategy:         strategy,
-			Storage:          *store,
-			IndexBudget:      *indexes,
-			Budget: repro.ExplainBudget{
-				Deadline:   *ebudget,
-				MaxNodes:   *emaxn,
-				MinSamples: *aminsamp,
-				TargetCI:   *atarget,
-			},
-		},
+		Options:        opts,
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		fatal("invalid options", err)

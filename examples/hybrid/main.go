@@ -5,7 +5,8 @@
 // timeouts. Small budgets fall back to CNF Proxy (millisecond ranking,
 // inexact values); a generous budget completes exactly. The example also
 // shows that the proxy's top-ranked facts match the exact top facts, which
-// is exactly the use the paper recommends it for.
+// is exactly the use the paper recommends it for, and that an enabled
+// ExplainBudget switches the one fallback from the proxy to sampling.
 package main
 
 import (
@@ -52,7 +53,8 @@ func main() {
 	for _, timeout := range []time.Duration{
 		500 * time.Microsecond, 5 * time.Millisecond, 60 * time.Second,
 	} {
-		res, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{Timeout: timeout})
+		opts := core.PipelineOptions{CompileTimeout: timeout, ShapleyTimeout: timeout}
+		res, err := core.Hybrid(context.Background(), elin, endo, opts, core.ExplainBudget{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,11 +63,11 @@ func main() {
 	}
 
 	// Quality check: proxy ranking vs exact ranking on this instance.
-	exact, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{})
+	exact, err := core.Hybrid(context.Background(), elin, endo, core.PipelineOptions{}, core.ExplainBudget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	proxy, err := core.Hybrid(context.Background(), elin, endo, core.HybridOptions{Timeout: time.Nanosecond, MaxNodes: 1})
+	proxy, err := core.Hybrid(context.Background(), elin, endo, core.PipelineOptions{CompileMaxNodes: 1}, core.ExplainBudget{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,4 +84,12 @@ func main() {
 		}
 	}
 	fmt.Printf("precision@4 of the proxy ranking: %.2f\n", float64(same)/4)
+
+	// The same starved attempt under an enabled budget falls back to
+	// sampled estimates with confidence intervals instead of the proxy.
+	approx, err := core.Hybrid(context.Background(), elin, endo, core.PipelineOptions{}, core.ExplainBudget{MaxNodes: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nbudgeted:     method=%v cause=%s top-4: %v\n", approx.Method, approx.DegradedCause, approx.Ranking[:4])
 }

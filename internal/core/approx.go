@@ -36,8 +36,8 @@ const (
 	// ModeAuto (the default) tries the exact pipeline within the budget and
 	// falls back to sampling when it is exceeded.
 	ModeAuto ExplainMode = iota
-	// ModeExact disables the sampling fallback even when budget knobs are
-	// set: budget exhaustion degrades to the CNF Proxy path as before.
+	// ModeExact disables the budget even when its knobs are set: the exact
+	// attempt runs under the pipeline's own limits and degrades to CNF Proxy.
 	ModeExact
 	// ModeApproximate skips the exact attempt and samples immediately.
 	ModeApproximate
@@ -196,7 +196,7 @@ const (
 )
 
 // degradeCause classifies why an exact attempt under budget b degraded to
-// sampling, given the attempt's error (nil only when Mode skipped it).
+// its fallback, given the attempt's error (nil only when Mode skipped it).
 func degradeCause(b ExplainBudget, err error) string {
 	switch {
 	case b.Mode == ModeApproximate:
@@ -209,66 +209,4 @@ func degradeCause(b ExplainBudget, err error) string {
 	default:
 		return CauseError
 	}
-}
-
-// hybridBudgetedAt is HybridAt's anytime branch: run the exact pipeline
-// under the request budget and degrade to ApproxStage on exhaustion instead
-// of to the CNF Proxy. ModeApproximate skips the exact attempt entirely.
-func hybridBudgetedAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts HybridOptions) (*HybridResult, error) {
-	start := time.Now()
-	b := opts.Budget
-	var exactErr error
-	if b.Mode != ModeApproximate {
-		popts := PipelineOptions{
-			CompileTimeout:   opts.Timeout,
-			ShapleyTimeout:   opts.Timeout,
-			CompileMaxNodes:  opts.MaxNodes,
-			Workers:          opts.Workers,
-			CompileWorkers:   opts.CompileWorkers,
-			Speculate:        opts.Speculate,
-			Portfolio:        opts.Portfolio,
-			NoCanonicalCache: opts.NoCanonicalCache,
-			Strategy:         opts.Strategy,
-			Cache:            opts.Cache,
-			CacheOwner:       opts.CacheOwner,
-		}
-		if b.MaxNodes > 0 && (popts.CompileMaxNodes == 0 || b.MaxNodes < popts.CompileMaxNodes) {
-			popts.CompileMaxNodes = b.MaxNodes
-		}
-		// The budget deadline is layered over the caller's context, exactly
-		// like ShapleyStage's stage deadline: when it fires we degrade, when
-		// the caller's own context fires we abort.
-		ectx := ctx
-		if b.Deadline > 0 {
-			var cancel context.CancelFunc
-			ectx, cancel = context.WithTimeout(ctx, b.Deadline)
-			defer cancel()
-		}
-		res, err := ExplainCircuitAt(ectx, elin, endo, epoch, art, popts)
-		if err == nil {
-			return &HybridResult{
-				Method:  MethodExact,
-				Values:  res.Values,
-				Ranking: res.Values.Ranking(),
-				Exact:   res,
-				Elapsed: time.Since(start),
-			}, nil
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		exactErr = err
-	}
-	cause := degradeCause(b, exactErr)
-	approx, err := approxStage(ctx, elin, endo, b, cause)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridResult{
-		Method:        MethodApprox,
-		Approx:        approx,
-		Ranking:       approx.Ranking(),
-		Elapsed:       time.Since(start),
-		DegradedCause: cause,
-	}, nil
 }

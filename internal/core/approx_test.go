@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,10 +132,9 @@ func TestApproxStageDeterministicSeed(t *testing.T) {
 // degrade to marked sampled estimates, not error.
 func TestHybridBudgetedMaxNodesFallsBack(t *testing.T) {
 	elin, endo, fs := flightsELin(t)
-	res, err := Hybrid(context.Background(), elin, endo, HybridOptions{
-		Timeout: 10 * time.Second,
-		Budget:  ExplainBudget{MaxNodes: 1, MinSamples: 256},
-	})
+	res, err := Hybrid(context.Background(), elin, endo,
+		PipelineOptions{CompileTimeout: 10 * time.Second, ShapleyTimeout: 10 * time.Second},
+		ExplainBudget{MaxNodes: 1, MinSamples: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,8 @@ func TestHybridBudgetedMaxNodesFallsBack(t *testing.T) {
 // back to sampling, not surface the deadline error.
 func TestHybridBudgetedDeadlineFallsBack(t *testing.T) {
 	elin, endo, _ := flightsELin(t)
-	res, err := Hybrid(context.Background(), elin, endo, HybridOptions{
-		Budget: ExplainBudget{Deadline: time.Nanosecond, MinSamples: 64},
-	})
+	res, err := Hybrid(context.Background(), elin, endo, PipelineOptions{},
+		ExplainBudget{Deadline: time.Nanosecond, MinSamples: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +171,8 @@ func TestHybridBudgetedDeadlineFallsBack(t *testing.T) {
 // path untouched — same values as an unbudgeted run.
 func TestHybridBudgetedExactWithinBudget(t *testing.T) {
 	elin, endo, fs := flightsELin(t)
-	res, err := Hybrid(context.Background(), elin, endo, HybridOptions{
-		Budget: ExplainBudget{Deadline: time.Minute},
-	})
+	res, err := Hybrid(context.Background(), elin, endo, PipelineOptions{},
+		ExplainBudget{Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +188,12 @@ func TestHybridBudgetedCallerCancel(t *testing.T) {
 	elin, endo, _ := flightsELin(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Hybrid(ctx, elin, endo, HybridOptions{
-		Budget: ExplainBudget{Deadline: time.Second},
-	})
-	if err == nil {
-		t.Fatal("cancelled caller got an answer")
+	res, err := Hybrid(ctx, elin, endo, PipelineOptions{}, ExplainBudget{Deadline: time.Second})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Error("cancelled caller got an answer")
 	}
 }
 

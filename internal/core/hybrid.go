@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 	"repro/internal/trace"
 )
 
@@ -56,51 +55,19 @@ type HybridResult struct {
 	DegradedCause string
 }
 
-// HybridOptions configures the hybrid strategy of Section 6.3.
-type HybridOptions struct {
-	// Timeout is the budget t for the exact computation (compilation plus
-	// Algorithm 1); the paper recommends 2.5 s. Zero disables the fallback
-	// and runs exact unconditionally.
-	Timeout time.Duration
-	// MaxNodes bounds the compiled d-DNNF size (the out-of-memory analogue).
-	MaxNodes int
-	// Workers fans Algorithm 1 out across goroutines (≤ 0 = GOMAXPROCS).
-	Workers int
-	// CompileWorkers fans the knowledge compiler's component decomposition
-	// out across goroutines (≤ 0 = GOMAXPROCS, 1 = sequential).
-	CompileWorkers int
-	// Speculate compiles shallow Shannon cofactors concurrently inside the
-	// knowledge compiler (the single-component parallelism source).
-	Speculate bool
-	// Portfolio races variable-ordering heuristics per CNF, first finisher
-	// wins and feeds the canonical cache.
-	Portfolio bool
-	// NoCanonicalCache keys Cache byte-identically instead of canonically.
-	NoCanonicalCache bool
-	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
-	// gradient).
-	Strategy ShapleyStrategy
-	// Cache is an optional cross-call d-DNNF compilation cache.
-	Cache *dnnf.CompileCache
-	// CacheOwner tags Cache entries with the fact-ID universe's identity
-	// (the database ID), scoping fact-set invalidation; 0 = untagged.
-	CacheOwner uint64
-	// Budget, when Enabled, swaps the degradation target: exceeding it falls
-	// back to StageApprox (sampled estimates with confidence intervals)
-	// instead of the CNF Proxy, and ModeApproximate skips the exact attempt
-	// entirely. The zero budget leaves the classic exact→proxy hybrid
-	// untouched.
-	Budget ExplainBudget
-}
-
-// Hybrid runs the exact computation under a time budget and falls back to
-// CNF Proxy on timeout or memory exhaustion: first run the exact pipeline
-// with timeout t; if it fails, transform the provenance to CNF and rank the
-// facts by their proxy values. A non-nil error is returned only when ctx
-// itself is cancelled — budget exhaustion is what the proxy fallback is for,
-// but a caller that gave up wants neither answer.
-func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts HybridOptions) (*HybridResult, error) {
-	return HybridAt(ctx, elin, endo, 0, nil, opts)
+// Hybrid runs the hybrid strategy of Section 6.3: one exact attempt under
+// opts's limits (the paper's budget t is opts.CompileTimeout and
+// opts.ShapleyTimeout, recommended 2.5 s), then one fallback when it fails.
+// The fallback is CNF Proxy — the provenance's Tseytin CNF ranked by proxy
+// values — unless budget is Enabled, in which case it is StageApprox, sampled
+// estimates with confidence intervals. An enabled budget also narrows the
+// exact attempt: its MaxNodes caps the compiled d-DNNF (the smaller of it and
+// opts.CompileMaxNodes wins), its Deadline bounds the whole attempt on top of
+// ctx, and ModeApproximate skips the attempt entirely. A non-nil error is
+// returned only when ctx itself is cancelled: exhausting a limit is what the
+// fallback is for, but a caller that gave up wants neither answer.
+func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions, budget ExplainBudget) (*HybridResult, error) {
+	return HybridAt(ctx, elin, endo, 0, nil, opts, budget)
 }
 
 // HybridAt is Hybrid for a lineage at a given epoch, reusing per-stage
@@ -108,42 +75,58 @@ func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts Hybr
 // disables reuse). It is the session-facing entry point: a long-lived
 // session passes each tuple's Artifacts across Explain calls so that only
 // the stages invalidated by updates are recomputed.
-func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts HybridOptions) (*HybridResult, error) {
-	if opts.Budget.Enabled() {
-		return hybridBudgetedAt(ctx, elin, endo, epoch, art, opts)
-	}
+func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts PipelineOptions, budget ExplainBudget) (*HybridResult, error) {
 	start := time.Now()
-	popts := PipelineOptions{
-		CompileTimeout:   opts.Timeout,
-		ShapleyTimeout:   opts.Timeout,
-		CompileMaxNodes:  opts.MaxNodes,
-		Workers:          opts.Workers,
-		CompileWorkers:   opts.CompileWorkers,
-		Speculate:        opts.Speculate,
-		Portfolio:        opts.Portfolio,
-		NoCanonicalCache: opts.NoCanonicalCache,
-		Strategy:         opts.Strategy,
-		Cache:            opts.Cache,
-		CacheOwner:       opts.CacheOwner,
+	anytime := budget.Enabled()
+	var res *PipelineResult
+	var err error
+	if budget.Mode != ModeApproximate {
+		ectx := ctx
+		if anytime {
+			if budget.MaxNodes > 0 && (opts.CompileMaxNodes == 0 || budget.MaxNodes < opts.CompileMaxNodes) {
+				opts.CompileMaxNodes = budget.MaxNodes
+			}
+			// The budget deadline is layered over the caller's context,
+			// exactly like ShapleyStage's stage deadline: when it fires we
+			// degrade, when the caller's own context fires we abort.
+			if budget.Deadline > 0 {
+				var cancel context.CancelFunc
+				ectx, cancel = context.WithTimeout(ctx, budget.Deadline)
+				defer cancel()
+			}
+		}
+		res, err = ExplainCircuitAt(ectx, elin, endo, epoch, art, opts)
+		if err == nil {
+			return &HybridResult{
+				Method:  MethodExact,
+				Values:  res.Values,
+				Ranking: res.Values.Ranking(),
+				Exact:   res,
+				Elapsed: time.Since(start),
+			}, nil
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
 	}
-	res, err := ExplainCircuitAt(ctx, elin, endo, epoch, art, popts)
-	if err == nil {
+	cause := degradeCause(budget, err)
+	if anytime {
+		approx, err := approxStage(ctx, elin, endo, budget, cause)
+		if err != nil {
+			return nil, err
+		}
 		return &HybridResult{
-			Method:  MethodExact,
-			Values:  res.Values,
-			Ranking: res.Values.Ranking(),
-			Exact:   res,
-			Elapsed: time.Since(start),
+			Method:        MethodApprox,
+			Approx:        approx,
+			Ranking:       approx.Ranking(),
+			Elapsed:       time.Since(start),
+			DegradedCause: cause,
 		}, nil
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-	// Exact failed within budget: fall back to CNF Proxy. The Tseytin CNF
-	// was already produced by the pipeline (it never times out: it is linear
-	// in the circuit).
+	// The Tseytin CNF was already produced by the exact attempt (it never
+	// times out: it is linear in the circuit).
 	_, psp := trace.Start(ctx, "proxy")
-	psp.Set("cause", degradeCause(opts.Budget, err))
+	psp.Set("cause", cause)
 	formula := res.CNF
 	if formula == nil {
 		formula = cnf.TseytinReserving(elin, maxFactID(endo))

@@ -245,11 +245,17 @@ func (c *CompileCache) put(key string, root *Node, nodes int, fromCanon map[int]
 // success or failure; concurrent callers get leader == false and a wait
 // function that blocks until the leader releases, after which they re-check
 // the cache (and, if the leader failed, contend to become the next leader).
+// A key that a leader stored between the caller's miss and this call also
+// sends the caller back to re-check, so one formula is never compiled twice
+// nor its entry overwritten while others read it.
 func (c *CompileCache) acquire(key string) (leader bool, wait func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if wg, ok := c.inflight[key]; ok {
 		return false, wg.Wait
+	}
+	if _, ok := c.entries[key]; ok {
+		return false, func() {}
 	}
 	wg := new(sync.WaitGroup)
 	wg.Add(1)

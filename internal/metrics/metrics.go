@@ -302,8 +302,7 @@ func (r *Recorder) Observe(route string, status int, d time.Duration) {
 
 // ObserveStage records one pipeline-stage duration into the stage's
 // cumulative histogram. Its signature matches trace.Observer, so a Recorder
-// can be wired directly as a trace root's observer (and as
-// repro.Options.StageObserver for out-of-trace stages).
+// can be wired directly as a trace root's observer.
 func (r *Recorder) ObserveStage(stage string, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -49,13 +49,16 @@ func checkDegradedResponse(t *testing.T, resp wire.ExplainResponse, label string
 // TestServerStarvedBudgetDegrades boots the server with a starvation node
 // budget: every explain — pooled and open-per-request — must answer 200
 // with marked approximate values, never a 5xx, and the /v1/stats degraded
-// counter must tick per degraded request.
+// counter must tick per degraded request. A "mode": "exact" request opts
+// out of the sampling fallback on both paths and is answered exactly under
+// the server's own limits.
 func TestServerStarvedBudgetDegrades(t *testing.T) {
-	url, _, _ := newTestServer(t, Config{
+	starved := Config{
 		Options: repro.Options{
 			Budget: repro.ExplainBudget{MaxNodes: 1, MinSamples: 128},
 		},
-	})
+	}
+	url, _, _ := newTestServer(t, starved)
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String()}
 	degraded := 0
 	for _, noPool := range []bool{false, true} {
@@ -75,6 +78,25 @@ func TestServerStarvedBudgetDegrades(t *testing.T) {
 	}
 	if rt.Errors != 0 {
 		t.Errorf("explain route reports %d errors on degraded traffic", rt.Errors)
+	}
+
+	// A fresh server, so that no cached or upgraded exact answer can stand
+	// in for the exact computation the mode asks for.
+	url, _, d := newTestServer(t, starved)
+	req.Mode = "exact"
+	for _, noPool := range []bool{false, true} {
+		req.NoPool = noPool
+		var resp wire.ExplainResponse
+		status, raw := postJSON(t, url+"/v1/explain", req, &resp)
+		if status != http.StatusOK {
+			t.Fatalf("mode exact, nopool=%v: status %d, want 200: %s", noPool, status, raw)
+		}
+		for _, tup := range resp.Tuples {
+			if tup.Method != "exact" {
+				t.Fatalf("mode exact, nopool=%v: tuple method %q, want exact", noPool, tup.Method)
+			}
+		}
+		assertServedMatchesCold(t, resp, d, "starved server, mode exact")
 	}
 }
 

@@ -32,8 +32,9 @@ func getBody(t *testing.T, url string) (int, string) {
 
 // TestExplainTraceSpans: a trace:true explain returns the span tree — root
 // "explain" whose duration is the reported request latency, with the
-// acquire/tuple/tseytin/compile/dnnf stages nested inside, and compiler
-// node counts attached where the pipeline produced them.
+// acquire/tuple/tseytin/compile/dnnf stages nested inside, the cold open's
+// ground under acquire, and compiler node counts attached where the
+// pipeline produced them.
 func TestExplainTraceSpans(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{})
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String(), Trace: true}
@@ -71,6 +72,11 @@ func TestExplainTraceSpans(t *testing.T) {
 			t.Errorf("trace has no %q span:\n%s", name, raw)
 		}
 	}
+	// This request opened the pooled session, so its grounding is part of
+	// the acquire wait.
+	if root.Find("acquire").Find("ground") == nil {
+		t.Errorf("cold pooled open has no ground span under acquire:\n%s", raw)
+	}
 	if sp := root.Find("dnnf"); sp != nil {
 		nodes, ok := sp.Attrs["nodes"].(float64)
 		if !ok || nodes <= 0 {
@@ -106,7 +112,8 @@ func TestExplainTraceSpans(t *testing.T) {
 // TestDegradedCauseAndMetrics: a starved node budget degrades every tuple
 // with cause node_budget, which surfaces in the wire response, the labeled
 // repro_degraded_total counter, and a /metrics exposition that passes the
-// same validation CI applies.
+// same validation CI applies. The cold pooled open's grounding and the
+// background exact upgrade it schedules feed the per-stage histograms too.
 func TestDegradedCauseAndMetrics(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{
 		Options: repro.Options{
@@ -141,12 +148,32 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		`repro_request_duration_seconds_bucket{route="/v1/explain",le="+Inf"}`,
 		`repro_stage_duration_seconds_bucket{stage="compile",le="+Inf"}`,
 		`repro_stage_duration_seconds_bucket{stage="approx",le="+Inf"}`,
+		`repro_stage_duration_seconds_bucket{stage="ground",le="+Inf"}`,
 		"repro_pool_sessions",
 		`repro_dataset_facts{dataset="flights"}`,
 	} {
 		if err := promlint.Require(samples, require); err != nil {
 			t.Errorf("%v", err)
 		}
+	}
+
+	// The degraded answer schedules a background exact upgrade, whose own
+	// trace root reports under stage="upgrade" once it finishes.
+	const upgrade = `repro_stage_duration_seconds_bucket{stage="upgrade",le="+Inf"}`
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, text := getBody(t, url+"/metrics")
+		samples, _, err := promlint.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if promlint.Require(samples, upgrade) == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s series within 10s", upgrade)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

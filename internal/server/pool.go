@@ -40,7 +40,7 @@ type Key struct {
 //     one batched cache invalidation — instead of queueing N applications.
 type Pool struct {
 	capacity int
-	open     func(Key) (*repro.Session, error)
+	open     func(context.Context, Key) (*repro.Session, error)
 	// dbLock returns the reader/writer lock guarding the key's database.
 	// Explains hold it read; update application holds it write.
 	dbLock func(dataset string) *sync.RWMutex
@@ -63,10 +63,11 @@ type Pool struct {
 const DefaultPoolSize = 8
 
 // NewPool returns an empty pool. open is called (outside the pool lock,
-// under the dataset's read lock) to ground a session for a missing key;
+// under the dataset's read lock, with the context of the request that missed)
+// to ground a session for a missing key;
 // dbLock maps a dataset name to the reader/writer lock serializing its
 // database's writers against all of its sessions' readers.
-func NewPool(capacity int, open func(Key) (*repro.Session, error), dbLock func(string) *sync.RWMutex) *Pool {
+func NewPool(capacity int, open func(context.Context, Key) (*repro.Session, error), dbLock func(string) *sync.RWMutex) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultPoolSize
 	}
@@ -113,8 +114,9 @@ type openCall struct {
 }
 
 // acquire returns the pooled entry for key with its refcount raised,
-// opening (and possibly evicting) under single-flight if absent.
-func (p *Pool) acquire(key Key) (*entry, error) {
+// opening (and possibly evicting) under single-flight if absent. The opener
+// grounds under ctx, so a cold open is traced by the request that paid for it.
+func (p *Pool) acquire(ctx context.Context, key Key) (*entry, error) {
 	for {
 		p.mu.Lock()
 		if el, ok := p.entries[key]; ok {
@@ -143,7 +145,7 @@ func (p *Pool) acquire(key Key) (*entry, error) {
 		if lock != nil {
 			lock.RLock()
 		}
-		sess, err := p.open(key)
+		sess, err := p.open(ctx, key)
 		if lock != nil {
 			lock.RUnlock()
 		}
@@ -202,16 +204,16 @@ func (p *Pool) release(e *entry) {
 }
 
 // Explain serves one explain request from the key's pooled session under the
-// given per-request budget (the zero budget reproduces the session's
-// configured behavior), holding the dataset's read lock for the duration
+// request's effective budget (the server's configured budget overlaid with
+// the request's knobs), holding the dataset's read lock for the duration
 // (explains of other queries over the same database proceed concurrently;
 // update application excludes them).
 func (p *Pool) Explain(ctx context.Context, key Key, budget repro.ExplainBudget) ([]repro.TupleExplanation, error) {
 	// The acquire span covers pool acquisition (including a cold session
-	// open's grounding wait) and the dataset read-lock wait — the queueing
+	// open's "ground" span) and the dataset read-lock wait — the queueing
 	// portion of a pooled explain's latency.
-	_, sp := trace.Start(ctx, "acquire")
-	e, err := p.acquire(key)
+	actx, sp := trace.Start(ctx, "acquire")
+	e, err := p.acquire(actx, key)
 	if err != nil {
 		sp.Set("error", err.Error())
 		sp.End()
@@ -225,10 +227,7 @@ func (p *Pool) Explain(ctx context.Context, key Key, budget repro.ExplainBudget)
 	lock.RLock()
 	sp.End()
 	defer lock.RUnlock()
-	if budget.Enabled() {
-		return e.sess.ExplainWithBudget(ctx, budget)
-	}
-	return e.sess.Explain(ctx)
+	return e.sess.ExplainWithBudget(ctx, budget)
 }
 
 // inFlight sums the refcounts of every pooled entry — the number of
@@ -266,7 +265,7 @@ func (p *Pool) inFlight() int {
 // leader's context, so a coalesced request's delta spans can land in the
 // leader's trace rather than its own.
 func (p *Pool) Update(ctx context.Context, key Key, muts []repro.Mutation) ([]*repro.Fact, int, error) {
-	e, err := p.acquire(key)
+	e, err := p.acquire(ctx, key)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -19,7 +19,7 @@ func newTestPool(t *testing.T, capacity int) (*Pool, *repro.Database) {
 	t.Helper()
 	d, _ := flights.Build()
 	locks := map[string]*sync.RWMutex{"flights": new(sync.RWMutex)}
-	p := NewPool(capacity, func(k Key) (*repro.Session, error) {
+	p := NewPool(capacity, func(ctx context.Context, k Key) (*repro.Session, error) {
 		if k.Dataset != "flights" {
 			return nil, fmt.Errorf("server: unknown dataset %q", k.Dataset)
 		}
@@ -27,7 +27,7 @@ func newTestPool(t *testing.T, capacity int) (*Pool, *repro.Database) {
 		if err != nil {
 			return nil, err
 		}
-		return repro.Open(d, q, repro.Options{})
+		return repro.OpenContext(ctx, d, q, repro.Options{})
 	}, func(ds string) *sync.RWMutex { return locks[ds] })
 	t.Cleanup(p.Close)
 	return p, d
@@ -143,7 +143,7 @@ func TestPoolUpdateCoalescing(t *testing.T) {
 	key := flightsKey()
 
 	// Materialize the entry and pretend a leader is mid-application.
-	e, err := p.acquire(key)
+	e, err := p.acquire(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestPoolUpdateSequential(t *testing.T) {
 func TestPoolBatchErrorAttribution(t *testing.T) {
 	p, _ := newTestPool(t, 2)
 	key := flightsKey()
-	e, err := p.acquire(key)
+	e, err := p.acquire(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestPoolBatchErrorAttribution(t *testing.T) {
 func TestPoolUpdateOnClosedSession(t *testing.T) {
 	p, _ := newTestPool(t, 2)
 	key := flightsKey()
-	e, err := p.acquire(key)
+	e, err := p.acquire(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,10 +123,6 @@ func New(cfg Config) (*Server, error) {
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
-	// Out-of-trace pipeline stages (open-time grounding, background exact
-	// upgrades) report into the per-stage histograms; in-trace stages report
-	// through each request's trace root, so nothing counts twice.
-	s.cfg.Options.StageObserver = s.rec.ObserveStage
 	for name := range cfg.Datasets {
 		s.locks[name] = new(sync.RWMutex)
 	}
@@ -161,7 +157,9 @@ func (s *Server) Close() { s.pool.Close() }
 // PoolStats exposes the pool counters (also served by /v1/stats).
 func (s *Server) PoolStats() wire.PoolStats { return s.pool.Stats() }
 
-func (s *Server) openSession(key Key) (*repro.Session, error) {
+// openSession opens a pooled session under the context of the request that
+// missed the pool, so its grounding lands in that request's trace.
+func (s *Server) openSession(ctx context.Context, key Key) (*repro.Session, error) {
 	d := s.cfg.Datasets[key.Dataset]
 	if d == nil {
 		return nil, fmt.Errorf("server: unknown dataset %q", key.Dataset)
@@ -170,7 +168,7 @@ func (s *Server) openSession(key Key) (*repro.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return repro.Open(d, q, s.cfg.Options)
+	return repro.OpenContext(ctx, d, q, s.cfg.Options)
 }
 
 // resolve maps a request's dataset name to its database and lock.

@@ -71,13 +71,15 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// Active reports whether ctx carries a span, i.e. whether Start would
-// record anything. Instrumented code that otherwise reports stage
-// timings directly to an observer can use this to avoid double counting
-// when a trace is collecting.
-func Active(ctx context.Context) bool {
+// ObserverOf returns the observer of the trace ctx carries, or nil when
+// ctx carries no span. Work a request hands off to the background roots
+// its own trace with it, so its stages reach the same observer.
+func ObserverOf(ctx context.Context) Observer {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp != nil
+	if sp == nil {
+		return nil
+	}
+	return sp.obs
 }
 
 // Set attaches a key/value attribute to the span. Later writes with the

@@ -221,10 +221,11 @@ func ParseExplainMode(s string) (ExplainMode, error) { return core.ParseExplainM
 
 // Options configures Explain.
 type Options struct {
-	// Timeout is the per-output-tuple budget for the exact computation
-	// before falling back to CNF Proxy. Zero disables the fallback (exact
-	// runs unbounded), mirroring the paper's recommended hybrid with
-	// t = 2.5s when set.
+	// Timeout is the per-output-tuple budget for the exact computation,
+	// applied to each stage on its own (knowledge compilation, then
+	// Algorithm 1), before falling back to CNF Proxy — or to sampling when
+	// Budget is enabled. Zero disables it (exact runs unbounded), mirroring
+	// the paper's recommended hybrid with t = 2.5s when set.
 	Timeout time.Duration
 	// MaxNodes bounds the compiled circuit size (memory-exhaustion
 	// analogue); zero means unbounded.
@@ -295,13 +296,6 @@ type Options struct {
 	// The zero budget changes nothing. Session.ExplainWithBudget overrides
 	// it per call.
 	Budget ExplainBudget
-	// StageObserver, when non-nil, receives the name and wall-clock duration
-	// of pipeline stages that run outside any request trace: a session's
-	// open-time grounding and its background exact upgrades ("upgrade" plus
-	// the nested exact stages). Stages running under a request's trace
-	// collector (see internal/trace) report through that collector's observer
-	// instead, so nothing is double-counted. Must be safe for concurrent use.
-	StageObserver func(stage string, d time.Duration)
 }
 
 // Validate checks the options for values no pipeline configuration accepts

@@ -123,8 +123,9 @@ func Open(d *Database, q *Query, opts Options) (*Session, error) {
 }
 
 // OpenContext is Open under the caller's context: the open-time grounding is
-// recorded on ctx's stage trace when one is collecting (the context is used
-// for observability only; grounding runs to completion regardless).
+// recorded as a "ground" span on ctx's stage trace when one is collecting
+// (the context is used for observability only; grounding runs to completion
+// regardless).
 func OpenContext(ctx context.Context, d *Database, q *Query, opts Options) (*Session, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -145,23 +146,31 @@ func OpenContext(ctx context.Context, d *Database, q *Query, opts Options) (*Ses
 	return s, nil
 }
 
-// observe reports one out-of-trace stage duration to Options.StageObserver.
-// Stages running under a request trace report through the trace's own
-// observer (the span End does it), so callers only use observe when
-// trace.Active(ctx) is false.
-func (s *Session) observe(stage string, d time.Duration) {
-	if s.opts.StageObserver != nil {
-		s.opts.StageObserver(stage, d)
+// pipeline returns the exact pipeline's options under the session's
+// configuration with the given worker split. Foreground explains and
+// background upgrades both build their options here, so they differ only in
+// their workers.
+func (s *Session) pipeline(workers, compileWorkers int) core.PipelineOptions {
+	return core.PipelineOptions{
+		CompileTimeout:   s.opts.Timeout,
+		ShapleyTimeout:   s.opts.Timeout,
+		CompileMaxNodes:  s.opts.MaxNodes,
+		Workers:          workers,
+		CompileWorkers:   compileWorkers,
+		Speculate:        s.opts.Speculate,
+		Portfolio:        s.opts.Portfolio,
+		NoCanonicalCache: s.opts.NoCanonicalCache,
+		Strategy:         s.opts.Strategy,
+		Cache:            s.cache,
+		CacheOwner:       s.d.ID(),
 	}
 }
 
 // ground (re)builds the session's evaluation state from the current
 // database, dropping all cached artifacts. Callers hold s.mu (or own s
 // exclusively, as Open does). The grounding is recorded on ctx's trace when
-// one is collecting (the engine opens the "ground" span) and reported to
-// Options.StageObserver otherwise.
+// one is collecting (the engine opens the "ground" span).
 func (s *Session) ground(ctx context.Context) error {
-	start := time.Now()
 	if s.opts.IndexBudget > 0 {
 		s.d.SetIndexBudget(s.opts.IndexBudget)
 	}
@@ -169,9 +178,6 @@ func (s *Session) ground(ctx context.Context) error {
 	inc, err := engine.NewIncremental(ctx, s.d, s.q, s.cb, engine.Options{Mode: engine.ModeEndogenous})
 	if err != nil {
 		return err
-	}
-	if !trace.Active(ctx) {
-		s.observe("ground", time.Since(start))
 	}
 	s.inc = inc
 	s.tuples = make(map[string]*sessionTuple)
@@ -417,6 +423,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 	if compileWorkers == 0 {
 		compileWorkers = inner
 	}
+	popts := s.pipeline(inner, compileWorkers)
 
 	out := make([]TupleExplanation, len(live))
 	err := parallel.ForEach(ctx, len(live), outer, func(_, i int) error {
@@ -440,19 +447,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 			return nil
 		}
 		endo := lineageEndo(a.Lineage)
-		h, err := core.HybridAt(tctx, a.Lineage, endo, a.Epoch, entry.art, core.HybridOptions{
-			Timeout:          s.opts.Timeout,
-			MaxNodes:         s.opts.MaxNodes,
-			Workers:          inner,
-			CompileWorkers:   compileWorkers,
-			Speculate:        s.opts.Speculate,
-			Portfolio:        s.opts.Portfolio,
-			NoCanonicalCache: s.opts.NoCanonicalCache,
-			Strategy:         s.opts.Strategy,
-			Cache:            s.cache,
-			CacheOwner:       s.d.ID(),
-			Budget:           budget,
-		})
+		h, err := core.HybridAt(tctx, a.Lineage, endo, a.Epoch, entry.art, popts, budget)
 		if err != nil {
 			tsp.Set("error", err.Error())
 			tsp.End()
@@ -490,13 +485,14 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 	s.explains++
 	// Degraded answers are upgraded in place: schedule the background exact
 	// computation for every tuple answered approximately at its current
-	// epoch. This runs under mu after the fan-out completed, so it sees a
-	// consistent tuple map.
+	// epoch, reporting its stages to this call's trace observer. This runs
+	// under mu after the fan-out completed, so it sees a consistent tuple map.
+	obs := trace.ObserverOf(ctx)
 	for _, a := range live {
 		entry := s.tuples[a.Key]
 		if entry != nil && entry.expl != nil && entry.epoch == a.Epoch &&
 			entry.expl.Method == MethodApprox {
-			s.scheduleUpgrade(a.Key)
+			s.scheduleUpgrade(a.Key, obs)
 		}
 	}
 	for i := range out {
@@ -509,8 +505,9 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 
 // scheduleUpgrade queues the background exact upgrade for one approximately
 // answered tuple, deduplicating per key and skipping tuples whose upgrade
-// already failed at the current epoch. Callers hold s.mu.
-func (s *Session) scheduleUpgrade(key string) {
+// already failed at the current epoch. The upgrade roots its own trace with
+// obs, the observer of the request that scheduled it. Callers hold s.mu.
+func (s *Session) scheduleUpgrade(key string, obs trace.Observer) {
 	if s.closed || s.upgrading[key] {
 		return
 	}
@@ -531,7 +528,7 @@ func (s *Session) scheduleUpgrade(key string) {
 		case <-s.bgCtx.Done():
 			return
 		}
-		s.upgradeTuple(key)
+		s.upgradeTuple(key, obs)
 	}()
 }
 
@@ -542,8 +539,9 @@ func (s *Session) scheduleUpgrade(key string) {
 // once hash-consed, so reading a snapshotted lineage is safe while the
 // foreground mutates the session — under the session's own (non-budgeted)
 // limits; if it fails them too, the tuple keeps its approximate answer and
-// is not retried until its lineage changes.
-func (s *Session) upgradeTuple(key string) {
+// is not retried until its lineage changes. Its stages, and the "upgrade"
+// root itself, are reported to obs.
+func (s *Session) upgradeTuple(key string, obs trace.Observer) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -563,17 +561,6 @@ func (s *Session) upgradeTuple(key string) {
 			break
 		}
 	}
-	popts := core.PipelineOptions{
-		CompileTimeout:   s.opts.Timeout,
-		ShapleyTimeout:   s.opts.Timeout,
-		CompileMaxNodes:  s.opts.MaxNodes,
-		Workers:          1,
-		CompileWorkers:   1,
-		NoCanonicalCache: s.opts.NoCanonicalCache,
-		Strategy:         s.opts.Strategy,
-		Cache:            s.cache,
-		CacheOwner:       s.d.ID(),
-	}
 	s.mu.Unlock()
 	if lineage == nil {
 		return // the tuple moved on; the next explain recomputes it anyway
@@ -581,17 +568,9 @@ func (s *Session) upgradeTuple(key string) {
 
 	endo := lineageEndo(lineage)
 	start := time.Now()
-	// Background upgrades run outside any request, so there is no request
-	// trace to attach to; when a StageObserver is configured, give the
-	// upgrade its own root so the nested exact stages (and the upgrade
-	// itself) still feed the per-stage histograms.
-	uctx := s.bgCtx
-	if s.opts.StageObserver != nil {
-		var root *trace.Span
-		uctx, root = trace.NewRoot(s.bgCtx, "upgrade", trace.Observer(s.opts.StageObserver))
-		defer root.End()
-	}
-	res, err := core.ExplainCircuitAt(uctx, lineage, endo, epoch, nil, popts)
+	uctx, root := trace.NewRoot(s.bgCtx, "upgrade", obs)
+	defer root.End()
+	res, err := core.ExplainCircuitAt(uctx, lineage, endo, epoch, nil, s.pipeline(1, 1))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
