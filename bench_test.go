@@ -272,9 +272,10 @@ func BenchmarkAblationVarOrder(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationExactVsFloatCounts compares the exact big-integer
-// #SAT_k dynamic program against the float64 variant (which loses exactness
-// on large circuits and is therefore not used by Algorithm 1).
+// BenchmarkAblationExactVsFloatCounts compares the exact #SAT_k dynamic
+// program (machine words up to 64 facts, big.Int above) against its float64
+// instance (which loses exactness on large circuits and is therefore not
+// used by Algorithm 1).
 func BenchmarkAblationExactVsFloatCounts(b *testing.B) {
 	f := hardCNF(b)
 	compiled, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{})
@@ -282,7 +283,7 @@ func BenchmarkAblationExactVsFloatCounts(b *testing.B) {
 		b.Fatal(err)
 	}
 	reduced := dnnf.EliminateAux(compiled, func(v int) bool { return f.Aux[v] })
-	b.Run("counts=big.Int", func(b *testing.B) {
+	b.Run("counts=exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = core.ComputeAllSATk(reduced)
 		}

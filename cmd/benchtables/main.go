@@ -32,7 +32,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "workload scale factor")
 		timeout = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple")
 		maxTup  = flag.Int("maxtuples", 200, "max output tuples per query (0 = unbounded)")
-		workers = flag.Int("workers", 0, "per-tuple Algorithm 1 fan-out (0 = GOMAXPROCS, 1 = serial)")
+		workers = flag.Int("workers", 0, "per-tuple fan-out of Algorithm 1's per-fact strategy (0 = GOMAXPROCS, 1 = serial)")
 		cworker = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out per tuple (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSz = flag.Int("cache", 0, "compiled-circuit cache capacity per suite (0 = disabled)")
 		nocanon = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of canonically")

@@ -28,24 +28,41 @@ package core
 //   Γ_f(z) − Δ_f(z) = D_{ℓ⁺}(z) − D_{ℓ⁻}(z)
 //
 // padded to the endogenous universe exactly as the per-fact path pads its
-// conditioned counts. The total cost is O(|C|·n²) big-int work for ALL facts
+// conditioned counts. The total cost is O(|C|·n²) arithmetic for ALL facts
 // — an asymptotic factor-n improvement over the per-fact path's
-// O(n·|C|·n²) — and both passes are level-synchronously parallel.
+// O(n·|C|·n²). Both passes run serially in topological order, in uint64
+// words when the support has at most 64 facts and in big.Int above that
+// (see wordArith for why wrapping words are exact).
 
 import (
 	"context"
 	"math/big"
-	"sync"
 
 	"repro/internal/db"
 	"repro/internal/dnnf"
-	"repro/internal/parallel"
 )
+
+// exactArith is a countArith whose vectors the gradient can read back as
+// exact count differences.
+type exactArith[E any] interface {
+	countArith[E]
+	// dotDiff sets num to Σ_i (p[i]−q[i])·w[i] over i < len(w); a nil p
+	// or q reads as all-zero.
+	dotDiff(num *big.Int, p, q []E, w []*big.Int)
+}
 
 // shapleyAllGradient computes the Shapley value of every endogenous fact via
 // the two-pass gradient algorithm. It is exactly equivalent to the per-fact
-// path (big.Rat-identical results); coefs must be ShapleyCoefficients(n).
-func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, error) {
+// path (big.Rat-identical results).
+func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID) (Values, error) {
+	if len(c.Vars()) > maxWordSupport {
+		return gradientValues(ctx, bigArith{}, c, endo)
+	}
+	return gradientValues(ctx, wordArith{}, c, endo)
+}
+
+// gradientValues is shapleyAllGradient in the arithmetic a.
+func gradientValues[E any, A exactArith[E]](ctx context.Context, a A, c *dnnf.Node, endo []db.FactID) (Values, error) {
 	n := len(endo)
 	out := make(Values, n)
 	support := len(c.Vars())
@@ -56,128 +73,89 @@ func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID, wor
 		}
 		return out, ctx.Err()
 	}
-
-	order, maxID := flattenDNNF(c)
-	levels := levelize(order, maxID)
-	workers = parallel.Workers(workers)
-
-	// Pass 1 (bottom-up): per-node #SAT_k vectors over each node's own
-	// support, deepest level first so every child is ready before its
-	// parents. Nodes within a level are independent.
-	counts := make([][]*big.Int, maxID+1)
-	for l := len(levels) - 1; l >= 0; l-- {
-		nodes := levels[l]
-		err := parallel.ForEach(ctx, len(nodes), workers, func(_, i int) error {
-			m := nodes[i]
-			counts[m.ID()] = satkNode(m, counts)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Pass 2 (top-down): derivative vectors, root level first so every
-	// node's derivative is final before it propagates to its children. Two
-	// same-level nodes may share a child, so accumulation into a child is
-	// guarded by a per-node mutex; big.Int addition is exact, so the
-	// accumulation order cannot change the result.
-	deriv := make([][]*big.Int, maxID+1)
-	locks := make([]sync.Mutex, maxID+1)
-	deriv[c.ID()] = []*big.Int{big.NewInt(1)}
-	for l := 0; l < len(levels); l++ {
-		nodes := levels[l]
-		err := parallel.ForEach(ctx, len(nodes), workers, func(_, i int) error {
-			propagateDeriv(nodes[i], counts, deriv, locks)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Harvest per-literal derivatives. Builders hash-cons literals, so each
-	// literal normally has one leaf; summing keeps this robust either way.
-	pos := make(map[int][]*big.Int)
-	neg := make(map[int][]*big.Int)
-	for _, m := range order {
-		if m.Kind != dnnf.KindLit {
-			continue
-		}
-		d := deriv[m.ID()]
-		if d == nil {
-			continue
-		}
-		if m.Lit > 0 {
-			pos[m.Lit] = addLitDeriv(pos[m.Lit], d)
-		} else {
-			neg[-m.Lit] = addLitDeriv(neg[-m.Lit], d)
-		}
-	}
-
-	// Γ_f − Δ_f = D_{ℓ⁺} − D_{ℓ⁻}, padded from the circuit support to the
-	// endogenous universe (facts outside the support pad both conditioned
-	// vectors identically, so the padded difference is the difference
-	// padded).
 	pad := n - support
 	if pad < 0 {
 		// Mirror the per-fact path, which panics in PadToUniverse when the
 		// circuit mentions variables outside the endogenous universe.
 		panic("core: negative universe gap")
 	}
-	vals := make([]*big.Rat, n)
-	err := parallel.ForEach(ctx, n, workers, func(_, i int) error {
-		f := int(endo[i])
-		p, q := pos[f], neg[f]
-		if p == nil && q == nil {
-			vals[i] = new(big.Rat) // null player (outside the support)
-			return nil
-		}
-		diff := subCounts(p, q, support)
-		if pad > 0 {
-			diff = convolve(diff, binomialRow(pad))
-		}
-		vals[i] = weightedDiff(diff, coefs)
-		return nil
-	})
+
+	order, maxID := flattenDNNF(c)
+	counts, err := satkPass(ctx, a, order, maxID)
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range endo {
-		out[f] = vals[i]
+	// Top-down: reversed topological order finalizes every node's
+	// derivative before it propagates to its children.
+	deriv := make([][]E, maxID+1)
+	deriv[c.ID()] = unit(a, 1, 0)
+	for i := len(order) - 1; i >= 0; i-- {
+		if (len(order)-1-i)%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		propagateDeriv(a, order[i], counts, deriv)
+	}
+
+	// Harvest per-literal derivatives. Builders hash-cons literals, so each
+	// literal normally has one leaf; summing keeps this robust either way.
+	pos := make(map[int][]E)
+	neg := make(map[int][]E)
+	for _, m := range order {
+		if m.Kind != dnnf.KindLit {
+			continue
+		}
+		if m.Lit > 0 {
+			pos[m.Lit] = addLitDeriv(a, pos[m.Lit], deriv[m.ID()])
+		} else {
+			neg[-m.Lit] = addLitDeriv(a, neg[-m.Lit], deriv[m.ID()])
+		}
+	}
+
+	// Γ_f − Δ_f = D_{ℓ⁺} − D_{ℓ⁻}; the weights fold in its padding from the
+	// circuit support to the endogenous universe (facts outside the support
+	// pad both conditioned vectors identically, so the padded difference is
+	// the difference padded).
+	w, nFact := shapleyWeights(n, support)
+	var num big.Int
+	for _, f := range endo {
+		p, q := pos[int(f)], neg[int(f)]
+		if p == nil && q == nil {
+			out[f] = new(big.Rat) // null player (outside the support)
+			continue
+		}
+		a.dotDiff(&num, p, q, w)
+		out[f] = new(big.Rat).SetFrac(&num, nFact)
 	}
 	return out, nil
 }
 
-// levelize partitions the DAG into root-distance levels: level(root) = 0 and
-// level(c) = 1 + max over parents. Every edge goes from a strictly smaller
-// to a strictly larger level, so processing levels in ascending order is a
-// valid top-down schedule and descending order a valid bottom-up one, with
-// full independence inside each level. order must be topological (children
-// before parents), as returned by flattenDNNF.
-func levelize(order []*dnnf.Node, maxID int) [][]*dnnf.Node {
-	level := make([]int, maxID+1)
-	// Reversed topological order visits every parent before its children,
-	// so each node's level is final when its out-edges are relaxed.
-	maxLevel := 0
-	for i := len(order) - 1; i >= 0; i-- {
-		m := order[i]
-		lm := level[m.ID()]
-		for _, c := range m.Children {
-			if level[c.ID()] < lm+1 {
-				level[c.ID()] = lm + 1
-				if lm+1 > maxLevel {
-					maxLevel = lm + 1
-				}
-			}
+// shapleyWeights returns the integer weights W[0..s−1] and n! that turn an
+// unpadded count difference into a Shapley value: a fact whose difference
+// Γ−Δ over the s−1 other support facts is diff has value
+// Σ_i diff[i]·W[i] / n!. Padding diff to the n−1 other endogenous facts
+// convolves it with C(n−s, ·), and Equation (2) weighs a coalition of size
+// k by k!·(n−k−1)!/n!, so
+//
+//	W[i] = Σ_{j=0}^{n−s} C(n−s, j)·(i+j)!·(n−1−i−j)!.
+func shapleyWeights(n, s int) (w []*big.Int, nFact *big.Int) {
+	fact := make([]*big.Int, n+1) // fact[k] = k!
+	fact[0] = big.NewInt(1)
+	for k := 1; k <= n; k++ {
+		fact[k] = new(big.Int).Mul(fact[k-1], big.NewInt(int64(k)))
+	}
+	padRow := binomialRow(n - s)
+	w = make([]*big.Int, s)
+	var t big.Int
+	for i := range w {
+		w[i] = new(big.Int)
+		for j, c := range padRow {
+			t.Mul(fact[i+j], fact[n-1-i-j])
+			w[i].Add(w[i], t.Mul(&t, c))
 		}
 	}
-	levels := make([][]*dnnf.Node, maxLevel+1)
-	for _, m := range order {
-		l := level[m.ID()]
-		levels[l] = append(levels[l], m)
-	}
-	return levels
+	return w, fact[n]
 }
 
 // propagateDeriv pushes a node's finalized derivative to its children.
@@ -187,118 +165,111 @@ func levelize(order []*dnnf.Node, maxID int) [][]*dnnf.Node {
 // per child instead of a quadratic sweep. For an ∨-gate the contribution is
 // D_g padded by the child's gap-variable binomial row, mirroring the
 // bottom-up smoothing.
-func propagateDeriv(g *dnnf.Node, counts, deriv [][]*big.Int, locks []sync.Mutex) {
+func propagateDeriv[E any, A countArith[E]](a A, g *dnnf.Node, counts, deriv [][]E) {
 	dg := deriv[g.ID()]
-	if dg == nil || len(g.Children) == 0 {
+	if len(g.Children) == 0 {
 		return
 	}
 	switch g.Kind {
 	case dnnf.KindAnd:
 		k := len(g.Children)
 		// pref[i] = D_g ⊛ V_0 ⊛ … ⊛ V_{i−1}
-		pref := make([][]*big.Int, k)
+		pref := make([][]E, k)
 		pref[0] = dg
 		for i := 1; i < k; i++ {
-			pref[i] = convolve(pref[i-1], counts[g.Children[i-1].ID()])
+			pref[i] = convolve(a, pref[i-1], counts[g.Children[i-1].ID()])
 		}
 		// Walk right-to-left maintaining the suffix product V_{i+1} ⊛ … so
-		// child i receives pref[i] ⊛ suffix.
-		var suf []*big.Int
+		// child i receives pref[i] ⊛ suffix. pref[i≥1] is a fresh convolve
+		// output used nowhere else, so the last child may adopt it.
+		var suf []E
 		for i := k - 1; i >= 0; i-- {
-			contrib := pref[i]
-			owned := i >= 1 // pref[i≥1] is a fresh convolve output
-			if suf != nil {
-				contrib = convolve(pref[i], suf)
-				owned = true
-			}
-			addDeriv(g.Children[i], contrib, owned, deriv, locks)
+			addDeriv(a, deriv, g.Children[i], pref[i], suf, i >= 1)
 			if i > 0 {
 				cv := counts[g.Children[i].ID()]
 				if suf == nil {
 					suf = cv
 				} else {
-					suf = convolve(suf, cv)
+					suf = convolve(a, suf, cv)
 				}
 			}
 		}
 	case dnnf.KindOr:
 		for _, ch := range g.Children {
-			gap := len(g.Vars()) - len(ch.Vars())
-			if gap > 0 {
-				addDeriv(ch, convolve(dg, binomialRow(gap)), true, deriv, locks)
-			} else {
-				addDeriv(ch, dg, false, deriv, locks)
+			var padRow []E
+			if gap := len(g.Vars()) - len(ch.Vars()); gap > 0 {
+				padRow = a.binomial(gap)
 			}
+			addDeriv(a, deriv, ch, dg, padRow, false)
 		}
 	}
 }
 
-// addDeriv accumulates a parent's contribution into a child's derivative
-// under the child's lock. owned marks vectors the caller will never reuse,
-// which may be adopted directly as the accumulator; shared vectors are
-// copied first. All contributions to one child have identical length
-// (|support(root)| − |support(child)| + 1).
-func addDeriv(c *dnnf.Node, vec []*big.Int, owned bool, deriv [][]*big.Int, locks []sync.Mutex) {
+// addDeriv accumulates x ⊛ y (x alone when y is nil) into c's derivative.
+// owned marks an x the caller never reuses, which may become the
+// accumulator itself; a shared x is copied first. All contributions to one
+// child have identical length (|support(root)| − |support(child)| + 1).
+func addDeriv[E any, A countArith[E]](a A, deriv [][]E, c *dnnf.Node, x, y []E, owned bool) {
 	id := c.ID()
-	locks[id].Lock()
-	defer locks[id].Unlock()
 	cur := deriv[id]
-	if cur == nil {
-		if !owned {
-			vec = copyCounts(vec)
-		}
-		deriv[id] = vec
-		return
-	}
-	for i, vi := range vec {
-		if vi.Sign() != 0 {
-			cur[i].Add(cur[i], vi)
-		}
+	switch {
+	case y != nil && cur == nil:
+		deriv[id] = convolve(a, x, y)
+	case y != nil:
+		a.addConvolve(cur, x, y)
+	case cur != nil:
+		a.add(cur, x)
+	case owned:
+		deriv[id] = x
+	default:
+		deriv[id] = clone(a, x)
 	}
 }
 
 // addLitDeriv merges derivative vectors of leaves carrying the same literal.
 // With hash-consed builders the second case never triggers; it is kept for
 // robustness against externally constructed circuits.
-func addLitDeriv(dst, d []*big.Int) []*big.Int {
+func addLitDeriv[E any, A countArith[E]](a A, dst, d []E) []E {
 	if dst == nil {
 		return d
 	}
-	sum := copyCounts(dst)
-	for i, di := range d {
-		sum[i].Add(sum[i], di)
-	}
+	sum := clone(a, dst)
+	a.add(sum, d)
 	return sum
 }
 
-// subCounts returns p − q as a fresh vector of the given length, treating a
-// nil operand as all-zero.
-func subCounts(p, q []*big.Int, size int) []*big.Int {
-	out := zeros(size)
-	for i := 0; i < size; i++ {
-		if p != nil && i < len(p) {
-			out[i].Set(p[i])
+func (wordArith) dotDiff(num *big.Int, p, q []uint64, w []*big.Int) {
+	num.SetInt64(0)
+	var t big.Int
+	for i, wi := range w {
+		var d uint64
+		if p != nil {
+			d = p[i]
 		}
-		if q != nil && i < len(q) {
-			out[i].Sub(out[i], q[i])
+		if q != nil {
+			d -= q[i]
+		}
+		if d != 0 {
+			// The true difference lies within ±C(s−1, i) < 2^63 (see
+			// wordArith), so its two's-complement reading is exact.
+			num.Add(num, t.Mul(t.SetInt64(int64(d)), wi))
 		}
 	}
-	return out
 }
 
-// weightedDiff evaluates Σ_k coefs[k]·diff[k] as an exact rational — the
-// gradient-mode sibling of weightedDifference, which receives Γ−Δ already
-// formed.
-func weightedDiff(diff []*big.Int, coefs []*big.Rat) *big.Rat {
-	total := new(big.Rat)
-	var term big.Rat
-	for k := 0; k < len(coefs) && k < len(diff); k++ {
-		if diff[k].Sign() == 0 {
-			continue
+func (bigArith) dotDiff(num *big.Int, p, q []*big.Int, w []*big.Int) {
+	num.SetInt64(0)
+	var d big.Int
+	for i, wi := range w {
+		d.SetInt64(0)
+		if p != nil {
+			d.Set(p[i])
 		}
-		term.SetInt(diff[k])
-		term.Mul(&term, coefs[k])
-		total.Add(total, &term)
+		if q != nil {
+			d.Sub(&d, q[i])
+		}
+		if d.Sign() != 0 {
+			num.Add(num, d.Mul(&d, wi))
+		}
 	}
-	return total
 }

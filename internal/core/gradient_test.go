@@ -175,10 +175,9 @@ func TestGradientEfficiencyAxiomBothModes(t *testing.T) {
 	}
 }
 
-// TestGradientParallelMatchesSerial exercises the level-synchronous fan-out
-// of both gradient passes under the race detector on a threshold circuit
-// large enough to have multi-node levels, and asserts worker-count
-// invariance.
+// TestGradientParallelMatchesSerial asserts that the gradient's values on a
+// threshold circuit do not depend on the worker count (its passes are
+// serial; the per-fact cross-check fans out across facts).
 func TestGradientParallelMatchesSerial(t *testing.T) {
 	b := dnnf.NewBuilder()
 	n := 16
@@ -211,6 +210,122 @@ func TestGradientParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	valuesIdentical(t, perFact, serial, "per-fact vs gradient (threshold)")
+}
+
+// TestGradientAcrossWordSwitch runs Algorithm 1 on threshold circuits on
+// both sides of the switch from uint64 words to big.Int at 64 facts. Every
+// fact of "at least n/2 of n" is symmetric, so by efficiency each value is
+// exactly 1/n; at n = 96 the word instance would overflow, so selecting it
+// there fails this test.
+func TestGradientAcrossWordSwitch(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 96} {
+		c := thresholdTestDNNF(dnnf.NewBuilder(), n, n/2)
+		endo := factRange(n)
+		strategies := []ShapleyStrategy{StrategyGradient}
+		if n == 64 {
+			strategies = append(strategies, StrategyPerFact)
+		}
+		for _, strategy := range strategies {
+			v, err := ShapleyAllStrategy(context.Background(), c, endo, 2, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := big.NewRat(1, int64(n))
+			for _, f := range endo {
+				if v[f].Cmp(want) != 0 {
+					t.Fatalf("n=%d %v: Shapley(%d) = %v, want %v", n, strategy, f, v[f], want)
+				}
+			}
+		}
+	}
+}
+
+// TestComputeAllSATkAcrossWordSwitch: on threshold circuits around the
+// switch, ComputeAllSATk equals the big.Int instance entry by entry and the
+// closed form #SAT_k = C(n,k) for k ≥ n/2. At n = 64, the widest
+// word-counted support, entries peak at C(64,32) ≈ 1.8·10^18; at n = 96 they
+// overflow 64 bits, so counting that circuit in words fails this test.
+func TestComputeAllSATkAcrossWordSwitch(t *testing.T) {
+	for _, n := range []int{64, 65, 96} {
+		c := thresholdTestDNNF(dnnf.NewBuilder(), n, n/2)
+		order, maxID := flattenDNNF(c)
+		bigMemo, err := satkPass(context.Background(), bigArith{}, order, maxID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bigMemo[c.ID()]
+		got := ComputeAllSATk(c)
+		if len(got) != n+1 || len(want) != n+1 {
+			t.Fatalf("n=%d: len = %d, %d (big), want %d", n, len(got), len(want), n+1)
+		}
+		for k := range got {
+			closed := new(big.Int)
+			if k >= n/2 {
+				closed.Binomial(int64(n), int64(k))
+			}
+			if got[k].Cmp(want[k]) != 0 || got[k].Cmp(closed) != 0 {
+				t.Fatalf("n=%d #SAT_%d = %v, big instance %v, closed form %v", n, k, got[k], want[k], closed)
+			}
+		}
+	}
+}
+
+// TestGradientWordMatchesBig calls the word and big.Int instances of both
+// passes directly on the random monotone lineages and the compiled random
+// CNFs (with negative literals) of the tests above: every node's #SAT_k
+// vector and every Shapley value must agree.
+func TestGradientWordMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	check := func(trial int, c *dnnf.Node, endo []db.FactID) {
+		t.Helper()
+		order, maxID := flattenDNNF(c)
+		words, err := satkPass(context.Background(), wordArith{}, order, maxID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bigs, err := satkPass(context.Background(), bigArith{}, order, maxID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range order {
+			w, b := words[m.ID()], bigs[m.ID()]
+			if len(w) != len(b) {
+				t.Fatalf("trial %d node %d: len %d (word) vs %d (big)", trial, m.ID(), len(w), len(b))
+			}
+			for k := range w {
+				if !b[k].IsUint64() || b[k].Uint64() != w[k] {
+					t.Fatalf("trial %d node %d: #SAT_%d = %d (word) vs %v (big)", trial, m.ID(), k, w[k], b[k])
+				}
+			}
+		}
+		wv, err := gradientValues(context.Background(), wordArith{}, c, endo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bv, err := gradientValues(context.Background(), bigArith{}, c, endo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valuesIdentical(t, wv, bv, "word vs big gradient")
+	}
+	for trial := 0; trial < 60; trial++ {
+		cb := circuit.NewBuilder()
+		nVars := 2 + rng.Intn(5)
+		elin := randomMonotoneCircuit(rng, cb, nVars, 3)
+		endo := factRange(nVars + rng.Intn(3))
+		res, err := ExplainCircuit(context.Background(), elin, endo, PipelineOptions{Strategy: StrategyPerFact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(trial, res.DNNF, endo)
+
+		f := randomTestCNF(rng, 2+rng.Intn(4), 1+rng.Intn(6))
+		c, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(trial, c, factRange(f.MaxVar+rng.Intn(2)))
+	}
 }
 
 // TestGradientDegenerateCircuits covers the constant and single-literal
@@ -262,22 +377,17 @@ func TestGradientCancelledContext(t *testing.T) {
 	}
 }
 
+// TestResolveStrategyAuto pins StrategyAuto to the gradient whatever the
+// circuit, and explicit choices pass through untouched.
 func TestResolveStrategyAuto(t *testing.T) {
-	b := dnnf.NewBuilder()
-	small := b.Lit(1)
-	if got := resolveStrategy(StrategyAuto, 3, small); got != StrategyPerFact {
-		t.Errorf("auto on tiny circuit = %v, want per-fact", got)
-	}
-	big := thresholdTestDNNF(b, 20, 10)
-	if got := resolveStrategy(StrategyAuto, 20, big); got != StrategyGradient {
-		t.Errorf("auto on n=20 threshold circuit = %v, want gradient", got)
-	}
-	// Explicit choices pass through untouched.
-	if got := resolveStrategy(StrategyPerFact, 20, big); got != StrategyPerFact {
-		t.Errorf("explicit per-fact = %v", got)
-	}
-	if got := resolveStrategy(StrategyGradient, 3, small); got != StrategyGradient {
-		t.Errorf("explicit gradient = %v", got)
+	for in, want := range map[ShapleyStrategy]ShapleyStrategy{
+		StrategyAuto:     StrategyGradient,
+		StrategyPerFact:  StrategyPerFact,
+		StrategyGradient: StrategyGradient,
+	} {
+		if got := resolveStrategy(in); got != want {
+			t.Errorf("resolveStrategy(%v) = %v, want %v", in, got, want)
+		}
 	}
 }
 
@@ -331,10 +441,13 @@ func TestBinomialRowMemoized(t *testing.T) {
 			t.Fatal("repeated binomialRow call disagrees with itself")
 		}
 	}
-	frow := binomialRowFloat(6)
-	for k, v := range []float64{1, 6, 15, 20, 15, 6, 1} {
-		if frow[k] != v {
-			t.Fatalf("binomialRowFloat(6)[%d] = %v, want %v", k, frow[k], v)
+	// The word arithmetic's Pascal table agrees with the big.Int rows up to
+	// its last row, whose middle entry C(64,32) needs 61 bits.
+	for n := 0; n <= maxWordSupport; n++ {
+		for k, v := range binomialRow(n) {
+			if !v.IsUint64() || v.Uint64() != wordBinomials[n][k] {
+				t.Fatalf("wordBinomials[%d][%d] = %d, want %v", n, k, wordBinomials[n][k], v)
+			}
 		}
 	}
 }

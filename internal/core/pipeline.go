@@ -29,9 +29,9 @@ type PipelineOptions struct {
 	Order dnnf.VarOrder
 	// DisableCache turns off the compiler's component cache (ablation).
 	DisableCache bool
-	// Workers is the fan-out of Algorithm 1 (≤ 0 = GOMAXPROCS, 1 = serial):
-	// across facts in per-fact mode, across the nodes of each circuit level
-	// in gradient mode. Results are identical for every setting.
+	// Workers is the fan-out of Algorithm 1 across facts in per-fact mode
+	// (≤ 0 = GOMAXPROCS, 1 = serial); gradient mode is serial and ignores
+	// it. Results are identical for every setting.
 	Workers int
 	// CompileWorkers is the knowledge compiler's intra-compilation fan-out:
 	// independent connected components compile concurrently across up to
@@ -51,9 +51,8 @@ type PipelineOptions struct {
 	// NoCanonicalCache keys Cache by the byte-identical CNF instead of the
 	// rename-invariant canonical form (ablation; canonical is the default).
 	NoCanonicalCache bool
-	// Strategy selects the Algorithm 1 evaluation mode (StrategyAuto picks
-	// gradient for large n·|C|, per-fact otherwise; both are exact and
-	// big.Rat-identical).
+	// Strategy selects the Algorithm 1 evaluation mode (StrategyAuto is
+	// gradient; both modes are exact and big.Rat-identical).
 	Strategy ShapleyStrategy
 	// Cache, when non-nil, is a cross-call d-DNNF compilation cache shared
 	// between pipeline invocations (and goroutines).

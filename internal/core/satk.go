@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"sync"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // flattenDNNF returns the nodes reachable from n in topological order
-// (children before parents) together with the largest node ID, so dynamic
-// programs over the DAG can use dense slices instead of maps and plain loops
-// instead of recursion.
+// (children before parents, so n itself comes last) together with the
+// largest node ID, so dynamic programs over the DAG can use dense slices
+// instead of maps and plain loops instead of recursion.
 func flattenDNNF(n *dnnf.Node) (order []*dnnf.Node, maxID int) {
 	dnnf.Visit(n, func(m *dnnf.Node) {
 		order = append(order, m)
@@ -26,6 +27,51 @@ func flattenDNNF(n *dnnf.Node) (order []*dnnf.Node, maxID int) {
 	})
 	return order, maxID
 }
+
+// countArith is the whole-vector arithmetic the #SAT_k pass and the
+// gradient's derivative pass are written against, so each pass exists once
+// and is instantiated per number type: wrapping uint64 words (wordArith),
+// big.Int (bigArith) and float64 (floatArith, the ablation). Every operation
+// handles a whole count vector, so calling through the type parameter costs
+// one indirect call per vector, never one per entry.
+type countArith[E any] interface {
+	// zeros returns a fresh all-zero vector of length n.
+	zeros(n int) []E
+	// add accumulates src into dst entry by entry; len(dst) ≥ len(src).
+	add(dst, src []E)
+	// addConvolve accumulates the convolution of a and b into dst:
+	// dst[i+j] += a[i]·b[j]. len(dst) ≥ len(a)+len(b)−1.
+	addConvolve(dst, a, b []E)
+	// binomial returns [C(n,0), …, C(n,n)], shared and read-only.
+	binomial(n int) []E
+}
+
+// unit returns a fresh length-n vector that is 1 at i and 0 elsewhere.
+func unit[E any, A countArith[E]](a A, n, i int) []E {
+	v := a.zeros(n)
+	a.add(v[i:], a.binomial(0)) // [C(0,0)] = [1]
+	return v
+}
+
+// clone returns a fresh copy of v.
+func clone[E any, A countArith[E]](a A, v []E) []E {
+	out := a.zeros(len(v))
+	a.add(out, v)
+	return out
+}
+
+// convolve returns the coefficient-wise product of two count vectors,
+// out[ℓ] = Σ_i x[i]·y[ℓ−i]: the counts of joint assignments of two
+// variable-disjoint parts by total Hamming weight.
+func convolve[E any, A countArith[E]](a A, x, y []E) []E {
+	out := a.zeros(len(x) + len(y) - 1)
+	a.addConvolve(out, x, y)
+	return out
+}
+
+// maxWordSupport is the largest circuit support whose #SAT_k pass and
+// derivative pass run in wrapping uint64 arithmetic (see wordArith).
+const maxWordSupport = 64
 
 // ComputeAllSATk computes #SAT_0(C), ..., #SAT_n(C) for the d-DNNF rooted at
 // n, counted over the node's own variable support (Lemma 4.5). The returned
@@ -38,70 +84,88 @@ func flattenDNNF(n *dnnf.Node) (order []*dnnf.Node, maxID int) {
 //   - ∨ (deterministic): sum of children vectors, each first convolved with
 //     the binomial row of its gap variables (Vars(g) \ Vars(child))
 //
-// Constants have empty support: true ↦ [1], false ↦ [0]. Memos are kept in a
-// dense slice indexed by node ID (builder IDs are contiguous), avoiding the
-// map overhead that used to dominate small-vector nodes.
+// Constants have empty support: true ↦ [1], false ↦ [0]. Supports of at
+// most 64 variables are counted in machine words, larger ones in big.Int.
 func ComputeAllSATk(n *dnnf.Node) []*big.Int {
 	order, maxID := flattenDNNF(n)
-	memo := make([][]*big.Int, maxID+1)
-	for _, m := range order {
-		memo[m.ID()] = satkNode(m, memo)
+	if len(n.Vars()) > maxWordSupport {
+		// Background never cancels, so the pass cannot fail.
+		memo, _ := satkPass(context.Background(), bigArith{}, order, maxID)
+		return memo[n.ID()]
 	}
+	memo, _ := satkPass(context.Background(), wordArith{}, order, maxID)
+	words := memo[n.ID()]
+	out := bigArith{}.zeros(len(words))
+	for i, w := range words {
+		out[i].SetUint64(w)
+	}
+	return out
+}
+
+// FloatSATk is the float64 instance of ComputeAllSATk's pass, used by the
+// ablation benchmark that quantifies the cost of exact arithmetic. It loses
+// exactness (and overflows to +Inf) on large circuits and is not used by
+// the exact algorithm.
+func FloatSATk(n *dnnf.Node) []float64 {
+	order, maxID := flattenDNNF(n)
+	memo, _ := satkPass(context.Background(), floatArith{}, order, maxID)
 	return memo[n.ID()]
 }
 
+// ctxCheckEvery is how many nodes a serial pass visits between checks of
+// its context; the first node is always checked.
+const ctxCheckEvery = 256
+
+// satkPass runs the bottom-up #SAT_k dynamic program over order (as
+// returned by flattenDNNF) and returns every node's count vector over its
+// own support, indexed by node ID. It stops with ctx's error once ctx is
+// done.
+func satkPass[E any, A countArith[E]](ctx context.Context, a A, order []*dnnf.Node, maxID int) ([][]E, error) {
+	memo := make([][]E, maxID+1)
+	for i, m := range order {
+		if i%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		memo[m.ID()] = satkNode(a, m, memo)
+	}
+	return memo, nil
+}
+
 // satkNode computes one node's #SAT_k vector from its children's memoized
-// vectors. The returned slice is freshly owned by the caller except that it
-// never aliases a child's memo entry.
-func satkNode(m *dnnf.Node, memo [][]*big.Int) []*big.Int {
+// vectors. The result is freshly allocated and never aliases a child's.
+func satkNode[E any, A countArith[E]](a A, m *dnnf.Node, memo [][]E) []E {
 	switch m.Kind {
 	case dnnf.KindTrue:
-		return []*big.Int{big.NewInt(1)}
+		return unit(a, 1, 0)
 	case dnnf.KindFalse:
-		return []*big.Int{big.NewInt(0)}
+		return a.zeros(1)
 	case dnnf.KindLit:
 		if m.Lit > 0 {
-			return []*big.Int{big.NewInt(0), big.NewInt(1)}
+			return unit(a, 2, 1)
 		}
-		return []*big.Int{big.NewInt(1), big.NewInt(0)}
+		return unit(a, 2, 0)
 	case dnnf.KindAnd:
 		switch len(m.Children) {
 		case 0:
-			return []*big.Int{big.NewInt(1)}
+			return unit(a, 1, 0)
 		case 1:
-			return copyCounts(memo[m.Children[0].ID()])
+			return clone(a, memo[m.Children[0].ID()])
 		}
-		v := convolve(memo[m.Children[0].ID()], memo[m.Children[1].ID()])
+		v := convolve(a, memo[m.Children[0].ID()], memo[m.Children[1].ID()])
 		for _, c := range m.Children[2:] {
-			v = convolve(v, memo[c.ID()])
+			v = convolve(a, v, memo[c.ID()])
 		}
 		return v
 	default: // dnnf.KindOr
-		var v []*big.Int
+		v := a.zeros(len(m.Vars()) + 1)
 		for _, c := range m.Children {
-			child := memo[c.ID()]
-			gap := len(m.Vars()) - len(c.Vars())
-			switch {
-			case v == nil && gap == 0:
-				// The first child's vector seeds the accumulator; copy so
-				// the memo entry is never mutated.
-				v = copyCounts(child)
-			case v == nil:
-				v = convolve(child, binomialRow(gap))
-			case gap == 0:
-				for i, ci := range child {
-					if ci.Sign() != 0 {
-						v[i].Add(v[i], ci)
-					}
-				}
-			default:
-				// Accumulate the gap-padded child directly into v instead of
-				// materializing a padded temporary.
-				addConvolve(v, child, binomialRow(gap))
+			if gap := len(m.Vars()) - len(c.Vars()); gap > 0 {
+				a.addConvolve(v, memo[c.ID()], a.binomial(gap))
+			} else {
+				a.add(v, memo[c.ID()])
 			}
-		}
-		if v == nil {
-			v = zeros(len(m.Vars()) + 1)
 		}
 		return v
 	}
@@ -120,21 +184,85 @@ func PadToUniverse(counts []*big.Int, extra int) []*big.Int {
 	if extra < 0 {
 		panic("core: negative universe gap")
 	}
-	return convolve(counts, binomialRow(extra))
+	return convolve(bigArith{}, counts, binomialRow(extra))
 }
 
-// convolve returns the coefficient-wise product of two count vectors:
-// out[ℓ] = Σ_i a[i]·b[ℓ-i]. It corresponds to counting joint assignments of
-// two variable-disjoint parts by total Hamming weight.
-func convolve(a, b []*big.Int) []*big.Int {
-	out := zeros(len(a) + len(b) - 1)
-	addConvolve(out, a, b)
+// wordArith counts in uint64 words that wrap on overflow. That is exact for
+// every vector read back, because each step of both passes (convolution,
+// addition, binomial padding) is a ring operation: reduction mod 2^64 is a
+// ring homomorphism from the integers, so every computed entry is the true
+// integer mod 2^64, whatever intermediate products wrapped. A value read
+// back is then exact whenever its true range fits in 64 bits, and for a
+// support of s ≤ 64 facts both kinds do:
+//
+//   - ComputeAllSATk's entries are counts 0 ≤ #SAT_k ≤ C(s,k) < 2^64;
+//   - the gradient reads only the literal difference
+//     D_ℓ⁺[k] − D_ℓ⁻[k] = Γ_f[k] − Δ_f[k], where Γ_f and Δ_f count
+//     assignments of the s−1 other facts, so it lies within ±C(s−1,k)
+//     < 2^63 and int64(p[k]−q[k]) is the true difference.
+type wordArith struct{}
+
+// wordBinomials holds Pascal's triangle up to row maxWordSupport, the
+// largest gap a word-counted circuit can have.
+var wordBinomials = func() [][]uint64 {
+	rows := make([][]uint64, maxWordSupport+1)
+	rows[0] = []uint64{1}
+	for n := 1; n <= maxWordSupport; n++ {
+		row := make([]uint64, n+1)
+		row[0], row[n] = 1, 1
+		for k := 1; k < n; k++ {
+			row[k] = rows[n-1][k-1] + rows[n-1][k]
+		}
+		rows[n] = row
+	}
+	return rows
+}()
+
+func (wordArith) zeros(n int) []uint64 { return make([]uint64, n) }
+
+func (wordArith) add(dst, src []uint64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] += x
+	}
+}
+
+func (wordArith) addConvolve(dst, a, b []uint64) {
+	for i, ai := range a {
+		if ai == 0 {
+			continue
+		}
+		d := dst[i : i+len(b)]
+		for j, bj := range b {
+			d[j] += ai * bj
+		}
+	}
+}
+
+func (wordArith) binomial(n int) []uint64 { return wordBinomials[n] }
+
+// bigArith counts in big.Int, for supports past maxWordSupport.
+type bigArith struct{}
+
+// zeros returns a vector of n zero big.Ints backed by a single allocation.
+func (bigArith) zeros(n int) []*big.Int {
+	vals := make([]big.Int, n)
+	out := make([]*big.Int, n)
+	for i := range vals {
+		out[i] = &vals[i]
+	}
 	return out
 }
 
-// addConvolve accumulates the convolution of a and b into dst in place:
-// dst[i+j] += a[i]·b[j]. dst must have length ≥ len(a)+len(b)-1.
-func addConvolve(dst, a, b []*big.Int) {
+func (bigArith) add(dst, src []*big.Int) {
+	for i, x := range src {
+		if x.Sign() != 0 {
+			dst[i].Add(dst[i], x)
+		}
+	}
+}
+
+func (bigArith) addConvolve(dst, a, b []*big.Int) {
 	var t big.Int
 	for i, ai := range a {
 		if ai.Sign() == 0 {
@@ -150,13 +278,14 @@ func addConvolve(dst, a, b []*big.Int) {
 	}
 }
 
-// binomialCache memoizes binomial rows across calls: every ∨-gate with gap
-// variables and every universe padding used to recompute its row from
-// scratch. Rows are shared and must be treated as read-only by callers.
+func (bigArith) binomial(n int) []*big.Int { return binomialRow(n) }
+
+// binomialCache memoizes big.Int binomial rows across calls: every ∨-gate
+// with gap variables and every universe padding used to recompute its row
+// from scratch. Rows are shared and must be treated as read-only by callers.
 var binomialCache struct {
 	sync.Mutex
-	rows  map[int][]*big.Int
-	frows map[int][]float64
+	rows map[int][]*big.Int
 }
 
 // binomialRow returns [C(n,0), C(n,1), ..., C(n,n)]. The returned slice is
@@ -181,104 +310,33 @@ func binomialRow(n int) []*big.Int {
 	return row
 }
 
-// zeros returns a vector of n zero big.Ints backed by a single allocation.
-func zeros(n int) []*big.Int {
-	vals := make([]big.Int, n)
-	out := make([]*big.Int, n)
-	for i := range vals {
-		out[i] = &vals[i]
-	}
-	return out
-}
+// floatArith counts in float64, for FloatSATk only.
+type floatArith struct{}
 
-// copyCounts returns a freshly owned deep copy of a count vector.
-func copyCounts(src []*big.Int) []*big.Int {
-	vals := make([]big.Int, len(src))
-	out := make([]*big.Int, len(src))
-	for i, s := range src {
-		vals[i].Set(s)
-		out[i] = &vals[i]
-	}
-	return out
-}
+func (floatArith) zeros(n int) []float64 { return make([]float64, n) }
 
-// FloatSATk is the float64 variant of ComputeAllSATk, used by the ablation
-// benchmark that quantifies the cost of exact big-integer arithmetic. It
-// overflows to +Inf for large circuits and is not used by the exact
-// algorithm. Like ComputeAllSATk it memoizes in a dense slice indexed by
-// node ID.
-func FloatSATk(n *dnnf.Node) []float64 {
-	order, maxID := flattenDNNF(n)
-	memo := make([][]float64, maxID+1)
-	for _, m := range order {
-		memo[m.ID()] = floatSATkNode(m, memo)
-	}
-	return memo[n.ID()]
-}
-
-func floatSATkNode(m *dnnf.Node, memo [][]float64) []float64 {
-	switch m.Kind {
-	case dnnf.KindTrue:
-		return []float64{1}
-	case dnnf.KindFalse:
-		return []float64{0}
-	case dnnf.KindLit:
-		if m.Lit > 0 {
-			return []float64{0, 1}
-		}
-		return []float64{1, 0}
-	case dnnf.KindAnd:
-		v := []float64{1}
-		for _, c := range m.Children {
-			v = convolveFloat(v, memo[c.ID()])
-		}
-		return v
-	default: // dnnf.KindOr
-		v := make([]float64, len(m.Vars())+1)
-		for _, c := range m.Children {
-			gap := len(m.Vars()) - len(c.Vars())
-			padded := memo[c.ID()]
-			if gap > 0 {
-				padded = convolveFloat(padded, binomialRowFloat(gap))
-			}
-			for i := range padded {
-				v[i] += padded[i]
-			}
-		}
-		return v
+func (floatArith) add(dst, src []float64) {
+	for i, x := range src {
+		dst[i] += x
 	}
 }
 
-func convolveFloat(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
+func (floatArith) addConvolve(dst, a, b []float64) {
 	for i, ai := range a {
 		if ai == 0 {
 			continue
 		}
 		for j, bj := range b {
-			out[i+j] += ai * bj
+			dst[i+j] += ai * bj
 		}
 	}
-	return out
 }
 
-// binomialRowFloat is the float64 sibling of binomialRow, memoized in the
-// same mutex-guarded table. The returned slice is shared; treat as
-// read-only.
-func binomialRowFloat(n int) []float64 {
-	binomialCache.Lock()
-	defer binomialCache.Unlock()
-	if row, ok := binomialCache.frows[n]; ok {
-		return row
-	}
+func (floatArith) binomial(n int) []float64 {
 	row := make([]float64, n+1)
 	row[0] = 1
 	for k := 1; k <= n; k++ {
 		row[k] = row[k-1] * float64(n-k+1) / float64(k)
 	}
-	if binomialCache.frows == nil {
-		binomialCache.frows = make(map[int][]float64)
-	}
-	binomialCache.frows[n] = row
 	return row
 }

@@ -64,8 +64,8 @@ func (v Values) Ranking() []db.FactID {
 type ShapleyStrategy uint8
 
 const (
-	// StrategyAuto (the default) picks StrategyGradient when n·|C| crosses
-	// gradientAutoThreshold and StrategyPerFact otherwise.
+	// StrategyAuto (the default) is StrategyGradient, which is faster than
+	// StrategyPerFact at every circuit size.
 	StrategyAuto ShapleyStrategy = iota
 	// StrategyPerFact is the literal Algorithm 1: condition the circuit on
 	// f→true and f→false for each fact f and rerun the #SAT_k dynamic
@@ -102,22 +102,12 @@ func ParseShapleyStrategy(s string) (ShapleyStrategy, error) {
 	return StrategyAuto, fmt.Errorf("core: unknown Shapley strategy %q (want auto, per-fact, or gradient)", s)
 }
 
-// gradientAutoThreshold is the n·|C| product above which StrategyAuto
-// switches to gradient mode. Below it the per-fact path's lower constant
-// overhead (no level partition, no derivative storage) wins; above it the
-// gradient path's factor-n asymptotic advantage dominates quickly.
-const gradientAutoThreshold = 512
-
-// resolveStrategy turns StrategyAuto into a concrete choice for a circuit
-// with the given support universe size.
-func resolveStrategy(s ShapleyStrategy, n int, c *dnnf.Node) ShapleyStrategy {
-	if s != StrategyAuto {
-		return s
-	}
-	if n*dnnf.Size(c) >= gradientAutoThreshold {
+// resolveStrategy turns StrategyAuto into the concrete strategy it runs.
+func resolveStrategy(s ShapleyStrategy) ShapleyStrategy {
+	if s == StrategyAuto {
 		return StrategyGradient
 	}
-	return StrategyPerFact
+	return s
 }
 
 // shapleyCoefCache memoizes ShapleyCoefficients across calls and goroutines:
@@ -195,8 +185,7 @@ func ShapleyOfFact(c *dnnf.Node, endo []db.FactID, f db.FactID) *big.Rat {
 
 // ShapleyAll computes the Shapley value of every endogenous fact in endo
 // with respect to the Boolean function represented by the d-DNNF c (the
-// endogenous lineage), auto-selecting between the per-fact and gradient
-// evaluation strategies. Facts outside the support are zero by symmetry
+// endogenous lineage) under StrategyAuto. Facts outside the support are zero by symmetry
 // (they are null players). Cancellation of ctx is checked between units of
 // work; on cancellation the context's error is returned.
 func ShapleyAll(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int) (Values, error) {
@@ -206,20 +195,18 @@ func ShapleyAll(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int
 // ShapleyAllStrategy is ShapleyAll with an explicit evaluation strategy. The
 // two strategies compute big.Rat-identical values at very different costs:
 // per-fact is O(n·|C|·n²), gradient is O(|C|·n²) for all facts together.
-// Both fan out across `workers` goroutines (≤ 0 means GOMAXPROCS, 1 forces
-// the serial path): per-fact across facts, gradient level-synchronously
-// inside its two circuit passes. The Shapley coefficients for n are computed
-// once per answer (memoized across strategy attempts and calls).
+// The per-fact path fans out across `workers` goroutines (≤ 0 means
+// GOMAXPROCS, 1 forces the serial path); the gradient's two circuit passes
+// are serial, so it ignores workers.
 func ShapleyAllStrategy(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, strategy ShapleyStrategy) (Values, error) {
 	n := len(endo)
 	if n == 0 {
 		return make(Values), nil
 	}
-	coefs := shapleyCoefficients(n)
-	if resolveStrategy(strategy, n, c) == StrategyGradient {
-		return shapleyAllGradient(ctx, c, endo, workers, coefs)
+	if resolveStrategy(strategy) == StrategyGradient {
+		return shapleyAllGradient(ctx, c, endo)
 	}
-	return shapleyAllPerFact(ctx, c, endo, workers, coefs)
+	return shapleyAllPerFact(ctx, c, endo, workers, shapleyCoefficients(n))
 }
 
 // shapleyAllPerFact is the literal Algorithm 1: each fact conditions the

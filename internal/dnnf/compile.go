@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -982,12 +983,14 @@ func TopLevelComponents(f *cnf.Formula) int {
 // preserve relative order).
 func cacheKey(clauses []cnf.Clause) string {
 	strs := make([]string, len(clauses))
+	var buf []byte
 	for i, cl := range clauses {
-		var sb strings.Builder
+		buf = buf[:0]
 		for _, l := range cl {
-			fmt.Fprintf(&sb, "%d ", int(l))
+			buf = strconv.AppendInt(buf, int64(l), 10)
+			buf = append(buf, ' ')
 		}
-		strs[i] = sb.String()
+		strs[i] = string(buf)
 	}
 	sort.Strings(strs)
 	return strings.Join(strs, ";")

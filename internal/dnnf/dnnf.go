@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -189,12 +189,15 @@ func mergeVars(children []*Node, requireDisjoint bool) []int {
 	return out[:w]
 }
 
-func childKey(children []*Node) string {
-	var sb strings.Builder
+// childKey renders a unique-table key: prefix, then each child's ID
+// followed by a comma.
+func childKey(prefix []byte, children []*Node) string {
+	buf := prefix
 	for _, c := range children {
-		fmt.Fprintf(&sb, "%d,", c.id)
+		buf = strconv.AppendInt(buf, int64(c.id), 10)
+		buf = append(buf, ',')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // And returns the decomposable conjunction of the children. Constant
@@ -217,7 +220,7 @@ func (b *Builder) And(children ...*Node) *Node {
 		return kept[0]
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
-	key := childKey(kept)
+	key := childKey(nil, kept)
 	return b.ands[shardIndex(key)].intern(key, func() *Node {
 		return &Node{Kind: KindAnd, Children: kept, id: b.fresh(), vars: mergeVars(kept, true)}
 	})
@@ -257,7 +260,7 @@ func (b *Builder) orSlice(decision int, children []*Node) *Node {
 		return kept[0]
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
-	key := fmt.Sprintf("%d|%s", decision, childKey(kept))
+	key := childKey(append(strconv.AppendInt(nil, int64(decision), 10), '|'), kept)
 	return b.ors[shardIndex(key)].intern(key, func() *Node {
 		return &Node{Kind: KindOr, Children: kept, Decision: decision, id: b.fresh(),
 			vars: mergeVars(kept, false)}

@@ -164,8 +164,8 @@ type ShapleyStrategy = core.ShapleyStrategy
 
 // Algorithm 1 evaluation strategies.
 const (
-	// StrategyAuto picks gradient mode when n·|C| is large, per-fact
-	// otherwise. This is the default.
+	// StrategyAuto runs gradient mode, which beats per-fact at every
+	// circuit size. This is the default.
 	StrategyAuto = core.StrategyAuto
 	// StrategyPerFact conditions the circuit twice per fact (the literal
 	// Algorithm 1, O(n·|C|·n²) total).
@@ -232,9 +232,10 @@ type Options struct {
 	MaxNodes int
 	// Workers bounds the pipeline's total concurrency: output tuples are
 	// explained in parallel, and leftover workers fan out Algorithm 1's
-	// per-fact loop within each tuple. Zero (the default) means GOMAXPROCS;
-	// 1 forces the fully serial pipeline. Results are identical — and
-	// identically ordered — for every setting. Negative values are invalid.
+	// per-fact loop within each tuple (StrategyPerFact only; the gradient
+	// is serial). Zero (the default) means GOMAXPROCS; 1 forces the fully
+	// serial pipeline. Results are identical — and identically ordered —
+	// for every setting. Negative values are invalid.
 	Workers int
 	// CompileWorkers bounds the knowledge compiler's intra-compilation
 	// fan-out: independent connected components of each CNF compile
@@ -269,10 +270,9 @@ type Options struct {
 	// caching.
 	NoCanonicalCache bool
 	// Strategy selects the Algorithm 1 evaluation mode. The default,
-	// StrategyAuto, runs the two-pass gradient algorithm when the circuit
-	// and fact count are large enough for its factor-n advantage to matter
-	// and the literal per-fact algorithm otherwise; both produce identical
-	// exact values.
+	// StrategyAuto, runs the two-pass gradient algorithm; StrategyPerFact
+	// runs the literal per-fact algorithm. Both produce identical exact
+	// values.
 	Strategy ShapleyStrategy
 	// Storage names the storage backend for databases built from these
 	// options ("" or BackendMemory for in-memory, BackendSorted for ordered
