@@ -185,9 +185,9 @@ func ShapleyOfFact(c *dnnf.Node, endo []db.FactID, f db.FactID) *big.Rat {
 
 // ShapleyAll computes the Shapley value of every endogenous fact in endo
 // with respect to the Boolean function represented by the d-DNNF c (the
-// endogenous lineage) under StrategyAuto. Facts outside the support are zero by symmetry
-// (they are null players). Cancellation of ctx is checked between units of
-// work; on cancellation the context's error is returned.
+// endogenous lineage) under StrategyAuto. Facts outside the support are
+// zero by symmetry (they are null players). Cancellation of ctx is checked
+// between units of work; on cancellation the context's error is returned.
 func ShapleyAll(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int) (Values, error) {
 	return ShapleyAllStrategy(ctx, c, endo, workers, StrategyAuto)
 }
