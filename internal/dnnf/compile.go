@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,8 +302,8 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		// An already-cancelled caller gets its error immediately — the
-		// periodic in-search budget check samples only every few dozen
-		// steps, which could let a tiny compile slip through complete.
+		// periodic in-search budget check samples only every 8 steps,
+		// which could let a tiny compile slip through complete.
 		return nil, Stats{}, err
 	}
 	var deadline time.Time
@@ -494,8 +496,17 @@ func normalizeClause(cl cnf.Clause) (cnf.Clause, bool) {
 	return out[:w], false
 }
 
+// checkBudget runs at every compile step. Every 8th step it also checks ctx
+// and the deadline and yields the processor. The compiler never blocks, and
+// at GOMAXPROCS ≤ 3 the garbage collector has no dedicated mark worker: its
+// fractional worker runs only when a processor reschedules. Without the
+// yield, a collection that starts mid-compile waits for the scheduler's
+// 10 ms preemption while the compiler keeps allocating, and the heap grows
+// several megabytes past its goal. Steps on large clause sets take up to
+// milliseconds, hence the short period.
 func (c *compiler) checkBudget(ctx context.Context) error {
-	if c.steps.Add(1)%64 == 0 {
+	if c.steps.Add(1)%8 == 0 {
+		runtime.Gosched()
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -807,10 +818,11 @@ func pickJeroslowWang(clauses []cnf.Clause) int {
 // non-nil, is maintained to reflect the residual clause set (its contents
 // are unspecified when a conflict is reported — the branch is dead).
 func propagate(clauses []cnf.Clause, counts *occCounts) (units []cnf.Lit, rest []cnf.Clause, conflict bool) {
-	assignment := make(map[int]bool)
+	var assignment map[int]bool
+	var pending []cnf.Lit
 	work := clauses
 	for {
-		var pending []cnf.Lit
+		pending = pending[:0]
 		for _, cl := range work {
 			if len(cl) == 1 {
 				pending = append(pending, cl[0])
@@ -818,6 +830,9 @@ func propagate(clauses []cnf.Clause, counts *occCounts) (units []cnf.Lit, rest [
 		}
 		if len(pending) == 0 {
 			break
+		}
+		if assignment == nil {
+			assignment = make(map[int]bool, len(pending))
 		}
 		for _, l := range pending {
 			v := l.Var()
@@ -849,25 +864,30 @@ func propagate(clauses []cnf.Clause, counts *occCounts) (units []cnf.Lit, rest [
 
 // reduce simplifies a clause under a partial assignment, maintaining counts:
 // a satisfied clause leaves the residual set wholesale, a falsified literal
-// is struck from its clause.
+// is struck from its clause. A clause mentioning no assigned variable is
+// returned as is; clauses are never mutated, so sharing it is safe.
 func reduce(cl cnf.Clause, assignment map[int]bool, counts *occCounts) (out cnf.Clause, sat, empty bool) {
-	keep := cl[:0:0]
+	struck := 0
 	for _, l := range cl {
 		val, ok := assignment[l.Var()]
 		if !ok {
-			keep = append(keep, l)
 			continue
 		}
 		if val == l.Positive() {
 			counts.removeClause(cl)
 			return nil, true, false
 		}
+		struck++
 	}
-	if counts != nil && len(keep) < len(cl) {
-		for _, l := range cl {
-			if _, ok := assignment[l.Var()]; ok {
-				counts.removeLit(l.Var())
-			}
+	if struck == 0 {
+		return cl, false, false
+	}
+	keep := make(cnf.Clause, 0, len(cl)-struck)
+	for _, l := range cl {
+		if _, ok := assignment[l.Var()]; ok {
+			counts.removeLit(l.Var())
+		} else {
+			keep = append(keep, l)
 		}
 	}
 	if len(keep) == 0 {
@@ -918,47 +938,74 @@ func assign(clauses []cnf.Clause, l cnf.Lit, counts *occCounts) ([]cnf.Clause, b
 }
 
 // components partitions clauses into connected components of the
-// clause-variable incidence graph, using union-find over variables.
+// clause-variable incidence graph, using union-find over variables. The
+// components come in ascending order of their representative variable, each
+// keeping the clauses' relative order; a clause set that is one component
+// is returned as is.
 func components(clauses []cnf.Clause) [][]cnf.Clause {
-	parent := make(map[int]int)
-	var find func(int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+	// Number the distinct variables densely, in ascending order, so the
+	// union-find runs on slices and ascending roots need no sort.
+	lits := 0
+	for _, cl := range clauses {
+		lits += len(cl)
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	vars := make([]int, 0, lits)
+	for _, cl := range clauses {
+		for _, l := range cl {
+			vars = append(vars, l.Var())
 		}
+	}
+	slices.Sort(vars)
+	vars = slices.Compact(vars)
+	index := func(l cnf.Lit) int32 {
+		i, _ := slices.BinarySearch(vars, l.Var())
+		return int32(i)
+	}
+	parent := make([]int32, len(vars))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
 	}
 	for _, cl := range clauses {
-		for i := 1; i < len(cl); i++ {
-			union(cl[0].Var(), cl[i].Var())
+		a := index(cl[0])
+		for _, l := range cl[1:] {
+			ra, rb := find(a), find(index(l))
+			if ra != rb {
+				parent[ra] = rb
+			}
 		}
 	}
-	groups := make(map[int][]cnf.Clause)
-	var roots []int
-	for _, cl := range clauses {
-		r := find(cl[0].Var())
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
+	root := make([]int32, len(clauses))
+	size := make([]int, len(vars)) // clauses per root
+	groups := 0
+	for i, cl := range clauses {
+		r := find(index(cl[0]))
+		root[i] = r
+		if size[r] == 0 {
+			groups++
 		}
-		groups[r] = append(groups[r], cl)
+		size[r]++
 	}
-	sort.Ints(roots)
-	out := make([][]cnf.Clause, 0, len(groups))
-	for _, r := range roots {
-		out = append(out, groups[r])
+	if groups == 1 {
+		return [][]cnf.Clause{clauses}
+	}
+	pos := make([]int, len(vars)) // root → index of its component in out
+	out := make([][]cnf.Clause, 0, groups)
+	for r, n := range size {
+		if n > 0 {
+			pos[r] = len(out)
+			out = append(out, make([]cnf.Clause, 0, n))
+		}
+	}
+	for i, cl := range clauses {
+		g := pos[root[i]]
+		out[g] = append(out[g], cl)
 	}
 	return out
 }

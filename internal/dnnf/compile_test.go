@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cnf"
@@ -226,5 +228,86 @@ func BenchmarkCompileParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// randomClauseSet draws normalized clauses of both signs over one to four
+// blocks of sparse variable IDs, so most sets split into several components.
+func randomClauseSet(rng *rand.Rand) []cnf.Clause {
+	blocks := 1 + rng.Intn(4)
+	var clauses []cnf.Clause
+	for i, n := 0, rng.Intn(12); i < n; i++ {
+		base := 1 + rng.Intn(blocks)*1000
+		cl := make(cnf.Clause, 0, 3)
+		for j, w := 0, 1+rng.Intn(3); j < w; j++ {
+			l := cnf.Lit(base + rng.Intn(12)*7)
+			if rng.Intn(2) == 0 {
+				l = -l
+			}
+			cl = append(cl, l)
+		}
+		if norm, taut := normalizeClause(cl); !taut {
+			clauses = append(clauses, norm)
+		}
+	}
+	return clauses
+}
+
+// componentsWithMaps is the reference for components: a map-based
+// union-find that returns the components in ascending order of their
+// representative variable, each with its clauses in input order.
+func componentsWithMaps(clauses []cnf.Clause) [][]cnf.Clause {
+	parent := make(map[int]int)
+	var find func(int) int
+	find = func(x int) int {
+		p, ok := parent[x]
+		if !ok {
+			parent[x] = x
+			return x
+		}
+		if p == x {
+			return x
+		}
+		r := find(p)
+		parent[x] = r
+		return r
+	}
+	for _, cl := range clauses {
+		for i := 1; i < len(cl); i++ {
+			ra, rb := find(cl[0].Var()), find(cl[i].Var())
+			if ra != rb {
+				parent[ra] = rb
+			}
+		}
+	}
+	groups := make(map[int][]cnf.Clause)
+	var roots []int
+	for _, cl := range clauses {
+		r := find(cl[0].Var())
+		if _, ok := groups[r]; !ok {
+			roots = append(roots, r)
+		}
+		groups[r] = append(groups[r], cl)
+	}
+	sort.Ints(roots)
+	out := make([][]cnf.Clause, 0, len(groups))
+	for _, r := range roots {
+		out = append(out, groups[r])
+	}
+	return out
+}
+
+// TestComponentsMatchesMapUnionFind pins components to a map-based
+// reference: the same components in the same order, each with its clauses
+// in input order. The compiler builds nodes in component order, so this
+// order fixes every compiled circuit.
+func TestComponentsMatchesMapUnionFind(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for trial := 0; trial < 2000; trial++ {
+		clauses := randomClauseSet(rng)
+		got, want := components(clauses), componentsWithMaps(clauses)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("components(%v) = %v, want %v", clauses, got, want)
+		}
 	}
 }
