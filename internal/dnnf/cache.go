@@ -2,8 +2,8 @@ package dnnf
 
 import (
 	"container/list"
+	"encoding/binary"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cnf"
@@ -271,22 +271,11 @@ func (c *CompileCache) release(key string) {
 }
 
 // formulaSignature renders a formula byte-identically for cross-call cache
-// lookups under Options.NoCanonicalCache: the normalized clause-set
-// signature (the same form the component cache uses), the
-// compilation-affecting options (branching order and component-cache
-// ablation — a hit must return a circuit compiled under the configuration
-// the caller asked to measure), plus the auxiliary-variable markers. The
-// "b:" prefix keeps this keyspace disjoint from canonical signatures in a
-// shared cache.
+// lookups under Options.NoCanonicalCache: the clause-set key of the
+// normalized clauses, then the auxiliary-variable markers. The "b:" tag
+// keeps this keyspace disjoint from canonical signatures in a shared cache.
 func formulaSignature(clauses []cnf.Clause, f *cnf.Formula, opts Options) string {
-	var sb strings.Builder
-	sb.WriteString("b:")
-	sb.WriteString(cacheKey(clauses))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(int(opts.Order)))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatBool(opts.DisableCache))
-	sb.WriteByte('#')
+	buf := signatureHead("b:", cacheKey(clauses), opts)
 	// Aux variables are assigned densely above the reserved range by the
 	// Tseytin transformation; recording the boundary and count is enough to
 	// distinguish bookkeeping without sorting the whole set.
@@ -300,10 +289,27 @@ func formulaSignature(clauses []cnf.Clause, f *cnf.Formula, opts Options) string
 		}
 		numAux++
 	}
-	sb.WriteString(strconv.Itoa(minAux))
-	sb.WriteByte(',')
-	sb.WriteString(strconv.Itoa(maxAux))
-	sb.WriteByte(',')
-	sb.WriteString(strconv.Itoa(numAux))
-	return sb.String()
+	buf = strconv.AppendInt(buf, int64(minAux), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(maxAux), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(numAux), 10)
+	return string(buf)
+}
+
+// signatureHead starts a cross-call cache key: the keyspace tag, the
+// length-prefixed clause-set key (so nothing after it can be read as a
+// clause), and the compilation-affecting options — branching order and
+// component-cache ablation, since a hit must return a circuit compiled
+// under the configuration the caller asked to measure.
+func signatureHead(tag, clauseKey string, opts Options) []byte {
+	buf := make([]byte, 0, len(tag)+binary.MaxVarintLen64+len(clauseKey)+32)
+	buf = append(buf, tag...)
+	buf = binary.AppendUvarint(buf, uint64(len(clauseKey)))
+	buf = append(buf, clauseKey...)
+	buf = append(buf, '|')
+	buf = strconv.AppendInt(buf, int64(opts.Order), 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendBool(buf, opts.DisableCache)
+	return append(buf, '#')
 }

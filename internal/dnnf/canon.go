@@ -21,7 +21,6 @@ package dnnf
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/cnf"
 )
@@ -256,9 +255,9 @@ func canonicalForm(clauses []cnf.Clause, isAux func(int) bool, check func() erro
 }
 
 // canonicalSignature builds the cross-call cache key for canonical keying:
-// the canonical clause rendering, the compilation-affecting options, and the
+// the canonical clause-set key, the compilation-affecting options, and the
 // canonical positions of the auxiliary variables (so isomorphism is required
-// to respect Tseytin bookkeeping). The "c:" prefix keeps canonical and
+// to respect Tseytin bookkeeping). The "c:" tag keeps canonical and
 // byte-identical keyspaces disjoint within one shared cache.
 func canonicalSignature(canonKey string, toCanon map[int]int, f *cnf.Formula, opts Options) string {
 	auxCanon := make([]int, 0, len(f.Aux))
@@ -268,21 +267,14 @@ func canonicalSignature(canonKey string, toCanon map[int]int, f *cnf.Formula, op
 		}
 	}
 	sort.Ints(auxCanon)
-	var sb strings.Builder
-	sb.WriteString("c:")
-	sb.WriteString(canonKey)
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(int(opts.Order)))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatBool(opts.DisableCache))
-	sb.WriteByte('#')
+	buf := signatureHead("c:", canonKey, opts)
 	for i, a := range auxCanon {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		sb.WriteString(strconv.Itoa(a))
+		buf = strconv.AppendInt(buf, int64(a), 10)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // Relabel rebuilds the d-DNNF rooted at n in builder b with every variable v

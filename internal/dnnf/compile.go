@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,7 +188,7 @@ const speculateClauseFloor = 8
 // compiler carries the mutable compilation state. All fields written during
 // the recursion are either atomic or mutex-guarded, because the component
 // fan-out and speculative decision branching may run subproblems on several
-// goroutines at once.
+// goroutines at once; each of those goroutines works in its own scratch.
 type compiler struct {
 	b        *Builder
 	opts     Options
@@ -198,6 +196,10 @@ type compiler struct {
 	// limit is the spawn budget shared by component fan-out and speculative
 	// decision branching; nil means the fully sequential compiler.
 	limit *parallel.Limit
+	// orig maps the recursion's dense variables back to the formula's (see
+	// densify); nodes are built on the formula's variables.
+	orig      []int
+	scratches sync.Pool // *scratch over len(orig)-1 variables
 
 	cacheMu sync.RWMutex
 	cache   map[string]*Node
@@ -212,15 +214,18 @@ type compiler struct {
 	specCancels  atomic.Int64
 }
 
-// newCompiler builds a compiler for one (possibly racing) compilation.
-// start anchors the deadline so portfolio racers share one clock.
-func newCompiler(opts Options, start time.Time) *compiler {
+// newCompiler builds a compiler for one (possibly racing) compilation of a
+// densified clause set whose variables orig maps back. start anchors the
+// deadline so portfolio racers share one clock.
+func newCompiler(opts Options, orig []int, start time.Time) *compiler {
 	c := &compiler{
 		b:     NewBuilder(),
 		opts:  opts,
+		orig:  orig,
 		cache: make(map[string]*Node),
 		limit: parallel.NewLimit(parallel.Workers(opts.Workers) - 1),
 	}
+	c.scratches.New = func() any { return newScratch(len(orig) - 1) }
 	if opts.Timeout > 0 {
 		c.deadline = start.Add(opts.Timeout)
 	}
@@ -242,14 +247,21 @@ func (c *compiler) snapshot(start time.Time) Stats {
 	}
 }
 
-// compileRoot runs the recursive compilation from the top, seeding the
-// occurrence counts when the configured heuristic consumes them.
+// compileRoot runs the recursive compilation of the densified clause set
+// from the top.
 func (c *compiler) compileRoot(ctx context.Context, clauses []cnf.Clause) (*Node, error) {
-	var counts *occCounts
-	if c.opts.Order == OrderMostFrequent {
-		counts = newOccCounts(clauses)
+	s := c.scratches.Get().(*scratch)
+	defer c.scratches.Put(s)
+	return c.compile(ctx, s, clauses, 0)
+}
+
+// lit builds the leaf of a dense literal, on the formula's variable.
+func (c *compiler) lit(l cnf.Lit) *Node {
+	v := c.orig[l.Var()]
+	if l < 0 {
+		v = -v
 	}
-	return c.compile(ctx, clauses, 0, counts)
+	return c.b.Lit(v)
 }
 
 // Compile translates a CNF formula into an equivalent d-DNNF using
@@ -389,11 +401,12 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 	var root *Node
 	var stats Stats
 	var err error
+	dense, orig := densify(clauses)
 	if orders := portfolioOrders(opts); len(orders) > 1 {
-		root, stats, err = racePortfolio(ctx, clauses, opts, orders, start)
+		root, stats, err = racePortfolio(ctx, dense, orig, opts, orders, start)
 	} else {
-		c := newCompiler(opts, start)
-		root, err = c.compileRoot(ctx, clauses)
+		c := newCompiler(opts, orig, start)
+		root, err = c.compileRoot(ctx, dense)
 		stats = c.snapshot(start)
 	}
 	recordGlobalCounters(stats)
@@ -527,65 +540,49 @@ func (c *compiler) checkBudget(ctx context.Context) error {
 const parallelSpawnDepth = 32
 
 // compile compiles a set of normalized clauses (no duplicates or
-// tautologies) into a d-DNNF node. depth counts Shannon decisions above this
-// call and gates the parallel fan-out. counts, when non-nil, is owned by
-// this call and reflects exactly the given clause set; it is maintained
-// through propagation and conditioning for the dynamic branching heuristic.
-func (c *compiler) compile(ctx context.Context, clauses []cnf.Clause, depth int, counts *occCounts) (*Node, error) {
+// tautologies) over dense variables into a d-DNNF node, working in s.
+// depth counts Shannon decisions above this call and gates the parallel
+// fan-out.
+func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause, depth int) (*Node, error) {
 	if err := c.checkBudget(ctx); err != nil {
 		return nil, err
 	}
 
 	// Unit propagation.
-	units, rest, conflict := propagate(clauses, counts)
+	units, rest, conflict := s.propagate(clauses)
 	c.propagations.Add(int64(len(units)))
 	if conflict {
 		return c.b.False(), nil
 	}
 	unitNodes := make([]*Node, 0, len(units)+2)
 	for _, l := range units {
-		unitNodes = append(unitNodes, c.b.Lit(int(l)))
+		unitNodes = append(unitNodes, c.lit(l))
 	}
 	if len(rest) == 0 {
 		return c.b.And(unitNodes...), nil
 	}
 
 	// Connected-component decomposition.
-	comps := components(rest)
+	comps := s.components(rest)
 	if len(comps) > 1 {
 		c.components.Add(1)
 	}
-	nodes, err := c.compileComponents(ctx, comps, depth, counts)
+	nodes, err := c.compileComponents(ctx, s, comps, depth)
 	if err != nil {
 		return nil, err
 	}
 	return c.b.And(append(unitNodes, nodes...)...), nil
 }
 
-// componentCounts returns the occurrence counts to hand a component of a
-// split. A single component inherits the caller's counts wholesale (every
-// occurrence it tracks belongs to that component); a multi-way split
-// rebuilds per-component counts — the split already paid a pass over each
-// component's clauses, and fresh maps keep downstream branch clones small.
-func componentCounts(comps [][]cnf.Clause, i int, counts *occCounts) *occCounts {
-	if counts == nil {
-		return nil
-	}
-	if len(comps) == 1 {
-		return counts
-	}
-	return newOccCounts(comps[i])
-}
-
 // compileComponents compiles each component, fanning them out across the
 // spawn budget when one is configured. Components are independent
 // subproblems (disjoint variables), so any interleaving builds the same
 // hash-consed nodes; results are assembled in component order either way.
-func (c *compiler) compileComponents(ctx context.Context, comps [][]cnf.Clause, depth int, counts *occCounts) ([]*Node, error) {
+func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]cnf.Clause, depth int) ([]*Node, error) {
 	nodes := make([]*Node, len(comps))
 	if c.limit == nil || len(comps) == 1 || depth > parallelSpawnDepth {
 		for i, comp := range comps {
-			n, err := c.compileComponent(ctx, comp, depth, componentCounts(comps, i, counts))
+			n, err := c.compileComponent(ctx, s, comp, depth)
 			if err != nil {
 				return nil, err
 			}
@@ -596,18 +593,20 @@ func (c *compiler) compileComponents(ctx context.Context, comps [][]cnf.Clause, 
 	errs := make([]error, len(comps))
 	var wg sync.WaitGroup
 	for i := 1; i < len(comps); i++ {
-		i := i
-		cnt := componentCounts(comps, i, counts)
 		if len(comps[i]) >= parallelComponentFloor &&
-			c.limit.Go(&wg, func() { nodes[i], errs[i] = c.compileComponent(ctx, comps[i], depth, cnt) }) {
+			c.limit.Go(&wg, func() {
+				s := c.scratches.Get().(*scratch)
+				nodes[i], errs[i] = c.compileComponent(ctx, s, comps[i], depth)
+				c.scratches.Put(s)
+			}) {
 			continue
 		}
-		nodes[i], errs[i] = c.compileComponent(ctx, comps[i], depth, cnt)
+		nodes[i], errs[i] = c.compileComponent(ctx, s, comps[i], depth)
 	}
 	// The current goroutine takes the first component itself — with no spare
 	// tokens the whole loop degenerates to the sequential order shifted by
 	// one, and with tokens it overlaps with the spawned workers.
-	nodes[0], errs[0] = c.compileComponent(ctx, comps[0], depth, componentCounts(comps, 0, counts))
+	nodes[0], errs[0] = c.compileComponent(ctx, s, comps[0], depth)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -618,14 +617,14 @@ func (c *compiler) compileComponents(ctx context.Context, comps [][]cnf.Clause, 
 }
 
 // compileComponent compiles a single connected component, consulting the
-// component cache. counts is owned by this call (branches clone or inherit
-// it) and may be nil when the heuristic does not consume counts.
-func (c *compiler) compileComponent(ctx context.Context, clauses []cnf.Clause, depth int, counts *occCounts) (*Node, error) {
+// component cache. A hit looks the key up in s's buffer and allocates
+// nothing; only a miss copies the key for its cache entry.
+func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []cnf.Clause, depth int) (*Node, error) {
 	var key string
 	if !c.opts.DisableCache {
-		key = cacheKey(clauses)
+		k := s.key(clauses)
 		c.cacheMu.RLock()
-		n := c.cache[key]
+		n := c.cache[string(k)]
 		c.cacheMu.RUnlock()
 		if n != nil {
 			c.cacheHits.Add(1)
@@ -635,20 +634,17 @@ func (c *compiler) compileComponent(ctx context.Context, clauses []cnf.Clause, d
 		// it twice; the builder's hash-consing collapses the duplicates to
 		// one node, so the only cost is the redundant search effort.
 		c.cacheMisses.Add(1)
+		key = string(k)
 	}
 
-	v := c.pickVar(clauses, counts)
+	v := s.pickVar(c.opts.Order, clauses)
 	c.decisions.Add(1)
 
-	// The hi branch gets a clone of the counts; the lo branch inherits the
-	// original (it is compiled last on the sequential path and owns its
-	// copy exclusively on the speculative one). Conditioning itself is pure
-	// on the clause slices, so computing both cofactors up front changes
-	// nothing about the sequential compiler's node allocation order.
-	hiCounts := counts.clone()
-	loCounts := counts
-	hiClauses, hiEmpty := assign(clauses, cnf.Lit(v), hiCounts)
-	loClauses, loEmpty := assign(clauses, cnf.Lit(-v), loCounts)
+	// Conditioning is pure on the clause slices, so computing both cofactors
+	// up front changes nothing about the sequential compiler's node
+	// allocation order.
+	hiClauses, hiEmpty := assign(clauses, cnf.Lit(v))
+	loClauses, loEmpty := assign(clauses, cnf.Lit(-v))
 
 	var hi, lo *Node
 	var err error
@@ -658,7 +654,7 @@ func (c *compiler) compileComponent(ctx context.Context, clauses []cnf.Clause, d
 		// Both cofactors carry real work: try to compile them concurrently.
 		// An unsatisfiable-at-assignment cofactor never reaches this point,
 		// so a speculated sibling is never trivially wasted.
-		hi, lo, speculated, err = c.speculateBranches(ctx, hiClauses, loClauses, hiCounts, loCounts, depth)
+		hi, lo, speculated, err = c.speculateBranches(ctx, s, hiClauses, loClauses, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -666,17 +662,17 @@ func (c *compiler) compileComponent(ctx context.Context, clauses []cnf.Clause, d
 	if !speculated {
 		if hiEmpty {
 			hi = c.b.False()
-		} else if hi, err = c.compile(ctx, hiClauses, depth+1, hiCounts); err != nil {
+		} else if hi, err = c.compile(ctx, s, hiClauses, depth+1); err != nil {
 			return nil, err
 		}
 		if loEmpty {
 			lo = c.b.False()
-		} else if lo, err = c.compile(ctx, loClauses, depth+1, loCounts); err != nil {
+		} else if lo, err = c.compile(ctx, s, loClauses, depth+1); err != nil {
 			return nil, err
 		}
 	}
 
-	n := c.b.Decision(v, hi, lo)
+	n := c.b.Decision(c.orig[v], hi, lo)
 	if !c.opts.DisableCache {
 		c.cacheMu.Lock()
 		c.cache[key] = n
@@ -694,21 +690,24 @@ func (c *compiler) compileComponent(ctx context.Context, clauses []cnf.Clause, d
 // identical to the sequential order. A branch that fails cancels the branch
 // context so its in-flight sibling aborts at its next budget check instead
 // of running to completion. ok == false means no token was idle and nothing
-// ran — the caller falls back to sequential compilation.
-func (c *compiler) speculateBranches(ctx context.Context, hiClauses, loClauses []cnf.Clause, hiCounts, loCounts *occCounts, depth int) (hi, lo *Node, ok bool, err error) {
+// ran — the caller falls back to sequential compilation. The spawned branch
+// works in a scratch of its own; the calling one keeps s.
+func (c *compiler) speculateBranches(ctx context.Context, s *scratch, hiClauses, loClauses []cnf.Clause, depth int) (hi, lo *Node, ok bool, err error) {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
 	var hiErr, loErr error
 	if !c.limit.Go(&wg, func() {
-		if hi, hiErr = c.compile(bctx, hiClauses, depth+1, hiCounts); hiErr != nil {
+		hs := c.scratches.Get().(*scratch)
+		defer c.scratches.Put(hs)
+		if hi, hiErr = c.compile(bctx, hs, hiClauses, depth+1); hiErr != nil {
 			cancel()
 		}
 	}) {
 		return nil, nil, false, nil
 	}
 	c.speculated.Add(1)
-	if lo, loErr = c.compile(bctx, loClauses, depth+1, loCounts); loErr != nil {
+	if lo, loErr = c.compile(bctx, s, loClauses, depth+1); loErr != nil {
 		cancel()
 	}
 	wg.Wait()
@@ -742,274 +741,6 @@ func (c *compiler) reconcileBranchErrs(ctx context.Context, hiErr, loErr error) 
 	return loErr
 }
 
-// pickVar selects the branching variable per the configured heuristic.
-// counts, when non-nil, is the incrementally maintained occurrence count of
-// every variable in the clause set (see occCounts); the most-frequent
-// heuristic consumes it and falls back to recomputation without it.
-func (c *compiler) pickVar(clauses []cnf.Clause, counts *occCounts) int {
-	switch c.opts.Order {
-	case OrderLexicographic:
-		best := 0
-		for _, cl := range clauses {
-			for _, l := range cl {
-				if v := l.Var(); best == 0 || v < best {
-					best = v
-				}
-			}
-		}
-		return best
-	case OrderJeroslowWang:
-		return pickJeroslowWang(clauses)
-	default:
-		if counts != nil {
-			return counts.pickMostFrequent(clauses)
-		}
-		return pickMostFrequentRecompute(clauses)
-	}
-}
-
-// pickMostFrequentRecompute is the from-scratch most-frequent heuristic: a
-// full occurrence-count rebuild per decision. Kept as the counts == nil
-// fallback and as the oracle the incremental occCounts implementation is
-// agreement-tested against.
-func pickMostFrequentRecompute(clauses []cnf.Clause) int {
-	counts := make(map[int]int)
-	for _, cl := range clauses {
-		for _, l := range cl {
-			counts[l.Var()]++
-		}
-	}
-	best, bestCount := 0, -1
-	for v, n := range counts {
-		if n > bestCount || (n == bestCount && v < best) {
-			best, bestCount = v, n
-		}
-	}
-	return best
-}
-
-// pickJeroslowWang scores every variable by the two-sided Jeroslow–Wang
-// measure Σ 2^-|cl| over the clauses mentioning it and returns the maximum,
-// ties broken by the smaller variable. Scores are sums of dyadic rationals
-// accumulated in deterministic clause order, so the choice is reproducible.
-func pickJeroslowWang(clauses []cnf.Clause) int {
-	scores := make(map[int]float64)
-	for _, cl := range clauses {
-		w := 1.0
-		for i := 0; i < len(cl) && i < 62; i++ {
-			w /= 2
-		}
-		for _, l := range cl {
-			scores[l.Var()] += w
-		}
-	}
-	best, bestScore := 0, -1.0
-	for v, s := range scores {
-		if s > bestScore || (s == bestScore && v < best) {
-			best, bestScore = v, s
-		}
-	}
-	return best
-}
-
-// propagate performs exhaustive unit propagation. It returns the implied
-// literals, the residual clauses (each with ≥2 literals, mentioning no
-// assigned variable), and whether a conflict was derived. counts, when
-// non-nil, is maintained to reflect the residual clause set (its contents
-// are unspecified when a conflict is reported — the branch is dead).
-func propagate(clauses []cnf.Clause, counts *occCounts) (units []cnf.Lit, rest []cnf.Clause, conflict bool) {
-	var assignment map[int]bool
-	var pending []cnf.Lit
-	work := clauses
-	for {
-		pending = pending[:0]
-		for _, cl := range work {
-			if len(cl) == 1 {
-				pending = append(pending, cl[0])
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		if assignment == nil {
-			assignment = make(map[int]bool, len(pending))
-		}
-		for _, l := range pending {
-			v := l.Var()
-			want := l.Positive()
-			if have, ok := assignment[v]; ok {
-				if have != want {
-					return nil, nil, true
-				}
-				continue
-			}
-			assignment[v] = want
-			units = append(units, l)
-		}
-		next := make([]cnf.Clause, 0, len(work))
-		for _, cl := range work {
-			reduced, sat, empty := reduce(cl, assignment, counts)
-			if sat {
-				continue
-			}
-			if empty {
-				return nil, nil, true
-			}
-			next = append(next, reduced)
-		}
-		work = next
-	}
-	return units, work, false
-}
-
-// reduce simplifies a clause under a partial assignment, maintaining counts:
-// a satisfied clause leaves the residual set wholesale, a falsified literal
-// is struck from its clause. A clause mentioning no assigned variable is
-// returned as is; clauses are never mutated, so sharing it is safe.
-func reduce(cl cnf.Clause, assignment map[int]bool, counts *occCounts) (out cnf.Clause, sat, empty bool) {
-	struck := 0
-	for _, l := range cl {
-		val, ok := assignment[l.Var()]
-		if !ok {
-			continue
-		}
-		if val == l.Positive() {
-			counts.removeClause(cl)
-			return nil, true, false
-		}
-		struck++
-	}
-	if struck == 0 {
-		return cl, false, false
-	}
-	keep := make(cnf.Clause, 0, len(cl)-struck)
-	for _, l := range cl {
-		if _, ok := assignment[l.Var()]; ok {
-			counts.removeLit(l.Var())
-		} else {
-			keep = append(keep, l)
-		}
-	}
-	if len(keep) == 0 {
-		return nil, false, true
-	}
-	return keep, false, false
-}
-
-// assign simplifies the clauses under a single literal assignment. It
-// returns the residual clauses and whether an empty clause was derived.
-// counts, when non-nil, is maintained to reflect the residual (unspecified
-// after an empty-clause derivation — the branch is dead).
-func assign(clauses []cnf.Clause, l cnf.Lit, counts *occCounts) ([]cnf.Clause, bool) {
-	out := make([]cnf.Clause, 0, len(clauses))
-	for _, cl := range clauses {
-		sat := false
-		removed := false
-		for _, m := range cl {
-			if m == l {
-				sat = true
-				break
-			}
-			if m == -l {
-				removed = true
-			}
-		}
-		if sat {
-			counts.removeClause(cl)
-			continue
-		}
-		if !removed {
-			out = append(out, cl)
-			continue
-		}
-		counts.removeLit(l.Var())
-		keep := make(cnf.Clause, 0, len(cl)-1)
-		for _, m := range cl {
-			if m != -l {
-				keep = append(keep, m)
-			}
-		}
-		if len(keep) == 0 {
-			return nil, true
-		}
-		out = append(out, keep)
-	}
-	return out, false
-}
-
-// components partitions clauses into connected components of the
-// clause-variable incidence graph, using union-find over variables. The
-// components come in ascending order of their representative variable, each
-// keeping the clauses' relative order; a clause set that is one component
-// is returned as is.
-func components(clauses []cnf.Clause) [][]cnf.Clause {
-	// Number the distinct variables densely, in ascending order, so the
-	// union-find runs on slices and ascending roots need no sort.
-	lits := 0
-	for _, cl := range clauses {
-		lits += len(cl)
-	}
-	vars := make([]int, 0, lits)
-	for _, cl := range clauses {
-		for _, l := range cl {
-			vars = append(vars, l.Var())
-		}
-	}
-	slices.Sort(vars)
-	vars = slices.Compact(vars)
-	index := func(l cnf.Lit) int32 {
-		i, _ := slices.BinarySearch(vars, l.Var())
-		return int32(i)
-	}
-	parent := make([]int32, len(vars))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, cl := range clauses {
-		a := index(cl[0])
-		for _, l := range cl[1:] {
-			ra, rb := find(a), find(index(l))
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-	}
-	root := make([]int32, len(clauses))
-	size := make([]int, len(vars)) // clauses per root
-	groups := 0
-	for i, cl := range clauses {
-		r := find(index(cl[0]))
-		root[i] = r
-		if size[r] == 0 {
-			groups++
-		}
-		size[r]++
-	}
-	if groups == 1 {
-		return [][]cnf.Clause{clauses}
-	}
-	pos := make([]int, len(vars)) // root → index of its component in out
-	out := make([][]cnf.Clause, 0, groups)
-	for r, n := range size {
-		if n > 0 {
-			pos[r] = len(out)
-			out = append(out, make([]cnf.Clause, 0, n))
-		}
-	}
-	for i, cl := range clauses {
-		g := pos[root[i]]
-		out[g] = append(out[g], cl)
-	}
-	return out
-}
-
 // TopLevelComponents reports how many connected components the formula's
 // normalized clause set splits into before any propagation — the number of
 // independent subproblems the parallel compiler can fan out immediately.
@@ -1022,23 +753,6 @@ func TopLevelComponents(f *cnf.Formula) int {
 		}
 		clauses = append(clauses, norm)
 	}
-	return len(components(clauses))
-}
-
-// cacheKey renders a clause set canonically. Clauses are assumed
-// literal-sorted (normalizeClause sorts them and all simplifications
-// preserve relative order).
-func cacheKey(clauses []cnf.Clause) string {
-	strs := make([]string, len(clauses))
-	var buf []byte
-	for i, cl := range clauses {
-		buf = buf[:0]
-		for _, l := range cl {
-			buf = strconv.AppendInt(buf, int64(l), 10)
-			buf = append(buf, ' ')
-		}
-		strs[i] = string(buf)
-	}
-	sort.Strings(strs)
-	return strings.Join(strs, ";")
+	dense, orig := densify(clauses)
+	return len(newScratch(len(orig) - 1).components(dense))
 }

@@ -232,15 +232,18 @@ func BenchmarkCompileParallel(b *testing.B) {
 }
 
 // randomClauseSet draws normalized clauses of both signs over one to four
-// blocks of sparse variable IDs, so most sets split into several components.
+// blocks of twelve variables each, so most sets split into several
+// components. The variables carry sparse, non-contiguous IDs in no order
+// relative to their blocks.
 func randomClauseSet(rng *rand.Rand) []cnf.Clause {
 	blocks := 1 + rng.Intn(4)
+	ids := sparseIDs(rng, 12*blocks)
 	var clauses []cnf.Clause
 	for i, n := 0, rng.Intn(12); i < n; i++ {
-		base := 1 + rng.Intn(blocks)*1000
+		base := rng.Intn(blocks) * 12
 		cl := make(cnf.Clause, 0, 3)
 		for j, w := 0, 1+rng.Intn(3); j < w; j++ {
-			l := cnf.Lit(base + rng.Intn(12)*7)
+			l := cnf.Lit(ids[base+rng.Intn(12)])
 			if rng.Intn(2) == 0 {
 				l = -l
 			}
@@ -300,14 +303,34 @@ func componentsWithMaps(clauses []cnf.Clause) [][]cnf.Clause {
 // TestComponentsMatchesMapUnionFind pins components to a map-based
 // reference: the same components in the same order, each with its clauses
 // in input order. The compiler builds nodes in component order, so this
-// order fixes every compiled circuit.
+// order fixes every compiled circuit. components runs on the densified
+// clause set, which is mapped back for the comparison; the second call on
+// the same scratch checks that the first left it clean.
 func TestComponentsMatchesMapUnionFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 2000; trial++ {
 		clauses := randomClauseSet(rng)
-		got, want := components(clauses), componentsWithMaps(clauses)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("components(%v) = %v, want %v", clauses, got, want)
+		dense, orig := densify(clauses)
+		s := newScratch(len(orig) - 1)
+		want := componentsWithMaps(clauses)
+		for call := 0; call < 2; call++ {
+			comps := s.components(dense)
+			got := make([][]cnf.Clause, len(comps))
+			for i, comp := range comps {
+				for _, cl := range comp {
+					back := make(cnf.Clause, len(cl))
+					for j, l := range cl {
+						back[j] = cnf.Lit(orig[l.Var()])
+						if l < 0 {
+							back[j] = -back[j]
+						}
+					}
+					got[i] = append(got[i], back)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("call %d: components(%v) = %v, want %v", call, clauses, got, want)
+			}
 		}
 	}
 }

@@ -11,10 +11,11 @@
 package dnnf
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/big"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -67,26 +68,27 @@ type nodeShard struct {
 
 // intern returns the node stored under key, constructing it with mk (under
 // the shard lock, so exactly one node per key is ever published) on a miss.
-func (s *nodeShard) intern(key string, mk func() *Node) *Node {
+// A hit allocates nothing; only a miss copies the key.
+func (s *nodeShard) intern(key []byte, mk func() *Node) *Node {
 	s.mu.RLock()
-	n := s.m[key]
+	n := s.m[string(key)]
 	s.mu.RUnlock()
 	if n != nil {
 		return n
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := s.m[key]; n != nil {
+	if n := s.m[string(key)]; n != nil {
 		return n
 	}
 	n = mk()
-	s.m[key] = n
+	s.m[string(key)] = n
 	return n
 }
 
 // shardIndex hashes an intern key to a shard (FNV-1a; constants shared with
 // the canonicalization hashing in canon.go).
-func shardIndex(key string) int {
+func shardIndex(key []byte) int {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -162,66 +164,90 @@ func (b *Builder) Lit(l int) *Node {
 	return n
 }
 
-// mergeVars returns the sorted union of children variable supports. It
-// panics if requireDisjoint is set and two children share a variable: such a
+// mergeVars returns the sorted union of the children's sorted supports,
+// merging each child's into the running union from the back. It panics if
+// requireDisjoint is set and two children share a variable: such a
 // conjunction would not be decomposable.
 func mergeVars(children []*Node, requireDisjoint bool) []int {
 	total := 0
 	for _, c := range children {
 		total += len(c.vars)
 	}
-	out := make([]int, 0, total)
-	for _, c := range children {
-		out = append(out, c.vars...)
-	}
-	sort.Ints(out)
-	w := 0
-	for i, v := range out {
-		if i > 0 && out[w-1] == v {
-			if requireDisjoint {
-				panic(fmt.Sprintf("dnnf: non-decomposable ∧ over variable %d", v))
+	out := make([]int, total)
+	n := copy(out, children[0].vars)
+	for _, c := range children[1:] {
+		end := n + len(c.vars)
+		i, j, w := n-1, len(c.vars)-1, end
+		for j >= 0 {
+			w--
+			switch {
+			case i >= 0 && out[i] > c.vars[j]:
+				out[w] = out[i]
+				i--
+			case i >= 0 && out[i] == c.vars[j]:
+				if requireDisjoint {
+					panic(fmt.Sprintf("dnnf: non-decomposable ∧ over variable %d", c.vars[j]))
+				}
+				out[w] = out[i]
+				i--
+				j--
+			default:
+				out[w] = c.vars[j]
+				j--
 			}
-			continue
 		}
-		out[w] = v
-		w++
+		// out[:i+1] is already in place; each shared variable left a gap
+		// between it and the merged tail.
+		n = i + 1 + copy(out[i+1:], out[w:end])
 	}
-	return out[:w]
+	return out[:n]
 }
 
-// childKey renders a unique-table key: prefix, then each child's ID
-// followed by a comma.
-func childKey(prefix []byte, children []*Node) string {
-	buf := prefix
+// internKey appends a unique-table key to dst: the decision variable, then
+// each child's ID, as uvarints.
+func internKey(dst []byte, decision int, children []*Node) []byte {
+	dst = binary.AppendUvarint(dst, uint64(decision))
 	for _, c := range children {
-		buf = strconv.AppendInt(buf, int64(c.id), 10)
-		buf = append(buf, ',')
+		dst = binary.AppendUvarint(dst, uint64(c.id))
 	}
-	return string(buf)
+	return dst
+}
+
+// keptChildren returns the children other than skip, sorted by ID, in
+// scratch when they fit. It reports stop when a child is the constant stop,
+// which decides the whole gate.
+func keptChildren(scratch []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
+	kept = scratch[:0]
+	for _, c := range children {
+		switch c.Kind {
+		case skip:
+			continue
+		case stop:
+			return nil, true
+		}
+		kept = append(kept, c)
+	}
+	slices.SortFunc(kept, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
+	return kept, false
 }
 
 // And returns the decomposable conjunction of the children. Constant
 // children are folded; it panics if the children's supports overlap.
 func (b *Builder) And(children ...*Node) *Node {
-	kept := make([]*Node, 0, len(children))
-	for _, c := range children {
-		switch c.Kind {
-		case KindTrue:
-			continue
-		case KindFalse:
-			return b.falseN
-		}
-		kept = append(kept, c)
-	}
-	switch len(kept) {
-	case 0:
+	var scratch [8]*Node
+	kept, stopped := keptChildren(scratch[:], children, KindTrue, KindFalse)
+	switch {
+	case stopped:
+		return b.falseN
+	case len(kept) == 0:
 		return b.trueN
-	case 1:
+	case len(kept) == 1:
 		return kept[0]
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
-	key := childKey(nil, kept)
+	var buf [64]byte
+	key := internKey(buf[:0], 0, kept)
 	return b.ands[shardIndex(key)].intern(key, func() *Node {
+		kept := slices.Clone(kept)
 		return &Node{Kind: KindAnd, Children: kept, id: b.fresh(), vars: mergeVars(kept, true)}
 	})
 }
@@ -241,27 +267,22 @@ func (b *Builder) Or(children ...*Node) *Node {
 }
 
 func (b *Builder) orSlice(decision int, children []*Node) *Node {
-	kept := make([]*Node, 0, len(children))
-	for _, c := range children {
-		switch c.Kind {
-		case KindFalse:
-			continue
-		case KindTrue:
-			// A true child makes the disjunction true; determinism then
-			// forces all siblings to be false, so folding is sound.
-			return b.trueN
-		}
-		kept = append(kept, c)
-	}
-	switch len(kept) {
-	case 0:
+	// A true child makes the disjunction true; determinism then forces all
+	// siblings to be false, so folding is sound.
+	var scratch [8]*Node
+	kept, stopped := keptChildren(scratch[:], children, KindFalse, KindTrue)
+	switch {
+	case stopped:
+		return b.trueN
+	case len(kept) == 0:
 		return b.falseN
-	case 1:
+	case len(kept) == 1:
 		return kept[0]
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
-	key := childKey(append(strconv.AppendInt(nil, int64(decision), 10), '|'), kept)
+	var buf [64]byte
+	key := internKey(buf[:0], decision, kept)
 	return b.ors[shardIndex(key)].intern(key, func() *Node {
+		kept := slices.Clone(kept)
 		return &Node{Kind: KindOr, Children: kept, Decision: decision, id: b.fresh(),
 			vars: mergeVars(kept, false)}
 	})
@@ -282,9 +303,10 @@ func NumEdges(n *Node) int {
 }
 
 // Visit walks the DAG rooted at n, children before parents, visiting each
-// node exactly once.
+// node exactly once. A Builder numbers every node after its children, so no
+// node below n has an ID above n's.
 func Visit(n *Node, f func(*Node)) {
-	seen := make(map[int]bool)
+	seen := make([]bool, n.id+1)
 	var rec func(*Node)
 	rec = func(m *Node) {
 		if seen[m.id] {

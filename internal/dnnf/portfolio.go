@@ -51,8 +51,8 @@ type racerResult struct {
 	err   error
 }
 
-// racePortfolio compiles the same clause set under each heuristic
-// concurrently, each racer on its own builder (hash-consing tables are
+// racePortfolio compiles the same densified clause set (whose variables
+// orig maps back) under each heuristic concurrently, each racer on its own builder (hash-consing tables are
 // per-builder, so racers share nothing and need no coordination) with an
 // equal share of the worker budget for its own internal fan-out and
 // speculation. The first racer to succeed wins: the others are cancelled via
@@ -61,7 +61,7 @@ type racerResult struct {
 // not fail the compilation; only when every racer fails is an error
 // returned, preferring the first real (non-cancellation) failure so
 // ErrNodeBudget/ErrTimeout surface rather than a cancellation artifact.
-func racePortfolio(ctx context.Context, clauses []cnf.Clause, opts Options, orders []VarOrder, start time.Time) (*Node, Stats, error) {
+func racePortfolio(ctx context.Context, clauses []cnf.Clause, orig []int, opts Options, orders []VarOrder, start time.Time) (*Node, Stats, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -83,7 +83,7 @@ func racePortfolio(ctx context.Context, clauses []cnf.Clause, opts Options, orde
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := newCompiler(lane, start)
+			c := newCompiler(lane, orig, start)
 			root, err := c.compileRoot(rctx, clauses)
 			stats := c.snapshot(start)
 			results <- racerResult{order: order, root: root, stats: stats, err: err}

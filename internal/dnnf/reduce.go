@@ -16,10 +16,10 @@ package dnnf
 func EliminateAux(n *Node, isAux func(v int) bool) *Node {
 	sat := satisfiable(n)
 	b := NewBuilder()
-	memo := make(map[int]*Node)
+	memo := make([]*Node, n.id+1) // IDs below n are at most n's (see Visit)
 	var rec func(*Node) *Node
 	rec = func(m *Node) *Node {
-		if r, ok := memo[m.id]; ok {
+		if r := memo[m.id]; r != nil {
 			return r
 		}
 		var r *Node
@@ -66,10 +66,10 @@ func EliminateAux(n *Node, isAux func(v int) bool) *Node {
 }
 
 // satisfiable computes, for every node in the DAG, whether it has at least
-// one satisfying assignment. Under decomposability an ∧ is satisfiable iff
-// all children are; an ∨ iff any child is.
-func satisfiable(n *Node) map[int]bool {
-	sat := make(map[int]bool)
+// one satisfying assignment, indexed by node ID. Under decomposability an ∧
+// is satisfiable iff all children are; an ∨ iff any child is.
+func satisfiable(n *Node) []bool {
+	sat := make([]bool, n.id+1)
 	Visit(n, func(m *Node) {
 		switch m.Kind {
 		case KindTrue, KindLit:

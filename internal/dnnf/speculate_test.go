@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -204,13 +203,57 @@ func TestSpeculationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// pickMostFrequentRecompute is the map-based most-frequent heuristic: a
+// full occurrence-count rebuild per decision, the oracle for the array pick.
+func pickMostFrequentRecompute(clauses []cnf.Clause) int {
+	counts := make(map[int]int)
+	for _, cl := range clauses {
+		for _, l := range cl {
+			counts[l.Var()]++
+		}
+	}
+	best, bestCount := 0, -1
+	for v, n := range counts {
+		if n > bestCount || (n == bestCount && v < best) {
+			best, bestCount = v, n
+		}
+	}
+	return best
+}
+
+// pickJeroslowWang is the map-based Jeroslow–Wang heuristic, the oracle for
+// the array pick: scores Σ 2^-|cl| accumulated in clause order, the maximum
+// wins, ties broken by the smaller variable.
+func pickJeroslowWang(clauses []cnf.Clause) int {
+	scores := make(map[int]float64)
+	for _, cl := range clauses {
+		w := 1.0
+		for i := 0; i < len(cl) && i < 62; i++ {
+			w /= 2
+		}
+		for _, l := range cl {
+			scores[l.Var()] += w
+		}
+	}
+	best, bestScore := 0, -1.0
+	for v, s := range scores {
+		if s > bestScore || (s == bestScore && v < best) {
+			best, bestScore = v, s
+		}
+	}
+	return best
+}
+
 // TestPickVarIncrementalAgreesWithRecompute random-walks conditioning and
-// propagation over random clause sets, maintaining an occCounts alongside,
-// and checks two invariants at every step: the maintained map is exactly the
-// from-scratch count of the current residual, and the incremental
-// most-frequent pick equals the recomputing oracle's.
+// propagation over random clause sets and checks at every step that the
+// array pick of scratch equals the map-based oracle, for the most-frequent
+// and the Jeroslow–Wang order alike.
 func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
+	oracles := map[VarOrder]func([]cnf.Clause) int{
+		OrderMostFrequent: pickMostFrequentRecompute,
+		OrderJeroslowWang: pickJeroslowWang,
+	}
 	for trial := 0; trial < 60; trial++ {
 		raw := singleComponentCNF(rng, 10, 30)
 		clauses := make([]cnf.Clause, 0, len(raw.Clauses))
@@ -220,30 +263,29 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 				clauses = append(clauses, norm)
 			}
 		}
-		counts := newOccCounts(clauses)
+		clauses, orig := densify(clauses)
+		s := newScratch(len(orig) - 1)
 		for step := 0; len(clauses) > 0; step++ {
-			if got := newOccCounts(clauses); !reflect.DeepEqual(counts.m, got.m) {
-				t.Fatalf("trial %d step %d: maintained counts %v, recomputed %v", trial, step, counts.m, got.m)
-			}
-			inc := counts.pickMostFrequent(clauses)
-			if rec := pickMostFrequentRecompute(clauses); inc != rec {
-				t.Fatalf("trial %d step %d: incremental pick %d, recompute pick %d", trial, step, inc, rec)
+			for order, oracle := range oracles {
+				if got, want := s.pickVar(order, clauses), oracle(clauses); got != want {
+					t.Fatalf("trial %d step %d %v: array pick %d, oracle pick %d", trial, step, order, got, want)
+				}
 			}
 			// Alternate conditioning steps with propagation rounds, like the
 			// compiler does.
 			if step%3 == 2 {
-				_, rest, conflict := propagate(clauses, counts)
+				_, rest, conflict := s.propagate(clauses)
 				if conflict {
-					break // counts unspecified on dead branches
+					break
 				}
 				clauses = rest
 				continue
 			}
-			l := cnf.Lit(inc)
+			l := cnf.Lit(s.pickVar(OrderMostFrequent, clauses))
 			if rng.Intn(2) == 0 {
 				l = -l
 			}
-			next, empty := assign(clauses, l, counts)
+			next, empty := assign(clauses, l)
 			if empty {
 				break
 			}
@@ -276,8 +318,8 @@ func TestParseVarOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkPickVar measures the satellite win: the incremental occurrence
-// counter versus the per-decision recompute, on a mid-size residual.
+// BenchmarkPickVar compares the array pick of scratch with the map-based
+// oracle on a mid-size residual, under the most-frequent order.
 func BenchmarkPickVar(b *testing.B) {
 	rng := rand.New(rand.NewSource(251))
 	raw := singleComponentCNF(rng, 60, 260)
@@ -287,16 +329,16 @@ func BenchmarkPickVar(b *testing.B) {
 			clauses = append(clauses, norm)
 		}
 	}
-	b.Run("recompute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	clauses, orig := densify(clauses)
+	b.Run("map", func(b *testing.B) {
+		for b.Loop() {
 			pickMostFrequentRecompute(clauses)
 		}
 	})
-	b.Run("incremental", func(b *testing.B) {
-		counts := newOccCounts(clauses)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			counts.pickMostFrequent(clauses)
+	b.Run("array", func(b *testing.B) {
+		s := newScratch(len(orig) - 1)
+		for b.Loop() {
+			s.pickVar(OrderMostFrequent, clauses)
 		}
 	})
 }
