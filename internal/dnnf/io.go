@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -63,9 +64,10 @@ func WriteNNF(w io.Writer, n *Node) error {
 	return bw.Flush()
 }
 
-// ParseNNF reads a circuit in c2d's nnf format. The caller asserts (or
-// separately validates) determinism and decomposability; the parser checks
-// only well-formedness. The last node is the root, as in c2d's output.
+// ParseNNF reads a circuit in c2d's nnf format. The parser checks
+// well-formedness and that every ∧ line's children have disjoint supports;
+// the caller asserts (or separately validates) determinism. The last node
+// is the root, as in c2d's output.
 func ParseNNF(r io.Reader) (*Node, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -89,7 +91,7 @@ func ParseNNF(r io.Reader) (*Node, error) {
 				return nil, fmt.Errorf("dnnf: malformed literal line %q", text)
 			}
 			lit, err := strconv.Atoi(fields[1])
-			if err != nil || lit == 0 {
+			if err != nil || lit == 0 || lit == math.MinInt {
 				return nil, fmt.Errorf("dnnf: bad literal %q", fields[1])
 			}
 			nodes = append(nodes, b.Lit(lit))
@@ -100,6 +102,9 @@ func ParseNNF(r io.Reader) (*Node, error) {
 			children, err := parseChildren(fields[1], fields[2:], nodes)
 			if err != nil {
 				return nil, err
+			}
+			if v, ok := sharedVar(children); ok {
+				return nil, fmt.Errorf("dnnf: non-decomposable and line %q: variable %d repeats", text, v)
 			}
 			nodes = append(nodes, b.And(children...))
 		case "O":

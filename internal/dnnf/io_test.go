@@ -82,14 +82,17 @@ func TestNNFConstants(t *testing.T) {
 
 func TestParseNNFErrors(t *testing.T) {
 	cases := []string{
-		"",                         // empty
-		"L 1\n",                    // literal before header
-		"nnf 1 0 1\nL 0\n",         // zero literal
-		"nnf 1 0 1\nX 1\n",         // unknown line
-		"nnf 2 1 1\nL 1\nA 1 5\n",  // forward/out-of-range reference
-		"nnf 2 1 1\nL 1\nA 2 0\n",  // count mismatch
-		"nnf 2 1 1\nL 1\nO -1 1 0", // bad decision var
-		"nnf 1 0\n",                // malformed header
+		"",                                    // empty
+		"L 1\n",                               // literal before header
+		"nnf 1 0 1\nL 0\n",                    // zero literal
+		"nnf 1 0 1\nX 1\n",                    // unknown line
+		"nnf 2 1 1\nL 1\nA 1 5\n",             // forward/out-of-range reference
+		"nnf 2 1 1\nL 1\nA 2 0\n",             // count mismatch
+		"nnf 2 1 1\nL 1\nO -1 1 0",            // bad decision var
+		"nnf 1 0\n",                           // malformed header
+		"nnf 2 2 1\nL 1\nA 2 0 0\n",           // ∧ over one child twice
+		"nnf 3 2 1\nL 1\nL -1\nA 2 0 1\n",     // ∧ over x1 and ¬x1
+		"nnf 1 0 1\nL -9223372036854775808\n", // literal with no negation
 	}
 	for _, in := range cases {
 		if _, err := ParseNNF(strings.NewReader(in)); err == nil {

@@ -16,18 +16,25 @@ func CheckDecomposable(n *Node) error {
 		if fail != nil || m.Kind != KindAnd {
 			return
 		}
-		seen := make(map[int]bool)
-		for _, c := range m.Children {
-			for _, v := range c.vars {
-				if seen[v] {
-					fail = fmt.Errorf("dnnf: ∧-gate %d not decomposable: variable %d repeats", m.id, v)
-					return
-				}
-				seen[v] = true
-			}
+		if v, ok := sharedVar(m.Children); ok {
+			fail = fmt.Errorf("dnnf: ∧-gate %d not decomposable: variable %d repeats", m.id, v)
 		}
 	})
 	return fail
+}
+
+// sharedVar returns a variable in the supports of two of the nodes, if any.
+func sharedVar(nodes []*Node) (int, bool) {
+	seen := make(map[int]bool)
+	for _, c := range nodes {
+		for _, v := range c.vars {
+			if seen[v] {
+				return v, true
+			}
+			seen[v] = true
+		}
+	}
+	return 0, false
 }
 
 // CheckDeterministic verifies, by brute force over all assignments to each
