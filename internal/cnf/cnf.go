@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -262,6 +263,10 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			n, err := strconv.Atoi(tok)
 			if err != nil {
 				return nil, fmt.Errorf("cnf: bad literal %q: %v", tok, err)
+			}
+			if n == math.MinInt {
+				// Its variable, -n, does not fit in an int.
+				return nil, fmt.Errorf("cnf: literal %q out of range", tok)
 			}
 			if n == 0 {
 				break

@@ -171,11 +171,12 @@ func TestDIMACSRoundTrip(t *testing.T) {
 
 func TestParseDIMACSErrors(t *testing.T) {
 	cases := []string{
-		"1 2 0",             // clause before header
-		"p cnf x 2\n1 0",    // bad var count
-		"p cnf 2 1\n1 a 0",  // bad literal
-		"p dnf 2 1\n1 2 0",  // wrong format tag
-		"p cnf 2 1 extra\n", // malformed problem line field count is 5
+		"1 2 0",                             // clause before header
+		"p cnf x 2\n1 0",                    // bad var count
+		"p cnf 2 1\n1 a 0",                  // bad literal
+		"p dnf 2 1\n1 2 0",                  // wrong format tag
+		"p cnf 2 1 extra\n",                 // malformed problem line field count is 5
+		"p cnf 2 1\n-9223372036854775808 0", // variable overflows int
 	}
 	for _, in := range cases {
 		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
