@@ -1,0 +1,153 @@
+package dnnf
+
+import (
+	"bytes"
+	"context"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/cnf"
+)
+
+// dimacs renders a formula as DIMACS text.
+func dimacs(tb testing.TB, f *cnf.Formula) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteDIMACS(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzCompile compiles every small DIMACS input under each variable order,
+// with the component cache on and off, and checks each circuit's structure
+// and model count against brute force. The parallel speculative compiler
+// must count the same, and turning speculation and portfolio racing on at
+// one worker must not move a byte of the circuit.
+func FuzzCompile(f *testing.F) {
+	for _, formula := range []*cnf.Formula{
+		chainFormula(3),
+		{Clauses: []cnf.Clause{{1}, {-1}}, Aux: map[int]bool{}, MaxVar: 1},
+		{Clauses: []cnf.Clause{{1, -1}}, Aux: map[int]bool{}, MaxVar: 1},
+		{Clauses: []cnf.Clause{{1, 2}, {-1, 2}}, Aux: map[int]bool{}, MaxVar: 2},
+		{Clauses: []cnf.Clause{{1, 2}, {-1, 3}, {2, -3}}, Aux: map[int]bool{}, MaxVar: 3},
+	} {
+		f.Add(dimacs(f, formula))
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 6; i++ {
+		f.Add(dimacs(f, randomCNF(rng, 1+rng.Intn(6), rng.Intn(8))))
+	}
+	f.Add(dimacs(f, multiComponentCNF(rand.New(rand.NewSource(83)), 2, 4, 5)))
+	f.Add([]byte("p cnf 3 2\n9000000000 -7 0\n-9000000000 2 0\n"))
+
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula, err := cnf.ParseDIMACS(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		universe := formula.Vars()
+		if len(universe) > 12 || len(formula.Clauses) > 40 {
+			t.Skip("too large to brute-force")
+		}
+		want := big.NewInt(int64(bruteCount(formula, universe)))
+		for _, order := range []VarOrder{OrderMostFrequent, OrderLexicographic, OrderJeroslowWang} {
+			for _, off := range []bool{false, true} {
+				opts := Options{Order: order, DisableCache: off, Workers: 1}
+				root, _, err := Compile(ctx, formula, opts)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				if err := Validate(root, 12); err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				if got := CountModels(root, universe); got.Cmp(want) != 0 {
+					t.Fatalf("%+v: model count %v, brute force %v", opts, got, want)
+				}
+
+				par := opts
+				par.Workers, par.Speculate = 4, true
+				proot, _, err := Compile(ctx, formula, par)
+				if err != nil {
+					t.Fatalf("%+v: %v", par, err)
+				}
+				if got := CountModels(proot, universe); got.Cmp(want) != 0 {
+					t.Fatalf("%+v: model count %v, brute force %v", par, got, want)
+				}
+
+				inert := opts
+				inert.Speculate, inert.Portfolio = true, true
+				iroot, _, err := Compile(ctx, formula, inert)
+				if err != nil {
+					t.Fatalf("%+v: %v", inert, err)
+				}
+				var plain, same bytes.Buffer
+				if err := WriteNNF(&plain, root); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteNNF(&same, iroot); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(plain.Bytes(), same.Bytes()) {
+					t.Fatalf("%+v: circuit differs from plain workers=1:\n%s\nvs\n%s", inert, same.Bytes(), plain.Bytes())
+				}
+			}
+		}
+	})
+}
+
+// FuzzParseNNF feeds arbitrary bytes to ParseNNF, which must return an
+// error or a circuit, never panic; a parsed circuit written out and parsed
+// again must keep its support and model count.
+func FuzzParseNNF(f *testing.F) {
+	for _, in := range []string{
+		"",
+		"L 1\n",
+		"nnf 1 0 1\nL 0\n",
+		"nnf 2 1 1\nL 1\nA 1 5\n",
+		"nnf 2 1 1\nL 1\nO -1 1 0",
+		"nnf 2 2 1\nL 1\nA 2 0 0\n",
+		"nnf 3 2 1\nL 1\nL -1\nA 2 0 1\n",
+		"nnf 7 6 3\nL 1\nL 2\nL -1\nL 3\nA 2 0 1\nA 2 2 3\nO 1 2 4 5\n",
+		"nnf 1 0 0\nA 0\n",
+		"nnf 1 0 0\nO 0 0\n",
+	} {
+		f.Add([]byte(in))
+	}
+	rng := rand.New(rand.NewSource(79))
+	for i := 0; i < 4; i++ {
+		root, _, err := Compile(context.Background(), randomCNF(rng, 1+rng.Intn(6), rng.Intn(8)), Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteNNF(&buf, root); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ParseNNF(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteNNF(&buf, n); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseNNF(&buf)
+		if err != nil {
+			t.Fatalf("written circuit does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(back.Vars(), n.Vars()) {
+			t.Fatalf("round trip changed the support: %v, want %v", back.Vars(), n.Vars())
+		}
+		if got, want := CountModels(back, n.Vars()), CountModels(n, n.Vars()); got.Cmp(want) != 0 {
+			t.Fatalf("round trip changed the model count: %v, want %v", got, want)
+		}
+	})
+}
