@@ -198,8 +198,7 @@ type compiler struct {
 	limit *parallel.Limit
 	// orig maps the recursion's dense variables back to the formula's (see
 	// densify); nodes are built on the formula's variables.
-	orig      []int
-	scratches sync.Pool // *scratch over len(orig)-1 variables
+	orig []int
 
 	cacheMu sync.RWMutex
 	cache   map[string]*Node
@@ -225,7 +224,6 @@ func newCompiler(opts Options, orig []int, start time.Time) *compiler {
 		cache: make(map[string]*Node),
 		limit: parallel.NewLimit(parallel.Workers(opts.Workers) - 1),
 	}
-	c.scratches.New = func() any { return newScratch(len(orig) - 1) }
 	if opts.Timeout > 0 {
 		c.deadline = start.Add(opts.Timeout)
 	}
@@ -245,14 +243,6 @@ func (c *compiler) snapshot(start time.Time) Stats {
 		SpeculationCancels:  int(c.specCancels.Load()),
 		Elapsed:             time.Since(start),
 	}
-}
-
-// compileRoot runs the recursive compilation of the densified clause set
-// from the top.
-func (c *compiler) compileRoot(ctx context.Context, clauses []cnf.Clause) (*Node, error) {
-	s := c.scratches.Get().(*scratch)
-	defer c.scratches.Put(s)
-	return c.compile(ctx, s, clauses, 0)
 }
 
 // lit builds the leaf of a dense literal, on the formula's variable.
@@ -406,7 +396,7 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 		root, stats, err = racePortfolio(ctx, dense, orig, opts, orders, start)
 	} else {
 		c := newCompiler(opts, orig, start)
-		root, err = c.compileRoot(ctx, dense)
+		root, err = c.compile(ctx, newScratch(orig), dense, 0)
 		stats = c.snapshot(start)
 	}
 	recordGlobalCounters(stats)
@@ -595,9 +585,7 @@ func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]
 	for i := 1; i < len(comps); i++ {
 		if len(comps[i]) >= parallelComponentFloor &&
 			c.limit.Go(&wg, func() {
-				s := c.scratches.Get().(*scratch)
-				nodes[i], errs[i] = c.compileComponent(ctx, s, comps[i], depth)
-				c.scratches.Put(s)
+				nodes[i], errs[i] = c.compileComponent(ctx, newScratch(c.orig), comps[i], depth)
 			}) {
 			continue
 		}
@@ -698,9 +686,7 @@ func (c *compiler) speculateBranches(ctx context.Context, s *scratch, hiClauses,
 	var wg sync.WaitGroup
 	var hiErr, loErr error
 	if !c.limit.Go(&wg, func() {
-		hs := c.scratches.Get().(*scratch)
-		defer c.scratches.Put(hs)
-		if hi, hiErr = c.compile(bctx, hs, hiClauses, depth+1); hiErr != nil {
+		if hi, hiErr = c.compile(bctx, newScratch(c.orig), hiClauses, depth+1); hiErr != nil {
 			cancel()
 		}
 	}) {
@@ -754,5 +740,5 @@ func TopLevelComponents(f *cnf.Formula) int {
 		clauses = append(clauses, norm)
 	}
 	dense, orig := densify(clauses)
-	return len(newScratch(len(orig) - 1).components(dense))
+	return len(newScratch(orig).components(dense))
 }

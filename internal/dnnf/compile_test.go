@@ -311,7 +311,7 @@ func TestComponentsMatchesMapUnionFind(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		clauses := randomClauseSet(rng)
 		dense, orig := densify(clauses)
-		s := newScratch(len(orig) - 1)
+		s := newScratch(orig)
 		want := componentsWithMaps(clauses)
 		for call := 0; call < 2; call++ {
 			comps := s.components(dense)

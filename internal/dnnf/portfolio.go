@@ -84,7 +84,7 @@ func racePortfolio(ctx context.Context, clauses []cnf.Clause, orig []int, opts O
 		go func() {
 			defer wg.Done()
 			c := newCompiler(lane, orig, start)
-			root, err := c.compileRoot(rctx, clauses)
+			root, err := c.compile(rctx, newScratch(orig), clauses, 0)
 			stats := c.snapshot(start)
 			results <- racerResult{order: order, root: root, stats: stats, err: err}
 		}()

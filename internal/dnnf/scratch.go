@@ -48,8 +48,7 @@ func densify(clauses []cnf.Clause) (dense []cnf.Clause, orig []int) {
 // array but parent is all zero between calls: each method restores the
 // entries it touched before it returns.
 type scratch struct {
-	count  []int32   // pickVar: clauses mentioning each variable (freq)
-	score  []float64 // pickVar: Jeroslow–Wang score of each variable
+	score  []float64 // pickVar: score of each variable
 	value  []int8    // propagate: +1 / -1 for a variable implied true / false
 	parent []int32   // components: union-find forest, set up per call
 	size   []int32   // components: clauses per root, then the root's group
@@ -59,14 +58,15 @@ type scratch struct {
 	buf    []byte
 }
 
-// newScratch returns the scratch for a clause set over dense variables 1..n.
-func newScratch(n int) *scratch {
+// newScratch returns a scratch for the dense variables that orig maps back
+// (see densify).
+func newScratch(orig []int) *scratch {
+	n := len(orig)
 	return &scratch{
-		count:  make([]int32, n+1),
-		score:  make([]float64, n+1),
-		value:  make([]int8, n+1),
-		parent: make([]int32, n+1),
-		size:   make([]int32, n+1),
+		score:  make([]float64, n),
+		value:  make([]int8, n),
+		parent: make([]int32, n),
+		size:   make([]int32, n),
 	}
 }
 
@@ -254,14 +254,14 @@ func (s *scratch) components(clauses []cnf.Clause) [][]cnf.Clause {
 }
 
 // pickVar selects the branching variable per the heuristic: the smallest
-// variable (lex), or the variable with the most occurrences (freq) or the
-// highest two-sided Jeroslow–Wang score Σ 2^-|cl| (jw), ties broken by the
-// smaller variable. Scores are sums of dyadic rationals accumulated in
-// clause order, so the choice is reproducible.
+// variable (lex), or the variable with the highest score, ties broken by the
+// smaller variable. A variable scores one per clause mentioning it (freq)
+// or the two-sided Jeroslow–Wang measure Σ 2^-|cl| over those clauses (jw).
+// Scores are sums of dyadic rationals accumulated in clause order, exact in
+// float64, so the choice is reproducible.
 func (s *scratch) pickVar(order VarOrder, clauses []cnf.Clause) int {
 	best := 0
-	switch order {
-	case OrderLexicographic:
+	if order == OrderLexicographic {
 		for _, cl := range clauses {
 			for _, l := range cl {
 				if v := l.Var(); best == 0 || v < best {
@@ -269,49 +269,31 @@ func (s *scratch) pickVar(order VarOrder, clauses []cnf.Clause) int {
 				}
 			}
 		}
-	case OrderJeroslowWang:
-		for _, cl := range clauses {
-			w := 1.0
+		return best
+	}
+	for _, cl := range clauses {
+		w := 1.0
+		if order == OrderJeroslowWang {
 			for i := 0; i < len(cl) && i < 62; i++ {
 				w /= 2
 			}
-			for _, l := range cl {
-				s.score[l.Var()] += w
+		}
+		for _, l := range cl {
+			s.score[l.Var()] += w
+		}
+	}
+	bestScore := -1.0
+	for _, cl := range clauses {
+		for _, l := range cl {
+			v := l.Var()
+			if sc := s.score[v]; sc > bestScore || (sc == bestScore && v < best) {
+				best, bestScore = v, sc
 			}
 		}
-		bestScore := -1.0
-		for _, cl := range clauses {
-			for _, l := range cl {
-				v := l.Var()
-				if sc := s.score[v]; sc > bestScore || (sc == bestScore && v < best) {
-					best, bestScore = v, sc
-				}
-			}
-		}
-		for _, cl := range clauses {
-			for _, l := range cl {
-				s.score[l.Var()] = 0
-			}
-		}
-	default:
-		for _, cl := range clauses {
-			for _, l := range cl {
-				s.count[l.Var()]++
-			}
-		}
-		bestCount := int32(-1)
-		for _, cl := range clauses {
-			for _, l := range cl {
-				v := l.Var()
-				if n := s.count[v]; n > bestCount || (n == bestCount && v < best) {
-					best, bestCount = v, n
-				}
-			}
-		}
-		for _, cl := range clauses {
-			for _, l := range cl {
-				s.count[l.Var()] = 0
-			}
+	}
+	for _, cl := range clauses {
+		for _, l := range cl {
+			s.score[l.Var()] = 0
 		}
 	}
 	return best

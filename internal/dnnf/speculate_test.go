@@ -264,7 +264,7 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 			}
 		}
 		clauses, orig := densify(clauses)
-		s := newScratch(len(orig) - 1)
+		s := newScratch(orig)
 		for step := 0; len(clauses) > 0; step++ {
 			for order, oracle := range oracles {
 				if got, want := s.pickVar(order, clauses), oracle(clauses); got != want {
@@ -336,7 +336,7 @@ func BenchmarkPickVar(b *testing.B) {
 		}
 	})
 	b.Run("array", func(b *testing.B) {
-		s := newScratch(len(orig) - 1)
+		s := newScratch(orig)
 		for b.Loop() {
 			s.pickVar(OrderMostFrequent, clauses)
 		}
