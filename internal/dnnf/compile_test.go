@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -331,6 +332,31 @@ func TestComponentsMatchesMapUnionFind(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("call %d: components(%v) = %v, want %v", call, clauses, got, want)
 			}
+		}
+	}
+}
+
+// TestCacheKeyIsInjective checks the clause-set key against its contract:
+// two clause sets share a key exactly when they are equal as multisets.
+// Reordering the clauses keeps the key; moving a literal across a clause
+// boundary, which leaves the literal sequence alike, changes it.
+func TestCacheKeyIsInjective(t *testing.T) {
+	for _, pair := range [][2][]cnf.Clause{
+		{{{1, 2}, {3}}, {{1}, {2, 3}}},
+		{{{-1, 200}, {300}}, {{-1}, {200, 300}}},
+		{{{5}, {5}}, {{5}}},
+	} {
+		if cacheKey(pair[0]) == cacheKey(pair[1]) {
+			t.Errorf("%v and %v share a key", pair[0], pair[1])
+		}
+	}
+	rng := rand.New(rand.NewSource(263))
+	for trial := 0; trial < 500; trial++ {
+		clauses := randomClauseSet(rng)
+		shuffled := slices.Clone(clauses)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if cacheKey(clauses) != cacheKey(shuffled) {
+			t.Fatalf("reordering %v changed its key", clauses)
 		}
 	}
 }
