@@ -213,11 +213,11 @@ func internKey(dst []byte, decision int, children []*Node) []byte {
 	return dst
 }
 
-// keptChildren returns the children other than skip, sorted by ID, in
-// scratch when they fit. It reports stop when a child is the constant stop,
-// which decides the whole gate.
-func keptChildren(scratch []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
-	kept = scratch[:0]
+// keptChildren appends the children other than skip to dst, sorted by ID.
+// It reports stopped when a child is the constant stop, which decides the
+// whole gate.
+func keptChildren(dst []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
+	kept = dst
 	for _, c := range children {
 		switch c.Kind {
 		case skip:
@@ -234,8 +234,8 @@ func keptChildren(scratch []*Node, children []*Node, skip, stop Kind) (kept []*N
 // And returns the decomposable conjunction of the children. Constant
 // children are folded; it panics if the children's supports overlap.
 func (b *Builder) And(children ...*Node) *Node {
-	var scratch [8]*Node
-	kept, stopped := keptChildren(scratch[:], children, KindTrue, KindFalse)
+	var small [8]*Node
+	kept, stopped := keptChildren(small[:0], children, KindTrue, KindFalse)
 	switch {
 	case stopped:
 		return b.falseN
@@ -269,8 +269,8 @@ func (b *Builder) Or(children ...*Node) *Node {
 func (b *Builder) orSlice(decision int, children []*Node) *Node {
 	// A true child makes the disjunction true; determinism then forces all
 	// siblings to be false, so folding is sound.
-	var scratch [8]*Node
-	kept, stopped := keptChildren(scratch[:], children, KindFalse, KindTrue)
+	var small [8]*Node
+	kept, stopped := keptChildren(small[:0], children, KindFalse, KindTrue)
 	switch {
 	case stopped:
 		return b.trueN
