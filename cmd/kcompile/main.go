@@ -174,7 +174,7 @@ func compileOne(ctx context.Context, name string, formula *cnf.Formula, opts dnn
 	}
 
 	if spectrum {
-		counts := core.PadToUniverse(core.ComputeAllSATk(compiled), len(vars)-len(compiled.Vars()))
+		counts := core.PadToUniverse(core.ComputeAllSATk(compiled), len(vars)-compiled.NumVars())
 		for k, c := range counts {
 			if c.Sign() != 0 {
 				fmt.Fprintf(&sb, "  #SAT_%d = %v\n", k, c)

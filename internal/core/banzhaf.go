@@ -30,7 +30,7 @@ func BanzhafAll(c *dnnf.Node, endo []db.FactID) Values {
 		return out
 	}
 	denom := new(big.Int).Lsh(big.NewInt(1), uint(n-1))
-	support := make(map[db.FactID]bool, len(c.Vars()))
+	support := make(map[db.FactID]bool, c.NumVars())
 	for _, v := range c.Vars() {
 		support[db.FactID(v)] = true
 	}
@@ -59,7 +59,7 @@ func countOverUniverse(c *dnnf.Node, universe int) *big.Int {
 	for _, v := range counts {
 		total.Add(total, v)
 	}
-	gap := universe - len(c.Vars())
+	gap := universe - c.NumVars()
 	if gap > 0 {
 		total.Lsh(total, uint(gap))
 	}

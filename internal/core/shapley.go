@@ -218,7 +218,7 @@ func ShapleyAllStrategy(ctx context.Context, c *dnnf.Node, endo []db.FactID, wor
 func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, workers int, coefs []*big.Rat) (Values, error) {
 	n := len(endo)
 	out := make(Values, n)
-	support := make(map[db.FactID]bool, len(c.Vars()))
+	support := make(map[db.FactID]bool, c.NumVars())
 	for _, v := range c.Vars() {
 		support[db.FactID(v)] = true
 	}
@@ -249,7 +249,7 @@ func shapleyAllPerFact(ctx context.Context, c *dnnf.Node, endo []db.FactID, work
 func conditionedCounts(b *dnnf.Builder, c *dnnf.Node, f int, val bool, universe int) []*big.Int {
 	cond := dnnf.Condition(b, c, map[int]bool{f: val})
 	counts := ComputeAllSATk(cond)
-	return PadToUniverse(counts, universe-len(cond.Vars()))
+	return PadToUniverse(counts, universe-cond.NumVars())
 }
 
 // weightedDifference evaluates Σ_k coefs[k]·(Γ[k]−Δ[k]) as an exact

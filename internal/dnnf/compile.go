@@ -537,6 +537,7 @@ func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause
 	if err := c.checkBudget(ctx); err != nil {
 		return nil, err
 	}
+	defer s.release(s.mark())
 
 	// Unit propagation.
 	units, rest, conflict := s.propagate(clauses)
@@ -544,12 +545,12 @@ func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause
 	if conflict {
 		return c.b.False(), nil
 	}
-	unitNodes := make([]*Node, 0, len(units)+2)
-	for _, l := range units {
-		unitNodes = append(unitNodes, c.lit(l))
-	}
 	if len(rest) == 0 {
-		return c.b.And(unitNodes...), nil
+		children := s.nodes.alloc(len(units))
+		for _, l := range units {
+			children = append(children, c.lit(l))
+		}
+		return c.b.And(children...), nil
 	}
 
 	// Connected-component decomposition.
@@ -557,28 +558,31 @@ func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause
 	if len(comps) > 1 {
 		c.components.Add(1)
 	}
-	nodes, err := c.compileComponents(ctx, s, comps, depth)
-	if err != nil {
+	children := s.nodes.alloc(len(units) + len(comps))[:len(units)+len(comps)]
+	for i, l := range units {
+		children[i] = c.lit(l)
+	}
+	if err := c.compileComponents(ctx, s, comps, children[len(units):], depth); err != nil {
 		return nil, err
 	}
-	return c.b.And(append(unitNodes, nodes...)...), nil
+	return c.b.And(children...), nil
 }
 
-// compileComponents compiles each component, fanning them out across the
-// spawn budget when one is configured. Components are independent
-// subproblems (disjoint variables), so any interleaving builds the same
-// hash-consed nodes; results are assembled in component order either way.
-func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]cnf.Clause, depth int) ([]*Node, error) {
-	nodes := make([]*Node, len(comps))
+// compileComponents compiles each component into the matching entry of
+// nodes, fanning them out across the spawn budget when one is configured.
+// Components are independent subproblems (disjoint variables), so any
+// interleaving builds the same hash-consed nodes; results are assembled in
+// component order either way.
+func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]cnf.Clause, nodes []*Node, depth int) error {
 	if c.limit == nil || len(comps) == 1 || depth > parallelSpawnDepth {
 		for i, comp := range comps {
 			n, err := c.compileComponent(ctx, s, comp, depth)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nodes[i] = n
 		}
-		return nodes, nil
+		return nil
 	}
 	errs := make([]error, len(comps))
 	var wg sync.WaitGroup
@@ -598,10 +602,10 @@ func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return nodes, nil
+	return nil
 }
 
 // compileComponent compiles a single connected component, consulting the
@@ -631,8 +635,9 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 	// Conditioning is pure on the clause slices, so computing both cofactors
 	// up front changes nothing about the sequential compiler's node
 	// allocation order.
-	hiClauses, hiEmpty := assign(clauses, cnf.Lit(v))
-	loClauses, loEmpty := assign(clauses, cnf.Lit(-v))
+	defer s.release(s.mark())
+	hiClauses, hiEmpty := s.assign(clauses, cnf.Lit(v))
+	loClauses, loEmpty := s.assign(clauses, cnf.Lit(-v))
 
 	var hi, lo *Node
 	var err error

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,16 +44,38 @@ type Node struct {
 	// the variable, the other its negation.
 	Decision int
 
-	id   int
-	vars []int // sorted variable support, computed at construction
+	id    int
+	b     *Builder // the builder that interned the node
+	sup   []uint64 // variable support: a bitset over b's variable index
+	nvars int      // size of the support
+	// Storage for up to two children and two support words, the common
+	// case, so that most nodes are a single allocation.
+	kids  [2]*Node
+	words [2]uint64
 }
 
 // ID returns a builder-unique node identifier.
 func (n *Node) ID() int { return n.id }
 
-// Vars returns the sorted variable support of the node. The slice is shared;
-// callers must not modify it.
-func (n *Node) Vars() []int { return n.vars }
+// NumVars returns the size of the node's variable support.
+func (n *Node) NumVars() int { return n.nvars }
+
+// Vars returns the sorted variable support of the node in a fresh slice.
+func (n *Node) Vars() []int {
+	if n.nvars == 0 {
+		return nil
+	}
+	out := make([]int, 0, n.nvars)
+	n.b.litMu.RLock()
+	for w, word := range n.sup {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, n.b.vars[w*64+bits.TrailingZeros64(word)])
+		}
+	}
+	n.b.litMu.RUnlock()
+	slices.Sort(out)
+	return out
+}
 
 // numShards is the unique-table shard count of a Builder. Sharding keeps the
 // hash-consing critical sections short when the parallel compiler's workers
@@ -60,7 +83,8 @@ func (n *Node) Vars() []int { return n.vars }
 // the compiler runs with.
 const numShards = 16
 
-// nodeShard is one mutex-guarded slice of a unique-table.
+// nodeShard is one mutex-guarded slice of a unique-table. Its map is made
+// on the first insert, so a builder of a few nodes makes few maps.
 type nodeShard struct {
 	mu sync.RWMutex
 	m  map[string]*Node
@@ -82,6 +106,9 @@ func (s *nodeShard) intern(key []byte, mk func() *Node) *Node {
 		return n
 	}
 	n = mk()
+	if s.m == nil {
+		s.m = make(map[string]*Node)
+	}
 	s.m[string(key)] = n
 	return n
 }
@@ -109,19 +136,19 @@ type Builder struct {
 	falseN *Node
 	litMu  sync.RWMutex
 	lits   map[int]*Node
-	ands   [numShards]nodeShard
-	ors    [numShards]nodeShard
+	// vars is the variable index that node supports are bitsets over:
+	// vars[i] is the variable of bit i, in the order Lit first met them.
+	// Guarded by litMu.
+	vars []int
+	ands [numShards]nodeShard
+	ors  [numShards]nodeShard
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	b := &Builder{lits: make(map[int]*Node)}
-	for i := range b.ands {
-		b.ands[i].m = make(map[string]*Node)
-		b.ors[i].m = make(map[string]*Node)
-	}
-	b.trueN = &Node{Kind: KindTrue, id: b.fresh()}
-	b.falseN = &Node{Kind: KindFalse, id: b.fresh()}
+	b.trueN = &Node{Kind: KindTrue, id: b.fresh(), b: b}
+	b.falseN = &Node{Kind: KindFalse, id: b.fresh(), b: b}
 	return b
 }
 
@@ -159,48 +186,78 @@ func (b *Builder) Lit(l int) *Node {
 	if n := b.lits[l]; n != nil {
 		return n
 	}
-	n = &Node{Kind: KindLit, Lit: l, id: b.fresh(), vars: []int{v}}
+	n = &Node{Kind: KindLit, Lit: l, id: b.fresh(), b: b, nvars: 1}
+	// The complementary leaf, if any, already holds v's index; both leaves
+	// share its one-bit support.
+	if twin := b.lits[-l]; twin != nil {
+		n.sup = twin.sup
+	} else {
+		i := len(b.vars)
+		b.vars = append(b.vars, v)
+		n.sup = zeroWords(n.words[:0], i/64+1)
+		n.sup[i/64] = 1 << (i % 64)
+	}
 	b.lits[l] = n
 	return n
 }
 
-// mergeVars returns the sorted union of the children's sorted supports,
-// merging each child's into the running union from the back. It panics if
-// requireDisjoint is set and two children share a variable: such a
-// conjunction would not be decomposable.
-func mergeVars(children []*Node, requireDisjoint bool) []int {
-	total := 0
-	for _, c := range children {
-		total += len(c.vars)
+// zeroWords returns n zero words: dst extended if it is all zero and has
+// the capacity, else a fresh slice.
+func zeroWords(dst []uint64, n int) []uint64 {
+	if n <= cap(dst) {
+		return dst[:n]
 	}
-	out := make([]int, total)
-	n := copy(out, children[0].vars)
-	for _, c := range children[1:] {
-		end := n + len(c.vars)
-		i, j, w := n-1, len(c.vars)-1, end
-		for j >= 0 {
-			w--
-			switch {
-			case i >= 0 && out[i] > c.vars[j]:
-				out[w] = out[i]
-				i--
-			case i >= 0 && out[i] == c.vars[j]:
-				if requireDisjoint {
-					panic(fmt.Sprintf("dnnf: non-decomposable ∧ over variable %d", c.vars[j]))
-				}
-				out[w] = out[i]
-				i--
-				j--
-			default:
-				out[w] = c.vars[j]
-				j--
+	return make([]uint64, n)
+}
+
+// gate returns a new ∧- or ∨-gate over a copy of the children, with a fresh
+// ID and the union of the children's supports. It panics on an ∧ whose
+// children share a variable: the conjunction would not be decomposable.
+func (b *Builder) gate(kind Kind, decision int, children []*Node) *Node {
+	n := &Node{Kind: kind, Decision: decision, b: b}
+	if len(children) <= len(n.kids) {
+		n.Children = n.kids[:len(children):len(children)]
+	} else {
+		n.Children = make([]*Node, len(children))
+	}
+	copy(n.Children, children)
+	n.id = b.fresh()
+	var shared int
+	n.sup, n.nvars, shared = union(n.words[:0], children)
+	if kind == KindAnd && shared != 0 {
+		panic(fmt.Sprintf("dnnf: non-decomposable ∧ over variable %d", shared))
+	}
+	return n
+}
+
+// union returns the union of the nodes' supports, built in dst as
+// zeroWords does, and its size, and a variable that two of them share (0
+// when the supports are disjoint). The nodes must come from one builder.
+func union(dst []uint64, nodes []*Node) (sup []uint64, size, shared int) {
+	words := 0
+	for _, c := range nodes {
+		words = max(words, len(c.sup))
+	}
+	sup = zeroWords(dst, words)
+	for _, c := range nodes {
+		for i, w := range c.sup {
+			if both := sup[i] & w; both != 0 && shared == 0 {
+				shared = c.b.varAt(i*64 + bits.TrailingZeros64(both))
 			}
+			sup[i] |= w
 		}
-		// out[:i+1] is already in place; each shared variable left a gap
-		// between it and the merged tail.
-		n = i + 1 + copy(out[i+1:], out[w:end])
 	}
-	return out[:n]
+	for _, w := range sup {
+		size += bits.OnesCount64(w)
+	}
+	return sup, size, shared
+}
+
+// varAt returns the variable of bit i of the builder's supports.
+func (b *Builder) varAt(i int) int {
+	b.litMu.RLock()
+	defer b.litMu.RUnlock()
+	return b.vars[i]
 }
 
 // internKey appends a unique-table key to dst: the decision variable, then
@@ -215,10 +272,14 @@ func internKey(dst []byte, decision int, children []*Node) []byte {
 
 // keptChildren appends the children other than skip to dst, sorted by ID.
 // It reports stopped when a child is the constant stop, which decides the
-// whole gate.
-func keptChildren(dst []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
+// whole gate. It panics on a child from another builder: supports index
+// one builder's variables, and IDs key one builder's unique tables.
+func (b *Builder) keptChildren(dst []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
 	kept = dst
 	for _, c := range children {
+		if c.b != b {
+			panic(fmt.Sprintf("dnnf: child node %d is from another builder", c.id))
+		}
 		switch c.Kind {
 		case skip:
 			continue
@@ -235,7 +296,7 @@ func keptChildren(dst []*Node, children []*Node, skip, stop Kind) (kept []*Node,
 // children are folded; it panics if the children's supports overlap.
 func (b *Builder) And(children ...*Node) *Node {
 	var small [8]*Node
-	kept, stopped := keptChildren(small[:0], children, KindTrue, KindFalse)
+	kept, stopped := b.keptChildren(small[:0], children, KindTrue, KindFalse)
 	switch {
 	case stopped:
 		return b.falseN
@@ -246,10 +307,7 @@ func (b *Builder) And(children ...*Node) *Node {
 	}
 	var buf [64]byte
 	key := internKey(buf[:0], 0, kept)
-	return b.ands[shardIndex(key)].intern(key, func() *Node {
-		kept := slices.Clone(kept)
-		return &Node{Kind: KindAnd, Children: kept, id: b.fresh(), vars: mergeVars(kept, true)}
-	})
+	return b.ands[shardIndex(key)].intern(key, func() *Node { return b.gate(KindAnd, 0, kept) })
 }
 
 // Decision returns the deterministic disjunction (v ∧ hi) ∨ (¬v ∧ lo) with
@@ -270,7 +328,7 @@ func (b *Builder) orSlice(decision int, children []*Node) *Node {
 	// A true child makes the disjunction true; determinism then forces all
 	// siblings to be false, so folding is sound.
 	var small [8]*Node
-	kept, stopped := keptChildren(small[:0], children, KindFalse, KindTrue)
+	kept, stopped := b.keptChildren(small[:0], children, KindFalse, KindTrue)
 	switch {
 	case stopped:
 		return b.trueN
@@ -281,11 +339,7 @@ func (b *Builder) orSlice(decision int, children []*Node) *Node {
 	}
 	var buf [64]byte
 	key := internKey(buf[:0], decision, kept)
-	return b.ors[shardIndex(key)].intern(key, func() *Node {
-		kept := slices.Clone(kept)
-		return &Node{Kind: KindOr, Children: kept, Decision: decision, id: b.fresh(),
-			vars: mergeVars(kept, false)}
-	})
+	return b.ors[shardIndex(key)].intern(key, func() *Node { return b.gate(KindOr, decision, kept) })
 }
 
 // Size returns the number of distinct nodes reachable from n.
@@ -417,7 +471,7 @@ func Condition(b *Builder, n *Node, assign map[int]bool) *Node {
 // given variable universe, which must contain Vars(n). It is exact
 // (math/big) and linear in the circuit size.
 func CountModels(n *Node, universe []int) *big.Int {
-	missing := len(universe) - len(n.vars)
+	missing := len(universe) - n.nvars
 	if missing < 0 {
 		panic("dnnf: universe smaller than node support")
 	}
@@ -450,7 +504,7 @@ func countOverSupport(n *Node) *big.Int {
 			for _, c := range m.Children {
 				// A child covering fewer variables stands for any value of
 				// the gap variables: scale by 2^gap.
-				gap := uint(len(m.vars) - len(c.vars))
+				gap := uint(m.nvars - c.nvars)
 				t := new(big.Int).Lsh(rec(c), gap)
 				v.Add(v, t)
 			}

@@ -40,6 +40,30 @@ func TestBuilderRejectsNonDecomposable(t *testing.T) {
 	b.And(b.Lit(1), b.Lit(-1))
 }
 
+// TestBuilderRejectsForeignChild checks that And, Or and Decision panic on
+// a child built by another builder, whose support indexes that builder's
+// variables and whose ID keys that builder's unique tables.
+func TestBuilderRejectsForeignChild(t *testing.T) {
+	b, other := NewBuilder(), NewBuilder()
+	b.Lit(2) // give the two builders different variable indexes
+	foreign := other.And(other.Lit(1), other.Lit(3))
+	for name, build := range map[string]func(){
+		"And":          func() { b.And(b.Lit(2), foreign) },
+		"Or":           func() { b.Or(b.Lit(-2), foreign) },
+		"Decision":     func() { b.Decision(2, foreign, b.Lit(4)) },
+		"foreign leaf": func() { b.And(b.Lit(2), other.Lit(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over a child of another builder did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 func TestDecisionNode(t *testing.T) {
 	b := NewBuilder()
 	// f = (x1 ∧ x2) ∨ (¬x1 ∧ x3)

@@ -17,6 +17,9 @@ func EliminateAux(n *Node, isAux func(v int) bool) *Node {
 	sat := satisfiable(n)
 	b := NewBuilder()
 	memo := make([]*Node, n.id+1) // IDs below n are at most n's (see Visit)
+	// A gate's reduced children are gathered in cs once all of them are
+	// built, so one buffer serves every gate.
+	var cs []*Node
 	var rec func(*Node) *Node
 	rec = func(m *Node) *Node {
 		if r := memo[m.id]; r != nil {
@@ -41,16 +44,24 @@ func EliminateAux(n *Node, isAux func(v int) bool) *Node {
 				r = b.Lit(m.Lit)
 			}
 		case m.Kind == KindAnd:
-			cs := make([]*Node, len(m.Children))
-			for i, c := range m.Children {
-				cs[i] = rec(c)
+			for _, c := range m.Children {
+				rec(c)
+			}
+			cs = cs[:0]
+			for _, c := range m.Children {
+				cs = append(cs, memo[c.id])
 			}
 			r = b.And(cs...)
 		default: // KindOr
-			cs := make([]*Node, 0, len(m.Children))
 			for _, c := range m.Children {
 				if sat[c.id] {
-					cs = append(cs, rec(c))
+					rec(c)
+				}
+			}
+			cs = cs[:0]
+			for _, c := range m.Children {
+				if sat[c.id] {
+					cs = append(cs, memo[c.id])
 				}
 			}
 			dec := m.Decision

@@ -47,6 +47,13 @@ func densify(clauses []cnf.Clause) (dense []cnf.Clause, orig []int) {
 // dense variables 1..n. Every array is indexed by dense variable, and every
 // array but parent is all zero between calls: each method restores the
 // entries it touched before it returns.
+//
+// The clause sets the recursion derives — propagate's and assign's residual
+// clause lists and shortened clauses, components' groups and the children
+// of a frame's ∧-gate — come from stacks: a frame marks them on entry and
+// releases everything above its mark on return, so the chunks are reused
+// from decision to decision. A frame that hands its clause sets to a spawned
+// goroutine releases them only after that goroutine has returned.
 type scratch struct {
 	score  []float64 // pickVar: score of each variable
 	value  []int8    // propagate: +1 / -1 for a variable implied true / false
@@ -56,26 +63,95 @@ type scratch struct {
 	roots  []int32
 	sorted []cnf.Clause
 	buf    []byte
+
+	lits    stack[cnf.Lit]
+	clauses stack[cnf.Clause]
+	groups  stack[[]cnf.Clause]
+	nodes   stack[*Node]
 }
 
 // newScratch returns a scratch for the dense variables that orig maps back
 // (see densify).
 func newScratch(orig []int) *scratch {
 	n := len(orig)
+	// Tseytin CNFs have two to three clauses per variable, so a chunk of
+	// 4n elements holds any one clause list of the recursion.
+	chunk := 4 * n
 	return &scratch{
-		score:  make([]float64, n),
-		value:  make([]int8, n),
-		parent: make([]int32, n),
-		size:   make([]int32, n),
+		score:   make([]float64, n),
+		value:   make([]int8, n),
+		parent:  make([]int32, n),
+		size:    make([]int32, n),
+		lits:    stack[cnf.Lit]{chunk: chunk},
+		clauses: stack[cnf.Clause]{chunk: chunk},
+		groups:  stack[[]cnf.Clause]{chunk: chunk},
+		nodes:   stack[*Node]{chunk: chunk},
 	}
 }
+
+// frame marks the tops of a scratch's stacks.
+type frame struct{ lits, clauses, groups, nodes stackMark }
+
+// mark returns the current tops of s's stacks.
+func (s *scratch) mark() frame {
+	return frame{s.lits.mark(), s.clauses.mark(), s.groups.mark(), s.nodes.mark()}
+}
+
+// release frees everything allocated from s's stacks since f was marked.
+func (s *scratch) release(f frame) {
+	s.lits.release(f.lits)
+	s.clauses.release(f.clauses)
+	s.groups.release(f.groups)
+	s.nodes.release(f.nodes)
+}
+
+// stack is a chunked bump allocator. alloc hands out slices from the chunk
+// in use and moves to the next chunk when it is full; release frees
+// everything allocated since a mark. Chunks stay allocated for reuse, and
+// a slice must not be used after its release.
+type stack[T any] struct {
+	chunks [][]T
+	used   int // chunks in use; the last of them is the one allocated from
+	top    int // elements taken from chunks[used-1]
+	chunk  int // the smallest chunk to allocate, in elements
+}
+
+// stackMark is a position in a stack.
+type stackMark struct{ used, top int }
+
+func (st *stack[T]) mark() stackMark { return stackMark{st.used, st.top} }
+
+func (st *stack[T]) release(m stackMark) { st.used, st.top = m.used, m.top }
+
+// alloc returns an empty slice with capacity n.
+func (st *stack[T]) alloc(n int) []T {
+	if st.used == 0 || st.top+n > len(st.chunks[st.used-1]) {
+		if st.used == len(st.chunks) {
+			st.chunks = append(st.chunks, nil)
+		}
+		if len(st.chunks[st.used]) < n {
+			st.chunks[st.used] = make([]T, max(n, st.chunk))
+		}
+		st.used++
+		st.top = 0
+	}
+	out := st.chunks[st.used-1][st.top : st.top : st.top+n]
+	st.top += n
+	return out
+}
+
+// trim returns the unused capacity of out, which must be the stack's most
+// recent allocation, to the stack.
+func (st *stack[T]) trim(out []T) { st.top -= cap(out) - len(out) }
 
 // propagate performs exhaustive unit propagation. It returns the implied
 // literals, the residual clauses (each with ≥2 literals, mentioning no
 // assigned variable), and whether a conflict was derived. units is s's own
-// buffer, valid until the next call.
+// buffer, valid until the next call; rest is clauses itself or comes from
+// s's stacks.
 func (s *scratch) propagate(clauses []cnf.Clause) (units []cnf.Lit, rest []cnf.Clause, conflict bool) {
 	units, rest = s.units[:0], clauses
+	owned := false
 	for !conflict {
 		implied := len(units)
 		for _, cl := range rest {
@@ -94,7 +170,12 @@ func (s *scratch) propagate(clauses []cnf.Clause) (units []cnf.Lit, rest []cnf.C
 		if conflict || len(units) == implied {
 			break
 		}
-		next := make([]cnf.Clause, 0, len(rest))
+		// The first round copies the residual clauses to the stack; later
+		// rounds filter that copy in place.
+		next := rest[:0]
+		if !owned {
+			next, owned = s.clauses.alloc(len(rest)), true
+		}
 		for _, cl := range rest {
 			reduced, sat, empty := s.reduce(cl)
 			if empty {
@@ -113,6 +194,9 @@ func (s *scratch) propagate(clauses []cnf.Clause) (units []cnf.Lit, rest []cnf.C
 	s.units = units
 	if conflict {
 		return nil, nil, true
+	}
+	if owned {
+		s.clauses.trim(rest)
 	}
 	return units, rest, false
 }
@@ -146,7 +230,7 @@ func (s *scratch) reduce(cl cnf.Clause) (out cnf.Clause, sat, empty bool) {
 	if struck == len(cl) {
 		return nil, false, true
 	}
-	keep := make(cnf.Clause, 0, len(cl)-struck)
+	keep := s.lits.alloc(len(cl) - struck)
 	for _, l := range cl {
 		if s.value[l.Var()] == 0 {
 			keep = append(keep, l)
@@ -156,9 +240,10 @@ func (s *scratch) reduce(cl cnf.Clause) (out cnf.Clause, sat, empty bool) {
 }
 
 // assign simplifies the clauses under a single literal assignment. It
-// returns the residual clauses and whether an empty clause was derived.
-func assign(clauses []cnf.Clause, l cnf.Lit) ([]cnf.Clause, bool) {
-	out := make([]cnf.Clause, 0, len(clauses))
+// returns the residual clauses, allocated from s's stacks, and whether an
+// empty clause was derived.
+func (s *scratch) assign(clauses []cnf.Clause, l cnf.Lit) ([]cnf.Clause, bool) {
+	out := s.clauses.alloc(len(clauses))
 	for _, cl := range clauses {
 		sat := false
 		removed := false
@@ -178,17 +263,19 @@ func assign(clauses []cnf.Clause, l cnf.Lit) ([]cnf.Clause, bool) {
 			out = append(out, cl)
 			continue
 		}
-		keep := make(cnf.Clause, 0, len(cl)-1)
+		if len(cl) == 1 {
+			return nil, true
+		}
+		// A normalized clause holds -l once.
+		keep := s.lits.alloc(len(cl) - 1)
 		for _, m := range cl {
 			if m != -l {
 				keep = append(keep, m)
 			}
 		}
-		if len(keep) == 0 {
-			return nil, true
-		}
 		out = append(out, keep)
 	}
+	s.clauses.trim(out)
 	return out, false
 }
 
@@ -205,7 +292,8 @@ func (s *scratch) find(v int32) int32 {
 // clause-variable incidence graph. Each clause unites its first variable
 // with each of its others, in clause order, and the components come in
 // ascending order of their root variable, each keeping the clauses'
-// relative order; a clause set that is one component is returned as is.
+// relative order; a clause set that is one component is its own group. The
+// groups come from s's stacks.
 func (s *scratch) components(clauses []cnf.Clause) [][]cnf.Clause {
 	for _, cl := range clauses {
 		for _, l := range cl {
@@ -230,13 +318,14 @@ func (s *scratch) components(clauses []cnf.Clause) [][]cnf.Clause {
 		s.size[r]++
 	}
 	s.roots = roots
+	out := s.groups.alloc(len(roots))[:len(roots)]
 	if len(roots) == 1 {
 		s.size[roots[0]] = 0
-		return [][]cnf.Clause{clauses}
+		out[0] = clauses
+		return out
 	}
 	slices.Sort(roots)
-	out := make([][]cnf.Clause, len(roots))
-	backing := make([]cnf.Clause, len(clauses))
+	backing := s.clauses.alloc(len(clauses))[:len(clauses)]
 	for g, r := range roots {
 		n := s.size[r]
 		out[g] = backing[:0:n]

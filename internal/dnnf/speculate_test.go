@@ -285,7 +285,7 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				l = -l
 			}
-			next, empty := assign(clauses, l)
+			next, empty := s.assign(clauses, l)
 			if empty {
 				break
 			}

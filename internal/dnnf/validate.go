@@ -24,17 +24,10 @@ func CheckDecomposable(n *Node) error {
 }
 
 // sharedVar returns a variable in the supports of two of the nodes, if any.
+// The nodes must come from one builder.
 func sharedVar(nodes []*Node) (int, bool) {
-	seen := make(map[int]bool)
-	for _, c := range nodes {
-		for _, v := range c.vars {
-			if seen[v] {
-				return v, true
-			}
-			seen[v] = true
-		}
-	}
-	return 0, false
+	_, _, v := union(nil, nodes)
+	return v, v != 0
 }
 
 // CheckDeterministic verifies, by brute force over all assignments to each
@@ -47,14 +40,15 @@ func CheckDeterministic(n *Node, maxVars int) error {
 		if fail != nil || m.Kind != KindOr {
 			return
 		}
-		if len(m.vars) > maxVars {
+		if m.nvars > maxVars {
 			fail = fmt.Errorf("dnnf: ∨-gate %d support %d exceeds brute-force limit %d",
-				m.id, len(m.vars), maxVars)
+				m.id, m.nvars, maxVars)
 			return
 		}
-		assign := make(map[int]bool, len(m.vars))
-		for mask := 0; mask < 1<<len(m.vars); mask++ {
-			for i, v := range m.vars {
+		vars := m.Vars()
+		assign := make(map[int]bool, len(vars))
+		for mask := 0; mask < 1<<len(vars); mask++ {
+			for i, v := range vars {
 				assign[v] = mask&(1<<i) != 0
 			}
 			hits := 0
