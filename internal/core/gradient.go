@@ -55,7 +55,7 @@ type exactArith[E any] interface {
 // the two-pass gradient algorithm. It is exactly equivalent to the per-fact
 // path (big.Rat-identical results).
 func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID) (Values, error) {
-	if len(c.Vars()) > maxWordSupport {
+	if c.NumVars() > maxWordSupport {
 		return gradientValues(ctx, bigArith{}, c, endo)
 	}
 	return gradientValues(ctx, wordArith{}, c, endo)
@@ -65,7 +65,7 @@ func shapleyAllGradient(ctx context.Context, c *dnnf.Node, endo []db.FactID) (Va
 func gradientValues[E any, A exactArith[E]](ctx context.Context, a A, c *dnnf.Node, endo []db.FactID) (Values, error) {
 	n := len(endo)
 	out := make(Values, n)
-	support := len(c.Vars())
+	support := c.NumVars()
 	if support == 0 {
 		// Constant circuit: every fact is a null player.
 		for _, f := range endo {
@@ -86,16 +86,27 @@ func gradientValues[E any, A exactArith[E]](ctx context.Context, a A, c *dnnf.No
 		return nil, err
 	}
 	// Top-down: reversed topological order finalizes every node's
-	// derivative before it propagates to its children.
+	// derivative before it propagates to its children. Every node below the
+	// root receives a contribution, so each gets its accumulator up front,
+	// all of them in one allocation.
+	total := 0
+	for _, m := range order {
+		total += support - m.NumVars() + 1
+	}
+	store := vectors[E]{buf: a.zeros(total)}
 	deriv := make([][]E, maxID+1)
-	deriv[c.ID()] = unit(a, 1, 0)
+	for _, m := range order {
+		deriv[m.ID()] = store.take(a, support-m.NumVars()+1)
+	}
+	a.add(deriv[c.ID()], a.binomial(0)) // D_root = 1
+	var prod prefixes[E]
 	for i := len(order) - 1; i >= 0; i-- {
 		if (len(order)-1-i)%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		propagateDeriv(a, order[i], counts, deriv)
+		propagateDeriv(a, order[i], counts, deriv, &prod)
 	}
 
 	// Harvest per-literal derivatives. Builders hash-cons literals, so each
@@ -158,14 +169,21 @@ func shapleyWeights(n, s int) (w []*big.Int, nFact *big.Int) {
 	return w, fact[n]
 }
 
+// prefixes is the derivative pass's scratch for an ∧-gate's prefix and
+// suffix products; every gate reuses it from its start.
+type prefixes[E any] struct {
+	vecs vectors[E]
+	pref [][]E
+}
+
 // propagateDeriv pushes a node's finalized derivative to its children.
 //
 // For an ∧-gate the contribution to child i is D_g convolved with the count
-// vectors of all siblings; prefix/suffix products make that one convolution
-// per child instead of a quadratic sweep. For an ∨-gate the contribution is
-// D_g padded by the child's gap-variable binomial row, mirroring the
-// bottom-up smoothing.
-func propagateDeriv[E any, A countArith[E]](a A, g *dnnf.Node, counts, deriv [][]E) {
+// vectors of all siblings; prefix/suffix products, kept in p, make that one
+// convolution per child instead of a quadratic sweep. For an ∨-gate the
+// contribution is D_g padded by the child's gap-variable binomial row,
+// mirroring the bottom-up smoothing.
+func propagateDeriv[E any, A countArith[E]](a A, g *dnnf.Node, counts, deriv [][]E, p *prefixes[E]) {
 	dg := deriv[g.ID()]
 	if len(g.Children) == 0 {
 		return
@@ -173,56 +191,46 @@ func propagateDeriv[E any, A countArith[E]](a A, g *dnnf.Node, counts, deriv [][
 	switch g.Kind {
 	case dnnf.KindAnd:
 		k := len(g.Children)
+		p.vecs.off = 0
 		// pref[i] = D_g ⊛ V_0 ⊛ … ⊛ V_{i−1}
-		pref := make([][]E, k)
-		pref[0] = dg
+		pref := append(p.pref[:0], dg)
 		for i := 1; i < k; i++ {
-			pref[i] = convolve(a, pref[i-1], counts[g.Children[i-1].ID()])
+			pref = append(pref, p.vecs.convolve(a, pref[i-1], counts[g.Children[i-1].ID()]))
 		}
+		p.pref = pref
 		// Walk right-to-left maintaining the suffix product V_{i+1} ⊛ … so
-		// child i receives pref[i] ⊛ suffix. pref[i≥1] is a fresh convolve
-		// output used nowhere else, so the last child may adopt it.
+		// child i receives pref[i] ⊛ suffix.
 		var suf []E
 		for i := k - 1; i >= 0; i-- {
-			addDeriv(a, deriv, g.Children[i], pref[i], suf, i >= 1)
+			addDeriv(a, deriv[g.Children[i].ID()], pref[i], suf)
 			if i > 0 {
 				cv := counts[g.Children[i].ID()]
 				if suf == nil {
 					suf = cv
 				} else {
-					suf = convolve(a, suf, cv)
+					suf = p.vecs.convolve(a, suf, cv)
 				}
 			}
 		}
 	case dnnf.KindOr:
 		for _, ch := range g.Children {
 			var padRow []E
-			if gap := len(g.Vars()) - len(ch.Vars()); gap > 0 {
+			if gap := g.NumVars() - ch.NumVars(); gap > 0 {
 				padRow = a.binomial(gap)
 			}
-			addDeriv(a, deriv, ch, dg, padRow, false)
+			addDeriv(a, deriv[ch.ID()], dg, padRow)
 		}
 	}
 }
 
-// addDeriv accumulates x ⊛ y (x alone when y is nil) into c's derivative.
-// owned marks an x the caller never reuses, which may become the
-// accumulator itself; a shared x is copied first. All contributions to one
-// child have identical length (|support(root)| − |support(child)| + 1).
-func addDeriv[E any, A countArith[E]](a A, deriv [][]E, c *dnnf.Node, x, y []E, owned bool) {
-	id := c.ID()
-	cur := deriv[id]
-	switch {
-	case y != nil && cur == nil:
-		deriv[id] = convolve(a, x, y)
-	case y != nil:
-		a.addConvolve(cur, x, y)
-	case cur != nil:
-		a.add(cur, x)
-	case owned:
-		deriv[id] = x
-	default:
-		deriv[id] = clone(a, x)
+// addDeriv accumulates x ⊛ y (x alone when y is nil) into a child's
+// derivative d. All contributions to one child have d's length,
+// |support(root)| − |support(child)| + 1.
+func addDeriv[E any, A countArith[E]](a A, d, x, y []E) {
+	if y == nil {
+		a.add(d, x)
+	} else {
+		a.addConvolve(d, x, y)
 	}
 }
 

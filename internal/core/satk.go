@@ -37,6 +37,8 @@ func flattenDNNF(n *dnnf.Node) (order []*dnnf.Node, maxID int) {
 type countArith[E any] interface {
 	// zeros returns a fresh all-zero vector of length n.
 	zeros(n int) []E
+	// reset sets every entry of v to zero, in place.
+	reset(v []E)
 	// add accumulates src into dst entry by entry; len(dst) ≥ len(src).
 	add(dst, src []E)
 	// addConvolve accumulates the convolution of a and b into dst:
@@ -44,13 +46,6 @@ type countArith[E any] interface {
 	addConvolve(dst, a, b []E)
 	// binomial returns [C(n,0), …, C(n,n)], shared and read-only.
 	binomial(n int) []E
-}
-
-// unit returns a fresh length-n vector that is 1 at i and 0 elsewhere.
-func unit[E any, A countArith[E]](a A, n, i int) []E {
-	v := a.zeros(n)
-	a.add(v[i:], a.binomial(0)) // [C(0,0)] = [1]
-	return v
 }
 
 // clone returns a fresh copy of v.
@@ -75,7 +70,7 @@ const maxWordSupport = 64
 
 // ComputeAllSATk computes #SAT_0(C), ..., #SAT_n(C) for the d-DNNF rooted at
 // n, counted over the node's own variable support (Lemma 4.5). The returned
-// slice has length len(n.Vars())+1; entry ℓ is the number of satisfying
+// slice has length n.NumVars()+1; entry ℓ is the number of satisfying
 // assignments of Hamming weight ℓ. The computation is a bottom-up dynamic
 // program, linear in the circuit size times the support size squared:
 //
@@ -88,7 +83,7 @@ const maxWordSupport = 64
 // most 64 variables are counted in machine words, larger ones in big.Int.
 func ComputeAllSATk(n *dnnf.Node) []*big.Int {
 	order, maxID := flattenDNNF(n)
-	if len(n.Vars()) > maxWordSupport {
+	if n.NumVars() > maxWordSupport {
 		// Background never cancels, so the pass cannot fail.
 		memo, _ := satkPass(context.Background(), bigArith{}, order, maxID)
 		return memo[n.ID()]
@@ -118,9 +113,15 @@ const ctxCheckEvery = 256
 
 // satkPass runs the bottom-up #SAT_k dynamic program over order (as
 // returned by flattenDNNF) and returns every node's count vector over its
-// own support, indexed by node ID. It stops with ctx's error once ctx is
-// done.
+// own support, indexed by node ID. The vectors share one allocation. It
+// stops with ctx's error once ctx is done.
 func satkPass[E any, A countArith[E]](ctx context.Context, a A, order []*dnnf.Node, maxID int) ([][]E, error) {
+	total := 0
+	for _, m := range order {
+		total += m.NumVars() + 1
+	}
+	store := vectors[E]{buf: a.zeros(total)}
+	var tmp vectors[E]
 	memo := make([][]E, maxID+1)
 	for i, m := range order {
 		if i%ctxCheckEvery == 0 {
@@ -128,47 +129,78 @@ func satkPass[E any, A countArith[E]](ctx context.Context, a A, order []*dnnf.No
 				return nil, err
 			}
 		}
-		memo[m.ID()] = satkNode(a, m, memo)
+		v := store.take(a, m.NumVars()+1)
+		satkNode(a, m, memo, v, &tmp)
+		memo[m.ID()] = v
 	}
 	return memo, nil
 }
 
-// satkNode computes one node's #SAT_k vector from its children's memoized
-// vectors. The result is freshly allocated and never aliases a child's.
-func satkNode[E any, A countArith[E]](a A, m *dnnf.Node, memo [][]E) []E {
+// satkNode adds one node's #SAT_k vector, computed from its children's
+// memoized vectors, into the zero vector v of length |support|+1. The
+// partial products of an ∧-gate over more than two children go to tmp.
+func satkNode[E any, A countArith[E]](a A, m *dnnf.Node, memo [][]E, v []E, tmp *vectors[E]) {
+	one := a.binomial(0) // [C(0,0)] = [1]
 	switch m.Kind {
 	case dnnf.KindTrue:
-		return unit(a, 1, 0)
+		a.add(v, one)
 	case dnnf.KindFalse:
-		return a.zeros(1)
 	case dnnf.KindLit:
 		if m.Lit > 0 {
-			return unit(a, 2, 1)
+			a.add(v[1:], one)
+		} else {
+			a.add(v, one)
 		}
-		return unit(a, 2, 0)
 	case dnnf.KindAnd:
 		switch len(m.Children) {
 		case 0:
-			return unit(a, 1, 0)
+			a.add(v, one)
 		case 1:
-			return clone(a, memo[m.Children[0].ID()])
+			a.add(v, memo[m.Children[0].ID()])
+		default:
+			tmp.off = 0
+			last := len(m.Children) - 1
+			x := memo[m.Children[0].ID()]
+			for _, c := range m.Children[1:last] {
+				x = tmp.convolve(a, x, memo[c.ID()])
+			}
+			a.addConvolve(v, x, memo[m.Children[last].ID()])
 		}
-		v := convolve(a, memo[m.Children[0].ID()], memo[m.Children[1].ID()])
-		for _, c := range m.Children[2:] {
-			v = convolve(a, v, memo[c.ID()])
-		}
-		return v
 	default: // dnnf.KindOr
-		v := a.zeros(len(m.Vars()) + 1)
 		for _, c := range m.Children {
-			if gap := len(m.Vars()) - len(c.Vars()); gap > 0 {
+			if gap := m.NumVars() - c.NumVars(); gap > 0 {
 				a.addConvolve(v, memo[c.ID()], a.binomial(gap))
 			} else {
 				a.add(v, memo[c.ID()])
 			}
 		}
-		return v
 	}
+}
+
+// vectors hands out zeroed count vectors from one buffer; a request that
+// does not fit moves to a new, larger buffer, and the vectors taken before
+// keep the old one.
+type vectors[E any] struct {
+	buf []E
+	off int
+}
+
+// take returns a zero vector of length n.
+func (p *vectors[E]) take(a countArith[E], n int) []E {
+	if p.off+n > len(p.buf) {
+		p.buf, p.off = a.zeros(max(n, 2*len(p.buf))), 0
+	}
+	v := p.buf[p.off : p.off+n : p.off+n]
+	p.off += n
+	a.reset(v)
+	return v
+}
+
+// convolve returns x ⊛ y in a vector taken from p.
+func (p *vectors[E]) convolve(a countArith[E], x, y []E) []E {
+	v := p.take(a, len(x)+len(y)-1)
+	a.addConvolve(v, x, y)
+	return v
 }
 
 // PadToUniverse extends a #SAT_k vector counted over some support to a
@@ -220,6 +252,8 @@ var wordBinomials = func() [][]uint64 {
 
 func (wordArith) zeros(n int) []uint64 { return make([]uint64, n) }
 
+func (wordArith) reset(v []uint64) { clear(v) }
+
 func (wordArith) add(dst, src []uint64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
@@ -252,6 +286,12 @@ func (bigArith) zeros(n int) []*big.Int {
 		out[i] = &vals[i]
 	}
 	return out
+}
+
+func (bigArith) reset(v []*big.Int) {
+	for _, x := range v {
+		x.SetInt64(0)
+	}
 }
 
 func (bigArith) add(dst, src []*big.Int) {
@@ -314,6 +354,8 @@ func binomialRow(n int) []*big.Int {
 type floatArith struct{}
 
 func (floatArith) zeros(n int) []float64 { return make([]float64, n) }
+
+func (floatArith) reset(v []float64) { clear(v) }
 
 func (floatArith) add(dst, src []float64) {
 	for i, x := range src {
