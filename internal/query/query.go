@@ -8,6 +8,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/db"
@@ -36,12 +37,32 @@ func CStr(v string) Term { return C(db.String(v)) }
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Var != "" }
 
+// String renders the term so that Parse reads it back as the same term. A
+// string constant is written raw between double quotes, or between single
+// quotes when it contains a double quote; a float constant is written in
+// positional notation with a decimal point, so it parses as a float again.
+// A string holding both quote characters, which Parse never produces, has
+// no such rendering and is written Go-quoted.
 func (t Term) String() string {
 	if t.IsVar() {
 		return t.Var
 	}
-	if t.Const.Kind() == db.KindString {
-		return fmt.Sprintf("%q", t.Const.AsString())
+	switch t.Const.Kind() {
+	case db.KindString:
+		s := t.Const.AsString()
+		switch {
+		case !strings.Contains(s, `"`):
+			return `"` + s + `"`
+		case !strings.Contains(s, `'`):
+			return `'` + s + `'`
+		}
+		return strconv.Quote(s)
+	case db.KindFloat:
+		text := strconv.FormatFloat(t.Const.AsFloat(), 'f', -1, 64)
+		if !strings.Contains(text, ".") {
+			text += ".0"
+		}
+		return text
 	}
 	return t.Const.String()
 }

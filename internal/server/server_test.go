@@ -198,6 +198,54 @@ func TestServerExplainUpdatePropertyRandomized(t *testing.T) {
 	}
 }
 
+// TestPooledExplainOfUnusualConstants checks that a pooled explain answers
+// like an open-per-request one for queries whose constants Go quoting or %g
+// would garble: the pool keys sessions by the query's String and parses
+// that text again when it opens one.
+func TestPooledExplainOfUnusualConstants(t *testing.T) {
+	d := repro.NewDatabase()
+	d.CreateRelation("Labels", "tag", "label")
+	d.CreateRelation("Scores", "name", "score")
+	for _, tag := range []string{`a\b`, "x\ty", `say "hi"`, "plain"} {
+		d.MustInsert("Labels", true, repro.String(tag), repro.String(tag+"!"))
+	}
+	for i, score := range []float64{3, 3, 0.0000001} {
+		d.MustInsert("Scores", true, repro.String(fmt.Sprint("n", i)), repro.Float(score))
+	}
+	url, _, _ := newTestServer(t, Config{PoolSize: 8, Datasets: map[string]*repro.Database{"odd": d}})
+	for _, qtext := range []string{
+		`q(l) :- Labels('a\b', l)`,
+		"q(l) :- Labels('x\ty', l)",
+		`q(l) :- Labels('say "hi"', l)`,
+		`q(n) :- Scores(n, 3.0)`,
+		`q(n) :- Scores(n, s), s < 0.0000002`,
+		`q() :- Scores(n, 0.0000001)`,
+	} {
+		var tuples [2][]wire.TupleExplanation
+		for i, noPool := range []bool{true, false} {
+			var resp wire.ExplainResponse
+			status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
+				Dataset: "odd", Query: qtext, NoPool: noPool,
+			}, &resp)
+			if status != http.StatusOK {
+				t.Fatalf("%q (no_pool=%v) -> %d: %s", qtext, noPool, status, raw)
+			}
+			for j := range resp.Tuples {
+				resp.Tuples[j].ElapsedMs = 0
+			}
+			tuples[i] = resp.Tuples
+		}
+		if len(tuples[0]) == 0 {
+			t.Fatalf("%q has no answers", qtext)
+		}
+		open, _ := json.Marshal(tuples[0])
+		pooled, _ := json.Marshal(tuples[1])
+		if !bytes.Equal(open, pooled) {
+			t.Errorf("%q: pooled answer\n%s\ndiffers from open-per-request\n%s", qtext, pooled, open)
+		}
+	}
+}
+
 // TestServerConcurrentClients hammers the service with concurrent explain
 // and net-zero update traffic; everything must come back 2xx and the
 // quiesced state must match the paper's flights ground truth.
