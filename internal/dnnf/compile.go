@@ -632,35 +632,23 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 	v := s.pickVar(c.opts.Order, clauses)
 	c.decisions.Add(1)
 
-	// Conditioning is pure on the clause slices, so computing both cofactors
-	// up front changes nothing about the sequential compiler's node
-	// allocation order.
-	defer s.release(s.mark())
-	hiClauses, hiEmpty := s.assign(clauses, cnf.Lit(v))
-	loClauses, loEmpty := s.assign(clauses, cnf.Lit(-v))
-
 	var hi, lo *Node
 	var err error
 	speculated := false
 	if c.opts.Speculate && c.limit != nil && depth <= parallelSpawnDepth &&
-		!hiEmpty && !loEmpty && len(clauses) >= speculateClauseFloor {
-		// Both cofactors carry real work: try to compile them concurrently.
-		// An unsatisfiable-at-assignment cofactor never reaches this point,
-		// so a speculated sibling is never trivially wasted.
-		hi, lo, speculated, err = c.speculateBranches(ctx, s, hiClauses, loClauses, depth)
+		len(clauses) >= speculateClauseFloor {
+		// Both cofactors carry real work: after propagation the component
+		// has no unit clause, so neither is unsatisfiable at assignment.
+		hi, lo, speculated, err = c.speculateBranches(ctx, s, clauses, v, depth)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !speculated {
-		if hiEmpty {
-			hi = c.b.False()
-		} else if hi, err = c.compile(ctx, s, hiClauses, depth+1); err != nil {
+		if hi, err = c.cofactor(ctx, s, clauses, cnf.Lit(v), depth); err != nil {
 			return nil, err
 		}
-		if loEmpty {
-			lo = c.b.False()
-		} else if lo, err = c.compile(ctx, s, loClauses, depth+1); err != nil {
+		if lo, err = c.cofactor(ctx, s, clauses, cnf.Lit(-v), depth); err != nil {
 			return nil, err
 		}
 	}
@@ -674,7 +662,21 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 	return n, nil
 }
 
-// speculateBranches compiles the two cofactors of a Shannon decision
+// cofactor compiles the clauses conditioned on l, working in s. The
+// conditioned clause set lives on s's stacks only while it compiles, so a
+// decision holds one cofactor's clauses at a time. Conditioning builds no
+// node, so deriving each cofactor just before it compiles leaves the
+// sequential compiler's node allocation order unchanged.
+func (c *compiler) cofactor(ctx context.Context, s *scratch, clauses []cnf.Clause, l cnf.Lit, depth int) (*Node, error) {
+	defer s.release(s.mark())
+	conditioned, empty := s.assign(clauses, l)
+	if empty {
+		return c.b.False(), nil
+	}
+	return c.compile(ctx, s, conditioned, depth+1)
+}
+
+// speculateBranches compiles the two cofactors of decision variable v
 // concurrently when a spawn token is idle: the hi cofactor on a fresh
 // goroutine, the lo cofactor on the calling one. The cofactors are variable-
 // disjoint subproblems of the same component split by the decision variable,
@@ -685,20 +687,20 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 // of running to completion. ok == false means no token was idle and nothing
 // ran — the caller falls back to sequential compilation. The spawned branch
 // works in a scratch of its own; the calling one keeps s.
-func (c *compiler) speculateBranches(ctx context.Context, s *scratch, hiClauses, loClauses []cnf.Clause, depth int) (hi, lo *Node, ok bool, err error) {
+func (c *compiler) speculateBranches(ctx context.Context, s *scratch, clauses []cnf.Clause, v, depth int) (hi, lo *Node, ok bool, err error) {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
 	var hiErr, loErr error
 	if !c.limit.Go(&wg, func() {
-		if hi, hiErr = c.compile(bctx, newScratch(c.orig), hiClauses, depth+1); hiErr != nil {
+		if hi, hiErr = c.cofactor(bctx, newScratch(c.orig), clauses, cnf.Lit(v), depth); hiErr != nil {
 			cancel()
 		}
 	}) {
 		return nil, nil, false, nil
 	}
 	c.speculated.Add(1)
-	if lo, loErr = c.compile(bctx, s, loClauses, depth+1); loErr != nil {
+	if lo, loErr = c.cofactor(bctx, s, clauses, cnf.Lit(-v), depth); loErr != nil {
 		cancel()
 	}
 	wg.Wait()
