@@ -51,8 +51,8 @@ func goldenCircuit(rng *rand.Rand, b *circuit.Builder, ids []int, depth int) *ci
 // Allocation ceilings of the exact pipeline's stages on allocGateCNF: the
 // counts measured when they were set, plus 10%.
 const (
-	compileAllocCeiling   = 2186
-	eliminateAllocCeiling = 607
+	compileAllocCeiling   = 2183
+	eliminateAllocCeiling = 608
 	gradientAllocCeiling  = 105
 )
 

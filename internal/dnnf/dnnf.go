@@ -45,9 +45,9 @@ type Node struct {
 	Decision int
 
 	id    int
-	b     *Builder // the builder that interned the node
-	sup   []uint64 // variable support: a bitset over b's variable index
-	nvars int      // size of the support
+	lits  *litTable // the literal table of the builder that interned the node
+	sup   []uint64  // variable support: a bitset over lits' variable index
+	nvars int       // size of the support
 	// Storage for up to two children and two support words, the common
 	// case, so that most nodes are a single allocation.
 	kids  [2]*Node
@@ -66,13 +66,13 @@ func (n *Node) Vars() []int {
 		return nil
 	}
 	out := make([]int, 0, n.nvars)
-	n.b.litMu.RLock()
+	n.lits.mu.RLock()
 	for w, word := range n.sup {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, n.b.vars[w*64+bits.TrailingZeros64(word)])
+			out = append(out, n.lits.vars[w*64+bits.TrailingZeros64(word)])
 		}
 	}
-	n.b.litMu.RUnlock()
+	n.lits.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
@@ -134,21 +134,27 @@ type Builder struct {
 	nextID atomic.Int64
 	trueN  *Node
 	falseN *Node
-	litMu  sync.RWMutex
-	lits   map[int]*Node
-	// vars is the variable index that node supports are bitsets over:
-	// vars[i] is the variable of bit i, in the order Lit first met them.
-	// Guarded by litMu.
+	lits   *litTable
+	ands   [numShards]nodeShard
+	ors    [numShards]nodeShard
+}
+
+// litTable holds a builder's literal leaves and the variable index that
+// node supports are bitsets over. Nodes point to it rather than to their
+// builder, so a circuit does not keep its builder's unique tables alive.
+type litTable struct {
+	mu     sync.RWMutex
+	leaves map[int]*Node
+	// vars[i] is the variable of support bit i, in the order Lit first met
+	// them.
 	vars []int
-	ands [numShards]nodeShard
-	ors  [numShards]nodeShard
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	b := &Builder{lits: make(map[int]*Node)}
-	b.trueN = &Node{Kind: KindTrue, id: b.fresh(), b: b}
-	b.falseN = &Node{Kind: KindFalse, id: b.fresh(), b: b}
+	b := &Builder{lits: &litTable{leaves: make(map[int]*Node)}}
+	b.trueN = &Node{Kind: KindTrue, id: b.fresh(), lits: b.lits}
+	b.falseN = &Node{Kind: KindFalse, id: b.fresh(), lits: b.lits}
 	return b
 }
 
@@ -171,9 +177,10 @@ func (b *Builder) Lit(l int) *Node {
 	if l == 0 {
 		panic("dnnf: zero literal")
 	}
-	b.litMu.RLock()
-	n := b.lits[l]
-	b.litMu.RUnlock()
+	t := b.lits
+	t.mu.RLock()
+	n := t.leaves[l]
+	t.mu.RUnlock()
 	if n != nil {
 		return n
 	}
@@ -181,23 +188,23 @@ func (b *Builder) Lit(l int) *Node {
 	if v < 0 {
 		v = -v
 	}
-	b.litMu.Lock()
-	defer b.litMu.Unlock()
-	if n := b.lits[l]; n != nil {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := t.leaves[l]; n != nil {
 		return n
 	}
-	n = &Node{Kind: KindLit, Lit: l, id: b.fresh(), b: b, nvars: 1}
+	n = &Node{Kind: KindLit, Lit: l, id: b.fresh(), lits: t, nvars: 1}
 	// The complementary leaf, if any, already holds v's index; both leaves
 	// share its one-bit support.
-	if twin := b.lits[-l]; twin != nil {
+	if twin := t.leaves[-l]; twin != nil {
 		n.sup = twin.sup
 	} else {
-		i := len(b.vars)
-		b.vars = append(b.vars, v)
+		i := len(t.vars)
+		t.vars = append(t.vars, v)
 		n.sup = zeroWords(n.words[:0], i/64+1)
 		n.sup[i/64] = 1 << (i % 64)
 	}
-	b.lits[l] = n
+	t.leaves[l] = n
 	return n
 }
 
@@ -214,7 +221,7 @@ func zeroWords(dst []uint64, n int) []uint64 {
 // ID and the union of the children's supports. It panics on an ∧ whose
 // children share a variable: the conjunction would not be decomposable.
 func (b *Builder) gate(kind Kind, decision int, children []*Node) *Node {
-	n := &Node{Kind: kind, Decision: decision, b: b}
+	n := &Node{Kind: kind, Decision: decision, lits: b.lits}
 	if len(children) <= len(n.kids) {
 		n.Children = n.kids[:len(children):len(children)]
 	} else {
@@ -242,7 +249,7 @@ func union(dst []uint64, nodes []*Node) (sup []uint64, size, shared int) {
 	for _, c := range nodes {
 		for i, w := range c.sup {
 			if both := sup[i] & w; both != 0 && shared == 0 {
-				shared = c.b.varAt(i*64 + bits.TrailingZeros64(both))
+				shared = c.lits.varAt(i*64 + bits.TrailingZeros64(both))
 			}
 			sup[i] |= w
 		}
@@ -253,11 +260,11 @@ func union(dst []uint64, nodes []*Node) (sup []uint64, size, shared int) {
 	return sup, size, shared
 }
 
-// varAt returns the variable of bit i of the builder's supports.
-func (b *Builder) varAt(i int) int {
-	b.litMu.RLock()
-	defer b.litMu.RUnlock()
-	return b.vars[i]
+// varAt returns the variable of support bit i.
+func (t *litTable) varAt(i int) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.vars[i]
 }
 
 // internKey appends a unique-table key to dst: the decision variable, then
@@ -277,7 +284,7 @@ func internKey(dst []byte, decision int, children []*Node) []byte {
 func (b *Builder) keptChildren(dst []*Node, children []*Node, skip, stop Kind) (kept []*Node, stopped bool) {
 	kept = dst
 	for _, c := range children {
-		if c.b != b {
+		if c.lits != b.lits {
 			panic(fmt.Sprintf("dnnf: child node %d is from another builder", c.id))
 		}
 		switch c.Kind {
