@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/cnf"
 )
@@ -331,6 +332,34 @@ func TestComponentsMatchesMapUnionFind(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("call %d: components(%v) = %v, want %v", call, clauses, got, want)
+			}
+		}
+	}
+}
+
+// TestCompileReleasesScratch checks that a compilation leaves its
+// scratch's stacks where it found them: every frame releases the clause
+// sets it took, so the chunks are reused from decision to decision instead
+// of growing with the search.
+func TestCompileReleasesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(293))
+	for trial := 0; trial < 40; trial++ {
+		f := multiComponentCNF(rng, 1+rng.Intn(3), 6+rng.Intn(6), 12+rng.Intn(12))
+		var clauses []cnf.Clause
+		for _, cl := range f.Clauses {
+			if norm, taut := normalizeClause(cl); !taut && len(norm) > 0 {
+				clauses = append(clauses, norm)
+			}
+		}
+		dense, orig := densify(clauses)
+		for _, opts := range []Options{{Workers: 1}, {Workers: 4, Speculate: true}} {
+			c := newCompiler(opts, orig, time.Now())
+			s := newScratch(orig)
+			if _, err := c.compile(context.Background(), s, dense, 0); err != nil {
+				t.Fatal(err)
+			}
+			if f := s.mark(); f != (frame{}) {
+				t.Fatalf("trial %d, workers %d: compile left its stacks at %+v", trial, opts.Workers, f)
 			}
 		}
 	}
