@@ -75,17 +75,18 @@ type scratch struct {
 func newScratch(orig []int) *scratch {
 	n := len(orig)
 	// Tseytin CNFs have two to three clauses per variable, so a chunk of
-	// 4n elements holds any one clause list of the recursion.
-	chunk := 4 * n
+	// 4n clauses holds any one clause list of the recursion. A frame takes
+	// only a few groups and gate children, so a chunk of n of them serves
+	// a whole path of decisions.
 	return &scratch{
 		score:   make([]float64, n),
 		value:   make([]int8, n),
 		parent:  make([]int32, n),
 		size:    make([]int32, n),
-		lits:    stack[cnf.Lit]{chunk: chunk},
-		clauses: stack[cnf.Clause]{chunk: chunk},
-		groups:  stack[[]cnf.Clause]{chunk: chunk},
-		nodes:   stack[*Node]{chunk: chunk},
+		lits:    stack[cnf.Lit]{chunk: 4 * n},
+		clauses: stack[cnf.Clause]{chunk: 4 * n},
+		groups:  stack[[]cnf.Clause]{chunk: n},
+		nodes:   stack[*Node]{chunk: n},
 	}
 }
 
