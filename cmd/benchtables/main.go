@@ -122,8 +122,8 @@ func main() {
 			fmt.Printf("serve head-to-head clients=%d: pooled p50 %.2fms vs open-per-request %.2fms (%.1fx), throughput %.0f vs %.0f req/s\n",
 				h.Clients, h.PooledP50Ms, h.UnpooledP50Ms, h.P50Speedup, h.PooledRPS, h.UnpooledRPS)
 		}
-		// Session-pool counters next to the compile cache's numbers, the
-		// same pairing GET /v1/stats serves.
+		// Session-pool counters next to the compile cache's numbers, as
+		// servebench read them from the server's GET /metrics.
 		fmt.Printf("session pool: opens=%d reuses=%d evictions=%d update requests=%d batches=%d coalesced=%d\n",
 			rep.Pool.Opens, rep.Pool.Reuses, rep.Pool.Evictions,
 			rep.Pool.UpdateRequests, rep.Pool.UpdateBatches, rep.Pool.CoalescedBatches)

@@ -5,8 +5,10 @@
 //
 //	POST /v1/explain  {"dataset": "flights", "query": "q() :- ...", "top": 3}
 //	POST /v1/update   {"dataset": "flights", "query": "...", "inserts": [...], "deletes": [...]}
-//	GET  /v1/stats    session-pool, compile-cache, and request counters
-//	GET  /healthz     liveness
+//	GET  /metrics        Prometheus exposition of every request, stage,
+//	                     pool, compile-cache, compiler, and dataset counter
+//	GET  /v1/debug/slow  recent slow explains with their stage traces
+//	GET  /healthz        liveness
 //
 // SIGINT/SIGTERM drain in-flight requests before exiting (bounded by
 // -drain), then close the pool.

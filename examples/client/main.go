@@ -6,16 +6,15 @@
 // -datasets flights` and point the client at it) and then acts as a pure
 // HTTP client: it asks why one can fly USA -> France with at most one stop
 // (POST /v1/explain), deletes the top-contributing flight through a batched
-// update (POST /v1/update), asks again, restores the flight, and finally
-// reads the session-pool counters (GET /v1/stats) showing every question
-// after the first hit a warm pooled session.
+// update (POST /v1/update), asks again, and restores the flight.
 //
 // It then walks the observability surfaces: re-asks with "trace": true and
 // prints the per-stage span tree the server recorded for that request,
-// scrapes GET /metrics (Prometheus text exposition, validated with the
-// in-repo promlint parser), and reads GET /v1/debug/slow — the ring of
-// recent explains that crossed the slow threshold, each kept with its
-// request ID and full stage trace.
+// scrapes GET /metrics (Prometheus text exposition, validated and read with
+// the in-repo promlint parser) for the session-pool counters showing every
+// question after the first hit a warm pooled session, and reads GET
+// /v1/debug/slow — the ring of recent explains that crossed the slow
+// threshold, each kept with its request ID and full stage trace.
 package main
 
 import (
@@ -106,11 +105,6 @@ func main() {
 
 	explain("And with it restored?")
 
-	var stats wire.StatsResponse
-	get(base+"/v1/stats", &stats)
-	fmt.Printf("\nsession pool: %d open(s), %d reuse(s); compile cache: %d hit(s), %d miss(es)\n",
-		stats.Pool.Opens, stats.Pool.Reuses, stats.Cache.Hits, stats.Cache.Misses)
-
 	// Observability surface 1: per-request stage tracing. Setting "trace":
 	// true in the request makes the response carry the span tree the server
 	// recorded while answering — which pipeline stages ran, how long each
@@ -123,10 +117,12 @@ func main() {
 	fmt.Printf("\nstage trace for request %s (%.3fms total):\n", traced.RequestID, traced.ElapsedMs)
 	printSpan(traced.Trace, 1)
 
-	// Observability surface 2: Prometheus metrics. GET /metrics serves the
-	// text exposition format — request/stage latency histograms, counters
-	// by route, status code, and degradation cause, pool and cache gauges.
-	// promlint is the same structural validator the CI gate runs.
+	// Observability surface 2: Prometheus metrics, the server's one stats
+	// surface. GET /metrics serves the text exposition format —
+	// request/stage latency histograms, counters by route, status code, and
+	// degradation cause, pool and cache counters. promlint is the same
+	// structural validator the CI gate runs; promlint.Sum reads one series,
+	// adding up the labels it leaves out (here the cache's hit kinds).
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
@@ -138,12 +134,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	samples, _, err := promlint.Parse(expo.String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	counter := func(series string) float64 {
+		v, err := promlint.Sum(samples, series)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v
+	}
 	fmt.Printf("\n/metrics: %d families, %d samples, exposition valid; e.g.\n", pstats.Families, pstats.Samples)
 	for _, line := range strings.Split(expo.String(), "\n") {
 		if strings.HasPrefix(line, "repro_requests_total") || strings.HasPrefix(line, "repro_compilations_total") {
 			fmt.Println("  " + line)
 		}
 	}
+	fmt.Printf("session pool: %.0f open(s), %.0f reuse(s); compile cache: %.0f hit(s), %.0f miss(es)\n",
+		counter("repro_pool_opens_total"), counter("repro_pool_reuses_total"),
+		counter("repro_compile_cache_hits_total"), counter("repro_compile_cache_misses_total"))
 
 	// Observability surface 3: the slow-explain log. Explains that exceed
 	// the configured threshold are kept — with their request IDs and full

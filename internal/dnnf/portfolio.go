@@ -135,9 +135,10 @@ func racePortfolio(ctx context.Context, clauses []cnf.Clause, orig []int, opts O
 	return winner.root, stats, nil
 }
 
-// Process-wide speculation/portfolio counters, surfaced by the shapleyd
-// /v1/stats endpoint. They aggregate across every compilation in the
-// process, cheap enough to record unconditionally.
+// Process-wide speculation/portfolio counters, served by shapleyd on GET
+// /metrics (repro_compilations_total, repro_speculated_decisions_total,
+// repro_portfolio_wins_total{order} and the rest). They aggregate across
+// every compilation in the process, cheap enough to record unconditionally.
 var (
 	globalSpeculated   atomic.Int64
 	globalSpecCancels  atomic.Int64

@@ -1,7 +1,7 @@
 // Package metrics implements the evaluation metrics of Section 6.2: nDCG
 // (and nDCG@k), Precision@k, L1/L2 distances between value vectors, plus the
-// percentile summaries used in Table 1 — and the request latency/throughput
-// recorder behind the explanation service's GET /v1/stats.
+// percentile summaries used in Table 1 — and the request recorder behind the
+// explanation service's GET /metrics.
 package metrics
 
 import (
@@ -233,71 +233,45 @@ func SummarizeLatency(ds []time.Duration) LatencySummary {
 	}
 }
 
-// Recorder aggregates per-route request counters for a serving process:
-// completed requests, non-2xx outcomes, overall request rate, and latency
-// percentiles over a bounded window of the most recent observations (a ring
-// buffer, so a long-lived server reports current behavior rather than its
-// lifetime average). Safe for concurrent use.
+// Recorder aggregates per-route request counters for a serving process —
+// completions by HTTP status, sheds, panics, timeouts and degradation
+// causes — next to cumulative request and pipeline-stage latency
+// histograms, all exported by WritePrometheus. Safe for concurrent use.
 type Recorder struct {
-	mu        sync.Mutex
-	start     time.Time
-	sampleCap int
-	routes    map[string]*routeRecord
+	mu     sync.Mutex
+	start  time.Time
+	routes map[string]*routeRecord
 	// stages holds cumulative per-pipeline-stage duration histograms, fed by
-	// trace span observers (ObserveStage); exported only via WritePrometheus.
+	// trace span observers (ObserveStage).
 	stages map[string]*histogram
 }
 
 type routeRecord struct {
-	count    int64
-	errors   int64
-	sheds    int64            // requests refused by admission control (429)
-	panics   int64            // handler panics recovered into 500s
-	timeout  int64            // requests cut off by the per-request deadline (504)
-	degraded int64            // requests answered approximately after budget exhaustion
-	samples  []time.Duration  // ring buffer of the last sampleCap latencies
-	next     int              // ring write cursor once len == sampleCap
-	codes    map[int]int64    // completed requests by HTTP status code
-	hist     histogram        // cumulative request latency histogram
-	causes   map[string]int64 // degraded requests by cause label
+	sheds   int64            // requests refused by admission control (429)
+	panics  int64            // handler panics recovered into 500s
+	timeout int64            // requests cut off by the per-request deadline (504)
+	codes   map[int]int64    // completed requests by HTTP status code
+	hist    histogram        // cumulative request latency histogram
+	causes  map[string]int64 // degraded requests by cause label
 }
 
-// DefaultLatencyWindow is the per-route latency ring size used when
-// NewRecorder is asked for a recorder without saying how much history.
-const DefaultLatencyWindow = 4096
-
-// NewRecorder returns an empty request recorder keeping up to sampleCap
-// latency observations per route (≤ 0 = DefaultLatencyWindow).
-func NewRecorder(sampleCap int) *Recorder {
-	if sampleCap <= 0 {
-		sampleCap = DefaultLatencyWindow
-	}
+// NewRecorder returns an empty request recorder.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		start:     time.Now(),
-		sampleCap: sampleCap,
-		routes:    make(map[string]*routeRecord),
-		stages:    make(map[string]*histogram),
+		start:  time.Now(),
+		routes: make(map[string]*routeRecord),
+		stages: make(map[string]*histogram),
 	}
 }
 
 // Observe records one completed request: its route label, HTTP status, and
-// latency. Statuses outside 2xx count as errors.
+// latency.
 func (r *Recorder) Observe(route string, status int, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.route(route)
-	rec.count++
 	rec.codes[status]++
 	rec.hist.observe(d.Seconds())
-	if status < 200 || status >= 300 {
-		rec.errors++
-	}
-	if len(rec.samples) < r.sampleCap {
-		rec.samples = append(rec.samples, d)
-	} else {
-		rec.samples[rec.next] = d
-		rec.next = (rec.next + 1) % r.sampleCap
-	}
 }
 
 // ObserveStage records one pipeline-stage duration into the stage's
@@ -350,68 +324,16 @@ func (r *Recorder) TimedOut(route string) {
 	r.route(route).timeout++
 }
 
-// Degraded counts one request that exhausted its compute budget and was
-// answered with sampled estimates instead of exact values. Degraded requests
-// still succeed (they flow through Observe with a 2xx status); this counter
-// tracks how often the anytime tier is carrying the load.
-func (r *Recorder) Degraded(route string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.route(route).degraded++
-}
-
 // DegradedCause counts one degradation cause ("mode", "node_budget",
 // "deadline", "error") for a route, feeding the labeled
-// repro_degraded_total{route,cause} counter. A request degraded for several
-// distinct causes (different tuples) counts once per cause; the aggregate
-// Degraded counter stays once-per-request.
+// repro_degraded_total{route,cause} counter. Degraded requests still
+// succeed (they flow through Observe with a 2xx status); a request degraded
+// for several distinct causes (different tuples) counts once per cause.
 func (r *Recorder) DegradedCause(route, cause string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.route(route).causes[cause]++
 }
-
-// RouteStats is one route's snapshot from Recorder.Snapshot.
-type RouteStats struct {
-	Route         string
-	Count, Errors int64
-	// Sheds, Panics, Timeouts, and Degraded break out the degradation modes:
-	// refused by admission control, recovered handler panics, deadline
-	// expiries, and budget exhaustion answered by the anytime sampling tier.
-	Sheds, Panics, Timeouts, Degraded int64
-	// RatePerSec is lifetime completed requests over the recorder's uptime.
-	RatePerSec float64
-	Latency    LatencySummary
-}
-
-// Snapshot returns per-route statistics sorted by route label.
-func (r *Recorder) Snapshot() []RouteStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	uptime := time.Since(r.start).Seconds()
-	out := make([]RouteStats, 0, len(r.routes))
-	for route, rec := range r.routes {
-		rs := RouteStats{
-			Route:    route,
-			Count:    rec.count,
-			Errors:   rec.errors,
-			Sheds:    rec.sheds,
-			Panics:   rec.panics,
-			Timeouts: rec.timeout,
-			Degraded: rec.degraded,
-			Latency:  SummarizeLatency(rec.samples),
-		}
-		if uptime > 0 {
-			rs.RatePerSec = float64(rec.count) / uptime
-		}
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
-	return out
-}
-
-// Uptime returns how long the recorder has been alive.
-func (r *Recorder) Uptime() time.Duration { return time.Since(r.start) }
 
 // Median returns the nearest-rank median of the sample.
 func Median(xs []float64) float64 {

@@ -141,35 +141,33 @@ func TestSummarizeLatency(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	r.Observe("/v1/explain", 200, 10*time.Millisecond)
 	r.Observe("/v1/explain", 500, 20*time.Millisecond)
 	r.Observe("/v1/update", 200, 1*time.Millisecond)
-	// Overflow the 4-sample ring: only the last 4 latencies survive.
 	for i := 0; i < 6; i++ {
 		r.Observe("/v1/explain", 200, time.Duration(i+1)*100*time.Millisecond)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Route != "/v1/explain" || snap[1].Route != "/v1/update" {
-		t.Fatalf("snapshot routes: %+v", snap)
+	samples := scrape(t, r)
+	for req, want := range map[string]float64{
+		`repro_requests_total{route="/v1/explain"}`:                             8,
+		`repro_requests_total{route="/v1/explain",code="500"}`:                  1,
+		`repro_requests_total{route="/v1/update",code="200"}`:                   1,
+		`repro_request_duration_seconds_count{route="/v1/explain"}`:             8,
+		`repro_request_duration_seconds_bucket{route="/v1/explain",le="0.025"}`: 2,
+		`repro_request_duration_seconds_bucket{route="/v1/explain",le="0.5"}`:   7,
+		`repro_request_duration_seconds_bucket{route="/v1/explain",le="+Inf"}`:  8,
+		`repro_request_duration_seconds_count{route="/v1/update"}`:              1,
+		`repro_request_duration_seconds_bucket{route="/v1/update",le="0.0005"}`: 0,
+		`repro_request_duration_seconds_bucket{route="/v1/update",le="0.001"}`:  1,
+	} {
+		approxEq(t, sum(t, samples, req), want, req)
 	}
-	e := snap[0]
-	if e.Count != 8 || e.Errors != 1 {
-		t.Errorf("explain count=%d errors=%d, want 8/1", e.Count, e.Errors)
-	}
-	// Ring holds 300..600ms after the overflow.
-	approxEq(t, e.Latency.MaxMs, 600, "ring max")
-	approxEq(t, e.Latency.P50Ms, 400, "ring p50")
-	if e.RatePerSec <= 0 {
-		t.Errorf("rate %f, want > 0", e.RatePerSec)
-	}
-	if snap[1].Errors != 0 || snap[1].Count != 1 {
-		t.Errorf("update route: %+v", snap[1])
-	}
+	approxEq(t, sum(t, samples, `repro_request_duration_seconds_sum{route="/v1/explain"}`), 2.13, "explain latency sum")
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -181,7 +179,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if snap := r.Snapshot(); snap[0].Count != 800 {
-		t.Errorf("count %d, want 800", snap[0].Count)
+	if n := sum(t, scrape(t, r), `repro_requests_total{route="/x"}`); n != 800 {
+		t.Errorf("count %v, want 800", n)
 	}
 }

@@ -8,18 +8,44 @@ import (
 	"repro/internal/promlint"
 )
 
+// scrape renders the recorder's exposition, validates it as CI's promcheck
+// does, and returns its samples.
+func scrape(t *testing.T, r *Recorder) []promlint.Sample {
+	t.Helper()
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if _, err := promlint.Validate(sb.String()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, sb.String())
+	}
+	samples, _, err := promlint.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
+// sum totals the samples matching req (see promlint.Sum), failing the test
+// when none does.
+func sum(t *testing.T, samples []promlint.Sample, req string) float64 {
+	t.Helper()
+	v, err := promlint.Sum(samples, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestWritePrometheusValidates renders a populated recorder and runs the
 // output through the exposition validator — the same check CI applies to a
 // live /metrics scrape.
 func TestWritePrometheusValidates(t *testing.T) {
-	r := NewRecorder(16)
+	r := NewRecorder()
 	r.Observe("/v1/explain", 200, 3*time.Millisecond)
 	r.Observe("/v1/explain", 400, 40*time.Millisecond)
 	r.Observe(`/weird"route\n`, 200, time.Millisecond) // label escaping
 	r.ObserveStage("compile", 2*time.Millisecond)
 	r.ObserveStage("shapley", 20*time.Second) // lands only in +Inf
 	r.Shed("/v1/explain")
-	r.Degraded("/v1/explain")
 	r.DegradedCause("/v1/explain", "deadline")
 
 	var sb strings.Builder

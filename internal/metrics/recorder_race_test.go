@@ -6,18 +6,21 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/promlint"
 )
 
 // TestRecorderConcurrentHammer drives every Recorder entry point from many
 // goroutines at once (run under -race in CI) and then checks the aggregate
-// invariants: counts add up, percentile summaries are ordered
-// p50 ≤ p95 ≤ p99 ≤ max, and the exposition writer stays consistent.
+// invariants through the exposition: request and error totals add up in
+// repro_requests_total, each route's histogram _count matches its request
+// total, and every side counter saw each of its calls.
 func TestRecorderConcurrentHammer(t *testing.T) {
 	const (
 		workers = 16
 		perG    = 500
 	)
-	r := NewRecorder(1024)
+	r := NewRecorder()
 	routes := []string{"/v1/explain", "/v1/update"}
 	stages := []string{"compile", "shapley", "ground"}
 	causes := []string{"mode", "node_budget", "deadline"}
@@ -40,11 +43,9 @@ func TestRecorderConcurrentHammer(t *testing.T) {
 				case 2:
 					r.TimedOut(route)
 				case 3:
-					r.Degraded(route)
 					r.DegradedCause(route, causes[i%len(causes)])
 				}
 				if i%100 == 0 {
-					_ = r.Snapshot()
 					var sb strings.Builder
 					r.WritePrometheus(&sb)
 				}
@@ -53,82 +54,35 @@ func TestRecorderConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap := r.Snapshot()
-	if len(snap) != len(routes) {
-		t.Fatalf("snapshot has %d routes, want %d", len(snap), len(routes))
+	samples := scrape(t, r)
+	const total = workers * perG
+	if n := sum(t, samples, "repro_requests_total"); n != total {
+		t.Fatalf("total count = %v, want %d", n, total)
 	}
-	var total, errors int64
-	for _, rs := range snap {
-		total += rs.Count
-		errors += rs.Errors
-		lat := rs.Latency
-		if !(lat.P50Ms <= lat.P95Ms && lat.P95Ms <= lat.P99Ms && lat.P99Ms <= lat.MaxMs) {
-			t.Errorf("route %s: percentiles out of order: %+v", rs.Route, lat)
+	if n := sum(t, samples, `repro_requests_total{code="429"}`); n != total/2 {
+		t.Fatalf("error count = %v, want %d (every other request was a 429)", n, total/2)
+	}
+	if n := sum(t, samples, "repro_request_duration_seconds_count"); n != total {
+		t.Fatalf("histogram count = %v, want %d", n, total)
+	}
+	for _, route := range routes {
+		reqs := sum(t, samples, fmt.Sprintf(`repro_requests_total{route=%q}`, route))
+		if n := sum(t, samples, fmt.Sprintf(`repro_request_duration_seconds_count{route=%q}`, route)); n != reqs {
+			t.Errorf("route %s: histogram count %v, requests %v", route, n, reqs)
 		}
-		if lat.P50Ms <= 0 || lat.MaxMs > 100 {
-			t.Errorf("route %s: latency outside the observed 1..100ms range: %+v", rs.Route, lat)
+	}
+	for _, name := range []string{"repro_sheds_total", "repro_panics_total", "repro_timeouts_total", "repro_degraded_total"} {
+		if n := sum(t, samples, name); n != total/5 {
+			t.Errorf("%s = %v, want %d", name, n, total/5)
 		}
 	}
-	if want := int64(workers * perG); total != want {
-		t.Fatalf("total count = %d, want %d", total, want)
-	}
-	if want := int64(workers * perG / 2); errors != want {
-		t.Fatalf("error count = %d, want %d (every other request was a 429)", errors, want)
-	}
-
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	text := sb.String()
-	for _, want := range []string{
-		`repro_requests_total{route="/v1/explain",code="200"}`,
-		`repro_requests_total{route="/v1/explain",code="429"}`,
+	for _, req := range []string{
 		`repro_degraded_total{route="/v1/update",cause="node_budget"}`,
 		`repro_stage_duration_seconds_bucket{stage="compile",le="+Inf"}`,
-		fmt.Sprintf(`repro_request_duration_seconds_count{route="/v1/update"} %d`, workers*perG/2),
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
+		if err := promlint.Require(samples, req); err != nil {
+			t.Error(err)
 		}
-	}
-}
-
-// TestRecorderWindowEviction checks that the latency ring keeps only the
-// most recent sampleCap observations: with cap 4 and observations 1..5 ms,
-// the 1ms sample is evicted so the median over {2,3,4,5} is 3ms
-// (nearest-rank) and the max is 5ms.
-func TestRecorderWindowEviction(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 1; i <= 5; i++ {
-		r.Observe("/v1/explain", 200, time.Duration(i)*time.Millisecond)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot has %d routes, want 1", len(snap))
-	}
-	lat := snap[0].Latency
-	if lat.P50Ms != 3 {
-		t.Errorf("p50 = %v ms, want 3 (window should hold {2,3,4,5})", lat.P50Ms)
-	}
-	if lat.MaxMs != 5 {
-		t.Errorf("max = %v ms, want 5", lat.MaxMs)
-	}
-	if snap[0].Count != 5 {
-		t.Errorf("count = %d, want 5 (counts are lifetime, only the window evicts)", snap[0].Count)
-	}
-	// The histogram is cumulative over the lifetime, not the window.
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), `repro_request_duration_seconds_count{route="/v1/explain"} 5`) {
-		t.Error("histogram _count should be lifetime 5")
-	}
-
-	// Keep writing: the ring must keep cycling without growing.
-	for i := 6; i <= 13; i++ {
-		r.Observe("/v1/explain", 200, time.Duration(i)*time.Millisecond)
-	}
-	lat = r.Snapshot()[0].Latency
-	if lat.P50Ms != 11 || lat.MaxMs != 13 {
-		t.Errorf("after 13 observations window should hold {10,11,12,13}: p50=%v max=%v", lat.P50Ms, lat.MaxMs)
 	}
 }
 

@@ -25,6 +25,10 @@ type Sample struct {
 type Stats struct {
 	Families int
 	Samples  int
+	// Types maps each family a # TYPE header declares to its type, so a
+	// reader can tell a declared family that has no samples yet from a
+	// missing one.
+	Types map[string]string
 }
 
 // baseFamily strips the histogram/summary sample suffixes off a sample name.
@@ -85,7 +89,7 @@ func parse(text string) ([]Sample, map[string]string, Stats, error) {
 		families[baseFamily(s.Name, types)] = true
 		samples = append(samples, s)
 	}
-	return samples, types, Stats{Families: len(families), Samples: len(samples)}, nil
+	return samples, types, Stats{Families: len(families), Samples: len(samples), Types: types}, nil
 }
 
 func validName(s string) bool {
@@ -322,18 +326,27 @@ func labelKey(labels map[string]string) string {
 // as `name` or `name{label="value",...}`: the name must match exactly and
 // the given labels must be a subset of the sample's.
 func Require(samples []Sample, req string) error {
+	_, err := Sum(samples, req)
+	return err
+}
+
+// Sum totals the values of the samples matching req, written and matched
+// as for Require, so labels that req leaves out are summed over. Like
+// Require, it fails when no sample matches.
+func Sum(samples []Sample, req string) (float64, error) {
 	name := req
 	want := map[string]string{}
 	if i := strings.IndexByte(req, '{'); i >= 0 {
 		name = req[:i]
 		rest, err := parseLabels(req[i:], want)
 		if err != nil {
-			return fmt.Errorf("bad requirement %q: %v", req, err)
+			return 0, fmt.Errorf("bad requirement %q: %v", req, err)
 		}
 		if strings.TrimSpace(rest) != "" {
-			return fmt.Errorf("bad requirement %q: trailing %q", req, rest)
+			return 0, fmt.Errorf("bad requirement %q: trailing %q", req, rest)
 		}
 	}
+	total, matched := 0.0, false
 	for _, s := range samples {
 		if s.Name != name {
 			continue
@@ -346,8 +359,12 @@ func Require(samples []Sample, req string) error {
 			}
 		}
 		if match {
-			return nil
+			total += s.Value
+			matched = true
 		}
 	}
-	return fmt.Errorf("required series %s not found", req)
+	if !matched {
+		return 0, fmt.Errorf("required series %s not found", req)
+	}
+	return total, nil
 }

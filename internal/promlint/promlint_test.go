@@ -179,3 +179,27 @@ func TestRequire(t *testing.T) {
 		t.Error("malformed requirement accepted")
 	}
 }
+
+func TestSum(t *testing.T) {
+	samples, stats, err := Parse(goodExposition)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	for req, want := range map[string]float64{
+		`repro_requests_total`:                                      4,
+		`repro_requests_total{route="/v1/explain"}`:                 4,
+		`repro_requests_total{route="/v1/explain",code="400"}`:      1,
+		`repro_request_duration_seconds_count{route="/v1/explain"}`: 4,
+	} {
+		got, err := Sum(samples, req)
+		if err != nil || got != want {
+			t.Errorf("Sum(%q) = %v, %v; want %v", req, got, err, want)
+		}
+	}
+	if _, err := Sum(samples, `repro_requests_total{code="500"}`); err == nil {
+		t.Error("Sum over no matching sample succeeded")
+	}
+	if stats.Types["repro_requests_total"] != "counter" || stats.Types["repro_request_duration_seconds"] != "histogram" {
+		t.Errorf("declared types = %v", stats.Types)
+	}
+}

@@ -4,7 +4,8 @@
 // mix at several concurrency levels, records client-side latency
 // percentiles and throughput, runs the pooled vs open-per-request
 // head-to-head, and cross-checks quiesced served values big.Rat-identically
-// against a cold repro.Explain. The report serializes to BENCH_serve.json.
+// against a cold repro.Explain. The server-side counters come from the
+// server's GET /metrics. The report serializes to BENCH_serve.json.
 package servebench
 
 import (
@@ -27,6 +28,7 @@ import (
 	"repro"
 	"repro/internal/flights"
 	"repro/internal/metrics"
+	"repro/internal/promlint"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -137,9 +139,9 @@ type Report struct {
 	Target     string       `json:"target"`
 	Levels     []Level      `json:"levels"`
 	HeadToHead []HeadToHead `json:"head_to_head"`
-	// Pool and Cache are the server's final /v1/stats counters: the
-	// session-pool opens/reuses/evictions and coalesced update batches
-	// next to the compilation cache's numbers.
+	// Pool and Cache are the server's final session-pool and
+	// compilation-cache counters, read from its repro_pool_* and
+	// repro_compile_cache_* series on /metrics.
 	Pool  wire.PoolStats  `json:"pool"`
 	Cache wire.CacheStats `json:"cache"`
 	// ValueChecks counts served explanations cross-checked
@@ -149,9 +151,11 @@ type Report struct {
 	// Retries is the run-wide total of 429/503 responses absorbed by the
 	// client's backoff-and-retry loop.
 	Retries int64 `json:"retries"`
-	// Degraded is the server's final /v1/explain degraded counter: requests
-	// that exhausted their budget and were answered with marked sampled
-	// estimates instead of exact values.
+	// Degraded is the sum over causes of the server's final
+	// repro_degraded_total{route="/v1/explain"}: explains that exhausted
+	// their budget and were answered with marked sampled estimates instead
+	// of exact values. An explain whose tuples degraded for several causes
+	// counts once per cause.
 	Degraded int64 `json:"degraded,omitempty"`
 }
 
@@ -340,13 +344,8 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 
 	// Final server-side counters: pool next to compile cache.
-	st, err := getStats(ctx, client, base)
-	if err != nil {
+	if err := readMetrics(ctx, client, base, rep); err != nil {
 		return nil, err
-	}
-	rep.Pool, rep.Cache = st.Pool, st.Cache
-	for _, rt := range st.Routes {
-		rep.Degraded += rt.Degraded
 	}
 	rep.Retries = client.retries.Load()
 	return rep, nil
@@ -601,16 +600,57 @@ func postUpdate(ctx context.Context, client *benchClient, base string, opts Opti
 	return &resp, nil
 }
 
-func getStats(ctx context.Context, client *benchClient, base string) (*wire.StatsResponse, error) {
-	raw, err := client.do(ctx, http.MethodGet, base+"/v1/stats", nil)
+// readMetrics scrapes the server's /metrics into the report's Pool, Cache
+// and Degraded. A series it reads that the exposition lacks fails the run,
+// so a renamed series cannot silently zero the report.
+func readMetrics(ctx context.Context, client *benchClient, base string, rep *Report) error {
+	raw, err := client.do(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var st wire.StatsResponse
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, err
+	samples, stats, err := promlint.Parse(string(raw))
+	if err != nil {
+		return fmt.Errorf("servebench: %s/metrics: %w", base, err)
 	}
-	return &st, nil
+	var missing []string
+	get := func(req string) int64 {
+		v, err := promlint.Sum(samples, req)
+		if err != nil {
+			missing = append(missing, req)
+		}
+		return int64(v)
+	}
+	rep.Pool = wire.PoolStats{
+		Opens:            get("repro_pool_opens_total"),
+		Reuses:           get("repro_pool_reuses_total"),
+		Evictions:        get("repro_pool_evictions_total"),
+		Sessions:         int(get("repro_pool_sessions")),
+		Capacity:         int(get("repro_pool_capacity")),
+		UpdateRequests:   get("repro_pool_update_requests_total"),
+		UpdateBatches:    get("repro_pool_update_batches_total"),
+		CoalescedBatches: get("repro_pool_coalesced_batches_total"),
+	}
+	rep.Cache = wire.CacheStats{
+		IdenticalHits: get(`repro_compile_cache_hits_total{kind="identical"}`),
+		RenamedHits:   get(`repro_compile_cache_hits_total{kind="renamed"}`),
+		Misses:        get("repro_compile_cache_misses_total"),
+		Evictions:     get("repro_compile_cache_evictions_total"),
+		Invalidations: get("repro_compile_cache_invalidations_total"),
+		Len:           int(get("repro_compile_cache_entries")),
+		Capacity:      int(get("repro_compile_cache_capacity")),
+	}
+	rep.Cache.Hits = rep.Cache.IdenticalHits + rep.Cache.RenamedHits
+	// A cause's series appears with its first degraded explain, so only the
+	// family must be declared; no series means none degraded.
+	if stats.Types["repro_degraded_total"] != "counter" {
+		missing = append(missing, "repro_degraded_total")
+	} else if v, err := promlint.Sum(samples, `repro_degraded_total{route="/v1/explain"}`); err == nil {
+		rep.Degraded = int64(v)
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("servebench: %s/metrics lacks %s", base, strings.Join(missing, ", "))
+	}
+	return nil
 }
 
 // coldReference computes the ground truth the served values are checked

@@ -3,10 +3,15 @@ package servebench
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"repro"
+	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestRunInProcess exercises the full load generator against an in-process
@@ -55,7 +60,10 @@ func TestRunInProcess(t *testing.T) {
 	if rep.Pool.UpdateRequests < 1 || rep.Pool.UpdateBatches > rep.Pool.UpdateRequests {
 		t.Errorf("batcher counters: %+v", rep.Pool)
 	}
-	if rep.Cache.Hits+rep.Cache.Misses == 0 {
+	if rep.Pool.CoalescedBatches > rep.Pool.UpdateBatches || rep.Pool.Capacity != 4 {
+		t.Errorf("pool counters: %+v", rep.Pool)
+	}
+	if rep.Cache.Hits+rep.Cache.Misses == 0 || rep.Cache.Capacity <= 0 {
 		t.Errorf("compile cache untouched: %+v", rep.Cache)
 	}
 
@@ -74,6 +82,33 @@ func TestRunInProcess(t *testing.T) {
 	}
 	if len(back.Levels) != len(rep.Levels) || back.ValueChecks != rep.ValueChecks {
 		t.Errorf("artifact round trip lost data: %+v", back)
+	}
+}
+
+// TestReadMetricsRequiresSeries: a scrape that lacks a series the report
+// reads fails the run and names the series, instead of reporting zero.
+func TestReadMetricsRequiresSeries(t *testing.T) {
+	const exposition = `# TYPE repro_pool_opens_total counter
+repro_pool_opens_total 3
+# TYPE repro_degraded_total counter
+repro_degraded_total{route="/v1/explain",cause="mode"} 2
+repro_degraded_total{route="/v1/explain",cause="deadline"} 1
+repro_degraded_total{route="/v1/update",cause="mode"} 5
+`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, exposition)
+	}))
+	defer ts.Close()
+	var rep Report
+	err := readMetrics(context.Background(), &benchClient{hc: ts.Client()}, ts.URL, &rep)
+	if err == nil || !strings.Contains(err.Error(), "repro_pool_reuses_total") {
+		t.Fatalf("readMetrics error = %v, want one naming the missing repro_pool_reuses_total", err)
+	}
+	if strings.Contains(err.Error(), "repro_pool_opens_total") || strings.Contains(err.Error(), "repro_degraded_total") {
+		t.Errorf("readMetrics error names a series the exposition has: %v", err)
+	}
+	if rep.Pool.Opens != 3 || rep.Degraded != 3 {
+		t.Errorf("opens = %d, degraded = %d; want 3 and 3 (explain causes summed)", rep.Pool.Opens, rep.Degraded)
 	}
 }
 

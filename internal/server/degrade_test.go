@@ -48,8 +48,8 @@ func checkDegradedResponse(t *testing.T, resp wire.ExplainResponse, label string
 
 // TestServerStarvedBudgetDegrades boots the server with a starvation node
 // budget: every explain — pooled and open-per-request — must answer 200
-// with marked approximate values, never a 5xx, and the /v1/stats degraded
-// counter must tick per degraded request. A "mode": "exact" request opts
+// with marked approximate values, never a 5xx, and the node_budget cause
+// counter on /metrics must tick per degraded request. A "mode": "exact" request opts
 // out of the sampling fallback on both paths and is answered exactly under
 // the server's own limits.
 func TestServerStarvedBudgetDegrades(t *testing.T) {
@@ -72,12 +72,13 @@ func TestServerStarvedBudgetDegrades(t *testing.T) {
 		degraded++
 	}
 
-	rt := routeStats(t, getStats(t, url), "/v1/explain")
-	if rt.Degraded < int64(degraded) {
-		t.Errorf("degraded counter = %d, want ≥ %d", rt.Degraded, degraded)
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, `repro_degraded_total{route="/v1/explain",cause="node_budget"}`); n < float64(degraded) {
+		t.Errorf("node_budget degraded counter = %v, want ≥ %d", n, degraded)
 	}
-	if rt.Errors != 0 {
-		t.Errorf("explain route reports %d errors on degraded traffic", rt.Errors)
+	ok := metric(t, samples, `repro_requests_total{route="/v1/explain",code="200"}`)
+	if all := metric(t, samples, `repro_requests_total{route="/v1/explain"}`); all != ok {
+		t.Errorf("explain route reports %v non-200s on degraded traffic", all-ok)
 	}
 
 	// A fresh server, so that no cached or upgraded exact answer can stand

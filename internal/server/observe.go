@@ -89,7 +89,7 @@ func (l *slowLog) snapshot() []wire.SlowEntry {
 	return out
 }
 
-// handleSlow serves the slow-explain ring. Like /v1/stats it is
+// handleSlow serves the slow-explain ring. Like /metrics it is
 // admission-exempt: the whole point is observing a server that is slow.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -102,11 +102,10 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the Prometheus text exposition: the recorder's
-// request/stage series first, then process-level gauges for the session
-// pool, the compilation cache, the compiler's speculation/portfolio
-// counters, and each dataset. It supersedes /v1/stats for scraping while
-// /v1/stats remains for human-readable JSON.
+// handleMetrics serves the Prometheus text exposition, the server's only
+// stats surface: the recorder's request/stage series first, then
+// process-level series for the session pool, the compilation cache, the
+// compiler's speculation/portfolio counters, and each dataset.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -130,6 +129,7 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 	counter("repro_pool_evictions_total", "Sessions closed by the LRU capacity bound.", pool.Evictions)
 	counter("repro_pool_update_requests_total", "Update requests routed through pooled sessions.", pool.UpdateRequests)
 	counter("repro_pool_update_batches_total", "Coalesced session applications covering those requests.", pool.UpdateBatches)
+	counter("repro_pool_coalesced_batches_total", "Session applications that merged more than one update request.", pool.CoalescedBatches)
 
 	cache := repro.CompileCacheStats()
 	metrics.WriteHeader(w, "repro_compile_cache_hits_total", "counter",
@@ -140,25 +140,37 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 	counter("repro_compile_cache_evictions_total", "Compilation cache LRU evictions.", cache.Evictions)
 	counter("repro_compile_cache_invalidations_total", "Compilation cache epoch invalidations.", cache.Invalidations)
 	metrics.WriteGauge(w, "repro_compile_cache_entries", "Compilation cache occupancy.", nil, float64(cache.Len))
+	metrics.WriteGauge(w, "repro_compile_cache_capacity", "Compilation cache capacity in entries.", nil, float64(cache.Capacity))
 
 	comp := dnnf.SpeculationCounters()
 	counter("repro_compilations_total", "d-DNNF compilations run.", comp.Compilations)
 	counter("repro_speculated_decisions_total", "Shannon decisions whose cofactors compiled concurrently.", comp.SpeculatedDecisions)
 	counter("repro_speculation_cancels_total", "Speculative siblings cancelled after a budget failure.", comp.SpeculationCancels)
 	counter("repro_portfolio_races_total", "Compilations raced across variable-order heuristics.", comp.PortfolioRaces)
+	counter("repro_portfolio_losers_cancelled_total", "Portfolio racers cancelled after another heuristic won.", comp.PortfolioLosersCancelled)
+	orders := make([]string, 0, len(comp.WinsByOrder))
+	for order := range comp.WinsByOrder {
+		orders = append(orders, order)
+	}
+	sort.Strings(orders)
+	metrics.WriteHeader(w, "repro_portfolio_wins_total", "counter", "Portfolio races won, by variable-order heuristic.")
+	for _, order := range orders {
+		metrics.WriteSample(w, "repro_portfolio_wins_total", []metrics.Label{{Name: "order", Value: order}}, float64(comp.WinsByOrder[order]))
+	}
 
 	names := make([]string, 0, len(s.cfg.Datasets))
 	for name := range s.cfg.Datasets {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	metrics.WriteHeader(w, "repro_dataset_facts", "gauge", "Facts per served dataset.")
+	metrics.WriteHeader(w, "repro_dataset_facts", "gauge", "Facts per served dataset, labeled with its storage backend.")
 	for _, name := range names {
-		lock := s.locks[name]
+		d, lock := s.cfg.Datasets[name], s.locks[name]
 		lock.RLock()
-		n := s.cfg.Datasets[name].NumFacts()
+		n, backend := d.NumFacts(), d.Backend()
 		lock.RUnlock()
-		metrics.WriteSample(w, "repro_dataset_facts", []metrics.Label{{Name: "dataset", Value: name}}, float64(n))
+		metrics.WriteSample(w, "repro_dataset_facts",
+			[]metrics.Label{{Name: "dataset", Value: name}, {Name: "backend", Value: backend}}, float64(n))
 	}
 	metrics.WriteHeader(w, "repro_dataset_degraded", "gauge", "1 when the dataset's store is degraded to read-only.")
 	for _, name := range names {

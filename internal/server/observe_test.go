@@ -16,6 +16,35 @@ import (
 	"repro/internal/wire"
 )
 
+// scrapeMetrics fetches GET /metrics, validates the exposition as CI's
+// promcheck does, and returns its samples.
+func scrapeMetrics(t *testing.T, url string) []promlint.Sample {
+	t.Helper()
+	status, text := getBody(t, url+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics status %d", status)
+	}
+	if _, err := promlint.Validate(text); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	samples, _, err := promlint.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
+// metric totals the scraped samples matching req (see promlint.Sum),
+// failing the test when none does.
+func metric(t *testing.T, samples []promlint.Sample, req string) float64 {
+	t.Helper()
+	v, err := promlint.Sum(samples, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func getBody(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -131,17 +160,7 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		}
 	}
 
-	status, text := getBody(t, url+"/metrics")
-	if status != http.StatusOK {
-		t.Fatalf("/metrics status %d", status)
-	}
-	if _, err := promlint.Validate(text); err != nil {
-		t.Fatalf("exposition invalid: %v", err)
-	}
-	samples, _, err := promlint.Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := scrapeMetrics(t, url)
 	for _, require := range []string{
 		`repro_requests_total{route="/v1/explain",code="200"}`,
 		`repro_degraded_total{route="/v1/explain",cause="node_budget"}`,
@@ -150,7 +169,10 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		`repro_stage_duration_seconds_bucket{stage="approx",le="+Inf"}`,
 		`repro_stage_duration_seconds_bucket{stage="ground",le="+Inf"}`,
 		"repro_pool_sessions",
-		`repro_dataset_facts{dataset="flights"}`,
+		"repro_pool_coalesced_batches_total",
+		"repro_compile_cache_capacity",
+		"repro_portfolio_losers_cancelled_total",
+		`repro_dataset_facts{dataset="flights",backend="memory"}`,
 	} {
 		if err := promlint.Require(samples, require); err != nil {
 			t.Errorf("%v", err)
@@ -174,6 +196,30 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 			t.Fatalf("no %s series within 10s", upgrade)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMetricsPortfolioWins: a server compiling with the heuristic
+// portfolio reports each race's winner under repro_portfolio_wins_total,
+// labeled with the winning variable order. The counters are process-wide,
+// so the check is that wins exist and never outnumber races.
+func TestMetricsPortfolioWins(t *testing.T) {
+	url, _, _ := newTestServer(t, Config{
+		Options: repro.Options{Portfolio: true, CompileWorkers: 2, CacheSize: -1},
+	})
+	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String()}
+	if status, raw := postJSON(t, url+"/v1/explain", req, nil); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	samples := scrapeMetrics(t, url)
+	wins := metric(t, samples, "repro_portfolio_wins_total")
+	if races := metric(t, samples, "repro_portfolio_races_total"); wins < 1 || wins > races {
+		t.Errorf("portfolio wins = %v, races = %v; want 1 ≤ wins ≤ races", wins, races)
+	}
+	for _, s := range samples {
+		if s.Name == "repro_portfolio_wins_total" && s.Labels["order"] == "" {
+			t.Errorf("portfolio win sample without an order label: %+v", s)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ package server
 // control sheds with 429 + Retry-After while in-flight requests complete,
 // handler panics become 500s that release their pool refcounts, request
 // deadlines become 504s, and a storage-degraded dataset serves reads but
-// refuses updates with 503 — with /v1/stats accounting for every shed,
+// refuses updates with 503 — with /metrics accounting for every shed,
 // panic, and timeout.
 
 import (
@@ -22,37 +22,10 @@ import (
 	"repro/internal/wire"
 )
 
-// getStats fetches and decodes GET /v1/stats.
-func getStats(t *testing.T, url string) wire.StatsResponse {
-	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st wire.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// routeStats finds one route's counters in a stats snapshot.
-func routeStats(t *testing.T, st wire.StatsResponse, route string) wire.RouteStats {
-	t.Helper()
-	for _, rs := range st.Routes {
-		if rs.Route == route {
-			return rs
-		}
-	}
-	t.Fatalf("route %q missing from stats %+v", route, st.Routes)
-	return wire.RouteStats{}
-}
-
 // TestServerOverloadSheds saturates a MaxInFlight=1 explain route with one
 // deliberately parked request: the excess request is shed immediately with
 // 429 and a Retry-After hint, exempt routes stay reachable, the parked
-// request still completes, and the shed shows up in /v1/stats.
+// request still completes, and the shed shows up in /metrics.
 func TestServerOverloadSheds(t *testing.T) {
 	url, srv, _ := newTestServer(t, Config{PoolSize: 2, MaxInFlight: 1})
 	qtext := flights.Query().String()
@@ -87,7 +60,7 @@ func TestServerOverloadSheds(t *testing.T) {
 
 	// Observability routes are admission-exempt: both answer while the work
 	// route is saturated.
-	for _, path := range []string{"/healthz", "/v1/stats"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		r, err := http.Get(url + path)
 		if err != nil {
 			t.Fatal(err)
@@ -105,12 +78,12 @@ func TestServerOverloadSheds(t *testing.T) {
 		t.Fatalf("in-flight explain -> %d, want 200", status)
 	}
 
-	rs := routeStats(t, getStats(t, url), "/v1/explain")
-	if rs.Sheds != 1 {
-		t.Errorf("explain sheds = %d, want 1", rs.Sheds)
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, `repro_sheds_total{route="/v1/explain"}`); n != 1 {
+		t.Errorf("explain sheds = %v, want 1", n)
 	}
-	if rs.Errors < 1 {
-		t.Errorf("shed request not counted as an error: %+v", rs)
+	if n := metric(t, samples, `repro_requests_total{route="/v1/explain",code="429"}`); n != 1 {
+		t.Errorf("explain 429s = %v, want 1 (the shed request)", n)
 	}
 }
 
@@ -141,15 +114,18 @@ func TestServerPanicRecovery(t *testing.T) {
 		t.Fatalf("explain after recovered panic -> %d: %s", status, raw)
 	}
 
-	rs := routeStats(t, getStats(t, url), "/v1/explain")
-	if rs.Panics != 1 {
-		t.Errorf("explain panics = %d, want 1", rs.Panics)
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, `repro_panics_total{route="/v1/explain"}`); n != 1 {
+		t.Errorf("explain panics = %v, want 1", n)
+	}
+	if n := metric(t, samples, `repro_requests_total{route="/v1/explain",code="500"}`); n != 1 {
+		t.Errorf("explain 500s = %v, want 1 (the panicked request)", n)
 	}
 }
 
 // TestServerRequestTimeout arms an unmeetable per-request deadline: the
 // pipeline aborts at its next cancellation point and the client gets a 504,
-// counted in stats.
+// counted in /metrics.
 func TestServerRequestTimeout(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{PoolSize: 2, RequestTimeout: time.Nanosecond})
 	qtext := flights.Query().String()
@@ -158,15 +134,19 @@ func TestServerRequestTimeout(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("deadline-bound explain -> %d (%s), want 504", status, raw)
 	}
-	rs := routeStats(t, getStats(t, url), "/v1/explain")
-	if rs.Timeouts != 1 {
-		t.Errorf("explain timeouts = %d, want 1", rs.Timeouts)
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, `repro_timeouts_total{route="/v1/explain"}`); n != 1 {
+		t.Errorf("explain timeouts = %v, want 1", n)
+	}
+	if n := metric(t, samples, `repro_requests_total{route="/v1/explain",code="504"}`); n != 1 {
+		t.Errorf("explain 504s = %v, want 1", n)
 	}
 }
 
 // TestServerDegradedDataset serves a dataset whose store refused a write:
 // explains keep answering from the last durable state, updates are refused
-// with 503 + Retry-After, and /v1/stats flags the dataset degraded.
+// with 503 + Retry-After and the storage error in the body, and /metrics
+// flags the dataset degraded.
 func TestServerDegradedDataset(t *testing.T) {
 	inj := faultfs.New()
 	st, err := db.OpenSortedStoreConfig(db.SortedConfig{
@@ -190,7 +170,8 @@ func TestServerDegradedDataset(t *testing.T) {
 	if _, err := d.Insert("Flights", true, repro.String("BOS"), repro.String("CDG")); err == nil {
 		t.Fatal("insert on crashed store succeeded")
 	}
-	if d.Err() == nil {
+	derr := d.Err()
+	if derr == nil {
 		t.Fatal("database not degraded after storage failure")
 	}
 
@@ -222,6 +203,8 @@ func TestServerDegradedDataset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("update (query=%q) on degraded dataset -> %d, want 503", query, resp.StatusCode)
@@ -229,10 +212,16 @@ func TestServerDegradedDataset(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Error("503 carries no Retry-After header")
 		}
+		if err != nil || body.Error != derr.Error() {
+			t.Errorf("503 body error %q (%v), want the storage error %q", body.Error, err, derr)
+		}
 	}
 
-	ds := getStats(t, url).Datasets
-	if len(ds) != 1 || !ds[0].Degraded || ds[0].DegradedError == "" {
-		t.Fatalf("stats does not flag the degraded dataset: %+v", ds)
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, `repro_dataset_degraded{dataset="faulty"}`); n != 1 {
+		t.Errorf("repro_dataset_degraded = %v, want 1", n)
+	}
+	if n := metric(t, samples, `repro_dataset_facts{dataset="faulty",backend="sorted"}`); n != 2 {
+		t.Errorf("repro_dataset_facts = %v, want the 2 durable facts", n)
 	}
 }

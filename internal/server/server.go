@@ -8,10 +8,13 @@
 //
 // The wire API (JSON bodies, see internal/wire):
 //
-//	POST /v1/explain  — explain every output tuple of a query
-//	POST /v1/update   — apply a batch of fact insertions/deletions
-//	GET  /v1/stats    — pool, compilation-cache, and request counters
-//	GET  /healthz     — liveness
+//	POST /v1/explain     — explain every output tuple of a query
+//	POST /v1/update      — apply a batch of fact insertions/deletions
+//	GET  /metrics        — Prometheus text exposition of every request,
+//	                       stage, pool, compilation-cache, compiler, and
+//	                       dataset counter
+//	GET  /v1/debug/slow  — recent slow explains with their stage traces
+//	GET  /healthz        — liveness
 //
 // Explain requests may carry a per-request compute budget: "budget_ms"
 // bounds the exact pipeline's wall clock, "mode" picks the degradation
@@ -19,8 +22,9 @@
 // steer the sampling fallback. A budgeted request that exhausts its budget
 // still answers 200: each degraded tuple is marked "approximate": true with
 // "samples" and per-fact "ci_low"/"ci_high" 95% confidence bounds instead
-// of exact rationals, and the route's "degraded" counter in /v1/stats
-// ticks. Unbudgeted requests are byte-identical to the pre-budget wire
+// of exact rationals, and /metrics counts the request under
+// repro_degraded_total{route="/v1/explain",cause} once per distinct cause
+// among its tuples. Unbudgeted requests are byte-identical to the pre-budget wire
 // format. Degraded pooled answers are upgraded to exact in the background,
 // so subsequent explains of the same key serve exact values.
 package server
@@ -32,14 +36,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro"
-	"repro/internal/dnnf"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -56,17 +58,14 @@ type Config struct {
 	// recently used session is closed when a new (dataset, query) pair
 	// would exceed it.
 	PoolSize int
-	// LatencyWindow sizes the per-route latency sample behind /v1/stats
-	// (≤ 0 = metrics.DefaultLatencyWindow).
-	LatencyWindow int
 	// RequestTimeout bounds each explain/update request's wall clock: the
 	// request context expires at the deadline, the compile/Shapley pipeline
 	// aborts at its next cancellation point, and the client gets a 504.
 	// Zero means no per-request deadline.
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing requests per work route
-	// (/v1/explain and /v1/update each get their own bound; /v1/stats,
-	// /metrics, /v1/debug/slow, and /healthz stay admission-free so the
+	// (/v1/explain and /v1/update each get their own bound; /metrics,
+	// /v1/debug/slow, and /healthz stay admission-free so the
 	// service remains observable under overload). Excess requests are shed
 	// immediately with 429 and a Retry-After header rather than queueing.
 	// Zero means unbounded.
@@ -114,7 +113,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		locks:  make(map[string]*sync.RWMutex, len(cfg.Datasets)),
-		rec:    metrics.NewRecorder(cfg.LatencyWindow),
+		rec:    metrics.NewRecorder(),
 		mux:    http.NewServeMux(),
 		logger: cfg.Logger,
 		slow:   newSlowLog(cfg.SlowLogSize),
@@ -137,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("/v1/explain", s.instrument("/v1/explain", s.guard("/v1/explain", s.handleExplain)))
 	s.mux.HandleFunc("/v1/update", s.instrument("/v1/update", s.guard("/v1/update", s.handleUpdate)))
-	s.mux.HandleFunc("/v1/stats", s.instrument("/v1/stats", s.handleStats))
 	s.mux.HandleFunc("/v1/debug/slow", s.instrument("/v1/debug/slow", s.handleSlow))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -153,9 +151,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Close flushes the session pool (in-flight requests finish on their
 // sessions, which close on release).
 func (s *Server) Close() { s.pool.Close() }
-
-// PoolStats exposes the pool counters (also served by /v1/stats).
-func (s *Server) PoolStats() wire.PoolStats { return s.pool.Stats() }
 
 // openSession opens a pooled session under the context of the request that
 // missed the pool, so its grounding lands in that request's trace.
@@ -191,8 +186,8 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with the request recorder feeding /v1/stats
-// and /metrics. It assigns the request its ID (returned as X-Request-Id and
+// instrument wraps a handler with the request recorder feeding /metrics.
+// It assigns the request its ID (returned as X-Request-Id and
 // carried in the context for handlers to echo and log), and classifies
 // degradation outcomes by status: only admission control writes 429 and
 // only the deadline middleware produces 504, so those statuses are the shed
@@ -403,8 +398,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	// Degraded is once per request; each distinct cause among the tuples
-	// ticks the labeled cause counter once.
+	// Each distinct cause among the tuples ticks the labeled cause counter
+	// once.
 	causes := make(map[string]bool)
 	for _, e := range es {
 		if e.Method == repro.MethodApprox {
@@ -415,11 +410,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			causes[cause] = true
 		}
 	}
-	if len(causes) > 0 {
-		s.rec.Degraded("/v1/explain")
-		for cause := range causes {
-			s.rec.DegradedCause("/v1/explain", cause)
-		}
+	for cause := range causes {
+		s.rec.DegradedCause("/v1/explain", cause)
 	}
 	root.End()
 	elapsed := root.Duration()
@@ -576,58 +568,6 @@ func applyDirect(d *repro.Database, muts []repro.Mutation) ([]*repro.Fact, error
 		}
 	}
 	return out, nil
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	names := make([]string, 0, len(s.cfg.Datasets))
-	for name := range s.cfg.Datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	datasets := make([]wire.DatasetStats, len(names))
-	for i, name := range names {
-		d := s.cfg.Datasets[name]
-		lock := s.locks[name]
-		lock.RLock()
-		ds := wire.DatasetStats{Name: name, Backend: d.Backend(), Facts: d.NumFacts()}
-		if derr := d.Err(); derr != nil {
-			ds.Degraded = true
-			ds.DegradedError = derr.Error()
-		}
-		lock.RUnlock()
-		datasets[i] = ds
-	}
-	snap := s.rec.Snapshot()
-	routes := make([]wire.RouteStats, len(snap))
-	for i, rs := range snap {
-		routes[i] = wire.RouteStats{
-			Route:      rs.Route,
-			Count:      rs.Count,
-			Errors:     rs.Errors,
-			Sheds:      rs.Sheds,
-			Panics:     rs.Panics,
-			Timeouts:   rs.Timeouts,
-			Degraded:   rs.Degraded,
-			RatePerSec: rs.RatePerSec,
-			MeanMs:     rs.Latency.MeanMs,
-			P50Ms:      rs.Latency.P50Ms,
-			P95Ms:      rs.Latency.P95Ms,
-			P99Ms:      rs.Latency.P99Ms,
-			MaxMs:      rs.Latency.MaxMs,
-		}
-	}
-	writeJSON(w, http.StatusOK, wire.StatsResponse{
-		UptimeSec: s.rec.Uptime().Seconds(),
-		Pool:      s.pool.Stats(),
-		Cache:     wire.FromCacheStats(repro.CompileCacheStats()),
-		Compiler:  wire.FromCompilerCounters(dnnf.SpeculationCounters()),
-		Routes:    routes,
-		Datasets:  datasets,
-	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

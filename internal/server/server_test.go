@@ -250,7 +250,7 @@ func TestPooledExplainOfUnusualConstants(t *testing.T) {
 // and net-zero update traffic; everything must come back 2xx and the
 // quiesced state must match the paper's flights ground truth.
 func TestServerConcurrentClients(t *testing.T) {
-	url, srv, _ := newTestServer(t, Config{PoolSize: 4})
+	url, _, _ := newTestServer(t, Config{PoolSize: 4})
 	qtext := flights.Query().String()
 	const clients = 6
 	var wg sync.WaitGroup
@@ -340,17 +340,22 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	assertServedMatchesCold(t, resp, fresh, "quiesced")
 
-	st := srv.PoolStats()
-	if st.UpdateBatches > st.UpdateRequests {
-		t.Errorf("update batches %d > requests %d", st.UpdateBatches, st.UpdateRequests)
+	samples := scrapeMetrics(t, url)
+	requests := metric(t, samples, "repro_pool_update_requests_total")
+	batches := metric(t, samples, "repro_pool_update_batches_total")
+	if batches > requests {
+		t.Errorf("update batches %v > requests %v", batches, requests)
 	}
-	if st.Opens < 1 || st.Reuses < 1 {
-		t.Errorf("pool counters show no reuse: %+v", st)
+	if coalesced := metric(t, samples, "repro_pool_coalesced_batches_total"); coalesced > batches {
+		t.Errorf("coalesced batches %v > batches %v", coalesced, batches)
+	}
+	if opens, reuses := metric(t, samples, "repro_pool_opens_total"), metric(t, samples, "repro_pool_reuses_total"); opens < 1 || reuses < 1 {
+		t.Errorf("pool counters show no reuse: %v opens, %v reuses", opens, reuses)
 	}
 }
 
-// TestServerHTTPBasics covers the protocol edges: health, stats, content
-// deletes, top truncation, and the 4xx surface.
+// TestServerHTTPBasics covers the protocol edges: health, the counters on
+// /metrics, content deletes, top truncation, and the 4xx surface.
 func TestServerHTTPBasics(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{PoolSize: 2})
 	qtext := flights.Query().String()
@@ -413,24 +418,19 @@ func TestServerHTTPBasics(t *testing.T) {
 		t.Errorf("after reinsert, top fact = %+v, want JFK->CDG at %s", er.Tuples[0].Facts[0], wantTop)
 	}
 
-	// Stats surface.
-	resp, err = http.Get(url + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	// Counters on /metrics.
+	samples := scrapeMetrics(t, url)
+	if n := metric(t, samples, "repro_pool_opens_total"); n < 1 {
+		t.Errorf("pool opens = %v, want ≥ 1", n)
 	}
-	var st wire.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if n := metric(t, samples, "repro_pool_update_requests_total"); n != 2 {
+		t.Errorf("pool update requests = %v, want 2", n)
 	}
-	resp.Body.Close()
-	if st.Pool.Opens < 1 || st.Pool.UpdateRequests != 2 {
-		t.Errorf("stats pool: %+v", st.Pool)
+	if n := metric(t, samples, `repro_requests_total{route="/v1/explain"}`); n < 1 {
+		t.Errorf("explain requests = %v, want ≥ 1", n)
 	}
-	if len(st.Routes) == 0 {
-		t.Error("stats has no route counters")
-	}
-	if st.Cache.Hits+st.Cache.Misses == 0 {
-		t.Error("stats shows an untouched compile cache after explains")
+	if metric(t, samples, "repro_compile_cache_hits_total")+metric(t, samples, "repro_compile_cache_misses_total") == 0 {
+		t.Error("/metrics shows an untouched compile cache after explains")
 	}
 
 	// 4xx surface.

@@ -22,7 +22,6 @@ import (
 
 	"repro"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 	"repro/internal/trace"
 )
 
@@ -205,8 +204,9 @@ type SlowResponse struct {
 	Entries     []SlowEntry `json:"entries"`
 }
 
-// PoolStats is the session pool's counter snapshot, served by GET /v1/stats
-// and reported by the serve benchmark.
+// PoolStats is the session pool's counter snapshot. shapleyd serves it on
+// GET /metrics as the repro_pool_* series, and the serve benchmark reports
+// it as the "pool" object of BENCH_serve.json.
 type PoolStats struct {
 	// Opens counts sessions opened (cold grounding); Reuses counts requests
 	// served by an already-warm pooled session; Evictions counts sessions
@@ -226,7 +226,9 @@ type PoolStats struct {
 	CoalescedBatches int64 `json:"coalesced_batches"`
 }
 
-// CacheStats mirrors dnnf.CacheStats on the wire.
+// CacheStats is the compilation cache's counters as the serve benchmark
+// reports them in the "cache" object of BENCH_serve.json, read from the
+// repro_compile_cache_* series of GET /metrics.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
@@ -236,103 +238,6 @@ type CacheStats struct {
 	Invalidations int64 `json:"invalidations"`
 	Len           int   `json:"len"`
 	Capacity      int   `json:"capacity"`
-}
-
-// FromCacheStats converts a dnnf.CompileCache snapshot to its wire form.
-func FromCacheStats(s dnnf.CacheStats) CacheStats {
-	return CacheStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		IdenticalHits: s.IdenticalHits,
-		RenamedHits:   s.RenamedHits,
-		Evictions:     s.Evictions,
-		Invalidations: s.Invalidations,
-		Len:           s.Len,
-		Capacity:      s.Capacity,
-	}
-}
-
-// CompilerStats is the process-wide knowledge-compiler activity from GET
-// /v1/stats: how many compilations ran, how much speculative branch
-// parallelism engaged, and how the heuristic portfolio races resolved.
-type CompilerStats struct {
-	Compilations int64 `json:"compilations"`
-	// SpeculatedDecisions counts Shannon decisions whose cofactors compiled
-	// concurrently; SpeculationCancels counts in-flight siblings cancelled
-	// when the other branch failed its budget.
-	SpeculatedDecisions int64 `json:"speculated_decisions"`
-	SpeculationCancels  int64 `json:"speculation_cancels"`
-	// PortfolioRaces counts compilations raced across heuristics,
-	// PortfolioLosersCancelled the racers cancelled after a win, and
-	// WinsByOrder the wins per heuristic name ("freq", "jw", ...).
-	PortfolioRaces           int64            `json:"portfolio_races"`
-	PortfolioLosersCancelled int64            `json:"portfolio_losers_cancelled"`
-	WinsByOrder              map[string]int64 `json:"wins_by_order,omitempty"`
-}
-
-// FromCompilerCounters converts a dnnf.SpeculationCounters snapshot to its
-// wire form.
-func FromCompilerCounters(c dnnf.CompilerCounters) CompilerStats {
-	return CompilerStats{
-		Compilations:             c.Compilations,
-		SpeculatedDecisions:      c.SpeculatedDecisions,
-		SpeculationCancels:       c.SpeculationCancels,
-		PortfolioRaces:           c.PortfolioRaces,
-		PortfolioLosersCancelled: c.PortfolioLosersCancelled,
-		WinsByOrder:              c.WinsByOrder,
-	}
-}
-
-// RouteStats is one route's request counters from GET /v1/stats.
-type RouteStats struct {
-	Route string `json:"route"`
-	// Count and Errors count completed requests and non-2xx outcomes.
-	Count  int64 `json:"count"`
-	Errors int64 `json:"errors"`
-	// Sheds, Panics, and Timeouts break the errors out by degradation mode:
-	// refused by admission control (429), recovered handler panics (500),
-	// and per-request deadline expiries (504).
-	Sheds    int64 `json:"sheds"`
-	Panics   int64 `json:"panics"`
-	Timeouts int64 `json:"timeouts"`
-	// Degraded counts successful (200) requests answered approximately by
-	// the anytime sampling tier instead of exactly — graceful degradation,
-	// broken out next to the failure modes above.
-	Degraded int64 `json:"degraded,omitempty"`
-	// RatePerSec is Count over the server's uptime.
-	RatePerSec float64 `json:"rate_per_sec"`
-	// Latency percentiles are over a bounded window of recent requests.
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// StatsResponse is the body of GET /v1/stats: session-pool counters next to
-// the process-wide compilation-cache counters and per-route request
-// latency/throughput.
-type StatsResponse struct {
-	UptimeSec float64        `json:"uptime_sec"`
-	Pool      PoolStats      `json:"pool"`
-	Cache     CacheStats     `json:"cache"`
-	Compiler  CompilerStats  `json:"compiler"`
-	Routes    []RouteStats   `json:"routes"`
-	Datasets  []DatasetStats `json:"datasets,omitempty"`
-}
-
-// DatasetStats describes one served dataset: its size, the storage backend
-// its database runs on, and whether a storage failure has degraded it to
-// read-only.
-type DatasetStats struct {
-	Name    string `json:"name"`
-	Backend string `json:"backend"`
-	Facts   int    `json:"facts"`
-	// Degraded reports a dataset whose store refused a write: the database
-	// serves reads of its last durable state and rejects mutations (503).
-	Degraded bool `json:"degraded,omitempty"`
-	// DegradedError carries the storage failure that tripped degraded mode.
-	DegradedError string `json:"degraded_error,omitempty"`
 }
 
 // EncodeValue renders a database value as a JSON-encodable scalar. Floats

@@ -432,8 +432,8 @@ func compileCache(size int) *dnnf.CompileCache {
 // CompileCacheStats returns a snapshot of the process-wide compiled-circuit
 // cache counters — the cache every session with CacheSize ≥ 0 shares — or a
 // zero snapshot if no session or Explain call has created it yet. The
-// explanation service surfaces this at GET /v1/stats next to its
-// session-pool counters.
+// explanation service serves it on GET /metrics as the
+// repro_compile_cache_* series, next to its session-pool counters.
 func CompileCacheStats() dnnf.CacheStats {
 	sharedCacheMu.Lock()
 	defer sharedCacheMu.Unlock()
