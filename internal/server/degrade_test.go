@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -149,30 +150,57 @@ func TestServerPerRequestBudget(t *testing.T) {
 	assertServedMatchesCold(t, exact, d, "unbudgeted after degraded")
 
 	// budget_ms alone arms a deadline; a 1 µs budget degrades mid-compile
-	// rather than 504ing. Driven through the open-per-request path, since
-	// the pooled session rightly serves its cached exact answer within any
-	// budget.
-	var tiny wire.ExplainResponse
-	if status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
-		Dataset: "flights", Query: q, NoPool: true, BudgetMs: 0.001, MinSamples: 64,
-	}, &tiny); status != http.StatusOK {
-		t.Fatalf("budget_ms explain: status %d: %s", status, raw)
+	// rather than 504ing, and so does a 0.1 ns one, which rounds up to the
+	// shortest deadline rather than down to none. Driven through the
+	// open-per-request path, since the pooled session rightly serves its
+	// cached exact answer within any budget.
+	for _, req := range tinyBudgetRequests() {
+		var tiny wire.ExplainResponse
+		if status, raw := postJSON(t, url+"/v1/explain", req, &tiny); status != http.StatusOK {
+			t.Fatalf("budget_ms %v explain: status %d: %s", req.BudgetMs, status, raw)
+		}
+		checkDegradedResponse(t, tiny, fmt.Sprintf("budget_ms %v deadline", req.BudgetMs))
 	}
-	checkDegradedResponse(t, tiny, "budget_ms deadline")
 }
 
-// TestServerBudgetValidation rejects malformed budget knobs with 400s.
-func TestServerBudgetValidation(t *testing.T) {
-	url, _, _ := newTestServer(t, Config{})
+// tinyBudgetRequests are open-per-request explains whose budget_ms is too
+// short for any exact attempt to finish.
+func tinyBudgetRequests() []wire.ExplainRequest {
 	q := flights.Query().String()
-	cases := []struct {
-		name string
-		req  wire.ExplainRequest
-		want string
-	}{
+	var out []wire.ExplainRequest
+	for _, ms := range []float64{0.001, 1e-7} {
+		out = append(out, wire.ExplainRequest{Dataset: "flights", Query: q, NoPool: true, BudgetMs: ms, MinSamples: 64})
+	}
+	return out
+}
+
+// badBudget is an explain request whose budget knobs the server rejects
+// with a 400 naming the offending field.
+type badBudget struct {
+	name string
+	req  wire.ExplainRequest
+	want string
+}
+
+func badBudgets() []badBudget {
+	q := flights.Query().String()
+	return []badBudget{
 		{"bad mode", wire.ExplainRequest{Dataset: "flights", Query: q, Mode: "fast"}, "unknown explain mode"},
 		{"negative budget", wire.ExplainRequest{Dataset: "flights", Query: q, BudgetMs: -1}, "budget_ms"},
+		{"huge budget", wire.ExplainRequest{Dataset: "flights", Query: q, BudgetMs: 1e13}, "budget_ms"},
 		{"negative samples", wire.ExplainRequest{Dataset: "flights", Query: q, MinSamples: -1}, "min_samples"},
+	}
+}
+
+// TestServerBudgetValidation rejects malformed budget knobs with 400s,
+// pooled and open-per-request alike.
+func TestServerBudgetValidation(t *testing.T) {
+	url, _, _ := newTestServer(t, Config{})
+	var cases []badBudget
+	for _, c := range badBudgets() {
+		cases = append(cases, c)
+		c.req.NoPool = true
+		cases = append(cases, c)
 	}
 	for _, c := range cases {
 		status, raw := postJSON(t, url+"/v1/explain", c.req, nil)

@@ -38,15 +38,32 @@ func zeroVolatile(body string) string {
 // since replaced an approximate answer with the exact one.
 func goldenExplainBodies(t *testing.T) string {
 	t.Helper()
+	var out strings.Builder
+	for _, sh := range goldenShapes() {
+		url, _, _ := newTestServer(t, sh.cfg)
+		status, raw := postJSON(t, url+"/v1/explain", sh.req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", sh.name, status, raw)
+		}
+		out.WriteString("== " + sh.name + "\n" + zeroVolatile(raw))
+	}
+	return out.String()
+}
+
+// goldenShape is one pinned request shape: the server configuration and
+// the explain request sent to a fresh server of it.
+type goldenShape struct {
+	name string
+	cfg  Config
+	req  wire.ExplainRequest
+}
+
+func goldenShapes() []goldenShape {
 	q := flights.Query().String()
 	starved := Config{Options: repro.Options{
 		Budget: repro.ExplainBudget{MaxNodes: 1, MinSamples: 128},
 	}}
-	shapes := []struct {
-		name string
-		cfg  Config
-		req  wire.ExplainRequest
-	}{
+	return []goldenShape{
 		{"unbudgeted", Config{},
 			wire.ExplainRequest{Dataset: "flights", Query: q}},
 		{"approximate", Config{},
@@ -60,16 +77,6 @@ func goldenExplainBodies(t *testing.T) string {
 		{"max-nodes-proxy", Config{Options: repro.Options{MaxNodes: 1}},
 			wire.ExplainRequest{Dataset: "flights", Query: q}},
 	}
-	var out strings.Builder
-	for _, sh := range shapes {
-		url, _, _ := newTestServer(t, sh.cfg)
-		status, raw := postJSON(t, url+"/v1/explain", sh.req, nil)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", sh.name, status, raw)
-		}
-		out.WriteString("== " + sh.name + "\n" + zeroVolatile(raw))
-	}
-	return out.String()
 }
 
 // TestExplainWireGolden pins the /v1/explain wire bytes of every

@@ -24,9 +24,10 @@
 // "samples" and per-fact "ci_low"/"ci_high" 95% confidence bounds instead
 // of exact rationals, and /metrics counts the request under
 // repro_degraded_total{route="/v1/explain",cause} once per distinct cause
-// among its tuples. Unbudgeted requests are byte-identical to the pre-budget wire
-// format. Degraded pooled answers are upgraded to exact in the background,
-// so subsequent explains of the same key serve exact values.
+// among its tuples. Unbudgeted requests are byte-identical to the
+// pre-budget wire format. Degraded pooled answers are upgraded to exact in
+// the background, so subsequent explains of the same key serve exact
+// values.
 package server
 
 import (
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -321,7 +323,9 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 // configured budget: budget_ms sets the exact attempt's deadline, mode the
 // degradation policy, min_samples the sampling floor, seed the sampling seed
 // perturbation. Absent knobs keep the configured values, so an unbudgeted
-// request on an unbudgeted server yields the zero (disabled) budget.
+// request on an unbudgeted server yields the zero (disabled) budget. A
+// positive budget_ms arms a deadline of at least 1ns, and one whose
+// nanoseconds overflow a time.Duration is rejected.
 func (s *Server) requestBudget(req wire.ExplainRequest) (repro.ExplainBudget, error) {
 	b := s.cfg.Options.Budget
 	if req.BudgetMs < 0 {
@@ -331,7 +335,13 @@ func (s *Server) requestBudget(req wire.ExplainRequest) (repro.ExplainBudget, er
 		return b, fmt.Errorf("server: negative min_samples %d", req.MinSamples)
 	}
 	if req.BudgetMs > 0 {
-		b.Deadline = time.Duration(req.BudgetMs * float64(time.Millisecond))
+		ns := req.BudgetMs * float64(time.Millisecond)
+		// float64(math.MaxInt64) rounds up to 2^63, the first value that
+		// does not fit.
+		if !(ns < float64(math.MaxInt64)) {
+			return b, fmt.Errorf("server: budget_ms %v exceeds the longest deadline (%v)", req.BudgetMs, time.Duration(math.MaxInt64))
+		}
+		b.Deadline = max(time.Duration(ns), time.Nanosecond)
 	}
 	if req.MinSamples > 0 {
 		b.MinSamples = req.MinSamples
