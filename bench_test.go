@@ -187,14 +187,17 @@ func BenchmarkCNFProxy(b *testing.B) {
 }
 
 // BenchmarkMonteCarlo and BenchmarkKernelSHAP measure the sampling
-// baselines at budget 50·n on the running example.
+// baselines at budget 50·n on the running example (50 permutations for
+// Monte Carlo, as in the Section 6.2 comparison).
 func BenchmarkMonteCarlo(b *testing.B) {
 	elin, _ := flightsLineage(b)
 	g := sampling.NewGame(elin)
-	rng := rand.New(rand.NewSource(1))
+	cfg := sampling.Config{MinPermutations: 50, TargetCI: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sampling.MonteCarlo(g, 50*g.NumPlayers(), rng)
+		if _, err := g.MonteCarloCI(context.Background(), int64(i), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

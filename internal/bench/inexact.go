@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -40,7 +41,9 @@ type InexactRecord struct {
 // CompareInexact runs Monte Carlo and Kernel SHAP at each per-fact budget,
 // and CNF Proxy once, over every tuple with exact ground truth, recording
 // execution time and the quality metrics of Section 6.2 against the exact
-// Shapley values.
+// Shapley values. Monte Carlo is Game.MonteCarloCI at a fixed spend: a
+// budget of b·n evaluations is ⌈b·n/n⌉ = b permutations of the n facts,
+// with CI refinement off and a seed drawn from the comparison's rng.
 func CompareInexact(c *Corpus, budgetsPerFact []int, seed int64) []InexactRecord {
 	rng := rand.New(rand.NewSource(seed))
 	var out []InexactRecord
@@ -52,8 +55,16 @@ func CompareInexact(c *Corpus, budgetsPerFact []int, seed int64) []InexactRecord
 			budget := b * game.NumPlayers()
 
 			t0 := time.Now()
-			mc := sampling.MonteCarlo(game, budget, rng)
+			ap, err := game.MonteCarloCI(context.Background(), rng.Int63(),
+				sampling.Config{MinPermutations: max(b, 1), TargetCI: 1})
 			mcTime := time.Since(t0)
+			if err != nil {
+				panic(err) // unreachable: only cancellation fails, and this context never ends
+			}
+			mc := make(map[db.FactID]float64, len(ap.Estimates))
+			for f, e := range ap.Estimates {
+				mc[f] = e.Value
+			}
 			out = append(out, record(t, MethodMonteCarlo, b, mcTime, mc, truth))
 
 			t0 = time.Now()

@@ -79,8 +79,8 @@ func (g *Game) NumPlayers() int { return len(g.Players) }
 // rely on.
 func (g *Game) Reseed(seed int64) { g.rng = rand.New(rand.NewSource(seed)) }
 
-// Rand returns the game's random source (for the free-function samplers
-// below, which predate per-game seeding and still take an explicit source).
+// Rand returns the game's random source (for KernelSHAP, which predates
+// per-game seeding and still takes an explicit source).
 func (g *Game) Rand() *rand.Rand { return g.rng }
 
 // Fingerprint hashes the flattened game program — gate kinds, constant
@@ -381,51 +381,6 @@ func (g *Game) widestHalfWidth(sum, nonzero []int64, perms int) float64 {
 		}
 	}
 	return widest
-}
-
-// MonteCarlo approximates the Shapley value of every player with a budget of
-// `budget` game evaluations (= ⌈budget/n⌉ permutations of the n players, as
-// in Section 6.2 where budgets are expressed as r·n samples). Facts never
-// appearing in the lineage are not players and implicitly score 0.
-func MonteCarlo(g *Game, budget int, rng *rand.Rand) map[db.FactID]float64 {
-	n := g.NumPlayers()
-	out := make(map[db.FactID]float64, n)
-	if n == 0 {
-		return out
-	}
-	perms := (budget + n - 1) / n
-	if perms < 1 {
-		perms = 1
-	}
-	acc := make([]float64, n)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	present := make([]bool, n)
-	for r := 0; r < perms; r++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for i := range present {
-			present[i] = false
-		}
-		prev := g.Eval(present)
-		for _, p := range perm {
-			present[p] = true
-			cur := g.Eval(present)
-			if cur != prev {
-				if cur {
-					acc[p]++
-				} else {
-					acc[p]--
-				}
-			}
-			prev = cur
-		}
-	}
-	for i, p := range g.Players {
-		out[p] = acc[i] / float64(perms)
-	}
-	return out
 }
 
 // KernelSHAP approximates Shapley values by sampling `budget` coalitions,

@@ -89,23 +89,13 @@ func TestExactBySubsets(t *testing.T) {
 func TestMonteCarloConverges(t *testing.T) {
 	g, _ := flightsGame(t)
 	exact := ExactBySubsets(g)
-	rng := rand.New(rand.NewSource(97))
-	approx := MonteCarlo(g, 4000*g.NumPlayers(), rng)
-	for _, p := range g.Players {
-		if math.Abs(approx[p]-exact[p]) > 0.03 {
-			t.Errorf("MC[%d] = %v, exact %v (off by %v)", p, approx[p], exact[p],
-				math.Abs(approx[p]-exact[p]))
-		}
+	approx, err := g.MonteCarloCI(context.Background(), 97, Config{MinPermutations: 4000, TargetCI: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMonteCarloDeterministicSeed(t *testing.T) {
-	g, _ := flightsGame(t)
-	a := MonteCarlo(g, 100, rand.New(rand.NewSource(1)))
-	b := MonteCarlo(g, 100, rand.New(rand.NewSource(1)))
 	for _, p := range g.Players {
-		if a[p] != b[p] {
-			t.Fatalf("same seed gave different results for %d: %v vs %v", p, a[p], b[p])
+		if v := approx.Estimates[p].Value; math.Abs(v-exact[p]) > 0.03 {
+			t.Errorf("MC[%d] = %v, exact %v (off by %v)", p, v, exact[p], math.Abs(v-exact[p]))
 		}
 	}
 }
@@ -154,8 +144,12 @@ func TestSinglePlayerGames(t *testing.T) {
 	if v := KernelSHAPExhaustive(g)[g.Players[0]]; v != 1 {
 		t.Errorf("KernelSHAPExhaustive dictator = %v, want 1", v)
 	}
-	if v := MonteCarlo(g, 10, rng)[g.Players[0]]; v != 1 {
-		t.Errorf("MonteCarlo dictator = %v, want 1", v)
+	mc, err := g.MonteCarloCI(context.Background(), 3, Config{MinPermutations: 10, TargetCI: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mc.Estimates[g.Players[0]].Value; v != 1 {
+		t.Errorf("MonteCarloCI dictator = %v, want 1", v)
 	}
 }
 
@@ -165,8 +159,11 @@ func TestEmptyGame(t *testing.T) {
 	if g.NumPlayers() != 0 {
 		t.Fatalf("players = %d, want 0", g.NumPlayers())
 	}
-	rng := rand.New(rand.NewSource(3))
-	if len(MonteCarlo(g, 10, rng)) != 0 || len(KernelSHAP(g, 10, rng)) != 0 {
+	mc, err := g.MonteCarloCI(context.Background(), 3, Config{MinPermutations: 10, TargetCI: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mc.Estimates) != 0 || len(KernelSHAP(g, 10, rand.New(rand.NewSource(3)))) != 0 {
 		t.Error("empty game produced values")
 	}
 	if g.Eval(nil) {
