@@ -25,10 +25,6 @@ type PipelineOptions struct {
 	// ShapleyTimeout bounds Algorithm 1 itself (zero = none). The check is
 	// per-fact, matching the granularity at which work can be abandoned.
 	ShapleyTimeout time.Duration
-	// Order selects the compiler's branching heuristic.
-	Order dnnf.VarOrder
-	// DisableCache turns off the compiler's component cache (ablation).
-	DisableCache bool
 	// Workers is the fan-out of Algorithm 1 across facts in per-fact mode
 	// (≤ 0 = GOMAXPROCS, 1 = serial); gradient mode is serial and ignores
 	// it. Results are identical for every setting.

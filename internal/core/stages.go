@@ -69,8 +69,6 @@ func CompileStage(ctx context.Context, formula *cnf.Formula, opts PipelineOption
 	compiled, stats, err := dnnf.Compile(ctx, formula, dnnf.Options{
 		Timeout:          opts.CompileTimeout,
 		MaxNodes:         opts.CompileMaxNodes,
-		DisableCache:     opts.DisableCache,
-		Order:            opts.Order,
 		Cache:            opts.Cache,
 		Workers:          opts.CompileWorkers,
 		Speculate:        opts.Speculate,

@@ -77,12 +77,6 @@ func (c SortedConfig) openFunc() OpenFileFunc {
 	return osOpenFile
 }
 
-// NewSortedStore returns an ephemeral (memory-only) sorted store.
-func NewSortedStore() Store {
-	s, _ := OpenSortedStore("")
-	return s
-}
-
 // OpenSortedStore opens a sorted store with default configuration; see
 // OpenSortedStoreConfig.
 func OpenSortedStore(dir string) (Store, error) {

@@ -1,10 +1,6 @@
 package dnnf
 
-import (
-	"fmt"
-
-	"repro/internal/circuit"
-)
+import "fmt"
 
 // CheckDecomposable verifies that every ∧-gate in the DAG has children with
 // pairwise disjoint variable supports. The Builder enforces this at
@@ -74,59 +70,4 @@ func Validate(n *Node, maxVars int) error {
 		return err
 	}
 	return CheckDeterministic(n, maxVars)
-}
-
-// FromCircuit converts a Boolean circuit that is already deterministic and
-// decomposable — such as the hand-built circuit of Figure 2 — into a d-DNNF
-// node. Negation gates must apply only to variables (NNF); the function
-// returns an error otherwise. Determinism and decomposability are the
-// caller's claim; use Validate to verify on small inputs.
-func FromCircuit(b *Builder, root *circuit.Node) (*Node, error) {
-	memo := make(map[int]*Node)
-	var rec func(*circuit.Node) (*Node, error)
-	rec = func(m *circuit.Node) (*Node, error) {
-		if r, ok := memo[m.ID()]; ok {
-			return r, nil
-		}
-		var r *Node
-		switch m.Kind {
-		case circuit.KindVar:
-			r = b.Lit(int(m.Var))
-		case circuit.KindConst:
-			if m.Val {
-				r = b.True()
-			} else {
-				r = b.False()
-			}
-		case circuit.KindNot:
-			c := m.Children[0]
-			if c.Kind != circuit.KindVar {
-				return nil, fmt.Errorf("dnnf: negation of non-variable gate (kind %v); circuit is not in NNF", c.Kind)
-			}
-			r = b.Lit(-int(c.Var))
-		case circuit.KindAnd:
-			cs := make([]*Node, len(m.Children))
-			for i, c := range m.Children {
-				cc, err := rec(c)
-				if err != nil {
-					return nil, err
-				}
-				cs[i] = cc
-			}
-			r = b.And(cs...)
-		case circuit.KindOr:
-			cs := make([]*Node, len(m.Children))
-			for i, c := range m.Children {
-				cc, err := rec(c)
-				if err != nil {
-					return nil, err
-				}
-				cs[i] = cc
-			}
-			r = b.Or(cs...)
-		}
-		memo[m.ID()] = r
-		return r, nil
-	}
-	return rec(root)
 }

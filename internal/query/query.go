@@ -324,15 +324,6 @@ func NewUCQ(disjuncts ...CQ) (*UCQ, error) {
 	return &UCQ{Disjuncts: disjuncts}, nil
 }
 
-// MustUCQ is NewUCQ that panics on error, for statically known queries.
-func MustUCQ(disjuncts ...CQ) *UCQ {
-	u, err := NewUCQ(disjuncts...)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Arity returns the head arity.
 func (u *UCQ) Arity() int { return len(u.Disjuncts[0].Head) }
 
