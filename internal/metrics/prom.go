@@ -106,11 +106,10 @@ func writeHistogram(w io.Writer, name string, base []Label, h *histogram) {
 
 // WritePrometheus renders the recorder's counters and histograms in the
 // Prometheus text exposition format: per-route request counts by status
-// code, shed/panic/timeout/degraded counters (degradations also broken out
-// by cause), cumulative request-latency histograms, per-stage pipeline
-// histograms, and the process uptime. Callers append process-level gauges
-// (pool sizes, cache counters) after it; every family name is prefixed
-// "repro_".
+// code, shed/panic/timeout counters, degraded requests by cause,
+// cumulative request-latency histograms, per-stage pipeline histograms,
+// and the process uptime. Callers append process-level series (pool and
+// cache counters) after it; every family name is prefixed "repro_".
 func (r *Recorder) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -50,9 +50,9 @@ func checkDegradedResponse(t *testing.T, resp wire.ExplainResponse, label string
 // TestServerStarvedBudgetDegrades boots the server with a starvation node
 // budget: every explain — pooled and open-per-request — must answer 200
 // with marked approximate values, never a 5xx, and the node_budget cause
-// counter on /metrics must tick per degraded request. A "mode": "exact" request opts
-// out of the sampling fallback on both paths and is answered exactly under
-// the server's own limits.
+// counter on /metrics must tick per degraded request. A "mode": "exact"
+// request opts out of the sampling fallback on both paths and is answered
+// exactly under the server's own limits.
 func TestServerStarvedBudgetDegrades(t *testing.T) {
 	starved := Config{
 		Options: repro.Options{
