@@ -1,14 +1,13 @@
 // Command groundbench times the grounding stage — query evaluation with
 // lineage capture, before any Shapley work — across the evaluation matrix:
-// streaming versus materialized engine, in-memory versus sorted storage
-// backend, at several dataset scales. The two engines are cross-checked for
-// identical answer sets on every cell, so a run doubles as the
-// grounding-equivalence smoke test; -json writes the BENCH_ground.json
-// document CI uploads.
+// streaming versus materialized engine at several dataset scales. The two
+// engines are cross-checked for identical answer sets at every scale, so a
+// run doubles as the grounding-equivalence smoke test; -json writes the
+// BENCH_ground.json document CI uploads.
 //
 // Usage:
 //
-//	groundbench -scales 1,4,16 -backends memory,sorted -json BENCH_ground.json
+//	groundbench -scales 1,4,16 -json BENCH_ground.json
 //	groundbench -scales 4 -check   # equivalence smoke only, summary to stdout
 package main
 
@@ -22,13 +21,11 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/db"
 )
 
 func main() {
 	var (
 		scales   = flag.String("scales", "1,4,16", "comma-separated TPC-H scale factors")
-		backends = flag.String("backends", "memory,sorted", "comma-separated storage backends")
 		jsonPath = flag.String("json", "", "write the BENCH_ground.json document here")
 		check    = flag.Bool("check", false, "print only the cross-check summary (answers are always cross-checked; this suppresses the timing table)")
 	)
@@ -42,19 +39,7 @@ func main() {
 		}
 		sc = append(sc, v)
 	}
-	var bk []string
-	for _, b := range strings.Split(*backends, ",") {
-		b = strings.TrimSpace(b)
-		if !db.KnownBackend(b) {
-			log.Fatalf("groundbench: unknown backend %q (known: %v)", b, db.Backends())
-		}
-		if b == "" {
-			b = db.BackendMemory
-		}
-		bk = append(bk, b)
-	}
-
-	rep, err := bench.RunGroundBench(context.Background(), sc, bk)
+	rep, err := bench.RunGroundBench(context.Background(), sc)
 	if err != nil {
 		log.Fatalf("groundbench: %v", err)
 	}
@@ -67,20 +52,20 @@ func main() {
 
 	if *check {
 		for _, c := range rep.Comparisons {
-			fmt.Printf("scale %-4g %-8s identical answers; streaming %.2fx faster, %.0f%% fewer bytes\n",
-				c.Scale, c.Backend, c.SpeedupX, 100*c.AllocReduction)
+			fmt.Printf("scale %-4g identical answers; streaming %.2fx faster, %.0f%% fewer bytes\n",
+				c.Scale, c.SpeedupX, 100*c.AllocReduction)
 		}
 		return
 	}
 	w := os.Stdout
-	fmt.Fprintf(w, "%-6s %-8s %-13s %10s %9s %12s %14s\n",
-		"scale", "backend", "engine", "facts", "ms", "facts/sec", "alloc")
+	fmt.Fprintf(w, "%-6s %-13s %10s %9s %12s %14s\n",
+		"scale", "engine", "facts", "ms", "facts/sec", "alloc")
 	for _, p := range rep.Points {
-		fmt.Fprintf(w, "%-6g %-8s %-13s %10d %9.1f %12.0f %14d\n",
-			p.Scale, p.Backend, p.Engine, p.Facts, p.Millis, p.FactsPerSec, p.AllocBytes)
+		fmt.Fprintf(w, "%-6g %-13s %10d %9.1f %12.0f %14d\n",
+			p.Scale, p.Engine, p.Facts, p.Millis, p.FactsPerSec, p.AllocBytes)
 	}
 	for _, c := range rep.Comparisons {
-		fmt.Fprintf(w, "scale %-4g %-8s: streaming %.2fx faster, %.0f%% alloc reduction\n",
-			c.Scale, c.Backend, c.SpeedupX, 100*c.AllocReduction)
+		fmt.Fprintf(w, "scale %-4g: streaming %.2fx faster, %.0f%% alloc reduction\n",
+			c.Scale, c.SpeedupX, 100*c.AllocReduction)
 	}
 }

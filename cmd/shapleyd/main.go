@@ -17,6 +17,7 @@
 //
 //	shapleyd -addr :8080 -datasets flights
 //	shapleyd -addr :8080 -datasets flights,tpch,imdb -scale 0.5 -pool 16 -timeout 2.5s
+//	shapleyd -addr :8080 -datasets tpch -store-dir /var/lib/shapleyd -fsync always
 package main
 
 import (
@@ -48,10 +49,8 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor for tpch/imdb")
 		poolSize = flag.Int("pool", server.DefaultPoolSize, "session pool capacity (warm (dataset, query) sessions; LRU beyond)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-		store    = flag.String("store", "", "storage backend for served datasets: memory (default) or sorted")
-		storeDir = flag.String("store-dir", "", "with -store sorted: persist each dataset under <dir>/<name> (reloaded on restart)")
-		indexes  = flag.Int("indexes", 0, "per-relation secondary-index budget (0 = backend default)")
-		fsync    = flag.String("fsync", "every", "WAL sync policy for persistent stores: always, every, every=N, or onclose")
+		storeDir = flag.String("store-dir", "", "persist each dataset under <dir>/<name> (reloaded on restart)")
+		fsync    = flag.String("fsync", "every", "WAL sync policy for -store-dir datasets: always, every, every=N, or onclose")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline for explain/update (0 = none); expired requests get 504")
 		inflight = flag.Int("max-inflight", 0, "max concurrently executing requests per work route (0 = unbounded); excess sheds with 429 + Retry-After")
 		ebudget  = flag.Duration("explain-budget", 0, "per-explain exact-attempt deadline before degrading to sampled estimates with confidence intervals (0 = no anytime tier)")
@@ -82,7 +81,6 @@ func main() {
 	}
 
 	opts := *parsed
-	opts.Storage, opts.IndexBudget = *store, *indexes
 	opts.Budget.Deadline, opts.Budget.MaxNodes, opts.Budget.TargetCI = *ebudget, *emaxn, *atarget
 	cfg := server.Config{
 		Datasets:       make(map[string]*repro.Database),
@@ -97,9 +95,6 @@ func main() {
 	}
 	if err := cfg.Options.Validate(); err != nil {
 		fatal("invalid options", err)
-	}
-	if *storeDir != "" && *store != repro.BackendSorted {
-		fatal("bad flags", fmt.Errorf("-store-dir requires -store %s", repro.BackendSorted))
 	}
 	for _, name := range strings.Split(*datasets, ",") {
 		name = strings.TrimSpace(name)
@@ -117,20 +112,13 @@ func main() {
 		default:
 			fatal("unknown dataset", fmt.Errorf("%q (want flights, tpch, or imdb)", name))
 		}
-		// Generators build on the default backend; move the dataset onto
-		// the requested store (fact IDs survive the migration, so nothing
-		// downstream notices). A directory already holding a persisted copy
-		// — including updates served by previous runs — is reloaded instead
-		// of being overwritten by the freshly generated dataset.
-		if *store != "" && *store != repro.BackendMemory {
-			dir := ""
-			if *storeDir != "" {
-				dir = filepath.Join(*storeDir, name)
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					fatal("creating store dir", err)
-				}
-			}
-			if dir != "" && repro.DatabasePersisted(dir) {
+		// With -store-dir, a directory already holding a persisted copy —
+		// including updates served by previous runs — is reloaded instead
+		// of being overwritten by the freshly generated dataset; otherwise
+		// the generated dataset becomes persistent in place.
+		if *storeDir != "" {
+			dir := filepath.Join(*storeDir, name)
+			if repro.DatabasePersisted(dir) {
 				pd, info, err := repro.OpenDatabaseInfo(dir, syncPolicy)
 				if err != nil {
 					fatal(fmt.Sprintf("reloading %s from %s", name, dir), err)
@@ -139,23 +127,13 @@ func main() {
 					"snapshot_records", info.SnapshotRecords, "wal_records", info.LogRecords,
 					"torn_tail", info.Truncated, "dropped_bytes", info.DroppedBytes)
 				d = pd
-			} else {
-				md, err := d.Migrate(*store, dir)
-				if err != nil {
-					fatal(fmt.Sprintf("migrating %s to %s", name, *store), err)
-				}
-				d = md
-				if err := d.SetSyncPolicy(syncPolicy); err != nil {
-					fatal("setting sync policy", err)
-				}
+			} else if err := d.Persist(repro.PersistConfig{Dir: dir, Sync: syncPolicy}); err != nil {
+				fatal(fmt.Sprintf("persisting %s to %s", name, dir), err)
 			}
-		}
-		if *indexes > 0 {
-			d.SetIndexBudget(*indexes)
 		}
 		cfg.Datasets[name] = d
 		logger.Info("dataset loaded", "dataset", name, "facts", d.NumFacts(),
-			"backend", d.Backend(), "elapsed", time.Since(start).Round(time.Millisecond))
+			"elapsed", time.Since(start).Round(time.Millisecond))
 	}
 
 	s, err := server.New(cfg)

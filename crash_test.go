@@ -34,7 +34,7 @@ type crashOp struct {
 }
 
 // runCrashScript drives a randomized mutation script against a persistent
-// sorted database whose WAL dies at crashAt bytes, and returns the ops
+// database whose WAL dies at crashAt bytes, and returns the ops
 // that were acknowledged before the crash (or before the script ended).
 func runCrashScript(t *testing.T, dir string, sync db.SyncPolicy, crashAt int64, rng *rand.Rand, nOps int) []crashOp {
 	t.Helper()
@@ -42,11 +42,10 @@ func runCrashScript(t *testing.T, dir string, sync db.SyncPolicy, crashAt int64,
 	open := func(path string, flag int, perm os.FileMode) (db.WALFile, error) {
 		return inj.Open(path, flag, perm)
 	}
-	st, err := db.OpenSortedStoreConfig(db.SortedConfig{Dir: dir, Sync: sync, OpenFile: open})
-	if err != nil {
-		t.Fatalf("open store: %v", err)
+	d := db.New()
+	if err := d.Persist(db.PersistConfig{Dir: dir, Sync: sync, OpenFile: open}); err != nil {
+		t.Fatalf("persist: %v", err)
 	}
-	d := db.NewWithStore(st)
 	inj.CrashAt(crashAt)
 
 	d.CreateRelation("R", "a", "b")
@@ -82,7 +81,7 @@ func runCrashScript(t *testing.T, dir string, sync db.SyncPolicy, crashAt int64,
 	return acked
 }
 
-// replayOps rebuilds the first m acked ops cold, on the memory backend.
+// replayOps rebuilds the first m acked ops cold, in memory.
 // Fact IDs are assigned by the same deterministic rule the crashed run
 // used (sequential from 1), so provenance variables line up exactly.
 func replayOps(ops []crashOp, m int) *Database {
@@ -170,7 +169,7 @@ func TestCrashRecoveryPrefixConsistency(t *testing.T) {
 				dir := t.TempDir()
 				acked := runCrashScript(t, dir, pol, crashAt, rng, nOps)
 
-				re, info, err := db.OpenSortedConfig(db.SortedConfig{Dir: dir})
+				re, info, err := db.Open(db.PersistConfig{Dir: dir})
 				if err != nil {
 					t.Fatalf("recovery failed (crashAt=%d, acked=%d): %v", crashAt, len(acked), err)
 				}
@@ -225,7 +224,7 @@ func TestConcurrentExplainsAfterRecovery(t *testing.T) {
 	if len(acked) == 0 {
 		t.Fatal("script acked nothing")
 	}
-	re, _, err := db.OpenSortedConfig(db.SortedConfig{Dir: dir})
+	re, _, err := db.Open(db.PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,12 @@ package bench
 // BENCH_ground.json: grounding-stage performance, emitted by
 // cmd/groundbench so the evaluation layer's trajectory is tracked across
 // commits the same way BENCH_shapley.json tracks Algorithm 1. Each point
-// times one (scale, backend, engine) cell of the matrix — the streaming
-// iterator pipeline versus the materialized reference evaluator, on the
-// in-memory and sorted storage backends — over the full TPC-H query set,
-// recording wall clock, grounding throughput in facts/sec, and the
-// allocation footprint (the streaming engine's reason to exist: it never
-// materializes intermediate binding tables). The comparisons section
-// reduces each (scale, backend) pair to the two headline ratios.
+// times one (scale, engine) cell of the matrix — the streaming iterator
+// pipeline versus the materialized reference evaluator — over the full
+// TPC-H query set, recording wall clock, grounding throughput in
+// facts/sec, and the allocation footprint (the streaming engine's reason
+// to exist: it never materializes intermediate binding tables). The
+// comparisons section reduces each scale to the two headline ratios.
 
 import (
 	"context"
@@ -33,9 +32,8 @@ const (
 
 // GroundPoint is one timed cell of the grounding matrix.
 type GroundPoint struct {
-	Scale   float64 `json:"scale"`
-	Backend string  `json:"backend"`
-	Engine  string  `json:"engine"`
+	Scale  float64 `json:"scale"`
+	Engine string  `json:"engine"`
 	// Facts is the database size; Queries the number of UCQs grounded over
 	// it; Answers the total output tuples across them.
 	Facts   int `json:"facts"`
@@ -51,11 +49,10 @@ type GroundPoint struct {
 	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
-// GroundComparison reduces one (scale, backend) pair to the streaming
-// engine's headline ratios against the materialized baseline.
+// GroundComparison reduces one scale to the streaming engine's headline
+// ratios against the materialized baseline.
 type GroundComparison struct {
-	Scale   float64 `json:"scale"`
-	Backend string  `json:"backend"`
+	Scale float64 `json:"scale"`
 	// SpeedupX is materialized time / streaming time (> 1 = streaming
 	// faster); AllocReduction is the fraction of the materialized
 	// engine's allocations the streaming engine avoids (0.5 = half).
@@ -73,12 +70,12 @@ type GroundBench struct {
 }
 
 // RunGroundBench times the grounding matrix on TPC-H: for every scale it
-// generates the dataset once, migrates it onto each backend, and grounds
-// every TPC-H query with both engines. The two engines' answer sets are
+// generates the dataset once and grounds every TPC-H query with both
+// engines. The two engines' answer sets are
 // always cross-checked (tuples, order, and lineage variable sets must be
 // identical — the streaming rewrite's correctness bar); any divergence is
 // an error, not a skewed number.
-func RunGroundBench(ctx context.Context, scales []float64, backends []string) (*GroundBench, error) {
+func RunGroundBench(ctx context.Context, scales []float64) (*GroundBench, error) {
 	rep := &GroundBench{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		MaxProcs:    runtime.GOMAXPROCS(0),
@@ -86,41 +83,31 @@ func RunGroundBench(ctx context.Context, scales []float64, backends []string) (*
 	}
 	queries := tpch.Queries()
 	for _, scale := range scales {
-		base := tpch.Generate(tpch.DefaultConfig().Scaled(scale))
-		for _, backend := range backends {
-			if err := ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		d := tpch.Generate(tpch.DefaultConfig().Scaled(scale))
+		var sigs [2][]string
+		var pts [2]GroundPoint
+		for i, eng := range []string{EngineStreaming, EngineMaterialized} {
+			pt, sig, err := groundOnce(ctx, d, queries, scale, eng)
+			if err != nil {
 				return nil, err
 			}
-			d := base
-			if backend != db.BackendMemory {
-				md, err := base.Migrate(backend, "")
-				if err != nil {
-					return nil, err
-				}
-				d = md
-			}
-			var sigs [2][]string
-			var pts [2]GroundPoint
-			for i, eng := range []string{EngineStreaming, EngineMaterialized} {
-				pt, sig, err := groundOnce(ctx, d, queries, scale, backend, eng)
-				if err != nil {
-					return nil, err
-				}
-				pts[i], sigs[i] = *pt, sig
-			}
-			if err := sameAnswers(sigs[0], sigs[1]); err != nil {
-				return nil, fmt.Errorf("bench: scale %g backend %s: %w", scale, backend, err)
-			}
-			rep.Points = append(rep.Points, pts[0], pts[1])
-			cmp := GroundComparison{Scale: scale, Backend: backend}
-			if pts[0].Millis > 0 {
-				cmp.SpeedupX = pts[1].Millis / pts[0].Millis
-			}
-			if pts[1].AllocBytes > 0 {
-				cmp.AllocReduction = 1 - float64(pts[0].AllocBytes)/float64(pts[1].AllocBytes)
-			}
-			rep.Comparisons = append(rep.Comparisons, cmp)
+			pts[i], sigs[i] = *pt, sig
 		}
+		if err := sameAnswers(sigs[0], sigs[1]); err != nil {
+			return nil, fmt.Errorf("bench: scale %g: %w", scale, err)
+		}
+		rep.Points = append(rep.Points, pts[0], pts[1])
+		cmp := GroundComparison{Scale: scale}
+		if pts[0].Millis > 0 {
+			cmp.SpeedupX = pts[1].Millis / pts[0].Millis
+		}
+		if pts[1].AllocBytes > 0 {
+			cmp.AllocReduction = 1 - float64(pts[0].AllocBytes)/float64(pts[1].AllocBytes)
+		}
+		rep.Comparisons = append(rep.Comparisons, cmp)
 	}
 	return rep, nil
 }
@@ -129,7 +116,7 @@ func RunGroundBench(ctx context.Context, scales []float64, backends []string) (*
 // and the answer signature (tuple key plus sorted lineage variables, per
 // answer, per query) used to cross-check engines.
 func groundOnce(ctx context.Context, d *db.Database, queries []tpch.BenchQuery,
-	scale float64, backend, eng string) (*GroundPoint, []string, error) {
+	scale float64, eng string) (*GroundPoint, []string, error) {
 
 	eval := engine.Eval
 	if eng == EngineMaterialized {
@@ -149,7 +136,7 @@ func groundOnce(ctx context.Context, d *db.Database, queries []tpch.BenchQuery,
 		cb := circuit.NewBuilder()
 		as, err := eval(d, nq.Q, cb, engine.Options{Mode: engine.ModeEndogenous})
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: %s on %s/%s: %w", eng, backend, nq.Name, err)
+			return nil, nil, fmt.Errorf("bench: %s on %s: %w", eng, nq.Name, err)
 		}
 		answers += len(as)
 		for _, a := range as {
@@ -162,7 +149,6 @@ func groundOnce(ctx context.Context, d *db.Database, queries []tpch.BenchQuery,
 
 	pt := &GroundPoint{
 		Scale:      scale,
-		Backend:    backend,
 		Engine:     eng,
 		Facts:      d.NumFacts(),
 		Queries:    len(queries),

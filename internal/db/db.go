@@ -1,7 +1,7 @@
 // Package db defines the relational data model used throughout the
 // repository: typed values, tuples, schemas, facts with an
-// endogenous/exogenous annotation, and databases over a pluggable storage
-// engine (in-memory by default; see Store).
+// endogenous/exogenous annotation, and in-memory databases that can persist
+// to a directory through a write-ahead log (see Persist and Open).
 //
 // The model follows Section 2 of the paper: a database is a finite set of
 // facts R(a1,...,ak), partitioned into exogenous facts (taken for granted)
@@ -13,7 +13,6 @@ package db
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -234,241 +233,38 @@ func (f Fact) String() string {
 	return fmt.Sprintf("%s%s [#%d %s]", f.Relation, f.Tuple, f.ID, tag)
 }
 
-// Relation is a set of facts sharing a schema. Fact storage lives in the
-// database's Store; the Relation is the evaluation layer's handle to scan
-// it, probe its indexes, and watch its mutation epoch.
-type Relation struct {
-	Schema Schema
-	store  Store
-	// epoch counts the mutations (inserts and deletes) this relation has
-	// seen. Caches keyed on relation contents compare epochs instead of
-	// diffing fact sets.
-	epoch uint64
-}
-
-// Epoch returns the relation's mutation counter: it is bumped by every
-// Insert and Delete touching the relation and never decreases, so equal
-// epochs guarantee the relation's fact set has not changed.
-func (r *Relation) Epoch() uint64 { return r.epoch }
-
-// Len returns the relation's fact count.
-func (r *Relation) Len() int { return r.store.Len(r.Schema.Name) }
-
-// Facts materializes the relation's facts as a slice, in the backend's
-// native order (insertion order for the memory backend, key order for the
-// sorted backend). Hot paths should prefer Scan or Lookup; Facts exists for
-// tests, reports, and snapshot-style consumers.
-func (r *Relation) Facts() []*Fact {
-	out := make([]*Fact, 0, r.Len())
-	for f := range r.Scan() {
-		out = append(out, f)
-	}
-	return out
-}
-
-// Scan yields every fact of the relation in the backend's native order.
-func (r *Relation) Scan() iter.Seq[*Fact] { return r.store.Scan(r.Schema.Name) }
-
-// Lookup yields the facts whose tuple matches key at the given positions
-// (pos ascending, key the TupleKey encoding of the sought values). The
-// store serves it from a lazily built secondary index for the position
-// pattern, falling back to a filtered scan past the index budget.
-func (r *Relation) Lookup(pos []int, key Key) iter.Seq[*Fact] {
-	return r.store.Lookup(r.Schema.Name, pos, key)
-}
-
 // Database is a relational database — a set of relations whose facts carry
-// unique IDs and endogenous/exogenous annotations — over a pluggable
-// storage engine. The default backend keeps everything in memory exactly as
-// the package always has; NewOnBackend selects others (see Store).
+// unique IDs and endogenous/exogenous annotations. It lives in memory; a
+// database given a directory (Persist, Open) also logs every mutation
+// there before applying it.
 type Database struct {
 	id        uint64
-	store     Store
 	relations map[string]*Relation
 	order     []string // relation names in insertion order
 	facts     map[FactID]*Fact
 	nextID    FactID
 	epoch     uint64
+	// log is the write-ahead log of a persistent database (nil in memory).
+	log *walLog
 	// degraded is the sticky first storage failure. Once set, the database
-	// is read-only: the in-memory state is still consistent (failed
-	// mutations were rolled back by the store), but accepting more writes
-	// would let memory diverge from what a restart recovers.
+	// is read-only: the in-memory state is still consistent (a mutation the
+	// log refused was never applied), but accepting more writes would let
+	// memory diverge from what a restart recovers.
 	degraded error
 }
 
 // dbCounter mints process-unique database identities.
 var dbCounter atomic.Uint64
 
-// New returns an empty database on the in-memory backend.
-func New() *Database { return NewWithStore(NewMemStore()) }
-
-// NewWithStore returns an empty database over the given (empty) store.
-func NewWithStore(s Store) *Database {
+// New returns an empty in-memory database.
+func New() *Database {
 	return &Database{
 		id:        dbCounter.Add(1),
-		store:     s,
 		relations: make(map[string]*Relation),
 		facts:     make(map[FactID]*Fact),
 		nextID:    1,
 	}
 }
-
-// NewOnBackend returns an empty database on the named storage backend ("",
-// BackendMemory, or BackendSorted). dir makes the sorted backend persistent
-// (see OpenSortedStore); reopen a persisted directory with OpenSorted.
-func NewOnBackend(backend, dir string) (*Database, error) {
-	s, err := OpenStore(backend, dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithStore(s), nil
-}
-
-// OpenSorted reloads a database persisted by a sorted store; see
-// OpenSortedConfig. It keeps the historical one-result signature for
-// callers that don't care about recovery details.
-func OpenSorted(dir string) (*Database, error) {
-	d, _, err := OpenSortedConfig(SortedConfig{Dir: dir})
-	return d, err
-}
-
-// OpenSortedConfig reloads a database persisted by a sorted store: it
-// replays the snapshot (if any) and then the mutation log under cfg.Dir —
-// schema creations, inserts (original fact IDs and endogenous flags
-// preserved), deletes — and resumes appending to the same log, so the
-// reloaded database continues exactly where the writer left off.
-//
-// Recovery is crash-tolerant: a torn or corrupt log suffix (the signature
-// of a crash mid-append) is truncated and reported in RecoveryInfo rather
-// than failing the load, so the database reopens at the last
-// prefix-consistent state. Pre-WAL JSONL logs are detected, replayed, and
-// compacted into the current format.
-func OpenSortedConfig(cfg SortedConfig) (*Database, RecoveryInfo, error) {
-	var info RecoveryInfo
-	if cfg.Dir == "" {
-		return nil, info, fmt.Errorf("db: OpenSorted needs a directory")
-	}
-	if err := cfg.Sync.Validate(); err != nil {
-		return nil, info, err
-	}
-	snapRecs, logRecs, info, legacy, err := readStoreState(cfg.Dir)
-	if err != nil {
-		return nil, info, err
-	}
-	st := &sortedStore{
-		relations: make(map[string]*sortedRelation),
-		budget:    DefaultIndexBudget,
-		dir:       cfg.Dir,
-		sync:      cfg.Sync,
-		openFile:  cfg.openFunc(),
-	}
-	d := NewWithStore(st)
-	for i, rec := range snapRecs {
-		if err := d.applyLogRecord(rec, false); err != nil {
-			return nil, info, fmt.Errorf("db: replaying %s record %d: %w", snapName, i, err)
-		}
-	}
-	// With a snapshot present the log is replayed idempotently: a crash
-	// between a compaction's atomic rename and its log truncation leaves a
-	// stale log whose records are already in the snapshot, and skipping
-	// the duplicates is exactly the right recovery.
-	lenient := len(snapRecs) > 0
-	for i, rec := range logRecs {
-		if err := d.applyLogRecord(rec, lenient); err != nil {
-			return nil, info, fmt.Errorf("db: replaying %s record %d: %w", logName, i, err)
-		}
-	}
-	if err := st.openLog(0); err != nil {
-		return nil, info, err
-	}
-	st.logging = true
-	st.walRecords = len(logRecs)
-	if legacy {
-		// Rewrite the pre-WAL JSONL log as snapshot + empty framed log so
-		// subsequent appends don't mix formats in one file.
-		if err := d.Compact(); err != nil {
-			d.Close()
-			return nil, info, fmt.Errorf("db: migrating legacy log: %w", err)
-		}
-	}
-	return d, info, nil
-}
-
-// applyLogRecord replays one snapshot or WAL record. In lenient mode,
-// records whose effect is already present (relation exists, fact ID live,
-// fact already gone) are skipped: replaying a stale log over a snapshot
-// that subsumes it must be idempotent.
-func (d *Database) applyLogRecord(rec logRecord, lenient bool) error {
-	switch rec.Op {
-	case "M":
-		if rec.ID > d.nextID {
-			d.nextID = rec.ID
-		}
-		return nil
-	case "R":
-		if _, ok := d.relations[rec.Rel]; ok {
-			if lenient {
-				return nil
-			}
-			return fmt.Errorf("db: relation %q created twice", rec.Rel)
-		}
-		d.CreateRelation(rec.Rel, rec.Cols...)
-		return d.Err()
-	case "I":
-		if d.facts[rec.ID] != nil {
-			if lenient {
-				return nil
-			}
-			return fmt.Errorf("db: fact ID %d inserted twice", rec.ID)
-		}
-		f := &Fact{ID: rec.ID, Relation: rec.Rel, Tuple: rec.tuple(), Endogenous: rec.Endo}
-		return d.restoreFact(f)
-	case "D":
-		if d.facts[rec.ID] == nil {
-			if lenient {
-				return nil
-			}
-			return fmt.Errorf("db: %w with ID %d", ErrNoFact, rec.ID)
-		}
-		return d.Delete(rec.ID)
-	default:
-		return fmt.Errorf("db: unknown op %q", rec.Op)
-	}
-}
-
-// restoreFact inserts a fully formed fact (ID already assigned) during log
-// replay, keeping nextID ahead of every restored ID.
-func (d *Database) restoreFact(f *Fact) error {
-	rel, ok := d.relations[f.Relation]
-	if !ok {
-		return fmt.Errorf("db: %w %q", ErrUnknownRelation, f.Relation)
-	}
-	if len(f.Tuple) != rel.Schema.Arity() {
-		return fmt.Errorf("db: relation %q has arity %d, got %d values: %w",
-			f.Relation, rel.Schema.Arity(), len(f.Tuple), ErrArity)
-	}
-	if err := d.store.Insert(f); err != nil {
-		return err
-	}
-	d.facts[f.ID] = f
-	if f.ID >= d.nextID {
-		d.nextID = f.ID + 1
-	}
-	rel.epoch++
-	d.epoch++
-	return nil
-}
-
-// Backend returns the name of the storage backend the database runs on.
-func (d *Database) Backend() string { return d.store.Backend() }
-
-// SetIndexBudget bounds the number of lazily built secondary indexes the
-// store keeps per relation (0 restores the default, negative = unbounded).
-func (d *Database) SetIndexBudget(n int) { d.store.SetIndexBudget(n) }
-
-// Close releases the storage backend's resources (flushes and closes the
-// mutation log of a persistent sorted store; a no-op for memory).
-func (d *Database) Close() error { return d.store.Close() }
 
 // Err returns the sticky storage failure that put the database in
 // read-only (degraded) mode, or nil while it is healthy. Degraded
@@ -489,97 +285,6 @@ func (d *Database) degrade(err error) {
 	}
 }
 
-// Sync forces any buffered WAL records to stable storage regardless of
-// the store's sync policy (no-op for non-persistent backends).
-func (d *Database) Sync() error {
-	type syncer interface{ Sync() error }
-	if s, ok := d.store.(syncer); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
-// SetSyncPolicy changes a persistent sorted store's WAL durability policy
-// in place; it is a validated no-op for other backends.
-func (d *Database) SetSyncPolicy(p SyncPolicy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if st, ok := d.store.(*sortedStore); ok {
-		st.sync = p
-		if st.wal != nil {
-			st.wal.policy = p
-		}
-	}
-	return nil
-}
-
-// Compaction heuristics: a persistent sorted store compacts when its log
-// holds at least compactMinRecords records AND more than compactFactor
-// times the live data (facts + schemas). The first bound keeps small
-// datasets from snapshotting constantly; the second bounds reopen replay
-// to O(live facts) no matter how much churn the log has absorbed.
-const (
-	compactMinRecords = 1024
-	compactFactor     = 4
-)
-
-// Compact snapshots the database's live state (schemas in creation order,
-// facts in ID order, next-ID watermark) into snapshot.log via an atomic
-// tmp-fsync-rename, then truncates the mutation log. A no-op for
-// non-persistent backends. On a failure that leaves the store unable to
-// append, the database degrades (data on disk stays consistent).
-func (d *Database) Compact() error {
-	st, ok := d.store.(*sortedStore)
-	if !ok || !st.logging || d.degraded != nil {
-		return nil
-	}
-	if err := st.snapshot(d.snapshotRecords()); err != nil {
-		if st.wal == nil {
-			d.degrade(err)
-		}
-		return err
-	}
-	return nil
-}
-
-// maybeCompact runs Compact when the log has outgrown the live data. A
-// compaction failure is not surfaced through the (already successful)
-// mutation that triggered it: either the store kept its log and will
-// retry later, or it lost the log and the database just degraded — the
-// next mutation reports that.
-func (d *Database) maybeCompact() {
-	st, ok := d.store.(*sortedStore)
-	if !ok || !st.logging {
-		return
-	}
-	live := len(d.facts) + len(d.order) + 1
-	if st.walRecords >= compactMinRecords && st.walRecords > compactFactor*live {
-		_ = d.Compact()
-	}
-}
-
-// snapshotRecords materializes the database as snapshot records: the
-// next-ID watermark (IDs are never reused, even across snapshots), every
-// schema in creation order, every live fact in ID order.
-func (d *Database) snapshotRecords() []logRecord {
-	recs := make([]logRecord, 0, 1+len(d.order)+len(d.facts))
-	recs = append(recs, logRecord{Op: "M", ID: d.nextID})
-	for _, name := range d.order {
-		rel := d.relations[name]
-		recs = append(recs, logRecord{Op: "R", Rel: name, Cols: rel.Schema.Columns})
-	}
-	facts := make([]*Fact, 0, len(d.facts))
-	for _, f := range d.facts {
-		facts = append(facts, f)
-	}
-	sort.Slice(facts, func(i, j int) bool { return facts[i].ID < facts[j].ID })
-	for _, f := range facts {
-		recs = append(recs, insertRecord(f))
-	}
-	return recs
-}
-
 // ID returns a process-unique identity for the database. Fact IDs are only
 // unique within one database, so anything keying global state by fact ID —
 // the compile cache's fact-set invalidation, for one — scopes it by this
@@ -588,10 +293,10 @@ func (d *Database) ID() uint64 { return d.id }
 
 // CreateRelation registers a new relation with the given schema. It panics
 // if the relation already exists: schema setup errors are programming
-// errors, not runtime conditions. A storage failure (persistent store
+// errors, not runtime conditions. A storage failure (a persistent database
 // unable to log the schema) does not register the relation and degrades
-// the database; check Err when creating relations against persistent
-// stores at runtime.
+// the database; check Err when creating relations on a persistent
+// database at runtime.
 func (d *Database) CreateRelation(name string, columns ...string) {
 	if _, ok := d.relations[name]; ok {
 		panic(fmt.Sprintf("db: relation %q already exists", name))
@@ -599,12 +304,13 @@ func (d *Database) CreateRelation(name string, columns ...string) {
 	if d.degraded != nil {
 		return
 	}
-	schema := Schema{Name: name, Columns: columns}
-	if err := d.store.CreateRelation(schema); err != nil {
-		d.degrade(err)
-		return
+	if d.log != nil {
+		if err := d.log.append(logRecord{Op: "R", Rel: name, Cols: columns}); err != nil {
+			d.degrade(err)
+			return
+		}
 	}
-	d.relations[name] = &Relation{Schema: schema, store: d.store}
+	d.relations[name] = &Relation{Schema: Schema{Name: name, Columns: columns}}
 	d.order = append(d.order, name)
 }
 
@@ -639,13 +345,16 @@ func (d *Database) Insert(relation string, endogenous bool, values ...Value) (*F
 		Endogenous: endogenous,
 	}
 	d.nextID++
-	if err := d.store.Insert(f); err != nil {
-		// The store rolled the mutation back; nextID stays monotone (a
-		// burned ID is cheaper than risking aliasing) and the database
-		// goes read-only so memory can't outrun the durable log.
-		d.degrade(err)
-		return nil, d.Err()
+	if d.log != nil {
+		if err := d.log.append(insertRecord(f)); err != nil {
+			// Nothing was applied; nextID stays monotone (a burned ID is
+			// cheaper than risking aliasing) and the database goes
+			// read-only so memory can't outrun the durable log.
+			d.degrade(err)
+			return nil, d.Err()
+		}
 	}
+	rel.insert(f)
 	d.facts[f.ID] = f
 	rel.epoch++
 	d.epoch++
@@ -664,11 +373,14 @@ func (d *Database) Delete(id FactID) error {
 	if !ok {
 		return fmt.Errorf("db: %w with ID %d", ErrNoFact, id)
 	}
-	rel := d.relations[f.Relation]
-	if err := d.store.Delete(f); err != nil {
-		d.degrade(err)
-		return d.Err()
+	if d.log != nil {
+		if err := d.log.append(logRecord{Op: "D", ID: id}); err != nil {
+			d.degrade(err)
+			return d.Err()
+		}
 	}
+	rel := d.relations[f.Relation]
+	rel.delete(f)
 	delete(d.facts, id)
 	rel.epoch++
 	d.epoch++
@@ -741,61 +453,23 @@ func (d *Database) NumEndogenous() int {
 // which keep returns true. Fact IDs are preserved, so provenance variables
 // remain comparable across restrictions. This is the sub-database operation
 // q(Dx ∪ E) at the heart of the Shapley definition. Restrictions always
-// live on the in-memory backend regardless of the source's store: they are
-// short-lived evaluation views sharing the source's fact pointers.
+// live in memory, even of a persistent database: they are short-lived
+// evaluation views sharing the source's fact pointers.
 func (d *Database) Restrict(keep func(*Fact) bool) *Database {
 	out := New()
 	out.nextID = d.nextID
 	for _, name := range d.order {
 		rel := d.relations[name]
 		out.CreateRelation(name, rel.Schema.Columns...)
-		for f := range rel.Scan() {
+		sub := out.relations[name]
+		for _, f := range rel.facts {
 			if keep(f) {
-				if err := out.store.Insert(f); err != nil {
-					panic(fmt.Sprintf("db: restrict insert: %v", err)) // memory backend with known relations
-				}
+				sub.insert(f)
 				out.facts[f.ID] = f
 			}
 		}
 	}
 	return out
-}
-
-// Migrate copies the database onto the named storage backend: same schemas
-// in creation order, same facts with their IDs and endogenous flags
-// preserved (so provenance variables stay comparable), same next-ID
-// watermark. Facts are deep-copied — the two databases share nothing — and
-// inserted in ID order, which for the memory backend reproduces insertion
-// order. dir makes a sorted target persistent. The source is unchanged.
-func (d *Database) Migrate(backend, dir string) (*Database, error) {
-	out, err := NewOnBackend(backend, dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range d.order {
-		out.CreateRelation(name, d.relations[name].Schema.Columns...)
-	}
-	if err := out.Err(); err != nil {
-		out.Close()
-		return nil, err
-	}
-	facts := make([]*Fact, 0, len(d.facts))
-	for _, f := range d.facts {
-		facts = append(facts, f)
-	}
-	sort.Slice(facts, func(i, j int) bool { return facts[i].ID < facts[j].ID })
-	for _, f := range facts {
-		cp := &Fact{ID: f.ID, Relation: f.Relation, Endogenous: f.Endogenous,
-			Tuple: append(Tuple(nil), f.Tuple...)}
-		if err := out.restoreFact(cp); err != nil {
-			out.Close()
-			return nil, err
-		}
-	}
-	if out.nextID < d.nextID {
-		out.nextID = d.nextID
-	}
-	return out, nil
 }
 
 // WithEndogenousSubset returns the sub-database Dx ∪ E where E is the given

@@ -7,12 +7,11 @@ import (
 
 // Key is a typed composite lookup key: a kind-tagged, sort-preserving binary
 // encoding of one or more values, stored as an immutable string so it can
-// index Go maps and B-tree nodes directly. Two Keys are byte-equal exactly
-// when the encoded value sequences are equal under Value.Key identity
-// (ints, floats, and strings are distinct kind classes, matching the
-// equality the join index has always used), and byte order agrees with
-// Value ordering within each kind class — which is what lets the sorted
-// backend serve equality lookups as prefix range scans.
+// index Go maps directly. Two Keys are byte-equal exactly when the encoded
+// value sequences are equal under Value.Key identity (ints, floats, and
+// strings are distinct kind classes, matching the equality the join index
+// has always used), and byte order agrees with Value ordering within each
+// kind class.
 //
 // Keys replace the fmt.Sprintf-flavored string concatenation
 // (Value.Key/Tuple.Key) on the join hot path: encoding appends raw bytes
@@ -88,24 +87,4 @@ func AppendTupleKey(buf []byte, t Tuple, pos []int) []byte {
 // as a Key.
 func TupleKey(t Tuple, pos []int) Key {
 	return Key(AppendTupleKey(nil, t, pos))
-}
-
-// AppendFactID appends the fact ID as a big-endian suffix; the sorted
-// backend uses it to keep duplicate-tuple entries distinct while preserving
-// key order.
-func AppendFactID(buf []byte, id FactID) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(id)^(1<<63))
-	return append(buf, b[:]...)
-}
-
-// posSig is a canonical map key for a set of tuple positions (the
-// bound-position signature of a secondary index). Positions are single
-// bytes: relation arity never approaches 256.
-func posSig(pos []int) string {
-	b := make([]byte, len(pos))
-	for i, p := range pos {
-		b[i] = byte(p)
-	}
-	return string(b)
 }

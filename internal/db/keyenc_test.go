@@ -2,13 +2,11 @@ package db
 
 import (
 	"math"
-	"sort"
 	"testing"
 )
 
 // TestValueKeyOrderPreserving checks that byte order of encodings matches
-// value order within each kind class — the invariant the sorted backend's
-// range scans rely on.
+// value order within each kind class.
 func TestValueKeyOrderPreserving(t *testing.T) {
 	ints := []int64{math.MinInt64, -1 << 40, -7, -1, 0, 1, 42, 1 << 40, math.MaxInt64}
 	for i := 1; i < len(ints); i++ {
@@ -68,70 +66,5 @@ func TestTupleKeyEqualitySemantics(t *testing.T) {
 	tu := Tuple{Int(1), String("mid"), Int(3)}
 	if TupleKey(tu, []int{0, 2}) != TupleKey(Tuple{Int(1), Int(3)}, nil) {
 		t.Error("position-subset key mismatch")
-	}
-}
-
-func TestBTreeInsertDeleteAscend(t *testing.T) {
-	var bt btree
-	n := 10000
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	// Deterministic shuffle.
-	for i := n - 1; i > 0; i-- {
-		j := (i*2654435761 + 12345) % (i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	for _, v := range perm {
-		key := string(AppendValueKey(nil, Int(int64(v))))
-		bt.insert(key, &Fact{ID: FactID(v)})
-	}
-	if bt.len() != n {
-		t.Fatalf("len = %d, want %d", bt.len(), n)
-	}
-	// Delete every third element, in shuffled order.
-	deleted := make(map[int]bool)
-	for _, v := range perm {
-		if v%3 == 0 {
-			key := string(AppendValueKey(nil, Int(int64(v))))
-			if !bt.delete(key) {
-				t.Fatalf("delete(%d) reported missing", v)
-			}
-			deleted[v] = true
-		}
-	}
-	var got []int
-	bt.ascend("", func(it btreeItem) bool {
-		got = append(got, int(it.fact.ID))
-		return true
-	})
-	if !sort.IntsAreSorted(got) {
-		t.Error("ascend order is not sorted")
-	}
-	want := 0
-	for v := 0; v < n; v++ {
-		if !deleted[v] {
-			if got[want] != v {
-				t.Fatalf("ascend[%d] = %d, want %d", want, got[want], v)
-			}
-			want++
-		}
-	}
-	if want != len(got) {
-		t.Fatalf("ascend yielded %d items, want %d", len(got), want)
-	}
-	// Bounded ascend.
-	from := string(AppendValueKey(nil, Int(9000)))
-	count := 0
-	bt.ascend(from, func(it btreeItem) bool {
-		if int(it.fact.ID) < 9000 {
-			t.Fatalf("ascend(from 9000) yielded %d", it.fact.ID)
-		}
-		count++
-		return true
-	})
-	if count == 0 {
-		t.Error("bounded ascend yielded nothing")
 	}
 }

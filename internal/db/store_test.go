@@ -1,8 +1,15 @@
 package db
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,20 +37,28 @@ func ids(fs []*Fact) []int {
 	return out
 }
 
-func backendsUnderTest(t *testing.T) map[string]*Database {
+// persisted returns an empty database persisting to a fresh directory.
+func persisted(t *testing.T) *Database {
 	t.Helper()
-	mem := New()
-	srt, err := NewOnBackend(BackendSorted, "")
-	if err != nil {
-		t.Fatalf("NewOnBackend(sorted): %v", err)
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: filepath.Join(t.TempDir(), "ds")}); err != nil {
+		t.Fatalf("Persist: %v", err)
 	}
-	return map[string]*Database{BackendMemory: mem, BackendSorted: srt}
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
-// TestStoreScanAndLookupAgree drives Scan and Lookup on both backends and
-// checks they see the same fact sets as the materialized Facts slice.
+// databasesUnderTest returns an in-memory and a persistent database: the
+// fact store must behave the same whether or not it logs its mutations.
+func databasesUnderTest(t *testing.T) map[string]*Database {
+	t.Helper()
+	return map[string]*Database{"memory": New(), "persistent": persisted(t)}
+}
+
+// TestStoreScanAndLookupAgree drives Scan and Lookup and checks they see
+// the same fact sets as the materialized Facts slice.
 func TestStoreScanAndLookupAgree(t *testing.T) {
-	for name, d := range backendsUnderTest(t) {
+	for name, d := range databasesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
 			populate(t, d)
 			rel := d.Relation("R")
@@ -82,8 +97,8 @@ func TestStoreScanAndLookupAgree(t *testing.T) {
 			if got != want {
 				t.Errorf("composite lookup = %d facts, want %d", got, want)
 			}
-			// Lookup on an unknown relation and empty relation must yield
-			// nothing, not panic.
+			// Scan and lookup of an empty relation must yield nothing, not
+			// panic.
 			d.CreateRelation("Empty", "x")
 			for range d.Relation("Empty").Scan() {
 				t.Fatal("scan of empty relation yielded a fact")
@@ -98,7 +113,7 @@ func TestStoreScanAndLookupAgree(t *testing.T) {
 // TestStoreDeleteMaintainsIndexes deletes facts after indexes were built and
 // checks lookups never serve dead facts.
 func TestStoreDeleteMaintainsIndexes(t *testing.T) {
-	for name, d := range backendsUnderTest(t) {
+	for name, d := range databasesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
 			facts := populate(t, d)
 			rel := d.Relation("R")
@@ -122,68 +137,122 @@ func TestStoreDeleteMaintainsIndexes(t *testing.T) {
 	}
 }
 
+// wide fills relation W(a, b, c, d) — arity 4, so 15 non-empty position
+// patterns, more than DefaultIndexBudget — and returns its patterns.
+func wide(d *Database) [][]int {
+	d.CreateRelation("W", "a", "b", "c", "d")
+	for i := 0; i < 40; i++ {
+		d.MustInsert("W", i%3 == 0, Int(int64(i%2)), Int(int64(i%3)), String(string(rune('a'+i%4))), Int(int64(i%5)))
+	}
+	var pats [][]int
+	for mask := 1; mask < 16; mask++ {
+		var pos []int
+		for p := 0; p < 4; p++ {
+			if mask&(1<<p) != 0 {
+				pos = append(pos, p)
+			}
+		}
+		pats = append(pats, pos)
+	}
+	return pats
+}
+
+// filtered is the reference answer to a lookup: the IDs of rel's facts
+// matching key at pos, found by scanning.
+func filtered(rel *Relation, pos []int, key Key) []FactID {
+	var out []FactID
+	for f := range rel.Scan() {
+		if TupleKey(f.Tuple, pos) == key {
+			out = append(out, f.ID)
+		}
+	}
+	return out
+}
+
+func lookupIDs(rel *Relation, pos []int, key Key) []FactID {
+	var out []FactID
+	for f := range rel.Lookup(pos, key) {
+		out = append(out, f.ID)
+	}
+	return out
+}
+
 // TestIndexBudgetFallback exhausts the per-relation index budget and checks
 // lookups still return correct results via filtered scans.
 func TestIndexBudgetFallback(t *testing.T) {
-	for name, d := range backendsUnderTest(t) {
+	for name, d := range databasesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
-			populate(t, d)
-			d.SetIndexBudget(1)
-			rel := d.Relation("R")
-			for range rel.Lookup([]int{0}, TupleKey(Tuple{Int(1)}, nil)) {
-			}
-			// Second pattern exceeds the budget; must still be correct.
-			got := 0
-			for f := range rel.Lookup([]int{1}, TupleKey(Tuple{String("c")}, nil)) {
-				if f.Tuple[1].AsString() != "c" {
-					t.Fatalf("budget-fallback lookup yielded %v", f)
-				}
-				got++
-			}
-			want := 0
-			for f := range rel.Scan() {
-				if f.Tuple[1].AsString() == "c" {
-					want++
+			pats := wide(d)
+			rel := d.Relation("W")
+			f := rel.Facts()[7]
+			for i, pos := range pats {
+				key := TupleKey(f.Tuple, pos)
+				if got, want := lookupIDs(rel, pos, key), filtered(rel, pos, key); !slices.Equal(got, want) {
+					t.Fatalf("lookup %d on %v = %v, want %v", i, pos, got, want)
 				}
 			}
-			if got != want {
-				t.Errorf("fallback lookup = %d, want %d", got, want)
-			}
-			if ms, ok := d.store.(*memStore); ok && ms.indexCount("R") != 1 {
-				t.Errorf("index count = %d, want 1 (budget)", ms.indexCount("R"))
+			if n := len(rel.loadIndexes()); n != DefaultIndexBudget {
+				t.Errorf("index count = %d, want %d (budget)", n, DefaultIndexBudget)
 			}
 		})
 	}
 }
 
-// TestSortedScanIsKeyOrdered checks the sorted backend's native scan order.
-func TestSortedScanIsKeyOrdered(t *testing.T) {
-	d, err := NewOnBackend(BackendSorted, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.CreateRelation("R", "a")
-	for _, v := range []int64{5, 1, 9, 3, 7} {
-		d.MustInsert("R", true, Int(v))
-	}
-	var got []int64
-	for f := range d.Relation("R").Scan() {
-		got = append(got, f.Tuple[0].AsInt())
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("sorted scan out of order: %v", got)
+// TestConcurrentLookupsBuildIndexesSafely runs many lookups on fresh
+// patterns at once, as concurrent groundings of one database do, past the
+// index budget, and checks every answer against a serial lookup on a
+// twin database (run under -race in CI).
+func TestConcurrentLookupsBuildIndexesSafely(t *testing.T) {
+	d, twin := New(), New()
+	pats := wide(d)
+	wide(twin)
+	rel, ref := d.Relation("W"), twin.Relation("W")
+	probes := rel.Facts()[:6]
+	want := make(map[string][]FactID)
+	for _, pos := range pats {
+		for _, f := range probes {
+			key := TupleKey(f.Tuple, pos)
+			want[posSig(pos)+string(key)] = lookupIDs(ref, pos, key)
 		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, len(pats))
+	for g := range pats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine walks the patterns from its own offset, so
+			// several race to build every index.
+			for i := range pats {
+				pos := pats[(g+i)%len(pats)]
+				for _, f := range probes {
+					key := TupleKey(f.Tuple, pos)
+					if got := lookupIDs(rel, pos, key); !slices.Equal(got, want[posSig(pos)+string(key)]) {
+						errs <- fmt.Sprintf("lookup on %v = %v, want %v", pos, got, want[posSig(pos)+string(key)])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := len(rel.loadIndexes()); n != DefaultIndexBudget {
+		t.Errorf("index count = %d, want %d (budget)", n, DefaultIndexBudget)
 	}
 }
 
-// TestSortedPersistenceRoundTrip writes through a persistent sorted store,
-// reopens the directory, and checks facts, IDs, endogenous flags, deletes,
-// and continued appends all survive.
-func TestSortedPersistenceRoundTrip(t *testing.T) {
+// TestPersistenceRoundTrip writes through a persistent database, reopens
+// the directory, and checks facts, IDs, endogenous flags, deletes, and
+// continued appends all survive.
+func TestPersistenceRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
-	d, err := NewOnBackend(BackendSorted, dir)
-	if err != nil {
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	facts := populate(t, d)
@@ -195,9 +264,9 @@ func TestSortedPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	re, err := OpenSorted(dir)
+	re, _, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("OpenSorted: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if re.NumFacts() != d.NumFacts() {
 		t.Fatalf("reloaded NumFacts = %d, want %d", re.NumFacts(), d.NumFacts())
@@ -225,7 +294,7 @@ func TestSortedPersistenceRoundTrip(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenSorted(dir)
+	re2, _, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,40 +304,187 @@ func TestSortedPersistenceRoundTrip(t *testing.T) {
 	re2.Close()
 }
 
-// TestOpenStoreErrors covers the backend registry's failure modes.
-func TestOpenStoreErrors(t *testing.T) {
-	if _, err := OpenStore("lsm", ""); err == nil {
-		t.Error("unknown backend accepted")
+// TestPersistInPlace makes a populated in-memory database persistent: the
+// snapshot it writes must reload to the same facts, IDs, flags and next
+// ID, and later mutations must reach the log.
+func TestPersistInPlace(t *testing.T) {
+	d := New()
+	facts := populate(t, d)
+	for _, f := range facts[len(facts)-3:] {
+		if err := d.Delete(f.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := OpenStore(BackendMemory, t.TempDir()); err == nil {
-		t.Error("memory backend accepted a directory")
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	d, err := NewOnBackend(BackendSorted, dir)
+	late := d.MustInsert("S", true, String("late"), Int(7))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, info, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if want := 1 + 2 + len(facts) - 3; info.SnapshotRecords != want || info.LogRecords != 1 {
+		t.Errorf("recovery = %+v, want %d snapshot records and 1 log record", info, want)
+	}
+	if got, want := dump(re), dump(d); got != want {
+		t.Errorf("reloaded state differs:\n%s\nwant:\n%s", got, want)
+	}
+	if re.Fact(late.ID) == nil {
+		t.Error("insert after Persist was not logged")
+	}
+}
+
+// TestPersistRefusesPersistedDir: Persist never overwrites a directory
+// that already holds a persisted database, and a database persists to at
+// most one directory.
+func TestPersistRefusesPersistedDir(t *testing.T) {
+	dir := t.TempDir()
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	d.CreateRelation("R", "a")
 	d.MustInsert("R", true, Int(1))
+	if err := d.Persist(PersistConfig{Dir: t.TempDir()}); err == nil {
+		t.Error("a persistent database accepted a second directory")
+	}
 	d.Close()
-	if _, err := OpenStore(BackendSorted, dir); err == nil {
-		t.Error("OpenStore clobbered a non-empty persisted directory; want refusal pointing at OpenSorted")
+	other := New()
+	other.CreateRelation("R", "a")
+	if err := other.Persist(PersistConfig{Dir: dir}); err == nil {
+		t.Error("Persist clobbered a non-empty persisted directory; want refusal pointing at Open")
+	}
+	if err := New().Persist(PersistConfig{}); err == nil {
+		t.Error("Persist accepted an empty directory name")
 	}
 }
 
-// TestRestrictStaysInMemory: restrictions of a sorted database are
-// evaluation views on the memory backend.
+// TestRestrictStaysInMemory: a restriction of a persistent database is an
+// in-memory evaluation view; nothing done to it reaches the directory.
 func TestRestrictStaysInMemory(t *testing.T) {
-	d, err := NewOnBackend(BackendSorted, "")
+	dir := filepath.Join(t.TempDir(), "ds")
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir, Sync: SyncPolicy{Mode: SyncAlways}}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	populate(t, d)
+	before := dirSizes(t, dir)
+	sub := d.Restrict(func(f *Fact) bool { return f.Endogenous })
+	if sub.NumFacts() != d.NumEndogenous() {
+		t.Errorf("restriction has %d facts, want %d", sub.NumFacts(), d.NumEndogenous())
+	}
+	sub.MustInsert("R", true, Int(7), String("view"))
+	if err := sub.Delete(sub.EndogenousFacts()[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirSizes(t, dir); after != before {
+		t.Errorf("restriction wrote to the directory: %s, was %s", after, before)
+	}
+}
+
+func dirSizes(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, d)
-	sub := d.Restrict(func(f *Fact) bool { return f.Endogenous })
-	if sub.Backend() != BackendMemory {
-		t.Errorf("restriction backend = %q, want %q", sub.Backend(), BackendMemory)
+	var parts []string
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, fmt.Sprintf("%s=%d", e.Name(), info.Size()))
 	}
-	if sub.NumFacts() != d.NumEndogenous() {
-		t.Errorf("restriction has %d facts, want %d", sub.NumFacts(), d.NumEndogenous())
+	return strings.Join(parts, " ")
+}
+
+// dump renders a database's recoverable state — relations in creation
+// order, facts in ID order with their flags and typed values, the next ID —
+// one line each.
+func dump(d *Database) string {
+	var b strings.Builder
+	var all []*Fact
+	for _, name := range d.RelationNames() {
+		rel := d.Relation(name)
+		fmt.Fprintf(&b, "relation %s %s\n", name, strings.Join(rel.Schema.Columns, " "))
+		all = append(all, rel.Facts()...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	for _, f := range all {
+		vals := make([]string, len(f.Tuple))
+		for i, v := range f.Tuple {
+			switch v.Kind() {
+			case KindInt:
+				vals[i] = "int:" + strconv.FormatInt(v.AsInt(), 10)
+			case KindFloat:
+				vals[i] = "float:" + strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+			default:
+				vals[i] = "string:" + strconv.Quote(v.AsString())
+			}
+		}
+		fmt.Fprintf(&b, "fact %d %s %v %s\n", f.ID, f.Relation, f.Endogenous, strings.Join(vals, " "))
+	}
+	fmt.Fprintf(&b, "next %d\n", d.nextID)
+	return b.String()
+}
+
+// TestSortedStoreFixture reloads a directory written by the B-tree store
+// this package used to persist with: a snapshot, then a log of inserts and
+// deletes ending in a torn frame. testdata/sorted_store.golden holds the
+// state that store itself recovered from the same files.
+func TestSortedStoreFixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{logName, snapName} {
+		data, err := os.ReadFile(filepath.Join("testdata", "sorted_store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "sorted_store.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, info, err := Open(PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer d.Close()
+	got := fmt.Sprintf("recovery snapshot=%d log=%d dropped=%d truncated=%v\n%s",
+		info.SnapshotRecords, info.LogRecords, info.DroppedBytes, info.Truncated, dump(d))
+	if got != string(golden) {
+		t.Errorf("reloaded fixture:\n%s\nwant:\n%s", got, golden)
+	}
+}
+
+// TestMutationOnUnknownRelation: inserts into a never-created relation,
+// through the API or through log replay, fail with ErrUnknownRelation
+// instead of panicking, and log nothing.
+func TestMutationOnUnknownRelation(t *testing.T) {
+	for name, d := range databasesUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := d.Insert("ghost", true, Int(1)); !errors.Is(err, ErrUnknownRelation) {
+				t.Errorf("Insert(ghost) = %v, want ErrUnknownRelation", err)
+			}
+			rec := logRecord{Op: "I", Rel: "ghost", ID: 1, Vals: []logValue{{K: uint8(KindInt), I: 1}}}
+			if err := d.applyLogRecord(rec, false); !errors.Is(err, ErrUnknownRelation) {
+				t.Errorf("replayed insert into ghost = %v, want ErrUnknownRelation", err)
+			}
+			if d.log != nil && d.log.records != 0 {
+				t.Errorf("failed mutations logged %d records", d.log.records)
+			}
+			if err := d.Err(); err != nil {
+				t.Errorf("client error degraded the database: %v", err)
+			}
+		})
 	}
 }

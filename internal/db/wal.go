@@ -1,6 +1,6 @@
 package db
 
-// Write-ahead-log framing for the sorted store's persistent mutation log.
+// Write-ahead-log framing for a persistent database's mutation log.
 //
 // Each record travels in a frame: a fixed 8-byte header — payload length
 // and CRC32C (Castagnoli) of the payload, both little-endian uint32 —
@@ -42,8 +42,8 @@ const walHeaderSize = 8
 const maxFramePayload = 1 << 26 // 64 MiB
 
 // WALFile is the subset of *os.File the WAL writer needs. It is an
-// interface so tests can interpose scriptable failures between the store
-// and the disk (see internal/faultfs).
+// interface so tests can interpose scriptable failures between the
+// database and the disk (see internal/faultfs).
 type WALFile interface {
 	io.Writer
 	io.Closer
@@ -51,9 +51,9 @@ type WALFile interface {
 	Sync() error
 }
 
-// OpenFileFunc opens a WAL or snapshot file for writing. The sorted store
-// uses os.OpenFile unless a SortedConfig injects another implementation
-// (fault injection in tests).
+// OpenFileFunc opens a WAL or snapshot file for writing. A persistent
+// database uses os.OpenFile unless its PersistConfig injects another
+// implementation (fault injection in tests).
 type OpenFileFunc func(path string, flag int, perm os.FileMode) (WALFile, error)
 
 // osOpenFile is the default OpenFileFunc.
@@ -84,7 +84,7 @@ const (
 // name one.
 const DefaultSyncEvery = 1024
 
-// SyncPolicy says when the sorted store's WAL is made durable. The zero
+// SyncPolicy says when a persistent database's WAL is made durable. The zero
 // value is SyncEveryN with the default cadence — the pre-WAL behavior
 // (flush every ~1k mutations), hardened with an fsync.
 type SyncPolicy struct {
@@ -101,7 +101,7 @@ func (p SyncPolicy) every() int {
 	return p.N
 }
 
-// Validate rejects policies no store accepts.
+// Validate rejects policies no database accepts.
 func (p SyncPolicy) Validate() error {
 	switch p.Mode {
 	case SyncEveryN, SyncAlways, SyncOnClose:
@@ -264,7 +264,7 @@ func (w *walWriter) Close() error {
 	return err
 }
 
-// RecoveryInfo reports what OpenSorted restored from a persisted
+// RecoveryInfo reports what Open restored from a persisted
 // directory and what, if anything, it had to drop.
 type RecoveryInfo struct {
 	// SnapshotRecords is the number of records loaded from the snapshot

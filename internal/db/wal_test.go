@@ -48,11 +48,11 @@ func TestParseSyncPolicy(t *testing.T) {
 
 // buildWALDir persists a relation R with n facts and returns the
 // directory (store cleanly closed).
-func buildWALDir(t *testing.T, n int) string {
+func buildWALDir(t testing.TB, n int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ds")
-	d, err := NewOnBackend(BackendSorted, dir)
-	if err != nil {
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	d.CreateRelation("R", "a", "b")
@@ -65,95 +65,98 @@ func buildWALDir(t *testing.T, n int) string {
 	return dir
 }
 
-// TestWALCorruptionRecovery feeds OpenSorted logs with every corruption
+// The corruption cases start from a log of 5 records: 1 relation + 4
+// inserts.
+const relRecords, factRecords = 1, 4
+
+// walCorruption is one way a crash or a bad disk damages a log.
+type walCorruption struct {
+	name string
+	// corrupt edits the raw log given its frame boundaries.
+	corrupt func(data []byte, frames []walFrame) []byte
+	// wantRecords is the number of log records recovery must keep.
+	wantRecords int
+	wantFacts   int
+	// wantDropped, if >= 0, is the exact torn-suffix length.
+	wantDropped   int64
+	wantTruncated bool
+}
+
+var walCorruptions = []walCorruption{
+	{
+		name:        "clean",
+		corrupt:     func(data []byte, _ []walFrame) []byte { return data },
+		wantRecords: relRecords + factRecords,
+		wantFacts:   4,
+		wantDropped: 0,
+	},
+	{
+		name: "bit flip in payload",
+		corrupt: func(data []byte, frames []walFrame) []byte {
+			// Flip one payload byte of the 4th frame: its CRC fails, so
+			// recovery keeps exactly the first 3 records.
+			data[frames[3].end-2] ^= 0x40
+			return data
+		},
+		wantRecords:   3,
+		wantFacts:     2,
+		wantDropped:   -1, // frame 4 + frame 5
+		wantTruncated: true,
+	},
+	{
+		name: "truncated length prefix",
+		corrupt: func(data []byte, frames []walFrame) []byte {
+			// Crash mid-header: 3 bytes of the final frame's length field.
+			return data[:frames[3].end+3]
+		},
+		wantRecords:   4,
+		wantFacts:     3,
+		wantDropped:   3,
+		wantTruncated: true,
+	},
+	{
+		name: "bad checksum",
+		corrupt: func(data []byte, frames []walFrame) []byte {
+			// Stomp the final frame's CRC field (bytes 4..8 of its header).
+			for i := frames[3].end + 4; i < frames[3].end+8; i++ {
+				data[i] = 0xFF
+			}
+			return data
+		},
+		wantRecords:   4,
+		wantFacts:     3,
+		wantDropped:   -1,
+		wantTruncated: true,
+	},
+	{
+		name: "empty trailing frame",
+		corrupt: func(data []byte, _ []walFrame) []byte {
+			// A zero-length frame header is never written; treat as torn.
+			return append(data, make([]byte, walHeaderSize)...)
+		},
+		wantRecords:   relRecords + factRecords,
+		wantFacts:     4,
+		wantDropped:   walHeaderSize,
+		wantTruncated: true,
+	},
+	{
+		name: "torn mid-payload",
+		corrupt: func(data []byte, frames []walFrame) []byte {
+			return data[:frames[4].end-5]
+		},
+		wantRecords:   4,
+		wantFacts:     3,
+		wantDropped:   -1,
+		wantTruncated: true,
+	},
+}
+
+// TestWALCorruptionRecovery feeds Open logs with every corruption
 // shape a crash or bad disk produces and asserts the exact number of
 // records that survive, the dropped byte counts, and that the truncated
 // file reopens cleanly afterwards.
 func TestWALCorruptionRecovery(t *testing.T) {
-	// 5 records: 1 relation + 4 inserts.
-	const relRecords, factRecords = 1, 4
-
-	type tc struct {
-		name string
-		// corrupt edits the raw log given its frame boundaries.
-		corrupt func(data []byte, frames []walFrame) []byte
-		// wantRecords is the number of log records recovery must keep.
-		wantRecords int
-		wantFacts   int
-		// wantDropped, if >= 0, is the exact torn-suffix length.
-		wantDropped   int64
-		wantTruncated bool
-	}
-	cases := []tc{
-		{
-			name:        "clean",
-			corrupt:     func(data []byte, _ []walFrame) []byte { return data },
-			wantRecords: relRecords + factRecords,
-			wantFacts:   4,
-			wantDropped: 0,
-		},
-		{
-			name: "bit flip in payload",
-			corrupt: func(data []byte, frames []walFrame) []byte {
-				// Flip one payload byte of the 4th frame: its CRC fails, so
-				// recovery keeps exactly the first 3 records.
-				data[frames[3].end-2] ^= 0x40
-				return data
-			},
-			wantRecords:   3,
-			wantFacts:     2,
-			wantDropped:   -1, // frame 4 + frame 5
-			wantTruncated: true,
-		},
-		{
-			name: "truncated length prefix",
-			corrupt: func(data []byte, frames []walFrame) []byte {
-				// Crash mid-header: 3 bytes of the final frame's length field.
-				return data[:frames[3].end+3]
-			},
-			wantRecords:   4,
-			wantFacts:     3,
-			wantDropped:   3,
-			wantTruncated: true,
-		},
-		{
-			name: "bad checksum",
-			corrupt: func(data []byte, frames []walFrame) []byte {
-				// Stomp the final frame's CRC field (bytes 4..8 of its header).
-				for i := frames[3].end + 4; i < frames[3].end+8; i++ {
-					data[i] = 0xFF
-				}
-				return data
-			},
-			wantRecords:   4,
-			wantFacts:     3,
-			wantDropped:   -1,
-			wantTruncated: true,
-		},
-		{
-			name: "empty trailing frame",
-			corrupt: func(data []byte, _ []walFrame) []byte {
-				// A zero-length frame header is never written; treat as torn.
-				return append(data, make([]byte, walHeaderSize)...)
-			},
-			wantRecords:   relRecords + factRecords,
-			wantFacts:     4,
-			wantDropped:   walHeaderSize,
-			wantTruncated: true,
-		},
-		{
-			name: "torn mid-payload",
-			corrupt: func(data []byte, frames []walFrame) []byte {
-				return data[:frames[4].end-5]
-			},
-			wantRecords:   4,
-			wantFacts:     3,
-			wantDropped:   -1,
-			wantTruncated: true,
-		},
-	}
-
-	for _, c := range cases {
+	for _, c := range walCorruptions {
 		t.Run(c.name, func(t *testing.T) {
 			dir := buildWALDir(t, factRecords)
 			logPath := filepath.Join(dir, logName)
@@ -169,9 +172,9 @@ func TestWALCorruptionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d, info, err := OpenSortedConfig(SortedConfig{Dir: dir})
+			d, info, err := Open(PersistConfig{Dir: dir})
 			if err != nil {
-				t.Fatalf("OpenSortedConfig: %v", err)
+				t.Fatalf("Open: %v", err)
 			}
 			if info.LogRecords != c.wantRecords {
 				t.Errorf("LogRecords = %d, want %d", info.LogRecords, c.wantRecords)
@@ -196,7 +199,7 @@ func TestWALCorruptionRecovery(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			d2, info2, err := OpenSortedConfig(SortedConfig{Dir: dir})
+			d2, info2, err := Open(PersistConfig{Dir: dir})
 			if err != nil {
 				t.Fatalf("second open: %v", err)
 			}
@@ -216,11 +219,10 @@ func TestWALCorruptionRecovery(t *testing.T) {
 // flush, the file alone must hold every frame.
 func TestSyncAlwaysIsImmediatelyDurable(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
-	st, err := OpenSortedStoreConfig(SortedConfig{Dir: dir, Sync: SyncPolicy{Mode: SyncAlways}})
-	if err != nil {
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir, Sync: SyncPolicy{Mode: SyncAlways}}); err != nil {
 		t.Fatal(err)
 	}
-	d := NewWithStore(st)
 	d.CreateRelation("R", "a")
 	for i := 0; i < 5; i++ {
 		d.MustInsert("R", true, Int(int64(i)))
@@ -233,7 +235,7 @@ func TestSyncAlwaysIsImmediatelyDurable(t *testing.T) {
 	if got := len(scanFrames(data)); got != 6 {
 		t.Fatalf("on-disk frames = %d, want 6 (1 relation + 5 inserts)", got)
 	}
-	re, err := OpenSorted(dir)
+	re, _, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +250,8 @@ func TestSyncAlwaysIsImmediatelyDurable(t *testing.T) {
 // reopening replays O(live facts) records, not O(total mutations).
 func TestCompactionBoundsReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
-	d, err := NewOnBackend(BackendSorted, dir)
-	if err != nil {
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	d.CreateRelation("R", "a")
@@ -270,7 +272,7 @@ func TestCompactionBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, info, err := OpenSortedConfig(SortedConfig{Dir: dir})
+	re, info, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +308,7 @@ func TestCompactionBoundsReplay(t *testing.T) {
 // and replay must skip them instead of failing.
 func TestStaleLogAfterSnapshotReplaysIdempotently(t *testing.T) {
 	dir := buildWALDir(t, 3)
-	d, _, err := OpenSortedConfig(SortedConfig{Dir: dir})
+	d, _, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestStaleLogAfterSnapshotReplaysIdempotently(t *testing.T) {
 	}
 	f.Close()
 
-	re, info, err := OpenSortedConfig(SortedConfig{Dir: dir})
+	re, info, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen over stale log: %v", err)
 	}
@@ -380,7 +382,7 @@ func TestLegacyLogMigration(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, logName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, info, err := OpenSortedConfig(SortedConfig{Dir: dir})
+	d, info, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("legacy open: %v", err)
 	}
@@ -401,7 +403,7 @@ func TestLegacyLogMigration(t *testing.T) {
 	if data, err := os.ReadFile(filepath.Join(dir, logName)); err != nil || legacyLog(data) {
 		t.Fatalf("log still legacy after migration (err=%v)", err)
 	}
-	re, info2, err := OpenSortedConfig(SortedConfig{Dir: dir})
+	re, info2, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,11 +430,10 @@ func TestDegradedAfterWriteFailure(t *testing.T) {
 		failing.f = f
 		return failing, nil
 	}
-	st, err := OpenSortedStoreConfig(SortedConfig{Dir: dir, Sync: SyncPolicy{Mode: SyncAlways}, OpenFile: open})
-	if err != nil {
+	d := New()
+	if err := d.Persist(PersistConfig{Dir: dir, Sync: SyncPolicy{Mode: SyncAlways}, OpenFile: open}); err != nil {
 		t.Fatal(err)
 	}
-	d := NewWithStore(st)
 	d.CreateRelation("R", "a")
 	ok := d.MustInsert("R", true, Int(1))
 	failing.fail = true
@@ -461,7 +462,7 @@ func TestDegradedAfterWriteFailure(t *testing.T) {
 	}
 	// Recovery on restart sees only the acknowledged insert.
 	failing.fail = false
-	re, err := OpenSorted(dir)
+	re, _, err := Open(PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,20 +491,3 @@ func (w *flakyFile) Sync() error {
 	return w.f.Sync()
 }
 func (w *flakyFile) Close() error { return w.f.Close() }
-
-// TestMutationOnUnknownRelation: both backends must reject mutations on
-// never-created relations with ErrUnknownRelation instead of panicking
-// (the historical sorted-store nil deref).
-func TestMutationOnUnknownRelation(t *testing.T) {
-	for name, d := range backendsUnderTest(t) {
-		t.Run(name, func(t *testing.T) {
-			f := &Fact{ID: 1, Relation: "ghost", Tuple: Tuple{Int(1)}}
-			if err := d.store.Insert(f); !errors.Is(err, ErrUnknownRelation) {
-				t.Errorf("store.Insert(ghost) = %v, want ErrUnknownRelation", err)
-			}
-			if err := d.store.Delete(f); !errors.Is(err, ErrUnknownRelation) {
-				t.Errorf("store.Delete(ghost) = %v, want ErrUnknownRelation", err)
-			}
-		})
-	}
-}

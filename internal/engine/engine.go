@@ -1,5 +1,5 @@
 // Package engine evaluates SPJU queries (unions of conjunctive queries with
-// filters) over pluggable-storage databases while tracking Boolean
+// filters) over databases (see internal/db) while tracking Boolean
 // provenance: every output tuple is returned together with its lineage
 // circuit in the sense of Imielinski and Lipski. This substitutes for the
 // PostgreSQL + ProvSQL stack of the paper's implementation; downstream

@@ -10,12 +10,19 @@ import (
 	"repro/internal/query"
 )
 
-// newBackendDB returns an empty database on the named backend.
-func newBackendDB(t *testing.T, backend string) *db.Database {
+// databaseKinds names the two ways a database runs: in memory, or
+// persistent with every mutation logged to a directory first.
+var databaseKinds = []string{"memory", "persistent"}
+
+// newTestDB returns an empty database of the named kind.
+func newTestDB(t *testing.T, kind string) *db.Database {
 	t.Helper()
-	d, err := db.NewOnBackend(backend, "")
-	if err != nil {
-		t.Fatal(err)
+	d := db.New()
+	if kind == "persistent" {
+		if err := d.Persist(db.PersistConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
 	}
 	return d
 }
@@ -44,7 +51,7 @@ func derivSig(derivs []Derivation) map[string]int {
 // correctness bar: on randomized databases and a query zoo covering joins,
 // self-joins, constants, repeated variables, and filters, the streaming
 // engine must produce answer-for-answer identical results to the
-// materialized reference — on both storage backends — and deriveCQ must
+// materialized reference — in memory and persistent — and deriveCQ must
 // produce the identical derivation multiset.
 func TestStreamingMatchesMaterializedRandom(t *testing.T) {
 	queryZoo := []string{
@@ -59,11 +66,11 @@ func TestStreamingMatchesMaterializedRandom(t *testing.T) {
 		`q(x) :- R(1, x)`,
 		"q(x) :- R(x, y), T(x)\nq(x) :- S(x, y), T(y)",
 	}
-	for _, backend := range db.Backends() {
-		t.Run(backend, func(t *testing.T) {
+	for _, kind := range databaseKinds {
+		t.Run(kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 6; trial++ {
-				d := newBackendDB(t, backend)
+				d := newTestDB(t, kind)
 				d.CreateRelation("R", "a", "b")
 				d.CreateRelation("S", "a", "b")
 				d.CreateRelation("T", "a")
@@ -134,9 +141,9 @@ func TestStreamingMatchesMaterializedRandom(t *testing.T) {
 // self-join query to a fresh fact and checks the streaming delta join
 // produces the materialized engine's derivation multiset.
 func TestStreamingDeltaMatchesMaterialized(t *testing.T) {
-	for _, backend := range db.Backends() {
-		t.Run(backend, func(t *testing.T) {
-			d := newBackendDB(t, backend)
+	for _, kind := range databaseKinds {
+		t.Run(kind, func(t *testing.T) {
+			d := newTestDB(t, kind)
 			d.CreateRelation("R", "a", "b")
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 15; i++ {

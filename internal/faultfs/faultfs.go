@@ -1,5 +1,5 @@
-// Package faultfs injects scripted storage failures underneath the sorted
-// store's write-ahead log. An Injector opens real files in a real
+// Package faultfs injects scripted storage failures underneath a
+// persistent database's write-ahead log. An Injector opens real files in a real
 // directory but stops persisting bytes at a chosen crash offset: writes
 // before the offset reach the disk, the write crossing it lands partially
 // (a torn tail) or not at all, and everything afterwards fails. Abandoning
@@ -81,8 +81,8 @@ func (in *Injector) Tripped() bool {
 }
 
 // Open opens path like os.OpenFile and wraps it with the injector's
-// script. The signature matches the sorted store's OpenFileFunc injection
-// point up to the concrete return type.
+// script. The signature matches the OpenFileFunc injection point of
+// db.PersistConfig up to the concrete return type.
 func (in *Injector) Open(path string, flag int, perm os.FileMode) (*File, error) {
 	f, err := os.OpenFile(path, flag, perm)
 	if err != nil {

@@ -163,14 +163,13 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	metrics.WriteHeader(w, "repro_dataset_facts", "gauge", "Facts per served dataset, labeled with its storage backend.")
+	metrics.WriteHeader(w, "repro_dataset_facts", "gauge", "Facts per served dataset.")
 	for _, name := range names {
-		d, lock := s.cfg.Datasets[name], s.locks[name]
+		lock := s.locks[name]
 		lock.RLock()
-		n, backend := d.NumFacts(), d.Backend()
+		n := s.cfg.Datasets[name].NumFacts()
 		lock.RUnlock()
-		metrics.WriteSample(w, "repro_dataset_facts",
-			[]metrics.Label{{Name: "dataset", Value: name}, {Name: "backend", Value: backend}}, float64(n))
+		metrics.WriteSample(w, "repro_dataset_facts", []metrics.Label{{Name: "dataset", Value: name}}, float64(n))
 	}
 	metrics.WriteHeader(w, "repro_dataset_degraded", "gauge", "1 when the dataset's store is degraded to read-only.")
 	for _, name := range names {

@@ -172,7 +172,7 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		"repro_pool_coalesced_batches_total",
 		"repro_compile_cache_capacity",
 		"repro_portfolio_losers_cancelled_total",
-		`repro_dataset_facts{dataset="flights",backend="memory"}`,
+		`repro_dataset_facts{dataset="flights"}`,
 	} {
 		if err := promlint.Require(samples, require); err != nil {
 			t.Errorf("%v", err)

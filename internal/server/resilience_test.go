@@ -149,7 +149,8 @@ func TestServerRequestTimeout(t *testing.T) {
 // flags the dataset degraded.
 func TestServerDegradedDataset(t *testing.T) {
 	inj := faultfs.New()
-	st, err := db.OpenSortedStoreConfig(db.SortedConfig{
+	d := db.New()
+	err := d.Persist(db.PersistConfig{
 		Dir:  t.TempDir(),
 		Sync: db.SyncPolicy{Mode: db.SyncAlways},
 		OpenFile: func(path string, flag int, perm os.FileMode) (db.WALFile, error) {
@@ -159,7 +160,6 @@ func TestServerDegradedDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := db.NewWithStore(st)
 	d.CreateRelation("Flights", "src", "dst")
 	d.MustInsert("Flights", true, repro.String("JFK"), repro.String("CDG"))
 	d.MustInsert("Flights", false, repro.String("CDG"), repro.String("NRT"))
@@ -221,7 +221,7 @@ func TestServerDegradedDataset(t *testing.T) {
 	if n := metric(t, samples, `repro_dataset_degraded{dataset="faulty"}`); n != 1 {
 		t.Errorf("repro_dataset_degraded = %v, want 1", n)
 	}
-	if n := metric(t, samples, `repro_dataset_facts{dataset="faulty",backend="sorted"}`); n != 2 {
+	if n := metric(t, samples, `repro_dataset_facts{dataset="faulty"}`); n != 2 {
 		t.Errorf("repro_dataset_facts = %v, want the 2 durable facts", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/flights"
+	"repro/internal/tpch"
 	"repro/internal/wire"
 )
 
@@ -64,7 +65,13 @@ func postJSON(t *testing.T, url string, body, into any) (int, string) {
 // and big.Rat-identical exact values.
 func assertServedMatchesCold(t *testing.T, resp wire.ExplainResponse, mirror *repro.Database, label string) {
 	t.Helper()
-	cold, err := repro.Explain(context.Background(), mirror, flights.Query(), repro.Options{})
+	assertServedMatchesColdQuery(t, resp, mirror, flights.Query(), label)
+}
+
+// assertServedMatchesColdQuery is assertServedMatchesCold for query q.
+func assertServedMatchesColdQuery(t *testing.T, resp wire.ExplainResponse, mirror *repro.Database, q *repro.Query, label string) {
+	t.Helper()
+	cold, err := repro.Explain(context.Background(), mirror, q, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,5 +477,57 @@ func TestServerConfigValidation(t *testing.T) {
 		Options:  repro.Options{Workers: -1},
 	}); err == nil {
 		t.Error("New with invalid options succeeded")
+	}
+}
+
+// TestConcurrentPooledExplainsOfOneDataset sends pooled explains of the
+// nine TPC-H queries at once to one dataset, in bursts over fresh
+// datasets. Each request opens its own session, so the groundings of one
+// dataset build its relation indexes concurrently under its read lock (run
+// under -race in CI). Every answer must equal a cold explain on a mirror.
+func TestConcurrentPooledExplainsOfOneDataset(t *testing.T) {
+	cfg := tpch.DefaultConfig().Scaled(0.3)
+	mirror := tpch.Generate(cfg)
+	for round := 0; round < 4; round++ {
+		url, _, _ := newTestServer(t, Config{
+			Datasets: map[string]*repro.Database{"tpch": tpch.Generate(cfg)},
+			PoolSize: 16,
+		})
+		queries := tpch.Queries()
+		resps := make([]wire.ExplainResponse, len(queries))
+		errs := make([]error, len(queries))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, bq := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blob, _ := json.Marshal(wire.ExplainRequest{Dataset: "tpch", Query: bq.Q.String()})
+				<-start
+				resp, err := http.Post(url+"/v1/explain", "application/json", bytes.NewReader(blob))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					raw, _ := io.ReadAll(resp.Body)
+					errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+					return
+				}
+				errs[i] = json.NewDecoder(resp.Body).Decode(&resps[i])
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, bq := range queries {
+			if errs[i] != nil {
+				t.Fatalf("round %d %s: %v", round, bq.Name, errs[i])
+			}
+			if !resps[i].Pooled {
+				t.Errorf("round %d %s: not served by a pooled session", round, bq.Name)
+			}
+			assertServedMatchesColdQuery(t, resps[i], mirror, bq.Q, bq.Name)
+		}
 	}
 }

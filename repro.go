@@ -86,8 +86,11 @@ var (
 	ErrDegraded = db.ErrDegraded
 )
 
-// Durability knobs for persistent sorted databases, re-exported.
+// Durability knobs for persistent databases, re-exported.
 type (
+	// PersistConfig says where and how Database.Persist persists a
+	// database: its directory and WAL sync policy.
+	PersistConfig = db.PersistConfig
 	// SyncPolicy says when the write-ahead log is fsynced relative to
 	// mutation acknowledgements (see db.SyncPolicy for the contract).
 	SyncPolicy = db.SyncPolicy
@@ -110,43 +113,25 @@ const (
 // ParseSyncPolicy parses "always", "onclose", "every", or "every=N".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return db.ParseSyncPolicy(s) }
 
-// Storage backend names for Options.Storage and NewDatabaseOn.
-const (
-	// BackendMemory is the default in-memory backend: facts in insertion
-	// order, lazily built hash indexes per join pattern.
-	BackendMemory = db.BackendMemory
-	// BackendSorted keeps each relation in a B-tree ordered by a
-	// sort-preserving tuple encoding, with optional persistence to a
-	// directory (see NewDatabaseOn and OpenDatabase).
-	BackendSorted = db.BackendSorted
-)
-
-// Backends returns the available storage backend names.
-func Backends() []string { return db.Backends() }
-
-// NewDatabase returns an empty database.
+// NewDatabase returns an empty in-memory database. Database.Persist makes
+// it persistent in place: from then on every schema change and mutation
+// is logged under a directory, and OpenDatabase reloads it.
 func NewDatabase() *Database { return db.New() }
 
-// NewDatabaseOn returns an empty database on the named storage backend
-// ("" or BackendMemory for the default, BackendSorted for ordered
-// storage). A non-empty dir makes a sorted database persistent: every
-// schema change and mutation is logged under dir, and OpenDatabase
-// reloads it.
-func NewDatabaseOn(backend, dir string) (*Database, error) {
-	return db.NewOnBackend(backend, dir)
+// OpenDatabase reloads a database persisted by Database.Persist: facts
+// keep their IDs and endogenous flags, and the database resumes logging to
+// the same directory. Close it to flush the log.
+func OpenDatabase(dir string) (*Database, error) {
+	d, _, err := db.Open(db.PersistConfig{Dir: dir})
+	return d, err
 }
-
-// OpenDatabase reloads a database persisted by NewDatabaseOn(BackendSorted,
-// dir): facts keep their IDs and endogenous flags, and the database resumes
-// logging to the same directory. Close it to flush the log.
-func OpenDatabase(dir string) (*Database, error) { return db.OpenSorted(dir) }
 
 // OpenDatabaseInfo is OpenDatabase with the recovery report: how many
 // snapshot and log records were replayed, and whether a torn log tail was
 // truncated (how many bytes a crash cost). sync sets the reopened
 // database's WAL sync policy (zero value = the default EveryN).
 func OpenDatabaseInfo(dir string, sync SyncPolicy) (*Database, RecoveryInfo, error) {
-	return db.OpenSortedConfig(db.SortedConfig{Dir: dir, Sync: sync})
+	return db.Open(db.PersistConfig{Dir: dir, Sync: sync})
 }
 
 // DatabasePersisted reports whether dir holds a dataset persisted by a
@@ -274,20 +259,6 @@ type Options struct {
 	// runs the literal per-fact algorithm. Both produce identical exact
 	// values.
 	Strategy ShapleyStrategy
-	// Storage names the storage backend for databases built from these
-	// options ("" or BackendMemory for in-memory, BackendSorted for ordered
-	// storage). Sessions evaluate over whatever backend their database
-	// already uses; Storage is validated here so services and CLIs that
-	// construct databases from an Options value (internal/server, shapleyd)
-	// reject a typoed backend name at the API boundary.
-	Storage string
-	// IndexBudget bounds the lazily built secondary join indexes each
-	// relation keeps, one per (relation, bound-positions) lookup pattern.
-	// Zero keeps the backend's default; lookups past the budget fall back
-	// to filtered scans (correct, just slower). Negative values are
-	// invalid — use a large budget rather than "unbounded" to keep
-	// adversarial query mixes from holding an index per pattern.
-	IndexBudget int
 	// Budget is the anytime tier's per-request compute budget: when Enabled,
 	// an explanation whose exact attempt exceeds Budget.MaxNodes or
 	// Budget.Deadline degrades to Monte Carlo estimates with 95% confidence
@@ -316,11 +287,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("repro: Options.CompileWorkers = %d is invalid; use 0 to inherit the per-tuple share, -1 for GOMAXPROCS, or a positive count", o.CompileWorkers)
 	case o.CacheSize < -1:
 		return fmt.Errorf("repro: Options.CacheSize = %d is invalid; use 0 for the default capacity, -1 to disable caching, or a positive capacity", o.CacheSize)
-	case o.IndexBudget < 0:
-		return fmt.Errorf("repro: Options.IndexBudget is negative (%d); use 0 for the backend default or a positive per-relation cap", o.IndexBudget)
-	}
-	if !db.KnownBackend(o.Storage) {
-		return fmt.Errorf("repro: Options.Storage = %q is not a known backend (known: %v)", o.Storage, db.Backends())
 	}
 	switch o.Strategy {
 	case StrategyAuto, StrategyPerFact, StrategyGradient:

@@ -171,9 +171,6 @@ func (s *Session) pipeline(workers, compileWorkers int) core.PipelineOptions {
 // exclusively, as Open does). The grounding is recorded on ctx's trace when
 // one is collecting (the engine opens the "ground" span).
 func (s *Session) ground(ctx context.Context) error {
-	if s.opts.IndexBudget > 0 {
-		s.d.SetIndexBudget(s.opts.IndexBudget)
-	}
 	s.cb = circuit.NewBuilder()
 	inc, err := engine.NewIncremental(ctx, s.d, s.q, s.cb, engine.Options{Mode: engine.ModeEndogenous})
 	if err != nil {

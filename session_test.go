@@ -63,9 +63,9 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 	}
 	sessionOpts := []Options{
 		{Workers: 1, CacheSize: -1},
-		{Workers: 4, CacheSize: 32, IndexBudget: 2},
+		{Workers: 4, CacheSize: 32},
 		{Workers: 2, CacheSize: 32, Strategy: StrategyPerFact},
-		{CacheSize: 32, Strategy: StrategyGradient, Storage: BackendSorted},
+		{CacheSize: 32, Strategy: StrategyGradient},
 	}
 	for qi, text := range queries {
 		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {
@@ -75,15 +75,15 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 4; trial++ {
-				// Alternate storage backends across trials: the update
-				// interleaving property must hold identically when the
-				// session's database lives on the sorted store.
+				// The last options entry runs over a persistent database:
+				// the update interleaving property must hold identically
+				// when every mutation is logged before it is applied.
 				d := NewDatabase()
-				if trial%2 == 1 {
-					var err error
-					if d, err = NewDatabaseOn(BackendSorted, ""); err != nil {
+				if trial == len(sessionOpts)-1 {
+					if err := d.Persist(PersistConfig{Dir: t.TempDir()}); err != nil {
 						t.Fatal(err)
 					}
+					defer d.Close()
 				}
 				d.CreateRelation("R", "a", "b")
 				d.CreateRelation("S", "a", "b")
@@ -316,8 +316,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Options{CompileWorkers: -2}, "CompileWorkers"},
 		{Options{CacheSize: -2}, "CacheSize"},
 		{Options{Strategy: ShapleyStrategy(99)}, "Strategy"},
-		{Options{Storage: "lsm"}, "Storage"},
-		{Options{IndexBudget: -1}, "IndexBudget"},
 	}
 	for _, tc := range cases {
 		if _, err := Explain(context.Background(), d, q, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -330,8 +328,6 @@ func TestOptionsValidation(t *testing.T) {
 	// The documented sentinels stay valid.
 	for _, opts := range []Options{
 		{CompileWorkers: -1, CacheSize: -1},
-		{Storage: BackendSorted, IndexBudget: 4},
-		{Storage: BackendMemory},
 		{},
 	} {
 		if err := opts.Validate(); err != nil {
