@@ -19,10 +19,8 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/servebench"
 	"repro/internal/updatebench"
 )
 
@@ -40,7 +38,6 @@ func main() {
 		benchJS = flag.String("benchjson", "", "write a BENCH_shapley.json perf report (per-tuple timings, per-fact vs gradient head-to-head, worker scaling) to this path")
 		compJS  = flag.String("compilejson", "", "write a BENCH_compile.json perf report (serial vs parallel compile head-to-head, canonical vs byte-identical cache hit rates) to this path")
 		updJS   = flag.String("updatejson", "", "write a BENCH_update.json perf report (incremental session maintenance vs recompute-from-scratch across update batch sizes) to this path")
-		srvJS   = flag.String("servejson", "", "write a BENCH_serve.json perf report (HTTP serving: pooled vs open-per-request head-to-head, session-pool counters) to this path")
 	)
 	flag.Parse()
 
@@ -106,35 +103,6 @@ func main() {
 				r.Dataset, r.Name, st.IdenticalHits, st.RenamedHits, st.Misses, st.HitRate(), st.Evictions)
 		}
 		fmt.Println()
-	}
-
-	if *srvJS != "" {
-		section("Serve bench — session pool vs open-per-request over HTTP")
-		rep, err := servebench.Run(ctx, servebench.Options{
-			Repro: repro.Options{Timeout: *timeout, Workers: *workers, CompileWorkers: *cworker,
-				CacheSize: *cacheSz, NoCanonicalCache: *nocanon, Strategy: strategy},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		for _, h := range rep.HeadToHead {
-			fmt.Printf("serve head-to-head clients=%d: pooled p50 %.2fms vs open-per-request %.2fms (%.1fx), throughput %.0f vs %.0f req/s\n",
-				h.Clients, h.PooledP50Ms, h.UnpooledP50Ms, h.P50Speedup, h.PooledRPS, h.UnpooledRPS)
-		}
-		// Session-pool counters next to the compile cache's numbers, as
-		// servebench read them from the server's GET /metrics.
-		fmt.Printf("session pool: opens=%d reuses=%d evictions=%d update requests=%d batches=%d coalesced=%d\n",
-			rep.Pool.Opens, rep.Pool.Reuses, rep.Pool.Evictions,
-			rep.Pool.UpdateRequests, rep.Pool.UpdateBatches, rep.Pool.CoalescedBatches)
-		fmt.Printf("compile cache: %d hits (%d identical, %d renamed), %d misses, %d evictions, %d invalidations\n",
-			rep.Cache.Hits, rep.Cache.IdenticalHits, rep.Cache.RenamedHits,
-			rep.Cache.Misses, rep.Cache.Evictions, rep.Cache.Invalidations)
-		if err := servebench.Write(*srvJS, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n\n", *srvJS)
 	}
 
 	if *updJS != "" {
