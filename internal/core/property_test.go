@@ -158,34 +158,6 @@ func TestQuickSymmetryAxiom(t *testing.T) {
 	}
 }
 
-// TestQuickBanzhafShapleySignAgreement: on monotone lineages both measures
-// are non-negative and share the null players.
-func TestQuickBanzhafShapleySignAgreement(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cb := circuit.NewBuilder()
-		elin := randomMonotoneCircuit(rng, cb, 2+rng.Intn(4), 3)
-		endo := endoOf(elin)
-		res, err := ExplainCircuit(context.Background(), elin, endo, PipelineOptions{})
-		if err != nil {
-			return false
-		}
-		bz := BanzhafAll(res.DNNF, endo)
-		for _, f := range endo {
-			if (res.Values[f].Sign() == 0) != (bz[f].Sign() == 0) {
-				return false
-			}
-			if bz[f].Sign() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func endoOf(elin *circuit.Node) []db.FactID {
 	vars := circuit.Vars(elin)
 	endo := make([]db.FactID, len(vars))
