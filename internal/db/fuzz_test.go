@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,14 +94,15 @@ func checkRecovered(t *testing.T, d *Database) {
 }
 
 // sameState reports how two databases differ in relations, facts (by
-// ID, relation, flag and typed value equality) or next ID; "" if they
-// do not.
+// ID, relation, flag, and value kind and equality) or next ID; "" if they
+// do not. Values compare with Value.Equal rather than by rendering: a
+// snapshot writes a float -0 as 0, which Equal counts as the same value.
 func sameState(a, b *Database) string {
-	if fmt.Sprint(a.RelationNames()) != fmt.Sprint(b.RelationNames()) {
+	if !slices.Equal(a.RelationNames(), b.RelationNames()) {
 		return fmt.Sprintf("relations %v vs %v", a.RelationNames(), b.RelationNames())
 	}
 	for _, name := range a.RelationNames() {
-		if ca, cb := a.Relation(name).Schema.Columns, b.Relation(name).Schema.Columns; fmt.Sprint(ca) != fmt.Sprint(cb) {
+		if ca, cb := a.Relation(name).Schema.Columns, b.Relation(name).Schema.Columns; !slices.Equal(ca, cb) {
 			return fmt.Sprintf("relation %s columns %v vs %v", name, ca, cb)
 		}
 	}

@@ -328,7 +328,8 @@ func TestPersistInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if want := 1 + 2 + len(facts) - 3; info.SnapshotRecords != want || info.LogRecords != 1 {
+	// The snapshot holds the watermark, both schemas and the live facts.
+	if want := 1 + 2 + d.NumFacts() - 1; info.SnapshotRecords != want || info.LogRecords != 1 {
 		t.Errorf("recovery = %+v, want %d snapshot records and 1 log record", info, want)
 	}
 	if got, want := dump(re), dump(d); got != want {
