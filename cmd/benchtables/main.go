@@ -16,17 +16,20 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/updatebench"
 )
+
+// sections lists the artifacts -only selects from, in print order.
+var sections = []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8"}
 
 func main() {
 	var (
-		only    = flag.String("only", "", "comma-separated subset: table1,table2,fig4,fig5,fig6,fig7,fig8")
+		only    = flag.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 		scale   = flag.Float64("scale", 1.0, "workload scale factor")
 		timeout = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple")
 		maxTup  = flag.Int("maxtuples", 200, "max output tuples per query (0 = unbounded)")
@@ -35,9 +38,6 @@ func main() {
 		cacheSz = flag.Int("cache", 0, "compiled-circuit cache capacity per suite (0 = disabled)")
 		nocanon = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of canonically")
 		strat   = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
-		benchJS = flag.String("benchjson", "", "write a BENCH_shapley.json perf report (per-tuple timings, per-fact vs gradient head-to-head, worker scaling) to this path")
-		compJS  = flag.String("compilejson", "", "write a BENCH_compile.json perf report (serial vs parallel compile head-to-head, canonical vs byte-identical cache hit rates) to this path")
-		updJS   = flag.String("updatejson", "", "write a BENCH_update.json perf report (incremental session maintenance vs recompute-from-scratch across update batch sizes) to this path")
 	)
 	flag.Parse()
 
@@ -52,12 +52,17 @@ func main() {
 
 	want := map[string]bool{}
 	if *only == "" {
-		for _, k := range []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8"} {
+		for _, k := range sections {
 			want[k] = true
 		}
 	} else {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(sections, k) {
+				fmt.Fprintf(os.Stderr, "benchtables: unknown -only section %q (valid: %s)\n", k, strings.Join(sections, ","))
+				os.Exit(2)
+			}
+			want[k] = true
 		}
 	}
 
@@ -71,9 +76,6 @@ func main() {
 	opts.CacheSize = *cacheSz
 	opts.NoCanonicalCache = *nocanon
 	opts.Strategy = strategy
-	// The head-to-head report reruns both strategies on the heaviest
-	// reduced circuits, so only retain them when the report is requested.
-	opts.KeepDNNF = *benchJS != ""
 
 	fmt.Printf("== Corpus: TPC-H + IMDB (scale %.2f, timeout %v) ==\n", *scale, *timeout)
 	start := time.Now()
@@ -103,65 +105,6 @@ func main() {
 				r.Dataset, r.Name, st.IdenticalHits, st.RenamedHits, st.Misses, st.HitRate(), st.Evictions)
 		}
 		fmt.Println()
-	}
-
-	if *updJS != "" {
-		rep, err := updatebench.RunUpdateBench(ctx, opts, []int{1, 2, 4, 8}, nil, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		if err := updatebench.WriteUpdateBench(*updJS, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		for _, p := range rep.Points {
-			fmt.Printf("update %s/%s batch=%d (%d/%d tuples touched): incremental %.2fms, recompute %.2fms (%.1fx)\n",
-				p.Dataset, p.Query, p.BatchSize, p.ChangedTuples, p.Tuples,
-				p.IncrementalMillis, p.RecomputeMillis, p.Speedup)
-		}
-		fmt.Printf("wrote %s\n\n", *updJS)
-	}
-
-	if *benchJS != "" {
-		rep, err := bench.ShapleyBenchReport(ctx, corpus, strategy, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteShapleyBench(*benchJS, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		for _, h := range rep.HeadToHead {
-			fmt.Printf("shapley head-to-head %s/%s (n=%d, |C|=%d): per-fact %.2fms, gradient %.2fms (%.1fx)\n",
-				h.Dataset, h.Query, h.NumFacts, h.DNNFSize, h.PerFactMillis, h.GradientMillis, h.Speedup)
-		}
-		for _, p := range rep.WorkerScaling {
-			fmt.Printf("shapley worker scaling: workers=%d %.2fms (%.2fx)\n", p.Workers, p.Millis, p.Speedup)
-		}
-		fmt.Printf("wrote %s\n\n", *benchJS)
-	}
-
-	if *compJS != "" {
-		rep, err := bench.CompileBenchReport(ctx, corpus, []int{1, 2, 4}, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteCompileBench(*compJS, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		for _, inst := range rep.Instances {
-			fmt.Printf("compile head-to-head %s (%d clauses, %d components): serial %.2fms, best parallel %.2fx\n",
-				inst.Name, inst.NumClauses, inst.Components, inst.SerialMillis, inst.BestSpeedup)
-		}
-		for _, p := range rep.Canonical {
-			fmt.Printf("canonical cache %s: %d identical + %d renamed hits, %d misses (hit rate %.2f)\n",
-				p.Name, p.IdenticalHits, p.RenamedHits, p.Misses, p.HitRate)
-		}
-		fmt.Printf("wrote %s\n\n", *compJS)
 	}
 
 	if want["table1"] {
@@ -214,11 +157,4 @@ func main() {
 
 func section(title string) {
 	fmt.Println("== " + title + " ==")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

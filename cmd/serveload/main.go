@@ -1,16 +1,17 @@
 // Command serveload is the explanation service's load generator CLI: it
 // drives a shapleyd instance (or an in-process server when -url is empty)
 // over HTTP with a configurable explain:update mix at several concurrency
-// levels, prints the pooled vs open-per-request head-to-head, and writes
-// BENCH_serve.json. It exits non-zero on any non-2xx response or any served
-// value that is not big.Rat-identical to a cold repro.Explain, so CI can
-// use it as a serve-smoke gate.
+// levels, and prints each level's latency and throughput, the pooled vs
+// open-per-request head-to-head and the server's pool and cache counters.
+// It exits non-zero on any non-2xx response or any served value that is not
+// big.Rat-identical to a cold repro.Explain, so CI can use it as a
+// serve-smoke gate.
 //
 // Usage:
 //
 //	serveload                                   # in-process server
 //	serveload -url http://127.0.0.1:8080        # externally started shapleyd
-//	serveload -clients 1,4,16 -requests 8 -update-every 4 -json BENCH_serve.json
+//	serveload -clients 1,4,16 -requests 8 -update-every 4
 package main
 
 import (
@@ -34,7 +35,6 @@ func main() {
 		clients = flag.String("clients", "1,4,16", "comma-separated concurrency levels")
 		reqs    = flag.Int("requests", 8, "explain requests per client per phase")
 		updEv   = flag.Int("update-every", 4, "one update per this many explains in the mixed phase (-1 disables)")
-		jsonOut = flag.String("json", "", "write BENCH_serve.json to this path (\"-\" = stdout)")
 		pool    = flag.Int("pool", server.DefaultPoolSize, "in-process server's session pool capacity")
 		timeout = flag.Duration("timeout", 2500*time.Millisecond, "per-tuple exact budget for the in-process server and the cold reference")
 		budget  = flag.Float64("budget-ms", 0, "adds a budgeted phase: explains carrying this budget_ms, recording the exact/approximate mix and fallback latency")
@@ -102,14 +102,4 @@ func main() {
 	fmt.Printf("compile cache: %d hits (%d identical, %d renamed), %d misses, %d evictions, %d invalidations\n",
 		rep.Cache.Hits, rep.Cache.IdenticalHits, rep.Cache.RenamedHits,
 		rep.Cache.Misses, rep.Cache.Evictions, rep.Cache.Invalidations)
-
-	if *jsonOut != "" {
-		if err := servebench.Write(*jsonOut, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "serveload:", err)
-			os.Exit(1)
-		}
-		if *jsonOut != "-" {
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-	}
 }

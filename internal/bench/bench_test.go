@@ -2,13 +2,16 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math/big"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dnnf"
 	"repro/internal/imdb"
 	"repro/internal/tpch"
 )
@@ -173,61 +176,48 @@ func TestRunScaling(t *testing.T) {
 	}
 }
 
-func TestCompileBenchReport(t *testing.T) {
-	c := runSmallCorpus(t)
-	rep, err := CompileBenchReport(context.Background(), c, []int{1, 2}, 1)
+// goldenCachePath pins TestCanonicalCacheGolden's per-query compile-cache
+// counters.
+const goldenCachePath = "testdata/cache_golden.txt"
+
+// TestCanonicalCacheGolden pins how often canonical keying serves a
+// corpus tuple's compilation from another tuple's circuit: the identical
+// hits, renamed hits and misses of every query of the small corpus, with
+// a 256-entry cache per suite, must match testdata/cache_golden.txt
+// exactly. There is no timeout, so every tuple compiles and the counts do
+// not depend on the machine's speed.
+func TestCanonicalCacheGolden(t *testing.T) {
+	opts := smallOptions()
+	opts.CacheSize = 256
+	opts.Timeout = 0
+	c, err := RunCorpus(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Instances) < 2 {
-		t.Fatalf("instances = %d, want at least the synthetic pair", len(rep.Instances))
+	var got []string
+	var total dnnf.CacheStats
+	for _, r := range c.Runs {
+		st := r.CacheStats
+		got = append(got, fmt.Sprintf("%s/%s identical=%d renamed=%d misses=%d",
+			r.Dataset, r.Name, st.IdenticalHits, st.RenamedHits, st.Misses))
+		total.IdenticalHits += st.IdenticalHits
+		total.RenamedHits += st.RenamedHits
+		total.Misses += st.Misses
 	}
-	sawMultiComponent := false
-	for _, inst := range rep.Instances {
-		if inst.Components >= 4 {
-			sawMultiComponent = true
-		}
-		if inst.SerialMillis <= 0 {
-			t.Errorf("%s: non-positive serial time", inst.Name)
-		}
-		for _, p := range inst.Parallel {
-			if p.Workers <= 1 || p.Millis <= 0 {
-				t.Errorf("%s: malformed parallel timing %+v", inst.Name, p)
-			}
-		}
-	}
-	if !sawMultiComponent {
-		t.Error("no instance with ≥ 4 top-level components — the parallel head-to-head has nothing to fan out")
-	}
-	if len(rep.Canonical) != 2 || len(rep.ByteIdentical) != 2 {
-		t.Fatalf("cache passes = %d canonical / %d byte-identical, want 2/2", len(rep.Canonical), len(rep.ByteIdentical))
-	}
-	// The permuted pass over renamed-isomorphic corpus CNFs is exactly what
-	// canonical keying exists for: it must hit, and the byte-identical
-	// control must miss.
-	if p := rep.Canonical[1]; p.RenamedHits == 0 {
-		t.Errorf("canonical permuted pass: no renamed hits (%+v)", p)
-	}
-	if p := rep.ByteIdentical[1]; p.IdenticalHits+p.RenamedHits != 0 {
-		t.Errorf("byte-identical permuted pass unexpectedly hit (%+v)", p)
-	}
-}
+	got = append(got, fmt.Sprintf("total identical=%d renamed=%d misses=%d",
+		total.IdenticalHits, total.RenamedHits, total.Misses))
 
-func TestSyntheticComponentCNF(t *testing.T) {
-	f := SyntheticComponentCNF(4, 6, 10, 3)
-	if got := len(f.Clauses); got != 40 {
-		t.Fatalf("clauses = %d, want 40", got)
+	raw, err := os.ReadFile(goldenCachePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.MaxVar != 24 {
-		t.Fatalf("MaxVar = %d, want 24", f.MaxVar)
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, %s has %d:\n%s", len(got), goldenCachePath, len(want), strings.Join(got, "\n"))
 	}
-	// Deterministic in the seed.
-	g := SyntheticComponentCNF(4, 6, 10, 3)
-	for i := range f.Clauses {
-		for j := range f.Clauses[i] {
-			if f.Clauses[i][j] != g.Clauses[i][j] {
-				t.Fatal("SyntheticComponentCNF is not deterministic")
-			}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s line %d:\n got: %s\nwant: %s", goldenCachePath, i+1, got[i], want[i])
 		}
 	}
 }

@@ -54,10 +54,6 @@ type Options struct {
 	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
 	// gradient); the values are identical, only the cost differs.
 	Strategy core.ShapleyStrategy
-	// KeepDNNF retains each tuple's reduced d-DNNF on its TupleResult, as
-	// required by ShapleyBenchReport's strategy head-to-head. Off by
-	// default so large corpus runs don't pin every compiled circuit.
-	KeepDNNF bool
 	// CacheSize sizes a cross-call d-DNNF compilation cache shared by the
 	// whole corpus run; zero disables it (every tuple compiles afresh, the
 	// configuration the paper's tables measure).
@@ -91,7 +87,6 @@ type TupleResult struct {
 
 	Values core.Values // exact Shapley values (nil on failure)
 	ELin   *circuit.Node
-	DNNF   *dnnf.Node // reduced d-DNNF (nil unless Options.KeepDNNF)
 	CNF    *cnf.Formula
 	Endo   []db.FactID
 }
@@ -270,9 +265,6 @@ func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo 
 	tr.KCTime = res.TseytinTime + res.CompileTime
 	tr.ShapleyTime = res.ShapleyTime
 	tr.DNNFSize = res.DNNFSize
-	if opts.KeepDNNF {
-		tr.DNNF = res.DNNF
-	}
 	if err != nil {
 		tr.FailReason = err.Error()
 		return tr

@@ -73,8 +73,15 @@ func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
-// Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+// Float returns a floating-point value. It stores -0 as 0: Equal already
+// counts the two as one value, and this gives them one Key and one join
+// key too, as the log, which writes -0 as 0, needs.
+func Float(v float64) Value {
+	if v == 0 {
+		v = 0 // -0 == 0, so this turns -0 into +0
+	}
+	return Value{kind: KindFloat, f: v}
+}
 
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }

@@ -192,16 +192,6 @@ func (c *CompileCache) Invalidate(owner uint64, vars ...int) int {
 	return dropped
 }
 
-// CanonicalStats splits the cumulative hit count into identical hits (the
-// caller's formula matched the cached one byte-for-byte, or keying was
-// non-canonical) and renamed hits (served through a nontrivial canonical
-// relabeling), alongside the miss count.
-func (c *CompileCache) CanonicalStats() (identical, renamed, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits - c.renamed, c.renamed, c.misses
-}
-
 // noteRenamed records that a hit required relabeling the cached circuit.
 func (c *CompileCache) noteRenamed() {
 	c.mu.Lock()

@@ -195,8 +195,8 @@ func TestCanonicalCachePolarityMiss(t *testing.T) {
 	if stats.CrossCallHit {
 		t.Error("different-polarity formula served from the cache")
 	}
-	if identical, renamed, misses := cache.CanonicalStats(); identical != 0 || renamed != 0 || misses != 2 {
-		t.Errorf("CanonicalStats = (%d, %d, %d), want (0, 0, 2)", identical, renamed, misses)
+	if st := cache.Stats(); st.IdenticalHits != 0 || st.RenamedHits != 0 || st.Misses != 2 {
+		t.Errorf("Stats identical=%d renamed=%d misses=%d, want 0/0/2", st.IdenticalHits, st.RenamedHits, st.Misses)
 	}
 }
 
@@ -224,8 +224,8 @@ func TestCanonicalCacheIdenticalFormulaSharesRoot(t *testing.T) {
 	if first != second {
 		t.Error("identity hit returned a relabeled copy instead of the cached root")
 	}
-	if identical, renamed, _ := cache.CanonicalStats(); identical != 1 || renamed != 0 {
-		t.Errorf("CanonicalStats identical=%d renamed=%d, want 1/0", identical, renamed)
+	if st := cache.Stats(); st.IdenticalHits != 1 || st.RenamedHits != 0 {
+		t.Errorf("Stats identical=%d renamed=%d, want 1/0", st.IdenticalHits, st.RenamedHits)
 	}
 }
 

@@ -733,19 +733,3 @@ func (c *compiler) reconcileBranchErrs(ctx context.Context, hiErr, loErr error) 
 	}
 	return loErr
 }
-
-// TopLevelComponents reports how many connected components the formula's
-// normalized clause set splits into before any propagation — the number of
-// independent subproblems the parallel compiler can fan out immediately.
-func TopLevelComponents(f *cnf.Formula) int {
-	clauses := make([]cnf.Clause, 0, len(f.Clauses))
-	for _, cl := range f.Clauses {
-		norm, taut := normalizeClause(cl)
-		if taut || len(norm) == 0 {
-			continue
-		}
-		clauses = append(clauses, norm)
-	}
-	dense, orig := densify(clauses)
-	return len(newScratch(orig).components(dense))
-}

@@ -9,9 +9,10 @@
 // Evaluation is streaming: each conjunctive query compiles to a left-deep
 // pipeline of iterators (see plan.go) that walks the store's scans and
 // indexed lookups one row at a time, so grounding never materializes an
-// intermediate binding table. The previous slice-materializing evaluator is
-// kept as EvalMaterialized (materialized.go) — it is the reference oracle
-// for equivalence tests and the baseline for the grounding benchmarks.
+// intermediate binding table. The previous slice-materializing evaluator
+// lives on in this package's tests as EvalMaterialized (materialized_test.go):
+// it is the reference oracle for equivalence tests and the baseline of
+// BenchmarkGround.
 package engine
 
 import (
@@ -69,8 +70,8 @@ func (dv Derivation) Conjunction(b *circuit.Builder, opts Options) *circuit.Node
 }
 
 // deriveFunc enumerates the derivations of one conjunctive query, with an
-// optional pinned atom; deriveCQ (streaming) and deriveCQMaterialized
-// implement it.
+// optional pinned atom; deriveCQ (streaming) and the tests' reference
+// deriveCQMaterialized implement it.
 type deriveFunc func(d *db.Database, cq *query.CQ, pin int, pinFact *db.Fact) ([]Derivation, error)
 
 // Eval evaluates the UCQ over the database, building lineage circuits in b.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/db"
 	"repro/internal/query"
+	"repro/internal/tpch"
 )
 
 // legacyJoinAtom is the joinAtom the materialized engine shipped with
@@ -104,6 +106,33 @@ func BenchmarkJoinAtom(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGround times grounding, the evaluation of every TPC-H query with
+// lineage capture, per scale and engine. Its B/op shows what the streaming
+// plan saves by never materializing an intermediate binding table.
+func BenchmarkGround(b *testing.B) {
+	engines := []struct {
+		name string
+		eval func(*db.Database, *query.UCQ, *circuit.Builder, Options) ([]Answer, error)
+	}{{"streaming", Eval}, {"materialized", EvalMaterialized}}
+	for _, scale := range groundScales {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			d := tpch.Generate(tpch.DefaultConfig().Scaled(scale))
+			for _, eng := range engines {
+				b.Run(eng.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						for _, nq := range tpch.Queries() {
+							if _, err := eng.eval(d, nq.Q, circuit.NewBuilder(), Options{Mode: ModeEndogenous}); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestLegacyJoinAtomAgrees keeps the benchmark baseline honest: both

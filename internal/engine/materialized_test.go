@@ -8,10 +8,10 @@ import (
 	"repro/internal/query"
 )
 
-// The materialized evaluator: the engine's original strategy, kept as the
-// reference oracle for the streaming pipeline (property tests assert
-// derivation-set identity between the two) and as the baseline side of the
-// grounding benchmarks. It joins one atom at a time into a fully
+// The materialized evaluator: the engine's original strategy, kept in the
+// tests as the reference oracle for the streaming pipeline (property tests
+// assert derivation-set identity between the two) and as the baseline side
+// of BenchmarkGround. It joins one atom at a time into a fully
 // materialized []binding slice, rebuilding a hash index over the joined
 // relation at every step — O(intermediate result) memory, which is exactly
 // what the streaming plan in plan.go avoids. Join keys are the typed

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/db"
 	"repro/internal/query"
+	"repro/internal/tpch"
 )
 
 // databaseKinds names the two ways a database runs: in memory, or
@@ -134,6 +135,38 @@ func TestStreamingMatchesMaterializedRandom(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// groundScales are the TPC-H scale factors of
+// TestStreamingMatchesMaterializedTPCH and BenchmarkGround.
+var groundScales = []float64{1, 4, 16}
+
+// TestStreamingMatchesMaterializedTPCH runs both engines over every TPC-H
+// query at each of groundScales: the answers must have identical tuples, in
+// the same order, with identical lineage variable sets.
+func TestStreamingMatchesMaterializedTPCH(t *testing.T) {
+	for _, scale := range groundScales {
+		d := tpch.Generate(tpch.DefaultConfig().Scaled(scale))
+		for _, nq := range tpch.Queries() {
+			stream, err := Eval(d, nq.Q, circuit.NewBuilder(), Options{Mode: ModeEndogenous})
+			if err != nil {
+				t.Fatalf("scale %g %s: streaming: %v", scale, nq.Name, err)
+			}
+			mat, err := EvalMaterialized(d, nq.Q, circuit.NewBuilder(), Options{Mode: ModeEndogenous})
+			if err != nil {
+				t.Fatalf("scale %g %s: materialized: %v", scale, nq.Name, err)
+			}
+			ss, ms := answerSig(stream), answerSig(mat)
+			if len(ss) != len(ms) {
+				t.Fatalf("scale %g %s: %d streaming answers, %d materialized", scale, nq.Name, len(ss), len(ms))
+			}
+			for i := range ss {
+				if ss[i] != ms[i] {
+					t.Fatalf("scale %g %s answer %d: streaming %s, materialized %s", scale, nq.Name, i, ss[i], ms[i])
+				}
+			}
+		}
 	}
 }
 

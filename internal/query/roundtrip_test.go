@@ -59,7 +59,7 @@ func TestConstantStringRoundTrip(t *testing.T) {
 		{`q() :- R(x, "it's")`, `q() :- R(x, "it's")`},
 		{`q() :- R(x, 3.0), x > 1.`, `q() :- R(x, 3.0), x > 1.0`},
 		{`q() :- R(x), x < 0.0000001`, `q() :- R(x), x < 0.0000001`},
-		{`q() :- R(x, -0.0, 1000000000000000000000.0)`, `q() :- R(x, -0.0, 1000000000000000000000.0)`},
+		{`q() :- R(x, -0.0, 1000000000000000000000.0)`, `q() :- R(x, 0.0, 1000000000000000000000.0)`},
 	} {
 		u, err := query.Parse(tc.in)
 		if err != nil {

@@ -5,7 +5,7 @@
 // percentiles and throughput, runs the pooled vs open-per-request
 // head-to-head, and cross-checks quiesced served values big.Rat-identically
 // against a cold repro.Explain. The server-side counters come from the
-// server's GET /metrics. The report serializes to BENCH_serve.json.
+// server's GET /metrics.
 package servebench
 
 import (
@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,7 +130,7 @@ type HeadToHead struct {
 	ThroughputSpeedup float64 `json:"throughput_speedup"`
 }
 
-// Report is the BENCH_serve.json payload.
+// Report is the outcome of one Run.
 type Report struct {
 	Dataset string `json:"dataset"`
 	Query   string `json:"query"`
@@ -749,18 +748,4 @@ func checkAgainstReference(ref map[string]string, resp *wire.ExplainResponse, al
 		return fmt.Errorf("served %d facts, cold reference has %d", seen, len(ref))
 	}
 	return nil
-}
-
-// Write serializes the report to path (stdout for "-").
-func Write(path string, rep *Report) error {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(blob)
-		return err
-	}
-	return os.WriteFile(path, blob, 0o644)
 }

@@ -2,12 +2,9 @@ package servebench
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -67,22 +64,6 @@ func TestRunInProcess(t *testing.T) {
 		t.Errorf("compile cache untouched: %+v", rep.Cache)
 	}
 
-	// The report round-trips through its JSON artifact form.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := Write(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Levels) != len(rep.Levels) || back.ValueChecks != rep.ValueChecks {
-		t.Errorf("artifact round trip lost data: %+v", back)
-	}
 }
 
 // TestReadMetricsRequiresSeries: a scrape that lacks a series the report

@@ -205,8 +205,8 @@ type SlowResponse struct {
 }
 
 // PoolStats is the session pool's counter snapshot. shapleyd serves it on
-// GET /metrics as the repro_pool_* series, and the serve benchmark reports
-// it as the "pool" object of BENCH_serve.json.
+// GET /metrics as the repro_pool_* series, and the serve benchmark reads
+// it back from there.
 type PoolStats struct {
 	// Opens counts sessions opened (cold grounding); Reuses counts requests
 	// served by an already-warm pooled session; Evictions counts sessions
@@ -227,8 +227,7 @@ type PoolStats struct {
 }
 
 // CacheStats is the compilation cache's counters as the serve benchmark
-// reports them in the "cache" object of BENCH_serve.json, read from the
-// repro_compile_cache_* series of GET /metrics.
+// reads them from the repro_compile_cache_* series of GET /metrics.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`

@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -320,4 +322,55 @@ func TestExplainCancelledContext(t *testing.T) {
 	if _, err := Explain(ctx, d, flights.Query(), Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestNegativeZeroIsZero: a float -0 is the value 0 in joins, in query
+// constants and in answers, and a reopen from the log, which writes -0 as
+// 0, changes no answer.
+func TestNegativeZeroIsZero(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDatabase()
+	if err := d.Persist(PersistConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	d.CreateRelation("R", "a")
+	d.CreateRelation("S", "a")
+	d.MustInsert("R", true, Float(math.Copysign(0, -1)))
+	d.MustInsert("S", true, Float(0))
+	queries := []struct{ text, want string }{
+		{`q() :- R(x), S(x)`, `[""]`},
+		{`q() :- R(x), S(y), x = y`, `[""]`},
+		{`q() :- R(0.0)`, `[""]`},
+		{`q(x) :- R(x)`, `["f0"]`},
+	}
+	check := func(d *Database, when string) {
+		t.Helper()
+		for _, c := range queries {
+			q, err := ParseQuery(c.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exps, err := Explain(context.Background(), d, q, Options{CacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, len(exps))
+			for i, e := range exps {
+				keys[i] = e.Tuple.Key()
+			}
+			if got := fmt.Sprintf("%q", keys); got != c.want {
+				t.Errorf("%s, %s: answer keys %s, want %s", when, c.text, got, c.want)
+			}
+		}
+	}
+	check(d, "before reopen")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDatabase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "after reopen")
 }

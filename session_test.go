@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/imdb"
+	"repro/internal/tpch"
 )
 
 // assertExplanationsEqual asserts tuple-for-tuple, fact-for-fact equality —
@@ -140,6 +143,101 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSessionMatchesColdExplainOnCorpus deletes k facts of live lineages
+// through a session, for k = 1, 2, 4 and 8, on corpus queries of both
+// datasets at their default scale, and then restores them. After every
+// step the session's explanations must be big.Rat-identical to a cold
+// explain. Neither side has a timeout, so every tuple is exact.
+func TestSessionMatchesColdExplainOnCorpus(t *testing.T) {
+	type corpusQuery struct {
+		name string
+		d    *Database
+		q    *Query
+	}
+	var cases []corpusQuery
+	for _, nq := range tpch.Queries() {
+		switch nq.Name {
+		case "q3", "q10", "q19":
+			cases = append(cases, corpusQuery{"TPC-H/" + nq.Name, tpch.Generate(tpch.DefaultConfig()), nq.Q})
+		}
+	}
+	for _, nq := range imdb.Queries() {
+		switch nq.Name {
+		case "1a", "8d":
+			cases = append(cases, corpusQuery{"IMDB/" + nq.Name, imdb.Generate(imdb.DefaultConfig()), nq.Q})
+		}
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Open(c.d, c.q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			check := func(label string) []TupleExplanation {
+				t.Helper()
+				live, err := s.Explain(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := Explain(ctx, c.d, c.q, Options{Workers: 1, CacheSize: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertExplanationsEqual(t, live, cold, label)
+				return live
+			}
+			live := check("open")
+			for _, k := range []int{1, 2, 4, 8} {
+				ids := lineageFacts(live, k)
+				if len(ids) < k {
+					break
+				}
+				deleted := make([]Fact, k)
+				for i, id := range ids {
+					deleted[i] = *c.d.Fact(id)
+					if err := s.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(fmt.Sprintf("delete %d", k))
+				for _, f := range deleted {
+					if _, err := s.Insert(f.Relation, f.Endogenous, f.Tuple...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = check(fmt.Sprintf("restore %d", k))
+			}
+		})
+	}
+}
+
+// lineageFacts returns up to k distinct facts of the explanations'
+// rankings, taking every tuple's i-th ranked fact before any (i+1)-th, so
+// that a batch spreads over the answers.
+func lineageFacts(exps []TupleExplanation, k int) []FactID {
+	seen := make(map[FactID]bool)
+	var out []FactID
+	for i := 0; len(out) < k; i++ {
+		advanced := false
+		for _, e := range exps {
+			if i >= len(e.Ranking) {
+				continue
+			}
+			advanced = true
+			if f := e.Ranking[i]; !seen[f] && len(out) < k {
+				seen[f] = true
+				out = append(out, f)
+			}
+		}
+		if !advanced {
+			break
+		}
+	}
+	return out
 }
 
 // TestSessionReusesUnchangedTuples asserts the incremental-maintenance
