@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dnnf"
 	"repro/internal/imdb"
 	"repro/internal/tpch"
 )
@@ -195,17 +194,14 @@ func TestCanonicalCacheGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	var total dnnf.CacheStats
+	var identical, renamed, misses int64
 	for _, r := range c.Runs {
 		st := r.CacheStats
 		got = append(got, fmt.Sprintf("%s/%s identical=%d renamed=%d misses=%d",
 			r.Dataset, r.Name, st.IdenticalHits, st.RenamedHits, st.Misses))
-		total.IdenticalHits += st.IdenticalHits
-		total.RenamedHits += st.RenamedHits
-		total.Misses += st.Misses
+		identical, renamed, misses = identical+st.IdenticalHits, renamed+st.RenamedHits, misses+st.Misses
 	}
-	got = append(got, fmt.Sprintf("total identical=%d renamed=%d misses=%d",
-		total.IdenticalHits, total.RenamedHits, total.Misses))
+	got = append(got, fmt.Sprintf("total identical=%d renamed=%d misses=%d", identical, renamed, misses))
 
 	raw, err := os.ReadFile(goldenCachePath)
 	if err != nil {
