@@ -1,8 +1,13 @@
 package repro
 
-// One testing.B benchmark per table and figure of the paper's evaluation,
-// plus ablation benches for the design choices called out in DESIGN.md.
-// Each benchmark regenerates the corresponding artifact; run
+// One testing.B benchmark per table and figure of the paper's evaluation:
+// each regenerates its artifact through internal/bench, whose Table1,
+// Table2 and Figure4 … Figure8 render Tables 1–2 and Figures 4–8 as text.
+// The ablation benches time one design choice against its alternative:
+// BenchmarkAblationComponentCache the compiler's component cache on and
+// off, BenchmarkAblationVarOrder most-frequent against lexicographic
+// branching, and BenchmarkAblationExactVsFloatCounts exact against float64
+// #SAT_k counts. Run
 //
 //	go test -bench=. -benchmem
 //
@@ -211,7 +216,7 @@ func BenchmarkKernelSHAP(b *testing.B) {
 	}
 }
 
-// --- ablation benches (design choices called out in DESIGN.md) ---
+// --- ablation benches: one design choice against its alternative ---
 
 // hardCNF returns a CNF that takes the compiler some real work: the Tseytin
 // transformation of a wide IMDB lineage.
@@ -457,24 +462,49 @@ func BenchmarkExplainParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileCache quantifies the cross-call compilation cache on
-// repeated explanations of the same lineage (the answering-under-updates
-// motivation: re-explaining after unrelated changes should reuse circuits).
-func BenchmarkCompileCache(b *testing.B) {
-	f := hardCNF(b)
-	b.Run("cache=off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{}); err != nil {
+// BenchmarkCacheHitRecompute times the value cache's hit path in the shape
+// of serve-mixed after an out-of-band write: one Session each on TPC-H q3,
+// q10, q11 and q18 at scale 4 (200 tuples), with a 2.5 s timeout and the
+// default cache. Each round inserts and deletes a copy of a lineitem
+// directly on the database, so every session re-grounds, and then explains
+// every session, recomputing each tuple from a cache hit.
+func BenchmarkCacheHitRecompute(b *testing.B) {
+	ctx := context.Background()
+	d := tpch.Generate(tpch.DefaultConfig().Scaled(4))
+	var sessions []*Session
+	for _, bq := range tpch.Queries() {
+		switch bq.Name {
+		case "q3", "q10", "q11", "q18":
+			s, err := Open(d, bq.Q, Options{Timeout: 2500 * time.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			sessions = append(sessions, s)
+		}
+	}
+	explainAll := func() {
+		for _, s := range sessions {
+			if _, err := s.Explain(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("cache=on", func(b *testing.B) {
-		cache := dnnf.NewCompileCache(4)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{Cache: cache}); err != nil {
-				b.Fatal(err)
-			}
+	}
+	explainAll() // fills the cache
+	li := d.Relation("lineitem")
+	orig := li.Facts()[0]
+	dup := append([]Value(nil), orig.Tuple...)
+	dup[li.Schema.ColumnIndex("linenumber")] = Int(1 << 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := d.Insert("lineitem", orig.Endogenous, dup...)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		if err := d.Delete(f.ID); err != nil {
+			b.Fatal(err)
+		}
+		explainAll()
+	}
 }

@@ -1,7 +1,8 @@
 // Command benchtables regenerates every table and figure of the paper's
 // evaluation section over the synthetic TPC-H and IMDB workloads and prints
-// them as text. The mapping from artifact to code is documented in
-// DESIGN.md; EXPERIMENTS.md records a reference run.
+// them as text: internal/bench runs the corpus, and its Table1, Table2 and
+// Figure4 … Figure8 render Tables 1–2 and Figures 4–8. With -cache it also
+// prints each query's value-cache hit rate.
 //
 // Usage:
 //
@@ -35,8 +36,8 @@ func main() {
 		maxTup  = flag.Int("maxtuples", 200, "max output tuples per query (0 = unbounded)")
 		workers = flag.Int("workers", 0, "per-tuple fan-out of Algorithm 1's per-fact strategy (0 = GOMAXPROCS, 1 = serial)")
 		cworker = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out per tuple (0 = GOMAXPROCS, 1 = sequential)")
-		cacheSz = flag.Int("cache", 0, "compiled-circuit cache capacity per suite (0 = disabled)")
-		nocanon = flag.Bool("nocanon", false, "key the compile cache byte-identically instead of canonically")
+		cacheSz = flag.Int("cache", 0, "Shapley-value cache capacity per suite, in lineages (0 = disabled)")
+		nocanon = flag.Bool("nocanon", false, "key the value cache byte-identically instead of canonically")
 		strat   = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
 	)
 	flag.Parse()
@@ -95,7 +96,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond), total, success, 100*float64(success)/float64(max(total, 1)))
 
 	if *cacheSz > 0 {
-		section("Per-query compile-cache hit rates (canonical keying)")
+		section("Per-query value-cache hit rates (canonical keying)")
 		for _, r := range corpus.Runs {
 			st := r.CacheStats
 			if st.Hits+st.Misses == 0 {

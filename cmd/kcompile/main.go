@@ -3,12 +3,10 @@
 // decomposable circuits (d-DNNF), and reports the circuit size, compilation
 // statistics, and the model count (optionally the full #SAT_k spectrum).
 //
-// Several input files compile concurrently across -workers goroutines with a
-// shared compiled-circuit cache keyed by canonical (rename-invariant) form,
-// so a batch containing duplicate — or renamed-isomorphic — formulas pays
-// for each distinct structure once; within one compilation, independent
-// components fan out across -compile-workers goroutines. Reports print in
-// argument order. An interrupt (Ctrl-C) cancels the in-flight compilations.
+// Several input files compile concurrently across -workers goroutines;
+// within one compilation, independent components fan out across
+// -compile-workers goroutines. Reports print in argument order. An
+// interrupt (Ctrl-C) cancels the in-flight compilations.
 //
 // Usage:
 //
@@ -44,8 +42,6 @@ func main() {
 		outPath  = flag.String("o", "", "write the compiled circuit in c2d nnf format to this file (single input only)")
 		workers  = flag.Int("workers", 0, "concurrent compilations across inputs (0 = GOMAXPROCS)")
 		cworkers = flag.Int("compile-workers", 0, "component fan-out within each compilation (0 = split GOMAXPROCS across the concurrent inputs, 1 = sequential)")
-		cacheSz  = flag.Int("cache", dnnf.DefaultCompileCacheSize, "compiled-circuit cache capacity shared across inputs (0 = disabled)")
-		nocanon  = flag.Bool("nocanon", false, "key the shared cache byte-identically instead of by canonical (rename-invariant) form")
 		spec     = flag.Bool("speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently")
 		folio    = flag.Bool("portfolio", false, "race branching heuristics per input, first finisher wins (needs \u22652 compile workers; -order still sets the favored racer)")
 	)
@@ -83,19 +79,13 @@ func main() {
 		os.Exit(2)
 	}
 	opts := dnnf.Options{
-		Timeout:          *timeout,
-		MaxNodes:         *maxNodes,
-		DisableCache:     *noCache,
-		Order:            varOrder,
-		Workers:          compileWorkers,
-		Speculate:        *spec,
-		Portfolio:        *folio,
-		NoCanonicalCache: *nocanon,
-	}
-	// -nocache is the ablation switch: it must disable the cross-call cache
-	// too, or repeated inputs would report near-zero compilation effort.
-	if *cacheSz > 0 && !*noCache {
-		opts.Cache = dnnf.NewCompileCache(*cacheSz)
+		Timeout:      *timeout,
+		MaxNodes:     *maxNodes,
+		DisableCache: *noCache,
+		Order:        varOrder,
+		Workers:      compileWorkers,
+		Speculate:    *spec,
+		Portfolio:    *folio,
 	}
 
 	formulas := make([]*cnf.Formula, flag.NArg())

@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("session pool: opens=%d reuses=%d evictions=%d update requests=%d batches=%d coalesced=%d\n",
 		rep.Pool.Opens, rep.Pool.Reuses, rep.Pool.Evictions,
 		rep.Pool.UpdateRequests, rep.Pool.UpdateBatches, rep.Pool.CoalescedBatches)
-	fmt.Printf("compile cache: %d hits (%d identical, %d renamed), %d misses, %d evictions, %d invalidations\n",
+	fmt.Printf("value cache: %d hits (%d identical, %d renamed), %d misses, %d evictions, %d invalidations\n",
 		rep.Cache.Hits, rep.Cache.IdenticalHits, rep.Cache.RenamedHits,
 		rep.Cache.Misses, rep.Cache.Evictions, rep.Cache.Invalidations)
 }

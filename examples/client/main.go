@@ -151,7 +151,7 @@ func main() {
 			fmt.Println("  " + line)
 		}
 	}
-	fmt.Printf("session pool: %.0f open(s), %.0f reuse(s); compile cache: %.0f hit(s), %.0f miss(es)\n",
+	fmt.Printf("session pool: %.0f open(s), %.0f reuse(s); value cache: %.0f hit(s), %.0f miss(es)\n",
 		counter("repro_pool_opens_total"), counter("repro_pool_reuses_total"),
 		counter("repro_compile_cache_hits_total"), counter("repro_compile_cache_misses_total"))
 

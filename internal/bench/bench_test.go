@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/imdb"
 	"repro/internal/tpch"
 )
@@ -223,6 +224,44 @@ func TestBinLabels(t *testing.T) {
 	for v, want := range cases {
 		if got := binLabel(v); got != want {
 			t.Errorf("binLabel(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestWarmCacheFailsSameTuples: under a node budget, running the small
+// corpus with a value cache warmed without one gives every tuple the Success
+// and FailReason of a cold run under the same budget. The runs are serial,
+// so node counts repeat; each budget trips some tuples but not all.
+func TestWarmCacheFailsSameTuples(t *testing.T) {
+	c := runSmallCorpus(t)
+	ctx := context.Background()
+	opts := smallOptions()
+	opts.Timeout, opts.Workers, opts.CompileWorkers = 0, 1, 1
+	tuples := c.Tuples()
+	cache := core.NewValueCache(len(tuples))
+	run := func(tr *TupleResult, opts Options, cache *core.ValueCache) *TupleResult {
+		return runTuple(ctx, tr.Dataset, tr.Query, engine.Answer{Tuple: tr.Tuple, Lineage: tr.ELin}, tr.Endo, opts, cache)
+	}
+	for _, tr := range tuples {
+		if warm := run(tr, opts, cache); !warm.Success {
+			t.Fatalf("%s/%s %v: unbudgeted run failed: %s", tr.Dataset, tr.Query, tr.Tuple, warm.FailReason)
+		}
+	}
+	for _, budget := range []int{20, 400, 2000} {
+		opts.MaxNodes = budget
+		trips := 0
+		for _, tr := range tuples {
+			cold, warm := run(tr, opts, nil), run(tr, opts, cache)
+			if warm.Success != cold.Success || warm.FailReason != cold.FailReason {
+				t.Errorf("budget %d, %s/%s %v: warm success=%v %q, cold success=%v %q", budget,
+					tr.Dataset, tr.Query, tr.Tuple, warm.Success, warm.FailReason, cold.Success, cold.FailReason)
+			}
+			if !cold.Success {
+				trips++
+			}
+		}
+		if trips == 0 || trips == len(tuples) {
+			t.Errorf("budget %d trips %d of %d tuples, want some but not all", budget, trips, len(tuples))
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 	"repro/internal/engine"
 	"repro/internal/imdb"
 	"repro/internal/query"
@@ -48,15 +47,15 @@ type Options struct {
 	// CompileWorkers fans each tuple's knowledge compilation out across its
 	// CNF's independent components (≤ 0 = GOMAXPROCS, 1 = sequential).
 	CompileWorkers int
-	// NoCanonicalCache keys the compile cache byte-identically instead of
+	// NoCanonicalCache keys the value cache byte-identically instead of
 	// canonically (only meaningful with CacheSize > 0).
 	NoCanonicalCache bool
 	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
 	// gradient); the values are identical, only the cost differs.
 	Strategy core.ShapleyStrategy
-	// CacheSize sizes a cross-call d-DNNF compilation cache shared by the
-	// whole corpus run; zero disables it (every tuple compiles afresh, the
-	// configuration the paper's tables measure).
+	// CacheSize sizes a cross-call value cache shared by each suite's run;
+	// zero disables it (every tuple compiles afresh, the configuration the
+	// paper's tables measure).
 	CacheSize int
 }
 
@@ -101,11 +100,11 @@ type QueryRun struct {
 	Q        *query.UCQ
 	ExecTime time.Duration // provenance generation (query evaluation)
 	Tuples   []*TupleResult
-	// CacheStats is the compile-cache counter delta attributable to this
+	// CacheStats is the value-cache counter delta attributable to this
 	// query's tuples — its canonical hit rate says how much isomorphic
 	// lineage the query's answers share. Zero when the corpus ran without
 	// a cross-call cache.
-	CacheStats dnnf.CacheStats
+	CacheStats core.CacheStats
 }
 
 // SuccessRate returns the fraction of output tuples whose exact computation
@@ -186,9 +185,9 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 	for _, f := range d.EndogenousFacts() {
 		endo = append(endo, f.ID)
 	}
-	var cache *dnnf.CompileCache
+	var cache *core.ValueCache
 	if opts.CacheSize > 0 {
-		cache = dnnf.NewCompileCache(opts.CacheSize)
+		cache = core.NewValueCache(opts.CacheSize)
 	}
 	var out []*QueryRun
 	for _, nq := range queries {
@@ -203,7 +202,7 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 		if opts.MaxTuplesPerQuery > 0 && len(answers) > opts.MaxTuplesPerQuery {
 			answers = answers[:opts.MaxTuplesPerQuery]
 		}
-		var before dnnf.CacheStats
+		var before core.CacheStats
 		if cache != nil {
 			before = cache.Stats()
 		}
@@ -241,7 +240,7 @@ func endoForLineage(lineage *circuit.Node, endo []db.FactID) []db.FactID {
 	return out
 }
 
-func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts Options, cache *dnnf.CompileCache) *TupleResult {
+func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts Options, cache *core.ValueCache) *TupleResult {
 	tr := &TupleResult{
 		Dataset:  dataset,
 		Query:    qname,

@@ -15,15 +15,6 @@ import (
 	"repro/internal/trace"
 )
 
-// StageApprox is the pipeline's anytime fallback stage: Monte Carlo
-// permutation sampling over the already-grounded lineage circuit, run when
-// StageCompile or StageShapley exceeds a request's compute budget (or when
-// the request asks for approximation outright). Unlike the exact stages it
-// needs no knowledge compilation — it evaluates the lineage directly — so it
-// always produces an answer, with per-fact 95% confidence intervals instead
-// of exact rationals.
-const StageApprox StageName = "approx"
-
 // Estimate is one fact's sampled Shapley value with a 95% confidence
 // interval (re-exported from internal/sampling).
 type Estimate = sampling.Estimate
@@ -106,7 +97,7 @@ func (b ExplainBudget) Enabled() bool {
 	return b.Mode == ModeApproximate || b.MaxNodes > 0 || b.Deadline > 0
 }
 
-// ApproxResult is StageApprox's output: sampled per-fact estimates with
+// ApproxResult is ApproxStage's output: sampled per-fact estimates with
 // confidence intervals and the sampling provenance.
 type ApproxResult struct {
 	// Estimates maps every endogenous fact of the lineage to its sampled
@@ -137,12 +128,15 @@ func (a *ApproxResult) Ranking() []db.FactID {
 	return ids
 }
 
-// ApproxStage runs the anytime fallback: it flattens the endogenous lineage
-// into a sampling game, derives a deterministic seed from the game's
-// rename-invariant fingerprint mixed with the budget's Seed override, and
-// samples Shapley estimates with 95% confidence intervals. Endogenous facts
-// absent from the lineage get exact-zero estimates (they cannot contribute),
-// so every requested fact is covered. The only error is ctx cancellation.
+// ApproxStage runs the pipeline's anytime fallback, used when the exact
+// attempt exceeds a request's compute budget (or when the request asks for
+// approximation outright). It needs no knowledge compilation, so it always
+// produces an answer: it flattens the endogenous lineage into a sampling
+// game, derives a deterministic seed from the game's rename-invariant
+// fingerprint mixed with the budget's Seed override, and samples Shapley
+// estimates with 95% confidence intervals. Endogenous facts absent from the
+// lineage get exact-zero estimates (they cannot contribute), so every
+// requested fact is covered. The only error is ctx cancellation.
 func ApproxStage(ctx context.Context, elin *circuit.Node, endo []db.FactID, b ExplainBudget) (*ApproxResult, error) {
 	return approxStage(ctx, elin, endo, b, "")
 }
@@ -151,7 +145,7 @@ func ApproxStage(ctx context.Context, elin *circuit.Node, endo []db.FactID, b Ex
 // request here (empty when approximation was invoked directly); the cause is
 // recorded on the stage's trace span.
 func approxStage(ctx context.Context, elin *circuit.Node, endo []db.FactID, b ExplainBudget, cause string) (*ApproxResult, error) {
-	ctx, sp := trace.Start(ctx, string(StageApprox))
+	ctx, sp := trace.Start(ctx, "approx")
 	if cause != "" {
 		sp.Set("cause", cause)
 	}

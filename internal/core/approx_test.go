@@ -153,7 +153,7 @@ func TestHybridBudgetedMaxNodesFallsBack(t *testing.T) {
 }
 
 // TestHybridBudgetedDeadlineFallsBack arms a deadline that expires during
-// the exact attempt (mid-StageCompile at the latest): the request must fall
+// the exact attempt (mid-compile at the latest): the request must fall
 // back to sampling, not surface the deadline error.
 func TestHybridBudgetedDeadlineFallsBack(t *testing.T) {
 	elin, endo, _ := flightsELin(t)

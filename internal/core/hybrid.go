@@ -59,7 +59,7 @@ type HybridResult struct {
 // opts's limits (the paper's budget t is opts.CompileTimeout and
 // opts.ShapleyTimeout, recommended 2.5 s), then one fallback when it fails.
 // The fallback is CNF Proxy — the provenance's Tseytin CNF ranked by proxy
-// values — unless budget is Enabled, in which case it is StageApprox, sampled
+// values — unless budget is Enabled, in which case it is ApproxStage, sampled
 // estimates with confidence intervals. An enabled budget also narrows the
 // exact attempt: its MaxNodes caps the compiled d-DNNF (the smaller of it and
 // opts.CompileMaxNodes wins), its Deadline bounds the whole attempt on top of
@@ -67,15 +67,6 @@ type HybridResult struct {
 // returned only when ctx itself is cancelled: exhausting a limit is what the
 // fallback is for, but a caller that gave up wants neither answer.
 func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions, budget ExplainBudget) (*HybridResult, error) {
-	return HybridAt(ctx, elin, endo, 0, nil, opts, budget)
-}
-
-// HybridAt is Hybrid for a lineage at a given epoch, reusing per-stage
-// outputs cached in art from a previous call at the same epoch (nil art
-// disables reuse). It is the session-facing entry point: a long-lived
-// session passes each tuple's Artifacts across Explain calls so that only
-// the stages invalidated by updates are recomputed.
-func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch uint64, art *Artifacts, opts PipelineOptions, budget ExplainBudget) (*HybridResult, error) {
 	start := time.Now()
 	anytime := budget.Enabled()
 	var res *PipelineResult
@@ -95,7 +86,7 @@ func HybridAt(ctx context.Context, elin *circuit.Node, endo []db.FactID, epoch u
 				defer cancel()
 			}
 		}
-		res, err = ExplainCircuitAt(ectx, elin, endo, epoch, art, opts)
+		res, err = ExplainCircuit(ectx, elin, endo, opts)
 		if err == nil {
 			return &HybridResult{
 				Method:  MethodExact,

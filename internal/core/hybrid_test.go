@@ -104,7 +104,7 @@ func TestHybridFallbacks(t *testing.T) {
 					t.Errorf("proxy fallback set DegradedCause %q", res.DegradedCause)
 				}
 			} else {
-				span = string(StageApprox)
+				span = "approx"
 				if res.Exact != nil {
 					t.Error("approximate fallback carries an exact result")
 				}

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/dnnf"
 )
 
 // valuesIdentical asserts two Values maps carry the same facts with
@@ -109,14 +107,14 @@ func TestShapleyAllCancelledReturnsContextError(t *testing.T) {
 }
 
 // TestPipelineWithSharedCacheMatchesCold verifies end-to-end that the
-// cross-call compilation cache changes only the cost, never the values.
+// cross-call value cache changes only the cost, never the values.
 func TestPipelineWithSharedCacheMatchesCold(t *testing.T) {
 	elin, endo, _ := flightsELin(t)
 	cold, err := ExplainCircuit(context.Background(), elin, endo, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := dnnf.NewCompileCache(8)
+	cache := NewValueCache(8)
 	var warm *PipelineResult
 	for i := 0; i < 3; i++ { // first call fills, later calls hit
 		warm, err = ExplainCircuit(context.Background(), elin, endo, PipelineOptions{Cache: cache})
@@ -124,8 +122,8 @@ func TestPipelineWithSharedCacheMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !warm.CompileStats.CrossCallHit {
-		t.Error("third compilation of identical lineage missed the cross-call cache")
+	if warm.Cache != CacheIdentical {
+		t.Errorf("third explanation of identical lineage: cache %q, want %q", warm.Cache, CacheIdentical)
 	}
 	valuesIdentical(t, warm.Values, cold.Values, "cached vs cold pipeline")
 }

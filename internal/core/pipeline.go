@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/db"
 	"repro/internal/dnnf"
@@ -41,8 +39,8 @@ type PipelineOptions struct {
 	// identical for every setting.
 	Speculate bool
 	// Portfolio races the compiler's variable-ordering heuristics on the
-	// same CNF, first finisher wins and populates Cache. Requires ≥ 2
-	// compile workers to engage.
+	// same CNF, first finisher wins; Cache stores the values computed from
+	// the winner's circuit. Requires ≥ 2 compile workers to engage.
 	Portfolio bool
 	// NoCanonicalCache keys Cache by the byte-identical CNF instead of the
 	// rename-invariant canonical form (ablation; canonical is the default).
@@ -50,9 +48,11 @@ type PipelineOptions struct {
 	// Strategy selects the Algorithm 1 evaluation mode (StrategyAuto is
 	// gradient; both modes are exact and big.Rat-identical).
 	Strategy ShapleyStrategy
-	// Cache, when non-nil, is a cross-call d-DNNF compilation cache shared
-	// between pipeline invocations (and goroutines).
-	Cache *dnnf.CompileCache
+	// Cache, when non-nil, is a cross-call cache of exact Shapley values
+	// shared between pipeline invocations (and goroutines): a lineage whose
+	// CNF it already holds, up to a renaming of facts, skips compilation and
+	// Algorithm 1.
+	Cache *ValueCache
 	// CacheOwner tags Cache entries with the identity of the fact-ID
 	// universe this lineage comes from (the database ID), scoping the
 	// cache's fact-set invalidation under updates; 0 = untagged.
@@ -65,10 +65,15 @@ type PipelineResult struct {
 	// CNF is the Tseytin transformation of the endogenous lineage.
 	CNF *cnf.Formula
 	// DNNF is the compiled circuit after Tseytin-variable elimination
-	// (Lemma 4.6); its variables are endogenous fact IDs.
+	// (Lemma 4.6); its variables are endogenous fact IDs. Nil on a value
+	// cache hit, which compiles nothing.
 	DNNF *dnnf.Node
 	// Values holds the exact Shapley value of every endogenous fact.
 	Values Values
+	// Cache names how the value cache served this result: CacheIdentical or
+	// CacheRenamed for a hit, CacheMiss otherwise; "" without a cache. A
+	// hit reports the DNNFSize of the compile that filled the entry.
+	Cache string
 
 	NumFacts     int // distinct endogenous facts in the lineage
 	NumClauses   int
@@ -77,20 +82,6 @@ type PipelineResult struct {
 	CompileTime  time.Duration
 	ShapleyTime  time.Duration
 	CompileStats dnnf.Stats
-}
-
-// ExplainCircuit runs the full exact pipeline on an endogenous lineage
-// circuit — the named stages StageTseytin, StageCompile, and StageShapley
-// in order (see stages.go): Tseytin transformation, knowledge compilation
-// to d-DNNF with auxiliary-variable elimination (Lemma 4.6), and
-// Algorithm 1 for every endogenous fact. It returns dnnf.ErrTimeout or
-// dnnf.ErrNodeBudget when compilation exceeds its budget and
-// ErrShapleyTimeout when evaluation does; in those cases the hybrid
-// strategy falls back to CNF Proxy. Cancelling ctx aborts either stage and
-// propagates the context's own error (never a budget sentinel), so callers
-// can distinguish "over budget" from "caller gave up".
-func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions) (*PipelineResult, error) {
-	return ExplainCircuitAt(ctx, elin, endo, 0, nil, opts)
 }
 
 // maxFactID returns the largest endogenous fact ID, used to reserve the

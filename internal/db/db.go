@@ -13,6 +13,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -294,7 +295,7 @@ func (d *Database) degrade(err error) {
 
 // ID returns a process-unique identity for the database. Fact IDs are only
 // unique within one database, so anything keying global state by fact ID —
-// the compile cache's fact-set invalidation, for one — scopes it by this
+// the value cache's fact-set invalidation, for one — scopes it by this
 // identity to keep unrelated databases with colliding fact IDs apart.
 func (d *Database) ID() uint64 { return d.id }
 
@@ -333,6 +334,8 @@ func (d *Database) RelationNames() []string {
 
 // Insert adds a fact to the named relation and returns it. Endogenous facts
 // participate in Shapley attribution; exogenous facts are taken as given.
+// A NaN or infinite float value is rejected before anything is logged or
+// applied, leaving the database healthy.
 func (d *Database) Insert(relation string, endogenous bool, values ...Value) (*Fact, error) {
 	if d.degraded != nil {
 		return nil, d.Err()
@@ -344,6 +347,13 @@ func (d *Database) Insert(relation string, endogenous bool, values ...Value) (*F
 	if len(values) != rel.Schema.Arity() {
 		return nil, fmt.Errorf("db: relation %q has arity %d, got %d values: %w",
 			relation, rel.Schema.Arity(), len(values), ErrArity)
+	}
+	for i, v := range values {
+		// NaN compares equal to every number and the WAL's JSON cannot
+		// encode either NaN or ±Inf, so neither enters the database.
+		if v.kind == KindFloat && (math.IsNaN(v.f) || math.IsInf(v.f, 0)) {
+			return nil, fmt.Errorf("db: relation %q column %q: %v is not a finite number", relation, rel.Schema.Columns[i], v.f)
+		}
 	}
 	f := &Fact{
 		ID:         d.nextID,

@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -485,6 +486,49 @@ func TestMutationOnUnknownRelation(t *testing.T) {
 			}
 			if err := d.Err(); err != nil {
 				t.Errorf("client error degraded the database: %v", err)
+			}
+		})
+	}
+}
+
+// TestInsertRejectsNonFinite: NaN, +Inf and −Inf are refused at Insert on
+// both kinds of database, before anything is logged or applied. The
+// database stays healthy, a valid insert still succeeds, and a reopen of
+// the persistent one gives the same facts.
+func TestInsertRejectsNonFinite(t *testing.T) {
+	for name, d := range databasesUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			d.CreateRelation("R", "x", "y")
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				_, err := d.Insert("R", true, Int(1), Float(bad))
+				if err == nil || !strings.Contains(err.Error(), `"R"`) || !strings.Contains(err.Error(), `"y"`) {
+					t.Fatalf("Insert of %v: err = %v, want an error naming relation R and column y", bad, err)
+				}
+				if err := d.Err(); err != nil {
+					t.Fatalf("Insert of %v degraded the database: %v", bad, err)
+				}
+			}
+			if d.NumFacts() != 0 || d.Epoch() != 0 {
+				t.Fatalf("rejected inserts left %d facts at epoch %d", d.NumFacts(), d.Epoch())
+			}
+			f, err := d.Insert("R", true, Int(1), Float(2.5))
+			if err != nil {
+				t.Fatalf("valid insert after the rejections: %v", err)
+			}
+			if name != "persistent" {
+				return
+			}
+			dir := d.log.dir
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, _, err := Open(PersistConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.Fact(f.ID); re.NumFacts() != 1 || got == nil || !got.Tuple.Equal(f.Tuple) {
+				t.Fatalf("reopen holds %d facts, fact %d = %v; want only %v", re.NumFacts(), f.ID, got, f.Tuple)
 			}
 		})
 	}

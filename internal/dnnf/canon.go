@@ -1,13 +1,12 @@
 package dnnf
 
-// Canonical (rename-invariant) formula labeling for the cross-call compile
-// cache. Real query workloads produce many tuples whose lineages are
-// isomorphic modulo variable renaming — the same join pattern instantiated
-// over different facts Tseytin-encodes to structurally identical CNFs with
-// different variable numbers. Keying the CompileCache on a canonical
-// labeling of the clause hypergraph lets all of them share one compilation;
-// the cached circuit is relabeled (one linear pass) to each caller's
-// variables on a hit.
+// Canonical (rename-invariant) formula labeling for cross-call caches. Real
+// query workloads produce many tuples whose lineages are isomorphic modulo
+// variable renaming — the same join pattern instantiated over different
+// facts Tseytin-encodes to structurally identical CNFs with different
+// variable numbers. Keying a cache on a canonical labeling of the clause
+// hypergraph (CacheKey) lets all of them share one entry, transferred to
+// each caller's variables along key order.
 //
 // The labeling is iterative Weisfeiler–Leman-style color refinement on the
 // clause–variable incidence graph with polarity-typed edges, followed by
@@ -19,6 +18,8 @@ package dnnf
 // isomorphic pairs are detected), never correctness.
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -254,82 +255,61 @@ func canonicalForm(clauses []cnf.Clause, isAux func(int) bool, check func() erro
 	return toCanon, cacheKey(relabeled), nil
 }
 
-// canonicalSignature builds the cross-call cache key for canonical keying:
-// the canonical clause-set key, the compilation-affecting options, and the
-// canonical positions of the auxiliary variables (so isomorphism is required
-// to respect Tseytin bookkeeping). The "c:" tag keeps canonical and
-// byte-identical keyspaces disjoint within one shared cache.
-func canonicalSignature(canonKey string, toCanon map[int]int, f *cnf.Formula, opts Options) string {
-	auxCanon := make([]int, 0, len(f.Aux))
-	for v, canon := range toCanon {
-		if f.Aux[v] {
-			auxCanon = append(auxCanon, canon)
+// CacheKey normalizes f's clauses and returns the key under which a
+// cross-call cache stores what is computed from f, with f's fact
+// (non-auxiliary) variables in key order. Two formulas with equal keys are
+// equal up to the renaming that maps the i-th fact variable of one onto the
+// i-th of the other and auxiliaries onto auxiliaries, so a result that
+// depends only on the formula transfers between them along key order.
+//
+// The key is the canonical labeling of the clause hypergraph, or with
+// byteIdentical the normalized clauses as they are, in which case key order
+// is ascending variable order. check, when non-nil, runs once per labeling
+// round, and its error aborts the labeling.
+func CacheKey(f *cnf.Formula, byteIdentical bool, check func() error) (key string, facts []int, err error) {
+	clauses := make([]cnf.Clause, 0, len(f.Clauses))
+	for _, cl := range f.Clauses {
+		if norm, taut := normalizeClause(cl); !taut {
+			clauses = append(clauses, norm)
 		}
 	}
-	sort.Ints(auxCanon)
-	buf := signatureHead("c:", canonKey, opts)
-	for i, a := range auxCanon {
-		if i > 0 {
-			buf = append(buf, ',')
+	isAux := func(v int) bool { return f.Aux[v] }
+	tag, clauseKey := "b:", ""
+	var order []int // every variable of the clauses, in key order
+	if byteIdentical {
+		clauseKey = cacheKey(clauses)
+		for _, cl := range clauses {
+			for _, l := range cl {
+				order = append(order, l.Var())
+			}
 		}
-		buf = strconv.AppendInt(buf, int64(a), 10)
+		slices.Sort(order)
+		order = slices.Compact(order)
+	} else {
+		toCanon, canonKey, err := canonicalForm(clauses, isAux, check)
+		if err != nil {
+			return "", nil, err
+		}
+		tag, clauseKey = "c:", canonKey
+		order = make([]int, len(toCanon))
+		for v, rank := range toCanon {
+			order[rank-1] = v
+		}
 	}
-	return string(buf)
-}
-
-// Relabel rebuilds the d-DNNF rooted at n in builder b with every variable v
-// replaced by m[v]; variables absent from m are kept. The mapping must be a
-// bijection on the circuit's variables — renaming then preserves determinism
-// and decomposability, so the result is a valid d-DNNF of the renamed
-// formula. Cost is one linear pass over the DAG.
-func Relabel(b *Builder, n *Node, m map[int]int) *Node {
-	memo := make(map[int]*Node)
-	var rec func(*Node) *Node
-	rec = func(nd *Node) *Node {
-		if r, ok := memo[nd.id]; ok {
-			return r
+	// The tag keeps the two keyspaces apart in one shared cache, and the
+	// length prefix keeps the auxiliary positions that follow the clause
+	// key from being read as clauses. The positions make equal keys
+	// respect Tseytin bookkeeping.
+	buf := make([]byte, 0, len(tag)+binary.MaxVarintLen64+len(clauseKey)+4*len(order))
+	buf = append(buf, tag...)
+	buf = binary.AppendUvarint(buf, uint64(len(clauseKey)))
+	buf = append(buf, clauseKey...)
+	for i, v := range order {
+		if isAux(v) {
+			buf = strconv.AppendInt(append(buf, ','), int64(i+1), 10)
+		} else {
+			facts = append(facts, v)
 		}
-		var r *Node
-		switch nd.Kind {
-		case KindTrue:
-			r = b.True()
-		case KindFalse:
-			r = b.False()
-		case KindLit:
-			v := nd.Lit
-			neg := false
-			if v < 0 {
-				v, neg = -v, true
-			}
-			if nv, ok := m[v]; ok {
-				v = nv
-			}
-			if neg {
-				r = b.Lit(-v)
-			} else {
-				r = b.Lit(v)
-			}
-		case KindAnd:
-			cs := make([]*Node, len(nd.Children))
-			for i, c := range nd.Children {
-				cs[i] = rec(c)
-			}
-			r = b.And(cs...)
-		case KindOr:
-			cs := make([]*Node, len(nd.Children))
-			for i, c := range nd.Children {
-				cs[i] = rec(c)
-			}
-			dec := nd.Decision
-			if dec != 0 {
-				if nv, ok := m[dec]; ok {
-					dec = nv
-				}
-			}
-			r = b.orSlice(dec, cs)
-		}
-		memo[nd.id] = r
-		return r
 	}
-	return rec(n)
+	return string(buf), facts, nil
 }

@@ -1,9 +1,10 @@
 package dnnf
 
 import (
-	"context"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -94,7 +95,7 @@ func TestCanonicalFormInvariantUnderRenaming(t *testing.T) {
 		// The two canonical maps need not reproduce perm on automorphic
 		// variables (symmetric variables may swap canonical indices), but
 		// their composition must be an isomorphism of the clause sets —
-		// exactly the property cache relabeling relies on.
+		// exactly the property a cache keyed on the labeling relies on.
 		fromCanonG := make(map[int]int, len(toCanonG))
 		for v, canon := range toCanonG {
 			fromCanonG[canon] = v
@@ -125,130 +126,124 @@ func TestCanonicalFormInvariantUnderRenaming(t *testing.T) {
 	}
 }
 
-// TestCanonicalCacheRenamedHit compiles a formula, then its renamed copy,
-// and requires the copy to be served from the cache via relabeling — with
-// the returned circuit exactly equivalent to the renamed formula.
+// chainFormula returns a small satisfiable CNF parameterized by k so tests
+// can mint distinct formulas: (x1 ∨ x2) ∧ (¬x1 ∨ x3) ∧ (xk).
+func chainFormula(k int) *cnf.Formula {
+	return &cnf.Formula{
+		Clauses: []cnf.Clause{
+			{cnf.Lit(1), cnf.Lit(2)},
+			{cnf.Lit(-1), cnf.Lit(3)},
+			{cnf.Lit(k)},
+		},
+		Aux:    map[int]bool{},
+		MaxVar: k,
+	}
+}
+
+// mustCacheKey is CacheKey without a budget check, failing the test on error.
+func mustCacheKey(t *testing.T, f *cnf.Formula, byteIdentical bool) (string, []int) {
+	t.Helper()
+	key, facts, err := CacheKey(f, byteIdentical, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key, facts
+}
+
+// TestCanonicalCacheRenamedHit keys a formula and its renamed copy: the
+// canonical keys must agree, and mapping the i-th fact of one onto the i-th
+// fact of the other must carry one clause set onto the other — which is
+// what lets a cache hand one formula's per-fact results to the other.
 func TestCanonicalCacheRenamedHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 100; trial++ {
 		f := randomCNF(rng, 2+rng.Intn(5), 1+rng.Intn(7))
-		if len(normalizeAll(t, f)) == 0 {
-			// All clauses tautological: no variables survive, so there is
-			// nothing to relabel.
-			continue
+		if rng.Intn(2) == 0 {
+			f.Aux[f.Vars()[0]] = true
 		}
 		// Shift past any possible original id so the renaming is never the
-		// identity and the hit must relabel.
+		// identity.
 		perm := randomPermutation(rng, f, 10+rng.Intn(20))
 		g := permuteFormula(f, perm)
-
-		cache := NewCompileCache(4)
-		if _, stats, err := Compile(context.Background(), f, Options{Cache: cache}); err != nil {
-			t.Fatal(err)
-		} else if stats.CrossCallHit {
-			t.Fatal("cold compilation reported a hit")
+		keyF, factsF := mustCacheKey(t, f, false)
+		keyG, factsG := mustCacheKey(t, g, false)
+		if keyF != keyG {
+			t.Fatalf("trial %d: renamed formula got another key\nf: %v\ng: %v", trial, f.Clauses, g.Clauses)
 		}
-		warm, stats, err := Compile(context.Background(), g, Options{Cache: cache})
-		if err != nil {
-			t.Fatal(err)
+		if len(factsF) != len(factsG) {
+			t.Fatalf("trial %d: %d facts vs %d", trial, len(factsF), len(factsG))
 		}
-		if !stats.CrossCallHit {
-			t.Fatalf("trial %d: renamed-isomorphic formula missed the canonical cache\nf: %v\ng: %v", trial, f.Clauses, g.Clauses)
-		}
-		// The shift guarantees at least one variable moved, so the hit must
-		// have relabeled the cached circuit.
-		if !stats.RenamedHit {
-			t.Fatalf("trial %d: hit on shifted variables did not report relabeling", trial)
-		}
-		universe := g.Vars()
-		if len(universe) > 16 {
-			t.Fatalf("trial %d: universe unexpectedly large", trial)
-		}
-		assign := make(map[int]bool)
-		for mask := 0; mask < 1<<len(universe); mask++ {
-			for i, v := range universe {
-				assign[v] = mask&(1<<i) != 0
+		// Facts map along key order; auxiliaries, and variables that occur
+		// in tautologies only, through the permutation.
+		m := maps.Clone(perm)
+		for i, v := range factsF {
+			if f.Aux[v] || g.Aux[factsG[i]] {
+				t.Fatalf("trial %d: auxiliary variable listed as a fact", trial)
 			}
-			if Eval(warm, assign) != g.Eval(assign) {
-				t.Fatalf("trial %d: relabeled cached circuit differs from renamed formula at %v\nf: %v\ng: %v",
-					trial, assign, f.Clauses, g.Clauses)
-			}
+			m[v] = factsG[i]
+		}
+		mapped := permuteFormula(f, m)
+		if got, want := cacheKey(normalizeAll(t, mapped)), cacheKey(normalizeAll(t, g)); got != want {
+			t.Fatalf("trial %d: key order is not an isomorphism\nf: %v\ng: %v", trial, f.Clauses, g.Clauses)
 		}
 	}
 }
 
 // TestCanonicalCachePolarityMiss pins down soundness for near-misses: two
 // formulas with the same clause shapes but non-isomorphic polarity patterns
-// must not alias. {(1∨2),(1∨3)} has a variable occurring positively twice;
-// {(¬1∨2),(1∨3)} does not — no renaming maps one onto the other.
+// must not share a key. {(1∨2),(1∨3)} has a variable occurring positively
+// twice; {(¬1∨2),(1∨3)} does not — no renaming maps one onto the other.
 func TestCanonicalCachePolarityMiss(t *testing.T) {
 	a := &cnf.Formula{Clauses: []cnf.Clause{{1, 2}, {1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
 	b := &cnf.Formula{Clauses: []cnf.Clause{{-1, 2}, {1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
-	cache := NewCompileCache(4)
-	if _, _, err := Compile(context.Background(), a, Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := Compile(context.Background(), b, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CrossCallHit {
-		t.Error("different-polarity formula served from the cache")
-	}
-	if st := cache.Stats(); st.IdenticalHits != 0 || st.RenamedHits != 0 || st.Misses != 2 {
-		t.Errorf("Stats identical=%d renamed=%d misses=%d, want 0/0/2", st.IdenticalHits, st.RenamedHits, st.Misses)
+	for _, byteIdentical := range []bool{false, true} {
+		keyA, _ := mustCacheKey(t, a, byteIdentical)
+		keyB, _ := mustCacheKey(t, b, byteIdentical)
+		if keyA == keyB {
+			t.Errorf("byteIdentical=%v: different-polarity formulas share a key", byteIdentical)
+		}
 	}
 }
 
-// TestCanonicalCacheIdenticalFormulaSharesRoot verifies that byte-identical
-// re-compilation is still served without relabeling: the renaming composes
-// to the identity, so the hit returns the cached root itself.
-func TestCanonicalCacheIdenticalFormulaSharesRoot(t *testing.T) {
-	f := &cnf.Formula{
-		Clauses: []cnf.Clause{{1, 2}, {-1, 3}, {2, -3}},
-		Aux:     map[int]bool{},
-		MaxVar:  3,
-	}
-	cache := NewCompileCache(4)
-	first, _, err := Compile(context.Background(), f, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, stats, err := Compile(context.Background(), f, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.CrossCallHit || stats.RenamedHit {
-		t.Fatalf("identical formula: CrossCallHit=%v RenamedHit=%v, want hit without relabeling", stats.CrossCallHit, stats.RenamedHit)
-	}
-	if first != second {
-		t.Error("identity hit returned a relabeled copy instead of the cached root")
-	}
-	if st := cache.Stats(); st.IdenticalHits != 1 || st.RenamedHits != 0 {
-		t.Errorf("Stats identical=%d renamed=%d, want 1/0", st.IdenticalHits, st.RenamedHits)
-	}
-}
-
-// TestCanonicalCacheDisabledByToggle checks the ablation switch: with
-// NoCanonicalCache set, a renamed-isomorphic formula is a miss.
+// TestCanonicalCacheDisabledByToggle checks the ablation switch: keyed
+// byte-identically, a renamed-isomorphic formula gets its own key, in
+// ascending variable order, while the same formula keys equal.
 func TestCanonicalCacheDisabledByToggle(t *testing.T) {
 	f := &cnf.Formula{Clauses: []cnf.Clause{{1, 2}, {-1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
 	g := permuteFormula(f, map[int]int{1: 7, 2: 9, 3: 8})
-	cache := NewCompileCache(4)
-	opts := Options{Cache: cache, NoCanonicalCache: true}
-	if _, _, err := Compile(context.Background(), f, opts); err != nil {
-		t.Fatal(err)
+	canonF, _ := mustCacheKey(t, f, false)
+	if canonG, _ := mustCacheKey(t, g, false); canonF != canonG {
+		t.Fatal("canonical keys of a renamed copy differ")
 	}
-	_, stats, err := Compile(context.Background(), g, opts)
-	if err != nil {
-		t.Fatal(err)
+	keyF, _ := mustCacheKey(t, f, true)
+	keyG, factsG := mustCacheKey(t, g, true)
+	if keyF == keyG {
+		t.Error("byte-identical keying gave a renamed formula the same key")
 	}
-	if stats.CrossCallHit {
-		t.Error("byte-identical keying served a renamed formula")
+	if !slices.Equal(factsG, []int{7, 8, 9}) {
+		t.Errorf("byte-identical key order %v, want ascending [7 8 9]", factsG)
 	}
-	// And the byte-identical path still hits on the exact same formula.
-	if _, stats, err = Compile(context.Background(), g, opts); err != nil || !stats.CrossCallHit {
-		t.Errorf("byte-identical re-compilation missed (err=%v hit=%v)", err, stats.CrossCallHit)
+	if again, _ := mustCacheKey(t, permuteFormula(f, map[int]int{1: 7, 2: 9, 3: 8}), true); again != keyG {
+		t.Error("byte-identical keys of the same formula differ")
+	}
+}
+
+// TestCompileCacheDistinguishesAuxBookkeeping: equal clauses under
+// different auxiliary-variable bookkeeping must not share a key, in either
+// keying, and auxiliaries are never listed as facts.
+func TestCompileCacheDistinguishesAuxBookkeeping(t *testing.T) {
+	plain := chainFormula(3)
+	marked := chainFormula(3)
+	marked.Aux = map[int]bool{3: true}
+	for _, byteIdentical := range []bool{false, true} {
+		keyPlain, _ := mustCacheKey(t, plain, byteIdentical)
+		keyMarked, facts := mustCacheKey(t, marked, byteIdentical)
+		if keyPlain == keyMarked {
+			t.Errorf("byteIdentical=%v: formulas with different Aux sets share a key", byteIdentical)
+		}
+		if slices.Contains(facts, 3) || len(facts) != 2 {
+			t.Errorf("byteIdentical=%v: facts %v, want the two non-auxiliary variables", byteIdentical, facts)
+		}
 	}
 }
 
@@ -287,42 +282,7 @@ func TestCanonicalFormHonorsBudgetCheck(t *testing.T) {
 	if _, _, err := canonicalForm(normalizeAll(t, f), func(int) bool { return false }, func() error { return boom }); err != boom {
 		t.Fatalf("err = %v, want the check's error", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cache := NewCompileCache(4)
-	if _, _, err := Compile(ctx, f, Options{Cache: cache}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Compile with canonical cache: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRelabelPreservesSemantics checks Relabel in isolation: the relabeled
-// circuit evaluates exactly like the original with the assignment pulled
-// back through the renaming, and keeps the d-D structural invariants.
-func TestRelabelPreservesSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for trial := 0; trial < 80; trial++ {
-		f := randomCNF(rng, 2+rng.Intn(5), 1+rng.Intn(7))
-		n, _, err := Compile(context.Background(), f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perm := randomPermutation(rng, f, rng.Intn(30))
-		relabeled := Relabel(NewBuilder(), n, perm)
-		if err := Validate(relabeled, 12); err != nil {
-			t.Fatalf("trial %d: relabeled circuit invalid: %v", trial, err)
-		}
-		universe := f.Vars()
-		assign := make(map[int]bool)
-		renamedAssign := make(map[int]bool)
-		for mask := 0; mask < 1<<len(universe); mask++ {
-			for i, v := range universe {
-				val := mask&(1<<i) != 0
-				assign[v] = val
-				renamedAssign[perm[v]] = val
-			}
-			if Eval(relabeled, renamedAssign) != Eval(n, assign) {
-				t.Fatalf("trial %d: relabeled circuit diverges at %v", trial, assign)
-			}
-		}
+	if _, _, err := CacheKey(f, false, func() error { return boom }); err != boom {
+		t.Fatalf("CacheKey: err = %v, want the check's error", err)
 	}
 }

@@ -85,10 +85,6 @@ type Options struct {
 	DisableCache bool
 	// Order selects the branching heuristic.
 	Order VarOrder
-	// Cache, when non-nil, is a cross-call LRU consulted before compiling
-	// and updated after: repeated compilations of the same formula return
-	// the previously compiled circuit. Safe for concurrent use.
-	Cache *CompileCache
 	// Workers bounds intra-compilation parallelism: independent connected
 	// components of the residual clause set fan out across up to Workers
 	// goroutines (≤ 0 = GOMAXPROCS). Workers == 1 is the fully sequential
@@ -110,26 +106,12 @@ type Options struct {
 	// Portfolio races the same CNF under different branching heuristics
 	// (the configured Order plus the dynamic heuristics it is not), each
 	// racer on its own builder with an equal share of the Workers budget.
-	// The first racer to finish wins: its circuit is returned (and enters
-	// Cache under the canonical key, so a win anywhere is fleet-wide) and
-	// the losers are cancelled via context. Requires Workers ≥ 2 to engage;
+	// The first racer to finish wins: its circuit is returned and the
+	// losers are cancelled via context. Requires Workers ≥ 2 to engage;
 	// with Workers == 1 compilation is byte-identical to the sequential
 	// compiler. MaxNodes bounds each racer's builder: the compilation fails
 	// with ErrNodeBudget only when every racer exhausts it.
 	Portfolio bool
-	// NoCanonicalCache keys the cross-call Cache by the byte-identical
-	// formula signature instead of the rename-invariant canonical form
-	// (ablation). With canonical keying — the default — compilations of
-	// formulas that are equal up to a variable renaming share one cache
-	// entry; the cached circuit is relabeled to the caller's variables on
-	// each hit.
-	NoCanonicalCache bool
-	// CacheOwner tags the Cache entry this compilation populates with the
-	// identity of the fact-ID universe its variables come from (the
-	// database ID, for lineage compilations; 0 = untagged). It scopes
-	// CompileCache.Invalidate — fact IDs collide across databases — and
-	// never affects lookups.
-	CacheOwner uint64
 }
 
 // Stats reports compilation effort.
@@ -140,14 +122,12 @@ type Stats struct {
 	CacheMisses  int
 	Components   int
 	Nodes        int
+	// CheckedNodes is the builder's node count at the last MaxNodes check.
+	// The sequential compiler fails a MaxNodes below it and meets one at
+	// or above it; Nodes, which also counts the nodes built after that
+	// check, can exceed it by a few.
+	CheckedNodes int
 	Elapsed      time.Duration
-	// CrossCallHit reports that the whole compilation was answered from a
-	// cross-call CompileCache, in which case the effort counters are zero.
-	CrossCallHit bool
-	// RenamedHit reports that the cross-call hit was served under the
-	// canonical key for a formula that differed from the cached one by a
-	// variable renaming, so the circuit was relabeled for this caller.
-	RenamedHit bool
 	// SpeculatedDecisions counts Shannon decisions whose cofactors compiled
 	// concurrently; SpeculationCancels counts siblings that were cancelled
 	// mid-flight because the other branch failed its budget.
@@ -164,8 +144,8 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("decisions=%d props=%d cacheHits=%d cacheMisses=%d components=%d nodes=%d crossHit=%v renamedHit=%v elapsed=%v",
-		s.Decisions, s.Propagations, s.CacheHits, s.CacheMisses, s.Components, s.Nodes, s.CrossCallHit, s.RenamedHit, s.Elapsed)
+	out := fmt.Sprintf("decisions=%d props=%d cacheHits=%d cacheMisses=%d components=%d nodes=%d elapsed=%v",
+		s.Decisions, s.Propagations, s.CacheHits, s.CacheMisses, s.Components, s.Nodes, s.Elapsed)
 	if s.SpeculatedDecisions > 0 || s.SpeculationCancels > 0 {
 		out += fmt.Sprintf(" speculated=%d specCancels=%d", s.SpeculatedDecisions, s.SpeculationCancels)
 	}
@@ -209,6 +189,7 @@ type compiler struct {
 	cacheMisses  atomic.Int64
 	components   atomic.Int64
 	steps        atomic.Int64
+	checked      atomic.Int64
 	speculated   atomic.Int64
 	specCancels  atomic.Int64
 }
@@ -239,6 +220,7 @@ func (c *compiler) snapshot(start time.Time) Stats {
 		CacheMisses:         int(c.cacheMisses.Load()),
 		Components:          int(c.components.Load()),
 		Nodes:               c.b.NumNodes(),
+		CheckedNodes:        int(c.checked.Load()),
 		SpeculatedDecisions: int(c.speculated.Load()),
 		SpeculationCancels:  int(c.specCancels.Load()),
 		Elapsed:             time.Since(start),
@@ -262,8 +244,7 @@ func (c *compiler) lit(l cnf.Lit) *Node {
 // Options.Timeout, which is this compilation's own budget and yields
 // ErrTimeout); ctx errors are returned as-is. When ctx carries a trace
 // collector, the compilation records a "dnnf" span annotated with the
-// workers granted, the cache-hit kind, and the speculation and portfolio
-// outcomes.
+// workers granted and the speculation and portfolio outcomes.
 func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, error) {
 	ctx, sp := trace.Start(ctx, "dnnf")
 	root, stats, err := compileFormula(ctx, f, opts)
@@ -272,16 +253,6 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 		sp.Set("workers", parallel.Workers(opts.Workers))
 		sp.Set("nodes", stats.Nodes)
 		sp.Set("decisions", stats.Decisions)
-		if opts.Cache != nil {
-			switch {
-			case stats.RenamedHit:
-				sp.Set("cache", "renamed")
-			case stats.CrossCallHit:
-				sp.Set("cache", "identical")
-			default:
-				sp.Set("cache", "miss")
-			}
-		}
 		if opts.Speculate {
 			sp.Set("speculated", stats.SpeculatedDecisions)
 			sp.Set("speculation_cancels", stats.SpeculationCancels)
@@ -308,10 +279,6 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 		// which could let a tiny compile slip through complete.
 		return nil, Stats{}, err
 	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
 	clauses := make([]cnf.Clause, 0, len(f.Clauses))
 	for _, cl := range f.Clauses {
 		norm, taut := normalizeClause(cl)
@@ -323,70 +290,6 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 			return b.False(), Stats{Nodes: b.NumNodes(), Elapsed: time.Since(start)}, nil
 		}
 		clauses = append(clauses, norm)
-	}
-	var signature string
-	var toCanon map[int]int
-	if opts.Cache != nil {
-		if opts.NoCanonicalCache {
-			signature = formulaSignature(clauses, f, opts)
-		} else {
-			// Canonicalization honors the same budget as the compilation
-			// proper, so a pathological labeling cannot outlive the
-			// caller's deadline or ignore cancellation.
-			budget := func() error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return ErrTimeout
-				}
-				return nil
-			}
-			var canonKey string
-			var err error
-			toCanon, canonKey, err = canonicalForm(clauses, func(v int) bool { return f.Aux[v] }, budget)
-			if err != nil {
-				return nil, Stats{Elapsed: time.Since(start)}, err
-			}
-			signature = canonicalSignature(canonKey, toCanon, f, opts)
-		}
-		// Single-flight loop: serve a hit, or become the leader and
-		// compile, or wait for the in-flight leader and re-check. Waiters
-		// of a failed leader contend to lead the next round, so duplicate
-		// formulas compiled concurrently still pay for one compilation.
-		for {
-			if entry, ok := opts.Cache.get(signature); ok {
-				if opts.MaxNodes > 0 && entry.nodes > opts.MaxNodes {
-					// The node budget models memory exhaustion; comparing
-					// against the original compilation's allocation count
-					// makes a warm hit fail exactly where a cold compile
-					// would, independent of cache warmth.
-					return nil, Stats{Elapsed: time.Since(start)}, ErrNodeBudget
-				}
-				root, renamed, ok := rebindCached(entry, toCanon)
-				if !ok {
-					// The stored renaming does not line up with this
-					// caller's (it can only happen after a hash-collision
-					// canonicalization defect); compile fresh rather than
-					// serve a miswired circuit.
-					break
-				}
-				if renamed {
-					opts.Cache.noteRenamed()
-				}
-				stats := Stats{Elapsed: time.Since(start)}
-				stats.CrossCallHit = true
-				stats.RenamedHit = renamed
-				stats.Nodes = entry.nodes
-				return root, stats, nil
-			}
-			leader, wait := opts.Cache.acquire(signature)
-			if leader {
-				defer opts.Cache.release(signature)
-				break
-			}
-			wait()
-		}
 	}
 	var root *Node
 	var stats Stats
@@ -403,53 +306,7 @@ func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, S
 	if err != nil {
 		return nil, stats, err
 	}
-	if opts.Cache != nil {
-		opts.Cache.put(signature, root, stats.Nodes, invertRenaming(toCanon), f.OriginalVars(), opts.CacheOwner)
-	}
 	return root, stats, nil
-}
-
-// rebindCached maps a cache entry's circuit into the caller's variable
-// space. Byte-identical entries (fromCanon == nil) are returned as-is;
-// canonical entries are relabeled through canon unless the composite
-// renaming is the identity. The final return is false when the two
-// renamings are inconsistent — a sign the entry must not be served.
-func rebindCached(entry *cacheEntry, toCanon map[int]int) (root *Node, renamed, ok bool) {
-	if entry.fromCanon == nil {
-		return entry.root, false, true
-	}
-	if len(entry.fromCanon) != len(toCanon) {
-		return nil, false, false
-	}
-	fromCanon := invertRenaming(toCanon)
-	m := make(map[int]int, len(entry.fromCanon))
-	identity := true
-	for canon, cachedVar := range entry.fromCanon {
-		callerVar, exists := fromCanon[canon]
-		if !exists {
-			return nil, false, false
-		}
-		m[cachedVar] = callerVar
-		if cachedVar != callerVar {
-			identity = false
-		}
-	}
-	if identity {
-		return entry.root, false, true
-	}
-	return Relabel(NewBuilder(), entry.root, m), true, true
-}
-
-// invertRenaming flips a var→canon map into canon→var; nil stays nil.
-func invertRenaming(toCanon map[int]int) map[int]int {
-	if toCanon == nil {
-		return nil
-	}
-	out := make(map[int]int, len(toCanon))
-	for v, canon := range toCanon {
-		out[canon] = v
-	}
-	return out
 }
 
 // normalizeClause sorts literals, removes duplicates, and detects
@@ -517,7 +374,9 @@ func (c *compiler) checkBudget(ctx context.Context) error {
 			return ErrTimeout
 		}
 	}
-	if c.opts.MaxNodes > 0 && c.b.NumNodes() > c.opts.MaxNodes {
+	n := c.b.NumNodes()
+	c.checked.Store(int64(n))
+	if c.opts.MaxNodes > 0 && n > c.opts.MaxNodes {
 		return ErrNodeBudget
 	}
 	return nil

@@ -28,8 +28,8 @@ func Register(fs *flag.FlagSet) *repro.Options {
 	fs.IntVar(&o.CompileWorkers, "compile-workers", 0, "knowledge-compiler component fan-out (0 = inherit the per-tuple worker share, -1 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&o.Speculate, "speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently (parallelism for single-component lineages)")
 	fs.BoolVar(&o.Portfolio, "portfolio", false, "race variable-ordering heuristics per CNF, first finisher wins (needs ≥2 compile workers)")
-	fs.IntVar(&o.CacheSize, "cache", 0, "compiled-circuit cache size (0 = default, -1 = disabled)")
-	fs.BoolVar(&o.NoCanonicalCache, "nocanon", false, "key the compile cache byte-identically instead of by canonical (rename-invariant) form")
+	fs.IntVar(&o.CacheSize, "cache", 0, "Shapley-value cache size in lineages (0 = default, -1 = disabled)")
+	fs.BoolVar(&o.NoCanonicalCache, "nocanon", false, "key the value cache byte-identically instead of by canonical (rename-invariant) form")
 	fs.Var((*strategyFlag)(&o.Strategy), "strategy", "Algorithm 1 evaluation `mode`: auto (the default), per-fact, or gradient")
 	fs.IntVar(&o.Budget.MinSamples, "approx-min-samples", 0, "sampling fallback's minimum permutation count (0 = sampler default)")
 	return o

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/flights"
 	"repro/internal/metrics"
 	"repro/internal/promlint"
@@ -138,11 +139,11 @@ type Report struct {
 	Target     string       `json:"target"`
 	Levels     []Level      `json:"levels"`
 	HeadToHead []HeadToHead `json:"head_to_head"`
-	// Pool and Cache are the server's final session-pool and
-	// compilation-cache counters, read from its repro_pool_* and
-	// repro_compile_cache_* series on /metrics.
+	// Pool and Cache are the server's final session-pool and value-cache
+	// counters, read from its repro_pool_* and repro_compile_cache_* series
+	// on /metrics.
 	Pool  wire.PoolStats  `json:"pool"`
-	Cache wire.CacheStats `json:"cache"`
+	Cache core.CacheStats `json:"cache"`
 	// ValueChecks counts served explanations cross-checked
 	// big.Rat-identical against a cold repro.Explain (the run fails on the
 	// first mismatch).
@@ -277,8 +278,8 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	rep := &Report{Dataset: opts.Dataset, Query: opts.Query, Target: target}
 
 	// Warm both paths once so every timed phase measures steady state (the
-	// compile cache is process-wide, so the open-per-request baseline is
-	// compile-warm too — the head-to-head isolates grounding + session
+	// value cache is process-wide, so the open-per-request baseline is
+	// cache-warm too — the head-to-head isolates grounding + session
 	// reuse, which is exactly what the pool adds).
 	for _, noPool := range []bool{true, false} {
 		if _, _, err := postExplain(ctx, client, base, opts, noPool, 0); err != nil {
@@ -342,7 +343,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		}
 	}
 
-	// Final server-side counters: pool next to compile cache.
+	// Final server-side counters: pool next to value cache.
 	if err := readMetrics(ctx, client, base, rep); err != nil {
 		return nil, err
 	}
@@ -629,7 +630,7 @@ func readMetrics(ctx context.Context, client *benchClient, base string, rep *Rep
 		UpdateBatches:    get("repro_pool_update_batches_total"),
 		CoalescedBatches: get("repro_pool_coalesced_batches_total"),
 	}
-	rep.Cache = wire.CacheStats{
+	rep.Cache = core.CacheStats{
 		IdenticalHits: get(`repro_compile_cache_hits_total{kind="identical"}`),
 		RenamedHits:   get(`repro_compile_cache_hits_total{kind="renamed"}`),
 		Misses:        get("repro_compile_cache_misses_total"),

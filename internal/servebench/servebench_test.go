@@ -61,7 +61,7 @@ func TestRunInProcess(t *testing.T) {
 		t.Errorf("pool counters: %+v", rep.Pool)
 	}
 	if rep.Cache.Hits+rep.Cache.Misses == 0 || rep.Cache.Capacity <= 0 {
-		t.Errorf("compile cache untouched: %+v", rep.Cache)
+		t.Errorf("value cache untouched: %+v", rep.Cache)
 	}
 
 }

@@ -61,9 +61,12 @@ func getBody(t *testing.T, url string) (int, string) {
 
 // TestExplainTraceSpans: a trace:true explain returns the span tree — root
 // "explain" whose duration is the reported request latency, with the
-// acquire/tuple/tseytin/compile/dnnf stages nested inside, the cold open's
+// acquire/tuple/tseytin/compile stages nested inside, the cold open's
 // ground under acquire, and compiler node counts attached where the
-// pipeline produced them.
+// pipeline produced them. The compile span names its value-cache outcome:
+// a miss compiles under a "dnnf" span and runs Algorithm 1 under a
+// "shapley" span, a hit (other tests of the package share the process-wide
+// cache) opens neither.
 func TestExplainTraceSpans(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{})
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String(), Trace: true}
@@ -96,10 +99,29 @@ func TestExplainTraceSpans(t *testing.T) {
 	if sum > root.DurationMs+1 {
 		t.Errorf("children sum %vms exceeds root %vms", sum, root.DurationMs)
 	}
-	for _, name := range []string{"acquire", "tuple", "tseytin", "compile", "dnnf", "shapley"} {
+	for _, name := range []string{"acquire", "tuple", "tseytin", "compile"} {
 		if root.Find(name) == nil {
-			t.Errorf("trace has no %q span:\n%s", name, raw)
+			t.Fatalf("trace has no %q span:\n%s", name, raw)
 		}
+	}
+	switch kind := root.Find("compile").Attrs["cache"]; kind {
+	case "miss":
+		for _, name := range []string{"dnnf", "shapley"} {
+			if root.Find(name) == nil {
+				t.Errorf("cache miss traced no %q span:\n%s", name, raw)
+			}
+		}
+	case "identical", "renamed":
+		for _, name := range []string{"dnnf", "shapley"} {
+			if root.Find(name) != nil {
+				t.Errorf("cache hit traced a %q span:\n%s", name, raw)
+			}
+		}
+	default:
+		t.Errorf("compile span cache attr = %v, want miss, identical or renamed", kind)
+	}
+	if nodes, ok := root.Find("compile").Attrs["nodes"].(float64); !ok || nodes <= 0 {
+		t.Errorf("compile span nodes attr = %v, want > 0", root.Find("compile").Attrs["nodes"])
 	}
 	// This request opened the pooled session, so its grounding is part of
 	// the acquire wait.

@@ -437,7 +437,7 @@ func TestServerHTTPBasics(t *testing.T) {
 		t.Errorf("explain requests = %v, want ≥ 1", n)
 	}
 	if metric(t, samples, "repro_compile_cache_hits_total")+metric(t, samples, "repro_compile_cache_misses_total") == 0 {
-		t.Error("/metrics shows an untouched compile cache after explains")
+		t.Error("/metrics shows an untouched value cache after explains")
 	}
 
 	// 4xx surface.

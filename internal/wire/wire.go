@@ -226,19 +226,6 @@ type PoolStats struct {
 	CoalescedBatches int64 `json:"coalesced_batches"`
 }
 
-// CacheStats is the compilation cache's counters as the serve benchmark
-// reads them from the repro_compile_cache_* series of GET /metrics.
-type CacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	IdenticalHits int64 `json:"identical_hits"`
-	RenamedHits   int64 `json:"renamed_hits"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Len           int   `json:"len"`
-	Capacity      int   `json:"capacity"`
-}
-
 // EncodeValue renders a database value as a JSON-encodable scalar. Floats
 // always carry a fractional or exponent marker, so an integral float
 // round-trips back to db.Float rather than db.Int (value kinds participate

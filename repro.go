@@ -238,21 +238,22 @@ type Options struct {
 	Speculate bool
 	// Portfolio races the same CNF under the compiler's variable-ordering
 	// heuristics (the configured order plus the dynamic alternatives) when
-	// at least two compile workers are available; the first finisher wins
-	// and its circuit enters the canonical compilation cache, so a win on
-	// any heuristic is amortized across renamed-isomorphic lineages.
+	// at least two compile workers are available; the first finisher wins,
+	// and the values computed from its circuit enter the canonical value
+	// cache, so a win on any heuristic is amortized across
+	// renamed-isomorphic lineages.
 	Portfolio bool
-	// CacheSize sizes the process-wide d-DNNF compilation cache (number of
-	// compiled circuits retained across Explain calls). Zero means the
-	// default size; -1 disables cross-call caching. Other negative values
-	// are invalid.
+	// CacheSize sizes the process-wide value cache (number of lineages
+	// whose exact Shapley values are retained across Explain calls). Zero
+	// means the default size; -1 disables cross-call caching. Other
+	// negative values are invalid.
 	CacheSize int
-	// NoCanonicalCache keys the compilation cache by the byte-identical
-	// CNF rather than its rename-invariant canonical form. By default,
-	// output tuples whose provenance is isomorphic modulo variable renaming
-	// (the common shape of multi-tuple query answers) share one compiled
-	// circuit; this toggle is the ablation that restores exact-match-only
-	// caching.
+	// NoCanonicalCache keys the value cache by the byte-identical CNF
+	// rather than its rename-invariant canonical form. By default, output
+	// tuples whose provenance is isomorphic modulo variable renaming (the
+	// common shape of multi-tuple query answers) share one entry, compiled
+	// and evaluated once; this toggle is the ablation that restores
+	// exact-match-only caching.
 	NoCanonicalCache bool
 	// Strategy selects the Algorithm 1 evaluation mode. The default,
 	// StrategyAuto, runs the two-pass gradient algorithm; StrategyPerFact
@@ -373,38 +374,38 @@ func (e *TupleExplanation) Score(f FactID) float64 {
 	return v
 }
 
-// sharedCache is the process-wide cross-call compilation cache behind
+// sharedCache is the process-wide cross-call value cache behind
 // Options.CacheSize. Lazily created on first use; later calls asking for a
 // larger size grow it in place so concurrent users keep their working sets.
 var (
 	sharedCacheMu sync.Mutex
-	sharedCache   *dnnf.CompileCache
+	sharedCache   *core.ValueCache
 )
 
-func compileCache(size int) *dnnf.CompileCache {
+func valueCache(size int) *core.ValueCache {
 	if size < 0 {
 		return nil
 	}
 	sharedCacheMu.Lock()
 	defer sharedCacheMu.Unlock()
 	if sharedCache == nil {
-		sharedCache = dnnf.NewCompileCache(size)
+		sharedCache = core.NewValueCache(size)
 	} else if size > 0 {
 		sharedCache.Grow(size)
 	}
 	return sharedCache
 }
 
-// CompileCacheStats returns a snapshot of the process-wide compiled-circuit
-// cache counters — the cache every session with CacheSize ≥ 0 shares — or a
-// zero snapshot if no session or Explain call has created it yet. The
+// CompileCacheStats returns a snapshot of the process-wide value cache
+// counters — the cache every session with CacheSize ≥ 0 shares — or a zero
+// snapshot if no session or Explain call has created it yet. The
 // explanation service serves it on GET /metrics as the
 // repro_compile_cache_* series, next to its session-pool counters.
-func CompileCacheStats() dnnf.CacheStats {
+func CompileCacheStats() core.CacheStats {
 	sharedCacheMu.Lock()
 	defer sharedCacheMu.Unlock()
 	if sharedCache == nil {
-		return dnnf.CacheStats{}
+		return core.CacheStats{}
 	}
 	return sharedCache.Stats()
 }
@@ -419,7 +420,7 @@ func CompileCacheStats() dnnf.CacheStats {
 // explains every tuple once, and closes the session. Callers that ask the
 // same question repeatedly — or that update the database between questions
 // — should hold a Session open instead, which maintains lineage and
-// compiled artifacts incrementally across calls.
+// explanations incrementally across calls.
 //
 // Output tuples are explained concurrently across opts.Workers goroutines
 // (each answer's lineage is independent of the others), with the slice

@@ -10,7 +10,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -23,20 +22,18 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 // query, built for the paper's interactive workload: an analyst asks "why
 // this tuple?" repeatedly against a database that changes between
 // questions. Where the one-shot Explain re-grounds the query, rebuilds
-// lineage, and recompiles circuits from scratch on every call, a Session
-// grounds once at Open and then delta-maintains every per-stage artifact
-// under updates:
+// lineage, and explains every tuple from scratch on every call, a Session
+// grounds once at Open and then delta-maintains its answers under updates:
 //
 //   - Insert delta-joins only the bindings involving the new fact
 //     (engine.EvalDelta) and splices the new derivations into the affected
 //     answers' lineage;
 //   - Delete drops exactly the derivations supported by the removed fact
-//     via a fact→derivation index, and evicts from the compilation cache
-//     only circuits whose lineage actually mentions it;
+//     via a fact→derivation index, and evicts from the value cache only
+//     entries whose lineage actually mentions it;
 //   - Explain recomputes only the tuples whose lineage epoch advanced —
-//     each tuple's Tseytin CNF, compiled d-DNNF, Shapley values, and final
-//     explanation are cached per lineage epoch (core.Artifacts) and reused
-//     verbatim while the tuple's provenance is unchanged.
+//     each tuple's finished explanation is cached per lineage epoch and
+//     reused verbatim while the tuple's provenance is unchanged.
 //
 // After any update sequence, Explain returns exactly what a cold Explain on
 // the mutated database would: the same tuples, methods, rankings, and
@@ -51,7 +48,7 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 // # Concurrency contract
 //
 // A Session is safe for concurrent use: Explain, Insert, Delete, Apply,
-// NumAnswers, Stats, CacheStats, and Close may all be called from multiple
+// NumAnswers, Stats, and Close may all be called from multiple
 // goroutines at once. Methods serialize on an internal lock — at most one
 // of them mutates or reads session state at a time — while the per-tuple
 // explanation work inside one Explain call still fans out across
@@ -74,7 +71,7 @@ type Session struct {
 	opts   Options
 	cb     *circuit.Builder
 	inc    *engine.Incremental
-	cache  *dnnf.CompileCache
+	cache  *core.ValueCache
 	epoch  uint64 // db.Epoch() the session state reflects
 	tuples map[string]*sessionTuple
 	closed bool
@@ -100,14 +97,12 @@ type Session struct {
 	upgrades int64
 }
 
-// sessionTuple carries one output tuple's cached pipeline state across
-// Explain calls: the per-stage artifacts and the finished explanation, each
-// valid for the lineage epoch they were computed at. upFailed records that a
-// background exact upgrade already failed at upFailEpoch, so the scheduler
-// does not retry until the lineage changes.
+// sessionTuple carries one output tuple's finished explanation across
+// Explain calls, valid for the lineage epoch it was computed at. upFailed
+// records that a background exact upgrade already failed at upFailEpoch, so
+// the scheduler does not retry until the lineage changes.
 type sessionTuple struct {
 	epoch uint64
-	art   *core.Artifacts
 	expl  *TupleExplanation
 
 	upFailed    bool
@@ -134,7 +129,7 @@ func OpenContext(ctx context.Context, d *Database, q *Query, opts Options) (*Ses
 		d:         d,
 		q:         q,
 		opts:      opts,
-		cache:     compileCache(opts.CacheSize),
+		cache:     valueCache(opts.CacheSize),
 		bgSlot:    make(chan struct{}, 1),
 		upgrading: make(map[string]bool),
 	}
@@ -236,7 +231,7 @@ func DeleteOp(id FactID) Mutation {
 
 // Apply applies the mutations in order under a single lock acquisition and
 // delta-maintains the session's answers for all of them, with one batched
-// compilation-cache invalidation covering every deleted endogenous fact.
+// value-cache invalidation covering every deleted endogenous fact.
 // It is the bulk form of Insert and Delete: a service coalescing many
 // concurrent update requests into one application (see internal/server)
 // pays the session synchronization and cache-invalidation cost once per
@@ -328,10 +323,9 @@ func (s *Session) Insert(relation string, endogenous bool, values ...Value) (*Fa
 // Delete removes the fact with the given ID from the database (see
 // Database.Delete) and delta-maintains the session's answers: exactly the
 // derivations supported by the fact disappear, answers left without
-// derivations leave the result, and compiled circuits whose lineage
-// mentions the fact are evicted from the compilation cache. Circuits over
-// other facts — including renamed-isomorphic cache entries serving other
-// tuples — survive.
+// derivations leave the result, and value-cache entries whose lineage
+// mentions the fact are evicted. Entries over other facts — including
+// renamed-isomorphic ones serving other tuples — survive.
 func (s *Session) Delete(id FactID) error {
 	_, err := s.Apply([]Mutation{DeleteOp(id)})
 	return unwrapSingle(err)
@@ -395,7 +389,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 	for _, a := range live {
 		liveKeys[a.Key] = true
 		if s.tuples[a.Key] == nil {
-			s.tuples[a.Key] = &sessionTuple{art: &core.Artifacts{}}
+			s.tuples[a.Key] = &sessionTuple{}
 		}
 	}
 	for k := range s.tuples {
@@ -444,7 +438,7 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 			return nil
 		}
 		endo := lineageEndo(a.Lineage)
-		h, err := core.HybridAt(tctx, a.Lineage, endo, a.Epoch, entry.art, popts, budget)
+		h, err := core.Hybrid(tctx, a.Lineage, endo, popts, budget)
 		if err != nil {
 			tsp.Set("error", err.Error())
 			tsp.End()
@@ -567,7 +561,7 @@ func (s *Session) upgradeTuple(key string, obs trace.Observer) {
 	start := time.Now()
 	uctx, root := trace.NewRoot(s.bgCtx, "upgrade", obs)
 	defer root.End()
-	res, err := core.ExplainCircuitAt(uctx, lineage, endo, epoch, nil, s.pipeline(1, 1))
+	res, err := core.ExplainCircuit(uctx, lineage, endo, s.pipeline(1, 1))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -662,18 +656,6 @@ func (s *Session) Stats() (SessionStats, error) {
 		}
 	}
 	return st, nil
-}
-
-// CacheStats returns a snapshot of the compilation cache counters the
-// session contributes to (the process-wide cache shared across sessions),
-// or a zero snapshot when caching is disabled.
-func (s *Session) CacheStats() dnnf.CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		return dnnf.CacheStats{}
-	}
-	return s.cache.Stats()
 }
 
 // Close releases the session's cached state and cancels any in-flight

@@ -12,11 +12,11 @@ import (
 )
 
 // TestSessionConcurrentHammerMatchesSerial enforces the Session concurrency
-// contract: Explain, Insert, Delete, Apply, NumAnswers, Stats, and
-// CacheStats hammered from many goroutines must be race-free (run under
-// -race in CI) and leave the session in a state big.Rat-identical to a
-// serial execution of the same mutation scripts — and to a cold Explain on
-// an equivalent database.
+// contract: Explain, Insert, Delete, Apply, NumAnswers and Stats, with
+// CompileCacheStats, hammered from many goroutines must be race-free (run
+// under -race in CI) and leave the session in a state big.Rat-identical to
+// a serial execution of the same mutation scripts — and to a cold Explain
+// on an equivalent database.
 //
 // Each mutator goroutine runs a net-zero script (insert a joining flight,
 // explain, delete it), so the final database equals the initial one and the
@@ -108,7 +108,7 @@ func TestSessionConcurrentHammerMatchesSerial(t *testing.T) {
 					errs <- err
 					return
 				}
-				s.CacheStats()
+				CompileCacheStats()
 			}
 		}()
 	}

@@ -215,6 +215,73 @@ func TestSessionMatchesColdExplainOnCorpus(t *testing.T) {
 	}
 }
 
+// TestWarmCacheDegradesSameTuples: explaining under a node budget with the
+// process-wide value cache warmed without one degrades exactly the tuples a
+// cold, cache-free explain degrades — to MethodApprox under
+// Budget.MaxNodes, to MethodProxy under Options.MaxNodes — and gives every
+// other tuple equal exact values. Both sides run serially, so node counts
+// repeat.
+func TestWarmCacheDegradesSameTuples(t *testing.T) {
+	type corpusQuery struct {
+		d *Database
+		q *Query
+	}
+	var cases []corpusQuery
+	for _, nq := range tpch.Queries() {
+		if nq.Name == "q9" {
+			cases = append(cases, corpusQuery{tpch.Generate(tpch.DefaultConfig()), nq.Q})
+		}
+	}
+	for _, nq := range imdb.Queries() {
+		if nq.Name == "7c" || nq.Name == "8d" {
+			cases = append(cases, corpusQuery{imdb.Generate(imdb.DefaultConfig()), nq.Q})
+		}
+	}
+	ctx := context.Background()
+	serial := Options{Workers: 1, CompileWorkers: 1}
+	for _, c := range cases {
+		if _, err := Explain(ctx, c.d, c.q, serial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, budget := range []int{20, 60} {
+		for _, mode := range []struct {
+			name   string
+			opts   Options
+			method Method
+		}{
+			{"Budget.MaxNodes", Options{Workers: 1, CompileWorkers: 1, Budget: ExplainBudget{MaxNodes: budget}}, MethodApprox},
+			{"Options.MaxNodes", Options{Workers: 1, CompileWorkers: 1, MaxNodes: budget}, MethodProxy},
+		} {
+			degraded, total := 0, 0
+			for _, c := range cases {
+				warm, err := Explain(ctx, c.d, c.q, mode.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coldOpts := mode.opts
+				coldOpts.CacheSize = -1
+				cold, err := Explain(ctx, c.d, c.q, coldOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertExplanationsEqual(t, warm, cold, fmt.Sprintf("%s %d", mode.name, budget))
+				for _, e := range cold {
+					if e.Method == mode.method {
+						degraded++
+					} else if e.Method != MethodExact {
+						t.Fatalf("%s %d: tuple %v degraded to %v, want %v", mode.name, budget, e.Tuple, e.Method, mode.method)
+					}
+				}
+				total += len(cold)
+			}
+			if degraded == 0 || degraded == total {
+				t.Fatalf("%s %d degraded %d of %d tuples, want some but not all", mode.name, budget, degraded, total)
+			}
+		}
+	}
+}
+
 // lineageFacts returns up to k distinct facts of the explanations'
 // rankings, taking every tuple's i-th ranked fact before any (i+1)-th, so
 // that a batch spreads over the answers.

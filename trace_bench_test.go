@@ -21,10 +21,10 @@ import (
 	"repro/internal/trace"
 )
 
-// warmSession opens a flights session and runs one explain so every
-// epoch-keyed artifact (grounding, Tseytin, compiled circuit, Shapley
-// values) is hot; the measured loop then isolates the per-request
-// bookkeeping — exactly where the tracing instrumentation sits.
+// warmSession opens a flights session and runs one explain so the
+// grounding and the epoch-keyed explanation are hot; the measured loop then
+// isolates the per-request bookkeeping — exactly where the tracing
+// instrumentation sits.
 func warmSession(b *testing.B) *Session {
 	b.Helper()
 	d, _ := flights.Build()
