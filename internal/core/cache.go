@@ -194,9 +194,9 @@ func (c *ValueCache) Invalidate(owner uint64, facts ...int) int {
 	return dropped
 }
 
-// lookup is one CNF's place in the cache: its key, its fact variables in
-// key order, and on a hit the entry.
-type lookup struct {
+// slot is one CNF's place in the cache: its key, its fact variables in key
+// order, and on a hit the entry.
+type slot struct {
 	key   string
 	facts []int
 	entry *valueEntry
@@ -209,7 +209,7 @@ type lookup struct {
 // the next attempt, so duplicate formulas computed concurrently still pay
 // for one computation. The canonical labeling honors ctx and the compile
 // stage's budget, failing with dnnf.ErrTimeout past opts.CompileTimeout.
-func (c *ValueCache) lookup(ctx context.Context, formula *cnf.Formula, opts PipelineOptions) (lookup, error) {
+func (c *ValueCache) lookup(ctx context.Context, formula *cnf.Formula, opts PipelineOptions) (slot, error) {
 	var deadline time.Time
 	if opts.CompileTimeout > 0 {
 		deadline = time.Now().Add(opts.CompileTimeout)
@@ -224,16 +224,16 @@ func (c *ValueCache) lookup(ctx context.Context, formula *cnf.Formula, opts Pipe
 		return nil
 	})
 	if err != nil {
-		return lookup{}, err
+		return slot{}, err
 	}
-	lk := lookup{key: key, facts: facts}
+	sl := slot{key: key, facts: facts}
 	for {
-		if lk.entry, lk.kind = c.get(key, facts); lk.entry != nil {
-			return lk, nil
+		if sl.entry, sl.kind = c.get(key, facts); sl.entry != nil {
+			return sl, nil
 		}
 		leader, wait := c.acquire(key)
 		if leader {
-			return lk, nil
+			return sl, nil
 		}
 		wait()
 	}
@@ -242,10 +242,10 @@ func (c *ValueCache) lookup(ctx context.Context, formula *cnf.Formula, opts Pipe
 // values copies a hit's values onto the caller's facts, with an exact 0 for
 // every fact of endo absent from the CNF (a null player), as
 // ShapleyAllStrategy gives it.
-func (lk lookup) values(endo []db.FactID) Values {
+func (sl slot) values(endo []db.FactID) Values {
 	out := make(Values, len(endo))
-	for i, v := range lk.facts {
-		out[db.FactID(v)] = new(big.Rat).Set(lk.entry.values[i])
+	for i, v := range sl.facts {
+		out[db.FactID(v)] = new(big.Rat).Set(sl.entry.values[i])
 	}
 	for _, f := range endo {
 		if out[f] == nil {
@@ -273,12 +273,12 @@ func (c *ValueCache) get(key string, facts []int) (*valueEntry, string) {
 	return e, CacheIdentical
 }
 
-// put stores copies of the values of lk's facts, computed by a compile that
+// put stores copies of the values of sl's facts, computed by a compile that
 // checked nodes against its node budget and reduced to size nodes. A fact
 // without a value (one the caller left out of endo) stores nothing.
-func (c *ValueCache) put(lk lookup, values Values, nodes, size int, owner uint64) {
-	e := &valueEntry{key: lk.key, values: make([]*big.Rat, len(lk.facts)), facts: lk.facts, nodes: nodes, size: size, owner: owner}
-	for i, v := range lk.facts {
+func (c *ValueCache) put(sl slot, values Values, nodes, size int, owner uint64) {
+	e := &valueEntry{key: sl.key, values: make([]*big.Rat, len(sl.facts)), facts: sl.facts, nodes: nodes, size: size, owner: owner}
+	for i, v := range sl.facts {
 		r := values[db.FactID(v)]
 		if r == nil {
 			return
@@ -287,12 +287,12 @@ func (c *ValueCache) put(lk lookup, values Values, nodes, size int, owner uint64
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[lk.key]; ok {
+	if el, ok := c.entries[sl.key]; ok {
 		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[lk.key] = c.order.PushFront(e)
+	c.entries[sl.key] = c.order.PushFront(e)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

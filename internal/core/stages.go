@@ -88,29 +88,29 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 
 	t1 := time.Now()
 	cctx, csp := trace.Start(ctx, "compile")
-	var lk lookup
+	var sl slot
 	if opts.Cache != nil {
 		var err error
-		if lk, err = opts.Cache.lookup(cctx, formula, opts); err != nil {
+		if sl, err = opts.Cache.lookup(cctx, formula, opts); err != nil {
 			return failed(csp, err)
 		}
-		res.Cache = lk.kind
-		csp.Set("cache", lk.kind)
-		if lk.entry != nil {
-			if opts.CompileMaxNodes > 0 && lk.entry.nodes > opts.CompileMaxNodes {
+		res.Cache = sl.kind
+		csp.Set("cache", sl.kind)
+		if sl.entry != nil {
+			if opts.CompileMaxNodes > 0 && sl.entry.nodes > opts.CompileMaxNodes {
 				// The node budget models memory exhaustion; comparing it
 				// with the count the filling compile's budget checks saw
 				// makes a hit fail exactly where that compile would.
 				return failed(csp, dnnf.ErrNodeBudget)
 			}
-			res.Values = lk.values(endo)
-			res.DNNFSize = lk.entry.size
+			res.Values = sl.values(endo)
+			res.DNNFSize = sl.entry.size
 			res.CompileTime = time.Since(t1)
 			csp.Set("nodes", res.DNNFSize)
 			csp.End()
 			return res, nil
 		}
-		defer opts.Cache.release(lk.key)
+		defer opts.Cache.release(sl.key)
 		// The lookup spent part of the compile stage's budget.
 		if opts.CompileTimeout > 0 {
 			if opts.CompileTimeout -= time.Since(t1); opts.CompileTimeout <= 0 {
@@ -140,7 +140,7 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 	ssp.End()
 	res.Values = values
 	if opts.Cache != nil {
-		opts.Cache.put(lk, values, stats.CheckedNodes, res.DNNFSize, opts.CacheOwner)
+		opts.Cache.put(sl, values, stats.CheckedNodes, res.DNNFSize, opts.CacheOwner)
 	}
 	return res, nil
 }

@@ -104,7 +104,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition, the server's only
 // stats surface: the recorder's request/stage series first, then
-// process-level series for the session pool, the compilation cache, the
+// process-level series for the session pool, the value cache, the
 // compiler's speculation/portfolio counters, and each dataset.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -133,14 +133,14 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 
 	cache := repro.CompileCacheStats()
 	metrics.WriteHeader(w, "repro_compile_cache_hits_total", "counter",
-		"Compilation cache hits by kind: identical (same CNF) or renamed (isomorphic modulo variable names).")
+		"Shapley-value cache hits by kind: identical (same facts) or renamed (isomorphic lineage over other facts).")
 	metrics.WriteSample(w, "repro_compile_cache_hits_total", []metrics.Label{{Name: "kind", Value: "identical"}}, float64(cache.IdenticalHits))
 	metrics.WriteSample(w, "repro_compile_cache_hits_total", []metrics.Label{{Name: "kind", Value: "renamed"}}, float64(cache.RenamedHits))
-	counter("repro_compile_cache_misses_total", "Compilation cache misses.", cache.Misses)
-	counter("repro_compile_cache_evictions_total", "Compilation cache LRU evictions.", cache.Evictions)
-	counter("repro_compile_cache_invalidations_total", "Compilation cache epoch invalidations.", cache.Invalidations)
-	metrics.WriteGauge(w, "repro_compile_cache_entries", "Compilation cache occupancy.", nil, float64(cache.Len))
-	metrics.WriteGauge(w, "repro_compile_cache_capacity", "Compilation cache capacity in entries.", nil, float64(cache.Capacity))
+	counter("repro_compile_cache_misses_total", "Shapley-value cache misses.", cache.Misses)
+	counter("repro_compile_cache_evictions_total", "Shapley-value cache LRU evictions.", cache.Evictions)
+	counter("repro_compile_cache_invalidations_total", "Shapley-value cache entries dropped by fact deletions.", cache.Invalidations)
+	metrics.WriteGauge(w, "repro_compile_cache_entries", "Shapley-value cache occupancy.", nil, float64(cache.Len))
+	metrics.WriteGauge(w, "repro_compile_cache_capacity", "Shapley-value cache capacity in entries.", nil, float64(cache.Capacity))
 
 	comp := dnnf.SpeculationCounters()
 	counter("repro_compilations_total", "d-DNNF compilations run.", comp.Compilations)

@@ -20,8 +20,8 @@ type Key struct {
 
 // Pool is a keyed pool of warm repro.Sessions, the server's unit of state:
 // one session per (database, query), so repeated explains of the same query
-// hit the session's per-tuple artifact caches — and, through them, the
-// process-wide compilation cache — end to end.
+// hit the session's per-tuple explanations — and, through them, the
+// process-wide value cache — end to end.
 //
 // The pool provides:
 //

@@ -2,8 +2,8 @@
 // repro.Session for the paper's interactive workload at serving scale. Where
 // cmd/shapley answers one question per process, the server keeps a keyed
 // pool of warm sessions — one per (database, query) — so sustained traffic
-// from many concurrent clients hits the incremental-maintenance and
-// compilation caches end to end, and batches concurrent update requests
+// from many concurrent clients hits the incremental-maintenance and value
+// caches end to end, and batches concurrent update requests
 // into single coalesced session applications.
 //
 // The wire API (JSON bodies, see internal/wire):

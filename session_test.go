@@ -220,7 +220,10 @@ func TestSessionMatchesColdExplainOnCorpus(t *testing.T) {
 // cold, cache-free explain degrades — to MethodApprox under
 // Budget.MaxNodes, to MethodProxy under Options.MaxNodes — and gives every
 // other tuple equal exact values. Both sides run serially, so node counts
-// repeat.
+// repeat. Byte-identical keys keep out entries that other tests of this
+// package filled through a parallel compiler, whose node counts vary;
+// TestWarmCacheFailsSameTuples in internal/bench covers canonical keys with
+// a cache of its own.
 func TestWarmCacheDegradesSameTuples(t *testing.T) {
 	type corpusQuery struct {
 		d *Database
@@ -238,26 +241,32 @@ func TestWarmCacheDegradesSameTuples(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	serial := Options{Workers: 1, CompileWorkers: 1}
+	serial := Options{Workers: 1, CompileWorkers: 1, NoCanonicalCache: true}
 	for _, c := range cases {
 		if _, err := Explain(ctx, c.d, c.q, serial); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, budget := range []int{20, 60} {
+		budgeted, capped := serial, serial
+		budgeted.Budget.MaxNodes, capped.MaxNodes = budget, budget
 		for _, mode := range []struct {
 			name   string
 			opts   Options
 			method Method
 		}{
-			{"Budget.MaxNodes", Options{Workers: 1, CompileWorkers: 1, Budget: ExplainBudget{MaxNodes: budget}}, MethodApprox},
-			{"Options.MaxNodes", Options{Workers: 1, CompileWorkers: 1, MaxNodes: budget}, MethodProxy},
+			{"Budget.MaxNodes", budgeted, MethodApprox},
+			{"Options.MaxNodes", capped, MethodProxy},
 		} {
 			degraded, total := 0, 0
 			for _, c := range cases {
+				before := CompileCacheStats()
 				warm, err := Explain(ctx, c.d, c.q, mode.opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if hits := CompileCacheStats().Hits - before.Hits; hits < int64(len(warm)) {
+					t.Fatalf("%s %d: %d cache hits for %d warm tuples", mode.name, budget, hits, len(warm))
 				}
 				coldOpts := mode.opts
 				coldOpts.CacheSize = -1
