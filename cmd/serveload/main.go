@@ -96,9 +96,8 @@ func main() {
 	if rep.Degraded > 0 {
 		fmt.Printf("server degraded (budget-exhausted, answered approximately): %d\n", rep.Degraded)
 	}
-	fmt.Printf("session pool: opens=%d reuses=%d evictions=%d update requests=%d batches=%d coalesced=%d\n",
-		rep.Pool.Opens, rep.Pool.Reuses, rep.Pool.Evictions,
-		rep.Pool.UpdateRequests, rep.Pool.UpdateBatches, rep.Pool.CoalescedBatches)
+	fmt.Printf("session pool: opens=%d reuses=%d evictions=%d\n",
+		rep.Pool.Opens, rep.Pool.Reuses, rep.Pool.Evictions)
 	fmt.Printf("value cache: %d hits (%d identical, %d renamed), %d misses, %d evictions, %d invalidations\n",
 		rep.Cache.Hits, rep.Cache.IdenticalHits, rep.Cache.RenamedHits,
 		rep.Cache.Misses, rep.Cache.Evictions, rep.Cache.Invalidations)

@@ -79,8 +79,8 @@ func main() {
 
 	// The analyst removes the top-contributing flight — the direct
 	// JFK->CDG leg, per the paper — and asks again. The fact ID comes from
-	// the explain response; the update routes through the same pooled
-	// session, which maintains its lineage incrementally.
+	// the explain response; the update applies to the dataset, and the
+	// pooled session absorbs it incrementally at the next explain.
 	top := first.Tuples[0].Facts[0]
 	var upd wire.UpdateResponse
 	post(base+"/v1/update", wire.UpdateRequest{

@@ -252,6 +252,10 @@ type Database struct {
 	facts     map[FactID]*Fact
 	nextID    FactID
 	epoch     uint64
+	// feed holds the latest mutations, oldest first: feed[i] moved the
+	// epoch from feedBase+i to feedBase+i+1.
+	feed     []Change
+	feedBase uint64
 	// log is the write-ahead log of a persistent database (nil in memory).
 	log *walLog
 	// degraded is the sticky first storage failure. Once set, the database
@@ -374,7 +378,7 @@ func (d *Database) Insert(relation string, endogenous bool, values ...Value) (*F
 	rel.insert(f)
 	d.facts[f.ID] = f
 	rel.epoch++
-	d.epoch++
+	d.record(f, false)
 	d.maybeCompact()
 	return f, nil
 }
@@ -400,7 +404,7 @@ func (d *Database) Delete(id FactID) error {
 	rel.delete(f)
 	delete(d.facts, id)
 	rel.epoch++
-	d.epoch++
+	d.record(f, true)
 	d.maybeCompact()
 	return nil
 }
@@ -410,6 +414,45 @@ func (d *Database) Delete(id FactID) error {
 // built at can cheap-check staleness by comparing against the current value;
 // the counter never decreases.
 func (d *Database) Epoch() uint64 { return d.epoch }
+
+// Change is one entry of the database's mutation feed: the fact an insert
+// added, or the fact a delete removed.
+type Change struct {
+	Fact    *Fact
+	Deleted bool
+}
+
+// feedCap is how far back the mutation feed is sure to reach: it holds
+// between feedCap and 2*feedCap of the latest mutations. A session lagging
+// further re-grounds instead of replaying. A pooled session falls behind by
+// the writes made between two of its explains, a handful in a mixed
+// workload, so 128 covers it many times over; each entry pins its fact,
+// deleted ones included, so the bound also caps what the feed keeps alive
+// at 256 facts.
+const feedCap = 128
+
+// record counts one applied mutation: it bumps the epoch and appends the
+// mutation to the feed, first dropping the oldest feedCap entries when the
+// feed is full.
+func (d *Database) record(f *Fact, deleted bool) {
+	if len(d.feed) == 2*feedCap {
+		d.feed = d.feed[:copy(d.feed, d.feed[feedCap:])]
+		d.feedBase += feedCap
+	}
+	d.feed = append(d.feed, Change{Fact: f, Deleted: deleted})
+	d.epoch++
+}
+
+// ChangesSince returns the mutations applied since the database was at
+// epoch, oldest first, and true. It returns false when the feed no longer
+// reaches back to epoch (or epoch lies ahead of the database). The slice
+// aliases the feed: it is valid until the next mutation.
+func (d *Database) ChangesSince(epoch uint64) ([]Change, bool) {
+	if epoch < d.feedBase || epoch > d.epoch {
+		return nil, false
+	}
+	return d.feed[epoch-d.feedBase:], true
+}
 
 // MustInsert is Insert that panics on error; it is intended for statically
 // known test fixtures and generators.

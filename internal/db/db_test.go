@@ -226,3 +226,85 @@ func TestEpochsBumpOnEveryMutation(t *testing.T) {
 			d.Epoch(), d.Relation("R").Epoch(), d.Relation("S").Epoch())
 	}
 }
+
+// TestChangesSince pins the mutation feed across its trimming: from every
+// epoch it still reaches, ChangesSince returns exactly the mutations applied
+// since, oldest first; it always reaches feedCap mutations back; and once it
+// no longer reaches an epoch it says so, for that epoch and every earlier
+// one. A reopened persistent database feeds its later mutations the same way.
+func TestChangesSince(t *testing.T) {
+	d := New()
+	d.CreateRelation("R", "a")
+	var log []Change // every mutation, log[e] moved the epoch from e to e+1
+	check := func(step int) {
+		t.Helper()
+		now := d.Epoch()
+		if _, ok := d.ChangesSince(now + 1); ok {
+			t.Fatalf("step %d: ChangesSince(%d) reaches an epoch ahead of the database", step, now+1)
+		}
+		reached := true
+		for e := int(now); e >= 0; e-- {
+			got, ok := d.ChangesSince(uint64(e))
+			if !ok {
+				if int(now)-e <= feedCap {
+					t.Fatalf("step %d: feed stops short of epoch %d, %d mutations back", step, e, int(now)-e)
+				}
+				reached = false
+				continue
+			}
+			if !reached {
+				t.Fatalf("step %d: feed reaches epoch %d but not a later one", step, e)
+			}
+			want := log[e:]
+			if len(got) != len(want) {
+				t.Fatalf("step %d: ChangesSince(%d) has %d entries, want %d", step, e, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: ChangesSince(%d)[%d] = %+v, want %+v", step, e, i, got[i], want[i])
+				}
+			}
+		}
+		if reached && now > 2*feedCap {
+			t.Fatalf("step %d: feed still reaches epoch 0 after %d mutations", step, now)
+		}
+	}
+	check(0)
+	var live []*Fact
+	for step := 1; step <= 3*feedCap+7; step++ {
+		if step%3 == 0 {
+			f := live[0]
+			live = live[1:]
+			if err := d.Delete(f.ID); err != nil {
+				t.Fatal(err)
+			}
+			log = append(log, Change{Fact: f, Deleted: true})
+		} else {
+			f := d.MustInsert("R", step%2 == 0, Int(int64(step)))
+			live = append(live, f)
+			log = append(log, Change{Fact: f})
+		}
+		check(step)
+	}
+
+	dir := t.TempDir()
+	p := New()
+	if err := p.Persist(PersistConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	p.CreateRelation("R", "a")
+	p.MustInsert("R", true, Int(1))
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := Open(PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	at := p.Epoch()
+	f := p.MustInsert("R", false, Int(2))
+	if got, ok := p.ChangesSince(at); !ok || len(got) != 1 || got[0] != (Change{Fact: f}) {
+		t.Fatalf("reopened database: ChangesSince(%d) = %v, %v; want the one insert", at, got, ok)
+	}
+}

@@ -308,7 +308,7 @@ func (d *Database) restoreFact(f *Fact) error {
 		d.nextID = f.ID + 1
 	}
 	rel.epoch++
-	d.epoch++
+	d.record(f, false)
 	return nil
 }
 

@@ -38,8 +38,13 @@ import (
 // cheap-check whether a tuple's explanation is still valid. Incremental is
 // not safe for concurrent use; callers (repro.Session) serialize access.
 type Incremental struct {
-	d    *db.Database
-	q    *query.UCQ
+	d *db.Database
+	q *query.UCQ
+	// b interns the first build of the lineages and is dropped after it.
+	// Each later Live interns its rebuilds into a builder of its own, which
+	// nothing keeps once Live returns, so the nodes of a lineage that
+	// maintenance replaced die with it instead of living on in a unique
+	// table for the life of the Incremental.
 	b    *circuit.Builder
 	opts Options
 
@@ -71,8 +76,9 @@ type liveAnswer struct {
 }
 
 // NewIncremental evaluates the query once and returns the maintained state.
-// When ctx carries a trace collector, the initial grounding is recorded as a
-// "ground" span annotated with the disjunct and answer counts.
+// The first Live builds the lineages in b; later rebuilds use builders of
+// their own. When ctx carries a trace collector, the initial grounding is
+// recorded as a "ground" span annotated with the disjunct and answer counts.
 func NewIncremental(ctx context.Context, d *db.Database, q *query.UCQ, b *circuit.Builder, opts Options) (*Incremental, error) {
 	_, sp := trace.Start(ctx, "ground")
 	inc := &Incremental{
@@ -247,17 +253,23 @@ func (inc *Incremental) addDerivation(dv Derivation) *liveAnswer {
 // Live returns the current answers sorted by tuple, rebuilding the lineage
 // of any answer whose derivation set changed since the last call. Lineage
 // reconstruction is deterministic (derivations in sorted-key order) and
-// touches only dirty answers.
+// touches only dirty answers. Every lineage is hash-consed within itself;
+// lineages rebuilt by different calls share no nodes.
 func (inc *Incremental) Live() []LiveAnswer {
 	keys := make([]string, 0, len(inc.answers))
 	for k := range inc.answers {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	b := inc.b
+	inc.b = nil
 	out := make([]LiveAnswer, 0, len(keys))
 	for _, k := range keys {
 		a := inc.answers[k]
 		if a.lineage == nil {
+			if b == nil {
+				b = circuit.NewBuilder()
+			}
 			dkeys := make([]string, 0, len(a.derivs))
 			for dk := range a.derivs {
 				dkeys = append(dkeys, dk)
@@ -265,9 +277,9 @@ func (inc *Incremental) Live() []LiveAnswer {
 			sort.Strings(dkeys)
 			conjs := make([]*circuit.Node, len(dkeys))
 			for i, dk := range dkeys {
-				conjs[i] = Derivation{Tuple: a.tuple, Facts: a.derivs[dk]}.Conjunction(inc.b, inc.opts)
+				conjs[i] = Derivation{Tuple: a.tuple, Facts: a.derivs[dk]}.Conjunction(b, inc.opts)
 			}
-			a.lineage = inc.b.Or(conjs...)
+			a.lineage = b.Or(conjs...)
 		}
 		out = append(out, LiveAnswer{
 			Answer: Answer{Tuple: a.tuple, Lineage: a.lineage},

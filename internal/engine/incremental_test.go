@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/circuit"
 	"repro/internal/db"
@@ -188,4 +190,46 @@ func TestIncrementalEpochsAndChangedTuples(t *testing.T) {
 	if got := inc.Delete(context.Background(), f.ID); got != nil {
 		t.Fatalf("no-op delete changed %v", got)
 	}
+}
+
+// TestIncrementalReleasesReplacedLineage: once maintenance replaced a
+// lineage, its root is garbage, whether the first build or a later rebuild
+// made it. Interning every rebuild into the builder the Incremental was
+// opened with kept replaced nodes alive in its unique tables, so a
+// long-lived Incremental grew with every update it absorbed.
+func TestIncrementalReleasesReplacedLineage(t *testing.T) {
+	ctx := context.Background()
+	d := db.New()
+	d.CreateRelation("R", "a", "b")
+	d.CreateRelation("S", "a", "b")
+	d.MustInsert("R", true, db.Int(1), db.Int(2))
+	d.MustInsert("S", true, db.Int(2), db.Int(3))
+	q, err := query.Parse(`q(x) :- R(x, y), S(y, z)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncremental(ctx, d, q, circuit.NewBuilder(), Options{Mode: ModeEndogenous})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := func() weak.Pointer[circuit.Node] { return weak.Make(inc.Live()[0].Lineage) }
+	var replaced []weak.Pointer[circuit.Node]
+	for z := int64(4); z < 7; z++ {
+		replaced = append(replaced, root())
+		f := d.MustInsert("S", true, db.Int(2), db.Int(z))
+		if _, err := inc.Insert(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	current := root()
+	runtime.GC()
+	for i, w := range replaced {
+		if w.Value() != nil {
+			t.Errorf("lineage root of build %d survived its replacement", i)
+		}
+	}
+	if current.Value() == nil {
+		t.Fatal("the current lineage root was collected")
+	}
+	runtime.KeepAlive(inc)
 }

@@ -394,10 +394,9 @@ func runExplainPhase(ctx context.Context, client *benchClient, base string, opts
 	return lv, all, nil
 }
 
-// runMixedPhase interleaves explains with net-zero update traffic (each
-// client alternately inserts and deletes its own joining flight through the
-// pooled session route, so concurrent clients exercise the coalescing
-// batcher).
+// runMixedPhase interleaves explains with net-zero update traffic: each
+// client alternately inserts and deletes its own joining flight, so the
+// pooled session catches up on its clients' concurrent writes.
 func runMixedPhase(ctx context.Context, client *benchClient, base string, opts Options, clients int) (Level, []time.Duration, error) {
 	usa := []string{"JFK", "EWR", "BOS", "LAX"}
 	lats := make([][]time.Duration, clients)
@@ -621,14 +620,11 @@ func readMetrics(ctx context.Context, client *benchClient, base string, rep *Rep
 		return int64(v)
 	}
 	rep.Pool = wire.PoolStats{
-		Opens:            get("repro_pool_opens_total"),
-		Reuses:           get("repro_pool_reuses_total"),
-		Evictions:        get("repro_pool_evictions_total"),
-		Sessions:         int(get("repro_pool_sessions")),
-		Capacity:         int(get("repro_pool_capacity")),
-		UpdateRequests:   get("repro_pool_update_requests_total"),
-		UpdateBatches:    get("repro_pool_update_batches_total"),
-		CoalescedBatches: get("repro_pool_coalesced_batches_total"),
+		Opens:     get("repro_pool_opens_total"),
+		Reuses:    get("repro_pool_reuses_total"),
+		Evictions: get("repro_pool_evictions_total"),
+		Sessions:  int(get("repro_pool_sessions")),
+		Capacity:  int(get("repro_pool_capacity")),
 	}
 	rep.Cache = core.CacheStats{
 		IdenticalHits: get(`repro_compile_cache_hits_total{kind="identical"}`),

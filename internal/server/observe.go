@@ -127,9 +127,6 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 	counter("repro_pool_opens_total", "Sessions opened (cold grounding).", pool.Opens)
 	counter("repro_pool_reuses_total", "Requests served by an already-warm pooled session.", pool.Reuses)
 	counter("repro_pool_evictions_total", "Sessions closed by the LRU capacity bound.", pool.Evictions)
-	counter("repro_pool_update_requests_total", "Update requests routed through pooled sessions.", pool.UpdateRequests)
-	counter("repro_pool_update_batches_total", "Coalesced session applications covering those requests.", pool.UpdateBatches)
-	counter("repro_pool_coalesced_batches_total", "Session applications that merged more than one update request.", pool.CoalescedBatches)
 
 	cache := repro.CompileCacheStats()
 	metrics.WriteHeader(w, "repro_compile_cache_hits_total", "counter",

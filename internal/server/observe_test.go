@@ -191,7 +191,7 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		`repro_stage_duration_seconds_bucket{stage="approx",le="+Inf"}`,
 		`repro_stage_duration_seconds_bucket{stage="ground",le="+Inf"}`,
 		"repro_pool_sessions",
-		"repro_pool_coalesced_batches_total",
+		"repro_pool_evictions_total",
 		"repro_compile_cache_capacity",
 		"repro_portfolio_losers_cancelled_total",
 		`repro_dataset_facts{dataset="flights"}`,

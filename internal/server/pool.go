@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sync"
 
 	"repro"
@@ -32,17 +31,18 @@ type Key struct {
 //     the query once, with the followers reusing the opened session;
 //   - per-session serialized access (the Session's own contract) with
 //     reader/writer coordination of the shared database: explains of
-//     different queries over one database run concurrently, while update
-//     batches get exclusive access (repro.Session synchronizes one
-//     session's methods, not the Database shared between sessions);
-//   - update coalescing: concurrent Update calls for one key merge their
-//     mutation batches into a single Session.Apply — one lock acquisition,
-//     one batched cache invalidation — instead of queueing N applications.
+//     different queries over one database run concurrently, while the
+//     server's updates, applied straight to the database, get exclusive
+//     access (repro.Session synchronizes one session's methods, not the
+//     Database shared between sessions).
+//
+// Updates do not pass through the pool: each session catches up from the
+// database's mutation feed inside its next explain.
 type Pool struct {
 	capacity int
 	open     func(context.Context, Key) (*repro.Session, error)
 	// dbLock returns the reader/writer lock guarding the key's database.
-	// Explains hold it read; update application holds it write.
+	// Explains hold it read; updates hold it write.
 	dbLock func(dataset string) *sync.RWMutex
 
 	mu      sync.Mutex
@@ -50,8 +50,7 @@ type Pool struct {
 	lru     *list.List            // front = most recently used
 	opening map[Key]*openCall
 
-	opens, reuses, evictions                        int64
-	updateRequests, updateBatches, coalescedBatches int64
+	opens, reuses, evictions int64
 
 	// testHookExplain, when set, runs inside Explain while the session is
 	// acquired (refcount raised, release deferred). Tests use it to panic
@@ -81,7 +80,7 @@ func NewPool(capacity int, open func(context.Context, Key) (*repro.Session, erro
 	}
 }
 
-// entry is one pooled session plus its refcount and update batcher.
+// entry is one pooled session plus its refcount.
 type entry struct {
 	key  Key
 	sess *repro.Session
@@ -90,22 +89,6 @@ type entry struct {
 	// closed when the last reference is released (guarded by Pool.mu).
 	refs    int
 	evicted bool
-
-	// Update batcher: pending requests accumulate under bmu while a leader
-	// applies the previous batch; the leader drains pending in batches
-	// until none remain.
-	bmu      sync.Mutex
-	pending  []*updateCall
-	applying bool
-}
-
-type updateCall struct {
-	muts []repro.Mutation
-	done chan struct{}
-	// Results, valid after done is closed.
-	facts   []*repro.Fact
-	batched int // requests coalesced into the application that covered this call
-	err     error
 }
 
 type openCall struct {
@@ -207,7 +190,8 @@ func (p *Pool) release(e *entry) {
 // request's effective budget (the server's configured budget overlaid with
 // the request's knobs), holding the dataset's read lock for the duration
 // (explains of other queries over the same database proceed concurrently;
-// update application excludes them).
+// updates exclude them). The session first catches up with the updates
+// applied since its last explain.
 func (p *Pool) Explain(ctx context.Context, key Key, budget repro.ExplainBudget) ([]repro.TupleExplanation, error) {
 	// The acquire span covers pool acquisition (including a cold session
 	// open's "ground" span) and the dataset read-lock wait — the queueing
@@ -244,137 +228,16 @@ func (p *Pool) inFlight() int {
 	return n
 }
 
-// Update routes one mutation batch through the key's pooled session,
-// coalescing it with concurrent batches for the same key: whichever request
-// finds no application in flight becomes the leader and applies every
-// pending request's mutations in one Session.Apply under the database's
-// write lock; the others wait for their portion's results. Returns the
-// per-mutation results (aligned with muts, as Session.Apply) and how many
-// requests the covering application coalesced.
-//
-// Failure attribution is per request: Session.Apply stops at the first
-// failing mutation (leaving the session consistent) and names its index, so
-// the coalesced request owning it observes the error, requests whose
-// mutations were all applied before it succeed, and requests the
-// application never reached are requeued into the next batch — one client's
-// bad mutation never fails its neighbors. Within one request, Apply's
-// documented non-transactional semantics hold: a failing request may have
-// had a prefix of its own mutations applied.
-// The context traces the caller's spans (batch application is not
-// cancellable mid-batch); a follower's mutations may be applied under the
-// leader's context, so a coalesced request's delta spans can land in the
-// leader's trace rather than its own.
-func (p *Pool) Update(ctx context.Context, key Key, muts []repro.Mutation) ([]*repro.Fact, int, error) {
-	e, err := p.acquire(ctx, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer p.release(e)
-
-	p.mu.Lock()
-	p.updateRequests++
-	p.mu.Unlock()
-
-	call := &updateCall{muts: muts, done: make(chan struct{})}
-	e.bmu.Lock()
-	e.pending = append(e.pending, call)
-	if e.applying {
-		// A leader is mid-application; it will pick this call up in its
-		// next batch.
-		e.bmu.Unlock()
-		<-call.done
-		return call.facts, call.batched, call.err
-	}
-	e.applying = true
-	for len(e.pending) > 0 {
-		batch := e.pending
-		e.pending = nil
-		e.bmu.Unlock()
-		requeue := p.applyBatch(ctx, e, batch)
-		e.bmu.Lock()
-		e.pending = append(requeue, e.pending...)
-	}
-	e.applying = false
-	e.bmu.Unlock()
-	<-call.done
-	return call.facts, call.batched, call.err
-}
-
-// applyBatch concatenates the batch's mutations, applies them in one
-// Session.Apply under the database write lock, and distributes each call's
-// slice of the results. On failure, the call owning the failing mutation
-// gets the error, calls fully applied before it succeed, and calls the
-// application never reached are returned for requeueing (their done channel
-// stays open). Each applyBatch resolves at least one call, so the leader's
-// drain loop always terminates.
-func (p *Pool) applyBatch(ctx context.Context, e *entry, batch []*updateCall) (requeue []*updateCall) {
-	var all []repro.Mutation
-	for _, c := range batch {
-		all = append(all, c.muts...)
-	}
-	lock := p.dbLock(e.key.Dataset)
-	lock.Lock()
-	facts, err := e.sess.ApplyContext(ctx, all)
-	lock.Unlock()
-	if facts == nil {
-		// Apply failed before touching any mutation (closed session, failed
-		// re-ground): every call observes the error below.
-		facts = make([]*repro.Fact, len(all))
-	}
-
-	p.mu.Lock()
-	p.updateBatches++
-	if len(batch) > 1 {
-		p.coalescedBatches++
-	}
-	p.mu.Unlock()
-
-	// failAt is the failing mutation's index in the concatenated batch:
-	// len(all) on success (nothing failed), -1 for a batch-wide failure
-	// that applied nothing (closed session, re-ground error).
-	failAt := len(all)
-	if err != nil {
-		failAt = -1
-		var me *repro.MutationError
-		if errors.As(err, &me) {
-			failAt = me.Index
-		}
-	}
-	off := 0
-	for _, c := range batch {
-		end := off + len(c.muts)
-		switch {
-		case end <= failAt:
-			c.err = nil // every mutation of this call was applied
-		case failAt == -1 || failAt >= off:
-			c.err = err // batch-wide failure, or this call owns the failing mutation
-		default:
-			// Entirely after the failing mutation: never applied; requeue.
-			requeue = append(requeue, c)
-			off = end
-			continue
-		}
-		c.facts = facts[off:end]
-		c.batched = len(batch)
-		off = end
-		close(c.done)
-	}
-	return requeue
-}
-
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() wire.PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return wire.PoolStats{
-		Opens:            p.opens,
-		Reuses:           p.reuses,
-		Evictions:        p.evictions,
-		Sessions:         p.lru.Len(),
-		Capacity:         p.capacity,
-		UpdateRequests:   p.updateRequests,
-		UpdateBatches:    p.updateBatches,
-		CoalescedBatches: p.coalescedBatches,
+		Opens:     p.opens,
+		Reuses:    p.reuses,
+		Evictions: p.evictions,
+		Sessions:  p.lru.Len(),
+		Capacity:  p.capacity,
 	}
 }
 

@@ -3,8 +3,8 @@
 // cmd/shapley answers one question per process, the server keeps a keyed
 // pool of warm sessions — one per (database, query) — so sustained traffic
 // from many concurrent clients hits the incremental-maintenance and value
-// caches end to end, and batches concurrent update requests
-// into single coalesced session applications.
+// caches end to end. Updates apply straight to the database, and every
+// pooled session catches up from its mutation feed at its next explain.
 //
 // The wire API (JSON bodies, see internal/wire):
 //
@@ -226,7 +226,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // Retry-After before any work starts; the per-request deadline arms the
 // context the compile/Shapley pipeline already honors; panic recovery turns
 // a handler panic into a 500 instead of a killed connection — the session
-// pool's refcounts release on the way out (deferred in Pool.Explain/Update),
+// pool's refcounts release on the way out (deferred in Pool.Explain),
 // so a panicked request never wedges a pooled session.
 func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -483,9 +483,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	// Build the mutation batch: inserts in request order, then deletes.
 	// Content-addressed deletes resolve against the current database here;
-	// the resolution is revalidated by Session.Apply/Database.Delete under
-	// the write lock (a concurrent delete of the same fact surfaces as
-	// "no fact with ID").
+	// the resolution is revalidated by Database.Delete under the write
+	// lock (a concurrent delete of the same fact surfaces as "no fact with
+	// ID").
 	muts := make([]repro.Mutation, 0, len(req.Inserts)+len(req.Deletes))
 	for _, ins := range req.Inserts {
 		vals, err := wire.DecodeValues(ins.Values)
@@ -511,26 +511,22 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		muts = append(muts, repro.DeleteOp(id))
 	}
 
-	resp := wire.UpdateResponse{DeletedIDs: deleteIDs, RequestID: requestID(r)}
-	rctx, root := trace.NewRoot(r.Context(), "update", s.rec.ObserveStage)
-	defer root.End()
-	var facts []*repro.Fact
-	if req.Query == "" {
-		// No session addressed: apply directly to the database under the
-		// write lock. Pooled sessions over this dataset detect the epoch
-		// change and re-ground on their next use.
-		lock.Lock()
-		facts, err = applyDirect(d, muts)
-		lock.Unlock()
-	} else {
-		q, qerr := repro.ParseQuery(req.Query)
-		if qerr != nil {
-			writeError(w, http.StatusBadRequest, qerr)
+	// The query names no session to route through: every session over the
+	// dataset catches up from its mutation feed. A malformed one is still
+	// rejected.
+	if req.Query != "" {
+		if _, err := repro.ParseQuery(req.Query); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		resp.Pooled = true
-		facts, resp.BatchRequests, err = s.pool.Update(rctx, Key{Dataset: req.Dataset, Query: q.String()}, muts)
 	}
+
+	resp := wire.UpdateResponse{DeletedIDs: deleteIDs, Pooled: req.Query != "", BatchRequests: 1, RequestID: requestID(r)}
+	_, root := trace.NewRoot(r.Context(), "update", s.rec.ObserveStage)
+	lock.Lock()
+	facts, err := repro.Apply(d, muts)
+	lock.Unlock()
+	root.End()
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
@@ -560,24 +556,6 @@ func resolveFact(d *repro.Database, del wire.DeleteSpec) (repro.FactID, error) {
 		}
 	}
 	return 0, fmt.Errorf("server: %w matching %s%s", repro.ErrNoFact, del.Relation, want)
-}
-
-// applyDirect applies a mutation batch straight to the database (the
-// out-of-band path for updates not addressed to any session).
-func applyDirect(d *repro.Database, muts []repro.Mutation) ([]*repro.Fact, error) {
-	out := make([]*repro.Fact, len(muts))
-	for i, m := range muts {
-		if m.Insert {
-			f, err := d.Insert(m.Relation, m.Endogenous, m.Values...)
-			if err != nil {
-				return out, err
-			}
-			out[i] = f
-		} else if err := d.Delete(m.ID); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

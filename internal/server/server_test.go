@@ -101,7 +101,7 @@ func assertServedMatchesColdQuery(t *testing.T, resp wire.ExplainResponse, mirro
 
 // TestServerExplainUpdatePropertyRandomized is the acceptance bar: a
 // randomized interleaving of explains (pooled and open-per-request) and
-// update batches (pooled-session-routed and direct), with every served
+// update batches (with and without a query), with every served
 // explanation cross-checked big.Rat-identical against a cold repro.Explain
 // on a mirror database maintained by the same mutation sequence.
 func TestServerExplainUpdatePropertyRandomized(t *testing.T) {
@@ -255,10 +255,13 @@ func TestPooledExplainOfUnusualConstants(t *testing.T) {
 
 // TestServerConcurrentClients hammers the service with concurrent explain
 // and net-zero update traffic; everything must come back 2xx and the
-// quiesced state must match the paper's flights ground truth.
+// quiesced state must match the paper's flights ground truth. The explain
+// clients ask three different queries, so three pooled sessions catch up
+// from the one dataset's mutation feed concurrently.
 func TestServerConcurrentClients(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{PoolSize: 4})
 	qtext := flights.Query().String()
+	queries := []*repro.Query{flights.Query(), flights.DirectQuery(), flights.OneStopQuery()}
 	const clients = 6
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -269,8 +272,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			src := []string{"JFK", "EWR", "BOS", "LAX"}[c%4]
 			for r := 0; r < 4; r++ {
 				if c%2 == 0 {
-					// Update client: insert then delete its own fact
-					// through the pooled batcher.
+					// Update client: insert then delete its own fact.
 					var ins wire.UpdateResponse
 					blob, _ := json.Marshal(wire.UpdateRequest{
 						Dataset: "flights", Query: qtext,
@@ -314,7 +316,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					}
 				} else {
 					blob, _ := json.Marshal(wire.ExplainRequest{
-						Dataset: "flights", Query: qtext, NoPool: r%2 == 1,
+						Dataset: "flights", Query: queries[c/2%len(queries)].String(), NoPool: r%2 == 1,
 					})
 					resp, err := http.Post(url+"/v1/explain", "application/json", bytes.NewReader(blob))
 					if err != nil {
@@ -340,21 +342,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	// Quiesced: the traffic was net-zero, so the state matches a fresh
 	// flights database.
 	fresh, _ := flights.Build()
-	var resp wire.ExplainResponse
-	status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: qtext}, &resp)
-	if status != http.StatusOK {
-		t.Fatalf("final explain -> %d: %s", status, raw)
+	for _, q := range queries {
+		var resp wire.ExplainResponse
+		status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: q.String()}, &resp)
+		if status != http.StatusOK {
+			t.Fatalf("final explain -> %d: %s", status, raw)
+		}
+		assertServedMatchesColdQuery(t, resp, fresh, q, "quiesced "+q.String())
 	}
-	assertServedMatchesCold(t, resp, fresh, "quiesced")
 
 	samples := scrapeMetrics(t, url)
-	requests := metric(t, samples, "repro_pool_update_requests_total")
-	batches := metric(t, samples, "repro_pool_update_batches_total")
-	if batches > requests {
-		t.Errorf("update batches %v > requests %v", batches, requests)
-	}
-	if coalesced := metric(t, samples, "repro_pool_coalesced_batches_total"); coalesced > batches {
-		t.Errorf("coalesced batches %v > batches %v", coalesced, batches)
+	if n := metric(t, samples, `repro_requests_total{route="/v1/update",code="200"}`); n != clients/2*4*2 {
+		t.Errorf("update requests = %v, want %d", n, clients/2*4*2)
 	}
 	if opens, reuses := metric(t, samples, "repro_pool_opens_total"), metric(t, samples, "repro_pool_reuses_total"); opens < 1 || reuses < 1 {
 		t.Errorf("pool counters show no reuse: %v opens, %v reuses", opens, reuses)
@@ -430,8 +429,8 @@ func TestServerHTTPBasics(t *testing.T) {
 	if n := metric(t, samples, "repro_pool_opens_total"); n < 1 {
 		t.Errorf("pool opens = %v, want ≥ 1", n)
 	}
-	if n := metric(t, samples, "repro_pool_update_requests_total"); n != 2 {
-		t.Errorf("pool update requests = %v, want 2", n)
+	if n := metric(t, samples, `repro_requests_total{route="/v1/update",code="200"}`); n != 2 {
+		t.Errorf("update requests = %v, want 2", n)
 	}
 	if n := metric(t, samples, `repro_requests_total{route="/v1/explain"}`); n < 1 {
 		t.Errorf("explain requests = %v, want ≥ 1", n)
@@ -530,4 +529,93 @@ func TestConcurrentPooledExplainsOfOneDataset(t *testing.T) {
 			assertServedMatchesColdQuery(t, resps[i], mirror, bq.Q, bq.Name)
 		}
 	}
+}
+
+// TestUpdateOpensNoSession: an update naming a query no session holds
+// applies to the dataset without opening a session for that query, so it
+// neither grounds one nor evicts the warm session of a full pool, and the
+// warm session still answers as a cold explain does.
+func TestUpdateOpensNoSession(t *testing.T) {
+	url, s, _ := newTestServer(t, Config{PoolSize: 1})
+	mirror, _ := flights.Build()
+	qtext := flights.Query().String()
+	explain := func() {
+		t.Helper()
+		var resp wire.ExplainResponse
+		if status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: qtext}, &resp); status != http.StatusOK {
+			t.Fatalf("explain -> %d: %s", status, raw)
+		}
+		assertServedMatchesCold(t, resp, mirror, "warm session")
+	}
+	explain()
+	before := scrapeMetrics(t, url)
+
+	var resp wire.UpdateResponse
+	status, raw := postJSON(t, url+"/v1/update", wire.UpdateRequest{
+		Dataset: "flights", Query: flights.DirectQuery().String(),
+		Inserts: []wire.InsertSpec{{Relation: "Flights", Endogenous: true, Values: []json.RawMessage{
+			json.RawMessage(`"BOS"`), json.RawMessage(`"ORY"`),
+		}}},
+	}, &resp)
+	if status != http.StatusOK {
+		t.Fatalf("update -> %d: %s", status, raw)
+	}
+	if !resp.Pooled || resp.BatchRequests != 1 || len(resp.InsertedIDs) != 1 {
+		t.Errorf("update response %+v, want pooled, batch_requests 1, one inserted ID", resp)
+	}
+	mirror.MustInsert("Flights", true, repro.String("BOS"), repro.String("ORY"))
+
+	after := scrapeMetrics(t, url)
+	for _, series := range []string{"repro_pool_opens_total", "repro_pool_evictions_total"} {
+		if b, a := metric(t, before, series), metric(t, after, series); a != b {
+			t.Errorf("%s went %v -> %v across the update", series, b, a)
+		}
+	}
+	s.pool.mu.Lock()
+	_, warm := s.pool.entries[Key{Dataset: "flights", Query: qtext}]
+	s.pool.mu.Unlock()
+	if !warm {
+		t.Fatal("the update evicted the warm session")
+	}
+	explain()
+	if n := metric(t, scrapeMetrics(t, url), "repro_pool_opens_total"); n != 1 {
+		t.Errorf("pool opens = %v after the second explain, want 1", n)
+	}
+}
+
+// TestUpdateFailureAppliesPrefix pins a failing update's semantics: the
+// mutations before the failing one are applied, none after it, and the 400
+// names the failing mutation's index in the request's batch (inserts first,
+// then deletes).
+func TestUpdateFailureAppliesPrefix(t *testing.T) {
+	url, _, d := newTestServer(t, Config{PoolSize: 2})
+	mirror, _ := flights.Build()
+	qtext := flights.Query().String()
+	var er wire.ExplainResponse
+	if status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: qtext}, &er); status != http.StatusOK {
+		t.Fatalf("explain -> %d: %s", status, raw)
+	}
+	facts := d.NumFacts()
+	flight := func(src string) wire.InsertSpec {
+		return wire.InsertSpec{Relation: "Flights", Endogenous: true, Values: []json.RawMessage{
+			json.RawMessage(fmt.Sprintf("%q", src)), json.RawMessage(`"ORY"`),
+		}}
+	}
+	status, raw := postJSON(t, url+"/v1/update", wire.UpdateRequest{
+		Dataset: "flights", Query: qtext,
+		Inserts: []wire.InsertSpec{flight("JFK"), flight("BOS")},
+		Deletes: []wire.DeleteSpec{{ID: 99999}, {ID: 1}},
+	}, nil)
+	if status != http.StatusBadRequest || !strings.Contains(raw, "mutation 2") {
+		t.Fatalf("update -> %d %s, want 400 naming mutation 2", status, raw)
+	}
+	if d.NumFacts() != facts+2 || d.Fact(1) == nil {
+		t.Fatalf("%d facts, fact #1 present: %v; want %d facts, the two inserts applied and the delete after the failure not", d.NumFacts(), d.Fact(1) != nil, facts+2)
+	}
+	mirror.MustInsert("Flights", true, repro.String("JFK"), repro.String("ORY"))
+	mirror.MustInsert("Flights", true, repro.String("BOS"), repro.String("ORY"))
+	if status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: qtext}, &er); status != http.StatusOK {
+		t.Fatalf("explain -> %d: %s", status, raw)
+	}
+	assertServedMatchesCold(t, er, mirror, "after the failed update")
 }

@@ -152,14 +152,14 @@ type DeleteSpec struct {
 }
 
 // UpdateRequest is the body of POST /v1/update: a batch of insertions and
-// deletions applied in order (inserts first, then deletes).
+// deletions applied in order (inserts first, then deletes) to the dataset.
+// Every pooled session over the dataset absorbs the batch incrementally at
+// its next explain.
 type UpdateRequest struct {
 	Dataset string `json:"dataset"`
-	// Query routes the batch through the pooled session for (Dataset,
-	// Query), which maintains it incrementally and coalesces it with
-	// concurrent batches. Empty applies the batch directly to the database;
-	// pooled sessions then detect the out-of-band epoch change and
-	// re-ground on their next use — correct, just not incremental.
+	// Query is accepted for compatibility and still parsed, so a malformed
+	// one is a 400, but it routes nothing: no session is opened for it,
+	// and the batch applies to the dataset like any other.
 	Query   string       `json:"query,omitempty"`
 	Inserts []InsertSpec `json:"inserts,omitempty"`
 	Deletes []DeleteSpec `json:"deletes,omitempty"`
@@ -171,12 +171,12 @@ type UpdateResponse struct {
 	// Inserts; deletes by content report the resolved IDs in DeletedIDs.
 	InsertedIDs []int64 `json:"inserted_ids,omitempty"`
 	DeletedIDs  []int64 `json:"deleted_ids,omitempty"`
-	// Pooled says whether a pooled session absorbed the batch
-	// incrementally.
+	// Pooled echoes whether the request named a query. Pooled sessions
+	// absorb every update incrementally either way.
 	Pooled bool `json:"pooled"`
-	// BatchRequests is how many HTTP update requests the server coalesced
-	// into the one session application that covered this request (≥ 1;
-	// only meaningful when Pooled).
+	// BatchRequests is how many HTTP update requests the database write
+	// covering this one applied: always 1, as each request is applied on
+	// its own.
 	BatchRequests int `json:"batch_requests,omitempty"`
 	// RequestID echoes the server-assigned request ID (also the
 	// X-Request-Id header).
@@ -214,16 +214,10 @@ type PoolStats struct {
 	Opens     int64 `json:"opens"`
 	Reuses    int64 `json:"reuses"`
 	Evictions int64 `json:"evictions"`
-	// Sessions and Capacity describe current occupancy.
+	// Sessions and Capacity describe current occupancy. Updates do not
+	// pass through the pool, so it counts none.
 	Sessions int `json:"sessions"`
 	Capacity int `json:"capacity"`
-	// UpdateRequests counts HTTP update batches routed through pooled
-	// sessions; UpdateBatches counts the session applications they were
-	// coalesced into; CoalescedBatches counts applications that merged
-	// more than one request (UpdateBatches ≤ UpdateRequests always).
-	UpdateRequests   int64 `json:"update_requests"`
-	UpdateBatches    int64 `json:"update_batches"`
-	CoalescedBatches int64 `json:"coalesced_batches"`
 }
 
 // EncodeValue renders a database value as a JSON-encodable scalar. Floats

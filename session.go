@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/db"
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -23,27 +22,28 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 // this tuple?" repeatedly against a database that changes between
 // questions. Where the one-shot Explain re-grounds the query, rebuilds
 // lineage, and explains every tuple from scratch on every call, a Session
-// grounds once at Open and then delta-maintains its answers under updates:
+// grounds once at Open and then delta-maintains its answers under updates.
 //
-//   - Insert delta-joins only the bindings involving the new fact
+// Every write goes to the database, whoever makes it: Session.Apply, Insert
+// and Delete, the package-level Apply, or Database.Insert/Delete directly.
+// The database keeps a bounded feed of the mutations it applied, and each
+// session call first replays the entries past the epoch the session last
+// saw:
+//
+//   - an insert delta-joins only the bindings involving the new fact
 //     (engine.EvalDelta) and splices the new derivations into the affected
 //     answers' lineage;
-//   - Delete drops exactly the derivations supported by the removed fact
-//     via a fact→derivation index, and evicts from the value cache only
-//     entries whose lineage actually mentions it;
+//   - a delete drops exactly the derivations supported by the removed fact
+//     via a fact→derivation index; the value-cache entries whose lineage
+//     mentions a deleted endogenous fact are evicted once per catch-up;
 //   - Explain recomputes only the tuples whose lineage epoch advanced —
 //     each tuple's finished explanation is cached per lineage epoch and
 //     reused verbatim while the tuple's provenance is unchanged.
 //
-// After any update sequence, Explain returns exactly what a cold Explain on
-// the mutated database would: the same tuples, methods, rankings, and
-// big.Rat-identical Shapley values.
-//
-// Updates routed through the Session are maintained incrementally. The
-// Session also tolerates out-of-band mutations of the underlying Database:
-// it records the database epoch it is synchronized to and, on finding the
-// database ahead (someone called Database.Insert/Delete directly), falls
-// back to re-grounding from scratch — correct, just not incremental.
+// Only a session that fell further behind than the feed reaches re-grounds
+// from scratch. After any update sequence, Explain returns exactly what a
+// cold Explain on the mutated database would: the same tuples, methods,
+// rankings, and big.Rat-identical Shapley values.
 //
 // # Concurrency contract
 //
@@ -61,15 +61,14 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 //
 // The contract covers one session's methods. The underlying Database is
 // NOT itself synchronized: callers that share one Database across several
-// sessions (or mutate it out-of-band) must serialize database writes
-// against all sessions' reads themselves — internal/server does this with
+// sessions (or write to it directly) must serialize database writes
+// against all sessions' calls themselves — internal/server does this with
 // a per-database reader/writer lock.
 type Session struct {
 	mu     sync.Mutex
 	d      *Database
 	q      *Query
 	opts   Options
-	cb     *circuit.Builder
 	inc    *engine.Incremental
 	cache  *core.ValueCache
 	epoch  uint64 // db.Epoch() the session state reflects
@@ -111,8 +110,9 @@ type sessionTuple struct {
 
 // Open validates the options, evaluates the query once (grounding + lineage
 // construction), and returns a session ready to Explain and to absorb
-// updates. The database is captured by reference: route updates through
-// Session.Insert / Session.Delete to get incremental maintenance.
+// updates. The database is captured by reference: the session absorbs every
+// later write to it incrementally at its next call, whether or not the write
+// went through the session.
 func Open(d *Database, q *Query, opts Options) (*Session, error) {
 	return OpenContext(context.Background(), d, q, opts)
 }
@@ -166,8 +166,7 @@ func (s *Session) pipeline(workers, compileWorkers int) core.PipelineOptions {
 // exclusively, as Open does). The grounding is recorded on ctx's trace when
 // one is collecting (the engine opens the "ground" span).
 func (s *Session) ground(ctx context.Context) error {
-	s.cb = circuit.NewBuilder()
-	inc, err := engine.NewIncremental(ctx, s.d, s.q, s.cb, engine.Options{Mode: engine.ModeEndogenous})
+	inc, err := engine.NewIncremental(ctx, s.d, s.q, circuit.NewBuilder(), engine.Options{Mode: engine.ModeEndogenous})
 	if err != nil {
 		return err
 	}
@@ -178,13 +177,55 @@ func (s *Session) ground(ctx context.Context) error {
 	return nil
 }
 
-// sync re-grounds if the database was mutated out-of-band since the session
-// last saw it. Callers hold s.mu.
+// sync brings the session up to the database's epoch. It replays the
+// database's mutation feed past the session's epoch through the delta path,
+// recorded as one "delta" span, and invalidates the value-cache entries of
+// the deleted endogenous facts once for the whole catch-up. It re-grounds
+// only when the feed no longer reaches back to the session's epoch.
+//
+// Replaying in order against the current database is exact, because
+// derivations are keyed by their support sets: a fact deleted later in the
+// window is removed again by its own delete entry, and a derivation joining
+// two facts inserted in the window is found twice and kept once. For the
+// same reason a replay that failed part way may simply run again: the epoch
+// stays behind, and the next call replays the whole window. Callers hold
+// s.mu.
 func (s *Session) sync(ctx context.Context) error {
-	if s.d.Epoch() == s.epoch {
+	changes, ok := s.d.ChangesSince(s.epoch)
+	if !ok {
+		return s.ground(ctx)
+	}
+	if len(changes) == 0 {
 		return nil
 	}
-	return s.ground(ctx)
+	dctx, sp := trace.Start(ctx, "delta")
+	defer sp.End()
+	var deleted []int
+	deletes := 0
+	for _, c := range changes {
+		if !c.Deleted {
+			if _, err := s.inc.Insert(dctx, c.Fact); err != nil {
+				sp.Set("error", err.Error())
+				return err
+			}
+			continue
+		}
+		deletes++
+		s.inc.Delete(dctx, c.Fact.ID)
+		if c.Fact.Endogenous {
+			deleted = append(deleted, int(c.Fact.ID))
+		}
+	}
+	if s.cache != nil {
+		s.cache.Invalidate(s.d.ID(), deleted...)
+	}
+	inserts := len(changes) - deletes
+	s.inserts += int64(inserts)
+	s.deletes += int64(deletes)
+	sp.Set("inserts", inserts)
+	sp.Set("deletes", deletes)
+	s.epoch = s.d.Epoch()
+	return nil
 }
 
 // Mutation describes one fact-level update for Apply: an insertion
@@ -199,12 +240,12 @@ type Mutation struct {
 	ID         FactID
 }
 
-// MutationError is the error Apply returns for a failing mutation: it
-// carries the index of the offender so batching layers (the service's
-// update coalescer) can attribute the failure to the request that owns the
-// mutation instead of failing every coalesced neighbor. It unwraps to the
-// underlying cause, so errors.Is classification (db.ErrUnknownRelation,
-// db.ErrNoFact, db.ErrArity) sees through it.
+// MutationError is the error Apply and Session.Apply return for a failing
+// mutation: it names the offender's index in the batch, so a caller knows
+// which prefix of its batch was applied (the service echoes it in the
+// update's error). It unwraps to the underlying cause, so errors.Is
+// classification (db.ErrUnknownRelation, db.ErrNoFact, db.ErrArity) sees
+// through it.
 type MutationError struct {
 	// Index is the failing mutation's position in the Apply batch; every
 	// mutation before it was applied, none after it was.
@@ -229,83 +270,46 @@ func DeleteOp(id FactID) Mutation {
 	return Mutation{ID: id}
 }
 
-// Apply applies the mutations in order under a single lock acquisition and
-// delta-maintains the session's answers for all of them, with one batched
-// value-cache invalidation covering every deleted endogenous fact.
-// It is the bulk form of Insert and Delete: a service coalescing many
-// concurrent update requests into one application (see internal/server)
-// pays the session synchronization and cache-invalidation cost once per
-// batch instead of once per mutation.
-//
-// The returned slice is aligned with muts: the inserted *Fact for
-// insertions, nil for deletions. Apply is not transactional — it stops at
-// the first failing mutation and returns its error as a *MutationError
-// naming the offender's index, with every earlier mutation applied and the
-// session still consistent with the database.
-func (s *Session) Apply(muts []Mutation) ([]*Fact, error) {
-	return s.ApplyContext(context.Background(), muts)
+// Apply applies the mutations to the database in order and returns, aligned
+// with muts, the inserted *Fact for insertions and nil for deletions. It is
+// the one write path for batches: sessions over d absorb the mutations from
+// d's feed at their next call. Apply is not transactional — it stops at the
+// first failing mutation and returns its error as a *MutationError naming
+// the offender's index, with every earlier mutation applied. Like any
+// database write, it must not run concurrently with other calls on d or its
+// sessions.
+func Apply(d *Database, muts []Mutation) ([]*Fact, error) {
+	out := make([]*Fact, len(muts))
+	for i, m := range muts {
+		var err error
+		if m.Insert {
+			out[i], err = d.Insert(m.Relation, m.Endogenous, m.Values...)
+		} else {
+			err = d.Delete(m.ID)
+		}
+		if err != nil {
+			return out, &MutationError{Index: i, Err: err}
+		}
+	}
+	return out, nil
 }
 
-// ApplyContext is Apply with a caller context. The context is used only for
-// trace collection (each mutation's delta join is recorded under a "delta"
-// span when ctx carries a collector); the application itself is not
-// cancellable mid-batch — stopping between mutations would leave callers
-// guessing which prefix applied for no failure of the batch itself.
-func (s *Session) ApplyContext(ctx context.Context, muts []Mutation) ([]*Fact, error) {
-	dctx, dsp := trace.Start(ctx, "delta")
-	defer dsp.End()
+// Apply applies the mutations to the database (see the package-level
+// Apply) and then brings the session up to date, so its next Explain pays
+// only for the tuples they touched. The returned slice and error follow
+// the package-level Apply: on a failing mutation the session has still
+// absorbed the applied prefix.
+func (s *Session) Apply(muts []Mutation) ([]*Fact, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if err := s.sync(dctx); err != nil {
-		return nil, err
+	out, err := Apply(s.d, muts)
+	if serr := s.sync(context.Background()); err == nil {
+		err = serr
 	}
-	out := make([]*Fact, len(muts))
-	var invalidate []int
-	defer func() {
-		if len(invalidate) > 0 && s.cache != nil {
-			s.cache.Invalidate(s.d.ID(), invalidate...)
-		}
-	}()
-	inserts, deletes := 0, 0
-	defer func() {
-		dsp.Set("inserts", inserts)
-		dsp.Set("deletes", deletes)
-	}()
-	for i, m := range muts {
-		if m.Insert {
-			f, err := s.d.Insert(m.Relation, m.Endogenous, m.Values...)
-			if err != nil {
-				return out, &MutationError{Index: i, Err: err}
-			}
-			if _, err := s.inc.Insert(dctx, f); err != nil {
-				// The database advanced but the session did not: leave the
-				// epochs mismatched so the next call re-grounds.
-				return out, &MutationError{Index: i, Err: err}
-			}
-			out[i] = f
-			s.inserts++
-			inserts++
-		} else {
-			f := s.d.Fact(m.ID)
-			if f == nil {
-				return out, &MutationError{Index: i, Err: fmt.Errorf("db: %w with ID %d", db.ErrNoFact, m.ID)}
-			}
-			if err := s.d.Delete(m.ID); err != nil {
-				return out, &MutationError{Index: i, Err: err}
-			}
-			s.inc.Delete(dctx, m.ID)
-			if f.Endogenous {
-				invalidate = append(invalidate, int(m.ID))
-			}
-			s.deletes++
-			deletes++
-		}
-		s.epoch = s.d.Epoch()
-	}
-	return out, nil
+	return out, err
 }
 
 // Insert adds a fact to the database (see Database.Insert) and
@@ -605,8 +609,7 @@ func (s *Session) NumAnswers() (int, error) {
 // SessionStats is a point-in-time snapshot of one session's state and
 // lifetime counters, sized for pool bookkeeping: everything here is read
 // from the session's own fields, so Stats never touches the underlying
-// database (and thus never races with another session's writes to it) and
-// never triggers re-grounding.
+// database (and thus never races with writes to it) and never catches up.
 type SessionStats struct {
 	// Answers is the number of live output tuples at the last
 	// synchronization point.
@@ -618,10 +621,10 @@ type SessionStats struct {
 	// Epoch is the database mutation epoch the session is synchronized to.
 	Epoch uint64
 	// Grounds counts full (re)groundings: 1 for a fresh session, +1 for
-	// every out-of-band database mutation detected.
+	// every catch-up that the database's mutation feed no longer reached.
 	Grounds int64
-	// Inserts and Deletes count mutations absorbed incrementally through
-	// the session.
+	// Inserts and Deletes count the mutations absorbed incrementally from
+	// the database's mutation feed, whoever applied them.
 	Inserts, Deletes int64
 	// Explains counts completed Explain calls.
 	Explains int64
@@ -671,6 +674,5 @@ func (s *Session) Close() error {
 	s.bgStop()
 	s.inc = nil
 	s.tuples = nil
-	s.cb = nil
 	return nil
 }

@@ -54,9 +54,15 @@ func assertExplanationsEqual(t *testing.T, got, want []TupleExplanation, label s
 	}
 }
 
-// TestSessionMatchesColdExplainUnderUpdates is the PR's correctness bar:
-// after any randomized insert/delete interleaving, Session.Explain must be
-// big.Rat-identical to a cold Explain on the mutated database.
+// TestSessionMatchesColdExplainUnderUpdates is the sessions' correctness
+// bar: after any randomized insert/delete interleaving, Session.Explain must
+// be big.Rat-identical to a cold Explain on the mutated database. The
+// interleavings mix writes through the session with windows of direct
+// database writes that the session catches up on from the mutation feed:
+// random inserts and deletes (exogenous ones too), a fact inserted and
+// deleted inside one window, and facts inserted in one window that join
+// each other. All of that must replay without a re-ground; a lag past the
+// feed must re-ground exactly once.
 func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 	queries := []string{
 		`q(x) :- R(x, y), S(y, z)`,
@@ -101,6 +107,21 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 						return "T", []Value{Int(int64(rng.Intn(3)))}
 					}
 				}
+				randID := func(keep func(*Fact) bool) (FactID, bool) {
+					var ids []FactID
+					for _, name := range d.RelationNames() {
+						for _, f := range d.Relation(name).Facts() {
+							if keep(f) {
+								ids = append(ids, f.ID)
+							}
+						}
+					}
+					if len(ids) == 0 {
+						return 0, false
+					}
+					return ids[rng.Intn(len(ids))], true
+				}
+				anyFact := func(*Fact) bool { return true }
 				for i := 0; i < 5; i++ {
 					rel, vals := randFact()
 					d.MustInsert(rel, rng.Intn(4) != 0, vals...)
@@ -109,23 +130,8 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for step := 0; step < 8; step++ {
-					if rng.Intn(2) == 0 && d.NumFacts() > 0 {
-						var ids []FactID
-						for _, name := range d.RelationNames() {
-							for _, f := range d.Relation(name).Facts() {
-								ids = append(ids, f.ID)
-							}
-						}
-						if err := s.Delete(ids[rng.Intn(len(ids))]); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						rel, vals := randFact()
-						if _, err := s.Insert(rel, rng.Intn(4) != 0, vals...); err != nil {
-							t.Fatal(err)
-						}
-					}
+				explainMatchesCold := func(label string) {
+					t.Helper()
 					live, err := s.Explain(context.Background())
 					if err != nil {
 						t.Fatal(err)
@@ -134,8 +140,85 @@ func TestSessionMatchesColdExplainUnderUpdates(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertExplanationsEqual(t, live, cold,
-						fmt.Sprintf("trial %d step %d", trial, step))
+					assertExplanationsEqual(t, live, cold, fmt.Sprintf("trial %d %s", trial, label))
+				}
+				for step := 0; step < 8; step++ {
+					if rng.Intn(2) == 0 {
+						// A write through the session.
+						if id, ok := randID(anyFact); ok && rng.Intn(2) == 0 {
+							if err := s.Delete(id); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							rel, vals := randFact()
+							if _, err := s.Insert(rel, rng.Intn(4) != 0, vals...); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else {
+						// A window of direct writes.
+						for n := 1 + rng.Intn(3); n > 0; n-- {
+							switch rng.Intn(5) {
+							case 0:
+								rel, vals := randFact()
+								d.MustInsert(rel, rng.Intn(4) != 0, vals...)
+							case 1:
+								if id, ok := randID(anyFact); ok {
+									if err := d.Delete(id); err != nil {
+										t.Fatal(err)
+									}
+								}
+							case 2:
+								if id, ok := randID(func(f *Fact) bool { return !f.Endogenous }); ok {
+									if err := d.Delete(id); err != nil {
+										t.Fatal(err)
+									}
+								}
+							case 3:
+								// Inserted and deleted inside the window.
+								rel, vals := randFact()
+								f := d.MustInsert(rel, true, vals...)
+								if err := d.Delete(f.ID); err != nil {
+									t.Fatal(err)
+								}
+							default:
+								// Facts that join each other: R(a, b) with
+								// S(b, c), R(b, c) and T(b), b > 0.
+								a, b, c := Int(int64(rng.Intn(3))), Int(int64(1+rng.Intn(2))), Int(int64(rng.Intn(3)))
+								d.MustInsert("R", true, a, b)
+								d.MustInsert("S", true, b, c)
+								d.MustInsert("R", true, b, c)
+								d.MustInsert("T", true, b)
+							}
+						}
+					}
+					explainMatchesCold(fmt.Sprintf("step %d", step))
+				}
+				st, err := s.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Grounds != 1 {
+					t.Fatalf("trial %d: %d grounds after catch-ups the feed covered, want 1", trial, st.Grounds)
+				}
+
+				// Lag past the feed: net-zero writes until it no longer
+				// reaches the session's epoch, then one that stays.
+				for {
+					if _, ok := d.ChangesSince(st.Epoch); !ok {
+						break
+					}
+					rel, vals := randFact()
+					f := d.MustInsert(rel, true, vals...)
+					if err := d.Delete(f.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rel, vals := randFact()
+				d.MustInsert(rel, true, vals...)
+				explainMatchesCold("after a lag past the feed")
+				if st, _ := s.Stats(); st.Grounds != 2 {
+					t.Fatalf("trial %d: %d grounds after a lag past the feed, want 2", trial, st.Grounds)
 				}
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
@@ -391,7 +474,8 @@ func sameValues(a, b Values) bool {
 
 // TestSessionSurvivesOutOfBandMutation: mutating the Database directly
 // (not through the session) must not produce stale explanations — the
-// session detects the epoch mismatch and re-grounds.
+// session catches up from the database's mutation feed without
+// re-grounding.
 func TestSessionSurvivesOutOfBandMutation(t *testing.T) {
 	d := NewDatabase()
 	d.CreateRelation("R", "a", "b")
@@ -423,6 +507,9 @@ func TestSessionSurvivesOutOfBandMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertExplanationsEqual(t, live, cold, "after out-of-band insert")
+	if st, _ := s.Stats(); st.Grounds != 1 || st.Inserts != 2 {
+		t.Errorf("stats %+v, want 1 ground and 2 inserts absorbed from the feed", st)
+	}
 }
 
 func TestSessionClosedErrors(t *testing.T) {
