@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -94,20 +93,22 @@ func main() {
 		os.Exit(1)
 	}
 	if *asJSON {
-		// Same encoding package as the shapleyd service, so a CLI run and a
-		// served response for the same database state are diffable.
+		// The shapleyd service renders its explain bodies with the same
+		// writer, so a CLI run and a served response for the same database
+		// state are diffable.
 		resp := wire.ExplainResponse{
 			Dataset:   *dataset,
 			Query:     q.String(),
 			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-			Tuples:    wire.EncodeExplanations(d, explanations, *top),
 		}
 		if root != nil {
 			resp.Trace = root.Snapshot()
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(resp); err != nil {
+		body, err := wire.AppendExplainResponse(nil, d, &resp, explanations, *top)
+		if err == nil {
+			_, err = os.Stdout.Write(body)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "shapley:", err)
 			os.Exit(1)
 		}

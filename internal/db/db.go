@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -140,43 +141,61 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
+// String formats an int in decimal, a float in the shortest form that
+// reads back to it (what %g prints), and a string as itself.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return v.s
+	}
+	var buf [32]byte
+	return string(v.appendString(buf[:0]))
+}
+
+// appendString appends v's String form to dst.
+func (v Value) appendString(dst []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return fmt.Sprintf("%d", v.i)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	default:
-		return v.s
+		return append(dst, v.s...)
 	}
 }
 
 // Key returns a string usable as a map key that uniquely identifies the
-// value within its kind class.
+// value within its kind class: its String form behind a kind letter.
 func (v Value) Key() string {
+	var buf [32]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+func (v Value) appendKey(dst []byte) []byte {
+	tag := byte('s')
 	switch v.kind {
 	case KindInt:
-		return fmt.Sprintf("i%d", v.i)
+		tag = 'i'
 	case KindFloat:
-		return fmt.Sprintf("f%g", v.f)
-	default:
-		return "s" + v.s
+		tag = 'f'
 	}
+	return v.appendString(append(dst, tag))
 }
 
 // Tuple is an ordered list of values.
 type Tuple []Value
 
-// Key returns a canonical map key for the tuple.
+// Key returns a canonical map key for the tuple: its values' Keys joined
+// by NUL bytes.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte('\x00')
+			b = append(b, 0)
 		}
-		b.WriteString(v.Key())
+		b = v.appendKey(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Equal reports whether two tuples have the same length and pairwise equal
@@ -194,11 +213,15 @@ func (t Tuple) Equal(o Tuple) bool {
 }
 
 func (t Tuple) String() string {
-	parts := make([]string, len(t))
+	var buf [128]byte
+	b := append(buf[:0], '(')
 	for i, v := range t {
-		parts[i] = v.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = v.appendString(b)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // Schema describes a relation: its name and attribute names.
@@ -377,7 +400,6 @@ func (d *Database) Insert(relation string, endogenous bool, values ...Value) (*F
 	}
 	rel.insert(f)
 	d.facts[f.ID] = f
-	rel.epoch++
 	d.record(f, false)
 	d.maybeCompact()
 	return f, nil
@@ -403,7 +425,6 @@ func (d *Database) Delete(id FactID) error {
 	rel := d.relations[f.Relation]
 	rel.delete(f)
 	delete(d.facts, id)
-	rel.epoch++
 	d.record(f, true)
 	d.maybeCompact()
 	return nil

@@ -1,6 +1,10 @@
 package db
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +79,61 @@ func TestValueKeyInjective(t *testing.T) {
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueTextMatchesFmt pins Value.String, Value.Key, Tuple.String and
+// Tuple.Key, which format with strconv, to the fmt verbs they replaced
+// (%d for ints, %g for floats): on int64 extremes, floats at %g's
+// exponent switch and past 2^53, an integral float, NaN and the infinities,
+// and random bit patterns.
+func TestValueTextMatchesFmt(t *testing.T) {
+	vals := []Value{
+		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64), Int(1<<53 + 1),
+		Float(1e21), Float(1e20), Float(1e-7), Float(1e-5), Float(1<<53 + 1), Float(float64(1<<53) * 3),
+		Float(3), Float(-2.5), Float(0.1), Float(1.0 / 3), Float(math.MaxFloat64),
+		Float(math.SmallestNonzeroFloat64), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		String(""), String("a, b\x00c"),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 20000 {
+		vals = append(vals, Int(int64(rng.Uint64())), Float(math.Float64frombits(rng.Uint64())))
+	}
+	text := func(v Value) string {
+		switch v.Kind() {
+		case KindInt:
+			return fmt.Sprintf("%d", v.AsInt())
+		case KindFloat:
+			return fmt.Sprintf("%g", v.AsFloat())
+		}
+		return v.AsString()
+	}
+	key := func(v Value) string {
+		return map[Kind]string{KindInt: "i", KindFloat: "f", KindString: "s"}[v.Kind()] + text(v)
+	}
+	for _, v := range vals {
+		if got, want := v.String(), text(v); got != want {
+			t.Fatalf("%v value String = %q, fmt gives %q", v.Kind(), got, want)
+		}
+		if got, want := v.Key(), key(v); got != want {
+			t.Fatalf("%v value Key = %q, want %q", v.Kind(), got, want)
+		}
+	}
+	for i := 0; i+3 <= len(vals); i += 3 {
+		tup := Tuple(vals[i : i+3])
+		texts, keys := make([]string, len(tup)), make([]string, len(tup))
+		for j, v := range tup {
+			texts[j], keys[j] = text(v), key(v)
+		}
+		if got, want := tup.String(), "("+strings.Join(texts, ", ")+")"; got != want {
+			t.Fatalf("Tuple.String = %q, want %q", got, want)
+		}
+		if got, want := tup.Key(), strings.Join(keys, "\x00"); got != want {
+			t.Fatalf("Tuple.Key = %q, want %q", got, want)
+		}
+	}
+	if got := (Tuple{}).String(); got != "()" {
+		t.Errorf("empty Tuple.String = %q, want ()", got)
 	}
 }
 
@@ -213,17 +272,15 @@ func TestEpochsBumpOnEveryMutation(t *testing.T) {
 		t.Fatalf("fresh Epoch = %d, want 0", d.Epoch())
 	}
 	f := d.MustInsert("R", true, Int(1))
-	if d.Epoch() != 1 || d.Relation("R").Epoch() != 1 || d.Relation("S").Epoch() != 0 {
-		t.Errorf("after insert: db=%d R=%d S=%d, want 1/1/0",
-			d.Epoch(), d.Relation("R").Epoch(), d.Relation("S").Epoch())
+	if d.Epoch() != 1 {
+		t.Errorf("after insert: Epoch = %d, want 1", d.Epoch())
 	}
 	d.MustInsert("S", false, Int(2))
 	if err := d.Delete(f.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if d.Epoch() != 3 || d.Relation("R").Epoch() != 2 || d.Relation("S").Epoch() != 1 {
-		t.Errorf("after delete: db=%d R=%d S=%d, want 3/2/1",
-			d.Epoch(), d.Relation("R").Epoch(), d.Relation("S").Epoch())
+	if d.Epoch() != 3 {
+		t.Errorf("after delete: Epoch = %d, want 3", d.Epoch())
 	}
 }
 

@@ -307,7 +307,6 @@ func (d *Database) restoreFact(f *Fact) error {
 	if f.ID >= d.nextID {
 		d.nextID = f.ID + 1
 	}
-	rel.epoch++
 	d.record(f, false)
 	return nil
 }

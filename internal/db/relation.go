@@ -30,10 +30,6 @@ type Relation struct {
 	// indexes maps a position signature (posSig) to its index.
 	indexes atomic.Pointer[map[string]*hashIndex]
 	mu      sync.Mutex
-	// epoch counts the mutations (inserts and deletes) this relation has
-	// seen. Caches keyed on relation contents compare epochs instead of
-	// diffing fact sets.
-	epoch uint64
 }
 
 // hashIndex buckets a relation's facts by the key of their values at pos.
@@ -50,11 +46,6 @@ func (ix *hashIndex) add(f *Fact, buf []byte) []byte {
 	ix.buckets[k] = append(ix.buckets[k], f)
 	return buf
 }
-
-// Epoch returns the relation's mutation counter: it is bumped by every
-// Insert and Delete touching the relation and never decreases, so equal
-// epochs guarantee the relation's fact set has not changed.
-func (r *Relation) Epoch() uint64 { return r.epoch }
 
 // Len returns the relation's fact count.
 func (r *Relation) Len() int { return len(r.facts) }

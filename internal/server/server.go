@@ -271,6 +271,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// writeJSON writes the small bodies (updates, errors, the slow log);
+// explain bodies come from wire.AppendExplainResponse.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -450,10 +452,38 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			"elapsed_ms", resp.ElapsedMs, "tuples", len(es))
 	}
 
+	writeExplain(w, d, lock, &resp, es, req.Top)
+}
+
+// bodyPool recycles explain body buffers across requests; maxPooledBody
+// bounds the capacity of a buffer put back.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// writeExplain renders an explain body into a pooled buffer, resolving fact
+// content under the dataset's read lock, and sends it in one write with its
+// Content-Length. A body that cannot be rendered (a NaN or infinite score)
+// is a 500, answered before any other header is written.
+func writeExplain(w http.ResponseWriter, d *repro.Database, lock *sync.RWMutex, resp *wire.ExplainResponse, es []repro.TupleExplanation, top int) {
+	bp := bodyPool.Get().(*[]byte)
 	lock.RLock()
-	resp.Tuples = wire.EncodeExplanations(d, es, req.Top)
+	body, err := wire.AppendExplainResponse((*bp)[:0], d, resp, es, top)
 	lock.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+	}
+	// A buffer grown past maxPooledBody (a top-0 answer on a big query) is
+	// dropped rather than pinned in the pool.
+	if cap(body) <= maxPooledBody {
+		*bp = body[:0]
+		bodyPool.Put(bp)
+	}
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,13 @@
 // Package wire defines the explanation service's JSON wire protocol: the
 // request and response bodies of shapleyd's HTTP API (internal/server) and
-// the machine-readable output of `shapley -json`. Both producers share
-// these types and the encoding helpers below, so a CLI run and a served
-// response for the same database state are byte-diffable.
+// the machine-readable output of `shapley -json`.
+//
+// Explain bodies are rendered by AppendExplainResponse, in one pass into a
+// byte buffer, for both the server and the CLI, so a CLI run and a served
+// response for the same database state are byte-diffable. The struct form
+// — ExplainResponse with EncodeExplanations' tuples, through encoding/json
+// with a two-space indent — is what clients decode into, and it is the
+// reference the writer's tests check its bytes against.
 //
 // Values travel as plain JSON scalars: strings decode to db.String, numbers
 // to db.Int when they are integral (no fraction, no exponent) and db.Float
@@ -17,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro"
@@ -229,11 +233,7 @@ func EncodeValue(v repro.Value) any {
 	case db.KindInt:
 		return v.AsInt()
 	case db.KindFloat:
-		s := strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
-		}
-		return json.Number(s)
+		return json.Number(appendFloatValue(nil, v.AsFloat()))
 	default:
 		return v.AsString()
 	}
@@ -287,9 +287,13 @@ func DecodeValues(raws []json.RawMessage) ([]repro.Value, error) {
 	return out, nil
 }
 
-// EncodeExplanations renders pipeline results in wire form. Fact labels are
-// resolved against d (facts deleted since the explanation was computed keep
-// their ID with empty content); top ≤ 0 keeps every ranked fact.
+// EncodeExplanations renders pipeline results in the wire struct form. Fact
+// labels are resolved against d (facts deleted since the explanation was
+// computed keep their ID with empty content); top ≤ 0 keeps every ranked
+// fact. Encoded with encoding/json under ExplainResponse, it gives the bytes
+// AppendExplainResponse writes directly; the server and the CLI use the
+// writer, and this form remains for callers that want the values and as the
+// writer's reference.
 func EncodeExplanations(d *repro.Database, es []repro.TupleExplanation, top int) []TupleExplanation {
 	out := make([]TupleExplanation, len(es))
 	for i := range es {

@@ -365,12 +365,28 @@ func (e *TupleExplanation) TopFacts(k int) []FactID {
 func (e *TupleExplanation) Score(f FactID) float64 {
 	switch e.Method {
 	case MethodExact:
-		v, _ := e.Values[f].Float64()
-		return v
+		return ratFloat(e.Values[f])
 	case MethodApprox:
 		return e.Approx[f].Value
 	}
-	v, _ := e.Proxy[f].Float64()
+	return ratFloat(e.Proxy[f])
+}
+
+// ratFloat returns the float64 nearest r, as r.Float64 does. When the
+// numerator and the denominator are at most 2^53 in magnitude, both are
+// exact float64s and one division, which IEEE 754 rounds to nearest as
+// well, gives the same value without big.Rat's allocations.
+func ratFloat(r *big.Rat) float64 {
+	const exact = 1 << 53
+	if n := r.Num(); n.IsInt64() && -exact <= n.Int64() && n.Int64() <= exact {
+		if r.IsInt() {
+			return float64(n.Int64())
+		}
+		if d := r.Denom(); d.IsInt64() && d.Int64() <= exact {
+			return float64(n.Int64()) / float64(d.Int64())
+		}
+	}
+	v, _ := r.Float64()
 	return v
 }
 

@@ -374,3 +374,36 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	defer re.Close()
 	check(re, "after reopen")
 }
+
+// TestRatFloatMatchesFloat64 pins ratFloat, Score's conversion, to
+// big.Rat.Float64 bit for bit: on random rationals whose numerators and
+// denominators straddle 2^53, the bound of its division fast path, and on
+// the edge values themselves.
+func TestRatFloatMatchesFloat64(t *testing.T) {
+	const exact = 1 << 53
+	edges := []int64{0, 1, 2, 3, 7, exact - 1, exact, exact + 1, 3 * exact, math.MaxInt64}
+	check := func(n, d int64) {
+		t.Helper()
+		r := big.NewRat(n, d)
+		want, _ := r.Float64()
+		if got := ratFloat(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ratFloat(%s) = %v, want %v", r.RatString(), got, want)
+		}
+	}
+	for _, n := range edges {
+		for _, d := range edges[1:] {
+			check(n, d)
+			check(-n, d)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200000 {
+		n := rng.Int63n(4*exact) - 2*exact
+		d := 1 + rng.Int63n(2*exact)
+		if rng.Intn(2) == 0 {
+			n >>= rng.Intn(50)
+			d >>= rng.Intn(50)
+		}
+		check(n, max(d, 1))
+	}
+}
