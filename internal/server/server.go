@@ -476,7 +476,7 @@ func writeExplain(w http.ResponseWriter, d *repro.Database, lock *sync.RWMutex, 
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+		_, _ = w.Write(body) // a failed write leaves no client to tell
 	}
 	// A buffer grown past maxPooledBody (a top-0 answer on a big query) is
 	// dropped rather than pinned in the pool.

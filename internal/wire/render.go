@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"strconv"
-	"strings"
 	"time"
 	"unicode/utf8"
 
@@ -51,10 +50,12 @@ func AppendExplainResponse(dst []byte, d *repro.Database, hdr *ExplainResponse, 
 		w.str(hdr.RequestID)
 	}
 	if hdr.Trace != nil {
+		// The trace's attributes are open-ended, so encoding/json renders
+		// it, indented as a member of the top-level object.
 		w.key("trace")
-		blob, err := json.MarshalIndent(hdr.Trace, strings.Repeat("  ", w.depth), "  ")
-		if err != nil && w.err == nil {
-			w.err = err
+		blob, err := json.MarshalIndent(hdr.Trace, "  ", "  ")
+		if err != nil {
+			return dst, err
 		}
 		w.b = append(w.b, blob...)
 	}
