@@ -8,8 +8,9 @@
 // (POST /v1/explain), deletes the top-contributing flight through a batched
 // update (POST /v1/update), asks again, and restores the flight.
 //
-// It then walks the observability surfaces: re-asks with "trace": true and
-// prints the per-stage span tree the server recorded for that request,
+// It then walks the observability surfaces: the restored question asks
+// for "trace": true, and the program prints the per-stage span tree the
+// server recorded for that request,
 // scrapes GET /metrics (Prometheus text exposition, validated and read with
 // the in-repo promlint parser) for the session-pool counters showing every
 // question after the first hit a warm pooled session, and reads GET
@@ -61,9 +62,9 @@ func main() {
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
 
-	explain := func(header string) wire.ExplainResponse {
+	explain := func(header string, traced bool) wire.ExplainResponse {
 		var resp wire.ExplainResponse
-		post(base+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: query, Top: 3}, &resp)
+		post(base+"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: query, Top: 3, Trace: traced}, &resp)
 		fmt.Println(header)
 		if len(resp.Tuples) == 0 {
 			fmt.Println("  query is false")
@@ -75,7 +76,7 @@ func main() {
 		return resp
 	}
 
-	first := explain("Why can one fly USA -> France with at most one stop?")
+	first := explain("Why can one fly USA -> France with at most one stop?", false)
 
 	// The analyst removes the top-contributing flight — the direct
 	// JFK->CDG leg, per the paper — and asks again. The fact ID comes from
@@ -89,7 +90,7 @@ func main() {
 	}, &upd)
 	fmt.Printf("\ndeleted %s%v (fact #%d)\n\n", top.Relation, top.Tuple, upd.DeletedIDs[0])
 
-	explain("And without that flight?")
+	explain("And without that flight?", false)
 
 	// Restore it (an insert batch) and confirm the original answer.
 	vals := make([]json.RawMessage, len(top.Tuple))
@@ -103,17 +104,16 @@ func main() {
 	}, &upd)
 	fmt.Printf("\nrestored %s%v as fact #%d\n\n", top.Relation, top.Tuple, upd.InsertedIDs[0])
 
-	explain("And with it restored?")
+	traced := explain("And with it restored?", true)
 
 	// Observability surface 1: per-request stage tracing. Setting "trace":
 	// true in the request makes the response carry the span tree the server
 	// recorded while answering — which pipeline stages ran, how long each
 	// took, and stage attributes like compiled-circuit node counts and
-	// compile-cache hit kinds.
-	var traced wire.ExplainResponse
-	post(base+"/v1/explain", wire.ExplainRequest{
-		Dataset: "flights", Query: query, Top: 3, Trace: true,
-	}, &traced)
+	// compile-cache hit kinds. The restore changed the answer's lineage, so
+	// the session recomputed it under a tuple span; an answer served from
+	// the session's cache opens no span, and its tree holds only the pool
+	// acquire.
 	fmt.Printf("\nstage trace for request %s (%.3fms total):\n", traced.RequestID, traced.ElapsedMs)
 	printSpan(traced.Trace, 1)
 

@@ -164,28 +164,42 @@ func (v Value) appendString(dst []byte) []byte {
 }
 
 // Key returns a string usable as a map key that uniquely identifies the
-// value within its kind class: its String form behind a kind letter.
+// value within its kind class: its String form behind a kind letter, with
+// each 0x00 byte of a string escaped as 0x00 0xFF (the rule AppendValueKey
+// uses), so a key never holds a 0x00 that a kind letter follows.
 func (v Value) Key() string {
 	var buf [32]byte
 	return string(v.appendKey(buf[:0]))
 }
 
 func (v Value) appendKey(dst []byte) []byte {
-	tag := byte('s')
 	switch v.kind {
 	case KindInt:
-		tag = 'i'
+		return v.appendString(append(dst, 'i'))
 	case KindFloat:
-		tag = 'f'
+		return v.appendString(append(dst, 'f'))
 	}
-	return v.appendString(append(dst, tag))
+	dst = append(dst, 's')
+	s := v.s
+	for {
+		i := strings.IndexByte(s, 0)
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i]...)
+		dst = append(dst, 0x00, 0xFF)
+		s = s[i+1:]
+	}
 }
 
 // Tuple is an ordered list of values.
 type Tuple []Value
 
 // Key returns a canonical map key for the tuple: its values' Keys joined
-// by NUL bytes.
+// by 0x00 bytes. Each separator is followed by a kind letter and every
+// 0x00 inside a string by 0xFF, so two tuples share a key exactly when
+// they have the same length and the same kinds and values position by
+// position.
 func (t Tuple) Key() string {
 	var buf [128]byte
 	b := buf[:0]

@@ -84,7 +84,8 @@ func TestValueKeyInjective(t *testing.T) {
 
 // TestValueTextMatchesFmt pins Value.String, Value.Key, Tuple.String and
 // Tuple.Key, which format with strconv, to the fmt verbs they replaced
-// (%d for ints, %g for floats): on int64 extremes, floats at %g's
+// (%d for ints, %g for floats; a key escapes a string's 0x00 bytes as
+// 0x00 0xFF): on int64 extremes, floats at %g's
 // exponent switch and past 2^53, an integral float, NaN and the infinities,
 // and random bit patterns.
 func TestValueTextMatchesFmt(t *testing.T) {
@@ -109,7 +110,8 @@ func TestValueTextMatchesFmt(t *testing.T) {
 		return v.AsString()
 	}
 	key := func(v Value) string {
-		return map[Kind]string{KindInt: "i", KindFloat: "f", KindString: "s"}[v.Kind()] + text(v)
+		return map[Kind]string{KindInt: "i", KindFloat: "f", KindString: "s"}[v.Kind()] +
+			strings.ReplaceAll(text(v), "\x00", "\x00\xff")
 	}
 	for _, v := range vals {
 		if got, want := v.String(), text(v); got != want {
@@ -142,6 +144,80 @@ func TestTupleKeyDistinguishesBoundaries(t *testing.T) {
 	b := Tuple{String("a"), String("bc")}
 	if a.Key() == b.Key() {
 		t.Errorf("tuple keys collide: %q vs %q", a, b)
+	}
+}
+
+// sameValues reports whether two tuples have the same length and, position
+// by position, the same kind and value (every NaN counts as one value, as
+// its key "fNaN" does).
+func sameValues(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Kind() != y.Kind() {
+			return false
+		}
+		switch x.Kind() {
+		case KindInt:
+			if x.AsInt() != y.AsInt() {
+				return false
+			}
+		case KindFloat:
+			if x.AsFloat() != y.AsFloat() && !(math.IsNaN(x.AsFloat()) && math.IsNaN(y.AsFloat())) {
+				return false
+			}
+		default:
+			if x.AsString() != y.AsString() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestTupleKeyInjective: two tuples share a Tuple.Key exactly when they
+// have the same kinds and values, over mixed kinds and strings holding
+// 0x00 and 0xFF. Without escaping 0x00 inside strings, ("a\x00sb", "c")
+// and ("a", "b\x00sc") shared a key, and so did ("x\x00i5") and ("x", 5).
+func TestTupleKeyInjective(t *testing.T) {
+	tuples := []Tuple{
+		{},
+		{String("")},
+		{String(""), String("")},
+		{String("a\x00sb"), String("c")},
+		{String("a"), String("b\x00sc")},
+		{String("a\x00sb\x00sc")},
+		{String("x\x00i5")},
+		{String("x"), Int(5)},
+		{String("x"), Float(5)},
+		{String("x\x00f5")},
+		{String("a\x00")},
+		{String("a"), String("")},
+		{String("a\x00\xff")},
+		{String("a\xff")},
+		{String("\x00")},
+		{String("\xff")},
+		{String("\x00\xff")},
+		{String("\xff\x00")},
+		{String("\xfe\xff\x00s")},
+		{Int(1 << 53)},
+		{Int(1<<53 + 1)},
+		{Float(1 << 53)},
+		{Float(math.Copysign(0, -1))},
+		{Float(0)},
+		{Int(0)},
+		{Int(0), String("\x00")},
+		{Int(0), String("\x00"), Float(0.5)},
+	}
+	for i, a := range tuples {
+		for j, b := range tuples {
+			if same, eq := sameValues(a, b), a.Key() == b.Key(); same != eq {
+				t.Errorf("tuples %d %q and %d %q: same values %v, equal keys %v (%q, %q)",
+					i, a, j, b, same, eq, a.Key(), b.Key())
+			}
+		}
 	}
 }
 

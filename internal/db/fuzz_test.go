@@ -2,8 +2,10 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -215,6 +217,107 @@ func FuzzOpenPersisted(f *testing.F) {
 		}
 		if diff := sameState(d, re); diff != "" {
 			t.Fatalf("reopened state differs: %s", diff)
+		}
+	})
+}
+
+// fuzzValue decodes one value from the front of data: a kind byte (int,
+// float or string, modulo 3), then an 8-byte big-endian int or float
+// payload, or a length byte and that many string bytes. Short input is
+// zero-padded.
+func fuzzValue(data []byte) (Value, []byte) {
+	if len(data) == 0 {
+		return Int(0), nil
+	}
+	kind, data := data[0]%3, data[1:]
+	if kind == 2 {
+		n := 0
+		if len(data) > 0 {
+			n, data = int(data[0]), data[1:]
+		}
+		n = min(n, len(data))
+		return String(string(data[:n])), data[n:]
+	}
+	var b [8]byte
+	data = data[copy(b[:], data):]
+	u := binary.BigEndian.Uint64(b[:])
+	if kind == 0 {
+		return Int(int64(u)), data
+	}
+	return Float(math.Float64frombits(u)), data
+}
+
+// appendFuzzValue appends the encoding fuzzValue decodes back to v.
+func appendFuzzValue(dst []byte, v Value) []byte {
+	switch v.Kind() {
+	case KindInt:
+		return binary.BigEndian.AppendUint64(append(dst, 0), uint64(v.AsInt()))
+	case KindFloat:
+		return binary.BigEndian.AppendUint64(append(dst, 1), math.Float64bits(v.AsFloat()))
+	}
+	return append(append(dst, 2, byte(len(v.AsString()))), v.AsString()...)
+}
+
+// fuzzTuples encodes a pair of same-arity tuples as FuzzTupleKey reads
+// them: the arity, a's values, then for each position of b a control byte
+// (even: copy a's value) and, when odd, b's own value.
+func fuzzTuples(a, b Tuple) []byte {
+	data := []byte{byte(len(a) - 1)}
+	for _, v := range a {
+		data = appendFuzzValue(data, v)
+	}
+	for i, v := range b {
+		if v.Kind() == a[i].Kind() && v.Key() == a[i].Key() {
+			data = append(data, 0)
+			continue
+		}
+		data = appendFuzzValue(append(data, 1), v)
+	}
+	return data
+}
+
+// FuzzTupleKey: two tuples of the same arity (1–4) built from the input,
+// over ints (2^53±1 among the seeds), floats (±0 among them) and strings
+// with 0x00, 0xFF and invalid UTF-8, have equal Tuple.Keys exactly when
+// every position has the same kind and value. The second tuple copies
+// some of the first's values, so equal and near-equal pairs both occur.
+func FuzzTupleKey(f *testing.F) {
+	// neg0 keeps its sign bit, so the seed encodes -0; fuzzValue builds it
+	// back through Float, as every decoded float.
+	neg0 := Value{kind: KindFloat, f: math.Copysign(0, -1)}
+	for _, c := range [][2]Tuple{
+		{{String("a\x00sb"), String("c")}, {String("a"), String("b\x00sc")}},
+		{{String("x\x00i5"), Int(0)}, {String("x"), Int(5)}},
+		{{String("\x00\xff"), String("\xff")}, {String("\x00"), String("\xff\xff")}},
+		{{String("\xc3\x28"), String("\xfe")}, {String("\xc3\x28"), String("\xfe\x00")}},
+		{{Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1)}, {Float(1<<53 - 1), Float(1 << 53), Float(1<<53 + 1)}},
+		{{Float(0), neg0}, {neg0, Float(0)}},
+		{{Int(0)}, {Float(0)}},
+	} {
+		f.Add(fuzzTuples(c[0], c[1]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]%4) + 1
+		data = data[1:]
+		a, b := make(Tuple, n), make(Tuple, n)
+		for i := range a {
+			a[i], data = fuzzValue(data)
+		}
+		for i := range b {
+			if len(data) > 0 && data[0]%2 == 0 {
+				b[i], data = a[i], data[1:]
+				continue
+			}
+			if len(data) > 0 {
+				data = data[1:]
+			}
+			b[i], data = fuzzValue(data)
+		}
+		if same, eq := sameValues(a, b), a.Key() == b.Key(); same != eq {
+			t.Fatalf("%q and %q: same values %v, equal keys %v (%q, %q)", a, b, same, eq, a.Key(), b.Key())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"iter"
 	"maps"
 	"slices"
@@ -166,12 +167,12 @@ func (r *Relation) delete(f *Fact) {
 }
 
 // posSig is a canonical map key for a set of tuple positions (the
-// bound-position signature of a secondary index). Positions are single
-// bytes: relation arity never approaches 256.
+// bound-position signature of a secondary index): each position as a
+// uvarint, so positions of any size stay distinct.
 func posSig(pos []int) string {
-	b := make([]byte, len(pos))
-	for i, p := range pos {
-		b[i] = byte(p)
+	b := make([]byte, 0, len(pos))
+	for _, p := range pos {
+		b = binary.AppendUvarint(b, uint64(p))
 	}
 	return string(b)
 }

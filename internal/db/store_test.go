@@ -199,6 +199,40 @@ func TestIndexBudgetFallback(t *testing.T) {
 	}
 }
 
+// TestIndexPositionsPast255: indexes on positions 1 and 257 of a
+// 258-column relation are distinct. With one byte per position in the
+// index signature they shared one index, so a lookup of 'a' at position
+// 257 returned the fact that has 'a' at position 1.
+func TestIndexPositionsPast255(t *testing.T) {
+	d := New()
+	cols := make([]string, 258)
+	for i := range cols {
+		cols[i] = "c" + strconv.Itoa(i)
+	}
+	d.CreateRelation("R", cols...)
+	vals := make(Tuple, len(cols))
+	for i := range vals {
+		vals[i] = String("z")
+	}
+	vals[1] = String("a")
+	d.MustInsert("R", true, vals...)
+	rel := d.Relation("R")
+	a := TupleKey(Tuple{String("a")}, nil)
+	for _, c := range []struct {
+		pos []int
+		key Key
+	}{
+		{[]int{1}, a},
+		{[]int{257}, a},
+		{[]int{257}, TupleKey(vals, []int{257})},
+		{[]int{1, 257}, TupleKey(vals, []int{1, 257})},
+	} {
+		if got, want := lookupIDs(rel, c.pos, c.key), filtered(rel, c.pos, c.key); !slices.Equal(got, want) {
+			t.Errorf("lookup of %q on %v = %v, want %v", c.key, c.pos, got, want)
+		}
+	}
+}
+
 // TestConcurrentLookupsBuildIndexesSafely runs many lookups on fresh
 // patterns at once, as concurrent groundings of one database do, past the
 // index budget, and checks every answer against a serial lookup on a

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // Compilation errors. A compilation that exceeds its time or size budget
@@ -242,36 +241,9 @@ func (c *compiler) lit(l cnf.Lit) *Node {
 // ∨-gates), and component caching — the classic construction behind c2d and
 // dsharp. The context carries external cancellation (distinct from
 // Options.Timeout, which is this compilation's own budget and yields
-// ErrTimeout); ctx errors are returned as-is. When ctx carries a trace
-// collector, the compilation records a "dnnf" span annotated with the
-// workers granted and the speculation and portfolio outcomes.
+// ErrTimeout); ctx errors are returned as-is. Compile opens no span: the
+// caller's "compile" stage reports the returned Stats.
 func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, error) {
-	ctx, sp := trace.Start(ctx, "dnnf")
-	root, stats, err := compileFormula(ctx, f, opts)
-	if sp != nil {
-		sp.Set("clauses", len(f.Clauses))
-		sp.Set("workers", parallel.Workers(opts.Workers))
-		sp.Set("nodes", stats.Nodes)
-		sp.Set("decisions", stats.Decisions)
-		if opts.Speculate {
-			sp.Set("speculated", stats.SpeculatedDecisions)
-			sp.Set("speculation_cancels", stats.SpeculationCancels)
-		}
-		if stats.PortfolioRacers > 0 {
-			sp.Set("portfolio_racers", stats.PortfolioRacers)
-			sp.Set("portfolio_winner", stats.PortfolioWinner)
-			sp.Set("portfolio_losers_cancelled", stats.PortfolioLosersCancelled)
-		}
-		if err != nil {
-			sp.Set("error", err.Error())
-		}
-		sp.End()
-	}
-	return root, stats, err
-}
-
-// compileFormula is Compile without the tracing shim.
-func compileFormula(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		// An already-cancelled caller gets its error immediately — the

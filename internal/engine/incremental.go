@@ -143,14 +143,11 @@ func (inc *Incremental) indexDerivation(key, dkey string, facts []*db.Fact) {
 
 // Insert delta-evaluates the already-inserted fact f and splices any new
 // derivations into the maintained answers. It returns the tuples whose
-// lineage changed (including tuples that newly appeared). The delta join is
-// recorded as a "delta-insert" span when ctx carries a trace collector.
-func (inc *Incremental) Insert(ctx context.Context, f *db.Fact) ([]db.Tuple, error) {
-	_, sp := trace.Start(ctx, "delta-insert")
+// lineage changed (including tuples that newly appeared). It opens no span:
+// the caller times a whole catch-up as one stage.
+func (inc *Incremental) Insert(f *db.Fact) ([]db.Tuple, error) {
 	derivs, err := EvalDelta(inc.d, inc.q, f)
 	if err != nil {
-		sp.Set("error", err.Error())
-		sp.End()
 		return nil, err
 	}
 	changedSet := make(map[string]*liveAnswer)
@@ -172,23 +169,17 @@ func (inc *Incremental) Insert(ctx context.Context, f *db.Fact) ([]db.Tuple, err
 		a.epoch = inc.epoch
 		changed = append(changed, a.tuple)
 	}
-	sp.Set("touched", len(changed))
-	sp.End()
 	return changed, nil
 }
 
 // Delete removes every derivation supported by the fact with the given ID
 // and returns the tuples whose lineage changed (including tuples that
 // vanished from the answer set). The fact may already be gone from the
-// database; only the index is consulted. The unlinking is recorded as a
-// "delta-delete" span when ctx carries a trace collector.
-func (inc *Incremental) Delete(ctx context.Context, id db.FactID) []db.Tuple {
-	_, sp := trace.Start(ctx, "delta-delete")
+// database; only the index is consulted. Like Insert, it opens no span.
+func (inc *Incremental) Delete(id db.FactID) []db.Tuple {
 	inc.ensureIndex()
 	touched := inc.byFact[id]
 	if len(touched) == 0 {
-		sp.Set("touched", 0)
-		sp.End()
 		return nil
 	}
 	inc.epoch++
@@ -224,8 +215,6 @@ func (inc *Incremental) Delete(ctx context.Context, id db.FactID) []db.Tuple {
 		a.epoch = inc.epoch
 	}
 	delete(inc.byFact, id)
-	sp.Set("touched", len(changed))
-	sp.End()
 	return changed
 }
 

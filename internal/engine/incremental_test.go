@@ -116,11 +116,11 @@ func TestIncrementalMatchesEvalUnderRandomUpdates(t *testing.T) {
 						if err := d.Delete(id); err != nil {
 							t.Fatal(err)
 						}
-						inc.Delete(context.Background(), id)
+						inc.Delete(id)
 					} else {
 						rel, vals := randFact()
 						f := d.MustInsert(rel, rng.Intn(4) != 0, vals...)
-						if _, err := inc.Insert(context.Background(), f); err != nil {
+						if _, err := inc.Insert(f); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -153,7 +153,7 @@ func TestIncrementalEpochsAndChangedTuples(t *testing.T) {
 
 	// An insert that derives nothing new must not bump any epoch.
 	f := d.MustInsert("S", true, db.Int(9), db.Int(9))
-	changed, err := inc.Insert(context.Background(), f)
+	changed, err := inc.Insert(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestIncrementalEpochsAndChangedTuples(t *testing.T) {
 
 	// A second witness for the same tuple changes its lineage and epoch.
 	f2 := d.MustInsert("S", true, db.Int(2), db.Int(7))
-	changed, err = inc.Insert(context.Background(), f2)
+	changed, err = inc.Insert(f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestIncrementalEpochsAndChangedTuples(t *testing.T) {
 	if err := d.Delete(r1.ID); err != nil {
 		t.Fatal(err)
 	}
-	gone := inc.Delete(context.Background(), r1.ID)
+	gone := inc.Delete(r1.ID)
 	if len(gone) != 1 {
 		t.Fatalf("delete changed %v, want the one answer", gone)
 	}
@@ -187,7 +187,7 @@ func TestIncrementalEpochsAndChangedTuples(t *testing.T) {
 		t.Fatalf("answers after delete = %d, want 0", n)
 	}
 	// Deleting a fact that supports nothing is a no-op.
-	if got := inc.Delete(context.Background(), f.ID); got != nil {
+	if got := inc.Delete(f.ID); got != nil {
 		t.Fatalf("no-op delete changed %v", got)
 	}
 }
@@ -217,7 +217,7 @@ func TestIncrementalReleasesReplacedLineage(t *testing.T) {
 	for z := int64(4); z < 7; z++ {
 		replaced = append(replaced, root())
 		f := d.MustInsert("S", true, db.Int(2), db.Int(z))
-		if _, err := inc.Insert(ctx, f); err != nil {
+		if _, err := inc.Insert(f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,10 +63,13 @@ func getBody(t *testing.T, url string) (int, string) {
 // "explain" whose duration is the reported request latency, with the
 // acquire/tuple/tseytin/compile stages nested inside, the cold open's
 // ground under acquire, and compiler node counts attached where the
-// pipeline produced them. The compile span names its value-cache outcome:
-// a miss compiles under a "dnnf" span and runs Algorithm 1 under a
-// "shapley" span, a hit (other tests of the package share the process-wide
-// cache) opens neither.
+// pipeline produced them. Every span is one stage of work: the compile
+// span names its value-cache outcome, and a miss reports the compiler's
+// decisions on it and runs Algorithm 1 under a "shapley" span, while a hit
+// (other tests of the package share the process-wide cache) has neither;
+// no span is named "dnnf"; a tuple served from the session's cache opens
+// no span; and a catch-up is one childless "delta" span after which only
+// the tuple whose lineage changed opens a "tuple" span.
 func TestExplainTraceSpans(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{})
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String(), Trace: true}
@@ -104,50 +107,45 @@ func TestExplainTraceSpans(t *testing.T) {
 			t.Fatalf("trace has no %q span:\n%s", name, raw)
 		}
 	}
-	switch kind := root.Find("compile").Attrs["cache"]; kind {
-	case "miss":
-		for _, name := range []string{"dnnf", "shapley"} {
-			if root.Find(name) == nil {
-				t.Errorf("cache miss traced no %q span:\n%s", name, raw)
-			}
-		}
-	case "identical", "renamed":
-		for _, name := range []string{"dnnf", "shapley"} {
-			if root.Find(name) != nil {
-				t.Errorf("cache hit traced a %q span:\n%s", name, raw)
-			}
-		}
-	default:
-		t.Errorf("compile span cache attr = %v, want miss, identical or renamed", kind)
-	}
-	if nodes, ok := root.Find("compile").Attrs["nodes"].(float64); !ok || nodes <= 0 {
-		t.Errorf("compile span nodes attr = %v, want > 0", root.Find("compile").Attrs["nodes"])
-	}
+	checkCompileSpans(t, root, raw)
 	// This request opened the pooled session, so its grounding is part of
 	// the acquire wait.
 	if root.Find("acquire").Find("ground") == nil {
 		t.Errorf("cold pooled open has no ground span under acquire:\n%s", raw)
 	}
-	if sp := root.Find("dnnf"); sp != nil {
-		nodes, ok := sp.Attrs["nodes"].(float64)
-		if !ok || nodes <= 0 {
-			t.Errorf("dnnf span nodes attr = %v, want > 0", sp.Attrs["nodes"])
-		}
-	}
 
 	// A repeat explain of the same pooled key serves the session's tuple
-	// cache; the tuple span says so.
+	// cache, which opens no span.
 	var warm wire.ExplainResponse
 	if status, raw := postJSON(t, url+"/v1/explain", req, &warm); status != http.StatusOK {
 		t.Fatalf("warm status %d: %s", status, raw)
 	}
-	tup := warm.Trace.Find("tuple")
-	if tup == nil {
-		t.Fatal("warm trace has no tuple span")
+	if names := spanNames(warm.Trace); names["tuple"] != 0 || names["compile"] != 0 {
+		t.Errorf("warm trace opened spans %v, want no tuple or compile span", names)
 	}
-	if cached, _ := tup.Attrs["cached"].(bool); !cached {
-		t.Errorf("warm tuple span cached attr = %v, want true", tup.Attrs["cached"])
+
+	// An update that adds a one-stop route (LAX→LHR, then on to CDG or ORY)
+	// changes the answer's lineage: the next explain replays it as one
+	// childless delta span and recomputes the tuple under one tuple span.
+	update := wire.UpdateRequest{Dataset: "flights", Inserts: []wire.InsertSpec{{
+		Relation: "Flights", Endogenous: true,
+		Values: []json.RawMessage{json.RawMessage(`"LAX"`), json.RawMessage(`"LHR"`)},
+	}}}
+	if status, raw := postJSON(t, url+"/v1/update", update, nil); status != http.StatusOK {
+		t.Fatalf("update status %d: %s", status, raw)
 	}
+	var after wire.ExplainResponse
+	status, raw = postJSON(t, url+"/v1/explain", req, &after)
+	if status != http.StatusOK {
+		t.Fatalf("post-update status %d: %s", status, raw)
+	}
+	if names := spanNames(after.Trace); names["delta"] != 1 || names["tuple"] != 1 {
+		t.Errorf("post-update trace opened spans %v, want one delta and one tuple span:\n%s", names, raw)
+	}
+	if delta := after.Trace.Find("delta"); delta != nil && len(delta.Children) != 0 {
+		t.Errorf("delta span has %d children, want none:\n%s", len(delta.Children), raw)
+	}
+	checkCompileSpans(t, after.Trace, raw)
 
 	// Without trace:true the tree stays server-side.
 	req.Trace = false
@@ -157,6 +155,52 @@ func TestExplainTraceSpans(t *testing.T) {
 	}
 	if quiet.Trace != nil {
 		t.Error("untraced response carries a trace")
+	}
+}
+
+// spanNames counts the spans of a trace by name.
+func spanNames(root *wire.TraceSpan) map[string]int {
+	names := make(map[string]int)
+	root.Walk(func(n *wire.TraceSpan) { names[n.Name]++ })
+	return names
+}
+
+// checkCompileSpans checks the compile stage of a trace that computed one
+// tuple: its span names the value-cache outcome and the circuit's size; a
+// miss also carries the compiler's decisions and is followed by a shapley
+// span, a hit carries no decisions and opens no shapley span; and no span
+// is named "dnnf".
+func checkCompileSpans(t *testing.T, root *wire.TraceSpan, raw string) {
+	t.Helper()
+	if names := spanNames(root); names["dnnf"] != 0 {
+		t.Errorf("trace has %d dnnf spans, want none:\n%s", names["dnnf"], raw)
+	}
+	compile := root.Find("compile")
+	if compile == nil {
+		t.Errorf("trace has no compile span:\n%s", raw)
+		return
+	}
+	if nodes, ok := compile.Attrs["nodes"].(float64); !ok || nodes <= 0 {
+		t.Errorf("compile span nodes attr = %v, want > 0", compile.Attrs["nodes"])
+	}
+	decisions, ran := compile.Attrs["decisions"].(float64)
+	switch kind := compile.Attrs["cache"]; kind {
+	case "miss":
+		if !ran || decisions <= 0 {
+			t.Errorf("cache miss: compile span decisions attr = %v, want > 0", compile.Attrs["decisions"])
+		}
+		if root.Find("shapley") == nil {
+			t.Errorf("cache miss traced no shapley span:\n%s", raw)
+		}
+	case "identical", "renamed":
+		if ran {
+			t.Errorf("cache hit: compile span carries decisions = %v", decisions)
+		}
+		if root.Find("shapley") != nil {
+			t.Errorf("cache hit traced a shapley span:\n%s", raw)
+		}
+	default:
+		t.Errorf("compile span cache attr = %v, want miss, identical or renamed", kind)
 	}
 }
 

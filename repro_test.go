@@ -375,6 +375,45 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	check(re, "after reopen")
 }
 
+// TestNULStringAnswersStayApart: answers whose strings hold 0x00 bytes keep
+// distinct tuple keys. R = {("a\x00sb", "c"), ("a", "b\x00sc")} gives
+// q(x, y) :- R(x, y) two answers, each its own fact's alone (value 1);
+// when the key did not escape 0x00 the two merged into one answer with
+// both facts at 1/2.
+func TestNULStringAnswersStayApart(t *testing.T) {
+	d := NewDatabase()
+	d.CreateRelation("R", "a", "b")
+	facts := []*Fact{
+		d.MustInsert("R", true, String("a\x00sb"), String("c")),
+		d.MustInsert("R", true, String("a"), String("b\x00sc")),
+	}
+	q, err := ParseQuery(`q(x, y) :- R(x, y)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps, err := Explain(context.Background(), d, q, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exps) != 2 {
+		t.Fatalf("%d answers, want 2: %+v", len(exps), exps)
+	}
+	for _, e := range exps {
+		var own *Fact
+		for _, f := range facts {
+			if f.Tuple.Equal(e.Tuple) {
+				own = f
+			}
+		}
+		if own == nil {
+			t.Fatalf("answer %q matches no fact", e.Tuple)
+		}
+		if v := e.Values[own.ID]; len(e.Values) != 1 || v == nil || v.Cmp(big.NewRat(1, 1)) != 0 {
+			t.Errorf("answer %q: values %v, want fact %d alone at 1", e.Tuple, e.Values, own.ID)
+		}
+	}
+}
+
 // TestRatFloatMatchesFloat64 pins ratFloat, Score's conversion, to
 // big.Rat.Float64 bit for bit: on random rationals whose numerators and
 // denominators straddle 2^53, the bound of its division fast path, and on

@@ -198,20 +198,20 @@ func (s *Session) sync(ctx context.Context) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	dctx, sp := trace.Start(ctx, "delta")
+	_, sp := trace.Start(ctx, "delta")
 	defer sp.End()
 	var deleted []int
 	deletes := 0
 	for _, c := range changes {
 		if !c.Deleted {
-			if _, err := s.inc.Insert(dctx, c.Fact); err != nil {
+			if _, err := s.inc.Insert(c.Fact); err != nil {
 				sp.Set("error", err.Error())
 				return err
 			}
 			continue
 		}
 		deletes++
-		s.inc.Delete(dctx, c.Fact.ID)
+		s.inc.Delete(c.Fact.ID)
 		if c.Fact.Endogenous {
 			deleted = append(deleted, int(c.Fact.ID))
 		}
@@ -349,8 +349,9 @@ func unwrapSingle(err error) error {
 // the one-shot Explain would on the current database state, recomputing
 // only tuples whose lineage changed since the previous call. Unchanged
 // tuples are served from the session cache (including their Elapsed, which
-// reports the cost of the original computation). It runs under the
-// session's configured Options.Budget; see ExplainWithBudget.
+// reports the cost of the original computation); only recomputed tuples
+// open a "tuple" span. It runs under the session's configured
+// Options.Budget; see ExplainWithBudget.
 func (s *Session) Explain(ctx context.Context) ([]TupleExplanation, error) {
 	return s.ExplainWithBudget(ctx, s.opts.Budget)
 }
@@ -424,23 +425,17 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 	err := parallel.ForEach(ctx, len(live), outer, func(_, i int) error {
 		a := live[i]
 		entry := s.tuples[a.Key]
-		tctx, tsp := trace.Start(ctx, "tuple")
-		tsp.Set("tuple", a.Tuple.String())
-		// A cached explanation at the current epoch is served verbatim —
-		// unless it is approximate and this call did not opt into
-		// approximation, in which case the exact pipeline runs (and replaces
-		// the degraded cache entry).
+		// A cached explanation at the current epoch is served verbatim and
+		// opens no span — unless it is approximate and this call did not
+		// opt into approximation, in which case the exact pipeline runs (and
+		// replaces the degraded cache entry).
 		if entry.expl != nil && entry.epoch == a.Epoch &&
 			(entry.expl.Method != MethodApprox || budgeted) {
 			out[i] = *entry.expl
-			tsp.Set("cached", true)
-			tsp.Set("method", entry.expl.Method.String())
-			if entry.expl.DegradedCause != "" {
-				tsp.Set("cause", entry.expl.DegradedCause)
-			}
-			tsp.End()
 			return nil
 		}
+		tctx, tsp := trace.Start(ctx, "tuple")
+		tsp.Set("tuple", a.Tuple.String())
 		endo := lineageEndo(a.Lineage)
 		h, err := core.Hybrid(tctx, a.Lineage, endo, popts, budget)
 		if err != nil {

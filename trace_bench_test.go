@@ -1,25 +1,77 @@
 package repro
 
-// Tracing-overhead benchmarks: the internal/trace spans are compiled into
-// the pipeline permanently, so the disabled path (no collector installed
-// on the context) must be close to free. BenchmarkSessionExplainTraceOff
-// vs BenchmarkSessionExplainTraceOn measure a warm flights session explain
-// with and without a collecting root. The bar for the instrumentation is
-// TraceOff within 2% of the pre-instrumentation baseline — on the warm
-// path the two differ by a handful of ctx.Value lookups returning nil
-// spans whose methods are no-ops (~tens of ns against a ~hundreds-of-µs
-// explain). Collection itself (TraceOn) is allowed to cost more; it only
-// runs when a request opts in.
+// Tracing-overhead benchmarks and the warm-explain allocation gate. Spans
+// are opened only for work: a warm explain serves every tuple from the
+// session's cache and opens no span for it, so with or without a
+// collecting root it costs the same few allocations whatever the number of
+// answers (TestWarmExplainAllocations). The internal/trace spans are
+// compiled into the pipeline permanently, so the disabled path (no
+// collector installed on the context) must be close to free.
+// BenchmarkSessionExplainTraceOff vs BenchmarkSessionExplainTraceOn
+// measure a warm flights session explain with and without a collecting
+// root; the Dirty pair measures an explain that recomputes its tuple, which
+// opens the delta, tuple, tseytin, compile and shapley spans. Collection
+// itself is allowed to cost more than the disabled path; it only runs when
+// a request opts in.
 //
 //	go test -bench 'SessionExplainTrace' -benchtime=1000x .
+//	go test -run WarmExplainAllocations -v .
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/flights"
+	"repro/internal/tpch"
 	"repro/internal/trace"
 )
+
+// TestWarmExplainAllocations: a warm explain allocates the same for TPC-H
+// q3 (5 answers) and q10 (8 answers) at scale 1, untraced and under a
+// collecting root, because a tuple served from the session's cache opens
+// no span and formats nothing. -v logs the counts.
+func TestWarmExplainAllocations(t *testing.T) {
+	ctx := context.Background()
+	d := tpch.Generate(tpch.DefaultConfig())
+	type counts struct{ answers, untraced, traced float64 }
+	got := make(map[string]counts)
+	for _, bq := range tpch.Queries() {
+		if bq.Name != "q3" && bq.Name != "q10" {
+			continue
+		}
+		s, err := Open(d, bq.Q, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		es, err := s.Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explain := func(ctx context.Context) {
+			if _, err := s.Explain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := counts{answers: float64(len(es))}
+		c.untraced = testing.AllocsPerRun(50, func() { explain(ctx) })
+		c.traced = testing.AllocsPerRun(50, func() {
+			tctx, root := trace.NewRoot(ctx, "explain", nil)
+			explain(tctx)
+			root.End()
+		})
+		t.Logf("%s: %v answers, %v allocs untraced, %v traced", bq.Name, c.answers, c.untraced, c.traced)
+		got[bq.Name] = c
+	}
+	q3, q10 := got["q3"], got["q10"]
+	if q3.answers == q10.answers {
+		t.Fatalf("q3 and q10 both have %v answers; the gate needs different counts", q3.answers)
+	}
+	if q3.untraced != q10.untraced || q3.traced != q10.traced {
+		t.Errorf("warm explain allocations grow with the answers: q3 %v untraced / %v traced, q10 %v / %v",
+			q3.untraced, q3.traced, q10.untraced, q10.traced)
+	}
+}
 
 // warmSession opens a flights session and runs one explain so the
 // grounding and the epoch-keyed explanation are hot; the measured loop then
@@ -68,7 +120,7 @@ func BenchmarkSessionExplainTraceOn(b *testing.B) {
 // each explain, so every iteration runs the full incremental pipeline —
 // delta grounding, Tseytin, compile, Shapley — rather than returning the
 // cached artifact. This is the hot path the <2% disabled-overhead bar is
-// about: roughly a dozen no-op trace.Start calls against hundreds of
+// about: a handful of no-op trace.Start calls against hundreds of
 // microseconds of real work.
 func benchDirtyExplain(b *testing.B, traced bool) {
 	s := warmSession(b)
