@@ -103,7 +103,8 @@ type ApproxResult struct {
 	// Estimates maps every endogenous fact of the lineage to its sampled
 	// value with 95% CI bounds.
 	Estimates map[db.FactID]Estimate
-	// Permutations and Evals are the sampling spend.
+	// Permutations and Evals are the sampling spend; Evals counts passes
+	// over the lineage circuit (sampling.Approx.Evals).
 	Permutations int
 	Evals        int
 	// Seed reproduces the run (derived from the lineage fingerprint and the
@@ -171,6 +172,7 @@ func approxStage(ctx context.Context, elin *circuit.Node, endo []db.FactID, b Ex
 		}
 	}
 	sp.Set("samples", res.Permutations)
+	sp.Set("evals", res.Evals)
 	sp.Set("seed", res.Seed)
 	return res, nil
 }

@@ -119,6 +119,15 @@ func TestHybridFallbacks(t *testing.T) {
 			if cause, _ := sp.Attr("cause"); cause != tc.cause {
 				t.Errorf("%s span cause = %v, want %q", span, cause, tc.cause)
 			}
+			if span == "approx" {
+				// The lineage is monotone: one circuit pass per permutation.
+				samples, _ := sp.Attr("samples")
+				evals, _ := sp.Attr("evals")
+				if samples != res.Approx.Permutations || evals != res.Approx.Evals || res.Approx.Evals != res.Approx.Permutations {
+					t.Errorf("approx span samples = %v, evals = %v; result spent %d permutations, %d evals",
+						samples, evals, res.Approx.Permutations, res.Approx.Evals)
+				}
+			}
 		})
 	}
 }

@@ -3,6 +3,12 @@
 // [Lundberg & Lee 2017], both adapted to database provenance: the players
 // are the distinct endogenous facts of a lineage circuit and the game is the
 // Boolean value of the lineage on a sub-instance.
+//
+// Lineages built from ∧, ∨, variables and constants are monotone games, and
+// along a permutation a monotone game turns true at exactly one player, the
+// pivot [Shapley & Shubik 1954]. Monte Carlo sampling finds that player in
+// one arrival-time pass over the circuit per permutation; a game with a
+// negation is sampled by evaluating every prefix of the permutation.
 package sampling
 
 import (
@@ -28,7 +34,10 @@ type Game struct {
 	prog    []instr
 	varSlot map[db.FactID]int
 	rng     *rand.Rand
-	evalBuf []bool // reusable value slots for the sampling hot loop
+	evalBuf []bool // Eval's value slots, reused across calls
+	// monotone is set when the program has no KindNot gate, so MonteCarloCI
+	// finds each permutation's pivot in one arrival-time pass.
+	monotone bool
 }
 
 type instr struct {
@@ -42,7 +51,7 @@ type instr struct {
 // variables in increasing fact-ID order.
 func NewGame(lineage *circuit.Node) *Game {
 	vars := circuit.Vars(lineage)
-	g := &Game{varSlot: make(map[db.FactID]int, len(vars))}
+	g := &Game{varSlot: make(map[db.FactID]int, len(vars)), monotone: true}
 	for i, v := range vars {
 		g.Players = append(g.Players, db.FactID(v))
 		g.varSlot[db.FactID(v)] = i
@@ -54,8 +63,11 @@ func NewGame(lineage *circuit.Node) *Game {
 			return idx
 		}
 		in := instr{kind: n.Kind, val: n.Val}
-		if n.Kind == circuit.KindVar {
+		switch n.Kind {
+		case circuit.KindVar:
 			in.slot = g.varSlot[db.FactID(n.Var)]
+		case circuit.KindNot:
+			g.monotone = false
 		}
 		for _, c := range n.Children {
 			in.children = append(in.children, flatten(c))
@@ -127,9 +139,13 @@ func DeriveSeed(fingerprint uint64, override int64) int64 {
 }
 
 // Eval evaluates the game on a coalition given as a presence slice aligned
-// with Players.
+// with Players. It evaluates into the game's reused value buffer, so the
+// sampling loops do not allocate per evaluation.
 func (g *Game) Eval(present []bool) bool {
-	vals := make([]bool, len(g.prog))
+	if cap(g.evalBuf) < len(g.prog) {
+		g.evalBuf = make([]bool, len(g.prog))
+	}
+	vals := g.evalBuf[:len(g.prog)]
 	for i, in := range g.prog {
 		switch in.kind {
 		case circuit.KindVar:
@@ -173,45 +189,71 @@ func (g *Game) EvalSet(coalition map[db.FactID]bool) bool {
 	return g.Eval(present)
 }
 
-// evalReusing is Eval over a game-owned value buffer, so the sampling loops
-// do not allocate per evaluation.
-func (g *Game) evalReusing(present []bool) bool {
-	if cap(g.evalBuf) < len(g.prog) {
-		g.evalBuf = make([]bool, len(g.prog))
+// pivot returns the player whose arrival turns a monotone game true along
+// perm, or -1 when no arrival changes its value. It computes each gate's
+// arrival time, the length of the shortest prefix of perm on which the gate
+// is true, minus one: a variable's is its player's position (at[slot]), a
+// true constant's −1 and a false constant's n; an ∧ gate takes the maximum
+// of its children's and an ∨ gate the minimum. The root turns true when
+// player perm[r] arrives, for r its arrival time, unless r is −1 (true on
+// the empty prefix) or n (false on the full one). times holds one slot per
+// program instruction.
+func (g *Game) pivot(perm, at, times []int) int {
+	n := len(perm)
+	for i, p := range perm {
+		at[p] = i
 	}
-	vals := g.evalBuf[:len(g.prog)]
 	for i, in := range g.prog {
 		switch in.kind {
 		case circuit.KindVar:
-			vals[i] = present[in.slot]
+			times[i] = at[in.slot]
 		case circuit.KindConst:
-			vals[i] = in.val
-		case circuit.KindNot:
-			vals[i] = !vals[in.children[0]]
+			if in.val {
+				times[i] = -1
+			} else {
+				times[i] = n
+			}
 		case circuit.KindAnd:
-			v := true
+			t := -1
 			for _, c := range in.children {
-				if !vals[c] {
-					v = false
-					break
-				}
+				t = max(t, times[c])
 			}
-			vals[i] = v
+			times[i] = t
 		case circuit.KindOr:
-			v := false
+			t := n
 			for _, c := range in.children {
-				if vals[c] {
-					v = true
-					break
-				}
+				t = min(t, times[c])
 			}
-			vals[i] = v
+			times[i] = t
 		}
 	}
-	if len(vals) == 0 {
-		return false
+	if r := times[len(times)-1]; r >= 0 && r < n {
+		return perm[r]
 	}
-	return vals[len(vals)-1]
+	return -1
+}
+
+// prefixScan tallies one permutation's marginals by evaluating the game on
+// each of its n+1 prefixes; it is the general path for games with a
+// negation, where a permutation may flip the value more than once.
+func (g *Game) prefixScan(perm []int, present []bool, sum, nonzero []int64) {
+	for i := range present {
+		present[i] = false
+	}
+	prev := g.Eval(present)
+	for _, p := range perm {
+		present[p] = true
+		cur := g.Eval(present)
+		if cur != prev {
+			if cur {
+				sum[p]++
+			} else {
+				sum[p]--
+			}
+			nonzero[p]++
+		}
+		prev = cur
+	}
 }
 
 // Estimate is one fact's sampled Shapley value with a 95% confidence
@@ -262,13 +304,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Approx is a full sampled explanation: every player's estimate with error
-// bars, plus the sampling provenance (how many permutations and evaluations
-// were spent, and the seed that reproduces the run).
+// bars, plus the sampling provenance (how many permutations and circuit
+// passes were spent, and the seed that reproduces the run).
 type Approx struct {
 	Estimates    map[db.FactID]Estimate
 	Permutations int
-	Evals        int
-	Seed         int64
+	// Evals counts passes over the flattened circuit: one per permutation
+	// for a monotone game, n+1 for a game with a negation.
+	Evals int
+	Seed  int64
 }
 
 // ciBatch is how many permutations MonteCarloCI samples between context and
@@ -284,10 +328,13 @@ const z95 = 1.959963984540054
 // widest interval's half-width reaches cfg.TargetCI or cfg.MaxPermutations
 // is spent. Each permutation contributes one marginal per player (−1, 0, or
 // +1 for a Boolean game), so the CI is the normal approximation over those
-// marginals. The run consumes the game's seeded random source (see Reseed):
-// the same game, seed, and config produce bit-identical estimates. ctx is
-// checked between batches; cancellation returns the context's error and no
-// estimates.
+// marginals. A monotone game's permutation has at most one nonzero
+// marginal, +1 for its pivot, found in one arrival-time pass over the
+// circuit; a game with a negation evaluates all n+1 prefixes. Both tally the
+// same marginals, so the path never changes an estimate. The run consumes
+// the game's seeded random source (see Reseed): the same game, seed, and
+// config produce bit-identical estimates. ctx is checked between batches;
+// cancellation returns the context's error and no estimates.
 func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Approx, error) {
 	cfg = cfg.withDefaults()
 	g.Reseed(seed)
@@ -306,7 +353,16 @@ func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Appro
 	for i := range perm {
 		perm[i] = i
 	}
-	present := make([]bool, n)
+	// The pivot pass's arrival times, or the prefix scan's coalition, and
+	// the circuit passes each spends per permutation.
+	var at, times []int
+	var present []bool
+	passes := 1
+	if g.monotone {
+		at, times = make([]int, n), make([]int, len(g.prog))
+	} else {
+		present, passes = make([]bool, n), n+1
+	}
 
 	perms := 0
 	for perms < cfg.MinPermutations || (perms < cfg.MaxPermutations && cfg.TargetCI < 1 && g.widestHalfWidth(sum, nonzero, perms) > cfg.TargetCI) {
@@ -322,26 +378,15 @@ func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Appro
 		}
 		for r := 0; r < batch; r++ {
 			g.rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			for i := range present {
-				present[i] = false
-			}
-			prev := g.evalReusing(present)
-			for _, p := range perm {
-				present[p] = true
-				cur := g.evalReusing(present)
-				if cur != prev {
-					if cur {
-						sum[p]++
-					} else {
-						sum[p]--
-					}
-					nonzero[p]++
-				}
-				prev = cur
+			if !g.monotone {
+				g.prefixScan(perm, present, sum, nonzero)
+			} else if p := g.pivot(perm, at, times); p >= 0 {
+				sum[p]++
+				nonzero[p]++
 			}
 		}
 		perms += batch
-		ap.Evals += batch * (n + 1)
+		ap.Evals += batch * passes
 	}
 
 	ap.Permutations = perms

@@ -389,12 +389,26 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 
 	// Prune cache entries for tuples that left the answer set, and make
 	// sure every live tuple has an entry before the parallel fan-out (each
-	// worker then touches only its own entry).
+	// worker then touches only its own entry). A cached explanation at the
+	// current epoch is served here, on the calling goroutine, and opens no
+	// span — unless it is approximate and this call did not opt into
+	// approximation, in which case the exact pipeline runs (and replaces the
+	// degraded cache entry). Only the tuples left in todo fan out.
 	liveKeys := make(map[string]bool, len(live))
-	for _, a := range live {
+	out := make([]TupleExplanation, len(live))
+	var todo []int
+	for i, a := range live {
 		liveKeys[a.Key] = true
-		if s.tuples[a.Key] == nil {
-			s.tuples[a.Key] = &sessionTuple{}
+		entry := s.tuples[a.Key]
+		if entry == nil {
+			entry = &sessionTuple{}
+			s.tuples[a.Key] = entry
+		}
+		if entry.expl != nil && entry.epoch == a.Epoch &&
+			(entry.expl.Method != MethodApprox || budgeted) {
+			out[i] = *entry.expl
+		} else {
+			todo = append(todo, i)
 		}
 	}
 	for k := range s.tuples {
@@ -403,9 +417,41 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		}
 	}
 
-	// Split the worker budget exactly as the one-shot pipeline does: fan
-	// out across answers first, give each answer's Algorithm 1 loop the
-	// leftover parallelism.
+	err := ctx.Err()
+	if len(todo) > 0 {
+		err = s.computeTuples(ctx, live, todo, out, budget)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.explains++
+	// Degraded answers are upgraded in place: schedule the background exact
+	// computation for every tuple answered approximately at its current
+	// epoch, reporting its stages to this call's trace observer. This runs
+	// under mu after the fan-out completed, so it sees a consistent tuple map.
+	obs := trace.ObserverOf(ctx)
+	for _, a := range live {
+		entry := s.tuples[a.Key]
+		if entry != nil && entry.expl != nil && entry.epoch == a.Epoch &&
+			entry.expl.Method == MethodApprox {
+			s.scheduleUpgrade(a.Key, obs)
+		}
+	}
+	for i := range out {
+		if out[i].Method == MethodApprox {
+			s.approxes++
+		}
+	}
+	return out, nil
+}
+
+// computeTuples runs the pipeline for the live tuples indexed by todo,
+// writing each explanation to its slot of out and to its cache entry. The
+// worker budget is split exactly as the one-shot pipeline splits it, over
+// all live tuples: fan out across answers first, and give each answer's
+// Algorithm 1 loop the leftover parallelism. The error is that of the
+// lowest-indexed failing tuple. Callers hold s.mu.
+func (s *Session) computeTuples(ctx context.Context, live []engine.LiveAnswer, todo []int, out []TupleExplanation, budget ExplainBudget) error {
 	workers := parallel.Workers(s.opts.Workers)
 	outer := workers
 	if outer > len(live) {
@@ -420,20 +466,10 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		compileWorkers = inner
 	}
 	popts := s.pipeline(inner, compileWorkers)
-
-	out := make([]TupleExplanation, len(live))
-	err := parallel.ForEach(ctx, len(live), outer, func(_, i int) error {
+	return parallel.ForEach(ctx, len(todo), outer, func(_, j int) error {
+		i := todo[j]
 		a := live[i]
 		entry := s.tuples[a.Key]
-		// A cached explanation at the current epoch is served verbatim and
-		// opens no span — unless it is approximate and this call did not
-		// opt into approximation, in which case the exact pipeline runs (and
-		// replaces the degraded cache entry).
-		if entry.expl != nil && entry.epoch == a.Epoch &&
-			(entry.expl.Method != MethodApprox || budgeted) {
-			out[i] = *entry.expl
-			return nil
-		}
 		tctx, tsp := trace.Start(ctx, "tuple")
 		tsp.Set("tuple", a.Tuple.String())
 		endo := lineageEndo(a.Lineage)
@@ -469,28 +505,6 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		tsp.End()
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.explains++
-	// Degraded answers are upgraded in place: schedule the background exact
-	// computation for every tuple answered approximately at its current
-	// epoch, reporting its stages to this call's trace observer. This runs
-	// under mu after the fan-out completed, so it sees a consistent tuple map.
-	obs := trace.ObserverOf(ctx)
-	for _, a := range live {
-		entry := s.tuples[a.Key]
-		if entry != nil && entry.expl != nil && entry.epoch == a.Epoch &&
-			entry.expl.Method == MethodApprox {
-			s.scheduleUpgrade(a.Key, obs)
-		}
-	}
-	for i := range out {
-		if out[i].Method == MethodApprox {
-			s.approxes++
-		}
-	}
-	return out, nil
 }
 
 // scheduleUpgrade queues the background exact upgrade for one approximately

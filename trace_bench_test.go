@@ -19,6 +19,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/flights"
@@ -29,47 +30,55 @@ import (
 // TestWarmExplainAllocations: a warm explain allocates the same for TPC-H
 // q3 (5 answers) and q10 (8 answers) at scale 1, untraced and under a
 // collecting root, because a tuple served from the session's cache opens
-// no span and formats nothing. -v logs the counts.
+// no span and formats nothing. It also allocates the same at Workers 1 and
+// 2, because cached tuples are served on the calling goroutine and only
+// tuples that need computing fan out. -v logs the counts.
 func TestWarmExplainAllocations(t *testing.T) {
 	ctx := context.Background()
 	d := tpch.Generate(tpch.DefaultConfig())
-	type counts struct{ answers, untraced, traced float64 }
-	got := make(map[string]counts)
-	for _, bq := range tpch.Queries() {
-		if bq.Name != "q3" && bq.Name != "q10" {
-			continue
-		}
-		s, err := Open(d, bq.Q, Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		es, err := s.Explain(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		explain := func(ctx context.Context) {
-			if _, err := s.Explain(ctx); err != nil {
+	type counts struct {
+		name                      string
+		answers, untraced, traced float64
+	}
+	var got []counts
+	for _, workers := range []int{2, 1} {
+		for _, bq := range tpch.Queries() {
+			if bq.Name != "q3" && bq.Name != "q10" {
+				continue
+			}
+			s, err := Open(d, bq.Q, Options{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Close()
+			es, err := s.Explain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explain := func(ctx context.Context) {
+				if _, err := s.Explain(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := counts{name: fmt.Sprintf("%s at Workers %d", bq.Name, workers), answers: float64(len(es))}
+			c.untraced = testing.AllocsPerRun(50, func() { explain(ctx) })
+			c.traced = testing.AllocsPerRun(50, func() {
+				tctx, root := trace.NewRoot(ctx, "explain", nil)
+				explain(tctx)
+				root.End()
+			})
+			t.Logf("%s: %v answers, %v allocs untraced, %v traced", c.name, c.answers, c.untraced, c.traced)
+			got = append(got, c)
 		}
-		c := counts{answers: float64(len(es))}
-		c.untraced = testing.AllocsPerRun(50, func() { explain(ctx) })
-		c.traced = testing.AllocsPerRun(50, func() {
-			tctx, root := trace.NewRoot(ctx, "explain", nil)
-			explain(tctx)
-			root.End()
-		})
-		t.Logf("%s: %v answers, %v allocs untraced, %v traced", bq.Name, c.answers, c.untraced, c.traced)
-		got[bq.Name] = c
 	}
-	q3, q10 := got["q3"], got["q10"]
-	if q3.answers == q10.answers {
-		t.Fatalf("q3 and q10 both have %v answers; the gate needs different counts", q3.answers)
+	if got[0].answers == got[1].answers {
+		t.Fatalf("q3 and q10 both have %v answers; the gate needs different counts", got[0].answers)
 	}
-	if q3.untraced != q10.untraced || q3.traced != q10.traced {
-		t.Errorf("warm explain allocations grow with the answers: q3 %v untraced / %v traced, q10 %v / %v",
-			q3.untraced, q3.traced, q10.untraced, q10.traced)
+	for _, c := range got[1:] {
+		if c.untraced != got[0].untraced || c.traced != got[0].traced {
+			t.Errorf("warm explain allocations vary with the answers or workers: %s %v untraced / %v traced, %s %v / %v",
+				got[0].name, got[0].untraced, got[0].traced, c.name, c.untraced, c.traced)
+		}
 	}
 }
 
