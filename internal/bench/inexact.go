@@ -42,8 +42,11 @@ type InexactRecord struct {
 // and CNF Proxy once, over every tuple with exact ground truth, recording
 // execution time and the quality metrics of Section 6.2 against the exact
 // Shapley values. Monte Carlo is Game.MonteCarloCI at a fixed spend: a
-// budget of b·n evaluations is ⌈b·n/n⌉ = b permutations of the n facts,
-// with CI refinement off and a seed drawn from the comparison's rng.
+// budget of b·n marginal contributions is b permutations of the n facts,
+// with CI refinement off and a seed drawn from the comparison's rng. A
+// permutation of a monotone lineage costs one pass over the circuit, not
+// n+1 evaluations, so the budget fixes Monte Carlo's estimates while its
+// time reflects that one pass.
 func CompareInexact(c *Corpus, budgetsPerFact []int, seed int64) []InexactRecord {
 	rng := rand.New(rand.NewSource(seed))
 	var out []InexactRecord
