@@ -11,6 +11,7 @@
 package db
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -75,9 +76,8 @@ func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
-// Float returns a floating-point value. It stores -0 as 0: Equal already
-// counts the two as one value, and this gives them one Key and one join
-// key too, as the log, which writes -0 as 0, needs.
+// Float returns a floating-point value. It stores -0 as 0, so the two
+// are one value with one Key, as the log, which writes -0 as 0, needs.
 func Float(v float64) Value {
 	if v == 0 {
 		v = 0 // -0 == 0, so this turns -0 into +0
@@ -102,43 +102,50 @@ func (v Value) AsFloat() float64 {
 // AsString returns the string payload; it is only meaningful for KindString.
 func (v Value) AsString() string { return v.s }
 
-// Equal reports value equality. Values of different kinds are unequal,
-// except that int and float compare numerically.
+// Equal reports value equality: Compare(o) == 0. Strings equal only
+// strings; an int and a float are equal when they are the same number, so
+// Int(3) equals Float(3) and joins, atom constants and filters all match
+// it alike.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
-// Compare returns -1, 0, or +1 ordering v relative to o. Numeric kinds are
-// compared numerically; strings lexicographically; across numeric/string the
-// kind decides (numbers sort before strings) so that Compare is a total
-// order usable for sorting heterogeneous columns.
+// Compare returns -1, 0, or +1 ordering v relative to o. Numbers compare
+// by exact numeric value, an int against a float without rounding the int
+// to float64, and sort before strings; strings compare lexicographically.
+// A NaN sorts below every other number and equals only a NaN, so Compare
+// is a total order on all values.
 func (v Value) Compare(o Value) int {
-	vn := v.kind != KindString
-	on := o.kind != KindString
 	switch {
-	case vn && on:
-		if v.kind == KindInt && o.kind == KindInt {
-			switch {
-			case v.i < o.i:
-				return -1
-			case v.i > o.i:
-				return 1
-			}
-			return 0
-		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case vn && !on:
-		return -1
-	case !vn && on:
-		return 1
-	default:
+	case v.kind == KindString && o.kind == KindString:
 		return strings.Compare(v.s, o.s)
+	case v.kind == KindString:
+		return 1
+	case o.kind == KindString:
+		return -1
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmp.Compare(v.i, o.i)
+	case v.kind == KindInt:
+		return compareIntFloat(v.i, o.f)
+	case o.kind == KindInt:
+		return -compareIntFloat(o.i, v.f)
 	}
+	return cmp.Compare(v.f, o.f)
+}
+
+// compareIntFloat compares an int with a float exactly. A float in
+// [-2^63, 2^63) truncates to an int64 without loss; one outside that range
+// lies beyond every int64.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f < -0x1p63: // NaN sorts below every number
+		return 1
+	case f >= 0x1p63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
 }
 
 // String formats an int in decimal, a float in the shortest form that
@@ -163,20 +170,24 @@ func (v Value) appendString(dst []byte) []byte {
 	}
 }
 
-// Key returns a string usable as a map key that uniquely identifies the
-// value within its kind class: its String form behind a kind letter, with
-// each 0x00 byte of a string escaped as 0x00 0xFF (the rule AppendValueKey
-// uses), so a key never holds a 0x00 that a kind letter follows.
+// Key returns a string usable as a map key that identifies the value up to
+// Equal: two values have the same Key exactly when they are Equal. An int,
+// and a float that equals one, key as 'i' and the int's decimal form;
+// any other float keys as 'f' and its String form, and a string as 's' and
+// its bytes with each 0x00 escaped as 0x00 0xFF, so a key never holds a
+// 0x00 that a kind letter follows.
 func (v Value) Key() string {
 	var buf [32]byte
 	return string(v.appendKey(buf[:0]))
 }
 
 func (v Value) appendKey(dst []byte) []byte {
-	switch v.kind {
-	case KindInt:
-		return v.appendString(append(dst, 'i'))
-	case KindFloat:
+	switch {
+	case v.kind == KindInt:
+		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
+	case v.kind == KindFloat && v.f == math.Trunc(v.f) && v.f >= -0x1p63 && v.f < 0x1p63:
+		return strconv.AppendInt(append(dst, 'i'), int64(v.f), 10) // Equal to that int
+	case v.kind == KindFloat:
 		return v.appendString(append(dst, 'f'))
 	}
 	dst = append(dst, 's')
@@ -198,18 +209,32 @@ type Tuple []Value
 // Key returns a canonical map key for the tuple: its values' Keys joined
 // by 0x00 bytes. Each separator is followed by a kind letter and every
 // 0x00 inside a string by 0xFF, so two tuples share a key exactly when
-// they have the same length and the same kinds and values position by
-// position.
+// they are Equal: the same length and Equal values position by position.
+// It is the one key of the repository: answers, sessions and the
+// relations' indexes all key tuples by it.
 func (t Tuple) Key() string {
 	var buf [128]byte
-	b := buf[:0]
-	for i, v := range t {
-		if i > 0 {
-			b = append(b, 0)
-		}
-		b = v.appendKey(b)
+	return string(t.appendKey(buf[:0], nil))
+}
+
+// appendKey appends the Key of t's values at pos (every value when pos is
+// nil) to dst.
+func (t Tuple) appendKey(dst []byte, pos []int) []byte {
+	n := len(pos)
+	if pos == nil {
+		n = len(t)
 	}
-	return string(b)
+	for i := range n {
+		if i > 0 {
+			dst = append(dst, 0)
+		}
+		if pos != nil {
+			dst = t[pos[i]].appendKey(dst)
+		} else {
+			dst = t[i].appendKey(dst)
+		}
+	}
+	return dst
 }
 
 // Equal reports whether two tuples have the same length and pairwise equal

@@ -52,6 +52,48 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestValueCompareExactAt2p53: an int compares with a float by exact
+// value, not through float64, where float64 can no longer hold every int.
+// Rounding the int made Int(2^53+1) equal Float(2^53), which equals
+// Int(2^53), while the two ints differ: Equal was not transitive.
+func TestValueCompareExactAt2p53(t *testing.T) {
+	const p53 = 1 << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Int(p53), Float(p53), 0},
+		{Int(p53 + 1), Float(p53), 1},
+		{Float(p53), Int(p53 + 1), -1},
+		{Int(p53 - 1), Float(p53), -1},
+		{Int(p53 + 1), Float(p53 + 2), -1},
+		{Int(p53 + 2), Float(p53 + 2), 0},
+		{Int(-p53 - 1), Float(-p53), -1},
+		{Int(math.MaxInt64), Float(0x1p63), -1},
+		{Int(math.MinInt64), Float(-0x1p63), 0},
+		{Int(math.MinInt64 + 1), Float(-0x1p63), 1},
+		{Int(3), Float(3.5), -1},
+		{Int(-3), Float(-3.5), 1},
+		{Int(0), Float(math.Copysign(0, -1)), 0},
+		{Int(0), Float(math.NaN()), 1},
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1},
+		{Float(math.Inf(1)), Int(math.MaxInt64), 1},
+		{Float(p53), String(""), -1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v %v, %v %v) = %d, want %d", c.a.Kind(), c.a, c.b.Kind(), c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v %v, %v %v) = %d, want %d", c.b.Kind(), c.b, c.a.Kind(), c.a, got, -c.want)
+		}
+		if eq := c.a.Key() == c.b.Key(); eq != (c.want == 0) {
+			t.Errorf("%v %v and %v %v: equal keys %v, Compare %d", c.a.Kind(), c.a, c.b.Kind(), c.b, eq, c.want)
+		}
+	}
+}
+
 func TestValueCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		return Int(a).Compare(Int(b)) == -Int(b).Compare(Int(a))
@@ -84,16 +126,17 @@ func TestValueKeyInjective(t *testing.T) {
 
 // TestValueTextMatchesFmt pins Value.String, Value.Key, Tuple.String and
 // Tuple.Key, which format with strconv, to the fmt verbs they replaced
-// (%d for ints, %g for floats; a key escapes a string's 0x00 bytes as
-// 0x00 0xFF): on int64 extremes, floats at %g's
-// exponent switch and past 2^53, an integral float, NaN and the infinities,
-// and random bit patterns.
+// (%d for ints, %g for floats; a key keys a float that equals an int as
+// that int, with %d, and escapes a string's 0x00 bytes as 0x00 0xFF): on
+// int64 extremes, floats at %g's exponent switch, past 2^53 and at ±2^63,
+// integral floats, NaN and the infinities, and random bit patterns.
 func TestValueTextMatchesFmt(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64), Int(1<<53 + 1),
 		Float(1e21), Float(1e20), Float(1e-7), Float(1e-5), Float(1<<53 + 1), Float(float64(1<<53) * 3),
 		Float(3), Float(-2.5), Float(0.1), Float(1.0 / 3), Float(math.MaxFloat64),
 		Float(math.SmallestNonzeroFloat64), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(0x1p63), Float(-0x1p63), Float(math.Nextafter(0x1p63, 0)), Float(-3),
 		String(""), String("a, b\x00c"),
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -110,6 +153,9 @@ func TestValueTextMatchesFmt(t *testing.T) {
 		return v.AsString()
 	}
 	key := func(v Value) string {
+		if f := v.AsFloat(); v.Kind() == KindFloat && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+			return fmt.Sprintf("i%d", int64(f))
+		}
 		return map[Kind]string{KindInt: "i", KindFloat: "f", KindString: "s"}[v.Kind()] +
 			strings.ReplaceAll(text(v), "\x00", "\x00\xff")
 	}
@@ -140,10 +186,12 @@ func TestValueTextMatchesFmt(t *testing.T) {
 }
 
 // TestTupleKeyDistinguishesBoundaries: two tuples share a Tuple.Key exactly
-// when they have the same kinds and values, wherever the value boundaries
-// fall, over mixed kinds and strings holding 0x00 and 0xFF. Without
-// escaping 0x00 inside strings, ("a\x00sb", "c") and ("a", "b\x00sc")
-// shared a key, and so did ("x\x00i5") and ("x", 5).
+// when they are Equal, wherever the value boundaries fall, over mixed kinds
+// and strings holding 0x00 and 0xFF. Without escaping 0x00 inside strings,
+// ("a\x00sb", "c") and ("a", "b\x00sc") shared a key, and so did
+// ("x\x00i5") and ("x", 5). An int and the float that equals it share one
+// (5 and 5.0, 2^53 and float 2^53), and ints past 2^53 stay apart from the
+// float nearest them.
 func TestTupleKeyDistinguishesBoundaries(t *testing.T) {
 	tuples := []Tuple{
 		{},
@@ -175,11 +223,20 @@ func TestTupleKeyDistinguishesBoundaries(t *testing.T) {
 		{Int(0)},
 		{Int(0), String("\x00")},
 		{Int(0), String("\x00"), Float(0.5)},
+		{Float(0.5), Int(0)},
+		{Float(5), String("x")},
+		{Int(5), String("x")},
+		{Float(1<<53 + 2)},
+		{Int(1<<53 + 2)},
+		{Float(0x1p63)},
+		{Int(math.MaxInt64)},
+		{Int(math.MinInt64)},
+		{Float(-0x1p63)},
 	}
 	for i, a := range tuples {
 		for j, b := range tuples {
-			if same, eq := sameValues(a, b), a.Key() == b.Key(); same != eq {
-				t.Errorf("tuples %d %q and %d %q: same values %v, equal keys %v (%q, %q)",
+			if same, eq := a.Equal(b), a.Key() == b.Key(); same != eq {
+				t.Errorf("tuples %d %q and %d %q: Equal %v, equal keys %v (%q, %q)",
 					i, a, j, b, same, eq, a.Key(), b.Key())
 			}
 		}
@@ -187,8 +244,8 @@ func TestTupleKeyDistinguishesBoundaries(t *testing.T) {
 }
 
 // sameValues reports whether two tuples have the same length and, position
-// by position, the same kind and value (every NaN counts as one value, as
-// its key "fNaN" does).
+// by position, the same kind and value (every NaN counts as one value):
+// stricter than Equal, which counts an int and an equal float as one.
 func sameValues(a, b Tuple) bool {
 	if len(a) != len(b) {
 		return false

@@ -96,9 +96,10 @@ func checkRecovered(t *testing.T, d *Database) {
 }
 
 // sameState reports how two databases differ in relations, facts (by
-// ID, relation, flag and the key encoding of their values) or next ID; ""
-// if they do not. Values compare by key, not by Equal: Equal counts
-// Int(1) and Float(1) as one value, while joins keep them apart.
+// ID, relation, flag and values) or next ID; ""
+// if they do not. Values compare kind by kind (sameValues), not by Equal:
+// Equal counts Int(1) and Float(1) as one value, and a reopen must give
+// back each value's kind too.
 func sameState(a, b *Database) string {
 	if !slices.Equal(a.RelationNames(), b.RelationNames()) {
 		return fmt.Sprintf("relations %v vs %v", a.RelationNames(), b.RelationNames())
@@ -113,7 +114,7 @@ func sameState(a, b *Database) string {
 	}
 	for id, f := range a.facts {
 		g := b.facts[id]
-		if g == nil || g.Relation != f.Relation || g.Endogenous != f.Endogenous || TupleKey(g.Tuple, nil) != TupleKey(f.Tuple, nil) {
+		if g == nil || g.Relation != f.Relation || g.Endogenous != f.Endogenous || !sameValues(g.Tuple, f.Tuple) {
 			return fmt.Sprintf("fact %v vs %v", f, g)
 		}
 	}
@@ -258,43 +259,78 @@ func appendFuzzValue(dst []byte, v Value) []byte {
 	return append(append(dst, 2, byte(len(v.AsString()))), v.AsString()...)
 }
 
-// fuzzTuples encodes a pair of same-arity tuples as FuzzTupleKey reads
-// them: the arity, a's values, then for each position of b a control byte
-// (even: copy a's value) and, when odd, b's own value.
-func fuzzTuples(a, b Tuple) []byte {
+// fuzzTuples encodes three same-arity tuples as FuzzTupleKey reads them:
+// the arity, a's values, then for each position of b and then of c a
+// control byte (0: copy a's value) and, when 1, the tuple's own value.
+func fuzzTuples(a, b, c Tuple) []byte {
 	data := []byte{byte(len(a) - 1)}
 	for _, v := range a {
 		data = appendFuzzValue(data, v)
 	}
-	for i, v := range b {
-		if v.Kind() == a[i].Kind() && v.Key() == a[i].Key() {
-			data = append(data, 0)
-			continue
+	for _, t := range []Tuple{b, c} {
+		for i, v := range t {
+			if sameValues(Tuple{v}, Tuple{a[i]}) {
+				data = append(data, 0)
+				continue
+			}
+			data = appendFuzzValue(append(data, 1), v)
 		}
-		data = appendFuzzValue(append(data, 1), v)
 	}
 	return data
 }
 
-// FuzzTupleKey: two tuples of the same arity (1–4) built from the input,
-// over ints (2^53±1 among the seeds), floats (±0 among them) and strings
-// with 0x00, 0xFF and invalid UTF-8, have equal Tuple.Keys exactly when
-// every position has the same kind and value. The second tuple copies
-// some of the first's values, so equal and near-equal pairs both occur.
+// fuzzNeighbour decodes one value of a tuple that follows a: by the
+// control byte modulo 4, a's value (0), a value of its own (1), a's value
+// in the other numeric kind (2: an int's nearest float, a float's
+// truncation when it fits an int) or a's value nudged up (3: the next int
+// or float, or the string with a 0x00 appended). So Equal values of
+// different kinds, and close unequal ones, occur often.
+func fuzzNeighbour(a Value, data []byte) (Value, []byte) {
+	if len(data) == 0 {
+		return a, nil
+	}
+	ctl, data := data[0]%4, data[1:]
+	switch {
+	case ctl == 1:
+		return fuzzValue(data)
+	case ctl == 2 && a.Kind() == KindInt:
+		return Float(float64(a.AsInt())), data
+	case ctl == 2 && a.Kind() == KindFloat && a.AsFloat() >= -0x1p63 && a.AsFloat() < 0x1p63:
+		return Int(int64(a.AsFloat())), data
+	case ctl == 3 && a.Kind() == KindInt:
+		return Int(a.AsInt() + 1), data
+	case ctl == 3 && a.Kind() == KindFloat:
+		return Float(math.Nextafter(a.AsFloat(), math.Inf(1))), data
+	case ctl == 3:
+		return String(a.AsString() + "\x00"), data
+	}
+	return a, data
+}
+
+// FuzzTupleKey: three tuples of the same arity (1–4) built from the
+// input, over ints, floats (±0, 2^53, 2^63 and NaN among the seeds) and
+// strings with 0x00, 0xFF and invalid UTF-8. Two of them have equal
+// Tuple.Keys exactly when they are Equal, and Compare, position by
+// position, is antisymmetric and transitive on the three. The second and
+// third tuples copy, convert or nudge some of the first's values, so Equal
+// values of different kinds and near-equal ones both occur.
 func FuzzTupleKey(f *testing.F) {
 	// neg0 keeps its sign bit, so the seed encodes -0; fuzzValue builds it
 	// back through Float, as every decoded float.
 	neg0 := Value{kind: KindFloat, f: math.Copysign(0, -1)}
-	for _, c := range [][2]Tuple{
-		{{String("a\x00sb"), String("c")}, {String("a"), String("b\x00sc")}},
-		{{String("x\x00i5"), Int(0)}, {String("x"), Int(5)}},
-		{{String("\x00\xff"), String("\xff")}, {String("\x00"), String("\xff\xff")}},
-		{{String("\xc3\x28"), String("\xfe")}, {String("\xc3\x28"), String("\xfe\x00")}},
-		{{Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1)}, {Float(1<<53 - 1), Float(1 << 53), Float(1<<53 + 1)}},
-		{{Float(0), neg0}, {neg0, Float(0)}},
-		{{Int(0)}, {Float(0)}},
+	for _, c := range [][3]Tuple{
+		{{String("a\x00sb"), String("c")}, {String("a"), String("b\x00sc")}, {String("a\x00sb"), String("c")}},
+		{{String("x\x00i5"), Int(0)}, {String("x"), Int(5)}, {String("x"), Float(5)}},
+		{{String("\x00\xff"), String("\xff")}, {String("\x00"), String("\xff\xff")}, {String("\x00"), String("\xff")}},
+		{{String("\xc3\x28"), String("\xfe")}, {String("\xc3\x28"), String("\xfe\x00")}, {String("\xc3"), String("\xfe")}},
+		{{Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1)}, {Float(1<<53 - 1), Float(1 << 53), Float(1<<53 + 1)}, {Int(1<<53 - 1), Int(1<<53 + 1), Int(1 << 53)}},
+		{{Int(1<<53 + 1)}, {Float(1 << 53)}, {Int(1 << 53)}},
+		{{Float(0), neg0}, {neg0, Float(0)}, {Int(0), Int(0)}},
+		{{Int(0)}, {Float(0)}, {Float(0.5)}},
+		{{Int(math.MaxInt64)}, {Float(0x1p63)}, {Int(math.MinInt64)}},
+		{{Float(math.NaN())}, {Float(math.Inf(-1))}, {Int(math.MinInt64)}},
 	} {
-		f.Add(fuzzTuples(c[0], c[1]))
+		f.Add(fuzzTuples(c[0], c[1], c[2]))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -302,22 +338,44 @@ func FuzzTupleKey(f *testing.F) {
 		}
 		n := int(data[0]%4) + 1
 		data = data[1:]
-		a, b := make(Tuple, n), make(Tuple, n)
+		a, b, c := make(Tuple, n), make(Tuple, n), make(Tuple, n)
 		for i := range a {
 			a[i], data = fuzzValue(data)
 		}
-		for i := range b {
-			if len(data) > 0 && data[0]%2 == 0 {
-				b[i], data = a[i], data[1:]
-				continue
+		for _, u := range []Tuple{b, c} {
+			for i := range u {
+				u[i], data = fuzzNeighbour(a[i], data)
 			}
-			if len(data) > 0 {
-				data = data[1:]
-			}
-			b[i], data = fuzzValue(data)
 		}
-		if same, eq := sameValues(a, b), a.Key() == b.Key(); same != eq {
-			t.Fatalf("%q and %q: same values %v, equal keys %v (%q, %q)", a, b, same, eq, a.Key(), b.Key())
+		for _, p := range [][2]Tuple{{a, b}, {a, c}, {b, c}} {
+			x, y := p[0], p[1]
+			if same, eq := x.Equal(y), x.Key() == y.Key(); same != eq {
+				t.Fatalf("%q and %q: Equal %v, equal keys %v (%q, %q)", x, y, same, eq, x.Key(), y.Key())
+			}
+		}
+		for i := range a {
+			checkOrder(t, a[i], b[i], c[i])
 		}
 	})
+}
+
+// checkOrder fails unless Compare is antisymmetric on every pair of x, y
+// and z and transitive along every ordering of the three.
+func checkOrder(t *testing.T, x, y, z Value) {
+	t.Helper()
+	vs := []Value{x, y, z}
+	for _, u := range vs {
+		for _, v := range vs {
+			if u.Compare(v) != -v.Compare(u) {
+				t.Fatalf("%v %v vs %v %v: Compare %d one way, %d the other", u.Kind(), u, v.Kind(), v, u.Compare(v), v.Compare(u))
+			}
+			for _, w := range vs {
+				uv, vw, uw := u.Compare(v), v.Compare(w), u.Compare(w)
+				if uv <= 0 && vw <= 0 && (uw > 0 || (uv < 0 || vw < 0) && uw == 0) {
+					t.Fatalf("%v %v, %v %v, %v %v: Compare %d, %d, but %d end to end",
+						u.Kind(), u, v.Kind(), v, w.Kind(), w, uv, vw, uw)
+				}
+			}
+		}
+	}
 }

@@ -33,17 +33,17 @@ type Relation struct {
 	mu      sync.Mutex
 }
 
-// hashIndex buckets a relation's facts by the key of their values at pos.
+// hashIndex buckets a relation's facts by the Key of their values at pos.
 type hashIndex struct {
 	pos     []int
-	buckets map[Key][]*Fact
+	buckets map[string][]*Fact
 }
 
 // add files f under its key, encoded into buf (scratch space, returned
 // for reuse so indexing a slice of facts allocates only the keys).
 func (ix *hashIndex) add(f *Fact, buf []byte) []byte {
-	buf = AppendTupleKey(buf[:0], f.Tuple, ix.pos)
-	k := Key(buf)
+	buf = f.Tuple.appendKey(buf[:0], ix.pos)
+	k := string(buf)
 	ix.buckets[k] = append(ix.buckets[k], f)
 	return buf
 }
@@ -69,28 +69,20 @@ func (r *Relation) Scan() iter.Seq[*Fact] {
 	}
 }
 
-// Lookup yields the facts whose tuple matches key at the given positions
-// (pos ascending, key the TupleKey encoding of the sought values). It is
+// Lookup yields the facts whose values at the given positions (pos
+// ascending) are Equal to vals, so an int matches an Equal float. It is
 // served from the relation's index for the position pattern, built on
 // first use, and falls back to a filtered scan once DefaultIndexBudget
 // indexes exist.
-func (r *Relation) Lookup(pos []int, key Key) iter.Seq[*Fact] {
-	ix := r.index(pos)
-	if ix == nil {
-		return func(yield func(*Fact) bool) {
-			var buf []byte
-			for _, f := range r.facts {
-				buf = AppendTupleKey(buf[:0], f.Tuple, pos)
-				if Key(buf) == key && !yield(f) {
-					return
-				}
-			}
-		}
+func (r *Relation) Lookup(pos []int, vals []Value) iter.Seq[*Fact] {
+	if ix := r.index(pos); ix != nil {
+		var buf [64]byte // vals' key, encoded on the stack
+		return slices.Values(ix.buckets[string(Tuple(vals).appendKey(buf[:0], nil))])
 	}
-	bucket := ix.buckets[key]
 	return func(yield func(*Fact) bool) {
-		for _, f := range bucket {
-			if !yield(f) {
+		for _, f := range r.facts {
+			equal := func(p int, v Value) bool { return f.Tuple[p].Equal(v) }
+			if slices.EqualFunc(pos, vals, equal) && !yield(f) {
 				return
 			}
 		}
@@ -108,10 +100,11 @@ func (r *Relation) loadIndexes() map[string]*hashIndex {
 // index returns the relation's index on pos, building and publishing it
 // when the budget allows. It returns nil when the budget is spent.
 func (r *Relation) index(pos []int) *hashIndex {
-	sig := posSig(pos)
-	if ix := r.loadIndexes()[sig]; ix != nil {
+	var sb [16]byte
+	if ix := r.loadIndexes()[string(appendPosSig(sb[:0], pos))]; ix != nil {
 		return ix
 	}
+	sig := string(appendPosSig(sb[:0], pos))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.loadIndexes()
@@ -121,7 +114,7 @@ func (r *Relation) index(pos []int) *hashIndex {
 	if len(old) >= DefaultIndexBudget {
 		return nil
 	}
-	ix := &hashIndex{pos: slices.Clone(pos), buckets: make(map[Key][]*Fact, len(r.facts))}
+	ix := &hashIndex{pos: slices.Clone(pos), buckets: make(map[string][]*Fact, len(r.facts))}
 	var buf []byte
 	for _, f := range r.facts {
 		buf = ix.add(f, buf)
@@ -152,8 +145,8 @@ func (r *Relation) delete(f *Fact) {
 	}
 	var buf []byte
 	for _, ix := range r.loadIndexes() {
-		buf = AppendTupleKey(buf[:0], f.Tuple, ix.pos)
-		k := Key(buf)
+		buf = f.Tuple.appendKey(buf[:0], ix.pos)
+		k := string(buf)
 		bucket := ix.buckets[k]
 		if i := slices.IndexFunc(bucket, sameID); i >= 0 {
 			bucket = slices.Delete(bucket, i, i+1)
@@ -166,13 +159,12 @@ func (r *Relation) delete(f *Fact) {
 	}
 }
 
-// posSig is a canonical map key for a set of tuple positions (the
-// bound-position signature of a secondary index): each position as a
-// uvarint, so positions of any size stay distinct.
-func posSig(pos []int) string {
-	b := make([]byte, 0, len(pos))
+// appendPosSig appends a canonical map key for a set of tuple positions
+// (the bound-position signature of a secondary index) to dst: each
+// position as a uvarint, so positions of any size stay distinct.
+func appendPosSig(dst []byte, pos []int) []byte {
 	for _, p := range pos {
-		b = binary.AppendUvarint(b, uint64(p))
+		dst = binary.AppendUvarint(dst, uint64(p))
 	}
-	return string(b)
+	return dst
 }

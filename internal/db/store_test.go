@@ -73,7 +73,7 @@ func TestStoreScanAndLookupAgree(t *testing.T) {
 			seen := 0
 			for v := int64(0); v < 5; v++ {
 				var got []*Fact
-				for f := range rel.Lookup([]int{0}, TupleKey(Tuple{Int(v)}, nil)) {
+				for f := range rel.Lookup([]int{0}, []Value{Int(v)}) {
 					if f.Tuple[0].AsInt() != v {
 						t.Fatalf("Lookup(0=%d) yielded %v", v, f)
 					}
@@ -92,7 +92,7 @@ func TestStoreScanAndLookupAgree(t *testing.T) {
 				}
 			}
 			got := 0
-			for range rel.Lookup([]int{0, 1}, TupleKey(Tuple{Int(2), String("c")}, nil)) {
+			for range rel.Lookup([]int{0, 1}, []Value{Int(2), String("c")}) {
 				got++
 			}
 			if got != want {
@@ -104,7 +104,7 @@ func TestStoreScanAndLookupAgree(t *testing.T) {
 			for range d.Relation("Empty").Scan() {
 				t.Fatal("scan of empty relation yielded a fact")
 			}
-			for range d.Relation("Empty").Lookup([]int{0}, TupleKey(Tuple{Int(1)}, nil)) {
+			for range d.Relation("Empty").Lookup([]int{0}, []Value{Int(1)}) {
 				t.Fatal("lookup in empty relation yielded a fact")
 			}
 		})
@@ -119,7 +119,7 @@ func TestStoreDeleteMaintainsIndexes(t *testing.T) {
 			facts := populate(t, d)
 			rel := d.Relation("R")
 			// Build the index first.
-			for range rel.Lookup([]int{0}, TupleKey(Tuple{Int(1)}, nil)) {
+			for range rel.Lookup([]int{0}, []Value{Int(1)}) {
 			}
 			for _, f := range facts {
 				if f.Relation == "R" && f.Tuple[0].AsInt() == 1 {
@@ -128,7 +128,7 @@ func TestStoreDeleteMaintainsIndexes(t *testing.T) {
 					}
 				}
 			}
-			for f := range rel.Lookup([]int{0}, TupleKey(Tuple{Int(1)}, nil)) {
+			for f := range rel.Lookup([]int{0}, []Value{Int(1)}) {
 				t.Fatalf("lookup yielded deleted fact %v", f)
 			}
 			if rel.Len() != 16 {
@@ -158,21 +158,30 @@ func wide(d *Database) [][]int {
 	return pats
 }
 
+// at returns t's values at pos.
+func at(t Tuple, pos []int) Tuple {
+	out := make(Tuple, len(pos))
+	for i, p := range pos {
+		out[i] = t[p]
+	}
+	return out
+}
+
 // filtered is the reference answer to a lookup: the IDs of rel's facts
-// matching key at pos, found by scanning.
-func filtered(rel *Relation, pos []int, key Key) []FactID {
+// whose values at pos are Equal to vals, found by scanning.
+func filtered(rel *Relation, pos []int, vals Tuple) []FactID {
 	var out []FactID
 	for f := range rel.Scan() {
-		if TupleKey(f.Tuple, pos) == key {
+		if at(f.Tuple, pos).Equal(vals) {
 			out = append(out, f.ID)
 		}
 	}
 	return out
 }
 
-func lookupIDs(rel *Relation, pos []int, key Key) []FactID {
+func lookupIDs(rel *Relation, pos []int, vals Tuple) []FactID {
 	var out []FactID
-	for f := range rel.Lookup(pos, key) {
+	for f := range rel.Lookup(pos, vals) {
 		out = append(out, f.ID)
 	}
 	return out
@@ -187,8 +196,8 @@ func TestIndexBudgetFallback(t *testing.T) {
 			rel := d.Relation("W")
 			f := rel.Facts()[7]
 			for i, pos := range pats {
-				key := TupleKey(f.Tuple, pos)
-				if got, want := lookupIDs(rel, pos, key), filtered(rel, pos, key); !slices.Equal(got, want) {
+				vals := at(f.Tuple, pos)
+				if got, want := lookupIDs(rel, pos, vals), filtered(rel, pos, vals); !slices.Equal(got, want) {
 					t.Fatalf("lookup %d on %v = %v, want %v", i, pos, got, want)
 				}
 			}
@@ -217,18 +226,18 @@ func TestIndexPositionsPast255(t *testing.T) {
 	vals[1] = String("a")
 	d.MustInsert("R", true, vals...)
 	rel := d.Relation("R")
-	a := TupleKey(Tuple{String("a")}, nil)
+	a := Tuple{String("a")}
 	for _, c := range []struct {
-		pos []int
-		key Key
+		pos  []int
+		vals Tuple
 	}{
 		{[]int{1}, a},
 		{[]int{257}, a},
-		{[]int{257}, TupleKey(vals, []int{257})},
-		{[]int{1, 257}, TupleKey(vals, []int{1, 257})},
+		{[]int{257}, at(vals, []int{257})},
+		{[]int{1, 257}, at(vals, []int{1, 257})},
 	} {
-		if got, want := lookupIDs(rel, c.pos, c.key), filtered(rel, c.pos, c.key); !slices.Equal(got, want) {
-			t.Errorf("lookup of %q on %v = %v, want %v", c.key, c.pos, got, want)
+		if got, want := lookupIDs(rel, c.pos, c.vals), filtered(rel, c.pos, c.vals); !slices.Equal(got, want) {
+			t.Errorf("lookup of %v on %v = %v, want %v", c.vals, c.pos, got, want)
 		}
 	}
 }
@@ -246,8 +255,8 @@ func TestConcurrentLookupsBuildIndexesSafely(t *testing.T) {
 	want := make(map[string][]FactID)
 	for _, pos := range pats {
 		for _, f := range probes {
-			key := TupleKey(f.Tuple, pos)
-			want[posSig(pos)+string(key)] = lookupIDs(ref, pos, key)
+			vals := at(f.Tuple, pos)
+			want[fmt.Sprint(pos, vals)] = lookupIDs(ref, pos, vals)
 		}
 	}
 
@@ -262,9 +271,9 @@ func TestConcurrentLookupsBuildIndexesSafely(t *testing.T) {
 			for i := range pats {
 				pos := pats[(g+i)%len(pats)]
 				for _, f := range probes {
-					key := TupleKey(f.Tuple, pos)
-					if got := lookupIDs(rel, pos, key); !slices.Equal(got, want[posSig(pos)+string(key)]) {
-						errs <- fmt.Sprintf("lookup on %v = %v, want %v", pos, got, want[posSig(pos)+string(key)])
+					vals := at(f.Tuple, pos)
+					if got := lookupIDs(rel, pos, vals); !slices.Equal(got, want[fmt.Sprint(pos, vals)]) {
+						errs <- fmt.Sprintf("lookup on %v = %v, want %v", pos, got, want[fmt.Sprint(pos, vals)])
 						return
 					}
 				}

@@ -84,7 +84,8 @@ func Eval(d *db.Database, q *query.UCQ, b *circuit.Builder, opts Options) ([]Ans
 
 // evalWith is Eval parameterized by the derivation enumerator, so the
 // streaming and materialized engines share the answer-assembly (grouping by
-// tuple key, sorted output) and produce byte-identical answer orderings.
+// tuple key, the least head in kindOrder as each answer's tuple, sorted
+// output) and produce byte-identical answer orderings.
 func evalWith(d *db.Database, q *query.UCQ, b *circuit.Builder, opts Options, derive deriveFunc) ([]Answer, error) {
 	groups := make(map[string][]*circuit.Node)
 	tuples := make(map[string]db.Tuple)
@@ -95,7 +96,7 @@ func evalWith(d *db.Database, q *query.UCQ, b *circuit.Builder, opts Options, de
 		}
 		for _, dv := range derivs {
 			key := dv.Tuple.Key()
-			if _, ok := tuples[key]; !ok {
+			if t, ok := tuples[key]; !ok || kindOrder(dv.Tuple, t) < 0 {
 				tuples[key] = dv.Tuple
 			}
 			groups[key] = append(groups[key], dv.Conjunction(b, opts))
@@ -166,11 +167,7 @@ func deriveCQ(d *db.Database, cq *query.CQ, pin int, pinFact *db.Fact) ([]Deriva
 	}
 	var out []Derivation
 	err = p.run(d, pinFact, func(regs []db.Value, support []*db.Fact) bool {
-		head := make(db.Tuple, len(p.headRegs))
-		for i, r := range p.headRegs {
-			head[i] = regs[r]
-		}
-		out = append(out, Derivation{Tuple: head, Facts: normalizeSupport(support)})
+		out = append(out, Derivation{Tuple: p.head(regs, support), Facts: normalizeSupport(support)})
 		return true
 	})
 	if err != nil {

@@ -69,10 +69,38 @@ type LiveAnswer struct {
 }
 
 type liveAnswer struct {
-	tuple   db.Tuple
-	derivs  map[string][]*db.Fact
+	tuple  db.Tuple // the least head of derivs in kindOrder
+	derivs map[string][]*db.Fact
+	// base is the head the answer was created with, and heads the head of
+	// each derivation whose head differs from base in kind: nil on
+	// single-kind data, which so keeps no head per derivation.
+	base    db.Tuple
+	heads   map[string]db.Tuple
 	lineage *circuit.Node // nil when dirty (a derivation was added/removed)
 	epoch   uint64
+}
+
+// setHead records h as the head of derivation dkey.
+func (a *liveAnswer) setHead(dkey string, h db.Tuple) {
+	if kindOrder(h, a.base) == 0 {
+		delete(a.heads, dkey)
+		return
+	}
+	if a.heads == nil {
+		a.heads = make(map[string]db.Tuple)
+	}
+	a.heads[dkey] = h
+}
+
+// least returns the least head of the answer's derivations in kindOrder.
+func (a *liveAnswer) least() db.Tuple {
+	t, found := a.base, len(a.derivs) > len(a.heads)
+	for _, h := range a.heads {
+		if !found || kindOrder(h, t) < 0 {
+			t, found = h, true
+		}
+	}
+	return t
 }
 
 // NewIncremental evaluates the query once and returns the maintained state.
@@ -150,22 +178,19 @@ func (inc *Incremental) Insert(f *db.Fact) ([]db.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	changedSet := make(map[string]*liveAnswer)
+	changedSet := make(map[*liveAnswer]bool)
 	for _, dv := range derivs {
-		key := dv.Tuple.Key()
-		dkey := supportKey(dv.Facts)
-		if a, ok := inc.answers[key]; ok {
-			if _, dup := a.derivs[dkey]; dup {
-				continue
-			}
+		a, changed := inc.addDerivation(dv)
+		if !changed {
+			continue
 		}
 		if len(changedSet) == 0 {
 			inc.epoch++
 		}
-		changedSet[key] = inc.addDerivation(dv)
+		changedSet[a] = true
 	}
 	changed := make([]db.Tuple, 0, len(changedSet))
-	for _, a := range changedSet {
+	for a := range changedSet {
 		a.epoch = inc.epoch
 		changed = append(changed, a.tuple)
 	}
@@ -189,6 +214,7 @@ func (inc *Incremental) Delete(id db.FactID) []db.Tuple {
 		for dkey := range dkeys {
 			support := a.derivs[dkey]
 			delete(a.derivs, dkey)
+			delete(a.heads, dkey)
 			// Unlink the derivation from every other supporting fact's
 			// index so the reverse index never references dead entries.
 			for _, f := range support {
@@ -206,11 +232,13 @@ func (inc *Incremental) Delete(id db.FactID) []db.Tuple {
 				}
 			}
 		}
-		changed = append(changed, a.tuple)
 		if len(a.derivs) == 0 {
+			changed = append(changed, a.tuple)
 			delete(inc.answers, akey)
 			continue
 		}
+		a.tuple = a.least()
+		changed = append(changed, a.tuple)
 		a.lineage = nil
 		a.epoch = inc.epoch
 	}
@@ -219,24 +247,38 @@ func (inc *Incremental) Delete(id db.FactID) []db.Tuple {
 }
 
 // addDerivation records the derivation, marking its answer dirty; the
-// answer is created if the tuple is new. Returns the (possibly new) answer.
-func (inc *Incremental) addDerivation(dv Derivation) *liveAnswer {
+// answer is created if the tuple is new. It returns the (possibly new)
+// answer and whether the answer changed: a new derivation, or a known one
+// (one support set can witness Equal heads of different kinds) whose head
+// lowered the answer's tuple.
+func (inc *Incremental) addDerivation(dv Derivation) (*liveAnswer, bool) {
 	key := dv.Tuple.Key()
 	a, ok := inc.answers[key]
 	if !ok {
-		a = &liveAnswer{tuple: dv.Tuple, derivs: make(map[string][]*db.Fact), epoch: inc.epoch}
+		a = &liveAnswer{tuple: dv.Tuple, base: dv.Tuple, derivs: make(map[string][]*db.Fact), epoch: inc.epoch}
 		inc.answers[key] = a
 	}
 	dkey := supportKey(dv.Facts)
-	if _, dup := a.derivs[dkey]; dup {
-		return a
+	_, dup := a.derivs[dkey]
+	if dup {
+		h, ok := a.heads[dkey]
+		if !ok {
+			h = a.base
+		}
+		if kindOrder(dv.Tuple, h) >= 0 {
+			return a, false
+		}
+	} else {
+		a.derivs[dkey] = dv.Facts
+		a.lineage = nil
+		if inc.byFact != nil {
+			inc.indexDerivation(key, dkey, dv.Facts)
+		}
 	}
-	a.derivs[dkey] = dv.Facts
-	a.lineage = nil
-	if inc.byFact != nil {
-		inc.indexDerivation(key, dkey, dv.Facts)
-	}
-	return a
+	old := a.tuple
+	a.setHead(dkey, dv.Tuple)
+	a.tuple = a.least()
+	return a, !dup || kindOrder(a.tuple, old) != 0
 }
 
 // Live returns the current answers sorted by tuple, rebuilding the lineage

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"weak"
 
@@ -14,29 +15,36 @@ import (
 )
 
 // checkAgainstEval asserts that the incrementally maintained answers are
-// semantically identical to a cold Eval on the same database: same tuples,
-// and for each tuple a lineage with the same satisfying assignments over the
-// union of both variable sets.
+// semantically identical to a cold Eval on the same database: the same
+// tuples, kind by kind, and for each tuple a lineage with the same
+// satisfying assignments over the union of both variable sets.
 func checkAgainstEval(t *testing.T, inc *Incremental, d *db.Database, q *query.UCQ, opts Options) {
 	t.Helper()
-	cb := circuit.NewBuilder()
-	cold, err := Eval(d, q, cb, opts)
+	cold, err := Eval(d, q, circuit.NewBuilder(), opts)
 	if err != nil {
 		t.Fatalf("cold Eval: %v", err)
 	}
-	live := inc.Answers()
-	if len(live) != len(cold) {
-		t.Fatalf("incremental has %d answers, cold Eval %d", len(live), len(cold))
+	requireSameAnswers(t, "incremental vs cold Eval", inc.Answers(), cold, true)
+}
+
+// requireSameAnswers fails unless got and want hold the same answer keys
+// in the same order (and, with kinds, tuples of the same kinds too), each
+// with a lineage of the same satisfying assignments over the union of both
+// variable sets.
+func requireSameAnswers(t *testing.T, what string, got, want []Answer, kinds bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers %v, want %d %v", what, len(got), tuples(got), len(want), tuples(want))
 	}
-	for i := range cold {
-		if !cold[i].Tuple.Equal(live[i].Tuple) {
-			t.Fatalf("answer %d: tuple %v vs cold %v", i, live[i].Tuple, cold[i].Tuple)
+	for i := range want {
+		if got[i].Tuple.Key() != want[i].Tuple.Key() || kinds && kindOrder(got[i].Tuple, want[i].Tuple) != 0 {
+			t.Fatalf("%s: answer %d is %v, want %v", what, i, kindsOf(got[i].Tuple), kindsOf(want[i].Tuple))
 		}
 		vars := map[circuit.Var]bool{}
-		for _, v := range circuit.Vars(cold[i].Lineage) {
+		for _, v := range circuit.Vars(want[i].Lineage) {
 			vars[v] = true
 		}
-		for _, v := range circuit.Vars(live[i].Lineage) {
+		for _, v := range circuit.Vars(got[i].Lineage) {
 			vars[v] = true
 		}
 		universe := make([]circuit.Var, 0, len(vars))
@@ -44,14 +52,14 @@ func checkAgainstEval(t *testing.T, inc *Incremental, d *db.Database, q *query.U
 			universe = append(universe, v)
 		}
 		if len(universe) > 14 {
-			t.Fatalf("universe too large for brute force: %d", len(universe))
+			t.Fatalf("%s: universe too large for brute force: %d", what, len(universe))
 		}
 		assign := make(map[circuit.Var]bool, len(universe))
 		var rec func(int)
 		rec = func(j int) {
 			if j == len(universe) {
-				if circuit.Eval(cold[i].Lineage, assign) != circuit.Eval(live[i].Lineage, assign) {
-					t.Fatalf("answer %v: lineages differ under %v", cold[i].Tuple, assign)
+				if circuit.Eval(want[i].Lineage, assign) != circuit.Eval(got[i].Lineage, assign) {
+					t.Fatalf("%s: answer %v: lineages differ under %v", what, want[i].Tuple, assign)
 				}
 				return
 			}
@@ -62,6 +70,24 @@ func checkAgainstEval(t *testing.T, inc *Incremental, d *db.Database, q *query.U
 		}
 		rec(0)
 	}
+}
+
+// tuples lists the answers' tuples with their kinds.
+func tuples(answers []Answer) []string {
+	out := make([]string, len(answers))
+	for i, a := range answers {
+		out[i] = kindsOf(a.Tuple)
+	}
+	return out
+}
+
+// kindsOf renders a tuple with each value's kind, as "(int 3, float 3)".
+func kindsOf(t db.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = fmt.Sprintf("%v %q", v.Kind(), v.String())
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 func TestIncrementalMatchesEvalUnderRandomUpdates(t *testing.T) {
@@ -232,4 +258,36 @@ func TestIncrementalReleasesReplacedLineage(t *testing.T) {
 		t.Fatal("the current lineage root was collected")
 	}
 	runtime.KeepAlive(inc)
+}
+
+// TestIncrementalLowersSharedSupportHead: one support set can witness
+// Equal heads of two kinds. In q(x) :- R(x, a), R(y, b), x = y, a != b
+// over R(3, "p") and R(3.0, "q"), the two facts witness head 3 one way
+// round and head 3.0 the other, and no other derivation exists. Whichever
+// witness the Incremental meets first, the answer must show the least
+// head, 3, as a cold Eval does.
+func TestIncrementalLowersSharedSupportHead(t *testing.T) {
+	q, err := query.Parse(`q(x) :- R(x, a), R(y, b), x = y, a != b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Mode: ModeEndogenous}
+	for _, order := range [][2]db.Value{{db.Int(3), db.Float(3)}, {db.Float(3), db.Int(3)}} {
+		d := db.New()
+		d.CreateRelation("R", "a", "b")
+		inc, err := NewIncremental(context.Background(), d, q, circuit.NewBuilder(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range order {
+			f := d.MustInsert("R", true, v, db.String([]string{"p", "q"}[i]))
+			if _, err := inc.Insert(f); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstEval(t, inc, d, q, opts)
+		}
+		if got := inc.Answers()[0].Tuple[0]; got.Kind() != db.KindInt {
+			t.Fatalf("inserting %v then %v: answer %v is a %v, want the int", order[0], order[1], got, got.Kind())
+		}
+	}
 }

@@ -10,11 +10,10 @@ import (
 	"repro/internal/tpch"
 )
 
-// legacyJoinAtom is the joinAtom the materialized engine shipped with
-// before the typed-key change: join keys are formatted strings assembled by
-// Tuple.Key (one fmt.Sprintf per value, one sub-Tuple allocation per fact
-// and per probe). Kept here solely as the benchmark baseline for the typed
-// composite keys of keyenc.go.
+// legacyJoinAtom is the joinAtom the materialized engine shipped with: join
+// keys are Tuple.Keys of a sub-Tuple allocated per fact and per probe.
+// Kept here solely as the benchmark baseline for joinAtom's one scratch
+// sub-Tuple per join.
 func legacyJoinAtom(atom query.Atom, facts []*db.Fact, bindings []binding,
 	bound map[string]bool) ([]binding, error) {
 
@@ -84,13 +83,12 @@ func joinAtomFixture(b *testing.B) (query.Atom, []*db.Fact, []binding, map[strin
 	return atom, facts, bindings, map[string]bool{"y": true}
 }
 
-// BenchmarkJoinAtom compares the typed composite join keys against the
-// legacy formatted-string keys on the same join stage; run with -benchmem
-// to see the allocation drop (the strings were one Sprintf per value per
-// probe).
+// BenchmarkJoinAtom compares joinAtom's scratch sub-tuple keys against the
+// legacy per-fact and per-probe sub-tuples on the same join stage; run
+// with -benchmem to see the allocation drop.
 func BenchmarkJoinAtom(b *testing.B) {
 	atom, facts, bindings, bound := joinAtomFixture(b)
-	b.Run("typed", func(b *testing.B) {
+	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := joinAtom(atom, facts, bindings, bound); err != nil {
@@ -159,7 +157,7 @@ func TestLegacyJoinAtomAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("typed produced %d bindings, legacy %d", len(got), len(want))
+		t.Fatalf("joinAtom produced %d bindings, legacy %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].facts[len(got[i].facts)-1].ID != want[i].facts[len(want[i].facts)-1].ID {

@@ -14,9 +14,10 @@ import (
 // of BenchmarkGround. It joins one atom at a time into a fully
 // materialized []binding slice, rebuilding a hash index over the joined
 // relation at every step — O(intermediate result) memory, which is exactly
-// what the streaming plan in plan.go avoids. Join keys are the typed
-// composite encodings of keyenc.go rather than the formatted strings the
-// original used; BenchmarkJoinAtom measures the allocation drop.
+// what the streaming plan in plan.go avoids. Join keys are the Tuple.Keys
+// of the bound positions' values, gathered in one scratch tuple per join
+// rather than a new sub-tuple per fact and per probe as the original did;
+// BenchmarkJoinAtom measures the allocation drop.
 
 // binding is a partial homomorphism from query variables to values, with the
 // facts supporting it (one per joined atom, in join order).
@@ -134,7 +135,7 @@ func removeInt(s []int, v int) []int {
 // consistent with it. It builds a hash index on the atom positions that are
 // constants or already-bound variables (the same positions for every
 // binding, since all bindings at a stage bind the same variable set), keyed
-// by the typed composite encoding of those positions.
+// by the Tuple.Key of those positions' values.
 func joinAtom(atom query.Atom, facts []*db.Fact, bindings []binding,
 	bound map[string]bool) ([]binding, error) {
 
@@ -146,21 +147,22 @@ func joinAtom(atom query.Atom, facts []*db.Fact, bindings []binding,
 	}
 
 	// Index facts by the key positions.
-	index := make(map[db.Key][]*db.Fact, len(facts))
-	buf := make([]byte, 0, 64)
+	index := make(map[string][]*db.Fact, len(facts))
+	sub := make(db.Tuple, len(keyPos))
 	for _, f := range facts {
-		buf = db.AppendTupleKey(buf[:0], f.Tuple, keyPos)
-		k := db.Key(buf)
+		for i, p := range keyPos {
+			sub[i] = f.Tuple[p]
+		}
+		k := sub.Key()
 		index[k] = append(index[k], f)
 	}
 
 	var out []binding
 	for _, bd := range bindings {
-		key, ok := bindingKey(atom, keyPos, bd, buf[:0])
-		if !ok {
+		if !bindingValues(atom, keyPos, bd, sub) {
 			continue
 		}
-		for _, f := range index[key] {
+		for _, f := range index[sub.Key()] {
 			newVals, ok := extend(atom, f, bd)
 			if !ok {
 				continue
@@ -174,23 +176,23 @@ func joinAtom(atom query.Atom, facts []*db.Fact, bindings []binding,
 	return out, nil
 }
 
-// bindingKey computes the typed lookup key for a binding; ok is false when
-// the binding can never match (unreachable in practice since key positions
-// are bound by construction).
-func bindingKey(atom query.Atom, keyPos []int, bd binding, buf []byte) (db.Key, bool) {
-	for _, p := range keyPos {
+// bindingValues fills sub with the values a binding seeks at the key
+// positions; it returns false when the binding can never match
+// (unreachable in practice since key positions are bound by construction).
+func bindingValues(atom query.Atom, keyPos []int, bd binding, sub db.Tuple) bool {
+	for i, p := range keyPos {
 		t := atom.Args[p]
-		if t.IsVar() {
-			v, ok := bd.vals[t.Var]
-			if !ok {
-				return "", false
-			}
-			buf = db.AppendValueKey(buf, v)
-		} else {
-			buf = db.AppendValueKey(buf, t.Const)
+		if !t.IsVar() {
+			sub[i] = t.Const
+			continue
 		}
+		v, ok := bd.vals[t.Var]
+		if !ok {
+			return false
+		}
+		sub[i] = v
 	}
-	return db.Key(buf), true
+	return true
 }
 
 // extend matches the fact against the atom under the binding, returning the

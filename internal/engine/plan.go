@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/db"
 	"repro/internal/query"
@@ -29,7 +28,7 @@ import (
 // []db.Value indexed by register plus one supporting fact per step, so the
 // per-row cost has no map operations and no string keys.
 
-// keyPart describes one bound position of a step's lookup key: either a
+// keyPart describes one bound position of a step's lookup: either a
 // register to read or a constant.
 type keyPart struct {
 	reg int // register index; -1 for a constant
@@ -47,9 +46,11 @@ type planFilter struct {
 type planStep struct {
 	atom   query.Atom
 	pinned bool // ranges over the single delta fact instead of the relation
-	// Bound positions (ascending) and how to assemble their lookup key.
+	// Bound positions (ascending) and where their sought values come from.
 	keyPos   []int
 	keyParts []keyPart
+	// keyAt is where the step's sought values start in run's probe slice.
+	keyAt int
 	// Positions introducing new variables, and the registers they write.
 	outPos []int
 	outReg []int
@@ -65,7 +66,11 @@ type planStep struct {
 type plan struct {
 	steps    []planStep
 	nregs    int
+	nkeys    int // bound positions over all steps
 	headRegs []int
+	// headAt lists, for each head variable that occurs more than once, the
+	// (step, position) pairs it occurs at; nil for the others.
+	headAt [][][2]int
 }
 
 // planCQ validates the query against the database and compiles it. With
@@ -113,7 +118,7 @@ func planCQ(d *db.Database, cq *query.CQ, pin int) (*plan, error) {
 			}
 		}
 		atom := cq.Atoms[idx]
-		st := planStep{atom: atom, pinned: idx == pin}
+		st := planStep{atom: atom, pinned: idx == pin, keyAt: p.nkeys}
 		firstPos := make(map[string]int)
 		for i, t := range atom.Args {
 			switch {
@@ -133,6 +138,7 @@ func planCQ(d *db.Database, cq *query.CQ, pin int) (*plan, error) {
 				st.outReg = append(st.outReg, reg(t.Var))
 			}
 		}
+		p.nkeys += len(st.keyParts)
 		for _, v := range atom.Vars() {
 			bound[v] = true
 		}
@@ -158,10 +164,40 @@ func planCQ(d *db.Database, cq *query.CQ, pin int) (*plan, error) {
 		return nil, fmt.Errorf("filters %v reference unbound variables", pendingFilters)
 	}
 	p.headRegs = make([]int, len(cq.Head))
+	p.headAt = make([][][2]int, len(cq.Head))
 	for i, h := range cq.Head {
 		p.headRegs[i] = regOf[h]
+		var at [][2]int
+		for si, st := range p.steps {
+			for pos, t := range st.atom.Args {
+				if t.Var == h {
+					at = append(at, [2]int{si, pos})
+				}
+			}
+		}
+		if len(at) > 1 {
+			p.headAt[i] = at
+		}
 	}
 	return p, nil
+}
+
+// head returns a row's head tuple. A variable that occurs more than once
+// takes the value of least kind among its occurrences, which are all
+// Equal: an int before a float. So the head of a join is the same
+// whichever atom the plan binds the variable from, as a delta plan pinned
+// to another atom binds it.
+func (p *plan) head(regs []db.Value, support []*db.Fact) db.Tuple {
+	head := make(db.Tuple, len(p.headRegs))
+	for i, r := range p.headRegs {
+		head[i] = regs[r]
+		for _, at := range p.headAt[i] {
+			if v := support[at[0]].Tuple[at[1]]; v.Kind() < head[i].Kind() {
+				head[i] = v
+			}
+		}
+	}
+	return head
 }
 
 // nextAtom greedily selects the next atom to join: the one with the most
@@ -196,7 +232,9 @@ func nextAtom(d *db.Database, cq *query.CQ, remaining []int, bound map[string]bo
 func (p *plan) run(d *db.Database, pinFact *db.Fact, yield func(regs []db.Value, support []*db.Fact) bool) error {
 	regs := make([]db.Value, p.nregs)
 	support := make([]*db.Fact, len(p.steps))
-	keyBuf := make([]byte, 0, 64)
+	// probe holds every step's sought values, each step in its own range:
+	// a step's lookup is still streaming while deeper steps probe.
+	probe := make([]db.Value, p.nkeys)
 	var ferr error
 
 	var down func(depth int) bool
@@ -206,9 +244,9 @@ func (p *plan) run(d *db.Database, pinFact *db.Fact, yield func(regs []db.Value,
 		}
 		st := &p.steps[depth]
 
-		// Accept one candidate fact: verify the parts a lookup key did not
-		// already guarantee, extend the registers, and apply this depth's
-		// filters before descending.
+		// Accept one candidate fact: verify the repeated variables a lookup
+		// did not already match, extend the registers, and apply this
+		// depth's filters before descending.
 		accept := func(f *db.Fact) bool {
 			for _, eq := range st.eqPos {
 				if !f.Tuple[eq[0]].Equal(f.Tuple[eq[1]]) {
@@ -236,15 +274,17 @@ func (p *plan) run(d *db.Database, pinFact *db.Fact, yield func(regs []db.Value,
 			return down(depth + 1)
 		}
 
+		key := probe[st.keyAt : st.keyAt+len(st.keyParts)]
+		for i, kp := range st.keyParts {
+			key[i] = kp.c
+			if kp.reg >= 0 {
+				key[i] = regs[kp.reg]
+			}
+		}
 		if st.pinned {
-			// Single-fact scan: the lookup key's guarantees must be checked
-			// explicitly against the pinned fact.
+			// Single-fact scan: check what a lookup would have matched.
 			for i, pos := range st.keyPos {
-				want := st.keyParts[i].c
-				if st.keyParts[i].reg >= 0 {
-					want = regs[st.keyParts[i].reg]
-				}
-				if !pinFact.Tuple[pos].Equal(want) {
+				if !pinFact.Tuple[pos].Equal(key[i]) {
 					return true
 				}
 			}
@@ -260,15 +300,7 @@ func (p *plan) run(d *db.Database, pinFact *db.Fact, yield func(regs []db.Value,
 			}
 			return true
 		}
-		keyBuf = keyBuf[:0]
-		for _, kp := range st.keyParts {
-			v := kp.c
-			if kp.reg >= 0 {
-				v = regs[kp.reg]
-			}
-			keyBuf = db.AppendValueKey(keyBuf, v)
-		}
-		for f := range rel.Lookup(st.keyPos, db.Key(keyBuf)) {
+		for f := range rel.Lookup(st.keyPos, key) {
 			if !accept(f) {
 				return false
 			}
@@ -278,16 +310,4 @@ func (p *plan) run(d *db.Database, pinFact *db.Fact, yield func(regs []db.Value,
 
 	down(0)
 	return ferr
-}
-
-// sortedKeyPositions is a sanity hook used by tests: Lookup contracts
-// require ascending positions, which planCQ produces by construction
-// (positions are visited in order).
-func (p *plan) sortedKeyPositions() bool {
-	for _, st := range p.steps {
-		if !sort.IntsAreSorted(st.keyPos) {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/circuit"
@@ -321,4 +322,16 @@ func TestPlanShapes(t *testing.T) {
 	if len(p.steps[0].filters) != 0 {
 		t.Error("filter pushed above the step binding its variables")
 	}
+}
+
+// sortedKeyPositions is TestPlanShapes' sanity hook: Lookup contracts
+// require ascending positions, which planCQ produces by construction
+// (positions are visited in order).
+func (p *plan) sortedKeyPositions() bool {
+	for _, st := range p.steps {
+		if !sort.IntsAreSorted(st.keyPos) {
+			return false
+		}
+	}
+	return true
 }

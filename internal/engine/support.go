@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"sort"
 
@@ -44,4 +45,20 @@ func supportKey(facts []*db.Fact) string {
 		prev = id
 	}
 	return string(buf)
+}
+
+// kindOrder orders two Equal heads of one answer by kind: at the first
+// position where their kinds differ, the int comes first. An answer groups
+// the derivations whose heads share a Tuple.Key, so its heads are Equal
+// but may differ in kind (Int(3) and Float(3)); its tuple is the least of
+// them in this order. That makes the tuple a function of the derivation
+// set alone, so Eval, NewIncremental and every Insert and Delete agree on
+// it. Single-kind heads are all identical and always compare 0.
+func kindOrder(a, b db.Tuple) int {
+	for i := range a {
+		if c := cmp.Compare(a[i].Kind(), b[i].Kind()); c != 0 {
+			return c
+		}
+	}
+	return 0
 }

@@ -25,15 +25,14 @@ import (
 
 // Game is a Boolean cooperative game over the distinct facts of a lineage
 // circuit, with a fast slice-based evaluator (the circuit is flattened to a
-// postorder program once, then evaluated thousands of times). Each Game owns
-// its random source: estimates drawn through the per-game methods are a pure
-// function of the game and its seed (see Reseed), never of global process
-// state. A Game is not safe for concurrent use.
+// postorder program once, then evaluated thousands of times). A Game holds
+// no random source: MonteCarloCI seeds its own from the seed it is given,
+// so an estimate is a pure function of the game and that seed, never of
+// global process state. A Game is not safe for concurrent use.
 type Game struct {
 	Players []db.FactID
 	prog    []instr
 	varSlot map[db.FactID]int
-	rng     *rand.Rand
 	evalBuf []bool // Eval's value slots, reused across calls
 	// monotone is set when the program has no KindNot gate, so MonteCarloCI
 	// finds each permutation's pivot in one arrival-time pass.
@@ -78,22 +77,11 @@ func NewGame(lineage *circuit.Node) *Game {
 		return idx
 	}
 	flatten(lineage)
-	g.rng = rand.New(rand.NewSource(DeriveSeed(g.Fingerprint(), 0)))
 	return g
 }
 
 // NumPlayers returns the number of distinct facts in the lineage.
 func (g *Game) NumPlayers() int { return len(g.Players) }
-
-// Reseed resets the game's random source. Two games over the same lineage
-// reseeded identically produce identical estimate streams, which is what the
-// calibration tests and the anytime serving tier's reproducibility contract
-// rely on.
-func (g *Game) Reseed(seed int64) { g.rng = rand.New(rand.NewSource(seed)) }
-
-// Rand returns the game's random source (for KernelSHAP, which predates
-// per-game seeding and still takes an explicit source).
-func (g *Game) Rand() *rand.Rand { return g.rng }
 
 // Fingerprint hashes the flattened game program — gate kinds, constant
 // values, variable slots, and child indices, all expressed in player-slot
@@ -331,18 +319,20 @@ const z95 = 1.959963984540054
 // marginals. A monotone game's permutation has at most one nonzero
 // marginal, +1 for its pivot, found in one arrival-time pass over the
 // circuit; a game with a negation evaluates all n+1 prefixes. Both tally the
-// same marginals, so the path never changes an estimate. The run consumes
-// the game's seeded random source (see Reseed): the same game, seed, and
-// config produce bit-identical estimates. ctx is checked between batches;
-// cancellation returns the context's error and no estimates.
+// same marginals, so the path never changes an estimate. The run draws its
+// permutations from a source seeded with seed alone: the same game, seed,
+// and config produce bit-identical estimates, which the calibration tests
+// and the anytime serving tier's reproducibility contract rely on. ctx is
+// checked between batches; cancellation returns the context's error and no
+// estimates.
 func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Approx, error) {
 	cfg = cfg.withDefaults()
-	g.Reseed(seed)
 	n := g.NumPlayers()
 	ap := &Approx{Estimates: make(map[db.FactID]Estimate, n), Seed: seed}
 	if n == 0 {
 		return ap, nil
 	}
+	rng := rand.New(rand.NewSource(seed))
 
 	// Per player: Σ marginals and the count of nonzero marginals. Marginals
 	// are ±1, so the nonzero count is also Σ marginal², which is all the
@@ -377,7 +367,7 @@ func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Appro
 			batch = cfg.MaxPermutations - perms
 		}
 		for r := 0; r < batch; r++ {
-			g.rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 			if !g.monotone {
 				g.prefixScan(perm, present, sum, nonzero)
 			} else if p := g.pivot(perm, at, times); p >= 0 {

@@ -179,24 +179,6 @@ func TestSortedPlayers(t *testing.T) {
 	}
 }
 
-func TestGameHasInjectedRand(t *testing.T) {
-	g, _ := flightsGame(t)
-	if g.Rand() == nil {
-		t.Fatal("NewGame left the game without a rand source")
-	}
-	g2, _ := flightsGame(t)
-	// Same lineage → same fingerprint → same default seed: the two games'
-	// generators produce identical streams.
-	if g.Rand().Int63() != g2.Rand().Int63() {
-		t.Error("identical games seeded differently")
-	}
-	g.Reseed(99)
-	g2.Reseed(99)
-	if g.Rand().Int63() != g2.Rand().Int63() {
-		t.Error("Reseed(99) gave divergent streams")
-	}
-}
-
 func TestFingerprintStable(t *testing.T) {
 	g, _ := flightsGame(t)
 	g2, _ := flightsGame(t)

@@ -226,8 +226,9 @@ type PoolStats struct {
 
 // EncodeValue renders a database value as a JSON-encodable scalar. Floats
 // always carry a fractional or exponent marker, so an integral float
-// round-trips back to db.Float rather than db.Int (value kinds participate
-// in join semantics).
+// round-trips back to db.Float rather than db.Int: a value keeps its kind
+// on the wire, although an integral float joins, filters and keys as the
+// int it equals.
 func EncodeValue(v repro.Value) any {
 	switch v.Kind() {
 	case db.KindInt:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/imdb"
 	"repro/internal/tpch"
 )
@@ -679,5 +680,115 @@ func TestSessionFlightsUpdateStory(t *testing.T) {
 	if len(restored[0].Values) != len(baseline[0].Values) {
 		t.Fatalf("restored game has %d facts, baseline %d",
 			len(restored[0].Values), len(baseline[0].Values))
+	}
+}
+
+// TestSessionMatchesColdOnMixedKinds: sessions over the query forms that
+// the join/filter identity R ⋈ S = σ_{x=y}(R × S) equates — a join, an
+// atom constant and a repeated variable, each beside its filter form —
+// absorb inserts and deletes of 3, 3.0, 3.5 and "3" and must show, after
+// every step, what a cold Explain shows: the same tuples kind by kind,
+// methods and big.Rat values. With joins and constants kind-strict and
+// filters numeric, a session over q() :- S(3) that absorbed S(3.0)
+// answered true while a cold Explain answered nothing. q(x) :- S(x) holds
+// 3 and 3.0 as one answer, whose tuple must be the int while S(3) lives
+// and the float once it is deleted, however the session got there.
+func TestSessionMatchesColdOnMixedKinds(t *testing.T) {
+	ctx := context.Background()
+	d := NewDatabase()
+	d.CreateRelation("R", "a")
+	d.CreateRelation("S", "b")
+	d.CreateRelation("R2", "a", "b")
+	texts := []string{
+		`q(x) :- R(x), S(x)`,
+		`q(x) :- R(x), S(y), x = y`,
+		`q() :- S(3)`,
+		`q() :- S(y), y = 3`,
+		`q() :- S(3.0)`,
+		`q(x) :- R2(x, x)`,
+		`q(x) :- R2(x, y), x = y`,
+		`q(x) :- S(x)`,
+	}
+	queries := make([]*Query, len(texts))
+	sessions := make([]*Session, len(texts))
+	for i, text := range texts {
+		q, err := ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(d, q, Options{Workers: 1, CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		queries[i], sessions[i] = q, s
+	}
+	facts := map[string]*Fact{}
+	insert := func(name, rel string, vals ...Value) func() {
+		return func() { facts[name] = d.MustInsert(rel, true, vals...) }
+	}
+	remove := func(name string) func() {
+		return func() {
+			if err := d.Delete(facts[name].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := []struct {
+		what string
+		do   func()
+	}{
+		{"insert S(3.0)", insert("S3.0", "S", Float(3))},
+		{"insert R(3)", insert("R3", "R", Int(3))},
+		{"insert S(3)", insert("S3", "S", Int(3))},
+		{"insert R2(3, 3.0)", insert("R2a", "R2", Int(3), Float(3))},
+		{"insert R(3.5)", insert("R3.5", "R", Float(3.5))},
+		{"insert S(3.5)", insert("S3.5", "S", Float(3.5))},
+		{"insert S(\"3\")", insert("S'3'", "S", String("3"))},
+		{"insert R(\"3\")", insert("R'3'", "R", String("3"))},
+		{"delete S(3)", remove("S3")},
+		{"insert R2(3.0, 3.0)", insert("R2b", "R2", Float(3), Float(3))},
+		{"delete R2(3, 3.0)", remove("R2a")},
+		{"insert S(3)", insert("S3", "S", Int(3))},
+		{"delete S(3.0)", remove("S3.0")},
+		{"insert R(3.0)", insert("R3.0", "R", Float(3))},
+		{"delete R(3)", remove("R3")},
+		{"delete S(3)", remove("S3")},
+	}
+	for _, st := range steps {
+		st.do()
+		for i, s := range sessions {
+			label := st.what + ", " + texts[i]
+			got, err := s.Explain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Explain(ctx, d, queries[i], Options{Workers: 1, CacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExplanationsEqual(t, got, want, label)
+			for j := range want {
+				for k, v := range want[j].Tuple {
+					if g := got[j].Tuple[k]; g.Kind() != v.Kind() {
+						t.Fatalf("%s: tuple %d position %d is %v %v, cold has %v %v", label, j, k, g.Kind(), g, v.Kind(), v)
+					}
+				}
+			}
+		}
+		// The representative of q(x) :- S(x)'s answer 3.
+		three, wantKind := Tuple{Int(3)}.Key(), db.KindFloat
+		if f := facts["S3"]; f != nil && d.Fact(f.ID) != nil {
+			wantKind = db.KindInt
+		}
+		exps, err := sessions[len(sessions)-1].Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range exps {
+			if e.Tuple.Key() == three && e.Tuple[0].Kind() != wantKind {
+				t.Fatalf("%s, q(x) :- S(x): answer %v is a %v, want a %v", st.what, e.Tuple, e.Tuple[0].Kind(), wantKind)
+			}
+		}
 	}
 }
