@@ -208,6 +208,43 @@ func TestIndexBudgetFallback(t *testing.T) {
 	}
 }
 
+// TestLookupMatchesEqualValues: a lookup yields the facts whose values are
+// Equal to the sought ones, an int matching the float of the same number,
+// both from an index and from the filtered scan past the index budget.
+func TestLookupMatchesEqualValues(t *testing.T) {
+	vals := []Value{Int(3), Float(3), Float(3.5), String("3"), Int(1 << 53), Int(1<<53 + 1), Float(1 << 53)}
+	for _, fallback := range []bool{false, true} {
+		d := New()
+		d.CreateRelation("N", "a", "b", "c", "d")
+		for _, a := range vals {
+			for _, b := range vals {
+				d.MustInsert("N", true, a, b, Int(0), Int(0))
+			}
+		}
+		rel := d.Relation("N")
+		if fallback {
+			// Spend the budget on patterns holding position 2 or 3.
+			for _, pos := range [][]int{{2}, {3}, {2, 3}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {0, 2, 3}} {
+				for range rel.Lookup(pos, make([]Value, len(pos))) {
+				}
+			}
+			if rel.index([]int{0}) != nil {
+				t.Fatal("index budget not spent")
+			}
+		}
+		for _, pos := range [][]int{{0}, {1}, {0, 1}} {
+			for _, a := range vals {
+				for _, b := range vals {
+					want := Tuple{a, b}[:len(pos)]
+					if got, ref := lookupIDs(rel, pos, want), filtered(rel, pos, want); !slices.Equal(got, ref) || len(got) == 0 {
+						t.Fatalf("fallback %v: lookup of %v on %v = %v, want %v", fallback, want, pos, got, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIndexPositionsPast255: indexes on positions 1 and 257 of a
 // 258-column relation are distinct. With one byte per position in the
 // index signature they shared one index, so a lookup of 'a' at position
