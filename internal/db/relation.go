@@ -59,15 +59,7 @@ func (r *Relation) Facts() []*Fact {
 }
 
 // Scan yields every fact of the relation in insertion order.
-func (r *Relation) Scan() iter.Seq[*Fact] {
-	return func(yield func(*Fact) bool) {
-		for _, f := range r.facts {
-			if !yield(f) {
-				return
-			}
-		}
-	}
-}
+func (r *Relation) Scan() iter.Seq[*Fact] { return slices.Values(r.facts) }
 
 // Lookup yields the facts whose values at the given positions (pos
 // ascending) are Equal to vals, so an int matches an Equal float. It is
@@ -75,16 +67,22 @@ func (r *Relation) Scan() iter.Seq[*Fact] {
 // first use, and falls back to a filtered scan once DefaultIndexBudget
 // indexes exist.
 func (r *Relation) Lookup(pos []int, vals []Value) iter.Seq[*Fact] {
+	// Small enough to inline, so a range over a lookup allocates nothing.
+	return func(yield func(*Fact) bool) { r.lookup(pos, vals, yield) }
+}
+
+// lookup is Lookup's loop: over the bucket of vals' key, or, once the
+// budget is spent, over every fact, keeping those Equal to vals.
+func (r *Relation) lookup(pos []int, vals []Value, yield func(*Fact) bool) {
+	facts, scan := r.facts, true
 	if ix := r.index(pos); ix != nil {
 		var buf [64]byte // vals' key, encoded on the stack
-		return slices.Values(ix.buckets[string(Tuple(vals).appendKey(buf[:0], nil))])
+		facts, scan = ix.buckets[string(Tuple(vals).appendKey(buf[:0], nil))], false
 	}
-	return func(yield func(*Fact) bool) {
-		for _, f := range r.facts {
-			equal := func(p int, v Value) bool { return f.Tuple[p].Equal(v) }
-			if slices.EqualFunc(pos, vals, equal) && !yield(f) {
-				return
-			}
+	for _, f := range facts {
+		equal := func(p int, v Value) bool { return f.Tuple[p].Equal(v) }
+		if (!scan || slices.EqualFunc(pos, vals, equal)) && !yield(f) {
+			return
 		}
 	}
 }
