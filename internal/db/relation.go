@@ -96,11 +96,17 @@ func (r *Relation) loadIndexes() map[string]*hashIndex {
 }
 
 // index returns the relation's index on pos, building and publishing it
-// when the budget allows. It returns nil when the budget is spent.
+// when the budget allows. It returns nil when the budget is spent; the
+// published map only grows, so a lookup past the budget returns without
+// taking the lock or allocating.
 func (r *Relation) index(pos []int) *hashIndex {
 	var sb [16]byte
-	if ix := r.loadIndexes()[string(appendPosSig(sb[:0], pos))]; ix != nil {
+	published := r.loadIndexes()
+	if ix := published[string(appendPosSig(sb[:0], pos))]; ix != nil {
 		return ix
+	}
+	if len(published) >= DefaultIndexBudget {
+		return nil
 	}
 	sig := string(appendPosSig(sb[:0], pos))
 	r.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // populate fills a database with a small two-relation instance.
@@ -205,6 +206,45 @@ func TestIndexBudgetFallback(t *testing.T) {
 				t.Errorf("index count = %d, want %d (budget)", n, DefaultIndexBudget)
 			}
 		})
+	}
+}
+
+// TestPastBudgetLookupAllocations: once the index budget is spent, a lookup
+// of an unindexed pattern scans without taking the relation's lock, and
+// draining it allocates nothing.
+func TestPastBudgetLookupAllocations(t *testing.T) {
+	d := New()
+	pats := wide(d)
+	rel := d.Relation("W")
+	for _, pos := range pats[:DefaultIndexBudget] {
+		for range rel.Lookup(pos, make([]Value, len(pos))) {
+		}
+	}
+	pos := []int{0, 1, 2, 3}
+	vals := at(rel.Facts()[7].Tuple, pos)
+	if rel.index(pos) != nil {
+		t.Fatalf("pattern %v indexed past the budget", pos)
+	}
+	drain := func() (n int) {
+		for range rel.Lookup(pos, vals) {
+			n++
+		}
+		return n
+	}
+	done := make(chan int)
+	rel.mu.Lock()
+	go func() { done <- drain() }()
+	select {
+	case n := <-done:
+		if want := len(filtered(rel, pos, vals)); n != want {
+			t.Errorf("lookup yielded %d facts, want %d", n, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lookup past the budget waits for the relation's lock")
+	}
+	rel.mu.Unlock()
+	if got := testing.AllocsPerRun(100, func() { drain() }); got != 0 {
+		t.Errorf("draining a lookup past the budget allocates %.0f times, want 0", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,8 +180,8 @@ type compiler struct {
 	// densify); nodes are built on the formula's variables.
 	orig []int
 
-	cacheMu sync.RWMutex
-	cache   map[string]*Node
+	// cache is the component cache; nil when Options.DisableCache is set.
+	cache *componentCache
 
 	decisions    atomic.Int64
 	propagations atomic.Int64
@@ -201,8 +202,10 @@ func newCompiler(opts Options, orig []int, start time.Time) *compiler {
 		b:     NewBuilder(),
 		opts:  opts,
 		orig:  orig,
-		cache: make(map[string]*Node),
 		limit: parallel.NewLimit(parallel.Workers(opts.Workers) - 1),
+	}
+	if !opts.DisableCache {
+		c.cache = newComponentCache()
 	}
 	if opts.Timeout > 0 {
 		c.deadline = start.Add(opts.Timeout)
@@ -440,16 +443,14 @@ func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]
 }
 
 // compileComponent compiles a single connected component, consulting the
-// component cache. A hit looks the key up in s's buffer and allocates
-// nothing; only a miss copies the key for its cache entry.
+// component cache. A lookup hashes the clauses where they lie and compares
+// them in s, so a hit allocates nothing; only a miss encodes the clauses,
+// in the order they came, for its cache entry.
 func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []cnf.Clause, depth int) (*Node, error) {
-	var key string
-	if !c.opts.DisableCache {
-		k := s.key(clauses)
-		c.cacheMu.RLock()
-		n := c.cache[string(k)]
-		c.cacheMu.RUnlock()
-		if n != nil {
+	var h uint64
+	if c.cache != nil {
+		h = hashClauses(clauses)
+		if n := c.cache.lookup(s, h, clauses); n != nil {
 			c.cacheHits.Add(1)
 			return n, nil
 		}
@@ -457,7 +458,6 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 		// it twice; the builder's hash-consing collapses the duplicates to
 		// one node, so the only cost is the redundant search effort.
 		c.cacheMisses.Add(1)
-		key = string(k)
 	}
 
 	v := s.pickVar(c.opts.Order, clauses)
@@ -485,10 +485,9 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 	}
 
 	n := c.b.Decision(c.orig[v], hi, lo)
-	if !c.opts.DisableCache {
-		c.cacheMu.Lock()
-		c.cache[key] = n
-		c.cacheMu.Unlock()
+	if c.cache != nil {
+		s.buf = appendClauseSet(s.buf[:0], clauses)
+		c.cache.store(h, slices.Clone(s.buf), n)
 	}
 	return n, nil
 }

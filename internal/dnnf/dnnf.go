@@ -12,7 +12,6 @@ package dnnf
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -83,45 +82,59 @@ func (n *Node) Vars() []int {
 // the compiler runs with.
 const numShards = 16
 
-// nodeShard is one mutex-guarded slice of a unique-table. Its map is made
-// on the first insert, so a builder of a few nodes makes few maps.
+// nodeShard is one mutex-guarded slice of a unique table, keyed by gate
+// hashes (see gateHash). A gate whose hash m already holds for a different
+// gate goes to more, so every gate still gets exactly one node. The maps
+// are made on the first insert, so a builder of a few nodes makes few maps.
 type nodeShard struct {
-	mu sync.RWMutex
-	m  map[string]*Node
+	mu   sync.RWMutex
+	m    map[uint64]*Node
+	more map[uint64][]*Node
 }
 
-// intern returns the node stored under key, constructing it with mk (under
-// the shard lock, so exactly one node per key is ever published) on a miss.
-// A hit allocates nothing; only a miss copies the key.
-func (s *nodeShard) intern(key []byte, mk func() *Node) *Node {
+// find returns the gate with the decision and children stored under hash
+// h, or nil. The caller holds s.mu.
+func (s *nodeShard) find(h uint64, decision int, children []*Node) *Node {
+	same := func(n *Node) bool { return n.Decision == decision && slices.Equal(n.Children, children) }
+	if n := s.m[h]; n != nil && same(n) {
+		return n
+	}
+	for _, n := range s.more[h] {
+		if same(n) {
+			return n
+		}
+	}
+	return nil
+}
+
+// intern returns the gate with the decision and children, which hash to
+// h, constructing it with mk (under the shard lock, so exactly one node per
+// gate is ever published) on a miss. It allocates only for a new node.
+func (s *nodeShard) intern(h uint64, decision int, children []*Node, mk func() *Node) *Node {
 	s.mu.RLock()
-	n := s.m[string(key)]
+	n := s.find(h, decision, children)
 	s.mu.RUnlock()
 	if n != nil {
 		return n
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := s.m[string(key)]; n != nil {
+	if n := s.find(h, decision, children); n != nil {
 		return n
 	}
 	n = mk()
-	if s.m == nil {
-		s.m = make(map[string]*Node)
+	switch {
+	case s.m == nil:
+		s.m = map[uint64]*Node{h: n}
+	case s.m[h] == nil:
+		s.m[h] = n
+	default:
+		if s.more == nil {
+			s.more = make(map[uint64][]*Node)
+		}
+		s.more[h] = append(s.more[h], n)
 	}
-	s.m[string(key)] = n
 	return n
-}
-
-// shardIndex hashes an intern key to a shard (FNV-1a; constants shared with
-// the canonicalization hashing in canon.go).
-func shardIndex(key []byte) int {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	return int(h % numShards)
 }
 
 // Builder hash-conses d-DNNF nodes. It is safe for concurrent use: the
@@ -267,14 +280,20 @@ func (t *litTable) varAt(i int) int {
 	return t.vars[i]
 }
 
-// internKey appends a unique-table key to dst: the decision variable, then
-// each child's ID, as uvarints.
-func internKey(dst []byte, decision int, children []*Node) []byte {
-	dst = binary.AppendUvarint(dst, uint64(decision))
+// gateHash hashes a gate's decision variable and child IDs.
+func gateHash(decision int, children []*Node) uint64 {
+	h := hashWord(hashSeed, uint64(decision))
 	for _, c := range children {
-		dst = binary.AppendUvarint(dst, uint64(c.id))
+		h = hashWord(h, uint64(c.id))
 	}
-	return dst
+	return finish(h)
+}
+
+// internGate returns the unique gate of the kind over the kept children,
+// from the table's shard for its hash.
+func (b *Builder) internGate(table *[numShards]nodeShard, kind Kind, decision int, kept []*Node) *Node {
+	h := gateHash(decision, kept)
+	return table[h%numShards].intern(h, decision, kept, func() *Node { return b.gate(kind, decision, kept) })
 }
 
 // keptChildren appends the children other than skip to dst, sorted by ID.
@@ -312,9 +331,7 @@ func (b *Builder) And(children ...*Node) *Node {
 	case len(kept) == 1:
 		return kept[0]
 	}
-	var buf [64]byte
-	key := internKey(buf[:0], 0, kept)
-	return b.ands[shardIndex(key)].intern(key, func() *Node { return b.gate(KindAnd, 0, kept) })
+	return b.internGate(&b.ands, KindAnd, 0, kept)
 }
 
 // Decision returns the deterministic disjunction (v ∧ hi) ∨ (¬v ∧ lo) with
@@ -344,9 +361,7 @@ func (b *Builder) orSlice(decision int, children []*Node) *Node {
 	case len(kept) == 1:
 		return kept[0]
 	}
-	var buf [64]byte
-	key := internKey(buf[:0], decision, kept)
-	return b.ors[shardIndex(key)].intern(key, func() *Node { return b.gate(KindOr, decision, kept) })
+	return b.internGate(&b.ors, KindOr, decision, kept)
 }
 
 // Size returns the number of distinct nodes reachable from n.

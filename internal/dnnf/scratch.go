@@ -1,7 +1,6 @@
 package dnnf
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"repro/internal/cnf"
@@ -61,8 +60,13 @@ type scratch struct {
 	size   []int32   // components: clauses per root, then the root's group
 	units  []cnf.Lit
 	roots  []int32
-	sorted []cnf.Clause
-	buf    []byte
+	buf    []byte // compileComponent: a missed component's clause set
+
+	// matches: a cached clause set decoded into views of decoded, and a
+	// copy of the sought clauses, both to sort.
+	decoded []cnf.Lit
+	views   []cnf.Clause
+	sorted  []cnf.Clause
 
 	lits    stack[cnf.Lit]
 	clauses stack[cnf.Clause]
@@ -389,38 +393,19 @@ func (s *scratch) pickVar(order VarOrder, clauses []cnf.Clause) int {
 	return best
 }
 
-// key renders the clause set's byte key (see appendClauseKey) into s's
-// buffer, valid until the next call.
-func (s *scratch) key(clauses []cnf.Clause) []byte {
-	s.sorted = append(s.sorted[:0], clauses...)
-	s.buf = appendClauseKey(s.buf[:0], s.sorted)
-	return s.buf
-}
-
 // cacheKey returns the byte key of a clause set as a string.
 func cacheKey(clauses []cnf.Clause) string {
 	return string(appendClauseKey(nil, slices.Clone(clauses)))
 }
 
 // appendClauseKey appends the byte key of a clause set to dst and returns
-// the extended buffer. The key lists the clauses in lexicographic literal
-// order, which sorts the clauses slice in place (never the clauses
-// themselves); each literal l is the uvarint of 2|l|, plus 1 when l is
-// negative, and a zero byte ends each clause. No literal encodes to a zero
-// byte, so two clause multisets get the same key exactly when they are
-// equal. Clauses are assumed literal-sorted (normalizeClause sorts them and
-// every simplification preserves relative order).
+// the extended buffer: the clauses in appendClauseSet's encoding, listed in
+// lexicographic literal order, which sorts the clauses slice in place
+// (never the clauses themselves). No literal encodes to a zero byte, so two
+// clause multisets get the same key exactly when they are equal. Clauses
+// are assumed literal-sorted (normalizeClause sorts them and every
+// simplification preserves relative order).
 func appendClauseKey(dst []byte, clauses []cnf.Clause) []byte {
-	slices.SortFunc(clauses, func(a, b cnf.Clause) int { return slices.Compare(a, b) })
-	for _, cl := range clauses {
-		for _, l := range cl {
-			code := uint64(l.Var()) << 1
-			if l < 0 {
-				code |= 1
-			}
-			dst = binary.AppendUvarint(dst, code)
-		}
-		dst = append(dst, 0)
-	}
-	return dst
+	slices.SortFunc(clauses, slices.Compare[cnf.Clause])
+	return appendClauseSet(dst, clauses)
 }

@@ -16,6 +16,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -32,7 +33,6 @@ import (
 type Game struct {
 	Players []db.FactID
 	prog    []instr
-	varSlot map[db.FactID]int
 	evalBuf []bool // Eval's value slots, reused across calls
 	// monotone is set when the program has no KindNot gate, so MonteCarloCI
 	// finds each permutation's pivot in one arrival-time pass.
@@ -43,41 +43,121 @@ type instr struct {
 	kind     circuit.Kind
 	val      bool
 	slot     int   // assignment slot for var gates
-	children []int // program indices
+	children []int // program indices, a sub-slice of one array for the program
 }
 
-// NewGame flattens the lineage circuit. Players are the circuit's distinct
-// variables in increasing fact-ID order.
+// NewGame flattens the lineage circuit into a postorder program. Players
+// are the circuit's distinct variables in increasing fact-ID order. The
+// program, its children and its players take one allocation each, whatever
+// the circuit's size.
 func NewGame(lineage *circuit.Node) *Game {
-	vars := circuit.Vars(lineage)
-	g := &Game{varSlot: make(map[db.FactID]int, len(vars)), monotone: true}
-	for i, v := range vars {
-		g.Players = append(g.Players, db.FactID(v))
-		g.varSlot[db.FactID(v)] = i
-	}
-	index := make(map[int]int)
-	var flatten func(n *circuit.Node) int
-	flatten = func(n *circuit.Node) int {
-		if idx, ok := index[n.ID()]; ok {
-			return idx
+	// Number the gates in postorder and count their edges and variables.
+	index := newGateIndex(lineage.ID())
+	edges, vars := 0, 0
+	var number func(n *circuit.Node)
+	number = func(n *circuit.Node) {
+		if _, ok := index.get(n); ok {
+			return
 		}
-		in := instr{kind: n.Kind, val: n.Val}
+		for _, c := range n.Children {
+			number(c)
+		}
+		index.put(n, index.n)
+		edges += len(n.Children)
+		if n.Kind == circuit.KindVar {
+			vars++
+		}
+	}
+	number(lineage)
+	order := make([]*circuit.Node, index.n)
+	for _, s := range index.slots {
+		if s.node != nil {
+			order[s.at] = s.node
+		}
+	}
+
+	g := &Game{prog: make([]instr, len(order)), Players: make([]db.FactID, 0, vars), monotone: true}
+	kids := make([]int, edges)
+	for i, n := range order {
+		in := &g.prog[i]
+		in.kind, in.val = n.Kind, n.Val
+		in.children, kids = kids[:len(n.Children):len(n.Children)], kids[len(n.Children):]
+		for j, c := range n.Children {
+			in.children[j], _ = index.get(c)
+		}
 		switch n.Kind {
 		case circuit.KindVar:
-			in.slot = g.varSlot[db.FactID(n.Var)]
+			g.Players = append(g.Players, db.FactID(n.Var))
 		case circuit.KindNot:
 			g.monotone = false
 		}
-		for _, c := range n.Children {
-			in.children = append(in.children, flatten(c))
-		}
-		g.prog = append(g.prog, in)
-		idx := len(g.prog) - 1
-		index[n.ID()] = idx
-		return idx
 	}
-	flatten(lineage)
+	slices.Sort(g.Players)
+	g.Players = slices.Compact(g.Players)
+	for i, n := range order {
+		if n.Kind == circuit.KindVar {
+			g.prog[i].slot, _ = slices.BinarySearch(g.Players, db.FactID(n.Var))
+		}
+	}
 	return g
+}
+
+// gateIndex maps a circuit's gates to their program indices by open
+// addressing: a power-of-two table of slots, probed linearly from a
+// multiplicative hash of the gate's ID. An empty slot holds a nil node.
+type gateIndex struct {
+	slots []gateSlot
+	n     int // gates held
+}
+
+type gateSlot struct {
+	node *circuit.Node
+	at   int
+}
+
+// maxGateHint caps newGateIndex's presizing, so a small circuit from a
+// large builder takes a small table.
+const maxGateHint = 1 << 10
+
+// newGateIndex returns a gate index presized for min(hint, maxGateHint)
+// gates. A builder numbers each gate after its children, so a circuit's
+// root ID bounds its gate count.
+func newGateIndex(hint int) gateIndex {
+	size := 8
+	for 3*size < 4*min(hint, maxGateHint) {
+		size *= 2
+	}
+	return gateIndex{slots: make([]gateSlot, size)}
+}
+
+// slot returns the slot that holds n, or the empty slot where it goes.
+func (x *gateIndex) slot(n *circuit.Node) *gateSlot {
+	mask := len(x.slots) - 1
+	for i := int(uint64(n.ID())*0x9e3779b97f4a7c15>>32) & mask; ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.node == nil || s.node == n {
+			return s
+		}
+	}
+}
+
+func (x *gateIndex) get(n *circuit.Node) (at int, ok bool) {
+	s := x.slot(n)
+	return s.at, s.node != nil
+}
+
+// put adds n, which must be absent, doubling the table past a load of 3/4.
+func (x *gateIndex) put(n *circuit.Node, at int) {
+	if 4*(x.n+1) > 3*len(x.slots) {
+		old := x.slots
+		x.slots = make([]gateSlot, 2*len(old))
+		for _, s := range old {
+			if s.node != nil {
+				*x.slot(s.node) = s
+			}
+		}
+	}
+	*x.slot(n) = gateSlot{n, at}
+	x.n++
 }
 
 // NumPlayers returns the number of distinct facts in the lineage.

@@ -24,6 +24,30 @@ func flightsGame(t *testing.T) (*Game, *flights.Facts) {
 	return NewGame(elin), fs
 }
 
+// TestNewGameAllocations: flattening a circuit makes the same number of
+// allocations whatever its size, since the program, its children and its
+// players each take one. The circuits are ∨s of k two-variable ∧s over a
+// chain of variables, 2k+2 gates (3 for k = 1, where the ∨ folds away).
+func TestNewGameAllocations(t *testing.T) {
+	var first float64
+	for i, k := range []int{1, 18, 200} {
+		b := circuit.NewBuilder()
+		terms := make([]*circuit.Node, k)
+		for j := range terms {
+			terms[j] = b.And(b.Variable(circuit.Var(j+1)), b.Variable(circuit.Var(j+2)))
+		}
+		root := b.Or(terms...)
+		gates := len(NewGame(root).prog)
+		got := testing.AllocsPerRun(20, func() { NewGame(root) })
+		t.Logf("%d gates: %.0f allocations", gates, got)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("%d gates: %.0f allocations, want %.0f as for the smallest circuit", gates, got, first)
+		}
+	}
+}
+
 func TestGameEvalMatchesCircuit(t *testing.T) {
 	d, _ := flights.Build()
 	b := circuit.NewBuilder()
