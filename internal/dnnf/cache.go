@@ -121,8 +121,8 @@ func (cc *componentCache) store(h uint64, set []byte, n *Node) {
 // same clause multiset as clauses: it decodes set into views in s and
 // compares both sides sorted.
 func (s *scratch) matches(set []byte, clauses []cnf.Clause) bool {
-	views, ok := s.decode(set, len(clauses))
-	if !ok {
+	views := s.decode(set)
+	if len(views) != len(clauses) {
 		return false
 	}
 	s.sorted = append(s.sorted[:0], clauses...)
@@ -131,25 +131,19 @@ func (s *scratch) matches(set []byte, clauses []cnf.Clause) bool {
 	return slices.EqualFunc(views, s.sorted, slices.Equal[cnf.Clause])
 }
 
-// decode returns the clauses of set as views into s's buffers, valid until
-// the next call, or ok == false unless set holds exactly want clauses.
-func (s *scratch) decode(set []byte, want int) (views []cnf.Clause, ok bool) {
+// decode returns the clauses of set, which appendClauseSet wrote, as views
+// into s's buffers, valid until the next call.
+func (s *scratch) decode(set []byte) []cnf.Clause {
 	s.decoded, s.views = s.decoded[:0], s.views[:0]
 	start := 0
 	for len(set) > 0 {
 		if set[0] == 0 {
-			if len(s.views) == want {
-				return nil, false
-			}
 			s.views = append(s.views, s.decoded[start:len(s.decoded):len(s.decoded)])
 			start = len(s.decoded)
 			set = set[1:]
 			continue
 		}
 		code, n := binary.Uvarint(set)
-		if n <= 0 {
-			return nil, false
-		}
 		l := cnf.Lit(code >> 1)
 		if code&1 != 0 {
 			l = -l
@@ -157,5 +151,5 @@ func (s *scratch) decode(set []byte, want int) (views []cnf.Clause, ok bool) {
 		s.decoded = append(s.decoded, l)
 		set = set[n:]
 	}
-	return s.views, len(s.views) == want
+	return s.views
 }
