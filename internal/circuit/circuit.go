@@ -10,6 +10,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -221,18 +222,16 @@ func Eval(n *Node, assign map[Var]bool) bool {
 
 // Vars returns the sorted set of variables appearing under n.
 func Vars(n *Node) []Var {
-	set := make(map[Var]bool)
+	var out []Var
 	visit(n, func(m *Node) {
 		if m.Kind == KindVar {
-			set[m.Var] = true
+			out = append(out, m.Var)
 		}
 	})
-	out := make([]Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// A Builder interns variable gates, so the walk meets each variable
+	// once; Compact drops the repeats of gates built otherwise.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // visit walks the DAG rooted at n once per node, in children-first order.

@@ -130,17 +130,54 @@ func Tseytin(root *circuit.Node) *Formula {
 // maximum fact ID so that auxiliaries can never collide with facts that
 // happen not to appear in this particular lineage.
 func TseytinReserving(root *circuit.Node, reserved int) *Formula {
-	f := &Formula{Aux: make(map[int]bool), MaxVar: reserved}
-	for _, v := range circuit.Vars(root) {
-		if int(v) > f.MaxVar {
-			f.MaxVar = int(v)
+	f, _ := TseytinCounting(root, reserved)
+	return f
+}
+
+// auxBase numbers the auxiliary variables while the walk has yet to find the
+// largest circuit variable: the k-th auxiliary is auxBase+k during the walk.
+const auxBase = math.MaxInt / 2
+
+// TseytinCounting is TseytinReserving that also returns the number of
+// distinct variables in the circuit. It walks the circuit once: the walk
+// numbers auxiliaries above auxBase while it finds the largest circuit
+// variable, and they are shifted down to their final numbers after it. A
+// Builder interns variable gates, so the walk meets each variable once.
+func TseytinCounting(root *circuit.Node, reserved int) (*Formula, int) {
+	clauses, aux, maxVar, vars := tseytinFrom(root, auxBase)
+	top := max(reserved, maxVar)
+	if maxVar >= auxBase {
+		// A circuit variable reaches into the walk's auxiliary numbers:
+		// walk again, numbering the auxiliaries from their final base.
+		clauses, aux, _, vars = tseytinFrom(root, top)
+	} else {
+		shift := Lit(auxBase - top)
+		for _, c := range clauses {
+			for i, l := range c {
+				if l > auxBase {
+					c[i] = l - shift
+				} else if l < -auxBase {
+					c[i] = l + shift
+				}
+			}
 		}
 	}
+	f := &Formula{Clauses: clauses, Aux: make(map[int]bool, aux), MaxVar: top + aux}
+	for v := top + 1; v <= f.MaxVar; v++ {
+		f.Aux[v] = true
+	}
+	return f, vars
+}
+
+// tseytinFrom runs the Tseytin transformation of root with the k-th fresh
+// auxiliary variable numbered base+k. It returns the clauses, the number of
+// auxiliaries, the largest circuit variable (0 if none) and the number of
+// variable gates met.
+func tseytinFrom(root *circuit.Node, base int) (clauses []Clause, aux, maxVar, vars int) {
 	lits := make(map[int]Lit) // node ID -> literal standing for the gate
-	fresh := func() int {
-		f.MaxVar++
-		f.Aux[f.MaxVar] = true
-		return f.MaxVar
+	fresh := func() Lit {
+		aux++
+		return Lit(base + aux)
 	}
 
 	var rec func(n *circuit.Node) Lit
@@ -152,24 +189,24 @@ func TseytinReserving(root *circuit.Node, reserved int) *Formula {
 		switch n.Kind {
 		case circuit.KindVar:
 			l = Lit(n.Var)
+			maxVar = max(maxVar, int(n.Var))
+			vars++
 		case circuit.KindConst:
 			// Encode constants with a fresh defined variable so that
 			// the exactly-one-extension property holds uniformly.
-			g := fresh()
-			l = Lit(g)
+			l = fresh()
 			if n.Val {
-				f.Clauses = append(f.Clauses, Clause{l})
+				clauses = append(clauses, Clause{l})
 			} else {
 				// A false gate is forced off; if it is the root, the final
 				// unit clause makes the formula unsatisfiable, as expected.
-				f.Clauses = append(f.Clauses, Clause{l.Neg()})
+				clauses = append(clauses, Clause{l.Neg()})
 			}
 		case circuit.KindNot:
 			c := rec(n.Children[0])
-			g := fresh()
-			l = Lit(g)
+			l = fresh()
 			// g <-> ¬c
-			f.Clauses = append(f.Clauses,
+			clauses = append(clauses,
 				Clause{l.Neg(), c.Neg()},
 				Clause{l, c})
 		case circuit.KindAnd:
@@ -177,39 +214,37 @@ func TseytinReserving(root *circuit.Node, reserved int) *Formula {
 			for i, ch := range n.Children {
 				cs[i] = rec(ch)
 			}
-			g := fresh()
-			l = Lit(g)
+			l = fresh()
 			// g -> ci for all i; (c1 ∧ ... ∧ ck) -> g.
 			long := make(Clause, 0, len(cs)+1)
 			long = append(long, l)
 			for _, c := range cs {
-				f.Clauses = append(f.Clauses, Clause{l.Neg(), c})
+				clauses = append(clauses, Clause{l.Neg(), c})
 				long = append(long, c.Neg())
 			}
-			f.Clauses = append(f.Clauses, long)
+			clauses = append(clauses, long)
 		case circuit.KindOr:
 			cs := make([]Lit, len(n.Children))
 			for i, ch := range n.Children {
 				cs[i] = rec(ch)
 			}
-			g := fresh()
-			l = Lit(g)
+			l = fresh()
 			// ci -> g for all i; g -> (c1 ∨ ... ∨ ck).
 			long := make(Clause, 0, len(cs)+1)
 			long = append(long, l.Neg())
 			for _, c := range cs {
-				f.Clauses = append(f.Clauses, Clause{l, c.Neg()})
+				clauses = append(clauses, Clause{l, c.Neg()})
 				long = append(long, c)
 			}
-			f.Clauses = append(f.Clauses, long)
+			clauses = append(clauses, long)
 		}
 		lits[n.ID()] = l
 		return l
 	}
 
 	rootLit := rec(root)
-	f.Clauses = append(f.Clauses, Clause{rootLit})
-	return f
+	clauses = append(clauses, Clause{rootLit})
+	return clauses, aux, maxVar, vars
 }
 
 // WriteDIMACS writes the formula in DIMACS CNF format.

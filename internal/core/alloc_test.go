@@ -51,7 +51,7 @@ func goldenCircuit(rng *rand.Rand, b *circuit.Builder, ids []int, depth int) *ci
 // Allocation ceilings of the exact pipeline's stages on allocGateCNF: the
 // counts measured when they were set, plus 10%.
 const (
-	compileAllocCeiling   = 1712
+	compileAllocCeiling   = 1397
 	eliminateAllocCeiling = 380
 	gradientAllocCeiling  = 105
 )

@@ -71,7 +71,7 @@ func ShapleyStage(ctx context.Context, reduced *dnnf.Node, endo []db.FactID, opt
 // propagates the context's own error (never a budget sentinel), so callers
 // can distinguish "over budget" from "caller gave up".
 func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions) (*PipelineResult, error) {
-	res := &PipelineResult{NumFacts: len(circuit.Vars(elin))}
+	res := &PipelineResult{}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -83,7 +83,10 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 
 	t0 := time.Now()
 	_, tsp := trace.Start(ctx, "tseytin")
-	formula := TseytinStage(elin, endo)
+	// TseytinStage's transformation, counting the lineage's facts in the
+	// same walk.
+	formula, numFacts := cnf.TseytinCounting(elin, maxFactID(endo))
+	res.NumFacts = numFacts
 	tsp.Set("clauses", formula.NumClauses())
 	tsp.End()
 	res.TseytinTime = time.Since(t0)

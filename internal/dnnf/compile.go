@@ -1,12 +1,12 @@
 package dnnf
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,22 +254,17 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 		// which could let a tiny compile slip through complete.
 		return nil, Stats{}, err
 	}
-	clauses := make([]cnf.Clause, 0, len(f.Clauses))
-	for _, cl := range f.Clauses {
-		norm, taut := normalizeClause(cl)
-		if taut {
-			continue
-		}
-		if len(norm) == 0 {
+	clauses := normalizeClauses(f.Clauses)
+	for _, cl := range clauses {
+		if len(cl) == 0 {
 			b := NewBuilder()
 			return b.False(), Stats{Nodes: b.NumNodes(), Elapsed: time.Since(start)}, nil
 		}
-		clauses = append(clauses, norm)
 	}
 	var root *Node
 	var stats Stats
 	var err error
-	dense, orig := densify(clauses)
+	dense, orig := clauses, renumber(clauses)
 	if orders := portfolioOrders(opts); len(orders) > 1 {
 		root, stats, err = racePortfolio(ctx, dense, orig, opts, orders, start)
 	} else {
@@ -290,45 +285,75 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 // round-trip through the parser or arrive pre-normalized — are returned
 // as-is, without copying.
 func normalizeClause(cl cnf.Clause) (cnf.Clause, bool) {
-	clean := true
+	clean, taut := sortedClause(cl)
+	if clean || taut {
+		return cl, taut
+	}
+	return normalizeInPlace(slices.Clone(cl))
+}
+
+// normalizeClauses normalizes every clause as normalizeClause does and drops
+// the tautologies, copying all of them into one backing array, where the
+// unsorted ones are sorted in place.
+func normalizeClauses(cls []cnf.Clause) []cnf.Clause {
+	lits := 0
+	for _, cl := range cls {
+		lits += len(cl)
+	}
+	backing := make([]cnf.Lit, lits)
+	out := make([]cnf.Clause, 0, len(cls))
+	for _, cl := range cls {
+		n := copy(backing, cl)
+		norm, taut := normalizeInPlace(backing[:n:n])
+		backing = backing[n:]
+		if !taut {
+			out = append(out, norm)
+		}
+	}
+	return out
+}
+
+// sortedClause reports whether cl is strictly sorted by variable, and
+// whether the scan found both polarities of one variable side by side.
+func sortedClause(cl cnf.Clause) (clean, taut bool) {
 	for i := 1; i < len(cl); i++ {
 		prev, cur := cl[i-1], cl[i]
 		pv, cv := prev.Var(), cur.Var()
 		if pv < cv {
 			continue
 		}
-		if pv == cv && prev == -cur {
-			// Both polarities of one variable: a tautology no matter how
-			// the rest of the clause is ordered.
-			return nil, true
-		}
-		clean = false
-		break
+		// Both polarities of one variable: a tautology no matter how the
+		// rest of the clause is ordered.
+		return false, pv == cv && prev == -cur
 	}
-	if clean {
-		return cl, false
+	return true, false
+}
+
+// normalizeInPlace is normalizeClause reordering cl itself: it returns a
+// prefix of cl.
+func normalizeInPlace(cl cnf.Clause) (cnf.Clause, bool) {
+	clean, taut := sortedClause(cl)
+	if clean || taut {
+		return cl, taut
 	}
-	out := make(cnf.Clause, len(cl))
-	copy(out, cl)
-	sort.Slice(out, func(i, j int) bool {
-		vi, vj := out[i].Var(), out[j].Var()
-		if vi != vj {
-			return vi < vj
+	slices.SortFunc(cl, func(a, b cnf.Lit) int {
+		if c := cmp.Compare(a.Var(), b.Var()); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
 	w := 0
-	for i, l := range out {
-		if i > 0 && out[w-1] == l {
+	for i, l := range cl {
+		if i > 0 && cl[w-1] == l {
 			continue
 		}
-		if i > 0 && out[w-1] == -l {
+		if i > 0 && cl[w-1] == -l {
 			return nil, true
 		}
-		out[w] = l
+		cl[w] = l
 		w++
 	}
-	return out[:w], false
+	return cl[:w], false
 }
 
 // checkBudget runs at every compile step. Every 8th step it also checks ctx

@@ -258,6 +258,16 @@ func randomClauseSet(rng *rand.Rand) []cnf.Clause {
 	return clauses
 }
 
+// densify is renumber on a copy of the clauses, which it leaves as they
+// were.
+func densify(clauses []cnf.Clause) (dense []cnf.Clause, orig []int) {
+	dense = make([]cnf.Clause, len(clauses))
+	for i, cl := range clauses {
+		dense[i] = slices.Clone(cl)
+	}
+	return dense, renumber(dense)
+}
+
 // componentsWithMaps is the reference for components: a map-based
 // union-find that returns the components in ascending order of their
 // representative variable, each with its clauses in input order.

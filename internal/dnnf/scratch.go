@@ -6,13 +6,12 @@ import (
 	"repro/internal/cnf"
 )
 
-// densify renumbers a normalized clause set to variables 1..n in ascending
-// order of its original variables and returns the renumbered clauses with
-// orig, where orig[d] is the original variable of dense variable d (orig[0]
-// is unused). The map is monotone, so literal order within each clause,
-// every "smaller variable wins" tie-break and the component order all carry
-// over unchanged.
-func densify(clauses []cnf.Clause) (dense []cnf.Clause, orig []int) {
+// renumber renumbers a normalized clause set in place to variables 1..n in
+// ascending order of its original variables and returns orig, where orig[d]
+// is the original variable of dense variable d (orig[0] is unused). The map
+// is monotone, so literal order within each clause, every "smaller variable
+// wins" tie-break and the component order all carry over unchanged.
+func renumber(clauses []cnf.Clause) (orig []int) {
 	lits := 0
 	for _, cl := range clauses {
 		lits += len(cl)
@@ -25,21 +24,16 @@ func densify(clauses []cnf.Clause) (dense []cnf.Clause, orig []int) {
 	}
 	slices.Sort(orig[1:])
 	orig = slices.Compact(orig)
-	backing := make([]cnf.Lit, lits)
-	dense = make([]cnf.Clause, len(clauses))
-	for i, cl := range clauses {
-		dc := backing[:len(cl):len(cl)]
-		backing = backing[len(cl):]
+	for _, cl := range clauses {
 		for j, l := range cl {
 			d, _ := slices.BinarySearch(orig[1:], l.Var())
-			dc[j] = cnf.Lit(d + 1)
+			cl[j] = cnf.Lit(d + 1)
 			if !l.Positive() {
-				dc[j] = -dc[j]
+				cl[j] = -cl[j]
 			}
 		}
-		dense[i] = dc
 	}
-	return dense, orig
+	return orig
 }
 
 // scratch is one goroutine's working memory for the compile recursion over

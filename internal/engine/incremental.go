@@ -50,6 +50,9 @@ type Incremental struct {
 
 	epoch   uint64
 	answers map[string]*liveAnswer
+	// keys holds the answers' keys in sorted order, or nil once an answer
+	// was added or removed; Live re-sorts only then.
+	keys []string
 	// byFact indexes, for every supporting fact, the answer keys and
 	// derivation keys it participates in: Delete touches only these. It is
 	// built lazily on the first mutation, so one-shot evaluate-and-discard
@@ -235,6 +238,7 @@ func (inc *Incremental) Delete(id db.FactID) []db.Tuple {
 		if len(a.derivs) == 0 {
 			changed = append(changed, a.tuple)
 			delete(inc.answers, akey)
+			inc.keys = nil
 			continue
 		}
 		a.tuple = a.least()
@@ -257,6 +261,7 @@ func (inc *Incremental) addDerivation(dv Derivation) (*liveAnswer, bool) {
 	if !ok {
 		a = &liveAnswer{tuple: dv.Tuple, base: dv.Tuple, derivs: make(map[string][]*db.Fact), epoch: inc.epoch}
 		inc.answers[key] = a
+		inc.keys = nil
 	}
 	dkey := supportKey(dv.Facts)
 	_, dup := a.derivs[dkey]
@@ -285,17 +290,20 @@ func (inc *Incremental) addDerivation(dv Derivation) (*liveAnswer, bool) {
 // of any answer whose derivation set changed since the last call. Lineage
 // reconstruction is deterministic (derivations in sorted-key order) and
 // touches only dirty answers. Every lineage is hash-consed within itself;
-// lineages rebuilt by different calls share no nodes.
+// lineages rebuilt by different calls share no nodes. The sorted order is
+// kept between calls until an answer is added or removed.
 func (inc *Incremental) Live() []LiveAnswer {
-	keys := make([]string, 0, len(inc.answers))
-	for k := range inc.answers {
-		keys = append(keys, k)
+	if inc.keys == nil {
+		inc.keys = make([]string, 0, len(inc.answers))
+		for k := range inc.answers {
+			inc.keys = append(inc.keys, k)
+		}
+		sort.Strings(inc.keys)
 	}
-	sort.Strings(keys)
 	b := inc.b
 	inc.b = nil
-	out := make([]LiveAnswer, 0, len(keys))
-	for _, k := range keys {
+	out := make([]LiveAnswer, 0, len(inc.keys))
+	for _, k := range inc.keys {
 		a := inc.answers[k]
 		if a.lineage == nil {
 			if b == nil {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro"
@@ -18,8 +17,10 @@ import (
 )
 
 // TestWriteExplainRejectsNaN checks that a body encoding/json would refuse
-// (here a NaN sampled score) is answered 500 with an error body, and that
-// no 200 header or partial body goes out first.
+// is answered 500 with an error body, and that no 200 header or partial
+// body goes out first. A NaN sampled score fails the tuple's rendering,
+// kept or fresh, before any header is written, with an error the handler
+// maps to 500; a NaN in the trace fails writeExplain itself.
 func TestWriteExplainRejectsNaN(t *testing.T) {
 	d := repro.NewDatabase()
 	d.CreateRelation("R", "a")
@@ -32,20 +33,44 @@ func TestWriteExplainRejectsNaN(t *testing.T) {
 		Approx:  map[repro.FactID]repro.Estimate{f.ID: {Value: math.NaN()}},
 		Ranking: []repro.FactID{f.ID},
 	}}
+	checkNaN500 := func(label string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, want 500", label, rec.Code)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "NaN") {
+			t.Fatalf("%s: body %q (%v), want an error naming NaN", label, rec.Body, err)
+		}
+	}
+	for _, render := range []func(*explainBody) error{
+		func(b *explainBody) error { return b.renderKept(d, es, 0) },
+		func(b *explainBody) error { return b.renderFresh(d, es, 0) },
+	} {
+		err := render(new(explainBody))
+		if err == nil {
+			t.Fatal("a NaN score rendered")
+		}
+		rec := httptest.NewRecorder()
+		writeError(rec, errStatus(err), err)
+		checkNaN500("score", rec)
+	}
+
+	b := new(explainBody)
+	es[0].Approx[f.ID] = repro.Estimate{Value: 0.5}
+	if err := b.renderFresh(d, es, 0); err != nil {
+		t.Fatal(err)
+	}
 	rec := httptest.NewRecorder()
-	writeExplain(rec, d, new(sync.RWMutex), &wire.ExplainResponse{Query: "q() :- R(x)"}, es, 0)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
-	}
-	var body map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "NaN") {
-		t.Fatalf("body %q (%v), want an error naming NaN", rec.Body, err)
-	}
+	writeExplain(rec, &wire.ExplainResponse{Query: "q() :- R(x)", Trace: &wire.TraceSpan{
+		Name: "explain", Attrs: map[string]any{"x": math.NaN()},
+	}}, b)
+	checkNaN500("trace", rec)
 }
 
 // TestWriteExplainPoolBound checks the body pool's size bound: after a body
 // of more than maxPooledBody bytes is sent, with its Content-Length, no
-// buffer the pool hands out is that large.
+// body the pool hands out holds a buffer that large.
 func TestWriteExplainPoolBound(t *testing.T) {
 	d := repro.NewDatabase()
 	d.CreateRelation("R", "a")
@@ -59,8 +84,13 @@ func TestWriteExplainPoolBound(t *testing.T) {
 		e.Values[f.ID] = big.NewRat(1, 2048)
 		e.Ranking = append(e.Ranking, f.ID)
 	}
+	b := bodyPool.Get().(*explainBody)
+	if err := b.renderFresh(d, []repro.TupleExplanation{e}, 0); err != nil {
+		t.Fatal(err)
+	}
 	rec := httptest.NewRecorder()
-	writeExplain(rec, d, new(sync.RWMutex), &wire.ExplainResponse{Query: "q() :- R(x)"}, []repro.TupleExplanation{e}, 0)
+	writeExplain(rec, &wire.ExplainResponse{Query: "q() :- R(x)"}, b)
+	b.release()
 	if rec.Code != http.StatusOK || rec.Body.Len() <= maxPooledBody {
 		t.Fatalf("status %d with %d bytes, want 200 with more than %d", rec.Code, rec.Body.Len(), maxPooledBody)
 	}
@@ -68,11 +98,11 @@ func TestWriteExplainPoolBound(t *testing.T) {
 		t.Errorf("Content-Length %q for a %d-byte body", got, rec.Body.Len())
 	}
 	for range 4 {
-		bp := bodyPool.Get().(*[]byte)
-		if cap(*bp) > maxPooledBody {
-			t.Fatalf("pool handed out a %d-byte buffer, over its %d-byte bound", cap(*bp), maxPooledBody)
+		b := bodyPool.Get().(*explainBody)
+		if cap(b.buf) > maxPooledBody || cap(b.fresh) > maxPooledBody {
+			t.Fatalf("pool handed out %d- and %d-byte buffers, over their %d-byte bound", cap(b.buf), cap(b.fresh), maxPooledBody)
 		}
-		defer bodyPool.Put(bp)
+		defer bodyPool.Put(b)
 	}
 }
 

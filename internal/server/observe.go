@@ -127,6 +127,10 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 	counter("repro_pool_opens_total", "Sessions opened (cold grounding).", pool.Opens)
 	counter("repro_pool_reuses_total", "Requests served by an already-warm pooled session.", pool.Reuses)
 	counter("repro_pool_evictions_total", "Sessions closed by the LRU capacity bound.", pool.Evictions)
+	metrics.WriteHeader(w, "repro_explain_renders_total", "counter",
+		"Explained tuples by whether their response bytes were kept from an earlier request at the same top (hit) or rendered for this one (miss).")
+	metrics.WriteSample(w, "repro_explain_renders_total", []metrics.Label{{Name: "cache", Value: "hit"}}, float64(s.renderHits.Load()))
+	metrics.WriteSample(w, "repro_explain_renders_total", []metrics.Label{{Name: "cache", Value: "miss"}}, float64(s.renderMisses.Load()))
 
 	cache := repro.CompileCacheStats()
 	metrics.WriteHeader(w, "repro_compile_cache_hits_total", "counter",

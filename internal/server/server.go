@@ -16,6 +16,14 @@
 //	GET  /v1/debug/slow  — recent slow explains with their stage traces
 //	GET  /healthz        — liveness
 //
+// A warm pooled explain is mostly a lookup: the pool finds the session from
+// the raw query text it saw before, without parsing, and each tuple's
+// response bytes are kept with the session's cached explanation, so only
+// tuples computed or asked at another top since are rendered — under the
+// dataset read lock the explain held, from the state it was computed on.
+// The body splices those bytes into a freshly written header and footer;
+// repro_explain_renders_total{cache} counts kept and rendered tuples.
+//
 // Explain requests may carry a per-request compute budget: "budget_ms"
 // bounds the exact pipeline's wall clock, "mode" picks the degradation
 // policy ("auto", "exact", or "approximate"), and "min_samples"/"seed"
@@ -102,6 +110,15 @@ type Server struct {
 	// admit holds the per-route admission semaphores (nil when MaxInFlight
 	// is unbounded): a slot must be acquired before the handler runs.
 	admit map[string]chan struct{}
+	// renderHits and renderMisses count explained tuples by whether their
+	// response bytes were kept from an earlier request or rendered for this
+	// one (repro_explain_renders_total{cache}).
+	renderHits, renderMisses atomic.Int64
+
+	// testHookRendered, when set, runs after a pooled explain's tuples are
+	// rendered, still under the dataset's read lock, with the explanations
+	// and top they were rendered from. Tests render them afresh there.
+	testHookRendered func(d *repro.Database, es []repro.TupleExplanation, top int)
 }
 
 // New validates the configuration and returns a server ready to serve.
@@ -374,37 +391,62 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := repro.ParseQuery(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	// A pooled request whose query text the pool knows needs no parse. Any
+	// other text is parsed here, so a malformed query is a 400 and the pool
+	// never learns it.
+	var q *repro.Query
+	var key Key
+	known := false
+	if !req.NoPool {
+		key, known = s.pool.Lookup(req.Dataset, req.Query)
+	}
+	if !known {
+		if q, err = repro.ParseQuery(req.Query); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		key = Key{Dataset: req.Dataset, Query: q.String()}
 	}
 	budget, err := s.requestBudget(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	norm := q.String()
 
 	// Every explain runs under a collecting trace root: span Ends feed the
 	// per-stage latency histograms, the tree is returned when the request
 	// asked for it, and slow requests retain it in the slow-explain ring.
 	// The root's duration is the reported request latency, so the tree's
-	// stage durations sum (within scheduling slack) to elapsed_ms.
+	// stage durations sum (within scheduling slack) to elapsed_ms. The
+	// tuples are rendered under the dataset's read lock that their explain
+	// held, so the root covers the rendering too.
 	rctx, root := trace.NewRoot(r.Context(), "explain", s.rec.ObserveStage)
+	body := bodyPool.Get().(*explainBody)
+	defer body.release()
 	var es []repro.TupleExplanation
 	if req.NoPool {
-		// Open-per-request baseline: ground, explain, close — the cost a
-		// client pays without the pool. Holds the dataset read lock like
-		// any other explain.
+		// Open-per-request baseline: ground, explain, render, close — the
+		// cost a client pays without the pool. Holds the dataset read lock
+		// like any other explain.
 		opts := s.cfg.Options
 		opts.Budget = budget
 		lock.RLock()
 		es, err = repro.Explain(rctx, d, q, opts)
+		if err == nil {
+			err = body.renderFresh(d, es, req.Top)
+		}
 		lock.RUnlock()
 	} else {
-		es, err = s.pool.Explain(rctx, Key{Dataset: req.Dataset, Query: norm}, budget)
+		es, err = s.pool.Explain(rctx, key, req.Query, budget, func(es []repro.TupleExplanation) error {
+			err := body.renderKept(d, es, req.Top)
+			if err == nil && s.testHookRendered != nil {
+				s.testHookRendered(d, es, req.Top)
+			}
+			return err
+		})
 	}
+	s.renderHits.Add(body.hits)
+	s.renderMisses.Add(body.misses)
 	if err != nil {
 		root.End()
 		writeError(w, errStatus(err), err)
@@ -430,7 +472,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	resp := wire.ExplainResponse{
 		Dataset:   req.Dataset,
-		Query:     norm,
+		Query:     key.Query,
 		Pooled:    !req.NoPool,
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
 		RequestID: requestID(r),
@@ -442,48 +484,102 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.slow.add(wire.SlowEntry{
 			RequestID: resp.RequestID,
 			Dataset:   req.Dataset,
-			Query:     norm,
+			Query:     key.Query,
 			Time:      time.Now().UTC().Format(time.RFC3339Nano),
 			ElapsedMs: resp.ElapsedMs,
 			Trace:     root.Snapshot(),
 		})
 		s.logger.Warn("slow explain",
-			"request_id", resp.RequestID, "dataset", req.Dataset, "query", norm,
+			"request_id", resp.RequestID, "dataset", req.Dataset, "query", key.Query,
 			"elapsed_ms", resp.ElapsedMs, "tuples", len(es))
 	}
 
-	writeExplain(w, d, lock, &resp, es, req.Top)
+	writeExplain(w, &resp, body)
 }
 
-// bodyPool recycles explain body buffers across requests; maxPooledBody
-// bounds the capacity of a buffer put back.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// explainBody is one explain response in the making: the bytes of its
+// tuples, rendered or kept under the dataset's read lock, and then the body
+// spliced from them. Bodies are recycled across requests through bodyPool.
+type explainBody struct {
+	tuples [][]byte // each tuple's bytes: kept by its explanation, or in fresh
+	fresh  []byte   // renderings made for this response alone
+	buf    []byte   // the body
+	// hits and misses count the tuples whose bytes were kept from an
+	// earlier request and those rendered for this one.
+	hits, misses int64
+}
 
+var bodyPool = sync.Pool{New: func() any { return new(explainBody) }}
+
+// maxPooledBody bounds, in bytes, each buffer of a body put back in
+// bodyPool.
 const maxPooledBody = 1 << 20
 
-// writeExplain renders an explain body into a pooled buffer, resolving fact
-// content under the dataset's read lock, and sends it in one write with its
-// Content-Length. A body that cannot be rendered (a NaN or infinite score)
-// is a 500, answered before any other header is written.
-func writeExplain(w http.ResponseWriter, d *repro.Database, lock *sync.RWMutex, resp *wire.ExplainResponse, es []repro.TupleExplanation, top int) {
-	bp := bodyPool.Get().(*[]byte)
-	lock.RLock()
-	body, err := wire.AppendExplainResponse((*bp)[:0], d, resp, es, top)
-	lock.RUnlock()
-	if err != nil {
+// renderKept renders a pooled session's explanations at top through their
+// memos: a tuple rendered at the same top by an earlier request reuses the
+// bytes kept then. Callers hold d's read lock since the explain.
+func (b *explainBody) renderKept(d *repro.Database, es []repro.TupleExplanation, top int) error {
+	render := func(dst []byte, e *repro.TupleExplanation, top int) ([]byte, error) {
+		return wire.AppendExplanation(dst, d, e, top)
+	}
+	for i := range es {
+		t, hit, err := es[i].Rendering(top, render)
+		if err != nil {
+			return err
+		}
+		if hit {
+			b.hits++
+		} else {
+			b.misses++
+		}
+		b.tuples = append(b.tuples, t)
+	}
+	return nil
+}
+
+// renderFresh renders every explanation at top into b.fresh, for
+// explanations no later request serves. Callers hold d's read lock since the
+// explain.
+func (b *explainBody) renderFresh(d *repro.Database, es []repro.TupleExplanation, top int) error {
+	for i := range es {
+		n := len(b.fresh)
+		var err error
+		if b.fresh, err = wire.AppendExplanation(b.fresh, d, &es[i], top); err != nil {
+			return err
+		}
+		b.misses++
+		b.tuples = append(b.tuples, b.fresh[n:])
+	}
+	return nil
+}
+
+// release puts b back in bodyPool, holding no kept rendering, unless a
+// buffer grew past maxPooledBody (a top-0 answer on a big query), in which
+// case b is dropped rather than pinned in the pool.
+func (b *explainBody) release() {
+	clear(b.tuples)
+	// A slice header takes 24 bytes.
+	if cap(b.buf) > maxPooledBody || cap(b.fresh) > maxPooledBody || cap(b.tuples) > maxPooledBody/24 {
+		return
+	}
+	*b = explainBody{tuples: b.tuples[:0], fresh: b.fresh[:0], buf: b.buf[:0]}
+	bodyPool.Put(b)
+}
+
+// writeExplain splices the explain body from resp and the tuples b holds,
+// and sends it in one write with its Content-Length. It reads no database,
+// so it takes no lock. A body that cannot be written (a trace attribute
+// JSON cannot carry) is a 500, answered before any other header is written.
+func writeExplain(w http.ResponseWriter, resp *wire.ExplainResponse, b *explainBody) {
+	var err error
+	if b.buf, err = wire.AppendRenderedResponse(b.buf[:0], resp, b.tuples); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body) // a failed write leaves no client to tell
+		return
 	}
-	// A buffer grown past maxPooledBody (a top-0 answer on a big query) is
-	// dropped rather than pinned in the pool.
-	if cap(body) <= maxPooledBody {
-		*bp = body[:0]
-		bodyPool.Put(bp)
-	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b.buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b.buf) // a failed write leaves no client to tell
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

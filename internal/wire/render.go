@@ -21,8 +21,58 @@ import (
 // re-indent. Fact content is resolved against d, so the caller holds d's
 // read lock. A NaN or infinite float, which JSON cannot carry, is an error,
 // as it is for encoding/json; dst then comes back unextended.
+//
+// Each tuple is written by the code behind AppendExplanation, so
+// AppendRenderedResponse over the tuples' AppendExplanation bytes gives the
+// same body.
 func AppendExplainResponse(dst []byte, d *repro.Database, hdr *ExplainResponse, es []repro.TupleExplanation, top int) ([]byte, error) {
 	w := jsonWriter{b: dst}
+	w.head(hdr, len(es))
+	for i := range es {
+		w.next()
+		w.explanation(d, &es[i], top)
+	}
+	return w.tail(dst, hdr, len(es))
+}
+
+// AppendRenderedResponse is AppendExplainResponse for tuples rendered
+// beforehand: tuples[i] holds the AppendExplanation bytes of the i-th
+// explanation, which are spliced between a freshly written header and
+// footer. It reads no database, so the caller needs no lock; the tuples'
+// fact content is that of the state they were rendered from.
+func AppendRenderedResponse(dst []byte, hdr *ExplainResponse, tuples [][]byte) ([]byte, error) {
+	w := jsonWriter{b: dst}
+	w.head(hdr, len(tuples))
+	for _, t := range tuples {
+		w.next()
+		w.b = append(w.b, t...)
+	}
+	return w.tail(dst, hdr, len(tuples))
+}
+
+// tupleDepth is the nesting depth of an explained tuple in an explain body:
+// inside the top-level object and its "tuples" array.
+const tupleDepth = 2
+
+// AppendExplanation appends one explained tuple exactly as an explain body
+// holds it, its ranking cut to top: from its opening brace to its closing
+// one, indented for its depth in the "tuples" array, without the separator
+// before it. Fact content is resolved against d, so the caller holds d's
+// read lock. A NaN or infinite float is an error; dst then comes back
+// unextended.
+func AppendExplanation(dst []byte, d *repro.Database, e *repro.TupleExplanation, top int) ([]byte, error) {
+	w := jsonWriter{b: dst, depth: tupleDepth}
+	w.explanation(d, e, top)
+	if w.err != nil {
+		return dst, w.err
+	}
+	return w.b, nil
+}
+
+// head writes an explain body up to its tuples: the header members, then
+// the "tuples" key and, for n > 0, the array's opening bracket. An empty
+// array is written whole.
+func (w *jsonWriter) head(hdr *ExplainResponse, n int) {
 	w.open('{')
 	if hdr.Dataset != "" {
 		w.key("dataset")
@@ -35,14 +85,18 @@ func AppendExplainResponse(dst []byte, d *repro.Database, hdr *ExplainResponse, 
 	w.key("elapsed_ms")
 	w.float(hdr.ElapsedMs)
 	w.key("tuples")
-	if len(es) == 0 {
+	if n == 0 {
 		w.b = append(w.b, "[]"...)
 	} else {
 		w.open('[')
-		for i := range es {
-			w.next()
-			w.explanation(d, &es[i], top)
-		}
+	}
+}
+
+// tail closes the tuples array head opened for n tuples and writes the
+// footer members and the closing newline. It returns the body, or dst and
+// the first error.
+func (w *jsonWriter) tail(dst []byte, hdr *ExplainResponse, n int) ([]byte, error) {
+	if n > 0 {
 		w.close(']')
 	}
 	if hdr.RequestID != "" {

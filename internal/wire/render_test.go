@@ -258,13 +258,46 @@ func (in fuzzInput) build(t *testing.T) (*repro.Database, ExplainResponse, []rep
 	return d, hdr, es, int(in.top)
 }
 
+// checkSplice fails unless the body AppendRenderedResponse splices from
+// each tuple's standalone AppendExplanation bytes is the one-pass
+// AppendExplainResponse body, or both fail. A tuple that fails to render
+// must leave its buffer as it was.
+func checkSplice(t *testing.T, d *repro.Database, hdr ExplainResponse, es []repro.TupleExplanation, top int) {
+	t.Helper()
+	want, werr := AppendExplainResponse(nil, d, &hdr, es, top)
+	var tuples [][]byte
+	var err error
+	for i := range es {
+		const prefix = "prefix"
+		var b []byte
+		if b, err = AppendExplanation([]byte(prefix), d, &es[i], top); err != nil {
+			if string(b) != prefix {
+				t.Fatalf("top=%d: failed tuple %d extended the buffer to %q", top, i, b)
+			}
+			break
+		}
+		tuples = append(tuples, b[len(prefix):])
+	}
+	var got []byte
+	if err == nil {
+		got, err = AppendRenderedResponse(nil, &hdr, tuples)
+	}
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("top=%d: splice error %v, one-pass error %v", top, err, werr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("top=%d: spliced body differs from the one-pass body:\n got: %q\nwant: %q", top, got, want)
+	}
+}
+
 // FuzzExplainResponse checks AppendExplainResponse against the struct form
 // (EncodeExplanations + encoding/json) on databases and explanations built
 // from the input: arbitrary relation names and strings (HTML characters,
 // control bytes, U+2028, invalid UTF-8), extreme ints, floats and
 // rationals, every method, a deleted fact, fuzzed top, elapsed times and
 // scores, and an optional trace. The bytes must be equal, or both must
-// fail.
+// fail. It also splices each tuple's standalone rendering, as the server
+// does with cached ones, and that body must be the one-pass body.
 func FuzzExplainResponse(f *testing.F) {
 	for _, in := range fuzzSeeds() {
 		f.Add(in.rel, in.str, in.n, in.x, in.num, in.den, in.score, in.ms, in.top, in.flags)
@@ -273,6 +306,7 @@ func FuzzExplainResponse(f *testing.F) {
 		in := fuzzInput{rel, str, n, x, num, den, score, ms, top, flags}
 		d, hdr, es, top2 := in.build(t)
 		checkSameBytes(t, d, hdr, es, top2)
+		checkSplice(t, d, hdr, es, top2)
 	})
 }
 

@@ -3,8 +3,11 @@
 // the machine-readable output of `shapley -json`.
 //
 // Explain bodies are rendered by AppendExplainResponse, in one pass into a
-// byte buffer, for both the server and the CLI, so a CLI run and a served
-// response for the same database state are byte-diffable. The struct form
+// byte buffer, for the CLI. The server splices each tuple's AppendExplanation
+// bytes, which a pooled session keeps between requests, into a fresh header
+// and footer with AppendRenderedResponse; the bytes are the same, so a CLI
+// run and a served response for the same database state are byte-diffable.
+// The struct form
 // — ExplainResponse with EncodeExplanations' tuples, through encoding/json
 // with a two-space indent — is what clients decode into, and it is the
 // reference the writer's tests check its bytes against.
@@ -42,7 +45,8 @@ type ExplainRequest struct {
 	Dataset string `json:"dataset"`
 	// Query is the datalog-style UCQ text (see internal/query). The server
 	// normalizes it by parse + re-render, so textual variants of one query
-	// share a pooled session.
+	// share a pooled session; a text the pool has seen finds its session
+	// without a parse.
 	Query string `json:"query"`
 	// Top truncates each tuple's ranked fact list; 0 or negative returns
 	// every fact.

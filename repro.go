@@ -32,7 +32,9 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -349,6 +351,61 @@ type TupleExplanation struct {
 	NumFacts int
 	// Elapsed is the wall-clock cost of explaining this tuple.
 	Elapsed time.Duration
+
+	// rendered is the memo Rendering keeps. A session's cached explanation
+	// shares it with every copy it hands out, so a rendering made for one
+	// request serves the next; it dies with the explanation it renders.
+	rendered *atomic.Pointer[rendering]
+}
+
+// rendering is one kept rendering of an explanation: its bytes and the
+// number of ranked facts they list.
+type rendering struct {
+	cut int
+	b   []byte
+}
+
+// maxRenderingBytes bounds the renderings Rendering keeps. A rendering grows
+// with the facts it lists, about 85 bytes each: top-10 renderings take
+// under 1 KiB, while a top-0 rendering of a tuple with thousands of facts is
+// as large as its explanation. Keeping only short ones bounds the memos by
+// a constant per live answer, so such a tuple is rendered afresh each time
+// instead of pinning a second copy of its explanation.
+const maxRenderingBytes = 4 << 10
+
+// Rendering returns e's rendering with its ranking cut to top, as render
+// appends it to an empty buffer, and reports whether the bytes were kept
+// from an earlier call. A session's cached explanation keeps the last
+// rendering of at most maxRenderingBytes, shared with every copy of it the
+// session hands out, and a later call at a top that lists the same facts
+// returns those bytes without calling render; the memo goes away when the
+// session replaces the explanation or the tuple leaves the answer. Other
+// explanations render every time.
+//
+// render must resolve fact content against the database state e was
+// computed on, which a session guarantees while the caller holds off the
+// database's writers from the explain to the rendering. The returned bytes
+// may be shared and must not be modified. Rendering is safe for concurrent
+// use: two calls rendering one explanation at once both render, and either
+// result is kept.
+func (e *TupleExplanation) Rendering(top int, render func(dst []byte, e *TupleExplanation, top int) ([]byte, error)) ([]byte, bool, error) {
+	cut := len(e.Ranking)
+	if top > 0 && top < cut {
+		cut = top
+	}
+	if e.rendered != nil {
+		if r := e.rendered.Load(); r != nil && r.cut == cut {
+			return r.b, true, nil
+		}
+	}
+	b, err := render(nil, e, top)
+	if err != nil {
+		return nil, false, err
+	}
+	if e.rendered != nil && len(b) <= maxRenderingBytes {
+		e.rendered.Store(&rendering{cut: cut, b: slices.Clip(b)})
+	}
+	return b, false, nil
 }
 
 // TopFacts returns the k highest-contributing facts.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -38,7 +39,8 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 //     mentions a deleted endogenous fact are evicted once per catch-up;
 //   - Explain recomputes only the tuples whose lineage epoch advanced —
 //     each tuple's finished explanation is cached per lineage epoch and
-//     reused verbatim while the tuple's provenance is unchanged.
+//     reused verbatim while the tuple's provenance is unchanged, together
+//     with its last rendering (see TupleExplanation.Rendering).
 //
 // Only a session that fell further behind than the feed reaches re-grounds
 // from scratch. After any update sequence, Explain returns exactly what a
@@ -56,8 +58,8 @@ var ErrSessionClosed = errors.New("repro: session is closed")
 // serialization order, and every call observes a state reachable by a
 // serial execution of the same calls; results are big.Rat-identical to
 // that serial execution (see TestSessionConcurrentHammerMatchesSerial).
-// Returned explanations share cached Shapley value maps across calls and
-// must be treated as read-only.
+// Returned explanations share cached Shapley value maps and rendering memos
+// across calls and must be treated as read-only.
 //
 // The contract covers one session's methods. The underlying Database is
 // NOT itself synchronized: callers that share one Database across several
@@ -73,6 +75,9 @@ type Session struct {
 	cache  *core.ValueCache
 	epoch  uint64 // db.Epoch() the session state reflects
 	tuples map[string]*sessionTuple
+	// calls stamps each explain's live entries (sessionTuple.seen), so the
+	// entries of tuples that left the answer are found without a set.
+	calls  uint64
 	closed bool
 
 	// Background exact-upgrade machinery (see ExplainWithBudget): a tuple
@@ -97,12 +102,14 @@ type Session struct {
 }
 
 // sessionTuple carries one output tuple's finished explanation across
-// Explain calls, valid for the lineage epoch it was computed at. upFailed
-// records that a background exact upgrade already failed at upFailEpoch, so
-// the scheduler does not retry until the lineage changes.
+// Explain calls, valid for the lineage epoch it was computed at. seen is the
+// stamp of the last explain that found the tuple live. upFailed records that
+// a background exact upgrade already failed at upFailEpoch, so the
+// scheduler does not retry until the lineage changes.
 type sessionTuple struct {
 	epoch uint64
 	expl  *TupleExplanation
+	seen  uint64
 
 	upFailed    bool
 	upFailEpoch uint64
@@ -387,23 +394,23 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 		return nil, ctx.Err()
 	}
 
-	// Prune cache entries for tuples that left the answer set, and make
-	// sure every live tuple has an entry before the parallel fan-out (each
-	// worker then touches only its own entry). A cached explanation at the
+	// Make sure every live tuple has an entry before the parallel fan-out
+	// (each worker then touches only its own entry), and prune the entries
+	// of tuples that left the answer set. A cached explanation at the
 	// current epoch is served here, on the calling goroutine, and opens no
 	// span — unless it is approximate and this call did not opt into
 	// approximation, in which case the exact pipeline runs (and replaces the
 	// degraded cache entry). Only the tuples left in todo fan out.
-	liveKeys := make(map[string]bool, len(live))
+	s.calls++
 	out := make([]TupleExplanation, len(live))
 	var todo []int
 	for i, a := range live {
-		liveKeys[a.Key] = true
 		entry := s.tuples[a.Key]
 		if entry == nil {
 			entry = &sessionTuple{}
 			s.tuples[a.Key] = entry
 		}
+		entry.seen = s.calls
 		if entry.expl != nil && entry.epoch == a.Epoch &&
 			(entry.expl.Method != MethodApprox || budgeted) {
 			out[i] = *entry.expl
@@ -411,9 +418,13 @@ func (s *Session) ExplainWithBudget(ctx context.Context, budget ExplainBudget) (
 			todo = append(todo, i)
 		}
 	}
-	for k := range s.tuples {
-		if !liveKeys[k] {
-			delete(s.tuples, k)
+	// Every live tuple has an entry, so only a map larger than the answer
+	// holds entries this call did not stamp.
+	if len(s.tuples) > len(live) {
+		for k, entry := range s.tuples {
+			if entry.seen != s.calls {
+				delete(s.tuples, k)
+			}
 		}
 	}
 
@@ -487,6 +498,7 @@ func (s *Session) computeTuples(ctx context.Context, live []engine.LiveAnswer, t
 			Ranking:  h.Ranking,
 			NumFacts: len(endo),
 			Elapsed:  h.Elapsed,
+			rendered: new(atomic.Pointer[rendering]),
 		}
 		if h.Method == core.MethodApprox {
 			expl.Approx = h.Approx.Estimates
@@ -597,6 +609,7 @@ func (s *Session) upgradeTuple(key string, obs trace.Observer) {
 		Ranking:  res.Values.Ranking(),
 		NumFacts: len(endo),
 		Elapsed:  time.Since(start),
+		rendered: new(atomic.Pointer[rendering]),
 	}
 	s.upgrades++
 }
