@@ -134,33 +134,18 @@ func TseytinReserving(root *circuit.Node, reserved int) *Formula {
 	return f
 }
 
-// auxBase numbers the auxiliary variables while the walk has yet to find the
-// largest circuit variable: the k-th auxiliary is auxBase+k during the walk.
-const auxBase = math.MaxInt / 2
-
 // TseytinCounting is TseytinReserving that also returns the number of
-// distinct variables in the circuit. It walks the circuit once: the walk
-// numbers auxiliaries above auxBase while it finds the largest circuit
-// variable, and they are shifted down to their final numbers after it. A
-// Builder interns variable gates, so the walk meets each variable once.
+// distinct variables in the circuit. It walks the circuit once when reserved
+// covers every circuit variable, as a lineage's maximum fact ID does, and
+// otherwise walks again with the auxiliaries numbered above the largest
+// variable the first walk found. A Builder interns variable gates, so a walk
+// meets each variable once.
 func TseytinCounting(root *circuit.Node, reserved int) (*Formula, int) {
-	clauses, aux, maxVar, vars := tseytinFrom(root, auxBase)
-	top := max(reserved, maxVar)
-	if maxVar >= auxBase {
-		// A circuit variable reaches into the walk's auxiliary numbers:
-		// walk again, numbering the auxiliaries from their final base.
+	clauses, aux, maxVar, vars := tseytinFrom(root, reserved)
+	top := reserved
+	if maxVar > reserved {
+		top = maxVar
 		clauses, aux, _, vars = tseytinFrom(root, top)
-	} else {
-		shift := Lit(auxBase - top)
-		for _, c := range clauses {
-			for i, l := range c {
-				if l > auxBase {
-					c[i] = l - shift
-				} else if l < -auxBase {
-					c[i] = l + shift
-				}
-			}
-		}
 	}
 	f := &Formula{Clauses: clauses, Aux: make(map[int]bool, aux), MaxVar: top + aux}
 	for v := top + 1; v <= f.MaxVar; v++ {

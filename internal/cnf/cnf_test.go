@@ -224,3 +224,50 @@ func randomCircuit(rng *rand.Rand, b *circuit.Builder, nVars, depth int) *circui
 	}
 	return b.Or(cs...)
 }
+
+// TestTseytinCountingReserved checks that auxiliaries are numbered above
+// both the reserved range and the circuit's variables, whether reserved
+// covers the variables (one walk) or not (a second walk), and that the
+// variables are counted either way.
+func TestTseytinCountingReserved(t *testing.T) {
+	b := circuit.NewBuilder()
+	c := b.And(b.Variable(2), b.Or(b.Variable(7), b.Variable(4)))
+	base := Tseytin(c)
+	for _, reserved := range []int{0, 5, 7, 10} {
+		f, vars := TseytinCounting(c, reserved)
+		if vars != 3 {
+			t.Errorf("reserved %d: counted %d variables, want 3", reserved, vars)
+		}
+		top := max(reserved, 7)
+		if f.MaxVar != top+len(f.Aux) || len(f.Aux) != len(base.Aux) {
+			t.Errorf("reserved %d: MaxVar %d with %d auxiliaries, want %d with %d",
+				reserved, f.MaxVar, len(f.Aux), top+len(base.Aux), len(base.Aux))
+		}
+		for v := top + 1; v <= f.MaxVar; v++ {
+			if !f.Aux[v] {
+				t.Errorf("reserved %d: variable %d not auxiliary", reserved, v)
+			}
+		}
+		// The same clauses as Tseytin's, with the auxiliaries shifted.
+		shift := Lit(top - 7)
+		if len(f.Clauses) != len(base.Clauses) {
+			t.Fatalf("reserved %d: %d clauses, want %d", reserved, len(f.Clauses), len(base.Clauses))
+		}
+		for i, cl := range base.Clauses {
+			for j, l := range cl {
+				want := l
+				if base.Aux[l.Var()] {
+					if l > 0 {
+						want = l + shift
+					} else {
+						want = l - shift
+					}
+				}
+				if f.Clauses[i][j] != want {
+					t.Errorf("reserved %d: clause %d is %v, want %v shifted by %d", reserved, i, f.Clauses[i], cl, shift)
+					break
+				}
+			}
+		}
+	}
+}
