@@ -18,9 +18,9 @@ import (
 
 // TestWriteExplainRejectsNaN checks that a body encoding/json would refuse
 // is answered 500 with an error body, and that no 200 header or partial
-// body goes out first. A NaN sampled score fails the tuple's rendering,
-// kept or fresh, before any header is written, with an error the handler
-// maps to 500; a NaN in the trace fails writeExplain itself.
+// body goes out first. A NaN sampled score fails the tuple's rendering
+// before any header is written, with an error the handler maps to 500; a
+// NaN in the trace fails writeExplain itself.
 func TestWriteExplainRejectsNaN(t *testing.T) {
 	d := repro.NewDatabase()
 	d.CreateRelation("R", "a")
@@ -43,25 +43,20 @@ func TestWriteExplainRejectsNaN(t *testing.T) {
 			t.Fatalf("%s: body %q (%v), want an error naming NaN", label, rec.Body, err)
 		}
 	}
-	for _, render := range []func(*explainBody) error{
-		func(b *explainBody) error { return b.renderKept(d, es, 0) },
-		func(b *explainBody) error { return b.renderFresh(d, es, 0) },
-	} {
-		err := render(new(explainBody))
-		if err == nil {
-			t.Fatal("a NaN score rendered")
-		}
-		rec := httptest.NewRecorder()
-		writeError(rec, errStatus(err), err)
-		checkNaN500("score", rec)
+	err = new(explainBody).renderKept(d, es, 0)
+	if err == nil {
+		t.Fatal("a NaN score rendered")
 	}
+	rec := httptest.NewRecorder()
+	writeError(rec, errStatus(err), err)
+	checkNaN500("score", rec)
 
 	b := new(explainBody)
 	es[0].Approx[f.ID] = repro.Estimate{Value: 0.5}
-	if err := b.renderFresh(d, es, 0); err != nil {
+	if err := b.renderKept(d, es, 0); err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	writeExplain(rec, &wire.ExplainResponse{Query: "q() :- R(x)", Trace: &wire.TraceSpan{
 		Name: "explain", Attrs: map[string]any{"x": math.NaN()},
 	}}, b)
@@ -85,7 +80,7 @@ func TestWriteExplainPoolBound(t *testing.T) {
 		e.Ranking = append(e.Ranking, f.ID)
 	}
 	b := bodyPool.Get().(*explainBody)
-	if err := b.renderFresh(d, []repro.TupleExplanation{e}, 0); err != nil {
+	if err := b.renderKept(d, []repro.TupleExplanation{e}, 0); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
@@ -99,8 +94,8 @@ func TestWriteExplainPoolBound(t *testing.T) {
 	}
 	for range 4 {
 		b := bodyPool.Get().(*explainBody)
-		if cap(b.buf) > maxPooledBody || cap(b.fresh) > maxPooledBody {
-			t.Fatalf("pool handed out %d- and %d-byte buffers, over their %d-byte bound", cap(b.buf), cap(b.fresh), maxPooledBody)
+		if cap(b.buf) > maxPooledBody {
+			t.Fatalf("pool handed out a %d-byte buffer, over its %d-byte bound", cap(b.buf), maxPooledBody)
 		}
 		defer bodyPool.Put(b)
 	}

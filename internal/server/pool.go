@@ -17,10 +17,6 @@ type Key struct {
 	Query   string
 }
 
-// maxSpellings bounds the raw query texts each pooled session is found by
-// besides its normalized text.
-const maxSpellings = 4
-
 // Pool is a keyed pool of warm repro.Sessions, the server's unit of state:
 // one session per (database, query), so repeated explains of the same query
 // hit the session's per-tuple explanations — and, through them, the
@@ -33,10 +29,9 @@ const maxSpellings = 4
 //     release it);
 //   - single-flight opening: concurrent first requests for one key ground
 //     the query once, with the followers reusing the opened session;
-//   - parse-free lookup: Lookup finds a session's key from the raw query
-//     text a request sent, for the normalized text and for up to
-//     maxSpellings other texts that parsed to it, so a warm request skips
-//     the parser;
+//   - parse-free lookup: Lookup finds a session from the raw query text a
+//     request sent when that text is the session's normalized text, so a
+//     warm request from a client sending normalized text skips the parser;
 //   - per-session serialized access (the Session's own contract) with
 //     reader/writer coordination of the shared database: explains of
 //     different queries over one database run concurrently, while the
@@ -57,10 +52,6 @@ type Pool struct {
 	entries map[Key]*list.Element // values are *entry
 	lru     *list.List            // front = most recently used
 	opening map[Key]*openCall
-	// spellings maps a pooled session's other raw query texts, each under
-	// its dataset, to the session's key. Entries list theirs and eviction
-	// drops them, so it holds at most maxSpellings per pooled session.
-	spellings map[Key]Key
 
 	opens, reuses, evictions int64
 
@@ -83,13 +74,12 @@ func NewPool(capacity int, open func(context.Context, Key) (*repro.Session, erro
 		capacity = DefaultPoolSize
 	}
 	return &Pool{
-		capacity:  capacity,
-		open:      open,
-		dbLock:    dbLock,
-		entries:   make(map[Key]*list.Element),
-		lru:       list.New(),
-		opening:   make(map[Key]*openCall),
-		spellings: make(map[Key]Key),
+		capacity: capacity,
+		open:     open,
+		dbLock:   dbLock,
+		entries:  make(map[Key]*list.Element),
+		lru:      list.New(),
+		opening:  make(map[Key]*openCall),
 	}
 }
 
@@ -97,9 +87,6 @@ func NewPool(capacity int, open func(context.Context, Key) (*repro.Session, erro
 type entry struct {
 	key  Key
 	sess *repro.Session
-	// spellings are the raw query texts besides key.Query that find the
-	// session, oldest first (guarded by Pool.mu).
-	spellings []string
 
 	// refs counts in-flight requests using the session; evicted entries are
 	// closed when the last reference is released (guarded by Pool.mu).
@@ -112,54 +99,22 @@ type openCall struct {
 	err  error
 }
 
-// Lookup returns the key of the pooled session that the raw query text
-// over dataset names, when the pool knows the text: the session's
-// normalized text, or one that parsed to it before. A text it does not
-// know must be parsed to find the key.
+// Lookup reports whether the pool holds a session for the raw query text
+// over dataset, keyed as the text reads. Only a normalized text (a parsed
+// query's String) keys a session, so a text Lookup finds needs no parse,
+// and any other text must be parsed to find its key.
 func (p *Pool) Lookup(dataset, raw string) (Key, bool) {
 	k := Key{Dataset: dataset, Query: raw}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.entries[k]; ok {
-		return k, true
-	}
-	key, ok := p.spellings[k]
-	return key, ok
-}
-
-// rememberLocked records raw as a spelling of e's key, dropping e's oldest
-// spelling past maxSpellings. A spelling over twice as long as the
-// normalized text is not kept, so spellings pin at most a constant factor
-// of the keys the pool holds anyway.
-func (p *Pool) rememberLocked(e *entry, raw string) {
-	k := Key{Dataset: e.key.Dataset, Query: raw}
-	if raw == e.key.Query || len(raw) > 2*len(e.key.Query) {
-		return
-	}
-	if _, ok := p.spellings[k]; ok {
-		return
-	}
-	if len(e.spellings) == maxSpellings {
-		delete(p.spellings, Key{Dataset: e.key.Dataset, Query: e.spellings[0]})
-		e.spellings = append(e.spellings[:0], e.spellings[1:]...)
-	}
-	e.spellings = append(e.spellings, raw)
-	p.spellings[k] = e.key
-}
-
-// forgetLocked drops an evicted entry's spellings.
-func (p *Pool) forgetLocked(e *entry) {
-	for _, raw := range e.spellings {
-		delete(p.spellings, Key{Dataset: e.key.Dataset, Query: raw})
-	}
-	e.spellings = nil
+	_, ok := p.entries[k]
+	p.mu.Unlock()
+	return k, ok
 }
 
 // acquire returns the pooled entry for key with its refcount raised,
-// opening (and possibly evicting) under single-flight if absent, and
-// remembers raw, the request's query text, as a spelling of key. The opener
+// opening (and possibly evicting) under single-flight if absent. The opener
 // grounds under ctx, so a cold open is traced by the request that paid for it.
-func (p *Pool) acquire(ctx context.Context, key Key, raw string) (*entry, error) {
+func (p *Pool) acquire(ctx context.Context, key Key) (*entry, error) {
 	for {
 		p.mu.Lock()
 		if el, ok := p.entries[key]; ok {
@@ -167,7 +122,6 @@ func (p *Pool) acquire(ctx context.Context, key Key, raw string) (*entry, error)
 			p.lru.MoveToFront(el)
 			e.refs++
 			p.reuses++
-			p.rememberLocked(e, raw)
 			p.mu.Unlock()
 			return e, nil
 		}
@@ -205,7 +159,6 @@ func (p *Pool) acquire(ctx context.Context, key Key, raw string) (*entry, error)
 		e := &entry{key: key, sess: sess, refs: 1}
 		p.entries[key] = p.lru.PushFront(e)
 		p.opens++
-		p.rememberLocked(e, raw)
 		toClose := p.evictOverCapacityLocked(e)
 		p.mu.Unlock()
 		close(oc.done)
@@ -229,7 +182,6 @@ func (p *Pool) evictOverCapacityLocked(keep *entry) []*repro.Session {
 		}
 		p.lru.Remove(back)
 		delete(p.entries, v.key)
-		p.forgetLocked(v)
 		v.evicted = true
 		p.evictions++
 		if v.refs == 0 {
@@ -256,14 +208,13 @@ func (p *Pool) release(e *entry) {
 // updates exclude them). The session first catches up with the updates
 // applied since its last explain. render runs on the explanations before
 // the lock is released, so their fact content is read from the state they
-// were computed on; its error is Explain's. raw is the request's query
-// text, which Lookup finds key by from then on.
-func (p *Pool) Explain(ctx context.Context, key Key, raw string, budget repro.ExplainBudget, render func([]repro.TupleExplanation) error) ([]repro.TupleExplanation, error) {
+// were computed on; its error is Explain's.
+func (p *Pool) Explain(ctx context.Context, key Key, budget repro.ExplainBudget, render func([]repro.TupleExplanation) error) ([]repro.TupleExplanation, error) {
 	// The acquire span covers pool acquisition (including a cold session
 	// open's "ground" span) and the dataset read-lock wait — the queueing
 	// portion of a pooled explain's latency.
 	actx, sp := trace.Start(ctx, "acquire")
-	e, err := p.acquire(actx, key, raw)
+	e, err := p.acquire(actx, key)
 	if err != nil {
 		sp.Set("error", err.Error())
 		sp.End()
@@ -330,7 +281,6 @@ func (p *Pool) Close() {
 	}
 	p.lru.Init()
 	p.entries = make(map[Key]*list.Element)
-	p.spellings = make(map[Key]Key)
 	p.mu.Unlock()
 	for _, s := range toClose {
 		s.Close()

@@ -50,7 +50,7 @@ func TestPoolSingleFlightAndReuse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Explain(ctx, flightsKey(), flightsKey().Query, repro.ExplainBudget{}, noRender); err != nil {
+			if _, err := p.Explain(ctx, flightsKey(), repro.ExplainBudget{}, noRender); err != nil {
 				errs <- err
 			}
 		}()
@@ -84,7 +84,7 @@ func TestPoolLRUEviction(t *testing.T) {
 		{Dataset: "flights", Query: flights.OneStopQuery().String()},
 	}
 	for _, k := range keys {
-		if _, err := p.Explain(ctx, k, k.Query, repro.ExplainBudget{}, noRender); err != nil {
+		if _, err := p.Explain(ctx, k, repro.ExplainBudget{}, noRender); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestPoolLRUEviction(t *testing.T) {
 		t.Fatalf("after 3 keys at capacity 2: %+v, want 3 opens, 1 eviction, 2 sessions", st)
 	}
 	// keys[0] was evicted (LRU); explaining it again reopens.
-	if _, err := p.Explain(ctx, keys[0], keys[0].Query, repro.ExplainBudget{}, noRender); err != nil {
+	if _, err := p.Explain(ctx, keys[0], repro.ExplainBudget{}, noRender); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -115,7 +115,7 @@ func TestPoolOpenFailure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := p.Explain(ctx, bad, bad.Query, repro.ExplainBudget{}, noRender)
+			_, err := p.Explain(ctx, bad, repro.ExplainBudget{}, noRender)
 			errCount <- err
 		}()
 	}
@@ -129,61 +129,39 @@ func TestPoolOpenFailure(t *testing.T) {
 	if st := p.Stats(); st.Sessions != 0 || st.Opens != 0 {
 		t.Errorf("failed opens left state: %+v", st)
 	}
-	if _, err := p.Explain(ctx, flightsKey(), flightsKey().Query, repro.ExplainBudget{}, noRender); err != nil {
+	if _, err := p.Explain(ctx, flightsKey(), repro.ExplainBudget{}, noRender); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPoolLearnsSpellings: Lookup finds a session from its normalized text
-// and from the raw texts explains named it by, keeps at most maxSpellings
-// of those per session (dropping the oldest, and ones over twice the
-// normalized length), and forgets them when the session is evicted.
-func TestPoolLearnsSpellings(t *testing.T) {
+// TestPoolLookup: Lookup finds a pooled session from its normalized text,
+// under its own dataset only, and not from another spelling of the query
+// (which the handler parses) nor once the session is evicted.
+func TestPoolLookup(t *testing.T) {
 	p, _ := newTestPool(t, 1)
 	ctx := context.Background()
 	key := flightsKey()
 	if _, ok := p.Lookup(key.Dataset, key.Query); ok {
 		t.Fatal("an empty pool knows a query")
 	}
-	var raws []string
-	for i := range maxSpellings + 1 {
-		raw := strings.Repeat(" ", i+1) + key.Query
-		if q, err := repro.ParseQuery(raw); err != nil || q.String() != key.Query {
-			t.Fatalf("spelling %q parses to %v (%v)", raw, q, err)
-		}
-		if _, err := p.Explain(ctx, key, raw, repro.ExplainBudget{}, noRender); err != nil {
-			t.Fatal(err)
-		}
-		raws = append(raws, raw)
+	if _, err := p.Explain(ctx, key, repro.ExplainBudget{}, noRender); err != nil {
+		t.Fatal(err)
 	}
 	if got, ok := p.Lookup(key.Dataset, key.Query); !ok || got != key {
 		t.Errorf("normalized text finds %v, %v", got, ok)
 	}
-	for i, raw := range raws {
-		got, ok := p.Lookup(key.Dataset, raw)
-		if want := i > 0; ok != want || (ok && got != key) {
-			t.Errorf("spelling %d finds %v, %v; want found = %v", i, got, ok, want)
-		}
+	if _, ok := p.Lookup(key.Dataset, " "+key.Query); ok {
+		t.Error("another spelling is found without a parse")
 	}
-	if _, ok := p.Lookup("other", raws[1]); ok {
-		t.Error("a spelling is found under another dataset")
-	}
-	long := strings.Repeat(" ", 2*len(key.Query)) + key.Query
-	if _, err := p.Explain(ctx, key, long, repro.ExplainBudget{}, noRender); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.Lookup(key.Dataset, long); ok {
-		t.Error("a spelling over twice the normalized length was kept")
+	if _, ok := p.Lookup("other", key.Query); ok {
+		t.Error("the text is found under another dataset")
 	}
 
 	other := Key{Dataset: "flights", Query: flights.DirectQuery().String()}
-	if _, err := p.Explain(ctx, other, other.Query, repro.ExplainBudget{}, noRender); err != nil {
+	if _, err := p.Explain(ctx, other, repro.ExplainBudget{}, noRender); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(p.spellings); n != 0 {
-		t.Errorf("eviction left %d spellings", n)
-	}
-	if _, ok := p.Lookup(key.Dataset, raws[len(raws)-1]); ok {
-		t.Error("an evicted session's spelling is still found")
+	if _, ok := p.Lookup(key.Dataset, key.Query); ok {
+		t.Error("an evicted session is still found")
 	}
 }

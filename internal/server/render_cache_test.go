@@ -44,9 +44,8 @@ func tuplesOf(t *testing.T, body []byte) []byte {
 // byte against AppendExplainResponse rendering the same explanations
 // afresh, from the same database state. It interleaves explains at top 0,
 // 1 and 10, with and without a trace or under another spelling of the
-// query, with deletes and re-inserts of
-// top-ranked lineage facts, and with a budgeted explain that degrades and
-// is then upgraded in the background. A repeated explain with no write in
+// query, with deletes and re-inserts of top-ranked lineage facts, and with
+// a budgeted explain that degrades and is then upgraded in the background. A repeated explain with no write in
 // between renders nothing: every tuple's bytes are kept from the first.
 func TestPooledRenderingsMatchFresh(t *testing.T) {
 	d := tpch.Generate(tpch.DefaultConfig())
@@ -110,13 +109,11 @@ func TestPooledRenderingsMatchFresh(t *testing.T) {
 						fmt.Sprintf("%s: %s top %d trace %v", label, name, top, tr))
 				}
 			}
-			// Another spelling of the query finds the same session and
-			// answers under the normalized text.
+			// Another spelling of the query is parsed to the same session
+			// and answers under the normalized text.
 			spelled := wire.ExplainRequest{Dataset: "tpch", Query: "  " + queries[name] + "\n", Top: 10}
-			for range 2 {
-				if resp, _ := explain(spelled, label+": "+name+" spelled"); resp.Query != queries[name] {
-					t.Fatalf("%s: %s spelled: answered for %q", label, name, resp.Query)
-				}
+			if resp, _ := explain(spelled, label+": "+name+" spelled"); resp.Query != queries[name] {
+				t.Fatalf("%s: %s spelled: answered for %q", label, name, resp.Query)
 			}
 			req := wire.ExplainRequest{Dataset: "tpch", Query: queries[name], Top: 1}
 			explain(req, label+": "+name+" top 1 again")

@@ -16,8 +16,8 @@
 //	GET  /v1/debug/slow  — recent slow explains with their stage traces
 //	GET  /healthz        — liveness
 //
-// A warm pooled explain is mostly a lookup: the pool finds the session from
-// the raw query text it saw before, without parsing, and each tuple's
+// A warm pooled explain is mostly a lookup: a raw query text that is a
+// pooled session's normalized text finds it without parsing, and each tuple's
 // response bytes are kept with the session's cached explanation, so only
 // tuples computed or asked at another top since are rendered — under the
 // dataset read lock the explain held, from the state it was computed on.
@@ -391,9 +391,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A pooled request whose query text the pool knows needs no parse. Any
-	// other text is parsed here, so a malformed query is a 400 and the pool
-	// never learns it.
+	// A pooled request whose query text keys a pooled session is that
+	// session's normalized text and needs no parse. Any other text is parsed
+	// here, so a malformed query is a 400 and never keys a session.
 	var q *repro.Query
 	var key Key
 	known := false
@@ -416,10 +416,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// Every explain runs under a collecting trace root: span Ends feed the
 	// per-stage latency histograms, the tree is returned when the request
 	// asked for it, and slow requests retain it in the slow-explain ring.
-	// The root's duration is the reported request latency, so the tree's
-	// stage durations sum (within scheduling slack) to elapsed_ms. The
-	// tuples are rendered under the dataset's read lock that their explain
-	// held, so the root covers the rendering too.
+	// The root's duration is the reported request latency, and the tree's
+	// stage durations sum (within scheduling slack) to elapsed_ms, except
+	// for rendering the tuples no earlier request rendered: that runs under
+	// the dataset's read lock their explain held, inside the root but in no
+	// stage span.
 	rctx, root := trace.NewRoot(r.Context(), "explain", s.rec.ObserveStage)
 	body := bodyPool.Get().(*explainBody)
 	defer body.release()
@@ -433,11 +434,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		lock.RLock()
 		es, err = repro.Explain(rctx, d, q, opts)
 		if err == nil {
-			err = body.renderFresh(d, es, req.Top)
+			err = body.renderKept(d, es, req.Top)
 		}
 		lock.RUnlock()
 	} else {
-		es, err = s.pool.Explain(rctx, key, req.Query, budget, func(es []repro.TupleExplanation) error {
+		es, err = s.pool.Explain(rctx, key, budget, func(es []repro.TupleExplanation) error {
 			err := body.renderKept(d, es, req.Top)
 			if err == nil && s.testHookRendered != nil {
 				s.testHookRendered(d, es, req.Top)
@@ -501,8 +502,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // tuples, rendered or kept under the dataset's read lock, and then the body
 // spliced from them. Bodies are recycled across requests through bodyPool.
 type explainBody struct {
-	tuples [][]byte // each tuple's bytes: kept by its explanation, or in fresh
-	fresh  []byte   // renderings made for this response alone
+	tuples [][]byte // each tuple's bytes
 	buf    []byte   // the body
 	// hits and misses count the tuples whose bytes were kept from an
 	// earlier request and those rendered for this one.
@@ -515,9 +515,10 @@ var bodyPool = sync.Pool{New: func() any { return new(explainBody) }}
 // bodyPool.
 const maxPooledBody = 1 << 20
 
-// renderKept renders a pooled session's explanations at top through their
-// memos: a tuple rendered at the same top by an earlier request reuses the
-// bytes kept then. Callers hold d's read lock since the explain.
+// renderKept renders explanations at top through their memos: a pooled
+// session's tuple rendered at the same top by an earlier request reuses the
+// bytes kept then, and an explanation with no memo (repro.Explain's) is
+// rendered afresh. Callers hold d's read lock since the explain.
 func (b *explainBody) renderKept(d *repro.Database, es []repro.TupleExplanation, top int) error {
 	render := func(dst []byte, e *repro.TupleExplanation, top int) ([]byte, error) {
 		return wire.AppendExplanation(dst, d, e, top)
@@ -537,32 +538,16 @@ func (b *explainBody) renderKept(d *repro.Database, es []repro.TupleExplanation,
 	return nil
 }
 
-// renderFresh renders every explanation at top into b.fresh, for
-// explanations no later request serves. Callers hold d's read lock since the
-// explain.
-func (b *explainBody) renderFresh(d *repro.Database, es []repro.TupleExplanation, top int) error {
-	for i := range es {
-		n := len(b.fresh)
-		var err error
-		if b.fresh, err = wire.AppendExplanation(b.fresh, d, &es[i], top); err != nil {
-			return err
-		}
-		b.misses++
-		b.tuples = append(b.tuples, b.fresh[n:])
-	}
-	return nil
-}
-
 // release puts b back in bodyPool, holding no kept rendering, unless a
 // buffer grew past maxPooledBody (a top-0 answer on a big query), in which
 // case b is dropped rather than pinned in the pool.
 func (b *explainBody) release() {
 	clear(b.tuples)
 	// A slice header takes 24 bytes.
-	if cap(b.buf) > maxPooledBody || cap(b.fresh) > maxPooledBody || cap(b.tuples) > maxPooledBody/24 {
+	if cap(b.buf) > maxPooledBody || cap(b.tuples) > maxPooledBody/24 {
 		return
 	}
-	*b = explainBody{tuples: b.tuples[:0], fresh: b.fresh[:0], buf: b.buf[:0]}
+	*b = explainBody{tuples: b.tuples[:0], buf: b.buf[:0]}
 	bodyPool.Put(b)
 }
 
