@@ -57,7 +57,6 @@ func main() {
 		emaxn    = flag.Int("explain-max-nodes", 0, "per-explain compiled-circuit node budget before degrading to sampled estimates (0 = no node trigger)")
 		atarget  = flag.Float64("approx-target-ci", 0, "sampling fallback's target 95%-CI half-width, in (0,1) (0 = sampler default)")
 		slowTO   = flag.Duration("slow-explain", 0, "wall-clock threshold past which an explain is logged and kept (with its stage trace) in the /v1/debug/slow ring (0 = disabled)")
-		slowCap  = flag.Int("slow-log-size", 0, "slow-explain ring capacity (0 = default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (loopback clients only)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		parsed   = optflags.Register(flag.CommandLine)
@@ -89,7 +88,6 @@ func main() {
 		MaxInFlight:    *inflight,
 		Logger:         logger,
 		SlowThreshold:  *slowTO,
-		SlowLogSize:    *slowCap,
 		EnablePprof:    *pprofOn,
 		Options:        opts,
 	}

@@ -9,9 +9,10 @@
 package circuit
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -135,9 +136,10 @@ func (b *Builder) Not(n *Node) *Node {
 
 // nary builds a hash-consed n-ary gate after constant folding,
 // deduplication, and single-child collapse. neutral is the identity element
-// (true for AND, false for OR); the opposite constant absorbs.
+// (true for AND, false for OR); the opposite constant absorbs. The gate's
+// children are sorted by ID, and its key lists their IDs, each followed by a
+// comma.
 func (b *Builder) nary(kind Kind, cache map[string]*Node, neutral bool, children []*Node) *Node {
-	seen := make(map[int]bool, len(children))
 	kept := make([]*Node, 0, len(children))
 	for _, c := range children {
 		if c.Kind == KindConst {
@@ -146,27 +148,26 @@ func (b *Builder) nary(kind Kind, cache map[string]*Node, neutral bool, children
 			}
 			return b.Const(!neutral)
 		}
-		if !seen[c.id] {
-			seen[c.id] = true
-			kept = append(kept, c)
-		}
+		kept = append(kept, c)
 	}
+	slices.SortFunc(kept, func(x, y *Node) int { return cmp.Compare(x.id, y.id) })
+	kept = slices.Compact(kept)
 	switch len(kept) {
 	case 0:
 		return b.Const(neutral)
 	case 1:
 		return kept[0]
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
-	var key strings.Builder
+	var buf [64]byte
+	key := buf[:0]
 	for _, c := range kept {
-		fmt.Fprintf(&key, "%d,", c.id)
+		key = append(strconv.AppendInt(key, int64(c.id), 10), ',')
 	}
-	if n, ok := cache[key.String()]; ok {
+	if n, ok := cache[string(key)]; ok {
 		return n
 	}
 	n := &Node{Kind: kind, Children: kept, id: b.fresh()}
-	cache[key.String()] = n
+	cache[string(key)] = n
 	return n
 }
 
@@ -337,60 +338,4 @@ func String(n *Node) string {
 		return "?"
 	}
 	return rec(n)
-}
-
-// Dot renders the DAG rooted at n in Graphviz DOT format, for debugging and
-// documentation.
-func Dot(n *Node) string {
-	var b strings.Builder
-	b.WriteString("digraph circuit {\n  node [shape=circle];\n")
-	visit(n, func(m *Node) {
-		label := ""
-		switch m.Kind {
-		case KindVar:
-			label = fmt.Sprintf("x%d", m.Var)
-		case KindConst:
-			if m.Val {
-				label = "1"
-			} else {
-				label = "0"
-			}
-		case KindNot:
-			label = "¬"
-		case KindAnd:
-			label = "∧"
-		case KindOr:
-			label = "∨"
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", m.id, label)
-		for _, c := range m.Children {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", m.id, c.id)
-		}
-	})
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// CountSatAssignments counts, by brute force over all 2^|vars| assignments
-// to the given variable universe, how many satisfy n. It is exponential and
-// intended only for testing small circuits.
-func CountSatAssignments(n *Node, universe []Var) int {
-	count := 0
-	assign := make(map[Var]bool, len(universe))
-	var rec func(int)
-	rec = func(i int) {
-		if i == len(universe) {
-			if Eval(n, assign) {
-				count++
-			}
-			return
-		}
-		assign[universe[i]] = false
-		rec(i + 1)
-		assign[universe[i]] = true
-		rec(i + 1)
-		delete(assign, universe[i])
-	}
-	rec(0)
-	return count
 }

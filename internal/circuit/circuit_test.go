@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -46,6 +45,23 @@ func TestBuilderHashConsing(t *testing.T) {
 	}
 	if b.Variable(1) != x {
 		t.Error("Variable not hash-consed")
+	}
+}
+
+// TestRepeatedAndAllocations: asking again for a gate that exists finds it
+// by its key without allocating one, so the lookup costs at most the sorted
+// child list.
+func TestRepeatedAndAllocations(t *testing.T) {
+	b := NewBuilder()
+	x, y, z := b.Variable(1), b.Variable(2), b.Variable(3)
+	g := b.And(z, x, y)
+	var got *Node
+	allocs := testing.AllocsPerRun(100, func() { got = b.And(y, z, x, y) })
+	if got != g {
+		t.Fatalf("And(y, z, x, y) = %s, want the existing %s", String(got), String(g))
+	}
+	if allocs > 1 {
+		t.Errorf("a repeated And allocates %v times, want at most 1", allocs)
 	}
 }
 
@@ -136,24 +152,6 @@ func TestConditionAgreesWithEval(t *testing.T) {
 	}
 }
 
-func TestCountSatAssignments(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Variable(1), b.Variable(2)
-	f := b.Or(x, y)
-	if got := CountSatAssignments(f, []Var{1, 2}); got != 3 {
-		t.Errorf("#SAT(x∨y) = %d, want 3", got)
-	}
-	if got := CountSatAssignments(f, []Var{1, 2, 3}); got != 6 {
-		t.Errorf("#SAT(x∨y) over 3 vars = %d, want 6", got)
-	}
-	if got := CountSatAssignments(b.True(), nil); got != 1 {
-		t.Errorf("#SAT(⊤) = %d, want 1", got)
-	}
-	if got := CountSatAssignments(b.False(), nil); got != 0 {
-		t.Errorf("#SAT(⊥) = %d, want 0", got)
-	}
-}
-
 func TestSizeAndEdges(t *testing.T) {
 	b := NewBuilder()
 	x, y := b.Variable(1), b.Variable(2)
@@ -165,17 +163,6 @@ func TestSizeAndEdges(t *testing.T) {
 	}
 	if got := NumEdges(f); got != 5 {
 		t.Errorf("NumEdges = %d, want 5", got)
-	}
-}
-
-func TestDotOutput(t *testing.T) {
-	b := NewBuilder()
-	f := b.And(b.Variable(1), b.Not(b.Variable(2)))
-	dot := Dot(f)
-	for _, want := range []string{"digraph", "x1", "x2", "∧", "¬"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("Dot output missing %q:\n%s", want, dot)
-		}
 	}
 }
 

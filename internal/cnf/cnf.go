@@ -76,17 +76,6 @@ func (f *Formula) Vars() []int {
 	return out
 }
 
-// OriginalVars returns the sorted non-auxiliary variables of the formula.
-func (f *Formula) OriginalVars() []int {
-	var out []int
-	for _, v := range f.Vars() {
-		if !f.Aux[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // NumClauses returns the number of clauses.
 func (f *Formula) NumClauses() int { return len(f.Clauses) }
 

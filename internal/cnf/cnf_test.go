@@ -116,27 +116,6 @@ func TestLitBasics(t *testing.T) {
 	}
 }
 
-func TestOriginalVars(t *testing.T) {
-	b := circuit.NewBuilder()
-	c := b.And(b.Variable(2), b.Or(b.Variable(7), b.Variable(4)))
-	f := Tseytin(c)
-	got := f.OriginalVars()
-	want := []int{2, 4, 7}
-	if len(got) != len(want) {
-		t.Fatalf("OriginalVars = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OriginalVars = %v, want %v", got, want)
-		}
-	}
-	for _, v := range got {
-		if f.Aux[v] {
-			t.Errorf("original variable %d marked auxiliary", v)
-		}
-	}
-}
-
 func TestDIMACSRoundTrip(t *testing.T) {
 	f := &Formula{
 		Clauses: []Clause{{1, -2, 3}, {-1}, {2, 3}},

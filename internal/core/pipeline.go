@@ -75,13 +75,12 @@ type PipelineResult struct {
 	// hit reports the DNNFSize of the compile that filled the entry.
 	Cache string
 
-	NumFacts     int // distinct endogenous facts in the lineage
-	NumClauses   int
-	DNNFSize     int
-	TseytinTime  time.Duration
-	CompileTime  time.Duration
-	ShapleyTime  time.Duration
-	CompileStats dnnf.Stats
+	NumFacts    int // distinct endogenous facts in the lineage
+	NumClauses  int
+	DNNFSize    int
+	TseytinTime time.Duration
+	CompileTime time.Duration
+	ShapleyTime time.Duration
 }
 
 // maxFactID returns the largest endogenous fact ID, used to reserve the

@@ -126,7 +126,6 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 		}
 	}
 	reduced, stats, err := CompileStage(cctx, formula, opts)
-	res.CompileStats = stats
 	if csp != nil {
 		csp.Set("workers", parallel.Workers(opts.CompileWorkers))
 		csp.Set("decisions", stats.Decisions)

@@ -123,35 +123,6 @@ func L2(approx, exact map[db.FactID]float64) float64 {
 	return sum / float64(len(exact))
 }
 
-// KendallTau returns the Kendall rank correlation between two score maps
-// over the keys of the first (−1 .. 1, 1 = identical order). Pairs tied in
-// either map are skipped.
-func KendallTau(a, b map[db.FactID]float64) float64 {
-	ids := make([]db.FactID, 0, len(a))
-	for id := range a {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	concordant, discordant := 0, 0
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			da := a[ids[i]] - a[ids[j]]
-			dbv := b[ids[i]] - b[ids[j]]
-			switch {
-			case da*dbv > 0:
-				concordant++
-			case da*dbv < 0:
-				discordant++
-			}
-		}
-	}
-	total := concordant + discordant
-	if total == 0 {
-		return 1
-	}
-	return float64(concordant-discordant) / float64(total)
-}
-
 // Summary holds the distribution statistics reported per query in Table 1.
 type Summary struct {
 	Mean, P25, P50, P75, P99 float64
@@ -190,47 +161,6 @@ func percentile(sorted []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// Durations converts a slice of time.Duration to seconds for Summarize.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
-// LatencySummary condenses a latency sample into the percentiles a serving
-// dashboard wants. All fields are milliseconds.
-type LatencySummary struct {
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// SummarizeLatency computes nearest-rank latency percentiles in
-// milliseconds. An empty sample yields zeros.
-func SummarizeLatency(ds []time.Duration) LatencySummary {
-	if len(ds) == 0 {
-		return LatencySummary{}
-	}
-	ms := make([]float64, len(ds))
-	sum := 0.0
-	for i, d := range ds {
-		ms[i] = float64(d) / float64(time.Millisecond)
-		sum += ms[i]
-	}
-	sort.Float64s(ms)
-	return LatencySummary{
-		MeanMs: sum / float64(len(ms)),
-		P50Ms:  percentile(ms, 0.50),
-		P95Ms:  percentile(ms, 0.95),
-		P99Ms:  percentile(ms, 0.99),
-		MaxMs:  ms[len(ms)-1],
-	}
 }
 
 // Recorder aggregates per-route request counters for a serving process —

@@ -79,15 +79,6 @@ func TestL1L2(t *testing.T) {
 	approxEq(t, L1(nil, nil), 0, "L1 empty")
 }
 
-func TestKendallTau(t *testing.T) {
-	a := map[db.FactID]float64{1: 3, 2: 2, 3: 1}
-	approxEq(t, KendallTau(a, a), 1, "tau identical")
-	b := map[db.FactID]float64{1: 1, 2: 2, 3: 3}
-	approxEq(t, KendallTau(a, b), -1, "tau reversed")
-	c := map[db.FactID]float64{1: 1, 2: 1, 3: 1}
-	approxEq(t, KendallTau(a, c), 1, "tau all ties skip")
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	s := Summarize(xs)
@@ -102,13 +93,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestDurations(t *testing.T) {
-	ds := []time.Duration{time.Second, 500 * time.Millisecond}
-	xs := Durations(ds)
-	approxEq(t, xs[0], 1, "seconds")
-	approxEq(t, xs[1], 0.5, "half second")
-}
-
 func TestMedianMean(t *testing.T) {
 	approxEq(t, Median([]float64{3, 1, 2}), 2, "median odd")
 	approxEq(t, Mean([]float64{1, 2, 3}), 2, "mean")
@@ -121,22 +105,6 @@ func TestRankByScore(t *testing.T) {
 	r := RankByScore(scores)
 	if r[0] != 2 || r[1] != 9 || r[2] != 5 {
 		t.Errorf("RankByScore = %v, want [2 9 5]", r)
-	}
-}
-
-func TestSummarizeLatency(t *testing.T) {
-	var ds []time.Duration
-	for i := 1; i <= 100; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
-	}
-	s := SummarizeLatency(ds)
-	approxEq(t, s.MeanMs, 50.5, "mean")
-	approxEq(t, s.P50Ms, 50, "p50")
-	approxEq(t, s.P95Ms, 95, "p95")
-	approxEq(t, s.P99Ms, 99, "p99")
-	approxEq(t, s.MaxMs, 100, "max")
-	if z := SummarizeLatency(nil); z != (LatencySummary{}) {
-		t.Errorf("empty sample: %+v, want zeros", z)
 	}
 }
 

@@ -234,18 +234,6 @@ func (q CQ) Validate() error {
 	return nil
 }
 
-// HasSelfJoin reports whether some relation name appears in two atoms.
-func (q CQ) HasSelfJoin() bool {
-	seen := make(map[string]bool)
-	for _, a := range q.Atoms {
-		if seen[a.Relation] {
-			return true
-		}
-		seen[a.Relation] = true
-	}
-	return false
-}
-
 // IsHierarchical implements the hierarchy test for self-join-free
 // conjunctive queries [Dalvi & Suciu]: for every pair of existential
 // variables x, y, the sets of atoms containing x and containing y must be

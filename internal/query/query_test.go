@@ -167,15 +167,6 @@ func TestIsHierarchical(t *testing.T) {
 	}
 }
 
-func TestHasSelfJoin(t *testing.T) {
-	if MustParse(`q() :- R(x), S(x)`).Disjuncts[0].HasSelfJoin() {
-		t.Error("no self-join expected")
-	}
-	if !MustParse(`q() :- R(x, y), R(y, z)`).Disjuncts[0].HasSelfJoin() {
-		t.Error("self-join expected")
-	}
-}
-
 func TestCountingHelpers(t *testing.T) {
 	u := MustParse(`
 		q(x) :- R(x, 'a'), S(x, y), y > 2

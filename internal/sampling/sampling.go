@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/db"
@@ -246,15 +245,6 @@ func (g *Game) Eval(present []bool) bool {
 		return false
 	}
 	return vals[len(vals)-1]
-}
-
-// EvalSet evaluates the game on a coalition given as a fact set.
-func (g *Game) EvalSet(coalition map[db.FactID]bool) bool {
-	present := make([]bool, len(g.Players))
-	for i, p := range g.Players {
-		present[i] = coalition[p]
-	}
-	return g.Eval(present)
 }
 
 // pivot returns the player whose arrival turns a monotone game true along
@@ -719,15 +709,4 @@ func popcount(x int) int {
 		c++
 	}
 	return c
-}
-
-// SortedPlayers returns the players sorted by ID (a stable iteration helper
-// for reports).
-func SortedPlayers(m map[db.FactID]float64) []db.FactID {
-	ids := make([]db.FactID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -73,19 +73,6 @@ func TestGameEvalMatchesCircuit(t *testing.T) {
 	}
 }
 
-func TestEvalSet(t *testing.T) {
-	g, fs := flightsGame(t)
-	if !g.EvalSet(map[db.FactID]bool{fs.A[1].ID: true}) {
-		t.Error("a1 alone should satisfy the query")
-	}
-	if g.EvalSet(map[db.FactID]bool{fs.A[2].ID: true}) {
-		t.Error("a2 alone should not satisfy the query")
-	}
-	if !g.EvalSet(map[db.FactID]bool{fs.A[6].ID: true, fs.A[7].ID: true}) {
-		t.Error("a6+a7 should satisfy the query")
-	}
-}
-
 // TestExactBySubsets reproduces the paper's exact values as floats.
 func TestExactBySubsets(t *testing.T) {
 	g, fs := flightsGame(t)
@@ -192,14 +179,6 @@ func TestEmptyGame(t *testing.T) {
 	}
 	if g.Eval(nil) {
 		t.Error("false lineage evaluated true")
-	}
-}
-
-func TestSortedPlayers(t *testing.T) {
-	m := map[db.FactID]float64{3: 1, 1: 2, 2: 0}
-	got := SortedPlayers(m)
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("SortedPlayers = %v", got)
 	}
 }
 

@@ -1,22 +1,22 @@
-// Package servebench is the explanation service's load generator: it drives
-// a server (an in-process one it starts itself, or an externally started
-// shapleyd via TargetURL) over real HTTP with a configurable explain:update
-// mix at several concurrency levels, records client-side latency
-// percentiles and throughput, runs the pooled vs open-per-request
-// head-to-head, and cross-checks quiesced served values big.Rat-identically
-// against a cold repro.Explain. The server-side counters come from the
-// server's GET /metrics.
+// Package servebench is the serve smokes' correctness gate. It drives a
+// running shapleyd that serves the flights dataset over real HTTP: explains
+// at each concurrency level, a net-zero explain:update mix and an optional
+// budgeted phase. It fails on any non-2xx response (429 and 503 are retried
+// with backoff first), on a budgeted answer that is neither exact nor marked
+// with finite ordered confidence bounds, on a quiesced value that is not
+// big.Rat-identical to a cold repro.Explain, and on a /metrics series it
+// reads that the server does not export.
 package servebench
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -27,43 +27,32 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/flights"
-	"repro/internal/metrics"
 	"repro/internal/promlint"
-	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// Options configures a load-generation run.
+// dataset is the database every request addresses, and flights.Query the
+// query it explains: the paper's running example, which a locally built copy
+// reproduces exactly.
+const dataset = "flights"
+
+// Options configures a gate run.
 type Options struct {
-	// TargetURL drives an already-running server (e.g. a shapleyd started
-	// by CI) instead of an in-process one. The target must serve a freshly
-	// built copy of Dataset, since the value cross-check compares against a
-	// locally built reference database. Empty starts an in-process server.
+	// TargetURL is the base URL of the server to drive. It must serve a
+	// freshly built flights dataset (or one whose update traffic was
+	// net-zero), since the value cross-check compares against a locally
+	// built reference database.
 	TargetURL string
-	// Dataset names the served database; only "flights" is built in (the
-	// paper's running example — small enough that request overhead, not
-	// pipeline cost, dominates, which is what a serving benchmark wants).
-	Dataset string
-	// Query is the UCQ text explained throughout; defaults to the flights
-	// Figure 1 query.
-	Query string
 	// Clients lists the concurrency levels (default 1, 4, 16).
 	Clients []int
-	// Requests is the number of explain requests per client per phase
-	// (default 8).
+	// Requests is the number of requests per client per phase (default 8).
 	Requests int
-	// UpdateEvery issues one update request per that many explains in the
-	// mixed phase (default 4; ≤ 0 disables the mixed phase).
+	// UpdateEvery issues one update request per that many requests in the
+	// mixed phase (default 4; negative disables the mixed phase).
 	UpdateEvery int
-	// PoolSize bounds the in-process server's session pool.
-	PoolSize int
-	// Repro configures the in-process server's sessions and the cold
-	// reference computation.
-	Repro repro.Options
 	// BudgetMs, when positive, adds a budgeted phase per concurrency level:
-	// explains carrying budget_ms, recording the exact/approximate mix and
-	// the fallback latency. Budgeted responses may be approximate as long as
-	// they are marked; unmarked degradation still fails the run.
+	// explains carrying budget_ms, each of which must be exact or a marked
+	// approximation.
 	BudgetMs float64
 	// AllowApprox permits marked approximate answers in the quiesced value
 	// cross-check (for driving a deliberately starved server, where even
@@ -73,12 +62,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Dataset == "" {
-		o.Dataset = "flights"
-	}
-	if o.Query == "" {
-		o.Query = flights.Query().String()
-	}
 	if len(o.Clients) == 0 {
 		o.Clients = []int{1, 4, 16}
 	}
@@ -91,72 +74,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Level is one (mode, concurrency) measurement.
-type Level struct {
-	// Mode is "open-per-request", "pooled", "mixed-pooled", or
-	// "budgeted-pooled".
-	Mode    string `json:"mode"`
-	Clients int    `json:"clients"`
-	// Explains and Updates count completed requests across all clients.
-	Explains int `json:"explains"`
-	Updates  int `json:"updates,omitempty"`
-	// ExactExplains and ApproxExplains split the budgeted phase's explains by
-	// outcome: answered exactly within budget vs degraded to marked sampled
-	// estimates.
-	ExactExplains  int `json:"exact_explains,omitempty"`
-	ApproxExplains int `json:"approx_explains,omitempty"`
-	// FallbackLatency summarizes the latency of the degraded (approximate)
-	// responses alone — the tail the anytime tier bounds.
-	FallbackLatency *metrics.LatencySummary `json:"fallback_latency,omitempty"`
-	// Retries counts requests of this phase answered 429/503 and retried
-	// after backoff (shedding shows up here, not as silent errors).
-	Retries int64 `json:"retries,omitempty"`
-	// ElapsedMs is the phase wall clock; ThroughputRPS is requests
-	// (explains + updates) over it.
-	ElapsedMs     float64 `json:"elapsed_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// Latency summarizes client-observed explain latencies.
-	Latency metrics.LatencySummary `json:"latency"`
-}
-
-// HeadToHead compares the pooled and open-per-request explain phases at one
-// concurrency level.
-type HeadToHead struct {
-	Clients           int     `json:"clients"`
-	PooledP50Ms       float64 `json:"pooled_p50_ms"`
-	UnpooledP50Ms     float64 `json:"unpooled_p50_ms"`
-	P50Speedup        float64 `json:"p50_speedup"`
-	PooledRPS         float64 `json:"pooled_rps"`
-	UnpooledRPS       float64 `json:"unpooled_rps"`
-	ThroughputSpeedup float64 `json:"throughput_speedup"`
-}
-
-// Report is the outcome of one Run.
+// Report counts what a passing run checked.
 type Report struct {
-	Dataset string `json:"dataset"`
-	Query   string `json:"query"`
-	// Target is "in-process" or the external URL driven.
-	Target     string       `json:"target"`
-	Levels     []Level      `json:"levels"`
-	HeadToHead []HeadToHead `json:"head_to_head"`
+	// Explains and Updates count the completed requests of every phase.
+	Explains, Updates int64
+	// Exact and Approx split the budgeted phase's explains into answers
+	// exact within budget and marked approximations.
+	Exact, Approx int64
+	// ValueChecks counts the quiesced responses cross-checked against the
+	// cold reference, one per concurrency level.
+	ValueChecks int
+	// Retries counts the 429/503 responses retried after backoff.
+	Retries int64
 	// Pool and Cache are the server's final session-pool and value-cache
 	// counters, read from its repro_pool_* and repro_compile_cache_* series
 	// on /metrics.
-	Pool  wire.PoolStats  `json:"pool"`
-	Cache core.CacheStats `json:"cache"`
-	// ValueChecks counts served explanations cross-checked
-	// big.Rat-identical against a cold repro.Explain (the run fails on the
-	// first mismatch).
-	ValueChecks int `json:"value_checks"`
-	// Retries is the run-wide total of 429/503 responses absorbed by the
-	// client's backoff-and-retry loop.
-	Retries int64 `json:"retries"`
+	Pool  wire.PoolStats
+	Cache core.CacheStats
 	// Degraded is the sum over causes of the server's final
 	// repro_degraded_total{route="/v1/explain"}: explains that exhausted
-	// their budget and were answered with marked sampled estimates instead
-	// of exact values. An explain whose tuples degraded for several causes
-	// counts once per cause.
-	Degraded int64 `json:"degraded,omitempty"`
+	// their budget and were answered with marked sampled estimates. An
+	// explain whose tuples degraded for several causes counts once per cause.
+	Degraded int64
 }
 
 // Retry policy for shed (429) and degraded/unavailable (503) responses:
@@ -168,17 +107,19 @@ const (
 	retryCeiling = 2 * time.Second
 )
 
-// benchClient is the load generator's HTTP client: it retries overload
-// responses with capped jittered backoff and counts every retry, so a
-// shedding server slows the bench down measurably instead of failing it.
-type benchClient struct {
+// client is the gate's HTTP client: it retries overload responses with
+// capped jittered backoff and counts every retry, so a shedding server slows
+// the run down instead of failing it.
+type client struct {
 	hc      *http.Client
+	base    string
 	retries atomic.Int64
 }
 
 // do issues one request, retrying 429/503 up to retryMax times. Any other
 // non-2xx status fails immediately.
-func (c *benchClient) do(ctx context.Context, method, url string, body []byte) ([]byte, error) {
+func (c *client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	url := c.base + path
 	backoff := retryBase
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -233,325 +174,187 @@ func (c *benchClient) do(ctx context.Context, method, url string, body []byte) (
 	}
 }
 
-// Run executes the load generation and returns the report, failing on any
-// non-2xx response or any served value not big.Rat-identical to the cold
-// reference.
+// post sends req as the JSON body of a POST to path and decodes the answer
+// into resp.
+func (c *client) post(ctx context.Context, path string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	raw, err := c.do(ctx, http.MethodPost, path, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, resp); err != nil {
+		return fmt.Errorf("servebench: bad %s response: %w", path, err)
+	}
+	return nil
+}
+
+// gate is one run's state: the client, the cold reference and the request
+// counts the phases' clients add to concurrently.
+type gate struct {
+	opts  Options
+	c     *client
+	query string
+	// ref maps each fact, by content, to its exact value in the cold
+	// reference.
+	ref                              map[string]string
+	explains, updates, exact, approx atomic.Int64
+}
+
+// Run drives the server at opts.TargetURL through every phase and returns
+// what it checked, failing on the first violation.
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	if opts.Dataset != "flights" {
-		return nil, fmt.Errorf("servebench: unknown dataset %q (only flights is built in)", opts.Dataset)
+	if opts.TargetURL == "" {
+		return nil, errors.New("servebench: no target URL")
 	}
-
-	base := opts.TargetURL
-	target := base
-	if base == "" {
-		target = "in-process"
-		d, _ := flights.Build()
-		srv, err := server.New(server.Config{
-			Datasets: map[string]*repro.Database{"flights": d},
-			Options:  opts.Repro,
-			PoolSize: opts.PoolSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
+	g := &gate{
+		opts:  opts,
+		c:     &client{hc: &http.Client{Timeout: 2 * time.Minute}, base: opts.TargetURL},
+		query: flights.Query().String(),
 	}
-	client := &benchClient{hc: &http.Client{Timeout: 2 * time.Minute}}
-
-	// Cold reference on a locally built equivalent database, keyed by fact
-	// content (relation + tuple) so it is robust to server-side fact-ID
-	// drift from earlier net-zero updates.
-	ref, err := coldReference(ctx, opts)
-	if err != nil {
+	var err error
+	if g.ref, err = coldReference(ctx); err != nil {
 		return nil, err
 	}
 
-	rep := &Report{Dataset: opts.Dataset, Query: opts.Query, Target: target}
-
-	// Warm both paths once so every timed phase measures steady state (the
-	// value cache is process-wide, so the open-per-request baseline is
-	// cache-warm too — the head-to-head isolates grounding + session
-	// reuse, which is exactly what the pool adds).
-	for _, noPool := range []bool{true, false} {
-		if _, _, err := postExplain(ctx, client, base, opts, noPool, 0); err != nil {
+	rep := &Report{}
+	for _, n := range opts.Clients {
+		if err := forClients(n, func(int) error { return g.explainPhase(ctx) }); err != nil {
 			return nil, err
 		}
-	}
-
-	for _, c := range opts.Clients {
-		unpooled, upLat, err := runExplainPhase(ctx, client, base, opts, "open-per-request", c, true)
-		if err != nil {
-			return nil, err
-		}
-		rep.Levels = append(rep.Levels, unpooled)
-		pooled, poLat, err := runExplainPhase(ctx, client, base, opts, "pooled", c, false)
-		if err != nil {
-			return nil, err
-		}
-		rep.Levels = append(rep.Levels, pooled)
-		h := HeadToHead{
-			Clients:       c,
-			PooledP50Ms:   metrics.SummarizeLatency(poLat).P50Ms,
-			UnpooledP50Ms: metrics.SummarizeLatency(upLat).P50Ms,
-			PooledRPS:     pooled.ThroughputRPS,
-			UnpooledRPS:   unpooled.ThroughputRPS,
-		}
-		if h.PooledP50Ms > 0 {
-			h.P50Speedup = h.UnpooledP50Ms / h.PooledP50Ms
-		}
-		if h.UnpooledRPS > 0 {
-			h.ThroughputSpeedup = h.PooledRPS / h.UnpooledRPS
-		}
-		rep.HeadToHead = append(rep.HeadToHead, h)
-
 		if opts.UpdateEvery > 0 {
-			mixed, _, err := runMixedPhase(ctx, client, base, opts, c)
-			if err != nil {
+			if err := forClients(n, func(c int) error { return g.mixedPhase(ctx, c) }); err != nil {
 				return nil, err
 			}
-			rep.Levels = append(rep.Levels, mixed)
 		}
-
 		if opts.BudgetMs > 0 {
-			budgeted, err := runBudgetedPhase(ctx, client, base, opts, ref, c)
-			if err != nil {
+			if err := forClients(n, func(int) error { return g.budgetedPhase(ctx) }); err != nil {
 				return nil, err
 			}
-			rep.Levels = append(rep.Levels, budgeted)
 		}
-
-		// Quiesced cross-check through both paths: the update traffic was
-		// net-zero, so served values must match the cold reference.
-		for _, noPool := range []bool{false, true} {
-			resp, _, err := postExplain(ctx, client, base, opts, noPool, 0)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkAgainstReference(ref, resp, opts.AllowApprox); err != nil {
-				return nil, fmt.Errorf("servebench: %d clients, nopool=%v: %w", c, noPool, err)
-			}
-			rep.ValueChecks++
+		// Quiesced cross-check: the update traffic was net-zero, so served
+		// values must match the cold reference.
+		resp, err := g.explain(ctx, 0)
+		if err != nil {
+			return nil, err
 		}
+		if err := checkAgainstReference(g.ref, resp, opts.AllowApprox); err != nil {
+			return nil, fmt.Errorf("servebench: %d clients: %w", n, err)
+		}
+		rep.ValueChecks++
 	}
 
-	// Final server-side counters: pool next to value cache.
-	if err := readMetrics(ctx, client, base, rep); err != nil {
+	if err := readMetrics(ctx, g.c, rep); err != nil {
 		return nil, err
 	}
-	rep.Retries = client.retries.Load()
+	rep.Explains, rep.Updates = g.explains.Load(), g.updates.Load()
+	rep.Exact, rep.Approx = g.exact.Load(), g.approx.Load()
+	rep.Retries = g.c.retries.Load()
 	return rep, nil
 }
 
-// runExplainPhase fires clients×Requests explain requests and summarizes.
-func runExplainPhase(ctx context.Context, client *benchClient, base string, opts Options, mode string, clients int, noPool bool) (Level, []time.Duration, error) {
-	lats := make([][]time.Duration, clients)
+// forClients runs phase once per client, concurrently, and returns the
+// first error.
+func forClients(clients int, phase func(c int) error) error {
 	errs := make(chan error, clients)
-	retries0 := client.retries.Load()
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			for r := 0; r < opts.Requests; r++ {
-				_, d, err := postExplain(ctx, client, base, opts, noPool, 0)
-				if err != nil {
-					errs <- err
-					return
-				}
-				lats[c] = append(lats[c], d)
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return Level{}, nil, err
-	}
-	elapsed := time.Since(start)
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	lv := Level{
-		Mode:          mode,
-		Clients:       clients,
-		Explains:      len(all),
-		Retries:       client.retries.Load() - retries0,
-		ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
-		ThroughputRPS: float64(len(all)) / elapsed.Seconds(),
-		Latency:       metrics.SummarizeLatency(all),
-	}
-	return lv, all, nil
-}
-
-// runMixedPhase interleaves explains with net-zero update traffic: each
-// client alternately inserts and deletes its own joining flight, so the
-// pooled session catches up on its clients' concurrent writes.
-func runMixedPhase(ctx context.Context, client *benchClient, base string, opts Options, clients int) (Level, []time.Duration, error) {
-	usa := []string{"JFK", "EWR", "BOS", "LAX"}
-	lats := make([][]time.Duration, clients)
-	updates := make([]int, clients)
-	errs := make(chan error, clients)
-	retries0 := client.retries.Load()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			src := usa[c%len(usa)]
-			var pendingID int64
-			cleanup := func() error {
-				if pendingID == 0 {
-					return nil
-				}
-				_, err := postUpdate(ctx, client, base, opts, wire.UpdateRequest{
-					Dataset: opts.Dataset, Query: opts.Query,
-					Deletes: []wire.DeleteSpec{{ID: pendingID}},
-				})
-				pendingID = 0
-				return err
-			}
-			for r := 0; r < opts.Requests; r++ {
-				if r%opts.UpdateEvery == opts.UpdateEvery-1 {
-					if pendingID != 0 {
-						if err := cleanup(); err != nil {
-							errs <- err
-							return
-						}
-					} else {
-						resp, err := postUpdate(ctx, client, base, opts, wire.UpdateRequest{
-							Dataset: opts.Dataset, Query: opts.Query,
-							Inserts: []wire.InsertSpec{{
-								Relation: "Flights", Endogenous: true,
-								Values: []json.RawMessage{
-									json.RawMessage(fmt.Sprintf("%q", src)),
-									json.RawMessage(`"ORY"`),
-								},
-							}},
-						})
-						if err != nil {
-							errs <- err
-							return
-						}
-						pendingID = resp.InsertedIDs[0]
-					}
-					updates[c]++
-					continue
-				}
-				_, d, err := postExplain(ctx, client, base, opts, false, 0)
-				if err != nil {
-					errs <- err
-					return
-				}
-				lats[c] = append(lats[c], d)
-			}
-			if err := cleanup(); err != nil {
+			if err := phase(c); err != nil {
 				errs <- err
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	close(errs)
-	if err := <-errs; err != nil {
-		return Level{}, nil, err
-	}
-	elapsed := time.Since(start)
-	var all []time.Duration
-	nup := 0
-	for c := range lats {
-		all = append(all, lats[c]...)
-		nup += updates[c]
-	}
-	lv := Level{
-		Mode:          "mixed-pooled",
-		Clients:       clients,
-		Explains:      len(all),
-		Updates:       nup,
-		Retries:       client.retries.Load() - retries0,
-		ElapsedMs:     float64(elapsed) / float64(time.Millisecond),
-		ThroughputRPS: float64(len(all)+nup) / elapsed.Seconds(),
-		Latency:       metrics.SummarizeLatency(all),
-	}
-	return lv, all, nil
+	return <-errs
 }
 
-// runBudgetedPhase fires explains carrying budget_ms through the pooled
-// path, splitting the outcomes into exact-within-budget and degraded
-// (marked approximate) and summarizing the degraded responses' latency
-// separately. Every response is validated: an exact answer must match the
-// cold reference, a degraded one must be marked with samples and finite
-// ordered confidence bounds — an unmarked approximation fails the run.
-func runBudgetedPhase(ctx context.Context, client *benchClient, base string, opts Options, ref map[string]string, clients int) (Level, error) {
-	lats := make([][]time.Duration, clients)
-	fallback := make([][]time.Duration, clients)
-	exact := make([]int, clients)
-	errs := make(chan error, clients)
-	retries0 := client.retries.Load()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < opts.Requests; r++ {
-				resp, d, err := postExplain(ctx, client, base, opts, false, opts.BudgetMs)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := checkAgainstReference(ref, resp, true); err != nil {
-					errs <- fmt.Errorf("budgeted response: %w", err)
-					return
-				}
-				lats[c] = append(lats[c], d)
-				if approximate(resp) {
-					fallback[c] = append(fallback[c], d)
-				} else {
-					exact[c]++
-				}
-			}
-		}(c)
+// explainPhase is one client's unbudgeted explains.
+func (g *gate) explainPhase(ctx context.Context) error {
+	for r := 0; r < g.opts.Requests; r++ {
+		if _, err := g.explain(ctx, 0); err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return Level{}, err
+	return nil
+}
+
+// mixedPhase interleaves one client's explains with net-zero update traffic:
+// the client alternately inserts and deletes its own joining flight, so the
+// pooled session catches up on its clients' concurrent writes.
+func (g *gate) mixedPhase(ctx context.Context, c int) error {
+	src := []string{"JFK", "EWR", "BOS", "LAX"}[c%4]
+	var pending int64 // the client's inserted flight, 0 when none
+	var err error
+	for r := 0; r < g.opts.Requests; r++ {
+		if r%g.opts.UpdateEvery == g.opts.UpdateEvery-1 {
+			pending, err = g.toggleFlight(ctx, src, pending)
+		} else {
+			_, err = g.explain(ctx, 0)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	elapsed := time.Since(start)
-	var all, fb []time.Duration
-	nexact := 0
-	for c := range lats {
-		all = append(all, lats[c]...)
-		fb = append(fb, fallback[c]...)
-		nexact += exact[c]
+	if pending != 0 {
+		_, err = g.toggleFlight(ctx, src, pending)
 	}
-	lv := Level{
-		Mode:           "budgeted-pooled",
-		Clients:        clients,
-		Explains:       len(all),
-		ExactExplains:  nexact,
-		ApproxExplains: len(fb),
-		Retries:        client.retries.Load() - retries0,
-		ElapsedMs:      float64(elapsed) / float64(time.Millisecond),
-		ThroughputRPS:  float64(len(all)) / elapsed.Seconds(),
-		Latency:        metrics.SummarizeLatency(all),
+	return err
+}
+
+// toggleFlight deletes fact pending, or inserts a flight from src to ORY
+// when pending is 0, and returns the ID of the flight now inserted, 0 after
+// a delete.
+func (g *gate) toggleFlight(ctx context.Context, src string, pending int64) (int64, error) {
+	req := wire.UpdateRequest{Dataset: dataset, Query: g.query}
+	if pending != 0 {
+		req.Deletes = []wire.DeleteSpec{{ID: pending}}
+	} else {
+		req.Inserts = []wire.InsertSpec{{
+			Relation: "Flights", Endogenous: true,
+			Values: []json.RawMessage{json.RawMessage(strconv.Quote(src)), json.RawMessage(`"ORY"`)},
+		}}
 	}
-	if len(fb) > 0 {
-		s := metrics.SummarizeLatency(fb)
-		lv.FallbackLatency = &s
+	var resp wire.UpdateResponse
+	if err := g.c.post(ctx, "/v1/update", req, &resp); err != nil {
+		return 0, err
 	}
-	return lv, nil
+	g.updates.Add(1)
+	if pending != 0 {
+		return 0, nil
+	}
+	if len(resp.InsertedIDs) != 1 {
+		return 0, fmt.Errorf("servebench: one insert answered with IDs %v", resp.InsertedIDs)
+	}
+	return resp.InsertedIDs[0], nil
+}
+
+// budgetedPhase is one client's explains carrying budget_ms. Every response
+// is validated: an exact answer must match the cold reference, a degraded
+// one must be marked with samples and finite ordered confidence bounds — an
+// unmarked approximation fails the run.
+func (g *gate) budgetedPhase(ctx context.Context) error {
+	for r := 0; r < g.opts.Requests; r++ {
+		resp, err := g.explain(ctx, g.opts.BudgetMs)
+		if err != nil {
+			return err
+		}
+		if err := checkAgainstReference(g.ref, resp, true); err != nil {
+			return fmt.Errorf("servebench: budgeted response: %w", err)
+		}
+		if approximate(resp) {
+			g.approx.Add(1)
+		} else {
+			g.exact.Add(1)
+		}
+	}
+	return nil
 }
 
 // approximate reports whether any tuple of the response degraded to sampled
@@ -565,51 +368,29 @@ func approximate(resp *wire.ExplainResponse) bool {
 	return false
 }
 
-func postExplain(ctx context.Context, client *benchClient, base string, opts Options, noPool bool, budgetMs float64) (*wire.ExplainResponse, time.Duration, error) {
-	body, err := json.Marshal(wire.ExplainRequest{Dataset: opts.Dataset, Query: opts.Query, NoPool: noPool, BudgetMs: budgetMs})
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	raw, err := client.do(ctx, http.MethodPost, base+"/v1/explain", body)
-	d := time.Since(start)
-	if err != nil {
-		return nil, d, err
-	}
+// explain asks the server to explain the query, under budgetMs when it is
+// positive.
+func (g *gate) explain(ctx context.Context, budgetMs float64) (*wire.ExplainResponse, error) {
 	var resp wire.ExplainResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, d, fmt.Errorf("servebench: bad explain response: %w", err)
-	}
-	return &resp, d, nil
-}
-
-func postUpdate(ctx context.Context, client *benchClient, base string, opts Options, req wire.UpdateRequest) (*wire.UpdateResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
+	req := wire.ExplainRequest{Dataset: dataset, Query: g.query, BudgetMs: budgetMs}
+	if err := g.c.post(ctx, "/v1/explain", req, &resp); err != nil {
 		return nil, err
 	}
-	raw, err := client.do(ctx, http.MethodPost, base+"/v1/update", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp wire.UpdateResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, fmt.Errorf("servebench: bad update response: %w", err)
-	}
+	g.explains.Add(1)
 	return &resp, nil
 }
 
 // readMetrics scrapes the server's /metrics into the report's Pool, Cache
 // and Degraded. A series it reads that the exposition lacks fails the run,
 // so a renamed series cannot silently zero the report.
-func readMetrics(ctx context.Context, client *benchClient, base string, rep *Report) error {
-	raw, err := client.do(ctx, http.MethodGet, base+"/metrics", nil)
+func readMetrics(ctx context.Context, c *client, rep *Report) error {
+	raw, err := c.do(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return err
 	}
 	samples, stats, err := promlint.Parse(string(raw))
 	if err != nil {
-		return fmt.Errorf("servebench: %s/metrics: %w", base, err)
+		return fmt.Errorf("servebench: %s/metrics: %w", c.base, err)
 	}
 	var missing []string
 	get := func(req string) int64 {
@@ -644,24 +425,18 @@ func readMetrics(ctx context.Context, client *benchClient, base string, rep *Rep
 		rep.Degraded = int64(v)
 	}
 	if len(missing) > 0 {
-		return fmt.Errorf("servebench: %s/metrics lacks %s", base, strings.Join(missing, ", "))
+		return fmt.Errorf("servebench: %s/metrics lacks %s", c.base, strings.Join(missing, ", "))
 	}
 	return nil
 }
 
 // coldReference computes the ground truth the served values are checked
-// against: a cold repro.Explain on a freshly built dataset, keyed by fact
-// content. Any configured budget is stripped — the reference is exact even
-// when the driven server is deliberately starved.
-func coldReference(ctx context.Context, opts Options) (map[string]string, error) {
+// against: a cold, unbudgeted repro.Explain on a freshly built dataset,
+// keyed by fact content so that it is robust to server-side fact-ID drift
+// from earlier net-zero updates.
+func coldReference(ctx context.Context) (map[string]string, error) {
 	d, _ := flights.Build()
-	q, err := repro.ParseQuery(opts.Query)
-	if err != nil {
-		return nil, err
-	}
-	ropts := opts.Repro
-	ropts.Budget = repro.ExplainBudget{}
-	es, err := repro.Explain(ctx, d, q, ropts)
+	es, err := repro.Explain(ctx, d, flights.Query(), repro.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -48,10 +48,9 @@ func checkDegradedResponse(t *testing.T, resp wire.ExplainResponse, label string
 }
 
 // TestServerStarvedBudgetDegrades boots the server with a starvation node
-// budget: every explain — pooled and open-per-request — must answer 200
-// with marked approximate values, never a 5xx, and the node_budget cause
-// counter on /metrics must tick per degraded request. A "mode": "exact"
-// request opts out of the sampling fallback on both paths and is answered
+// budget: an explain must answer 200 with marked approximate values, never
+// a 5xx, and the node_budget cause counter on /metrics must tick. A
+// "mode": "exact" request opts out of the sampling fallback and is answered
 // exactly under the server's own limits.
 func TestServerStarvedBudgetDegrades(t *testing.T) {
 	starved := Config{
@@ -61,21 +60,15 @@ func TestServerStarvedBudgetDegrades(t *testing.T) {
 	}
 	url, _, _ := newTestServer(t, starved)
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String()}
-	degraded := 0
-	for _, noPool := range []bool{false, true} {
-		req.NoPool = noPool
-		var resp wire.ExplainResponse
-		status, raw := postJSON(t, url+"/v1/explain", req, &resp)
-		if status != http.StatusOK {
-			t.Fatalf("nopool=%v: status %d, want 200: %s", noPool, status, raw)
-		}
-		checkDegradedResponse(t, resp, "starved server")
-		degraded++
+	var resp wire.ExplainResponse
+	if status, raw := postJSON(t, url+"/v1/explain", req, &resp); status != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", status, raw)
 	}
+	checkDegradedResponse(t, resp, "starved server")
 
 	samples := scrapeMetrics(t, url)
-	if n := metric(t, samples, `repro_degraded_total{route="/v1/explain",cause="node_budget"}`); n < float64(degraded) {
-		t.Errorf("node_budget degraded counter = %v, want ≥ %d", n, degraded)
+	if n := metric(t, samples, `repro_degraded_total{route="/v1/explain",cause="node_budget"}`); n < 1 {
+		t.Errorf("node_budget degraded counter = %v, want ≥ 1", n)
 	}
 	ok := metric(t, samples, `repro_requests_total{route="/v1/explain",code="200"}`)
 	if all := metric(t, samples, `repro_requests_total{route="/v1/explain"}`); all != ok {
@@ -86,20 +79,16 @@ func TestServerStarvedBudgetDegrades(t *testing.T) {
 	// in for the exact computation the mode asks for.
 	url, _, d := newTestServer(t, starved)
 	req.Mode = "exact"
-	for _, noPool := range []bool{false, true} {
-		req.NoPool = noPool
-		var resp wire.ExplainResponse
-		status, raw := postJSON(t, url+"/v1/explain", req, &resp)
-		if status != http.StatusOK {
-			t.Fatalf("mode exact, nopool=%v: status %d, want 200: %s", noPool, status, raw)
-		}
-		for _, tup := range resp.Tuples {
-			if tup.Method != "exact" {
-				t.Fatalf("mode exact, nopool=%v: tuple method %q, want exact", noPool, tup.Method)
-			}
-		}
-		assertServedMatchesCold(t, resp, d, "starved server, mode exact")
+	resp = wire.ExplainResponse{}
+	if status, raw := postJSON(t, url+"/v1/explain", req, &resp); status != http.StatusOK {
+		t.Fatalf("mode exact: status %d, want 200: %s", status, raw)
 	}
+	for _, tup := range resp.Tuples {
+		if tup.Method != "exact" {
+			t.Fatalf("mode exact: tuple method %q, want exact", tup.Method)
+		}
+	}
+	assertServedMatchesCold(t, resp, d, "starved server, mode exact")
 }
 
 // TestServerPerRequestBudget maps request knobs onto the budget: budget_ms
@@ -151,10 +140,12 @@ func TestServerPerRequestBudget(t *testing.T) {
 
 	// budget_ms alone arms a deadline; a 1 µs budget degrades mid-compile
 	// rather than 504ing, and so does a 0.1 ns one, which rounds up to the
-	// shortest deadline rather than down to none. Driven through the
-	// open-per-request path, since the pooled session rightly serves its
-	// cached exact answer within any budget.
+	// shortest deadline rather than down to none. Each goes to a fresh
+	// server without the process-wide value cache, since a pooled session
+	// rightly serves its cached exact answer within any budget, and a value
+	// cache hit can answer exactly within 1 µs.
 	for _, req := range tinyBudgetRequests() {
+		url, _, _ := newTestServer(t, Config{Options: repro.Options{CacheSize: -1}})
 		var tiny wire.ExplainResponse
 		if status, raw := postJSON(t, url+"/v1/explain", req, &tiny); status != http.StatusOK {
 			t.Fatalf("budget_ms %v explain: status %d: %s", req.BudgetMs, status, raw)
@@ -163,13 +154,13 @@ func TestServerPerRequestBudget(t *testing.T) {
 	}
 }
 
-// tinyBudgetRequests are open-per-request explains whose budget_ms is too
-// short for any exact attempt to finish.
+// tinyBudgetRequests are explains whose budget_ms is too short for any
+// exact attempt to finish.
 func tinyBudgetRequests() []wire.ExplainRequest {
 	q := flights.Query().String()
 	var out []wire.ExplainRequest
 	for _, ms := range []float64{0.001, 1e-7} {
-		out = append(out, wire.ExplainRequest{Dataset: "flights", Query: q, NoPool: true, BudgetMs: ms, MinSamples: 64})
+		out = append(out, wire.ExplainRequest{Dataset: "flights", Query: q, BudgetMs: ms, MinSamples: 64})
 	}
 	return out
 }
@@ -192,17 +183,10 @@ func badBudgets() []badBudget {
 	}
 }
 
-// TestServerBudgetValidation rejects malformed budget knobs with 400s,
-// pooled and open-per-request alike.
+// TestServerBudgetValidation rejects malformed budget knobs with 400s.
 func TestServerBudgetValidation(t *testing.T) {
 	url, _, _ := newTestServer(t, Config{})
-	var cases []badBudget
 	for _, c := range badBudgets() {
-		cases = append(cases, c)
-		c.req.NoPool = true
-		cases = append(cases, c)
-	}
-	for _, c := range cases {
 		status, raw := postJSON(t, url+"/v1/explain", c.req, nil)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", c.name, status, raw)

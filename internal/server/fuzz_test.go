@@ -16,7 +16,8 @@ import (
 // requestBudget accepts must pass repro.ValidateBudget (else the request
 // would fail later as a 500 for its own bad input), and a positive
 // budget_ms must arm a positive deadline (else the budget silently turns
-// off). Seeded with the pinned wire shapes and the budget tests' requests.
+// off). Seeded with the pinned wire shapes, the budget tests' requests and
+// a body carrying the retired no_pool field.
 func FuzzExplainRequest(f *testing.F) {
 	var seeds []wire.ExplainRequest
 	for _, sh := range goldenShapes() {
@@ -33,6 +34,9 @@ func FuzzExplainRequest(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	// A body carrying the retired no_pool field, which decoding rejects as
+	// an unknown field.
+	f.Add([]byte(`{"dataset": "flights", "query": "q() :- Flights(x, y)", "no_pool": true}`))
 	s := &Server{}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req wire.ExplainRequest

@@ -70,10 +70,8 @@ func goldenShapes() []goldenShape {
 			wire.ExplainRequest{Dataset: "flights", Query: q, Mode: "approximate", MinSamples: 128, Seed: 7}},
 		{"starved-pooled", starved,
 			wire.ExplainRequest{Dataset: "flights", Query: q}},
-		{"starved-no-pool", starved,
-			wire.ExplainRequest{Dataset: "flights", Query: q, NoPool: true}},
-		{"starved-exact-no-pool", starved,
-			wire.ExplainRequest{Dataset: "flights", Query: q, Mode: "exact", NoPool: true}},
+		{"starved-exact", starved,
+			wire.ExplainRequest{Dataset: "flights", Query: q, Mode: "exact"}},
 		{"max-nodes-proxy", Config{Options: repro.Options{MaxNodes: 1}},
 			wire.ExplainRequest{Dataset: "flights", Query: q}},
 	}
@@ -81,9 +79,9 @@ func goldenShapes() []goldenShape {
 
 // TestExplainWireGolden pins the /v1/explain wire bytes of every
 // deterministic request shape — unbudgeted, per-request approximate,
-// starved budget pooled and open-per-request, mode exact on a starved
-// server, and a node cap that degrades every tuple to CNF Proxy — against
-// testdata/explain_golden.txt, byte for byte.
+// starved budget, mode exact on a starved server, and a node cap that
+// degrades every tuple to CNF Proxy — against testdata/explain_golden.txt,
+// byte for byte.
 func TestExplainWireGolden(t *testing.T) {
 	want, err := os.ReadFile(goldenExplainPath)
 	if err != nil {

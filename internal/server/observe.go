@@ -57,16 +57,10 @@ type slowLog struct {
 	next    int // ring cursor once len == cap
 }
 
-// DefaultSlowLogSize bounds the slow-explain ring when the configuration
-// does not.
-const DefaultSlowLogSize = 128
+// slowLogSize bounds the slow-explain ring.
+const slowLogSize = 128
 
-func newSlowLog(capacity int) *slowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogSize
-	}
-	return &slowLog{cap: capacity}
-}
+func newSlowLog(capacity int) *slowLog { return &slowLog{cap: capacity} }
 
 func (l *slowLog) add(e wire.SlowEntry) {
 	l.mu.Lock()

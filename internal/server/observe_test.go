@@ -292,7 +292,8 @@ func TestMetricsPortfolioWins(t *testing.T) {
 // TestSlowLog: with a 1ns threshold every explain is slow; the ring serves
 // the request's identity and full trace, and stays bounded.
 func TestSlowLog(t *testing.T) {
-	url, _, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond, SlowLogSize: 2})
+	url, s, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond})
+	s.slow = newSlowLog(2)
 	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String()}
 	ids := make(map[string]bool)
 	for i := 0; i < 3; i++ {

@@ -62,7 +62,7 @@ type Config struct {
 	// Datasets are the served databases, by the name explain/update
 	// requests address them with.
 	Datasets map[string]*repro.Database
-	// Options configures every session the server opens (pooled or not).
+	// Options configures every session the pool opens.
 	Options repro.Options
 	// PoolSize bounds the session pool (≤ 0 = DefaultPoolSize). The least
 	// recently used session is closed when a new (dataset, query) pair
@@ -88,8 +88,6 @@ type Config struct {
 	// recorded in the slow-explain ring (GET /v1/debug/slow) with its full
 	// stage trace, and logged. Zero disables the slow log.
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the slow-explain ring (≤ 0 = DefaultSlowLogSize).
-	SlowLogSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/, restricted to
 	// loopback clients.
 	EnablePprof bool
@@ -135,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 		rec:    metrics.NewRecorder(),
 		mux:    http.NewServeMux(),
 		logger: cfg.Logger,
-		slow:   newSlowLog(cfg.SlowLogSize),
+		slow:   newSlowLog(slowLogSize),
 		idBase: newIDBase(),
 	}
 	if s.logger == nil {
@@ -386,22 +384,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	d, lock, err := s.resolve(req.Dataset)
+	d, _, err := s.resolve(req.Dataset)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A pooled request whose query text keys a pooled session is that
-	// session's normalized text and needs no parse. Any other text is parsed
-	// here, so a malformed query is a 400 and never keys a session.
-	var q *repro.Query
-	var key Key
-	known := false
-	if !req.NoPool {
-		key, known = s.pool.Lookup(req.Dataset, req.Query)
-	}
+	// A query text that keys a pooled session is that session's normalized
+	// text and needs no parse. Any other text is parsed here, so a malformed
+	// query is a 400 and never keys a session.
+	key, known := s.pool.Lookup(req.Dataset, req.Query)
 	if !known {
-		if q, err = repro.ParseQuery(req.Query); err != nil {
+		q, err := repro.ParseQuery(req.Query)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -424,28 +418,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	rctx, root := trace.NewRoot(r.Context(), "explain", s.rec.ObserveStage)
 	body := bodyPool.Get().(*explainBody)
 	defer body.release()
-	var es []repro.TupleExplanation
-	if req.NoPool {
-		// Open-per-request baseline: ground, explain, render, close — the
-		// cost a client pays without the pool. Holds the dataset read lock
-		// like any other explain.
-		opts := s.cfg.Options
-		opts.Budget = budget
-		lock.RLock()
-		es, err = repro.Explain(rctx, d, q, opts)
-		if err == nil {
-			err = body.renderKept(d, es, req.Top)
+	es, err := s.pool.Explain(rctx, key, budget, func(es []repro.TupleExplanation) error {
+		err := body.renderKept(d, es, req.Top)
+		if err == nil && s.testHookRendered != nil {
+			s.testHookRendered(d, es, req.Top)
 		}
-		lock.RUnlock()
-	} else {
-		es, err = s.pool.Explain(rctx, key, budget, func(es []repro.TupleExplanation) error {
-			err := body.renderKept(d, es, req.Top)
-			if err == nil && s.testHookRendered != nil {
-				s.testHookRendered(d, es, req.Top)
-			}
-			return err
-		})
-	}
+		return err
+	})
 	s.renderHits.Add(body.hits)
 	s.renderMisses.Add(body.misses)
 	if err != nil {
@@ -474,7 +453,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	resp := wire.ExplainResponse{
 		Dataset:   req.Dataset,
 		Query:     key.Query,
-		Pooled:    !req.NoPool,
+		Pooled:    true,
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
 		RequestID: requestID(r),
 	}
@@ -517,8 +496,8 @@ const maxPooledBody = 1 << 20
 
 // renderKept renders explanations at top through their memos: a pooled
 // session's tuple rendered at the same top by an earlier request reuses the
-// bytes kept then, and an explanation with no memo (repro.Explain's) is
-// rendered afresh. Callers hold d's read lock since the explain.
+// bytes kept then, and an explanation with no memo is rendered afresh.
+// Callers hold d's read lock since the explain.
 func (b *explainBody) renderKept(d *repro.Database, es []repro.TupleExplanation, top int) error {
 	render := func(dst []byte, e *repro.TupleExplanation, top int) ([]byte, error) {
 		return wire.AppendExplanation(dst, d, e, top)

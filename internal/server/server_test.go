@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -100,8 +101,8 @@ func assertServedMatchesColdQuery(t *testing.T, resp wire.ExplainResponse, mirro
 }
 
 // TestServerExplainUpdatePropertyRandomized is the acceptance bar: a
-// randomized interleaving of explains (pooled and open-per-request) and
-// update batches (with and without a query), with every served
+// randomized interleaving of explains and update batches (with and without
+// a query), with every served
 // explanation cross-checked big.Rat-identical against a cold repro.Explain
 // on a mirror database maintained by the same mutation sequence.
 func TestServerExplainUpdatePropertyRandomized(t *testing.T) {
@@ -127,15 +128,15 @@ func TestServerExplainUpdatePropertyRandomized(t *testing.T) {
 			k = 2 // nothing to delete; insert instead
 		}
 		switch {
-		case k <= 1: // explain (pooled on k==0, open-per-request on k==1)
+		case k <= 1: // explain
 			var resp wire.ExplainResponse
 			status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
-				Dataset: "flights", Query: qtext, NoPool: k == 1,
+				Dataset: "flights", Query: qtext,
 			}, &resp)
 			if status != http.StatusOK {
 				t.Fatalf("op %d: explain -> %d: %s", op, status, raw)
 			}
-			assertServedMatchesCold(t, resp, mirror, fmt.Sprintf("op %d (nopool=%v)", op, k == 1))
+			assertServedMatchesCold(t, resp, mirror, fmt.Sprintf("op %d", op))
 			explains++
 		case k == 2: // insert a joining flight
 			src, dst := usa[rng.Intn(len(usa))], fr[rng.Intn(len(fr))]
@@ -192,23 +193,22 @@ func TestServerExplainUpdatePropertyRandomized(t *testing.T) {
 		t.Fatal("randomized schedule exercised no explains")
 	}
 
-	// Final quiesced cross-check through both paths.
-	for _, noPool := range []bool{false, true} {
-		var resp wire.ExplainResponse
-		status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
-			Dataset: "flights", Query: qtext, NoPool: noPool,
-		}, &resp)
-		if status != http.StatusOK {
-			t.Fatalf("final explain -> %d: %s", status, raw)
-		}
-		assertServedMatchesCold(t, resp, mirror, fmt.Sprintf("final (nopool=%v)", noPool))
+	// Final quiesced cross-check.
+	var resp wire.ExplainResponse
+	status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
+		Dataset: "flights", Query: qtext,
+	}, &resp)
+	if status != http.StatusOK {
+		t.Fatalf("final explain -> %d: %s", status, raw)
 	}
+	assertServedMatchesCold(t, resp, mirror, "final")
 }
 
 // TestPooledExplainOfUnusualConstants checks that a pooled explain answers
-// like an open-per-request one for queries whose constants Go quoting or %g
-// would garble: the pool keys sessions by the query's String and parses
-// that text again when it opens one.
+// like a cold repro.Explain, rendered by wire.AppendExplainResponse, for
+// queries whose constants Go quoting or %g would garble: the pool keys
+// sessions by the query's String and parses that text again when it opens
+// one.
 func TestPooledExplainOfUnusualConstants(t *testing.T) {
 	d := repro.NewDatabase()
 	d.CreateRelation("Labels", "tag", "label")
@@ -228,27 +228,39 @@ func TestPooledExplainOfUnusualConstants(t *testing.T) {
 		`q(n) :- Scores(n, s), s < 0.0000002`,
 		`q() :- Scores(n, 0.0000001)`,
 	} {
-		var tuples [2][]wire.TupleExplanation
-		for i, noPool := range []bool{true, false} {
-			var resp wire.ExplainResponse
-			status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{
-				Dataset: "odd", Query: qtext, NoPool: noPool,
-			}, &resp)
-			if status != http.StatusOK {
-				t.Fatalf("%q (no_pool=%v) -> %d: %s", qtext, noPool, status, raw)
-			}
+		var served wire.ExplainResponse
+		status, raw := postJSON(t, url+"/v1/explain", wire.ExplainRequest{Dataset: "odd", Query: qtext}, &served)
+		if status != http.StatusOK {
+			t.Fatalf("%q -> %d: %s", qtext, status, raw)
+		}
+		q, err := repro.ParseQuery(qtext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := repro.Explain(context.Background(), d, q, repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := wire.AppendExplainResponse(nil, d, &wire.ExplainResponse{}, es, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cold wire.ExplainResponse
+		if err := json.Unmarshal(body, &cold); err != nil {
+			t.Fatal(err)
+		}
+		if len(cold.Tuples) == 0 {
+			t.Fatalf("%q has no answers", qtext)
+		}
+		for _, resp := range []*wire.ExplainResponse{&served, &cold} {
 			for j := range resp.Tuples {
 				resp.Tuples[j].ElapsedMs = 0
 			}
-			tuples[i] = resp.Tuples
 		}
-		if len(tuples[0]) == 0 {
-			t.Fatalf("%q has no answers", qtext)
-		}
-		open, _ := json.Marshal(tuples[0])
-		pooled, _ := json.Marshal(tuples[1])
-		if !bytes.Equal(open, pooled) {
-			t.Errorf("%q: pooled answer\n%s\ndiffers from open-per-request\n%s", qtext, pooled, open)
+		want, _ := json.Marshal(cold.Tuples)
+		got, _ := json.Marshal(served.Tuples)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%q: pooled answer\n%s\ndiffers from a cold explain's\n%s", qtext, got, want)
 		}
 	}
 }
@@ -316,7 +328,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					}
 				} else {
 					blob, _ := json.Marshal(wire.ExplainRequest{
-						Dataset: "flights", Query: queries[c/2%len(queries)].String(), NoPool: r%2 == 1,
+						Dataset: "flights", Query: queries[c/2%len(queries)].String(),
 					})
 					resp, err := http.Post(url+"/v1/explain", "application/json", bytes.NewReader(blob))
 					if err != nil {
@@ -447,6 +459,9 @@ func TestServerHTTPBasics(t *testing.T) {
 	}{
 		{"/v1/explain", wire.ExplainRequest{Dataset: "nope", Query: qtext}, http.StatusBadRequest},
 		{"/v1/explain", wire.ExplainRequest{Dataset: "flights", Query: "not a query"}, http.StatusBadRequest},
+		// Every explain goes through the pool: the retired no_pool field is
+		// an unknown field.
+		{"/v1/explain", json.RawMessage(`{"dataset": "flights", "query": ` + strconv.Quote(qtext) + `, "no_pool": true}`), http.StatusBadRequest},
 		{"/v1/update", wire.UpdateRequest{Dataset: "flights", Query: qtext, Deletes: []wire.DeleteSpec{{ID: 99999}}}, http.StatusBadRequest},
 		{"/v1/update", wire.UpdateRequest{Dataset: "flights", Inserts: []wire.InsertSpec{{Relation: "NoRel", Values: []json.RawMessage{json.RawMessage(`1`)}}}}, http.StatusBadRequest},
 	} {

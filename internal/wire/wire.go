@@ -51,10 +51,6 @@ type ExplainRequest struct {
 	// Top truncates each tuple's ranked fact list; 0 or negative returns
 	// every fact.
 	Top int `json:"top,omitempty"`
-	// NoPool bypasses the session pool: the server opens a fresh session,
-	// explains, and closes it — the open-per-request baseline the pooled
-	// path is benchmarked against.
-	NoPool bool `json:"no_pool,omitempty"`
 	// BudgetMs bounds this request's exact computation wall clock in
 	// milliseconds; past it the answer degrades to sampled estimates with
 	// confidence intervals instead of erroring. 0 defers to the server's
@@ -129,7 +125,8 @@ type ExplainResponse struct {
 	Dataset string `json:"dataset,omitempty"`
 	// Query is the normalized query text.
 	Query string `json:"query"`
-	// Pooled says whether a pooled warm session served the request.
+	// Pooled is true on every shapleyd answer, since its session pool
+	// serves every explain, and false in `shapley -json` output.
 	Pooled bool `json:"pooled"`
 	// ElapsedMs is the server-side (or CLI-side) wall clock for the whole
 	// request.
