@@ -35,7 +35,6 @@ func main() {
 		timeout = flag.Duration("timeout", 2500*time.Millisecond, "exact-computation budget per output tuple")
 		maxTup  = flag.Int("maxtuples", 200, "max output tuples per query (0 = unbounded)")
 		workers = flag.Int("workers", 0, "per-tuple fan-out of Algorithm 1's per-fact strategy (0 = GOMAXPROCS, 1 = serial)")
-		cworker = flag.Int("compile-workers", 0, "knowledge-compiler component fan-out per tuple (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSz = flag.Int("cache", 0, "Shapley-value cache capacity per suite, in lineages (0 = disabled)")
 		nocanon = flag.Bool("nocanon", false, "key the value cache byte-identically instead of canonically")
 		strat   = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
@@ -73,7 +72,6 @@ func main() {
 	opts.Timeout = *timeout
 	opts.MaxTuplesPerQuery = *maxTup
 	opts.Workers = *workers
-	opts.CompileWorkers = *cworker
 	opts.CacheSize = *cacheSz
 	opts.NoCanonicalCache = *nocanon
 	opts.Strategy = strategy
@@ -131,7 +129,7 @@ func main() {
 		points, err := bench.RunScaling(ctx, opts.TPCH, []float64{0.25, 0.5, 0.75, 1.0},
 			[]string{"q3", "q10", "q9", "q19"}, 2,
 			core.PipelineOptions{CompileTimeout: *timeout, ShapleyTimeout: *timeout,
-				Workers: *workers, CompileWorkers: *cworker, Strategy: strategy})
+				Workers: *workers, Strategy: strategy})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables:", err)
 			os.Exit(1)

@@ -3,10 +3,9 @@
 // decomposable circuits (d-DNNF), and reports the circuit size, compilation
 // statistics, and the model count (optionally the full #SAT_k spectrum).
 //
-// Several input files compile concurrently across -workers goroutines;
-// within one compilation, independent components fan out across
-// -compile-workers goroutines. Reports print in argument order. An
-// interrupt (Ctrl-C) cancels the in-flight compilations.
+// Several input files compile concurrently across -workers goroutines, each
+// compilation on one of them. Reports print in argument order. An interrupt
+// (Ctrl-C) cancels the in-flight compilations.
 //
 // Usage:
 //
@@ -41,9 +40,6 @@ func main() {
 		spectrum = flag.Bool("spectrum", false, "print #SAT_k for every Hamming weight k")
 		outPath  = flag.String("o", "", "write the compiled circuit in c2d nnf format to this file (single input only)")
 		workers  = flag.Int("workers", 0, "concurrent compilations across inputs (0 = GOMAXPROCS)")
-		cworkers = flag.Int("compile-workers", 0, "component fan-out within each compilation (0 = split GOMAXPROCS across the concurrent inputs, 1 = sequential)")
-		spec     = flag.Bool("speculate", false, "compile hi/lo cofactors of shallow Shannon decisions concurrently")
-		folio    = flag.Bool("portfolio", false, "race branching heuristics per input, first finisher wins (needs \u22652 compile workers; -order still sets the favored racer)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -58,21 +54,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Split the CPU budget between cross-file concurrency and per-file
-	// component fan-out (mirroring repro.Explain's per-tuple split), so the
-	// defaults never schedule workers × compile-workers CPU-bound
-	// goroutines.
-	compileWorkers := *cworkers
-	if compileWorkers == 0 {
-		fileWorkers := parallel.Workers(*workers)
-		if fileWorkers > flag.NArg() {
-			fileWorkers = flag.NArg()
-		}
-		compileWorkers = parallel.Workers(0) / fileWorkers
-		if compileWorkers < 1 {
-			compileWorkers = 1
-		}
-	}
 	varOrder, err := dnnf.ParseVarOrder(*order)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kcompile:", err)
@@ -83,9 +64,6 @@ func main() {
 		MaxNodes:     *maxNodes,
 		DisableCache: *noCache,
 		Order:        varOrder,
-		Workers:      compileWorkers,
-		Speculate:    *spec,
-		Portfolio:    *folio,
 	}
 
 	formulas := make([]*cnf.Formula, flag.NArg())

@@ -236,7 +236,7 @@ func TestWarmCacheFailsSameTuples(t *testing.T) {
 	c := runSmallCorpus(t)
 	ctx := context.Background()
 	opts := smallOptions()
-	opts.Timeout, opts.Workers, opts.CompileWorkers = 0, 1, 1
+	opts.Timeout, opts.Workers = 0, 1
 	tuples := c.Tuples()
 	cache := core.NewValueCache(len(tuples))
 	run := func(tr *TupleResult, opts Options, cache *core.ValueCache) *TupleResult {

@@ -44,9 +44,6 @@ type Options struct {
 	// each tuple (≤ 0 = GOMAXPROCS, 1 = serial). Tuples themselves run
 	// serially so per-tuple timings stay comparable to the paper's.
 	Workers int
-	// CompileWorkers fans each tuple's knowledge compilation out across its
-	// CNF's independent components (≤ 0 = GOMAXPROCS, 1 = sequential).
-	CompileWorkers int
 	// NoCanonicalCache keys the value cache byte-identically instead of
 	// canonically (only meaningful with CacheSize > 0).
 	NoCanonicalCache bool
@@ -254,7 +251,6 @@ func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo 
 		CompileMaxNodes:  opts.MaxNodes,
 		ShapleyTimeout:   opts.Timeout,
 		Workers:          opts.Workers,
-		CompileWorkers:   opts.CompileWorkers,
 		NoCanonicalCache: opts.NoCanonicalCache,
 		Strategy:         opts.Strategy,
 		Cache:            cache,

@@ -51,8 +51,8 @@ func goldenCircuit(rng *rand.Rand, b *circuit.Builder, ids []int, depth int) *ci
 // Allocation ceilings of the exact pipeline's stages on allocGateCNF: the
 // counts measured when they were set, plus 10%.
 const (
-	compileAllocCeiling   = 1397
-	eliminateAllocCeiling = 380
+	compileAllocCeiling   = 1235
+	eliminateAllocCeiling = 312
 	gradientAllocCeiling  = 105
 )
 
@@ -78,7 +78,7 @@ func TestExactPipelineAllocations(t *testing.T) {
 	ctx := context.Background()
 	f, endo := allocGateCNF()
 	isAux := func(v int) bool { return f.Aux[v] }
-	compiled, _, err := dnnf.Compile(ctx, f, dnnf.Options{Workers: 1})
+	compiled, _, err := dnnf.Compile(ctx, f, dnnf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestExactPipelineAllocations(t *testing.T) {
 		run     func()
 	}{
 		{"compile", compileAllocCeiling, func() {
-			if _, _, err := dnnf.Compile(ctx, f, dnnf.Options{Workers: 1}); err != nil {
+			if _, _, err := dnnf.Compile(ctx, f, dnnf.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -1,9 +1,8 @@
 package core
 
-// Tests for two compiler features as seen from the Shapley layer: the
-// canonical (rename-invariant) value cache must leave every Shapley value
-// big.Rat-identical to a cold computation, and the parallel compiler must
-// produce circuits with identical #SAT_k spectra at every worker count.
+// Tests for the canonical (rename-invariant) value cache as seen from the
+// Shapley layer: it must leave every Shapley value big.Rat-identical to a
+// cold computation.
 
 import (
 	"context"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/db"
-	"repro/internal/dnnf"
 )
 
 // renameCircuit rebuilds a lineage circuit with every variable mapped
@@ -113,56 +111,5 @@ func TestCanonicalCacheShapleyIdenticalAcrossRenaming(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no renamed lineage ever hit the canonical cache")
-	}
-}
-
-// TestParallelCompileSATkVectors is the race-coverage contract at the #SAT_k
-// level: circuits compiled with several worker counts (including 1) must
-// yield identical #SAT_k spectra on random CNFs. Run with -race this also
-// exercises the concurrent builder from the consumer side.
-func TestParallelCompileSATkVectors(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	for trial := 0; trial < 30; trial++ {
-		f := randomTestCNF(rng, 2+rng.Intn(6), 1+rng.Intn(10))
-		universe := f.Vars()
-		serial, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := PadToUniverse(ComputeAllSATk(serial), len(universe)-len(serial.Vars()))
-		for _, workers := range []int{1, 2, 4, 8} {
-			par, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
-			}
-			got := PadToUniverse(ComputeAllSATk(par), len(universe)-len(par.Vars()))
-			if len(got) != len(want) {
-				t.Fatalf("trial %d workers=%d: spectrum length %d, want %d", trial, workers, len(got), len(want))
-			}
-			for k := range want {
-				if got[k].Cmp(want[k]) != 0 {
-					t.Fatalf("trial %d workers=%d: #SAT_%d = %v, want %v", trial, workers, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
-// TestPipelineParallelCompileMatchesSerial runs the whole exact pipeline
-// with a parallel compiler on the flights fixture and checks the values
-// against the sequential-compiler run.
-func TestPipelineParallelCompileMatchesSerial(t *testing.T) {
-	elin, endo, fs := flightsELin(t)
-	serial, err := ExplainCircuit(context.Background(), elin, endo, PipelineOptions{CompileWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := ExplainCircuit(context.Background(), elin, endo, PipelineOptions{CompileWorkers: workers})
-		if err != nil {
-			t.Fatalf("compile workers=%d: %v", workers, err)
-		}
-		valuesIdentical(t, par.Values, serial.Values, "parallel-compile vs serial-compile pipeline")
-		ratEq(t, par.Values[fs.A[1].ID], 43, 105, "parallel-compile Shapley(a1)")
 	}
 }

@@ -144,7 +144,7 @@ func FuzzValueCache(f *testing.F) {
 		cache := NewValueCache(4)
 		for i, elin := range lineages {
 			endo := append(endoOf(elin), 99)
-			serial := PipelineOptions{Workers: 1, CompileWorkers: 1, NoCanonicalCache: flags&2 != 0}
+			serial := PipelineOptions{Workers: 1, NoCanonicalCache: flags&2 != 0}
 			cold, err := ExplainCircuit(ctx, elin, endo, serial)
 			if err != nil {
 				t.Fatal(err)

@@ -27,20 +27,12 @@ type PipelineOptions struct {
 	// (≤ 0 = GOMAXPROCS, 1 = serial); gradient mode is serial and ignores
 	// it. Results are identical for every setting.
 	Workers int
-	// CompileWorkers is the knowledge compiler's intra-compilation fan-out:
-	// independent connected components compile concurrently across up to
-	// this many goroutines (≤ 0 = GOMAXPROCS, 1 = the sequential compiler).
-	// Circuits are semantically identical for every setting.
+	// Deprecated: CompileWorkers is ignored; every compile is sequential.
 	CompileWorkers int
-	// Speculate compiles the two cofactors of shallow Shannon decisions
-	// concurrently inside the knowledge compiler — the parallelism source
-	// for single-component lineages, where component fan-out has nothing to
-	// split. Inert at CompileWorkers == 1; circuits stay semantically
-	// identical for every setting.
+	// Deprecated: Speculate is ignored; every compile is sequential.
 	Speculate bool
-	// Portfolio races the compiler's variable-ordering heuristics on the
-	// same CNF, first finisher wins; Cache stores the values computed from
-	// the winner's circuit. Requires ≥ 2 compile workers to engage.
+	// Deprecated: Portfolio is ignored; every compile uses the default
+	// variable order.
 	Portfolio bool
 	// NoCanonicalCache keys Cache by the byte-identical CNF instead of the
 	// rename-invariant canonical form (ablation; canonical is the default).

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/db"
 	"repro/internal/dnnf"
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -24,11 +23,8 @@ func TseytinStage(elin *circuit.Node, endo []db.FactID) *cnf.Formula {
 // dnnf.ErrTimeout / dnnf.ErrNodeBudget on budget exhaustion.
 func CompileStage(ctx context.Context, formula *cnf.Formula, opts PipelineOptions) (*dnnf.Node, dnnf.Stats, error) {
 	compiled, stats, err := dnnf.Compile(ctx, formula, dnnf.Options{
-		Timeout:   opts.CompileTimeout,
-		MaxNodes:  opts.CompileMaxNodes,
-		Workers:   opts.CompileWorkers,
-		Speculate: opts.Speculate,
-		Portfolio: opts.Portfolio,
+		Timeout:  opts.CompileTimeout,
+		MaxNodes: opts.CompileMaxNodes,
 	})
 	if err != nil {
 		return nil, stats, err
@@ -61,10 +57,9 @@ func ShapleyStage(ctx context.Context, reduced *dnnf.Node, endo []db.FactID, opt
 // knowledge compilation to d-DNNF with auxiliary-variable elimination
 // (Lemma 4.6), and Algorithm 1 for every endogenous fact. The compile span
 // names the value-cache outcome and carries the circuit's size; a compile
-// that ran adds its workers, decisions and any speculation and portfolio
-// outcomes from dnnf.Stats. With opts.Cache set, the compile stage first
-// looks the CNF up in the value cache, and a hit skips compilation,
-// elimination and Algorithm 1 alike. It returns
+// that ran adds its decisions from dnnf.Stats. With opts.Cache set, the
+// compile stage first looks the CNF up in the value cache, and a hit skips
+// compilation, elimination and Algorithm 1 alike. It returns
 // dnnf.ErrTimeout or dnnf.ErrNodeBudget when compilation exceeds its budget
 // and ErrShapleyTimeout when evaluation does; in those cases the hybrid
 // strategy falls back to CNF Proxy. Cancelling ctx aborts either stage and
@@ -127,17 +122,7 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 	}
 	reduced, stats, err := CompileStage(cctx, formula, opts)
 	if csp != nil {
-		csp.Set("workers", parallel.Workers(opts.CompileWorkers))
 		csp.Set("decisions", stats.Decisions)
-		if opts.Speculate {
-			csp.Set("speculated", stats.SpeculatedDecisions)
-			csp.Set("speculation_cancels", stats.SpeculationCancels)
-		}
-		if stats.PortfolioRacers > 0 {
-			csp.Set("portfolio_racers", stats.PortfolioRacers)
-			csp.Set("portfolio_winner", stats.PortfolioWinner)
-			csp.Set("portfolio_losers_cancelled", stats.PortfolioLosersCancelled)
-		}
 	}
 	if err != nil {
 		return failed(csp, err)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/cnf"
 )
@@ -71,16 +70,13 @@ func appendClauseSet(dst []byte, clauses []cnf.Clause) []byte {
 	return dst
 }
 
-// componentCache maps the clause multisets of compiled components to their
-// nodes, under hashClauses. It is shared by the workers of one compilation.
+// componentCache maps the clause multisets of one compilation's compiled
+// components to their nodes, under hashClauses.
 type componentCache struct {
-	mu sync.RWMutex
-	m  map[uint64]*entry
+	m map[uint64]*entry
 }
 
-// entry is one cached component. An entry is never mutated after it is
-// published, so a worker that loaded the head of a chain under the read
-// lock walks the chain without it.
+// entry is one cached component.
 type entry struct {
 	set  []byte // the clause set in appendClauseSet's encoding, in the order it was met
 	node *Node
@@ -94,10 +90,7 @@ func newComponentCache() *componentCache {
 // lookup returns the node of the cached clause multiset equal to clauses,
 // which hash to h, or nil. It compares in s and allocates nothing.
 func (cc *componentCache) lookup(s *scratch, h uint64, clauses []cnf.Clause) *Node {
-	cc.mu.RLock()
-	e := cc.m[h]
-	cc.mu.RUnlock()
-	for ; e != nil; e = e.next {
+	for e := cc.m[h]; e != nil; e = e.next {
 		if s.matches(e.set, clauses) {
 			return e.node
 		}
@@ -106,15 +99,9 @@ func (cc *componentCache) lookup(s *scratch, h uint64, clauses []cnf.Clause) *No
 }
 
 // store caches n as the node of the clause set encoded in set, which
-// hashes to h. Concurrent workers that missed the same component both
-// store it; lookups return whichever comes first in the chain, and the
-// builder's hash-consing has made the two nodes one.
+// hashes to h.
 func (cc *componentCache) store(h uint64, set []byte, n *Node) {
-	e := &entry{set: set, node: n}
-	cc.mu.Lock()
-	e.next = cc.m[h]
-	cc.m[h] = e
-	cc.mu.Unlock()
+	cc.m[h] = &entry{set: set, node: n, next: cc.m[h]}
 }
 
 // matches reports whether set, in appendClauseSet's encoding, holds the

@@ -164,8 +164,8 @@ func TestComponentCacheSharedHash(t *testing.T) {
 	}
 }
 
-// TestUniqueTableSharedHash interns three gates under one hash: each gets
-// its own node, and interning it again returns that node.
+// TestUniqueTableSharedHash stores three gates under one hash: each is
+// found only once it is stored, and then as its own node.
 func TestUniqueTableSharedHash(t *testing.T) {
 	const h = 9
 	b := NewBuilder()
@@ -178,23 +178,18 @@ func TestUniqueTableSharedHash(t *testing.T) {
 		{0, []*Node{x, z}},
 		{4, []*Node{x, y}},
 	}
-	var sh nodeShard
+	var tab uniqueTable
 	nodes := make([]*Node, len(gates))
 	for i, g := range gates {
-		nodes[i] = sh.intern(h, g.decision, g.children, func() *Node { return b.gate(KindOr, g.decision, g.children) })
-		for _, prev := range nodes[:i] {
-			if prev == nodes[i] {
-				t.Fatalf("gate %d shares node %d with an earlier gate", i, prev.ID())
-			}
+		if n := tab.find(h, g.decision, g.children); n != nil {
+			t.Fatalf("gate %d found node %d before it was interned", i, n.ID())
 		}
+		nodes[i] = b.gate(KindOr, g.decision, g.children)
+		tab.insert(h, nodes[i])
 	}
 	for i, g := range gates {
-		got := sh.intern(h, g.decision, g.children, func() *Node {
-			t.Fatalf("gate %d: built again", i)
-			return nil
-		})
-		if got != nodes[i] {
-			t.Errorf("gate %d: re-interned to node %d, want %d", i, got.ID(), nodes[i].ID())
+		if got := tab.find(h, g.decision, g.children); got != nodes[i] {
+			t.Errorf("gate %d: found %v, want node %d", i, got, nodes[i].ID())
 		}
 	}
 }

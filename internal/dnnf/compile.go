@@ -8,12 +8,10 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
-	"repro/internal/parallel"
 )
 
 // Compilation errors. A compilation that exceeds its time or size budget
@@ -39,14 +37,8 @@ const (
 	// OrderJeroslowWang branches on the variable maximizing the two-sided
 	// Jeroslow–Wang score Σ_{cl ∋ v} 2^-|cl| over the active clauses — a
 	// dynamic heuristic that weights short clauses exponentially harder
-	// than the plain occurrence count does. It explores a genuinely
-	// different decision tree from OrderMostFrequent, which is what makes
-	// it a useful portfolio racer.
+	// than the plain occurrence count does.
 	OrderJeroslowWang
-
-	// numVarOrders bounds the VarOrder space (used by the portfolio win
-	// counters).
-	numVarOrders = 3
 )
 
 // String names the heuristic ("freq", "lex", "jw").
@@ -85,33 +77,6 @@ type Options struct {
 	DisableCache bool
 	// Order selects the branching heuristic.
 	Order VarOrder
-	// Workers bounds intra-compilation parallelism: independent connected
-	// components of the residual clause set fan out across up to Workers
-	// goroutines (≤ 0 = GOMAXPROCS). Workers == 1 is the fully sequential
-	// compiler and produces the exact circuit (node IDs included) the
-	// pre-parallel implementation did; higher counts produce semantically
-	// identical circuits whose node numbering depends on scheduling.
-	Workers int
-	// Speculate additionally compiles the hi and lo cofactors of shallow
-	// Shannon decisions concurrently — the two cofactors are independent by
-	// construction, so this parallelizes single-component instances, where
-	// component fan-out has nothing to split. Speculation rides the same
-	// spawn-token pool as the component fan-out (so Workers still bounds
-	// total parallelism), is capped by the same recursion depth, and is
-	// inert at Workers == 1. A branch that fails its budget cancels its
-	// in-flight sibling immediately; cofactors that are unsatisfiable at
-	// assignment time never spawn a sibling at all. Node and step budgets
-	// are accounted on shared atomics, so MaxNodes semantics are unchanged.
-	Speculate bool
-	// Portfolio races the same CNF under different branching heuristics
-	// (the configured Order plus the dynamic heuristics it is not), each
-	// racer on its own builder with an equal share of the Workers budget.
-	// The first racer to finish wins: its circuit is returned and the
-	// losers are cancelled via context. Requires Workers ≥ 2 to engage;
-	// with Workers == 1 compilation is byte-identical to the sequential
-	// compiler. MaxNodes bounds each racer's builder: the compilation fails
-	// with ErrNodeBudget only when every racer exhausts it.
-	Portfolio bool
 }
 
 // Stats reports compilation effort.
@@ -128,54 +93,28 @@ type Stats struct {
 	// check, can exceed it by a few.
 	CheckedNodes int
 	Elapsed      time.Duration
-	// SpeculatedDecisions counts Shannon decisions whose cofactors compiled
-	// concurrently; SpeculationCancels counts siblings that were cancelled
-	// mid-flight because the other branch failed its budget.
-	SpeculatedDecisions int
-	SpeculationCancels  int
-	// PortfolioRacers is how many heuristics raced this compilation (0 when
-	// portfolio mode was off or did not engage); PortfolioLosersCancelled
-	// counts racers cancelled after the winner finished; PortfolioWinner
-	// names the winning heuristic ("" when no race ran). The effort
-	// counters above are the winning racer's.
-	PortfolioRacers          int
-	PortfolioLosersCancelled int
-	PortfolioWinner          string
 }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("decisions=%d props=%d cacheHits=%d cacheMisses=%d components=%d nodes=%d elapsed=%v",
+	return fmt.Sprintf("decisions=%d props=%d cacheHits=%d cacheMisses=%d components=%d nodes=%d elapsed=%v",
 		s.Decisions, s.Propagations, s.CacheHits, s.CacheMisses, s.Components, s.Nodes, s.Elapsed)
-	if s.SpeculatedDecisions > 0 || s.SpeculationCancels > 0 {
-		out += fmt.Sprintf(" speculated=%d specCancels=%d", s.SpeculatedDecisions, s.SpeculationCancels)
-	}
-	if s.PortfolioRacers > 0 {
-		out += fmt.Sprintf(" portfolio=%d winner=%s losersCancelled=%d", s.PortfolioRacers, s.PortfolioWinner, s.PortfolioLosersCancelled)
-	}
-	return out
 }
 
-// parallelComponentFloor is the size cutoff for fanning a component out to
-// another goroutine: components with fewer clauses compile in about the time
-// a goroutine handoff costs, so they stay on the current worker.
-const parallelComponentFloor = 8
+// compilations counts Compile calls that searched, for the process-wide
+// repro_compilations_total series; it is the one counter that compilations
+// on different goroutines share.
+var compilations atomic.Int64
 
-// speculateClauseFloor is the analogous cutoff for speculative decision
-// branching: a cofactor of a smaller clause set compiles faster than the
-// spawn costs.
-const speculateClauseFloor = 8
+// Compilations returns how many Compile calls in this process have run the
+// search, whether they succeeded or failed a budget.
+func Compilations() int64 { return compilations.Load() }
 
-// compiler carries the mutable compilation state. All fields written during
-// the recursion are either atomic or mutex-guarded, because the component
-// fan-out and speculative decision branching may run subproblems on several
-// goroutines at once; each of those goroutines works in its own scratch.
+// compiler carries the state of one compilation. One goroutine runs the
+// whole recursion, in one scratch.
 type compiler struct {
 	b        *Builder
 	opts     Options
 	deadline time.Time
-	// limit is the spawn budget shared by component fan-out and speculative
-	// decision branching; nil means the fully sequential compiler.
-	limit *parallel.Limit
 	// orig maps the recursion's dense variables back to the formula's (see
 	// densify); nodes are built on the formula's variables.
 	orig []int
@@ -183,27 +122,15 @@ type compiler struct {
 	// cache is the component cache; nil when Options.DisableCache is set.
 	cache *componentCache
 
-	decisions    atomic.Int64
-	propagations atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-	components   atomic.Int64
-	steps        atomic.Int64
-	checked      atomic.Int64
-	speculated   atomic.Int64
-	specCancels  atomic.Int64
+	// stats accumulates the effort counters; steps counts budget checks.
+	stats Stats
+	steps int
 }
 
-// newCompiler builds a compiler for one (possibly racing) compilation of a
-// densified clause set whose variables orig maps back. start anchors the
-// deadline so portfolio racers share one clock.
+// newCompiler builds a compiler for one compilation, started at start, of
+// a densified clause set whose variables orig maps back.
 func newCompiler(opts Options, orig []int, start time.Time) *compiler {
-	c := &compiler{
-		b:     NewBuilder(),
-		opts:  opts,
-		orig:  orig,
-		limit: parallel.NewLimit(parallel.Workers(opts.Workers) - 1),
-	}
+	c := &compiler{b: NewBuilder(), opts: opts, orig: orig}
 	if !opts.DisableCache {
 		c.cache = newComponentCache()
 	}
@@ -213,20 +140,12 @@ func newCompiler(opts Options, orig []int, start time.Time) *compiler {
 	return c
 }
 
-// snapshot folds the atomic counters into a Stats value.
-func (c *compiler) snapshot(start time.Time) Stats {
-	return Stats{
-		Decisions:           int(c.decisions.Load()),
-		Propagations:        int(c.propagations.Load()),
-		CacheHits:           int(c.cacheHits.Load()),
-		CacheMisses:         int(c.cacheMisses.Load()),
-		Components:          int(c.components.Load()),
-		Nodes:               c.b.NumNodes(),
-		CheckedNodes:        int(c.checked.Load()),
-		SpeculatedDecisions: int(c.speculated.Load()),
-		SpeculationCancels:  int(c.specCancels.Load()),
-		Elapsed:             time.Since(start),
-	}
+// finish completes the compilation's Stats with its node count and
+// elapsed time.
+func (c *compiler) finish(start time.Time) Stats {
+	c.stats.Nodes = c.b.NumNodes()
+	c.stats.Elapsed = time.Since(start)
+	return c.stats
 }
 
 // lit builds the leaf of a dense literal, on the formula's variable.
@@ -261,18 +180,11 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 			return b.False(), Stats{Nodes: b.NumNodes(), Elapsed: time.Since(start)}, nil
 		}
 	}
-	var root *Node
-	var stats Stats
-	var err error
-	dense, orig := clauses, renumber(clauses)
-	if orders := portfolioOrders(opts); len(orders) > 1 {
-		root, stats, err = racePortfolio(ctx, dense, orig, opts, orders, start)
-	} else {
-		c := newCompiler(opts, orig, start)
-		root, err = c.compile(ctx, newScratch(orig), dense, 0)
-		stats = c.snapshot(start)
-	}
-	recordGlobalCounters(stats)
+	orig := renumber(clauses)
+	c := newCompiler(opts, orig, start)
+	root, err := c.compile(ctx, newScratch(orig), clauses)
+	compilations.Add(1)
+	stats := c.finish(start)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -365,7 +277,7 @@ func normalizeInPlace(cl cnf.Clause) (cnf.Clause, bool) {
 // several megabytes past its goal. Steps on large clause sets take up to
 // milliseconds, hence the short period.
 func (c *compiler) checkBudget(ctx context.Context) error {
-	if c.steps.Add(1)%8 == 0 {
+	if c.steps++; c.steps%8 == 0 {
 		runtime.Gosched()
 		if err := ctx.Err(); err != nil {
 			return err
@@ -375,24 +287,16 @@ func (c *compiler) checkBudget(ctx context.Context) error {
 		}
 	}
 	n := c.b.NumNodes()
-	c.checked.Store(int64(n))
+	c.stats.CheckedNodes = n
 	if c.opts.MaxNodes > 0 && n > c.opts.MaxNodes {
 		return ErrNodeBudget
 	}
 	return nil
 }
 
-// parallelSpawnDepth caps how deep in the decision recursion component
-// fan-out and speculative branching may still spawn goroutines: past it,
-// subproblems are small enough that handoff overhead dominates, even when
-// the clause-count floor passes.
-const parallelSpawnDepth = 32
-
 // compile compiles a set of normalized clauses (no duplicates or
 // tautologies) over dense variables into a d-DNNF node, working in s.
-// depth counts Shannon decisions above this call and gates the parallel
-// fan-out.
-func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause, depth int) (*Node, error) {
+func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause) (*Node, error) {
 	if err := c.checkBudget(ctx); err != nil {
 		return nil, err
 	}
@@ -400,7 +304,7 @@ func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause
 
 	// Unit propagation.
 	units, rest, conflict := s.propagate(clauses)
-	c.propagations.Add(int64(len(units)))
+	c.stats.Propagations += len(units)
 	if conflict {
 		return c.b.False(), nil
 	}
@@ -412,101 +316,50 @@ func (c *compiler) compile(ctx context.Context, s *scratch, clauses []cnf.Clause
 		return c.b.And(children...), nil
 	}
 
-	// Connected-component decomposition.
+	// Connected-component decomposition: the components are independent
+	// subproblems (disjoint variables), compiled in component order.
 	comps := s.components(rest)
 	if len(comps) > 1 {
-		c.components.Add(1)
+		c.stats.Components++
 	}
-	children := s.nodes.alloc(len(units) + len(comps))[:len(units)+len(comps)]
-	for i, l := range units {
-		children[i] = c.lit(l)
+	children := s.nodes.alloc(len(units) + len(comps))
+	for _, l := range units {
+		children = append(children, c.lit(l))
 	}
-	if err := c.compileComponents(ctx, s, comps, children[len(units):], depth); err != nil {
-		return nil, err
+	for _, comp := range comps {
+		n, err := c.compileComponent(ctx, s, comp)
+		if err != nil {
+			return nil, err
+		}
+		children = append(children, n)
 	}
 	return c.b.And(children...), nil
-}
-
-// compileComponents compiles each component into the matching entry of
-// nodes, fanning them out across the spawn budget when one is configured.
-// Components are independent subproblems (disjoint variables), so any
-// interleaving builds the same hash-consed nodes; results are assembled in
-// component order either way.
-func (c *compiler) compileComponents(ctx context.Context, s *scratch, comps [][]cnf.Clause, nodes []*Node, depth int) error {
-	if c.limit == nil || len(comps) == 1 || depth > parallelSpawnDepth {
-		for i, comp := range comps {
-			n, err := c.compileComponent(ctx, s, comp, depth)
-			if err != nil {
-				return err
-			}
-			nodes[i] = n
-		}
-		return nil
-	}
-	errs := make([]error, len(comps))
-	var wg sync.WaitGroup
-	for i := 1; i < len(comps); i++ {
-		if len(comps[i]) >= parallelComponentFloor &&
-			c.limit.Go(&wg, func() {
-				nodes[i], errs[i] = c.compileComponent(ctx, newScratch(c.orig), comps[i], depth)
-			}) {
-			continue
-		}
-		nodes[i], errs[i] = c.compileComponent(ctx, s, comps[i], depth)
-	}
-	// The current goroutine takes the first component itself — with no spare
-	// tokens the whole loop degenerates to the sequential order shifted by
-	// one, and with tokens it overlaps with the spawned workers.
-	nodes[0], errs[0] = c.compileComponent(ctx, s, comps[0], depth)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // compileComponent compiles a single connected component, consulting the
 // component cache. A lookup hashes the clauses where they lie and compares
 // them in s, so a hit allocates nothing; only a miss encodes the clauses,
 // in the order they came, for its cache entry.
-func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []cnf.Clause, depth int) (*Node, error) {
+func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []cnf.Clause) (*Node, error) {
 	var h uint64
 	if c.cache != nil {
 		h = hashClauses(clauses)
 		if n := c.cache.lookup(s, h, clauses); n != nil {
-			c.cacheHits.Add(1)
+			c.stats.CacheHits++
 			return n, nil
 		}
-		// Concurrent workers may both miss the same component and compile
-		// it twice; the builder's hash-consing collapses the duplicates to
-		// one node, so the only cost is the redundant search effort.
-		c.cacheMisses.Add(1)
+		c.stats.CacheMisses++
 	}
 
 	v := s.pickVar(c.opts.Order, clauses)
-	c.decisions.Add(1)
-
-	var hi, lo *Node
-	var err error
-	speculated := false
-	if c.opts.Speculate && c.limit != nil && depth <= parallelSpawnDepth &&
-		len(clauses) >= speculateClauseFloor {
-		// Both cofactors carry real work: after propagation the component
-		// has no unit clause, so neither is unsatisfiable at assignment.
-		hi, lo, speculated, err = c.speculateBranches(ctx, s, clauses, v, depth)
-		if err != nil {
-			return nil, err
-		}
+	c.stats.Decisions++
+	hi, err := c.cofactor(ctx, s, clauses, cnf.Lit(v))
+	if err != nil {
+		return nil, err
 	}
-	if !speculated {
-		if hi, err = c.cofactor(ctx, s, clauses, cnf.Lit(v), depth); err != nil {
-			return nil, err
-		}
-		if lo, err = c.cofactor(ctx, s, clauses, cnf.Lit(-v), depth); err != nil {
-			return nil, err
-		}
+	lo, err := c.cofactor(ctx, s, clauses, cnf.Lit(-v))
+	if err != nil {
+		return nil, err
 	}
 
 	n := c.b.Decision(c.orig[v], hi, lo)
@@ -520,71 +373,13 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 // cofactor compiles the clauses conditioned on l, working in s. The
 // conditioned clause set lives on s's stacks only while it compiles, so a
 // decision holds one cofactor's clauses at a time. Conditioning builds no
-// node, so deriving each cofactor just before it compiles leaves the
-// sequential compiler's node allocation order unchanged.
-func (c *compiler) cofactor(ctx context.Context, s *scratch, clauses []cnf.Clause, l cnf.Lit, depth int) (*Node, error) {
+// node, so deriving each cofactor just before it compiles leaves the node
+// allocation order that of compiling the cofactors one after the other.
+func (c *compiler) cofactor(ctx context.Context, s *scratch, clauses []cnf.Clause, l cnf.Lit) (*Node, error) {
 	defer s.release(s.mark())
 	conditioned, empty := s.assign(clauses, l)
 	if empty {
 		return c.b.False(), nil
 	}
-	return c.compile(ctx, s, conditioned, depth+1)
-}
-
-// speculateBranches compiles the two cofactors of decision variable v
-// concurrently when a spawn token is idle: the hi cofactor on a fresh
-// goroutine, the lo cofactor on the calling one. The cofactors are variable-
-// disjoint subproblems of the same component split by the decision variable,
-// so they are independent by construction; node and step budgets are
-// accounted on the compiler's shared atomics, which keeps MaxNodes semantics
-// identical to the sequential order. A branch that fails cancels the branch
-// context so its in-flight sibling aborts at its next budget check instead
-// of running to completion. ok == false means no token was idle and nothing
-// ran — the caller falls back to sequential compilation. The spawned branch
-// works in a scratch of its own; the calling one keeps s.
-func (c *compiler) speculateBranches(ctx context.Context, s *scratch, clauses []cnf.Clause, v, depth int) (hi, lo *Node, ok bool, err error) {
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	var hiErr, loErr error
-	if !c.limit.Go(&wg, func() {
-		if hi, hiErr = c.cofactor(bctx, newScratch(c.orig), clauses, cnf.Lit(v), depth); hiErr != nil {
-			cancel()
-		}
-	}) {
-		return nil, nil, false, nil
-	}
-	c.speculated.Add(1)
-	if lo, loErr = c.cofactor(bctx, s, clauses, cnf.Lit(-v), depth); loErr != nil {
-		cancel()
-	}
-	wg.Wait()
-	return hi, lo, true, c.reconcileBranchErrs(ctx, hiErr, loErr)
-}
-
-// reconcileBranchErrs folds the two speculative branch outcomes into the
-// error the sequential compiler would have reported. The caller's own
-// cancellation wins outright; otherwise a branch's context.Canceled can only
-// be sibling-induced (the branch context is cancelled exactly when a branch
-// fails), so the sibling's real budget error — ErrNodeBudget, ErrTimeout —
-// is surfaced instead of the induced cancellation.
-func (c *compiler) reconcileBranchErrs(ctx context.Context, hiErr, loErr error) error {
-	if hiErr == nil && loErr == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if errors.Is(hiErr, context.Canceled) || errors.Is(loErr, context.Canceled) {
-		c.specCancels.Add(1)
-	}
-	for _, err := range []error{hiErr, loErr} {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	if hiErr != nil {
-		return hiErr
-	}
-	return loErr
+	return c.compile(ctx, s, conditioned)
 }

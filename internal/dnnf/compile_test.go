@@ -3,7 +3,7 @@ package dnnf
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,12 +19,6 @@ import (
 // out.
 func multiComponentCNF(rng *rand.Rand, blocks, varsPer, clausesPer int) *cnf.Formula {
 	return blockCNF(rng, blocks, varsPer, clausesPer, func() int { return 2 + rng.Intn(2) })
-}
-
-// hardMultiComponentCNF is the width-3-only variant: without width-2 clauses
-// the blocks keep real search work, which the parallel benchmark needs.
-func hardMultiComponentCNF(rng *rand.Rand, blocks, varsPer, clausesPer int) *cnf.Formula {
-	return blockCNF(rng, blocks, varsPer, clausesPer, func() int { return 3 })
 }
 
 func blockCNF(rng *rand.Rand, blocks, varsPer, clausesPer int, width func() int) *cnf.Formula {
@@ -49,95 +43,49 @@ func blockCNF(rng *rand.Rand, blocks, varsPer, clausesPer int, width func() int)
 	return f
 }
 
-// TestParallelCompileMatchesSequential is the race-coverage contract for the
-// parallel compiler: at several worker counts (including 1), compilation of
-// random multi-component CNFs produces circuits semantically equal to the
-// sequential ones — same model counts and pointwise-equal evaluation.
-// Running under -race also exercises the concurrent builder and caches.
-func TestParallelCompileMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 25; trial++ {
-		f := multiComponentCNF(rng, 1+rng.Intn(4), 4, 5)
-		universe := f.Vars()
-		serial, _, err := Compile(context.Background(), f, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := CountModels(serial, universe)
-		for _, workers := range []int{1, 2, 4, 8} {
-			par, _, err := Compile(context.Background(), f, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
-			}
-			if err := Validate(par, len(universe)); err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
-			}
-			if got := CountModels(par, universe); got.Cmp(want) != 0 {
-				t.Fatalf("trial %d workers=%d: model count %v, want %v", trial, workers, got, want)
-			}
-			if len(universe) <= 16 {
-				assign := make(map[int]bool)
-				for mask := 0; mask < 1<<len(universe); mask++ {
-					for i, v := range universe {
-						assign[v] = mask&(1<<i) != 0
-					}
-					if Eval(par, assign) != Eval(serial, assign) {
-						t.Fatalf("trial %d workers=%d: circuits diverge at %v", trial, workers, assign)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWorkersOneIsDeterministic pins the workers=1 guarantee: the sequential
-// path allocates node IDs in a fixed order, so two runs serialize to
-// byte-identical NNF files. Speculation and portfolio mode are inert at
-// workers=1 (no spawn tokens, fewer workers than racers), so enabling them
-// must leave the bytes identical too.
-func TestWorkersOneIsDeterministic(t *testing.T) {
+// TestCompileIsDeterministic pins that the compiler numbers nodes in a
+// fixed order: compiling one formula twice, each time into a fresh
+// builder, serializes to byte-identical NNF files.
+func TestCompileIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
-	variants := []Options{
-		{Workers: 1},
-		{Workers: 1, Speculate: true},
-		{Workers: 1, Portfolio: true},
-		{Workers: 1, Speculate: true, Portfolio: true},
-	}
 	for trial := 0; trial < 10; trial++ {
 		f := multiComponentCNF(rng, 3, 4, 5)
 		var want []byte
-		for vi, opts := range variants {
-			for run := 0; run < 2; run++ {
-				n, stats, err := Compile(context.Background(), f, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.SpeculatedDecisions != 0 || stats.PortfolioRacers != 0 {
-					t.Fatalf("trial %d variant %d: speculation/portfolio engaged at workers=1: %+v", trial, vi, stats)
-				}
-				var buf bytes.Buffer
-				if err := WriteNNF(&buf, n); err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = buf.Bytes()
-				} else if !bytes.Equal(want, buf.Bytes()) {
-					t.Fatalf("trial %d variant %d run %d: workers=1 circuit diverges from plain sequential", trial, vi, run)
-				}
+		for run := 0; run < 2; run++ {
+			n, _, err := Compile(context.Background(), f, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteNNF(&buf, n); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+			} else if !bytes.Equal(want, buf.Bytes()) {
+				t.Fatalf("trial %d run %d: circuit diverges from the first run", trial, run)
 			}
 		}
 	}
 }
 
-// TestParallelCompileBudgetsStillEnforced checks that the node budget fires
-// under parallel compilation too (the check reads the shared builder's
-// atomic allocation count).
-func TestParallelCompileBudgetsStillEnforced(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	f := multiComponentCNF(rng, 4, 6, 14)
-	_, _, err := Compile(context.Background(), f, Options{Workers: 4, MaxNodes: 3})
-	if err != ErrNodeBudget {
-		t.Fatalf("err = %v, want ErrNodeBudget", err)
+// TestCompileCallerCancellation pins that the caller's cancellation is an
+// error, the caller's context error, and never a budget sentinel: a
+// cancelled context fails before any search, and a deadline that fires
+// mid-compile fails with DeadlineExceeded unless the compile finished
+// first.
+func TestCompileCallerCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(233))
+	f := singleComponentCNF(rng, 44, 44*7/2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Compile(ctx, f, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	tctx, tcancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer tcancel()
+	if _, _, err := Compile(tctx, f, Options{}); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-compile deadline: err = %v, want nil or DeadlineExceeded", err)
 	}
 }
 
@@ -200,37 +148,6 @@ func BenchmarkNormalizeClause(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCompileParallel measures the component fan-out on a CNF with four
-// independent hard components, serial versus several worker counts. On a
-// multi-core machine the 4-worker configuration should approach a 4x
-// speedup; on a single-CPU machine it documents the (small) overhead.
-func BenchmarkCompileParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(101))
-	f := hardMultiComponentCNF(rng, 4, 26, 65)
-	universe := f.Vars()
-	serial, _, err := Compile(context.Background(), f, Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := CountModels(serial, universe)
-	for _, workers := range []int{1, 2, 4} {
-		par, _, err := Compile(context.Background(), f, Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := CountModels(par, universe); got.Cmp(want) != 0 {
-			b.Fatalf("workers=%d: model count %v, want %v", workers, got, want)
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Compile(context.Background(), f, Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // randomClauseSet draws normalized clauses of both signs over one to four
@@ -362,15 +279,13 @@ func TestCompileReleasesScratch(t *testing.T) {
 			}
 		}
 		dense, orig := densify(clauses)
-		for _, opts := range []Options{{Workers: 1}, {Workers: 4, Speculate: true}} {
-			c := newCompiler(opts, orig, time.Now())
-			s := newScratch(orig)
-			if _, err := c.compile(context.Background(), s, dense, 0); err != nil {
-				t.Fatal(err)
-			}
-			if f := s.mark(); f != (frame{}) {
-				t.Fatalf("trial %d, workers %d: compile left its stacks at %+v", trial, opts.Workers, f)
-			}
+		c := newCompiler(Options{}, orig, time.Now())
+		s := newScratch(orig)
+		if _, err := c.compile(context.Background(), s, dense); err != nil {
+			t.Fatal(err)
+		}
+		if f := s.mark(); f != (frame{}) {
+			t.Fatalf("trial %d: compile left its stacks at %+v", trial, f)
 		}
 	}
 }

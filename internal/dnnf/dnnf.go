@@ -16,8 +16,6 @@ import (
 	"math/big"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind enumerates d-DNNF node kinds.
@@ -65,41 +63,32 @@ func (n *Node) Vars() []int {
 		return nil
 	}
 	out := make([]int, 0, n.nvars)
-	n.lits.mu.RLock()
 	for w, word := range n.sup {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, n.lits.vars[w*64+bits.TrailingZeros64(word)])
 		}
 	}
-	n.lits.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
 
-// numShards is the unique-table shard count of a Builder. Sharding keeps the
-// hash-consing critical sections short when the parallel compiler's workers
-// intern nodes concurrently; 16 shards comfortably cover the worker counts
-// the compiler runs with.
-const numShards = 16
-
-// nodeShard is one mutex-guarded slice of a unique table, keyed by gate
+// uniqueTable is a builder's unique table for one gate kind, keyed by gate
 // hashes (see gateHash). A gate whose hash m already holds for a different
 // gate goes to more, so every gate still gets exactly one node. The maps
 // are made on the first insert, so a builder of a few nodes makes few maps.
-type nodeShard struct {
-	mu   sync.RWMutex
+type uniqueTable struct {
 	m    map[uint64]*Node
 	more map[uint64][]*Node
 }
 
 // find returns the gate with the decision and children stored under hash
-// h, or nil. The caller holds s.mu.
-func (s *nodeShard) find(h uint64, decision int, children []*Node) *Node {
+// h, or nil.
+func (t *uniqueTable) find(h uint64, decision int, children []*Node) *Node {
 	same := func(n *Node) bool { return n.Decision == decision && slices.Equal(n.Children, children) }
-	if n := s.m[h]; n != nil && same(n) {
+	if n := t.m[h]; n != nil && same(n) {
 		return n
 	}
-	for _, n := range s.more[h] {
+	for _, n := range t.more[h] {
 		if same(n) {
 			return n
 		}
@@ -107,56 +96,39 @@ func (s *nodeShard) find(h uint64, decision int, children []*Node) *Node {
 	return nil
 }
 
-// intern returns the gate with the decision and children, which hash to
-// h, constructing it with mk (under the shard lock, so exactly one node per
-// gate is ever published) on a miss. It allocates only for a new node.
-func (s *nodeShard) intern(h uint64, decision int, children []*Node, mk func() *Node) *Node {
-	s.mu.RLock()
-	n := s.find(h, decision, children)
-	s.mu.RUnlock()
-	if n != nil {
-		return n
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.find(h, decision, children); n != nil {
-		return n
-	}
-	n = mk()
+// insert stores the new gate n under its hash h.
+func (t *uniqueTable) insert(h uint64, n *Node) {
 	switch {
-	case s.m == nil:
-		s.m = map[uint64]*Node{h: n}
-	case s.m[h] == nil:
-		s.m[h] = n
+	case t.m == nil:
+		t.m = map[uint64]*Node{h: n}
+	case t.m[h] == nil:
+		t.m[h] = n
 	default:
-		if s.more == nil {
-			s.more = make(map[uint64][]*Node)
+		if t.more == nil {
+			t.more = make(map[uint64][]*Node)
 		}
-		s.more[h] = append(s.more[h], n)
+		t.more[h] = append(t.more[h], n)
 	}
-	return n
 }
 
-// Builder hash-conses d-DNNF nodes. It is safe for concurrent use: the
-// parallel compiler's workers intern nodes into the same builder, so
-// structurally equal subcircuits built on different goroutines still collapse
-// to one node. Node IDs are allocated atomically; under a single goroutine
-// (the sequential compiler) the allocation order — and therefore the entire
-// built circuit — is identical to the pre-concurrent builder's.
+// Builder hash-conses d-DNNF nodes and numbers them in the order it builds
+// them. A Builder is not safe for concurrent use: one goroutine builds a
+// circuit. A finished circuit is immutable, so many goroutines may read it
+// at once, and each may build into a builder of its own from it, as the
+// per-fact Algorithm 1 workers do when they condition one circuit.
 type Builder struct {
-	nextID atomic.Int64
+	nextID int
 	trueN  *Node
 	falseN *Node
 	lits   *litTable
-	ands   [numShards]nodeShard
-	ors    [numShards]nodeShard
+	ands   uniqueTable
+	ors    uniqueTable
 }
 
 // litTable holds a builder's literal leaves and the variable index that
 // node supports are bitsets over. Nodes point to it rather than to their
 // builder, so a circuit does not keep its builder's unique tables alive.
 type litTable struct {
-	mu     sync.RWMutex
 	leaves map[int]*Node
 	// vars[i] is the variable of support bit i, in the order Lit first met
 	// them.
@@ -172,12 +144,13 @@ func NewBuilder() *Builder {
 }
 
 func (b *Builder) fresh() int {
-	return int(b.nextID.Add(1))
+	b.nextID++
+	return b.nextID
 }
 
 // NumNodes returns the number of nodes allocated so far, used for compile
 // budgets.
-func (b *Builder) NumNodes() int { return int(b.nextID.Load()) }
+func (b *Builder) NumNodes() int { return b.nextID }
 
 // True returns the constant-true node.
 func (b *Builder) True() *Node { return b.trueN }
@@ -191,22 +164,14 @@ func (b *Builder) Lit(l int) *Node {
 		panic("dnnf: zero literal")
 	}
 	t := b.lits
-	t.mu.RLock()
-	n := t.leaves[l]
-	t.mu.RUnlock()
-	if n != nil {
+	if n := t.leaves[l]; n != nil {
 		return n
 	}
 	v := l
 	if v < 0 {
 		v = -v
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := t.leaves[l]; n != nil {
-		return n
-	}
-	n = &Node{Kind: KindLit, Lit: l, id: b.fresh(), lits: t, nvars: 1}
+	n := &Node{Kind: KindLit, Lit: l, id: b.fresh(), lits: t, nvars: 1}
 	// The complementary leaf, if any, already holds v's index; both leaves
 	// share its one-bit support.
 	if twin := t.leaves[-l]; twin != nil {
@@ -274,11 +239,7 @@ func union(dst []uint64, nodes []*Node) (sup []uint64, size, shared int) {
 }
 
 // varAt returns the variable of support bit i.
-func (t *litTable) varAt(i int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.vars[i]
-}
+func (t *litTable) varAt(i int) int { return t.vars[i] }
 
 // gateHash hashes a gate's decision variable and child IDs.
 func gateHash(decision int, children []*Node) uint64 {
@@ -290,10 +251,15 @@ func gateHash(decision int, children []*Node) uint64 {
 }
 
 // internGate returns the unique gate of the kind over the kept children,
-// from the table's shard for its hash.
-func (b *Builder) internGate(table *[numShards]nodeShard, kind Kind, decision int, kept []*Node) *Node {
+// building it on a miss. It allocates only for a new node.
+func (b *Builder) internGate(table *uniqueTable, kind Kind, decision int, kept []*Node) *Node {
 	h := gateHash(decision, kept)
-	return table[h%numShards].intern(h, decision, kept, func() *Node { return b.gate(kind, decision, kept) })
+	if n := table.find(h, decision, kept); n != nil {
+		return n
+	}
+	n := b.gate(kind, decision, kept)
+	table.insert(h, n)
+	return n
 }
 
 // keptChildren appends the children other than skip to dst, sorted by ID.

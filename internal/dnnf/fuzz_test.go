@@ -23,9 +23,7 @@ func dimacs(tb testing.TB, f *cnf.Formula) []byte {
 
 // FuzzCompile compiles every small DIMACS input under each variable order,
 // with the component cache on and off, and checks each circuit's structure
-// and model count against brute force. The parallel speculative compiler
-// must count the same, and turning speculation and portfolio racing on at
-// one worker must not move a byte of the circuit.
+// and model count against brute force.
 func FuzzCompile(f *testing.F) {
 	for _, formula := range []*cnf.Formula{
 		chainFormula(3),
@@ -56,7 +54,7 @@ func FuzzCompile(f *testing.F) {
 		want := big.NewInt(int64(bruteCount(formula, universe)))
 		for _, order := range []VarOrder{OrderMostFrequent, OrderLexicographic, OrderJeroslowWang} {
 			for _, off := range []bool{false, true} {
-				opts := Options{Order: order, DisableCache: off, Workers: 1}
+				opts := Options{Order: order, DisableCache: off}
 				root, _, err := Compile(ctx, formula, opts)
 				if err != nil {
 					t.Fatalf("%+v: %v", opts, err)
@@ -66,33 +64,6 @@ func FuzzCompile(f *testing.F) {
 				}
 				if got := CountModels(root, universe); got.Cmp(want) != 0 {
 					t.Fatalf("%+v: model count %v, brute force %v", opts, got, want)
-				}
-
-				par := opts
-				par.Workers, par.Speculate = 4, true
-				proot, _, err := Compile(ctx, formula, par)
-				if err != nil {
-					t.Fatalf("%+v: %v", par, err)
-				}
-				if got := CountModels(proot, universe); got.Cmp(want) != 0 {
-					t.Fatalf("%+v: model count %v, brute force %v", par, got, want)
-				}
-
-				inert := opts
-				inert.Speculate, inert.Portfolio = true, true
-				iroot, _, err := Compile(ctx, formula, inert)
-				if err != nil {
-					t.Fatalf("%+v: %v", inert, err)
-				}
-				var plain, same bytes.Buffer
-				if err := WriteNNF(&plain, root); err != nil {
-					t.Fatal(err)
-				}
-				if err := WriteNNF(&same, iroot); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(plain.Bytes(), same.Bytes()) {
-					t.Fatalf("%+v: circuit differs from plain workers=1:\n%s\nvs\n%s", inert, same.Bytes(), plain.Bytes())
 				}
 			}
 		}

@@ -101,12 +101,11 @@ func nnfDigest(t *testing.T, n *Node) string {
 	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 }
 
-// goldenLine compiles f sequentially under opts and renders the effort
+// goldenLine compiles f under opts and renders the effort
 // counters, the outcome and the digests of the circuit and of its
 // EliminateAux reduction.
 func goldenLine(t *testing.T, name string, f *cnf.Formula, opts Options) string {
 	t.Helper()
-	opts.Workers = 1
 	root, s, err := Compile(context.Background(), f, opts)
 	errText, reduced := "-", (*Node)(nil)
 	if err != nil {
@@ -156,7 +155,7 @@ func goldenCompileLines(t *testing.T) []string {
 	return lines
 }
 
-// TestCompileGolden pins the sequential compiler's output across commits:
+// TestCompileGolden pins the compiler's output across commits:
 // for every case, the Stats effort counters and the SHA-256 of the nnf
 // bytes of the compiled circuit and of its EliminateAux reduction must
 // match testdata/compile_golden.txt exactly. A change to the compiler that

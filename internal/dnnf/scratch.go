@@ -45,8 +45,7 @@ func renumber(clauses []cnf.Clause) (orig []int) {
 // clause lists and shortened clauses, components' groups and the children
 // of a frame's ∧-gate — come from stacks: a frame marks them on entry and
 // releases everything above its mark on return, so the chunks are reused
-// from decision to decision. A frame that hands its clause sets to a spawned
-// goroutine releases them only after that goroutine has returned.
+// from decision to decision.
 type scratch struct {
 	score  []float64 // pickVar: score of each variable
 	value  []int8    // propagate: +1 / -1 for a variable implied true / false

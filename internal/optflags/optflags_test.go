@@ -30,18 +30,16 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 }
 
-// TestRegisterParsesEveryFlag sets all nine flags, including the -1
-// sentinels the help text documents, and gets valid Options.
+// TestRegisterParsesEveryFlag sets all six flags, including the -1
+// sentinel the help text documents, and gets valid Options.
 func TestRegisterParsesEveryFlag(t *testing.T) {
-	o, err := parse(t, "-timeout", "1s", "-workers", "3", "-compile-workers", "-1",
-		"-speculate", "-portfolio", "-cache", "-1", "-nocanon", "-strategy", "gradient",
-		"-approx-min-samples", "200")
+	o, err := parse(t, "-timeout", "1s", "-workers", "3", "-cache", "-1", "-nocanon",
+		"-strategy", "gradient", "-approx-min-samples", "200")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := repro.Options{
-		Timeout: time.Second, Workers: 3, CompileWorkers: -1, Speculate: true,
-		Portfolio: true, CacheSize: -1, NoCanonicalCache: true,
+		Timeout: time.Second, Workers: 3, CacheSize: -1, NoCanonicalCache: true,
 		Strategy: repro.StrategyGradient, Budget: repro.ExplainBudget{MinSamples: 200},
 	}
 	if !reflect.DeepEqual(*o, want) {
@@ -53,12 +51,12 @@ func TestRegisterParsesEveryFlag(t *testing.T) {
 }
 
 // TestRegisterRejects: an unknown strategy fails the parse, and negative
-// values other than the documented -1 sentinels fail Options.Validate.
+// values other than the documented -1 sentinel fail Options.Validate.
 func TestRegisterRejects(t *testing.T) {
 	if _, err := parse(t, "-strategy", "fastest"); err == nil {
 		t.Error("unknown -strategy parsed")
 	}
-	for _, args := range [][]string{{"-compile-workers", "-2"}, {"-cache", "-5"}, {"-workers", "-1"}} {
+	for _, args := range [][]string{{"-cache", "-5"}, {"-workers", "-1"}} {
 		o, err := parse(t, args...)
 		if err != nil {
 			t.Fatal(err)

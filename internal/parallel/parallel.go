@@ -1,7 +1,8 @@
 // Package parallel provides the worker-pool primitive used to fan the
-// explanation pipeline out across CPU cores: per-answer lineage compilation
-// and per-fact Shapley computation are both embarrassingly parallel, and both
-// must produce results that are indistinguishable from the serial order.
+// explanation pipeline out across CPU cores: the answers of a query, each
+// explained by one sequential compile, and the per-fact loop of Algorithm 1
+// are both embarrassingly parallel, and both must produce results that are
+// indistinguishable from the serial order.
 //
 // The contract is deliberately narrow: tasks are indexed 0..n-1, each task
 // writes only to its own slot, and error reporting is deterministic (the
@@ -23,50 +24,6 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Limit is a concurrency budget for recursive divide-and-conquer fan-out,
-// where ForEach's flat task model does not fit: a fixed pool of spawn tokens
-// is shared by every recursion level, so however deep the subdivision goes,
-// at most `extra` helper goroutines run beyond the calling one. Whichever
-// branch point forks next claims idle capacity — work distribution by
-// spawn-time stealing rather than by queueing.
-//
-// A nil *Limit is valid and never spawns, so "sequential" needs no special
-// casing at call sites.
-type Limit struct {
-	slots chan struct{}
-}
-
-// NewLimit returns a budget of extra helper goroutines; extra ≤ 0 yields nil
-// (purely sequential execution).
-func NewLimit(extra int) *Limit {
-	if extra <= 0 {
-		return nil
-	}
-	return &Limit{slots: make(chan struct{}, extra)}
-}
-
-// Go runs fn on a fresh goroutine if a spawn token is idle, registering it
-// with wg and returning true; with no token (or a nil Limit) it returns false
-// without running fn, and the caller runs the work inline. Go never blocks.
-// The caller must wg.Wait before reading anything fn writes.
-func (l *Limit) Go(wg *sync.WaitGroup, fn func()) bool {
-	if l == nil {
-		return false
-	}
-	select {
-	case l.slots <- struct{}{}:
-	default:
-		return false
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { <-l.slots }()
-		fn()
-	}()
-	return true
 }
 
 // ForEach runs fn(worker, i) for every i in [0, n) across at most `workers`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -125,65 +124,6 @@ func TestForEachCancelMidway(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 1000 {
 		t.Errorf("cancellation did not stop the loop (ran %d)", n)
-	}
-}
-
-func TestLimitNilNeverSpawns(t *testing.T) {
-	var l *Limit
-	var wg sync.WaitGroup
-	if l.Go(&wg, func() { t.Error("nil Limit ran fn") }) {
-		t.Error("nil Limit claimed to spawn")
-	}
-	if NewLimit(0) != nil || NewLimit(-3) != nil {
-		t.Error("NewLimit(≤0) must return nil")
-	}
-}
-
-func TestLimitCapsConcurrentSpawns(t *testing.T) {
-	const extra = 3
-	l := NewLimit(extra)
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	spawned := 0
-	for i := 0; i < 10; i++ {
-		if l.Go(&wg, func() { <-release }) {
-			spawned++
-		}
-	}
-	if spawned != extra {
-		t.Errorf("spawned %d goroutines, want %d", spawned, extra)
-	}
-	close(release)
-	wg.Wait()
-	// Tokens are returned on completion: capacity is reusable.
-	var wg2 sync.WaitGroup
-	if !l.Go(&wg2, func() {}) {
-		t.Error("token not returned after completion")
-	}
-	wg2.Wait()
-}
-
-func TestLimitRecursiveFanOutCompletes(t *testing.T) {
-	// A binary recursion sharing one small Limit must finish all leaves no
-	// matter which branch points win the spawn race.
-	l := NewLimit(2)
-	var leaves atomic.Int32
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == 0 {
-			leaves.Add(1)
-			return
-		}
-		var inner sync.WaitGroup
-		if !l.Go(&inner, func() { rec(depth - 1) }) {
-			rec(depth - 1)
-		}
-		rec(depth - 1)
-		inner.Wait()
-	}
-	rec(6)
-	if n := leaves.Load(); n != 64 {
-		t.Errorf("visited %d leaves, want 64", n)
 	}
 }
 

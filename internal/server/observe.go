@@ -99,7 +99,7 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition, the server's only
 // stats surface: the recorder's request/stage series first, then
 // process-level series for the session pool, the value cache, the
-// compiler's speculation/portfolio counters, and each dataset.
+// compiler's compilation count, and each dataset.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -137,21 +137,7 @@ func writeProcessMetrics(w io.Writer, s *Server) {
 	metrics.WriteGauge(w, "repro_compile_cache_entries", "Shapley-value cache occupancy.", nil, float64(cache.Len))
 	metrics.WriteGauge(w, "repro_compile_cache_capacity", "Shapley-value cache capacity in entries.", nil, float64(cache.Capacity))
 
-	comp := dnnf.SpeculationCounters()
-	counter("repro_compilations_total", "d-DNNF compilations run.", comp.Compilations)
-	counter("repro_speculated_decisions_total", "Shannon decisions whose cofactors compiled concurrently.", comp.SpeculatedDecisions)
-	counter("repro_speculation_cancels_total", "Speculative siblings cancelled after a budget failure.", comp.SpeculationCancels)
-	counter("repro_portfolio_races_total", "Compilations raced across variable-order heuristics.", comp.PortfolioRaces)
-	counter("repro_portfolio_losers_cancelled_total", "Portfolio racers cancelled after another heuristic won.", comp.PortfolioLosersCancelled)
-	orders := make([]string, 0, len(comp.WinsByOrder))
-	for order := range comp.WinsByOrder {
-		orders = append(orders, order)
-	}
-	sort.Strings(orders)
-	metrics.WriteHeader(w, "repro_portfolio_wins_total", "counter", "Portfolio races won, by variable-order heuristic.")
-	for _, order := range orders {
-		metrics.WriteSample(w, "repro_portfolio_wins_total", []metrics.Label{{Name: "order", Value: order}}, float64(comp.WinsByOrder[order]))
-	}
+	counter("repro_compilations_total", "d-DNNF compilations run.", dnnf.Compilations())
 
 	names := make([]string, 0, len(s.cfg.Datasets))
 	for name := range s.cfg.Datasets {

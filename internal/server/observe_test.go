@@ -237,7 +237,7 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 		"repro_pool_sessions",
 		"repro_pool_evictions_total",
 		"repro_compile_cache_capacity",
-		"repro_portfolio_losers_cancelled_total",
+		"repro_compilations_total",
 		`repro_dataset_facts{dataset="flights"}`,
 	} {
 		if err := promlint.Require(samples, require); err != nil {
@@ -262,30 +262,6 @@ func TestDegradedCauseAndMetrics(t *testing.T) {
 			t.Fatalf("no %s series within 10s", upgrade)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestMetricsPortfolioWins: a server compiling with the heuristic
-// portfolio reports each race's winner under repro_portfolio_wins_total,
-// labeled with the winning variable order. The counters are process-wide,
-// so the check is that wins exist and never outnumber races.
-func TestMetricsPortfolioWins(t *testing.T) {
-	url, _, _ := newTestServer(t, Config{
-		Options: repro.Options{Portfolio: true, CompileWorkers: 2, CacheSize: -1},
-	})
-	req := wire.ExplainRequest{Dataset: "flights", Query: flights.Query().String()}
-	if status, raw := postJSON(t, url+"/v1/explain", req, nil); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, raw)
-	}
-	samples := scrapeMetrics(t, url)
-	wins := metric(t, samples, "repro_portfolio_wins_total")
-	if races := metric(t, samples, "repro_portfolio_races_total"); wins < 1 || wins > races {
-		t.Errorf("portfolio wins = %v, races = %v; want 1 ≤ wins ≤ races", wins, races)
-	}
-	for _, s := range samples {
-		if s.Name == "repro_portfolio_wins_total" && s.Labels["order"] == "" {
-			t.Errorf("portfolio win sample without an order label: %+v", s)
-		}
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 
 // TraceSpan is one node of a request's stage-trace tree: the span's name,
 // start offset and duration in milliseconds, stage-specific attributes
-// (clause/node counts, cache hit kind, speculation and portfolio outcomes,
-// degradation cause), and child spans. It aliases trace.SpanNode so the
-// server can attach a snapshot without conversion.
+// (clause/node counts, cache hit kind, compile decisions, degradation
+// cause), and child spans. It aliases trace.SpanNode so the server can
+// attach a snapshot without conversion.
 type TraceSpan = trace.SpanNode
 
 // ExplainRequest is the body of POST /v1/explain.

@@ -224,26 +224,12 @@ type Options struct {
 	// serial pipeline. Results are identical — and identically ordered —
 	// for every setting. Negative values are invalid.
 	Workers int
-	// CompileWorkers bounds the knowledge compiler's intra-compilation
-	// fan-out: independent connected components of each CNF compile
-	// concurrently. Zero (the default) inherits the per-tuple share of the
-	// Workers budget, so the pipeline never oversubscribes; -1 means
-	// GOMAXPROCS; ≥ 1 is taken as-is (1 = the sequential compiler). Other
-	// negative values are invalid.
+	// Deprecated: CompileWorkers was removed; every compile runs on one
+	// goroutine. Validate rejects a nonzero value.
 	CompileWorkers int
-	// Speculate compiles the two cofactors of shallow Shannon decisions
-	// concurrently inside the knowledge compiler. Connected components only
-	// split after unit propagation and top-level Tseytin lineages are
-	// single-component, so without speculation the compiler's fan-out stalls
-	// exactly on the hardest instances. Inert when the compiler runs with
-	// one worker; results are identical for every setting.
+	// Deprecated: Speculate was removed; Validate rejects true.
 	Speculate bool
-	// Portfolio races the same CNF under the compiler's variable-ordering
-	// heuristics (the configured order plus the dynamic alternatives) when
-	// at least two compile workers are available; the first finisher wins,
-	// and the values computed from its circuit enter the canonical value
-	// cache, so a win on any heuristic is amortized across
-	// renamed-isomorphic lineages.
+	// Deprecated: Portfolio was removed; Validate rejects true.
 	Portfolio bool
 	// CacheSize sizes the process-wide value cache (number of lineages
 	// whose exact Shapley values are retained across Explain calls). Zero
@@ -276,8 +262,7 @@ type Options struct {
 // and returns a descriptive error for the first offender. Explain and Open
 // call it up front, so misconfiguration surfaces at the API boundary
 // instead of being silently clamped deep in the pipeline. The documented
-// sentinels (CompileWorkers == -1 for GOMAXPROCS, CacheSize == -1 to
-// disable caching) remain valid.
+// sentinel CacheSize == -1, which disables caching, remains valid.
 func (o Options) Validate() error {
 	switch {
 	case o.Timeout < 0:
@@ -286,8 +271,12 @@ func (o Options) Validate() error {
 		return fmt.Errorf("repro: Options.MaxNodes is negative (%d); use 0 for an unbounded circuit", o.MaxNodes)
 	case o.Workers < 0:
 		return fmt.Errorf("repro: Options.Workers is negative (%d); use 0 for GOMAXPROCS or 1 for the serial pipeline", o.Workers)
-	case o.CompileWorkers < -1:
-		return fmt.Errorf("repro: Options.CompileWorkers = %d is invalid; use 0 to inherit the per-tuple share, -1 for GOMAXPROCS, or a positive count", o.CompileWorkers)
+	case o.CompileWorkers != 0:
+		return removedKnob("CompileWorkers")
+	case o.Speculate:
+		return removedKnob("Speculate")
+	case o.Portfolio:
+		return removedKnob("Portfolio")
 	case o.CacheSize < -1:
 		return fmt.Errorf("repro: Options.CacheSize = %d is invalid; use 0 for the default capacity, -1 to disable caching, or a positive capacity", o.CacheSize)
 	}
@@ -297,6 +286,12 @@ func (o Options) Validate() error {
 		return fmt.Errorf("repro: Options.Strategy = %d is not a known ShapleyStrategy (use StrategyAuto, StrategyPerFact, or StrategyGradient)", o.Strategy)
 	}
 	return ValidateBudget(o.Budget)
+}
+
+// removedKnob is Validate's error for a set field of a removed compiler
+// knob.
+func removedKnob(name string) error {
+	return fmt.Errorf("repro: Options.%s was removed; every compile runs on one goroutine, and Workers spreads the answers and Algorithm 1's per-fact loop", name)
 }
 
 // ValidateBudget checks an anytime-tier budget for values no configuration

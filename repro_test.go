@@ -262,10 +262,10 @@ func TestExplainParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestExplainCompileKnobsMatchBaseline drives the two PR-3 knobs through
-// the facade: a parallel compiler and a canonically-keyed (or ablated)
-// cache must leave every explanation identical to the serial,
-// cache-disabled baseline.
+// TestExplainCompileKnobsMatchBaseline drives the value cache's knobs
+// through the facade: a canonically keyed (or ablated) cache, at one
+// worker or several, must leave every explanation identical to the
+// serial, cache-disabled baseline.
 func TestExplainCompileKnobsMatchBaseline(t *testing.T) {
 	d := NewDatabase()
 	d.CreateRelation("R", "a", "b")
@@ -281,7 +281,7 @@ func TestExplainCompileKnobsMatchBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := Explain(context.Background(), d, q, Options{Workers: 1, CompileWorkers: 1, CacheSize: -1})
+	baseline, err := Explain(context.Background(), d, q, Options{Workers: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +289,9 @@ func TestExplainCompileKnobsMatchBaseline(t *testing.T) {
 		t.Fatalf("want a multi-answer query, got %d answers", len(baseline))
 	}
 	for _, opts := range []Options{
-		{Workers: 1, CompileWorkers: 4, CacheSize: -1},      // parallel compiler, no cache
-		{Workers: 4, CompileWorkers: 4, CacheSize: 64},      // parallel + canonical cache
+		{Workers: 1, CacheSize: 64},                         // canonical cache
+		{Workers: 4, CacheSize: 64},                         // parallel + canonical cache
 		{Workers: 4, CacheSize: 64, NoCanonicalCache: true}, // byte-identical cache ablation
-		{Workers: 4, CompileWorkers: -1, CacheSize: 64},     // compile workers forced to GOMAXPROCS
 	} {
 		got, err := Explain(context.Background(), d, q, opts)
 		if err != nil {

@@ -149,18 +149,15 @@ func OpenContext(ctx context.Context, d *Database, q *Query, opts Options) (*Ses
 }
 
 // pipeline returns the exact pipeline's options under the session's
-// configuration with the given worker split. Foreground explains and
-// background upgrades both build their options here, so they differ only in
-// their workers.
-func (s *Session) pipeline(workers, compileWorkers int) core.PipelineOptions {
+// configuration, with workers for Algorithm 1's per-fact loop. Foreground
+// explains and background upgrades both build their options here, so they
+// differ only in their workers.
+func (s *Session) pipeline(workers int) core.PipelineOptions {
 	return core.PipelineOptions{
 		CompileTimeout:   s.opts.Timeout,
 		ShapleyTimeout:   s.opts.Timeout,
 		CompileMaxNodes:  s.opts.MaxNodes,
 		Workers:          workers,
-		CompileWorkers:   compileWorkers,
-		Speculate:        s.opts.Speculate,
-		Portfolio:        s.opts.Portfolio,
 		NoCanonicalCache: s.opts.NoCanonicalCache,
 		Strategy:         s.opts.Strategy,
 		Cache:            s.cache,
@@ -472,11 +469,7 @@ func (s *Session) computeTuples(ctx context.Context, live []engine.LiveAnswer, t
 	if inner < 1 {
 		inner = 1
 	}
-	compileWorkers := s.opts.CompileWorkers
-	if compileWorkers == 0 {
-		compileWorkers = inner
-	}
-	popts := s.pipeline(inner, compileWorkers)
+	popts := s.pipeline(inner)
 	return parallel.ForEach(ctx, len(todo), outer, func(_, j int) error {
 		i := todo[j]
 		a := live[i]
@@ -586,7 +579,7 @@ func (s *Session) upgradeTuple(key string, obs trace.Observer) {
 	start := time.Now()
 	uctx, root := trace.NewRoot(s.bgCtx, "upgrade", obs)
 	defer root.End()
-	res, err := core.ExplainCircuit(uctx, lineage, endo, s.pipeline(1, 1))
+	res, err := core.ExplainCircuit(uctx, lineage, endo, s.pipeline(1))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

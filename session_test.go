@@ -325,7 +325,7 @@ func TestWarmCacheDegradesSameTuples(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	serial := Options{Workers: 1, CompileWorkers: 1, NoCanonicalCache: true}
+	serial := Options{Workers: 1, NoCanonicalCache: true}
 	for _, c := range cases {
 		if _, err := Explain(ctx, c.d, c.q, serial); err != nil {
 			t.Fatal(err)
@@ -575,7 +575,10 @@ func TestOptionsValidation(t *testing.T) {
 		{Options{Timeout: -time.Second}, "Timeout"},
 		{Options{MaxNodes: -1}, "MaxNodes"},
 		{Options{Workers: -1}, "Workers"},
-		{Options{CompileWorkers: -2}, "CompileWorkers"},
+		{Options{CompileWorkers: 1}, "CompileWorkers"},
+		{Options{CompileWorkers: -1}, "CompileWorkers"},
+		{Options{Speculate: true}, "Speculate"},
+		{Options{Portfolio: true}, "Portfolio"},
 		{Options{CacheSize: -2}, "CacheSize"},
 		{Options{Strategy: ShapleyStrategy(99)}, "Strategy"},
 	}
@@ -587,9 +590,9 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("Open(%+v) error = %v, want mention of %q", tc.opts, err, tc.want)
 		}
 	}
-	// The documented sentinels stay valid.
+	// The documented sentinel stays valid.
 	for _, opts := range []Options{
-		{CompileWorkers: -1, CacheSize: -1},
+		{CacheSize: -1},
 		{},
 	} {
 		if err := opts.Validate(); err != nil {
