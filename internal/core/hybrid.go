@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/db"
 	"repro/internal/trace"
 )
@@ -114,15 +113,12 @@ func Hybrid(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts Pipe
 			DegradedCause: cause,
 		}, nil
 	}
-	// The Tseytin CNF was already produced by the exact attempt (it never
-	// times out: it is linear in the circuit).
+	// Without a budget the exact attempt ran under ctx itself, which is not
+	// done, so it produced the Tseytin CNF (linear in the circuit, it never
+	// times out).
 	_, psp := trace.Start(ctx, "proxy")
 	psp.Set("cause", cause)
-	formula := res.CNF
-	if formula == nil {
-		formula = cnf.TseytinReserving(elin, maxFactID(endo))
-	}
-	proxy := CNFProxy(formula, endo)
+	proxy := CNFProxy(res.CNF, endo)
 	psp.End()
 	return &HybridResult{
 		Method:  MethodProxy,
