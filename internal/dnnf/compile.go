@@ -140,14 +140,6 @@ func newCompiler(opts Options, orig []int, start time.Time) *compiler {
 	return c
 }
 
-// finish completes the compilation's Stats with its node count and
-// elapsed time.
-func (c *compiler) finish(start time.Time) Stats {
-	c.stats.Nodes = c.b.NumNodes()
-	c.stats.Elapsed = time.Since(start)
-	return c.stats
-}
-
 // lit builds the leaf of a dense literal, on the formula's variable.
 func (c *compiler) lit(l cnf.Lit) *Node {
 	v := c.orig[l.Var()]
@@ -184,7 +176,8 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 	c := newCompiler(opts, orig, start)
 	root, err := c.compile(ctx, newScratch(orig), clauses)
 	compilations.Add(1)
-	stats := c.finish(start)
+	stats := c.stats
+	stats.Nodes, stats.Elapsed = c.b.NumNodes(), time.Since(start)
 	if err != nil {
 		return nil, stats, err
 	}
