@@ -5,8 +5,7 @@ package repro
 // Table2 and Figure4 … Figure8 render Tables 1–2 and Figures 4–8 as text.
 // The ablation benches time one design choice against its alternative:
 // BenchmarkAblationComponentCache the compiler's component cache on and
-// off, BenchmarkAblationVarOrder most-frequent against lexicographic
-// branching, and BenchmarkAblationExactVsFloatCounts exact against float64
+// off, and BenchmarkAblationExactVsFloatCounts exact against float64
 // #SAT_k counts. Run
 //
 //	go test -bench=. -benchmem
@@ -47,7 +46,7 @@ func benchOptions() bench.Options {
 	o := bench.DefaultOptions()
 	o.TPCH = tpch.Config{Customers: 15, OrdersPerCustomer: 2, LinesPerOrder: 3, Parts: 20, Suppliers: 8, Seed: 42}
 	o.IMDB = imdb.Config{Movies: 30, People: 40, Companies: 10, Keywords: 15, CastPerMovie: 3, Seed: 7}
-	o.Timeout = 2 * time.Second
+	o.Pipeline.CompileTimeout, o.Pipeline.ShapleyTimeout = 2*time.Second, 2*time.Second
 	o.MaxTuplesPerQuery = 40
 	return o
 }
@@ -101,11 +100,10 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkFigure5 regenerates Figure 5: Algorithm 1 running time on
 // representative TPC-H query outputs as the lineitem table scales.
 func BenchmarkFigure5(b *testing.B) {
-	base := benchOptions().TPCH
+	opts := benchOptions()
 	for i := 0; i < b.N; i++ {
-		points, err := bench.RunScaling(context.Background(), base, []float64{0.25, 0.5, 0.75, 1.0},
-			[]string{"q3", "q10", "q9", "q19"}, 2,
-			core.PipelineOptions{CompileTimeout: 2 * time.Second, ShapleyTimeout: 2 * time.Second})
+		points, err := bench.RunScaling(context.Background(), opts, []float64{0.25, 0.5, 0.75, 1.0},
+			[]string{"q3", "q10", "q9", "q19"}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,29 +248,6 @@ func BenchmarkAblationComponentCache(b *testing.B) {
 			if _, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{DisableCache: true, Timeout: 10 * time.Second}); err != nil {
 				if err == dnnf.ErrTimeout {
 					b.Skip("cache-off compilation exceeds 10s on this instance — the ablation's point")
-				}
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationVarOrder compares the dynamic most-frequent heuristic
-// against static lexicographic branching.
-func BenchmarkAblationVarOrder(b *testing.B) {
-	f := hardCNF(b)
-	b.Run("order=most-frequent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{Order: dnnf.OrderMostFrequent}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("order=lexicographic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dnnf.Compile(context.Background(), f, dnnf.Options{Order: dnnf.OrderLexicographic, Timeout: 10 * time.Second}); err != nil {
-				if err == dnnf.ErrTimeout {
-					b.Skip("lexicographic compilation exceeds 10s on this instance")
 				}
 				b.Fatal(err)
 			}

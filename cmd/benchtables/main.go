@@ -36,7 +36,6 @@ func main() {
 		maxTup  = flag.Int("maxtuples", 200, "max output tuples per query (0 = unbounded)")
 		workers = flag.Int("workers", 0, "per-tuple fan-out of Algorithm 1's per-fact strategy (0 = GOMAXPROCS, 1 = serial)")
 		cacheSz = flag.Int("cache", 0, "Shapley-value cache capacity per suite, in lineages (0 = disabled)")
-		nocanon = flag.Bool("nocanon", false, "key the value cache byte-identically instead of canonically")
 		strat   = flag.String("strategy", "auto", "Algorithm 1 evaluation mode: auto, per-fact, or gradient")
 	)
 	flag.Parse()
@@ -69,12 +68,11 @@ func main() {
 	opts := bench.DefaultOptions()
 	opts.TPCH = opts.TPCH.Scaled(*scale)
 	opts.IMDB = opts.IMDB.Scaled(*scale)
-	opts.Timeout = *timeout
+	opts.Pipeline.CompileTimeout, opts.Pipeline.ShapleyTimeout = *timeout, *timeout
+	opts.Pipeline.Workers = *workers
+	opts.Pipeline.Strategy = strategy
 	opts.MaxTuplesPerQuery = *maxTup
-	opts.Workers = *workers
 	opts.CacheSize = *cacheSz
-	opts.NoCanonicalCache = *nocanon
-	opts.Strategy = strategy
 
 	fmt.Printf("== Corpus: TPC-H + IMDB (scale %.2f, timeout %v) ==\n", *scale, *timeout)
 	start := time.Now()
@@ -126,10 +124,8 @@ func main() {
 	}
 	if want["fig5"] {
 		section("Figure 5 — Algorithm 1 time vs lineitem scale")
-		points, err := bench.RunScaling(ctx, opts.TPCH, []float64{0.25, 0.5, 0.75, 1.0},
-			[]string{"q3", "q10", "q9", "q19"}, 2,
-			core.PipelineOptions{CompileTimeout: *timeout, ShapleyTimeout: *timeout,
-				Workers: *workers, Strategy: strategy})
+		points, err := bench.RunScaling(ctx, opts, []float64{0.25, 0.5, 0.75, 1.0},
+			[]string{"q3", "q10", "q9", "q19"}, 2)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables:", err)
 			os.Exit(1)

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	kcompile problem.cnf
-//	kcompile -spectrum -order lex problem.cnf
+//	kcompile -spectrum problem.cnf
 //	kcompile -workers 8 a.cnf b.cnf c.cnf
 //	echo "p cnf 2 2\n1 2 0\n-1 2 0" | kcompile -
 package main
@@ -33,7 +33,6 @@ import (
 
 func main() {
 	var (
-		order    = flag.String("order", "freq", "branching heuristic: freq (most frequent), lex (lexicographic), or jw (Jeroslow-Wang)")
 		noCache  = flag.Bool("nocache", false, "disable component caching")
 		timeout  = flag.Duration("timeout", 0, "compilation timeout per input (0 = none)")
 		maxNodes = flag.Int("maxnodes", 0, "node budget (0 = none)")
@@ -54,16 +53,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	varOrder, err := dnnf.ParseVarOrder(*order)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kcompile:", err)
-		os.Exit(2)
-	}
 	opts := dnnf.Options{
 		Timeout:      *timeout,
 		MaxNodes:     *maxNodes,
 		DisableCache: *noCache,
-		Order:        varOrder,
 	}
 
 	formulas := make([]*cnf.Formula, flag.NArg())
@@ -77,7 +70,7 @@ func main() {
 	}
 
 	reports := make([]string, len(formulas))
-	err = parallel.ForEach(ctx, len(formulas), *workers, func(_, i int) error {
+	err := parallel.ForEach(ctx, len(formulas), *workers, func(_, i int) error {
 		report, err := compileOne(ctx, flag.Arg(i), formulas[i], opts, *spectrum, *outPath)
 		if err != nil {
 			return fmt.Errorf("%s: %w", flag.Arg(i), err)

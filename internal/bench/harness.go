@@ -26,43 +26,37 @@ type NamedQuery struct {
 	Q    *query.UCQ
 }
 
-// Options configures a corpus run.
+// Options configures a corpus run and the Figure 5 scaling run.
 type Options struct {
-	// Timeout is the exact-computation budget per output tuple (both the
-	// compilation and Algorithm 1 step get this budget), mirroring the
-	// paper's per-tuple timeout. Zero means no limit.
-	Timeout time.Duration
-	// MaxNodes bounds d-DNNF size, standing in for memory exhaustion.
-	MaxNodes int
-	// TPCH and IMDB control the generated instance sizes.
+	// Pipeline runs every output tuple's exact pipeline. CompileTimeout and
+	// ShapleyTimeout are the paper's per-tuple timeout, CompileMaxNodes
+	// stands in for memory exhaustion, and Workers fans Algorithm 1's
+	// per-fact loop out across goroutines; tuples themselves run serially,
+	// so per-tuple timings stay comparable to the paper's.
+	Pipeline core.PipelineOptions
+	// TPCH and IMDB control the generated instance sizes; TPCH is also the
+	// scaling run's base.
 	TPCH tpch.Config
 	IMDB imdb.Config
 	// MaxTuplesPerQuery truncates very large query outputs to keep harness
 	// runs bounded; zero means no truncation.
 	MaxTuplesPerQuery int
-	// Workers fans Algorithm 1's per-fact loop out across goroutines for
-	// each tuple (≤ 0 = GOMAXPROCS, 1 = serial). Tuples themselves run
-	// serially so per-tuple timings stay comparable to the paper's.
-	Workers int
-	// NoCanonicalCache keys the value cache byte-identically instead of
-	// canonically (only meaningful with CacheSize > 0).
-	NoCanonicalCache bool
-	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
-	// gradient); the values are identical, only the cost differs.
-	Strategy core.ShapleyStrategy
-	// CacheSize sizes a cross-call value cache shared by each suite's run;
-	// zero disables it (every tuple compiles afresh, the configuration the
-	// paper's tables measure).
+	// CacheSize, when positive, gives each suite's run a cross-call value
+	// cache of its own, in place of Pipeline.Cache; without one every tuple
+	// compiles afresh, the configuration the paper's tables measure.
 	CacheSize int
 }
 
 // DefaultOptions returns a laptop-scale configuration.
 func DefaultOptions() Options {
 	return Options{
-		Timeout:  2500 * time.Millisecond,
-		MaxNodes: 2_000_000,
-		TPCH:     tpch.DefaultConfig(),
-		IMDB:     imdb.DefaultConfig(),
+		Pipeline: core.PipelineOptions{
+			CompileTimeout:  2500 * time.Millisecond,
+			ShapleyTimeout:  2500 * time.Millisecond,
+			CompileMaxNodes: 2_000_000,
+		},
+		TPCH: tpch.DefaultConfig(),
+		IMDB: imdb.DefaultConfig(),
 	}
 }
 
@@ -122,7 +116,6 @@ func (r *QueryRun) SuccessRate() float64 {
 // Corpus is the full set of per-tuple measurements across both suites.
 type Corpus struct {
 	Runs []*QueryRun
-	Opts Options
 }
 
 // Tuples iterates all tuple results across runs.
@@ -149,7 +142,7 @@ func (c *Corpus) SuccessfulTuples() []*TupleResult {
 
 // RunCorpus generates both databases and runs both query suites.
 func RunCorpus(ctx context.Context, opts Options) (*Corpus, error) {
-	c := &Corpus{Opts: opts}
+	c := &Corpus{}
 
 	tpchDB := tpch.Generate(opts.TPCH)
 	var tq []NamedQuery
@@ -182,9 +175,9 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 	for _, f := range d.EndogenousFacts() {
 		endo = append(endo, f.ID)
 	}
-	var cache *core.ValueCache
+	popts := opts.Pipeline
 	if opts.CacheSize > 0 {
-		cache = core.NewValueCache(opts.CacheSize)
+		popts.Cache = core.NewValueCache(opts.CacheSize)
 	}
 	var out []*QueryRun
 	for _, nq := range queries {
@@ -200,17 +193,17 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 			answers = answers[:opts.MaxTuplesPerQuery]
 		}
 		var before core.CacheStats
-		if cache != nil {
-			before = cache.Stats()
+		if popts.Cache != nil {
+			before = popts.Cache.Stats()
 		}
 		for _, a := range answers {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			run.Tuples = append(run.Tuples, runTuple(ctx, dataset, nq.Name, a, endoForLineage(a.Lineage, endo), opts, cache))
+			run.Tuples = append(run.Tuples, runTuple(ctx, dataset, nq.Name, a, endoForLineage(a.Lineage, endo), popts))
 		}
-		if cache != nil {
-			run.CacheStats = cache.Stats().Sub(before)
+		if popts.Cache != nil {
+			run.CacheStats = popts.Cache.Stats().Sub(before)
 		}
 		out = append(out, run)
 	}
@@ -237,7 +230,7 @@ func endoForLineage(lineage *circuit.Node, endo []db.FactID) []db.FactID {
 	return out
 }
 
-func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts Options, cache *core.ValueCache) *TupleResult {
+func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts core.PipelineOptions) *TupleResult {
 	tr := &TupleResult{
 		Dataset:  dataset,
 		Query:    qname,
@@ -246,15 +239,7 @@ func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo 
 		Endo:     endo,
 		NumFacts: len(circuit.Vars(a.Lineage)),
 	}
-	res, err := core.ExplainCircuit(ctx, a.Lineage, endo, core.PipelineOptions{
-		CompileTimeout:   opts.Timeout,
-		CompileMaxNodes:  opts.MaxNodes,
-		ShapleyTimeout:   opts.Timeout,
-		Workers:          opts.Workers,
-		NoCanonicalCache: opts.NoCanonicalCache,
-		Strategy:         opts.Strategy,
-		Cache:            cache,
-	})
+	res, err := core.ExplainCircuit(ctx, a.Lineage, endo, opts)
 	tr.CNF = res.CNF
 	tr.NumClauses = res.NumClauses
 	tr.KCTime = res.TseytinTime + res.CompileTime

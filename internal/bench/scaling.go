@@ -13,12 +13,11 @@ import (
 
 // RunScaling reproduces Figure 5: Algorithm 1 running time for
 // representative TPC-H query outputs as a function of the lineitem table
-// size. For each scale factor the database is regenerated (same seed, so
-// smaller scales are prefixes in distribution), the named queries are
-// evaluated, and the exact pipeline is timed on the first few output tuples
-// of each query.
-func RunScaling(ctx context.Context, base tpch.Config, scales []float64, queryNames []string,
-	tuplesPerQuery int, opts core.PipelineOptions) ([]ScalingPoint, error) {
+// size. For each scale factor the database is regenerated from opts.TPCH
+// scaled (same seed, so smaller scales are prefixes in distribution), the
+// named queries are evaluated, and the exact pipeline under opts.Pipeline is
+// timed on the first few output tuples of each query.
+func RunScaling(ctx context.Context, opts Options, scales []float64, queryNames []string, tuplesPerQuery int) ([]ScalingPoint, error) {
 
 	wanted := make(map[string]bool, len(queryNames))
 	for _, n := range queryNames {
@@ -26,7 +25,7 @@ func RunScaling(ctx context.Context, base tpch.Config, scales []float64, queryNa
 	}
 	var out []ScalingPoint
 	for _, scale := range scales {
-		cfg := base.Scaled(scale)
+		cfg := opts.TPCH.Scaled(scale)
 		d := tpch.Generate(cfg)
 		lineitems := len(d.Relation("lineitem").Facts())
 		endo := make([]db.FactID, 0, d.NumEndogenous())
@@ -51,7 +50,7 @@ func RunScaling(ctx context.Context, base tpch.Config, scales []float64, queryNa
 				}
 				tupleEndo := endoForLineage(a.Lineage, endo)
 				t0 := time.Now()
-				res, err := core.ExplainCircuit(ctx, a.Lineage, tupleEndo, opts)
+				res, err := core.ExplainCircuit(ctx, a.Lineage, tupleEndo, opts.Pipeline)
 				elapsed := time.Since(t0)
 				p := ScalingPoint{
 					Query:     nq.Name,

@@ -15,19 +15,19 @@ import (
 
 // ValueCache is a bounded, cross-call LRU cache of exact Shapley values,
 // shared across pipeline invocations and goroutines. Entries are keyed by
-// dnnf.CacheKey of a lineage's Tseytin CNF — by default its canonical
-// (rename-invariant) form, with PipelineOptions.NoCanonicalCache its
-// byte-identical one — and hold the values of the CNF's fact variables in
-// key order. Distinct tuples whose provenance encodes to the same CNF up to a
-// renaming of facts, the common shape of multi-tuple query answers, then pay
-// for one compilation and one run of Algorithm 1: a hit copies the stored
-// values onto the caller's facts along key order.
+// dnnf.CacheKey of a lineage's Tseytin CNF, its canonical (rename-invariant)
+// form, and hold the values of the CNF's fact variables in key order.
+// Distinct tuples whose provenance encodes to the same CNF up to a renaming
+// of facts, the common shape of multi-tuple query answers, then pay for one
+// compilation and one run of Algorithm 1: a hit copies the stored values
+// onto the caller's facts along key order.
 //
 // This is exact because Shapley values depend only on the Boolean function
 // over the facts (a null player gets 0 and moves no one else), and equal
 // keys fix that function up to the renaming. An entry also records the node
-// count that its compile's budget checks saw, so a hit fails a node budget
-// exactly where that compile would have.
+// count that its compile's budget checks saw, so an identical hit fails a
+// node budget exactly where that compile would have; a renamed hit under a
+// node budget compiles the caller's CNF to decide (ExplainCircuit).
 type ValueCache struct {
 	mu            sync.Mutex
 	capacity      int
@@ -214,7 +214,7 @@ func (c *ValueCache) lookup(ctx context.Context, formula *cnf.Formula, opts Pipe
 	if opts.CompileTimeout > 0 {
 		deadline = time.Now().Add(opts.CompileTimeout)
 	}
-	key, facts, err := dnnf.CacheKey(formula, opts.NoCanonicalCache, func() error {
+	key, facts, err := dnnf.CacheKey(formula, func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

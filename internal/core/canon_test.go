@@ -6,11 +6,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/db"
+	"repro/internal/dnnf"
 )
 
 // renameCircuit rebuilds a lineage circuit with every variable mapped
@@ -111,5 +114,60 @@ func TestCanonicalCacheShapleyIdenticalAcrossRenaming(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no renamed lineage ever hit the canonical cache")
+	}
+}
+
+// TestRenamedHitBudgetIsTheCallers pins a lineage and a renaming of it
+// (seed 22 of a seeded search over random circuits and renamings) that
+// share a canonical key but compile to different node counts, since the
+// freq pick breaks ties by variable number. Under a node budget equal to
+// the smaller count, whichever of the two filled the cache, a renamed hit
+// for the other must fail or succeed as its own cold compile does, and
+// succeed with the cold values.
+func TestRenamedHitBudgetIsTheCallers(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(22))
+	elin := randomMonotoneCircuit(rng, circuit.NewBuilder(), 6+rng.Intn(8), 4)
+	vars := circuit.Vars(elin)
+	targets := rng.Perm(len(vars))
+	m := make(map[circuit.Var]circuit.Var, len(vars))
+	for i, v := range vars {
+		m[v] = circuit.Var(targets[i] + 1)
+	}
+	pair := []*circuit.Node{elin, renameCircuit(circuit.NewBuilder(), elin, m)}
+	var nodes [2]int
+	for i, lin := range pair {
+		_, st, err := dnnf.Compile(ctx, TseytinStage(lin, endoOf(lin)), dnnf.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = st.CheckedNodes
+	}
+	if nodes[0] == nodes[1] {
+		t.Fatalf("both lineages compile to %d nodes; the pinned pair must differ", nodes[0])
+	}
+	budget := min(nodes[0], nodes[1])
+	for filler, lin := range pair {
+		cache := NewValueCache(4)
+		if _, err := ExplainCircuit(ctx, lin, endoOf(lin), PipelineOptions{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		caller := pair[1-filler]
+		endo := endoOf(caller)
+		cold, coldErr := ExplainCircuit(ctx, caller, endo, PipelineOptions{CompileMaxNodes: budget})
+		warm, warmErr := ExplainCircuit(ctx, caller, endo, PipelineOptions{CompileMaxNodes: budget, Cache: cache})
+		what := fmt.Sprintf("filler %d nodes, caller %d, budget %d", nodes[filler], nodes[1-filler], budget)
+		if warm.Cache != CacheRenamed {
+			t.Fatalf("%s: cache outcome %q, want %q", what, warm.Cache, CacheRenamed)
+		}
+		if (coldErr == nil) != (nodes[1-filler] <= budget) || (coldErr != nil && !errors.Is(coldErr, dnnf.ErrNodeBudget)) {
+			t.Fatalf("%s: cold err = %v", what, coldErr)
+		}
+		switch {
+		case !errors.Is(warmErr, coldErr):
+			t.Errorf("%s: warm err = %v, cold err = %v", what, warmErr, coldErr)
+		case coldErr == nil:
+			valuesIdentical(t, warm.Values, cold.Values, what)
+		}
 	}
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/db"
+	"repro/internal/dnnf"
 )
 
 // maxLineageOps bounds a decoded lineage program, keeping every fuzzed
@@ -91,13 +93,15 @@ func cnfLineage(b *circuit.Builder, rng *rand.Rand) *circuit.Node {
 // cold run computes. The input decodes to two lineages of up to 10 facts:
 // data[0] holds the flags (bit 0: the second lineage renames the first's
 // facts by a permutation seeded from the remaining bits, else it decodes
-// from its own program; bit 1: byte-identical keying), data[1] the length
-// of the first program, and the rest the programs. Both lineages are
-// explained through one fresh cache and again cold, and each warm result
-// must be big.Rat-identical to its cold one, key set included: a false hit
-// between non-isomorphic lineages, or a renamed hit that maps values to the
-// wrong facts, fails. Every endo also carries fact 99, which no lineage
-// mentions and which must get an exact 0.
+// from its own program; bit 1: the second lineage is explained under a node
+// budget of 8 + 4·(data[0]>>2)), data[1] the length of the first program,
+// and the rest the programs. Both lineages are explained through one fresh
+// cache and again cold, and each warm result must fail the budget exactly
+// when its cold one does and otherwise be big.Rat-identical to it, key set
+// included: a false hit between non-isomorphic lineages, a renamed hit that
+// maps values to the wrong facts, or a hit that decides the budget unlike
+// the caller's own compile, fails. Every endo also carries fact 99, which
+// no lineage mentions and which must get an exact 0.
 func FuzzValueCache(f *testing.F) {
 	rng := rand.New(rand.NewSource(131))
 	for i := 0; i < 12; i++ {
@@ -144,15 +148,18 @@ func FuzzValueCache(f *testing.F) {
 		cache := NewValueCache(4)
 		for i, elin := range lineages {
 			endo := append(endoOf(elin), 99)
-			serial := PipelineOptions{Workers: 1, NoCanonicalCache: flags&2 != 0}
-			cold, err := ExplainCircuit(ctx, elin, endo, serial)
-			if err != nil {
-				t.Fatal(err)
+			serial := PipelineOptions{Workers: 1}
+			if i == 1 && flags&2 != 0 {
+				serial.CompileMaxNodes = 8 + 4*int(flags>>2)
 			}
+			cold, coldErr := ExplainCircuit(ctx, elin, endo, serial)
 			serial.Cache = cache
-			warm, err := ExplainCircuit(ctx, elin, endo, serial)
-			if err != nil {
-				t.Fatal(err)
+			warm, warmErr := ExplainCircuit(ctx, elin, endo, serial)
+			if coldErr != nil || warmErr != nil {
+				if !errors.Is(coldErr, dnnf.ErrNodeBudget) || !errors.Is(warmErr, coldErr) {
+					t.Fatalf("lineage %d (%s): warm err = %v, cold err = %v", i, warm.Cache, warmErr, coldErr)
+				}
+				continue
 			}
 			if len(warm.Values) != len(cold.Values) {
 				t.Fatalf("lineage %d (%s): %d warm values, %d cold", i, warm.Cache, len(warm.Values), len(cold.Values))

@@ -31,11 +31,11 @@ type PipelineOptions struct {
 	CompileWorkers int
 	// Deprecated: Speculate is ignored; every compile is sequential.
 	Speculate bool
-	// Deprecated: Portfolio is ignored; every compile uses the default
-	// variable order.
+	// Deprecated: Portfolio is ignored; every compile branches by the one
+	// (most-frequent) heuristic.
 	Portfolio bool
-	// NoCanonicalCache keys Cache by the byte-identical CNF instead of the
-	// rename-invariant canonical form (ablation; canonical is the default).
+	// Deprecated: NoCanonicalCache is ignored; Cache is always keyed by the
+	// canonical (rename-invariant) form.
 	NoCanonicalCache bool
 	// Strategy selects the Algorithm 1 evaluation mode (StrategyAuto is
 	// gradient; both modes are exact and big.Rat-identical).

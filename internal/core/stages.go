@@ -51,6 +51,40 @@ func ShapleyStage(ctx context.Context, reduced *dnnf.Node, endo []db.FactID, opt
 	return values, err
 }
 
+// hitFits decides whether a value-cache hit meets opts.CompileMaxNodes, which
+// models memory exhaustion, so that the hit fails exactly where the caller's
+// own compile would. An identical hit compares the node count that the
+// filling compile's budget checks saw. A renamed hit compiles the caller's
+// CNF under the budget and what is left of the stage's timeout after the
+// lookup that started at start, recording the decisions on sp: the freq
+// pick breaks ties by variable number, so a renaming of one CNF can compile
+// to another count.
+func hitFits(ctx context.Context, sp *trace.Span, formula *cnf.Formula, sl slot, opts PipelineOptions, start time.Time) error {
+	if sl.kind == CacheIdentical {
+		if sl.entry.nodes > opts.CompileMaxNodes {
+			return dnnf.ErrNodeBudget
+		}
+		return nil
+	}
+	if err := charge(&opts, start); err != nil {
+		return err
+	}
+	_, stats, err := dnnf.Compile(ctx, formula, dnnf.Options{Timeout: opts.CompileTimeout, MaxNodes: opts.CompileMaxNodes})
+	sp.Set("decisions", stats.Decisions)
+	return err
+}
+
+// charge takes the time since start off opts.CompileTimeout, the compile
+// stage's budget, and fails with dnnf.ErrTimeout when none is left.
+func charge(opts *PipelineOptions, start time.Time) error {
+	if opts.CompileTimeout > 0 {
+		if opts.CompileTimeout -= time.Since(start); opts.CompileTimeout <= 0 {
+			return dnnf.ErrTimeout
+		}
+	}
+	return nil
+}
+
 // ExplainCircuit runs the full exact pipeline on an endogenous lineage
 // circuit — TseytinStage, CompileStage and ShapleyStage in order, under
 // "tseytin", "compile" and "shapley" spans: Tseytin transformation,
@@ -59,12 +93,13 @@ func ShapleyStage(ctx context.Context, reduced *dnnf.Node, endo []db.FactID, opt
 // names the value-cache outcome and carries the circuit's size; a compile
 // that ran adds its decisions from dnnf.Stats. With opts.Cache set, the
 // compile stage first looks the CNF up in the value cache, and a hit skips
-// compilation, elimination and Algorithm 1 alike. It returns
-// dnnf.ErrTimeout or dnnf.ErrNodeBudget when compilation exceeds its budget
-// and ErrShapleyTimeout when evaluation does; in those cases the hybrid
-// strategy falls back to CNF Proxy. Cancelling ctx aborts either stage and
-// propagates the context's own error (never a budget sentinel), so callers
-// can distinguish "over budget" from "caller gave up".
+// compilation, elimination and Algorithm 1 alike, except that under
+// opts.CompileMaxNodes a renamed hit compiles to decide the budget (see
+// hitFits). It returns dnnf.ErrTimeout or dnnf.ErrNodeBudget when
+// compilation exceeds its budget and ErrShapleyTimeout when evaluation does;
+// in those cases the hybrid strategy falls back to CNF Proxy. Cancelling ctx
+// aborts either stage and propagates the context's own error (never a budget
+// sentinel), so callers can distinguish "over budget" from "caller gave up".
 func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, opts PipelineOptions) (*PipelineResult, error) {
 	res := &PipelineResult{}
 	if err := ctx.Err(); err != nil {
@@ -99,11 +134,10 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 		res.Cache = sl.kind
 		csp.Set("cache", sl.kind)
 		if sl.entry != nil {
-			if opts.CompileMaxNodes > 0 && sl.entry.nodes > opts.CompileMaxNodes {
-				// The node budget models memory exhaustion; comparing it
-				// with the count the filling compile's budget checks saw
-				// makes a hit fail exactly where that compile would.
-				return failed(csp, dnnf.ErrNodeBudget)
+			if opts.CompileMaxNodes > 0 {
+				if err := hitFits(cctx, csp, formula, sl, opts, t1); err != nil {
+					return failed(csp, err)
+				}
 			}
 			res.Values = sl.values(endo)
 			res.DNNFSize = sl.entry.size
@@ -114,10 +148,8 @@ func ExplainCircuit(ctx context.Context, elin *circuit.Node, endo []db.FactID, o
 		}
 		defer opts.Cache.release(sl.key)
 		// The lookup spent part of the compile stage's budget.
-		if opts.CompileTimeout > 0 {
-			if opts.CompileTimeout -= time.Since(t1); opts.CompileTimeout <= 0 {
-				return failed(csp, dnnf.ErrTimeout)
-			}
+		if err := charge(&opts, t1); err != nil {
+			return failed(csp, err)
 		}
 	}
 	reduced, stats, err := CompileStage(cctx, formula, opts)

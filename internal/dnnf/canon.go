@@ -19,7 +19,6 @@ package dnnf
 
 import (
 	"encoding/binary"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -257,16 +256,13 @@ func canonicalForm(clauses []cnf.Clause, isAux func(int) bool, check func() erro
 
 // CacheKey normalizes f's clauses and returns the key under which a
 // cross-call cache stores what is computed from f, with f's fact
-// (non-auxiliary) variables in key order. Two formulas with equal keys are
-// equal up to the renaming that maps the i-th fact variable of one onto the
-// i-th of the other and auxiliaries onto auxiliaries, so a result that
-// depends only on the formula transfers between them along key order.
-//
-// The key is the canonical labeling of the clause hypergraph, or with
-// byteIdentical the normalized clauses as they are, in which case key order
-// is ascending variable order. check, when non-nil, runs once per labeling
-// round, and its error aborts the labeling.
-func CacheKey(f *cnf.Formula, byteIdentical bool, check func() error) (key string, facts []int, err error) {
+// (non-auxiliary) variables in key order. The key is the canonical labeling
+// of the clause hypergraph, so two formulas with equal keys are equal up to
+// the renaming that maps the i-th fact variable of one onto the i-th of the
+// other and auxiliaries onto auxiliaries, and a result that depends only on
+// the formula transfers between them along key order. check, when non-nil,
+// runs once per labeling round, and its error aborts the labeling.
+func CacheKey(f *cnf.Formula, check func() error) (key string, facts []int, err error) {
 	clauses := make([]cnf.Clause, 0, len(f.Clauses))
 	for _, cl := range f.Clauses {
 		if norm, taut := normalizeClause(cl); !taut {
@@ -274,34 +270,18 @@ func CacheKey(f *cnf.Formula, byteIdentical bool, check func() error) (key strin
 		}
 	}
 	isAux := func(v int) bool { return f.Aux[v] }
-	tag, clauseKey := "b:", ""
-	var order []int // every variable of the clauses, in key order
-	if byteIdentical {
-		clauseKey = cacheKey(clauses)
-		for _, cl := range clauses {
-			for _, l := range cl {
-				order = append(order, l.Var())
-			}
-		}
-		slices.Sort(order)
-		order = slices.Compact(order)
-	} else {
-		toCanon, canonKey, err := canonicalForm(clauses, isAux, check)
-		if err != nil {
-			return "", nil, err
-		}
-		tag, clauseKey = "c:", canonKey
-		order = make([]int, len(toCanon))
-		for v, rank := range toCanon {
-			order[rank-1] = v
-		}
+	toCanon, clauseKey, err := canonicalForm(clauses, isAux, check)
+	if err != nil {
+		return "", nil, err
 	}
-	// The tag keeps the two keyspaces apart in one shared cache, and the
-	// length prefix keeps the auxiliary positions that follow the clause
-	// key from being read as clauses. The positions make equal keys
-	// respect Tseytin bookkeeping.
-	buf := make([]byte, 0, len(tag)+binary.MaxVarintLen64+len(clauseKey)+4*len(order))
-	buf = append(buf, tag...)
+	order := make([]int, len(toCanon)) // every variable of the clauses, in key order
+	for v, rank := range toCanon {
+		order[rank-1] = v
+	}
+	// The length prefix keeps the auxiliary positions that follow the clause
+	// key from being read as clauses. The positions make equal keys respect
+	// Tseytin bookkeeping.
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(clauseKey)+4*len(order))
 	buf = binary.AppendUvarint(buf, uint64(len(clauseKey)))
 	buf = append(buf, clauseKey...)
 	for i, v := range order {

@@ -141,9 +141,9 @@ func chainFormula(k int) *cnf.Formula {
 }
 
 // mustCacheKey is CacheKey without a budget check, failing the test on error.
-func mustCacheKey(t *testing.T, f *cnf.Formula, byteIdentical bool) (string, []int) {
+func mustCacheKey(t *testing.T, f *cnf.Formula) (string, []int) {
 	t.Helper()
-	key, facts, err := CacheKey(f, byteIdentical, nil)
+	key, facts, err := CacheKey(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestCanonicalCacheRenamedHit(t *testing.T) {
 		// identity.
 		perm := randomPermutation(rng, f, 10+rng.Intn(20))
 		g := permuteFormula(f, perm)
-		keyF, factsF := mustCacheKey(t, f, false)
-		keyG, factsG := mustCacheKey(t, g, false)
+		keyF, factsF := mustCacheKey(t, f)
+		keyG, factsG := mustCacheKey(t, g)
 		if keyF != keyG {
 			t.Fatalf("trial %d: renamed formula got another key\nf: %v\ng: %v", trial, f.Clauses, g.Clauses)
 		}
@@ -196,54 +196,27 @@ func TestCanonicalCacheRenamedHit(t *testing.T) {
 func TestCanonicalCachePolarityMiss(t *testing.T) {
 	a := &cnf.Formula{Clauses: []cnf.Clause{{1, 2}, {1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
 	b := &cnf.Formula{Clauses: []cnf.Clause{{-1, 2}, {1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
-	for _, byteIdentical := range []bool{false, true} {
-		keyA, _ := mustCacheKey(t, a, byteIdentical)
-		keyB, _ := mustCacheKey(t, b, byteIdentical)
-		if keyA == keyB {
-			t.Errorf("byteIdentical=%v: different-polarity formulas share a key", byteIdentical)
-		}
-	}
-}
-
-// TestCanonicalCacheDisabledByToggle checks the ablation switch: keyed
-// byte-identically, a renamed-isomorphic formula gets its own key, in
-// ascending variable order, while the same formula keys equal.
-func TestCanonicalCacheDisabledByToggle(t *testing.T) {
-	f := &cnf.Formula{Clauses: []cnf.Clause{{1, 2}, {-1, 3}}, Aux: map[int]bool{}, MaxVar: 3}
-	g := permuteFormula(f, map[int]int{1: 7, 2: 9, 3: 8})
-	canonF, _ := mustCacheKey(t, f, false)
-	if canonG, _ := mustCacheKey(t, g, false); canonF != canonG {
-		t.Fatal("canonical keys of a renamed copy differ")
-	}
-	keyF, _ := mustCacheKey(t, f, true)
-	keyG, factsG := mustCacheKey(t, g, true)
-	if keyF == keyG {
-		t.Error("byte-identical keying gave a renamed formula the same key")
-	}
-	if !slices.Equal(factsG, []int{7, 8, 9}) {
-		t.Errorf("byte-identical key order %v, want ascending [7 8 9]", factsG)
-	}
-	if again, _ := mustCacheKey(t, permuteFormula(f, map[int]int{1: 7, 2: 9, 3: 8}), true); again != keyG {
-		t.Error("byte-identical keys of the same formula differ")
+	keyA, _ := mustCacheKey(t, a)
+	keyB, _ := mustCacheKey(t, b)
+	if keyA == keyB {
+		t.Error("different-polarity formulas share a key")
 	}
 }
 
 // TestCompileCacheDistinguishesAuxBookkeeping: equal clauses under
-// different auxiliary-variable bookkeeping must not share a key, in either
-// keying, and auxiliaries are never listed as facts.
+// different auxiliary-variable bookkeeping must not share a key, and
+// auxiliaries are never listed as facts.
 func TestCompileCacheDistinguishesAuxBookkeeping(t *testing.T) {
 	plain := chainFormula(3)
 	marked := chainFormula(3)
 	marked.Aux = map[int]bool{3: true}
-	for _, byteIdentical := range []bool{false, true} {
-		keyPlain, _ := mustCacheKey(t, plain, byteIdentical)
-		keyMarked, facts := mustCacheKey(t, marked, byteIdentical)
-		if keyPlain == keyMarked {
-			t.Errorf("byteIdentical=%v: formulas with different Aux sets share a key", byteIdentical)
-		}
-		if slices.Contains(facts, 3) || len(facts) != 2 {
-			t.Errorf("byteIdentical=%v: facts %v, want the two non-auxiliary variables", byteIdentical, facts)
-		}
+	keyPlain, _ := mustCacheKey(t, plain)
+	keyMarked, facts := mustCacheKey(t, marked)
+	if keyPlain == keyMarked {
+		t.Error("formulas with different Aux sets share a key")
+	}
+	if slices.Contains(facts, 3) || len(facts) != 2 {
+		t.Errorf("facts %v, want the two non-auxiliary variables", facts)
 	}
 }
 
@@ -282,7 +255,7 @@ func TestCanonicalFormHonorsBudgetCheck(t *testing.T) {
 	if _, _, err := canonicalForm(normalizeAll(t, f), func(int) bool { return false }, func() error { return boom }); err != boom {
 		t.Fatalf("err = %v, want the check's error", err)
 	}
-	if _, _, err := CacheKey(f, false, func() error { return boom }); err != boom {
+	if _, _, err := CacheKey(f, func() error { return boom }); err != boom {
 		t.Fatalf("CacheKey: err = %v, want the check's error", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -23,49 +22,6 @@ var (
 	ErrNodeBudget = errors.New("dnnf: compilation exceeded node budget")
 )
 
-// VarOrder selects the branching-variable heuristic.
-type VarOrder uint8
-
-// Branching heuristics.
-const (
-	// OrderMostFrequent branches on the variable occurring in the most
-	// active clauses (a dynamic degree heuristic, the default).
-	OrderMostFrequent VarOrder = iota
-	// OrderLexicographic branches on the smallest-numbered variable; kept
-	// as an ablation baseline.
-	OrderLexicographic
-	// OrderJeroslowWang branches on the variable maximizing the two-sided
-	// Jeroslow–Wang score Σ_{cl ∋ v} 2^-|cl| over the active clauses — a
-	// dynamic heuristic that weights short clauses exponentially harder
-	// than the plain occurrence count does.
-	OrderJeroslowWang
-)
-
-// String names the heuristic ("freq", "lex", "jw").
-func (o VarOrder) String() string {
-	switch o {
-	case OrderLexicographic:
-		return "lex"
-	case OrderJeroslowWang:
-		return "jw"
-	default:
-		return "freq"
-	}
-}
-
-// ParseVarOrder parses a heuristic name as printed by VarOrder.String.
-func ParseVarOrder(s string) (VarOrder, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "freq", "most-frequent":
-		return OrderMostFrequent, nil
-	case "lex", "lexicographic":
-		return OrderLexicographic, nil
-	case "jw", "jeroslow-wang":
-		return OrderJeroslowWang, nil
-	}
-	return OrderMostFrequent, fmt.Errorf("dnnf: unknown variable order %q (want freq, lex, or jw)", s)
-}
-
 // Options configures compilation.
 type Options struct {
 	// Timeout bounds wall-clock compilation time; zero means no limit.
@@ -73,10 +29,9 @@ type Options struct {
 	// MaxNodes bounds the number of d-DNNF nodes allocated; zero means no
 	// limit. This plays the role of c2d running out of memory.
 	MaxNodes int
-	// DisableCache turns off component caching (ablation).
+	// DisableCache turns off component caching: the cache-off compile is
+	// the reference that the cached one is checked against.
 	DisableCache bool
-	// Order selects the branching heuristic.
-	Order VarOrder
 }
 
 // Stats reports compilation effort.
@@ -344,7 +299,7 @@ func (c *compiler) compileComponent(ctx context.Context, s *scratch, clauses []c
 		c.stats.CacheMisses++
 	}
 
-	v := s.pickVar(c.opts.Order, clauses)
+	v := s.pickVar(clauses)
 	c.stats.Decisions++
 	hi, err := c.cofactor(ctx, s, clauses, cnf.Lit(v))
 	if err != nil {

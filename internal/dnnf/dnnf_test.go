@@ -191,22 +191,6 @@ func TestCompileEmptyAndTautology(t *testing.T) {
 	}
 }
 
-func TestCompileLexicographicOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
-		f := randomCNF(rng, 1+rng.Intn(5), rng.Intn(6))
-		universe := f.Vars()
-		want := bruteCount(f, universe)
-		n, _, err := Compile(context.Background(), f, Options{Order: OrderLexicographic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := CountModels(n, universe); got.Cmp(big.NewInt(int64(want))) != 0 {
-			t.Fatalf("trial %d: lexicographic order count %v, want %d", trial, got, want)
-		}
-	}
-}
-
 func TestCompileWithoutCacheMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 40; trial++ {

@@ -21,9 +21,9 @@ func dimacs(tb testing.TB, f *cnf.Formula) []byte {
 	return buf.Bytes()
 }
 
-// FuzzCompile compiles every small DIMACS input under each variable order,
-// with the component cache on and off, and checks each circuit's structure
-// and model count against brute force.
+// FuzzCompile compiles every small DIMACS input with the component cache on
+// and off and checks each circuit's structure and model count against brute
+// force.
 func FuzzCompile(f *testing.F) {
 	for _, formula := range []*cnf.Formula{
 		chainFormula(3),
@@ -52,19 +52,17 @@ func FuzzCompile(f *testing.F) {
 			t.Skip("too large to brute-force")
 		}
 		want := big.NewInt(int64(bruteCount(formula, universe)))
-		for _, order := range []VarOrder{OrderMostFrequent, OrderLexicographic, OrderJeroslowWang} {
-			for _, off := range []bool{false, true} {
-				opts := Options{Order: order, DisableCache: off}
-				root, _, err := Compile(ctx, formula, opts)
-				if err != nil {
-					t.Fatalf("%+v: %v", opts, err)
-				}
-				if err := Validate(root, 12); err != nil {
-					t.Fatalf("%+v: %v", opts, err)
-				}
-				if got := CountModels(root, universe); got.Cmp(want) != 0 {
-					t.Fatalf("%+v: model count %v, brute force %v", opts, got, want)
-				}
+		for _, off := range []bool{false, true} {
+			opts := Options{DisableCache: off}
+			root, _, err := Compile(ctx, formula, opts)
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if err := Validate(root, 12); err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if got := CountModels(root, universe); got.Cmp(want) != 0 {
+				t.Fatalf("%+v: model count %v, brute force %v", opts, got, want)
 			}
 		}
 	})

@@ -120,17 +120,15 @@ func goldenLine(t *testing.T, name string, f *cnf.Formula, opts Options) string 
 
 // goldenCompileLines compiles every golden case: seeded random CNFs over
 // sparse IDs and Tseytin CNFs of random circuits (which carry auxiliary
-// variables), each under every order with the component cache on and off,
-// and a few compilations whose node budget trips.
+// variables), each with the component cache on and off, and a few
+// compilations whose node budget trips. Every row name keeps the "freq"
+// segment of the most-frequent pick, the compiler's one heuristic.
 func goldenCompileLines(t *testing.T) []string {
-	orders := []VarOrder{OrderMostFrequent, OrderLexicographic, OrderJeroslowWang}
 	var lines []string
 	variants := func(kind string, i int, f *cnf.Formula) {
-		for _, o := range orders {
-			for _, off := range []bool{false, true} {
-				name := fmt.Sprintf("%s%02d/%s/cache=%v", kind, i, o, !off)
-				lines = append(lines, goldenLine(t, name, f, Options{Order: o, DisableCache: off}))
-			}
+		for _, off := range []bool{false, true} {
+			name := fmt.Sprintf("%s%02d/freq/cache=%v", kind, i, !off)
+			lines = append(lines, goldenLine(t, name, f, Options{DisableCache: off}))
 		}
 	}
 	rng := rand.New(rand.NewSource(20240617))
@@ -146,11 +144,9 @@ func goldenCompileLines(t *testing.T) []string {
 		variants("tseytin", i, f)
 	}
 	for i, f := range cnfs[:8] {
-		for _, o := range orders {
-			maxNodes := 20 + 10*i
-			name := fmt.Sprintf("budget%02d/%s/max=%d", i, o, maxNodes)
-			lines = append(lines, goldenLine(t, name, f, Options{Order: o, MaxNodes: maxNodes}))
-		}
+		maxNodes := 20 + 10*i
+		name := fmt.Sprintf("budget%02d/freq/max=%d", i, maxNodes)
+		lines = append(lines, goldenLine(t, name, f, Options{MaxNodes: maxNodes}))
 	}
 	return lines
 }

@@ -30,39 +30,11 @@ func pickMostFrequentRecompute(clauses []cnf.Clause) int {
 	return best
 }
 
-// pickJeroslowWang is the map-based Jeroslow–Wang heuristic, the oracle for
-// the array pick: scores Σ 2^-|cl| accumulated in clause order, the maximum
-// wins, ties broken by the smaller variable.
-func pickJeroslowWang(clauses []cnf.Clause) int {
-	scores := make(map[int]float64)
-	for _, cl := range clauses {
-		w := 1.0
-		for i := 0; i < len(cl) && i < 62; i++ {
-			w /= 2
-		}
-		for _, l := range cl {
-			scores[l.Var()] += w
-		}
-	}
-	best, bestScore := 0, -1.0
-	for v, s := range scores {
-		if s > bestScore || (s == bestScore && v < best) {
-			best, bestScore = v, s
-		}
-	}
-	return best
-}
-
 // TestPickVarIncrementalAgreesWithRecompute random-walks conditioning and
 // propagation over random clause sets and checks at every step that the
-// array pick of scratch equals the map-based oracle, for the most-frequent
-// and the Jeroslow–Wang order alike.
+// array pick of scratch equals the map-based oracle.
 func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
-	oracles := map[VarOrder]func([]cnf.Clause) int{
-		OrderMostFrequent: pickMostFrequentRecompute,
-		OrderJeroslowWang: pickJeroslowWang,
-	}
 	for trial := 0; trial < 60; trial++ {
 		raw := singleComponentCNF(rng, 10, 30)
 		clauses := make([]cnf.Clause, 0, len(raw.Clauses))
@@ -75,10 +47,8 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 		clauses, orig := densify(clauses)
 		s := newScratch(orig)
 		for step := 0; len(clauses) > 0; step++ {
-			for order, oracle := range oracles {
-				if got, want := s.pickVar(order, clauses), oracle(clauses); got != want {
-					t.Fatalf("trial %d step %d %v: array pick %d, oracle pick %d", trial, step, order, got, want)
-				}
+			if got, want := s.pickVar(clauses), pickMostFrequentRecompute(clauses); got != want {
+				t.Fatalf("trial %d step %d: array pick %d, oracle pick %d", trial, step, got, want)
 			}
 			// Alternate conditioning steps with propagation rounds, like the
 			// compiler does.
@@ -90,7 +60,7 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 				clauses = rest
 				continue
 			}
-			l := cnf.Lit(s.pickVar(OrderMostFrequent, clauses))
+			l := cnf.Lit(s.pickVar(clauses))
 			if rng.Intn(2) == 0 {
 				l = -l
 			}
@@ -103,32 +73,8 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 	}
 }
 
-func TestParseVarOrder(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want VarOrder
-	}{
-		{"freq", OrderMostFrequent},
-		{"", OrderMostFrequent},
-		{"lex", OrderLexicographic},
-		{"jw", OrderJeroslowWang},
-		{"JW", OrderJeroslowWang},
-	} {
-		got, err := ParseVarOrder(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseVarOrder(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if _, err := ParseVarOrder(got.String()); err != nil {
-			t.Fatalf("String/Parse round-trip failed for %v", got)
-		}
-	}
-	if _, err := ParseVarOrder("bogus"); err == nil {
-		t.Fatal("ParseVarOrder accepted a bogus name")
-	}
-}
-
 // BenchmarkPickVar compares the array pick of scratch with the map-based
-// oracle on a mid-size residual, under the most-frequent order.
+// oracle on a mid-size residual.
 func BenchmarkPickVar(b *testing.B) {
 	rng := rand.New(rand.NewSource(251))
 	raw := singleComponentCNF(rng, 60, 260)
@@ -147,7 +93,7 @@ func BenchmarkPickVar(b *testing.B) {
 	b.Run("array", func(b *testing.B) {
 		s := newScratch(orig)
 		for b.Loop() {
-			s.pickVar(OrderMostFrequent, clauses)
+			s.pickVar(clauses)
 		}
 	})
 }

@@ -47,10 +47,10 @@ func renumber(clauses []cnf.Clause) (orig []int) {
 // releases everything above its mark on return, so the chunks are reused
 // from decision to decision.
 type scratch struct {
-	score  []float64 // pickVar: score of each variable
-	value  []int8    // propagate: +1 / -1 for a variable implied true / false
-	parent []int32   // components: union-find forest, set up per call
-	size   []int32   // components: clauses per root, then the root's group
+	count  []int32 // pickVar: clauses mentioning each variable
+	value  []int8  // propagate: +1 / -1 for a variable implied true / false
+	parent []int32 // components: union-find forest, set up per call
+	size   []int32 // components: clauses per root, then the root's group
 	units  []cnf.Lit
 	roots  []int32
 	buf    []byte // compileComponent: a missed component's clause set
@@ -76,7 +76,7 @@ func newScratch(orig []int) *scratch {
 	// only a few groups and gate children, so a chunk of n of them serves
 	// a whole path of decisions.
 	return &scratch{
-		score:   make([]float64, n),
+		count:   make([]int32, n),
 		value:   make([]int8, n),
 		parent:  make([]int32, n),
 		size:    make([]int32, n),
@@ -340,47 +340,26 @@ func (s *scratch) components(clauses []cnf.Clause) [][]cnf.Clause {
 	return out
 }
 
-// pickVar selects the branching variable per the heuristic: the smallest
-// variable (lex), or the variable with the highest score, ties broken by the
-// smaller variable. A variable scores one per clause mentioning it (freq)
-// or the two-sided Jeroslow–Wang measure Σ 2^-|cl| over those clauses (jw).
-// Scores are sums of dyadic rationals accumulated in clause order, exact in
-// float64, so the choice is reproducible.
-func (s *scratch) pickVar(order VarOrder, clauses []cnf.Clause) int {
-	best := 0
-	if order == OrderLexicographic {
-		for _, cl := range clauses {
-			for _, l := range cl {
-				if v := l.Var(); best == 0 || v < best {
-					best = v
-				}
-			}
-		}
-		return best
-	}
+// pickVar selects the branching variable: the one occurring in the most
+// clauses, ties broken by the smaller variable.
+func (s *scratch) pickVar(clauses []cnf.Clause) int {
 	for _, cl := range clauses {
-		w := 1.0
-		if order == OrderJeroslowWang {
-			for i := 0; i < len(cl) && i < 62; i++ {
-				w /= 2
-			}
-		}
 		for _, l := range cl {
-			s.score[l.Var()] += w
+			s.count[l.Var()]++
 		}
 	}
-	bestScore := -1.0
+	best, bestCount := 0, int32(-1)
 	for _, cl := range clauses {
 		for _, l := range cl {
 			v := l.Var()
-			if sc := s.score[v]; sc > bestScore || (sc == bestScore && v < best) {
-				best, bestScore = v, sc
+			if n := s.count[v]; n > bestCount || (n == bestCount && v < best) {
+				best, bestCount = v, n
 			}
 		}
 	}
 	for _, cl := range clauses {
 		for _, l := range cl {
-			s.score[l.Var()] = 0
+			s.count[l.Var()] = 0
 		}
 	}
 	return best

@@ -15,9 +15,10 @@ import (
 // for the exact attempt of the Section 6.3 hybrid.
 const defaultTimeout = 2500 * time.Millisecond
 
-// Register defines -timeout, -workers, -cache, -nocanon, -strategy and
-// -approx-min-samples on fs and returns the Options they parse into: after fs.Parse the pointed-to value
-// holds the parsed settings, every other field zero. An unknown -strategy
+// Register defines -timeout, -workers, -cache, -strategy and
+// -approx-min-samples on fs and returns the Options they parse into: after
+// fs.Parse the pointed-to value holds the parsed settings, every other field
+// zero. An unknown -strategy
 // name fails fs.Parse; out-of-range numbers parse and are left to
 // Options.Validate.
 func Register(fs *flag.FlagSet) *repro.Options {
@@ -25,7 +26,6 @@ func Register(fs *flag.FlagSet) *repro.Options {
 	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "exact-computation budget per output tuple before the CNF Proxy fallback (0 = unbounded)")
 	fs.IntVar(&o.Workers, "workers", 0, "pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&o.CacheSize, "cache", 0, "Shapley-value cache size in lineages (0 = default, -1 = disabled)")
-	fs.BoolVar(&o.NoCanonicalCache, "nocanon", false, "key the value cache byte-identically instead of by canonical (rename-invariant) form")
 	fs.Var((*strategyFlag)(&o.Strategy), "strategy", "Algorithm 1 evaluation `mode`: auto (the default), per-fact, or gradient")
 	fs.IntVar(&o.Budget.MinSamples, "approx-min-samples", 0, "sampling fallback's minimum permutation count (0 = sampler default)")
 	return o

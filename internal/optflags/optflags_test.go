@@ -30,16 +30,16 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 }
 
-// TestRegisterParsesEveryFlag sets all six flags, including the -1
+// TestRegisterParsesEveryFlag sets all five flags, including the -1
 // sentinel the help text documents, and gets valid Options.
 func TestRegisterParsesEveryFlag(t *testing.T) {
-	o, err := parse(t, "-timeout", "1s", "-workers", "3", "-cache", "-1", "-nocanon",
+	o, err := parse(t, "-timeout", "1s", "-workers", "3", "-cache", "-1",
 		"-strategy", "gradient", "-approx-min-samples", "200")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := repro.Options{
-		Timeout: time.Second, Workers: 3, CacheSize: -1, NoCanonicalCache: true,
+		Timeout: time.Second, Workers: 3, CacheSize: -1,
 		Strategy: repro.StrategyGradient, Budget: repro.ExplainBudget{MinSamples: 200},
 	}
 	if !reflect.DeepEqual(*o, want) {

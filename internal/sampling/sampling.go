@@ -329,8 +329,6 @@ type Config struct {
 	// stopping rule applies (≤ 0 = DefaultMinPermutations). The estimate
 	// after exactly MinPermutations is deterministic given the game's seed.
 	MinPermutations int
-	// MaxPermutations caps the CI refinement loop (≤ 0 = 16·MinPermutations).
-	MaxPermutations int
 	// TargetCI is the 95%-CI half-width at which refinement stops, checked
 	// against the widest per-fact interval after each batch. ≤ 0 uses
 	// DefaultTargetCI; ≥ 1 disables refinement entirely (the run is exactly
@@ -345,15 +343,13 @@ const (
 	DefaultTargetCI        = 0.05
 )
 
+// refineFactor caps the CI refinement loop at refineFactor·MinPermutations
+// permutations.
+const refineFactor = 16
+
 func (c Config) withDefaults() Config {
 	if c.MinPermutations <= 0 {
 		c.MinPermutations = DefaultMinPermutations
-	}
-	if c.MaxPermutations <= 0 {
-		c.MaxPermutations = 16 * c.MinPermutations
-	}
-	if c.MaxPermutations < c.MinPermutations {
-		c.MaxPermutations = c.MinPermutations
 	}
 	if c.TargetCI <= 0 {
 		c.TargetCI = DefaultTargetCI
@@ -383,8 +379,8 @@ const z95 = 1.959963984540054
 // MonteCarloCI approximates every player's Shapley value by permutation
 // sampling [Mann & Shapley 1960] with per-fact 95% confidence intervals: it
 // draws cfg.MinPermutations permutations, then refines in batches until the
-// widest interval's half-width reaches cfg.TargetCI or cfg.MaxPermutations
-// is spent. Each permutation contributes one marginal per player (−1, 0, or
+// widest interval's half-width reaches cfg.TargetCI or refineFactor times as
+// many permutations are spent. Each permutation contributes one marginal per player (−1, 0, or
 // +1 for a Boolean game), so the CI is the normal approximation over those
 // marginals. A monotone game's permutation has at most one nonzero
 // marginal, +1 for its pivot, found in one arrival-time pass over the
@@ -424,8 +420,8 @@ func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Appro
 		present, passes = make([]bool, n), n+1
 	}
 
-	perms := 0
-	for perms < cfg.MinPermutations || (perms < cfg.MaxPermutations && cfg.TargetCI < 1 && g.widestHalfWidth(sum, nonzero, perms) > cfg.TargetCI) {
+	perms, maxPerms := 0, refineFactor*cfg.MinPermutations
+	for perms < cfg.MinPermutations || (perms < maxPerms && cfg.TargetCI < 1 && g.widestHalfWidth(sum, nonzero, perms) > cfg.TargetCI) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -433,8 +429,8 @@ func (g *Game) MonteCarloCI(ctx context.Context, seed int64, cfg Config) (*Appro
 		if perms < cfg.MinPermutations && cfg.MinPermutations-perms < batch {
 			batch = cfg.MinPermutations - perms
 		}
-		if cfg.MaxPermutations-perms < batch {
-			batch = cfg.MaxPermutations - perms
+		if maxPerms-perms < batch {
+			batch = maxPerms - perms
 		}
 		for r := 0; r < batch; r++ {
 			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })

@@ -236,12 +236,8 @@ type Options struct {
 	// means the default size; -1 disables cross-call caching. Other
 	// negative values are invalid.
 	CacheSize int
-	// NoCanonicalCache keys the value cache by the byte-identical CNF
-	// rather than its rename-invariant canonical form. By default, output
-	// tuples whose provenance is isomorphic modulo variable renaming (the
-	// common shape of multi-tuple query answers) share one entry, compiled
-	// and evaluated once; this toggle is the ablation that restores
-	// exact-match-only caching.
+	// Deprecated: NoCanonicalCache was removed; the value cache is always
+	// keyed by the canonical (rename-invariant) form. Validate rejects true.
 	NoCanonicalCache bool
 	// Strategy selects the Algorithm 1 evaluation mode. The default,
 	// StrategyAuto, runs the two-pass gradient algorithm; StrategyPerFact
@@ -272,11 +268,13 @@ func (o Options) Validate() error {
 	case o.Workers < 0:
 		return fmt.Errorf("repro: Options.Workers is negative (%d); use 0 for GOMAXPROCS or 1 for the serial pipeline", o.Workers)
 	case o.CompileWorkers != 0:
-		return removedKnob("CompileWorkers")
+		return removedKnob("CompileWorkers", oneGoroutine)
 	case o.Speculate:
-		return removedKnob("Speculate")
+		return removedKnob("Speculate", oneGoroutine)
 	case o.Portfolio:
-		return removedKnob("Portfolio")
+		return removedKnob("Portfolio", oneGoroutine)
+	case o.NoCanonicalCache:
+		return removedKnob("NoCanonicalCache", "the value cache is always keyed by the canonical (rename-invariant) form")
 	case o.CacheSize < -1:
 		return fmt.Errorf("repro: Options.CacheSize = %d is invalid; use 0 for the default capacity, -1 to disable caching, or a positive capacity", o.CacheSize)
 	}
@@ -288,10 +286,13 @@ func (o Options) Validate() error {
 	return ValidateBudget(o.Budget)
 }
 
-// removedKnob is Validate's error for a set field of a removed compiler
-// knob.
-func removedKnob(name string) error {
-	return fmt.Errorf("repro: Options.%s was removed; every compile runs on one goroutine, and Workers spreads the answers and Algorithm 1's per-fact loop", name)
+// oneGoroutine is why the compiler's concurrency knobs were removed.
+const oneGoroutine = "every compile runs on one goroutine, and Workers spreads the answers and Algorithm 1's per-fact loop"
+
+// removedKnob is Validate's error for a set field of a removed knob; why
+// says what took its place.
+func removedKnob(name, why string) error {
+	return fmt.Errorf("repro: Options.%s was removed; %s", name, why)
 }
 
 // ValidateBudget checks an anytime-tier budget for values no configuration

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,14 +207,14 @@ func TestLargerRandomDifferential(t *testing.T) {
 	}
 }
 
-// TestExplainParallelMatchesSerial runs the facade end-to-end with the
-// per-answer fan-out enabled and asserts the result slice is identical —
-// same order, same methods, same exact rationals — to the serial run.
-func TestExplainParallelMatchesSerial(t *testing.T) {
+// knobsFixture is a random two-relation database over which q(a) :- R(a,
+// b), S(b, c) has several answers, drawn from seed.
+func knobsFixture(t *testing.T, seed int64) (*Database, *Query) {
+	t.Helper()
 	d := NewDatabase()
 	d.CreateRelation("R", "a", "b")
 	d.CreateRelation("S", "b", "c")
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 18; i++ {
 		d.MustInsert("R", true, Int(int64(i%6)), Int(int64(rng.Intn(4))))
 	}
@@ -224,90 +225,57 @@ func TestExplainParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Explain(context.Background(), d, q, Options{Workers: 1, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) < 2 {
-		t.Fatalf("want a multi-answer query, got %d answers", len(serial))
-	}
-	parallel, err := Explain(context.Background(), d, q, Options{Workers: 8, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parallel) != len(serial) {
-		t.Fatalf("parallel produced %d explanations, serial %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Tuple.String() != p.Tuple.String() {
-			t.Fatalf("answer %d: tuple order diverged: %v vs %v", i, p.Tuple, s.Tuple)
-		}
-		if s.Method != p.Method || s.NumFacts != p.NumFacts {
-			t.Fatalf("answer %d: method/facts diverged", i)
-		}
-		if len(s.Ranking) != len(p.Ranking) {
-			t.Fatalf("answer %d: ranking lengths diverged", i)
-		}
-		for j := range s.Ranking {
-			if s.Ranking[j] != p.Ranking[j] {
-				t.Fatalf("answer %d: ranking[%d] = %d, serial %d", i, j, p.Ranking[j], s.Ranking[j])
-			}
-		}
-		for f, sv := range s.Values {
-			if pv := p.Values[f]; pv == nil || pv.Cmp(sv) != 0 {
-				t.Fatalf("answer %d fact %d: parallel %v, serial %v", i, f, pv, sv)
-			}
-		}
-	}
+	return d, q
 }
 
-// TestExplainCompileKnobsMatchBaseline drives the value cache's knobs
-// through the facade: a canonically keyed (or ablated) cache, at one
-// worker or several, must leave every explanation identical to the
-// serial, cache-disabled baseline.
-func TestExplainCompileKnobsMatchBaseline(t *testing.T) {
-	d := NewDatabase()
-	d.CreateRelation("R", "a", "b")
-	d.CreateRelation("S", "b", "c")
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 18; i++ {
-		d.MustInsert("R", true, Int(int64(i%6)), Int(int64(rng.Intn(4))))
-	}
-	for i := 0; i < 12; i++ {
-		d.MustInsert("S", true, Int(int64(rng.Intn(4))), Int(int64(rng.Intn(3))))
-	}
-	q, err := ParseQuery(`q(a) :- R(a, b), S(b, c)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := Explain(context.Background(), d, q, Options{Workers: 1, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baseline) < 2 {
-		t.Fatalf("want a multi-answer query, got %d answers", len(baseline))
-	}
-	for _, opts := range []Options{
-		{Workers: 1, CacheSize: 64},                         // canonical cache
-		{Workers: 4, CacheSize: 64},                         // parallel + canonical cache
-		{Workers: 4, CacheSize: 64, NoCanonicalCache: true}, // byte-identical cache ablation
-	} {
-		got, err := Explain(context.Background(), d, q, opts)
+// TestExplainKnobsMatchSerial runs the facade end to end under every
+// combination of its remaining knobs — Workers 1 and 4, the auto and
+// per-fact strategies, the value cache off and on — and asserts that each
+// result slice is identical to the serial, cache-free run: same tuple
+// order, methods, fact counts and rankings, same exact rationals.
+func TestExplainKnobsMatchSerial(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{7, 11} {
+		d, q := knobsFixture(t, seed)
+		serial, err := Explain(ctx, d, q, Options{Workers: 1, CacheSize: -1})
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(baseline) {
-			t.Fatalf("%+v: %d explanations, want %d", opts, len(got), len(baseline))
+		if len(serial) < 2 {
+			t.Fatalf("seed %d: want a multi-answer query, got %d answers", seed, len(serial))
 		}
-		for i := range baseline {
-			b, g := baseline[i], got[i]
-			if b.Tuple.String() != g.Tuple.String() || b.Method != g.Method {
-				t.Fatalf("%+v answer %d: tuple/method diverged", opts, i)
-			}
-			for f, bv := range b.Values {
-				if gv := g.Values[f]; gv == nil || gv.Cmp(bv) != 0 {
-					t.Fatalf("%+v answer %d fact %d: %v, want %v", opts, i, f, gv, bv)
+		for _, workers := range []int{1, 4} {
+			for _, strategy := range []ShapleyStrategy{StrategyAuto, StrategyPerFact} {
+				for _, cacheSize := range []int{-1, 64} {
+					opts := Options{Workers: workers, Strategy: strategy, CacheSize: cacheSize}
+					got, err := Explain(ctx, d, q, opts)
+					if err != nil {
+						t.Fatalf("seed %d %+v: %v", seed, opts, err)
+					}
+					if len(got) != len(serial) {
+						t.Fatalf("seed %d %+v: %d explanations, serial %d", seed, opts, len(got), len(serial))
+					}
+					for i, s := range serial {
+						g := got[i]
+						what := fmt.Sprintf("seed %d %+v answer %d", seed, opts, i)
+						if s.Tuple.String() != g.Tuple.String() {
+							t.Fatalf("%s: tuple %v, serial %v", what, g.Tuple, s.Tuple)
+						}
+						if s.Method != g.Method || s.NumFacts != g.NumFacts {
+							t.Fatalf("%s: method/facts %v/%d, serial %v/%d", what, g.Method, g.NumFacts, s.Method, s.NumFacts)
+						}
+						if !slices.Equal(s.Ranking, g.Ranking) {
+							t.Fatalf("%s: ranking %v, serial %v", what, g.Ranking, s.Ranking)
+						}
+						if len(s.Values) != len(g.Values) {
+							t.Fatalf("%s: %d values, serial %d", what, len(g.Values), len(s.Values))
+						}
+						for f, sv := range s.Values {
+							if gv := g.Values[f]; gv == nil || gv.Cmp(sv) != 0 {
+								t.Fatalf("%s fact %d: %v, serial %v", what, f, gv, sv)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -154,14 +154,13 @@ func OpenContext(ctx context.Context, d *Database, q *Query, opts Options) (*Ses
 // differ only in their workers.
 func (s *Session) pipeline(workers int) core.PipelineOptions {
 	return core.PipelineOptions{
-		CompileTimeout:   s.opts.Timeout,
-		ShapleyTimeout:   s.opts.Timeout,
-		CompileMaxNodes:  s.opts.MaxNodes,
-		Workers:          workers,
-		NoCanonicalCache: s.opts.NoCanonicalCache,
-		Strategy:         s.opts.Strategy,
-		Cache:            s.cache,
-		CacheOwner:       s.d.ID(),
+		CompileTimeout:  s.opts.Timeout,
+		ShapleyTimeout:  s.opts.Timeout,
+		CompileMaxNodes: s.opts.MaxNodes,
+		Workers:         workers,
+		Strategy:        s.opts.Strategy,
+		Cache:           s.cache,
+		CacheOwner:      s.d.ID(),
 	}
 }
 

@@ -303,11 +303,8 @@ func TestSessionMatchesColdExplainOnCorpus(t *testing.T) {
 // process-wide value cache warmed without one degrades exactly the tuples a
 // cold, cache-free explain degrades — to MethodApprox under
 // Budget.MaxNodes, to MethodProxy under Options.MaxNodes — and gives every
-// other tuple equal exact values. Both sides run serially, so node counts
-// repeat. Byte-identical keys keep out entries that other tests of this
-// package filled through a parallel compiler, whose node counts vary;
-// TestWarmCacheFailsSameTuples in internal/bench covers canonical keys with
-// a cache of its own.
+// other tuple equal exact values, whatever other tests of this package left
+// in the cache.
 func TestWarmCacheDegradesSameTuples(t *testing.T) {
 	type corpusQuery struct {
 		d *Database
@@ -325,7 +322,7 @@ func TestWarmCacheDegradesSameTuples(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	serial := Options{Workers: 1, NoCanonicalCache: true}
+	serial := Options{Workers: 1}
 	for _, c := range cases {
 		if _, err := Explain(ctx, c.d, c.q, serial); err != nil {
 			t.Fatal(err)
@@ -579,6 +576,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Options{CompileWorkers: -1}, "CompileWorkers"},
 		{Options{Speculate: true}, "Speculate"},
 		{Options{Portfolio: true}, "Portfolio"},
+		{Options{NoCanonicalCache: true}, "NoCanonicalCache"},
 		{Options{CacheSize: -2}, "CacheSize"},
 		{Options{Strategy: ShapleyStrategy(99)}, "Strategy"},
 	}
