@@ -228,52 +228,65 @@ func knobsFixture(t *testing.T, seed int64) (*Database, *Query) {
 	return d, q
 }
 
-// TestExplainKnobsMatchSerial runs the facade end to end under every
-// combination of its remaining knobs — Workers 1 and 4, the auto and
-// per-fact strategies, the value cache off and on — and asserts that each
-// result slice is identical to the serial, cache-free run: same tuple
-// order, methods, fact counts and rankings, same exact rationals.
-func TestExplainKnobsMatchSerial(t *testing.T) {
+// TestExplainParallelMatchesSerial runs the facade end to end with the
+// per-answer fan-out enabled, under both strategies and with the value
+// cache off and on, on the seed-7 fixture.
+func TestExplainParallelMatchesSerial(t *testing.T) {
+	checkKnobsMatchSerial(t, 7, []int{4, 8})
+}
+
+// TestExplainCompileKnobsMatchBaseline drives the value cache and the
+// strategy through the facade, at one worker or several, on the seed-11
+// fixture.
+func TestExplainCompileKnobsMatchBaseline(t *testing.T) {
+	checkKnobsMatchSerial(t, 11, []int{1, 4})
+}
+
+// checkKnobsMatchSerial explains seed's knobsFixture under every
+// combination of the given worker counts, the auto and per-fact
+// strategies and the value cache off and on, and asserts that each result
+// slice is identical to the serial, cache-free run: same tuple order,
+// methods, fact counts and rankings, same exact rationals.
+func checkKnobsMatchSerial(t *testing.T, seed int64, workerCounts []int) {
+	t.Helper()
 	ctx := context.Background()
-	for _, seed := range []int64{7, 11} {
-		d, q := knobsFixture(t, seed)
-		serial, err := Explain(ctx, d, q, Options{Workers: 1, CacheSize: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial) < 2 {
-			t.Fatalf("seed %d: want a multi-answer query, got %d answers", seed, len(serial))
-		}
-		for _, workers := range []int{1, 4} {
-			for _, strategy := range []ShapleyStrategy{StrategyAuto, StrategyPerFact} {
-				for _, cacheSize := range []int{-1, 64} {
-					opts := Options{Workers: workers, Strategy: strategy, CacheSize: cacheSize}
-					got, err := Explain(ctx, d, q, opts)
-					if err != nil {
-						t.Fatalf("seed %d %+v: %v", seed, opts, err)
+	d, q := knobsFixture(t, seed)
+	serial, err := Explain(ctx, d, q, Options{Workers: 1, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) < 2 {
+		t.Fatalf("seed %d: want a multi-answer query, got %d answers", seed, len(serial))
+	}
+	for _, workers := range workerCounts {
+		for _, strategy := range []ShapleyStrategy{StrategyAuto, StrategyPerFact} {
+			for _, cacheSize := range []int{-1, 64} {
+				opts := Options{Workers: workers, Strategy: strategy, CacheSize: cacheSize}
+				got, err := Explain(ctx, d, q, opts)
+				if err != nil {
+					t.Fatalf("seed %d %+v: %v", seed, opts, err)
+				}
+				if len(got) != len(serial) {
+					t.Fatalf("seed %d %+v: %d explanations, serial %d", seed, opts, len(got), len(serial))
+				}
+				for i, s := range serial {
+					g := got[i]
+					what := fmt.Sprintf("seed %d %+v answer %d", seed, opts, i)
+					if s.Tuple.String() != g.Tuple.String() {
+						t.Fatalf("%s: tuple %v, serial %v", what, g.Tuple, s.Tuple)
 					}
-					if len(got) != len(serial) {
-						t.Fatalf("seed %d %+v: %d explanations, serial %d", seed, opts, len(got), len(serial))
+					if s.Method != g.Method || s.NumFacts != g.NumFacts {
+						t.Fatalf("%s: method/facts %v/%d, serial %v/%d", what, g.Method, g.NumFacts, s.Method, s.NumFacts)
 					}
-					for i, s := range serial {
-						g := got[i]
-						what := fmt.Sprintf("seed %d %+v answer %d", seed, opts, i)
-						if s.Tuple.String() != g.Tuple.String() {
-							t.Fatalf("%s: tuple %v, serial %v", what, g.Tuple, s.Tuple)
-						}
-						if s.Method != g.Method || s.NumFacts != g.NumFacts {
-							t.Fatalf("%s: method/facts %v/%d, serial %v/%d", what, g.Method, g.NumFacts, s.Method, s.NumFacts)
-						}
-						if !slices.Equal(s.Ranking, g.Ranking) {
-							t.Fatalf("%s: ranking %v, serial %v", what, g.Ranking, s.Ranking)
-						}
-						if len(s.Values) != len(g.Values) {
-							t.Fatalf("%s: %d values, serial %d", what, len(g.Values), len(s.Values))
-						}
-						for f, sv := range s.Values {
-							if gv := g.Values[f]; gv == nil || gv.Cmp(sv) != 0 {
-								t.Fatalf("%s fact %d: %v, serial %v", what, f, gv, sv)
-							}
+					if !slices.Equal(s.Ranking, g.Ranking) {
+						t.Fatalf("%s: ranking %v, serial %v", what, g.Ranking, s.Ranking)
+					}
+					if len(s.Values) != len(g.Values) {
+						t.Fatalf("%s: %d values, serial %d", what, len(g.Values), len(s.Values))
+					}
+					for f, sv := range s.Values {
+						if gv := g.Values[f]; gv == nil || gv.Cmp(sv) != 0 {
+							t.Fatalf("%s fact %d: %v, serial %v", what, f, gv, sv)
 						}
 					}
 				}
