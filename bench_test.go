@@ -46,7 +46,7 @@ func benchOptions() bench.Options {
 	o := bench.DefaultOptions()
 	o.TPCH = tpch.Config{Customers: 15, OrdersPerCustomer: 2, LinesPerOrder: 3, Parts: 20, Suppliers: 8, Seed: 42}
 	o.IMDB = imdb.Config{Movies: 30, People: 40, Companies: 10, Keywords: 15, CastPerMovie: 3, Seed: 7}
-	o.Pipeline.CompileTimeout, o.Pipeline.ShapleyTimeout = 2*time.Second, 2*time.Second
+	o.Timeout = 2 * time.Second
 	o.MaxTuplesPerQuery = 40
 	return o
 }

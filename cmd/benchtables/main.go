@@ -68,11 +68,11 @@ func main() {
 	opts := bench.DefaultOptions()
 	opts.TPCH = opts.TPCH.Scaled(*scale)
 	opts.IMDB = opts.IMDB.Scaled(*scale)
-	opts.Pipeline.CompileTimeout, opts.Pipeline.ShapleyTimeout = *timeout, *timeout
-	opts.Pipeline.Workers = *workers
-	opts.Pipeline.Strategy = strategy
+	opts.Timeout = *timeout
 	opts.MaxTuplesPerQuery = *maxTup
+	opts.Workers = *workers
 	opts.CacheSize = *cacheSz
+	opts.Strategy = strategy
 
 	fmt.Printf("== Corpus: TPC-H + IMDB (scale %.2f, timeout %v) ==\n", *scale, *timeout)
 	start := time.Now()

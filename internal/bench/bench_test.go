@@ -21,7 +21,7 @@ func smallOptions() Options {
 	o := DefaultOptions()
 	o.TPCH = tpch.Config{Customers: 8, OrdersPerCustomer: 2, LinesPerOrder: 3, Parts: 12, Suppliers: 5, Seed: 42}
 	o.IMDB = imdb.Config{Movies: 15, People: 20, Companies: 6, Keywords: 10, CastPerMovie: 3, Seed: 7}
-	o.Pipeline.CompileTimeout, o.Pipeline.ShapleyTimeout = 2*time.Second, 2*time.Second
+	o.Timeout = 2 * time.Second
 	o.MaxTuplesPerQuery = 30
 	return o
 }
@@ -187,7 +187,7 @@ const goldenCachePath = "testdata/cache_golden.txt"
 func TestCanonicalCacheGolden(t *testing.T) {
 	opts := smallOptions()
 	opts.CacheSize = 256
-	opts.Pipeline.CompileTimeout, opts.Pipeline.ShapleyTimeout = 0, 0
+	opts.Timeout = 0
 	c, err := RunCorpus(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -233,23 +233,23 @@ func TestBinLabels(t *testing.T) {
 func TestWarmCacheFailsSameTuples(t *testing.T) {
 	c := runSmallCorpus(t)
 	ctx := context.Background()
+	opts := smallOptions()
+	opts.Timeout, opts.Workers = 0, 1
 	tuples := c.Tuples()
-	coldOpts := core.PipelineOptions{Workers: 1}
-	warmOpts := coldOpts
-	warmOpts.Cache = core.NewValueCache(len(tuples))
-	run := func(tr *TupleResult, opts core.PipelineOptions) *TupleResult {
-		return runTuple(ctx, tr.Dataset, tr.Query, engine.Answer{Tuple: tr.Tuple, Lineage: tr.ELin}, tr.Endo, opts)
+	cache := core.NewValueCache(len(tuples))
+	run := func(tr *TupleResult, opts Options, cache *core.ValueCache) *TupleResult {
+		return runTuple(ctx, tr.Dataset, tr.Query, engine.Answer{Tuple: tr.Tuple, Lineage: tr.ELin}, tr.Endo, opts, cache)
 	}
 	for _, tr := range tuples {
-		if warm := run(tr, warmOpts); !warm.Success {
+		if warm := run(tr, opts, cache); !warm.Success {
 			t.Fatalf("%s/%s %v: unbudgeted run failed: %s", tr.Dataset, tr.Query, tr.Tuple, warm.FailReason)
 		}
 	}
 	for _, budget := range []int{20, 400, 2000} {
-		coldOpts.CompileMaxNodes, warmOpts.CompileMaxNodes = budget, budget
+		opts.MaxNodes = budget
 		trips := 0
 		for _, tr := range tuples {
-			cold, warm := run(tr, coldOpts), run(tr, warmOpts)
+			cold, warm := run(tr, opts, nil), run(tr, opts, cache)
 			if warm.Success != cold.Success || warm.FailReason != cold.FailReason {
 				t.Errorf("budget %d, %s/%s %v: warm success=%v %q, cold success=%v %q", budget,
 					tr.Dataset, tr.Query, tr.Tuple, warm.Success, warm.FailReason, cold.Success, cold.FailReason)

@@ -28,12 +28,12 @@ type NamedQuery struct {
 
 // Options configures a corpus run and the Figure 5 scaling run.
 type Options struct {
-	// Pipeline runs every output tuple's exact pipeline. CompileTimeout and
-	// ShapleyTimeout are the paper's per-tuple timeout, CompileMaxNodes
-	// stands in for memory exhaustion, and Workers fans Algorithm 1's
-	// per-fact loop out across goroutines; tuples themselves run serially,
-	// so per-tuple timings stay comparable to the paper's.
-	Pipeline core.PipelineOptions
+	// Timeout is the exact-computation budget per output tuple (both the
+	// compilation and Algorithm 1 step get this budget), mirroring the
+	// paper's per-tuple timeout. Zero means no limit.
+	Timeout time.Duration
+	// MaxNodes bounds d-DNNF size, standing in for memory exhaustion.
+	MaxNodes int
 	// TPCH and IMDB control the generated instance sizes; TPCH is also the
 	// scaling run's base.
 	TPCH tpch.Config
@@ -41,22 +41,40 @@ type Options struct {
 	// MaxTuplesPerQuery truncates very large query outputs to keep harness
 	// runs bounded; zero means no truncation.
 	MaxTuplesPerQuery int
-	// CacheSize, when positive, gives each suite's run a cross-call value
-	// cache of its own, in place of Pipeline.Cache; without one every tuple
-	// compiles afresh, the configuration the paper's tables measure.
+	// Workers fans Algorithm 1's per-fact loop out across goroutines for
+	// each tuple (≤ 0 = GOMAXPROCS, 1 = serial). Tuples themselves run
+	// serially so per-tuple timings stay comparable to the paper's.
+	Workers int
+	// Strategy selects the Algorithm 1 evaluation mode (auto, per-fact, or
+	// gradient); the values are identical, only the cost differs.
+	Strategy core.ShapleyStrategy
+	// CacheSize sizes a cross-call value cache shared by each suite's
+	// corpus run; zero disables it (every tuple compiles afresh, the
+	// configuration the paper's tables measure). The scaling run never
+	// uses one.
 	CacheSize int
 }
 
 // DefaultOptions returns a laptop-scale configuration.
 func DefaultOptions() Options {
 	return Options{
-		Pipeline: core.PipelineOptions{
-			CompileTimeout:  2500 * time.Millisecond,
-			ShapleyTimeout:  2500 * time.Millisecond,
-			CompileMaxNodes: 2_000_000,
-		},
-		TPCH: tpch.DefaultConfig(),
-		IMDB: imdb.DefaultConfig(),
+		Timeout:  2500 * time.Millisecond,
+		MaxNodes: 2_000_000,
+		TPCH:     tpch.DefaultConfig(),
+		IMDB:     imdb.DefaultConfig(),
+	}
+}
+
+// pipeline maps o to the exact pipeline's options for one output tuple,
+// with cache (nil for none) as its value cache.
+func (o Options) pipeline(cache *core.ValueCache) core.PipelineOptions {
+	return core.PipelineOptions{
+		CompileTimeout:  o.Timeout,
+		CompileMaxNodes: o.MaxNodes,
+		ShapleyTimeout:  o.Timeout,
+		Workers:         o.Workers,
+		Strategy:        o.Strategy,
+		Cache:           cache,
 	}
 }
 
@@ -175,9 +193,9 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 	for _, f := range d.EndogenousFacts() {
 		endo = append(endo, f.ID)
 	}
-	popts := opts.Pipeline
+	var cache *core.ValueCache
 	if opts.CacheSize > 0 {
-		popts.Cache = core.NewValueCache(opts.CacheSize)
+		cache = core.NewValueCache(opts.CacheSize)
 	}
 	var out []*QueryRun
 	for _, nq := range queries {
@@ -193,17 +211,17 @@ func RunSuite(ctx context.Context, dataset string, d *db.Database, queries []Nam
 			answers = answers[:opts.MaxTuplesPerQuery]
 		}
 		var before core.CacheStats
-		if popts.Cache != nil {
-			before = popts.Cache.Stats()
+		if cache != nil {
+			before = cache.Stats()
 		}
 		for _, a := range answers {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			run.Tuples = append(run.Tuples, runTuple(ctx, dataset, nq.Name, a, endoForLineage(a.Lineage, endo), popts))
+			run.Tuples = append(run.Tuples, runTuple(ctx, dataset, nq.Name, a, endoForLineage(a.Lineage, endo), opts, cache))
 		}
-		if popts.Cache != nil {
-			run.CacheStats = popts.Cache.Stats().Sub(before)
+		if cache != nil {
+			run.CacheStats = cache.Stats().Sub(before)
 		}
 		out = append(out, run)
 	}
@@ -230,7 +248,7 @@ func endoForLineage(lineage *circuit.Node, endo []db.FactID) []db.FactID {
 	return out
 }
 
-func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts core.PipelineOptions) *TupleResult {
+func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo []db.FactID, opts Options, cache *core.ValueCache) *TupleResult {
 	tr := &TupleResult{
 		Dataset:  dataset,
 		Query:    qname,
@@ -239,7 +257,7 @@ func runTuple(ctx context.Context, dataset, qname string, a engine.Answer, endo 
 		Endo:     endo,
 		NumFacts: len(circuit.Vars(a.Lineage)),
 	}
-	res, err := core.ExplainCircuit(ctx, a.Lineage, endo, opts)
+	res, err := core.ExplainCircuit(ctx, a.Lineage, endo, opts.pipeline(cache))
 	tr.CNF = res.CNF
 	tr.NumClauses = res.NumClauses
 	tr.KCTime = res.TseytinTime + res.CompileTime

@@ -15,8 +15,8 @@ import (
 // representative TPC-H query outputs as a function of the lineitem table
 // size. For each scale factor the database is regenerated from opts.TPCH
 // scaled (same seed, so smaller scales are prefixes in distribution), the
-// named queries are evaluated, and the exact pipeline under opts.Pipeline is
-// timed on the first few output tuples of each query.
+// named queries are evaluated, and the exact pipeline under opts (without a
+// value cache) is timed on the first few output tuples of each query.
 func RunScaling(ctx context.Context, opts Options, scales []float64, queryNames []string, tuplesPerQuery int) ([]ScalingPoint, error) {
 
 	wanted := make(map[string]bool, len(queryNames))
@@ -50,7 +50,7 @@ func RunScaling(ctx context.Context, opts Options, scales []float64, queryNames 
 				}
 				tupleEndo := endoForLineage(a.Lineage, endo)
 				t0 := time.Now()
-				res, err := core.ExplainCircuit(ctx, a.Lineage, tupleEndo, opts.Pipeline)
+				res, err := core.ExplainCircuit(ctx, a.Lineage, tupleEndo, opts.pipeline(nil))
 				elapsed := time.Since(t0)
 				p := ScalingPoint{
 					Query:     nq.Name,

@@ -42,8 +42,9 @@ type PipelineOptions struct {
 	Strategy ShapleyStrategy
 	// Cache, when non-nil, is a cross-call cache of exact Shapley values
 	// shared between pipeline invocations (and goroutines): a lineage whose
-	// CNF it already holds, up to a renaming of facts, skips compilation and
-	// Algorithm 1.
+	// CNF it already holds, up to a renaming of facts, skips Algorithm 1 and,
+	// except for a renamed hit under CompileMaxNodes, compilation too (that
+	// hit compiles the caller's CNF to decide the budget).
 	Cache *ValueCache
 	// CacheOwner tags Cache entries with the identity of the fact-ID
 	// universe this lineage comes from (the database ID), scoping the
@@ -58,7 +59,8 @@ type PipelineResult struct {
 	CNF *cnf.Formula
 	// DNNF is the compiled circuit after Tseytin-variable elimination
 	// (Lemma 4.6); its variables are endogenous fact IDs. Nil on a value
-	// cache hit, which compiles nothing.
+	// cache hit, which keeps no circuit (a renamed hit under CompileMaxNodes
+	// compiles only to decide the budget).
 	DNNF *dnnf.Node
 	// Values holds the exact Shapley value of every endogenous fact.
 	Values Values

@@ -22,14 +22,18 @@ func TseytinStage(elin *circuit.Node, endo []db.FactID) *cnf.Formula {
 // CNF to d-DNNF followed by auxiliary-variable elimination. It returns
 // dnnf.ErrTimeout / dnnf.ErrNodeBudget on budget exhaustion.
 func CompileStage(ctx context.Context, formula *cnf.Formula, opts PipelineOptions) (*dnnf.Node, dnnf.Stats, error) {
-	compiled, stats, err := dnnf.Compile(ctx, formula, dnnf.Options{
-		Timeout:  opts.CompileTimeout,
-		MaxNodes: opts.CompileMaxNodes,
-	})
+	compiled, stats, err := dnnf.Compile(ctx, formula, compileOptions(opts))
 	if err != nil {
 		return nil, stats, err
 	}
 	return dnnf.EliminateAux(compiled, func(v int) bool { return formula.Aux[v] }), stats, nil
+}
+
+// compileOptions is the compiler's configuration under opts, shared by
+// CompileStage and a renamed hit's budget check so both decide a budget
+// alike.
+func compileOptions(opts PipelineOptions) dnnf.Options {
+	return dnnf.Options{Timeout: opts.CompileTimeout, MaxNodes: opts.CompileMaxNodes}
 }
 
 // ShapleyStage is the pipeline's third stage: Algorithm 1 over the reduced
@@ -69,7 +73,7 @@ func hitFits(ctx context.Context, sp *trace.Span, formula *cnf.Formula, sl slot,
 	if err := charge(&opts, start); err != nil {
 		return err
 	}
-	_, stats, err := dnnf.Compile(ctx, formula, dnnf.Options{Timeout: opts.CompileTimeout, MaxNodes: opts.CompileMaxNodes})
+	_, stats, err := dnnf.Compile(ctx, formula, compileOptions(opts))
 	sp.Set("decisions", stats.Decisions)
 	return err
 }

@@ -166,10 +166,11 @@ func spanNames(root *wire.TraceSpan) map[string]int {
 }
 
 // checkCompileSpans checks the compile stage of a trace that computed one
-// tuple: its span names the value-cache outcome and the circuit's size; a
-// miss also carries the compiler's decisions and is followed by a shapley
-// span, a hit carries no decisions and opens no shapley span; and no span
-// is named "dnnf".
+// tuple on a server without a node budget: its span names the value-cache
+// outcome and the circuit's size; a miss also carries the compiler's
+// decisions and is followed by a shapley span, a hit carries no decisions
+// and opens no shapley span; and no span is named "dnnf". Under a node
+// budget a renamed hit compiles the caller's CNF and carries decisions too.
 func checkCompileSpans(t *testing.T, root *wire.TraceSpan, raw string) {
 	t.Helper()
 	if names := spanNames(root); names["dnnf"] != 0 {
