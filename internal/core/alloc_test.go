@@ -51,13 +51,13 @@ func goldenCircuit(rng *rand.Rand, b *circuit.Builder, ids []int, depth int) *ci
 // Allocation ceilings of the exact pipeline's stages on allocGateCNF: the
 // counts measured when they were set, plus 10%.
 const (
-	compileAllocCeiling   = 1235
-	eliminateAllocCeiling = 312
-	gradientAllocCeiling  = 105
+	compileAllocCeiling   = 1133
+	eliminateAllocCeiling = 240
+	gradientAllocCeiling  = 101
 )
 
 // allocGateCNF is the Tseytin CNF of one seeded golden circuit (101
-// clauses; 618 nodes compiled, 225 after elimination), and the circuit's
+// clauses; 559 nodes compiled, 172 after elimination), and the circuit's
 // variables as endogenous facts.
 func allocGateCNF() (*cnf.Formula, []db.FactID) {
 	rng := rand.New(rand.NewSource(7))

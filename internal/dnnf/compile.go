@@ -71,7 +71,7 @@ type compiler struct {
 	opts     Options
 	deadline time.Time
 	// orig maps the recursion's dense variables back to the formula's (see
-	// densify); nodes are built on the formula's variables.
+	// renumber); nodes are built on the formula's variables.
 	orig []int
 
 	// cache is the component cache; nil when Options.DisableCache is set.
@@ -129,7 +129,7 @@ func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, e
 	}
 	orig := renumber(clauses)
 	c := newCompiler(opts, orig, start)
-	root, err := c.compile(ctx, newScratch(orig), clauses)
+	root, err := c.compile(ctx, newScratch(orig, f.Aux), clauses)
 	compilations.Add(1)
 	stats := c.stats
 	stats.Nodes, stats.Elapsed = c.b.NumNodes(), time.Since(start)

@@ -240,7 +240,7 @@ func TestComponentsMatchesMapUnionFind(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		clauses := randomClauseSet(rng)
 		dense, orig := densify(clauses)
-		s := newScratch(orig)
+		s := newScratch(orig, nil)
 		want := componentsWithMaps(clauses)
 		for call := 0; call < 2; call++ {
 			comps := s.components(dense)
@@ -280,7 +280,7 @@ func TestCompileReleasesScratch(t *testing.T) {
 		}
 		dense, orig := densify(clauses)
 		c := newCompiler(Options{}, orig, time.Now())
-		s := newScratch(orig)
+		s := newScratch(orig, nil)
 		if _, err := c.compile(context.Background(), s, dense); err != nil {
 			t.Fatal(err)
 		}

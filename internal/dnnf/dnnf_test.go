@@ -254,7 +254,8 @@ func TestConditionPreservesSemantics(t *testing.T) {
 
 // TestEliminateAux verifies Lemma 4.6 end to end: circuit → Tseytin →
 // compile → eliminate, then compare against the original circuit pointwise
-// and check the d-D structural properties.
+// and check the d-D structural properties. The compiler branches on facts
+// only, so no ∨-node of a compiled Tseytin circuit decides an auxiliary.
 func TestEliminateAux(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 100; trial++ {
@@ -266,6 +267,11 @@ func TestEliminateAux(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		Visit(compiled, func(m *Node) {
+			if m.Kind == KindOr && f.Aux[m.Decision] {
+				t.Fatalf("trial %d: a decision node branches on auxiliary %d", trial, m.Decision)
+			}
+		})
 		reduced := EliminateAux(compiled, func(v int) bool { return f.Aux[v] })
 		for _, v := range reduced.Vars() {
 			if f.Aux[v] {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 )
 
@@ -21,9 +22,23 @@ func dimacs(tb testing.TB, f *cnf.Formula) []byte {
 	return buf.Bytes()
 }
 
+// auxMask is the FuzzCompile input that marks f's auxiliaries: bit i marks
+// the i-th smallest variable of f.
+func auxMask(f *cnf.Formula) uint16 {
+	var m uint16
+	for i, v := range f.Vars() {
+		if f.Aux[v] {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
 // FuzzCompile compiles every small DIMACS input with the component cache on
 // and off and checks each circuit's structure and model count against brute
-// force.
+// force. DIMACS carries no auxiliary marks, so a second input marks a subset
+// of the variables as Tseytin auxiliaries, which the compiler branches on
+// only where a component holds no unmarked variable.
 func FuzzCompile(f *testing.F) {
 	for _, formula := range []*cnf.Formula{
 		chainFormula(3),
@@ -32,17 +47,22 @@ func FuzzCompile(f *testing.F) {
 		{Clauses: []cnf.Clause{{1, 2}, {-1, 2}}, Aux: map[int]bool{}, MaxVar: 2},
 		{Clauses: []cnf.Clause{{1, 2}, {-1, 3}, {2, -3}}, Aux: map[int]bool{}, MaxVar: 3},
 	} {
-		f.Add(dimacs(f, formula))
+		f.Add(dimacs(f, formula), uint16(0))
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 6; i++ {
-		f.Add(dimacs(f, randomCNF(rng, 1+rng.Intn(6), rng.Intn(8))))
+		f.Add(dimacs(f, randomCNF(rng, 1+rng.Intn(6), rng.Intn(8))), uint16(0))
 	}
-	f.Add(dimacs(f, multiComponentCNF(rand.New(rand.NewSource(83)), 2, 4, 5)))
-	f.Add([]byte("p cnf 3 2\n9000000000 -7 0\n-9000000000 2 0\n"))
+	f.Add(dimacs(f, multiComponentCNF(rand.New(rand.NewSource(83)), 2, 4, 5)), uint16(0))
+	f.Add([]byte("p cnf 3 2\n9000000000 -7 0\n-9000000000 2 0\n"), uint16(0))
+	// A Tseytin CNF under its own marks, and with every variable marked,
+	// where the pick falls back to the auxiliaries.
+	tseytin := cnf.Tseytin(randomBoolCircuit(rand.New(rand.NewSource(89)), circuit.NewBuilder(), 3, 2))
+	f.Add(dimacs(f, tseytin), auxMask(tseytin))
+	f.Add(dimacs(f, tseytin), uint16(0xffff))
 
 	ctx := context.Background()
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, aux uint16) {
 		formula, err := cnf.ParseDIMACS(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -50,6 +70,11 @@ func FuzzCompile(f *testing.F) {
 		universe := formula.Vars()
 		if len(universe) > 12 || len(formula.Clauses) > 40 {
 			t.Skip("too large to brute-force")
+		}
+		for i, v := range universe {
+			if aux>>i&1 == 1 {
+				formula.Aux[v] = true
+			}
 		}
 		want := big.NewInt(int64(bruteCount(formula, universe)))
 		for _, off := range []bool{false, true} {

@@ -14,7 +14,9 @@ func singleComponentCNF(rng *rand.Rand, vars, clauses int) *cnf.Formula {
 
 // pickMostFrequentRecompute is the map-based most-frequent heuristic: a
 // full occurrence-count rebuild per decision, the oracle for the array pick.
-func pickMostFrequentRecompute(clauses []cnf.Clause) int {
+// It picks among the variables aux leaves unmarked, or among all of them
+// when every variable is marked.
+func pickMostFrequentRecompute(clauses []cnf.Clause, aux map[int]bool) int {
 	counts := make(map[int]int)
 	for _, cl := range clauses {
 		for _, l := range cl {
@@ -22,17 +24,26 @@ func pickMostFrequentRecompute(clauses []cnf.Clause) int {
 		}
 	}
 	best, bestCount := 0, -1
-	for v, n := range counts {
-		if n > bestCount || (n == bestCount && v < best) {
-			best, bestCount = v, n
+	for _, factsOnly := range []bool{true, false} {
+		for v, n := range counts {
+			if factsOnly && aux[v] {
+				continue
+			}
+			if n > bestCount || (n == bestCount && v < best) {
+				best, bestCount = v, n
+			}
+		}
+		if best != 0 {
+			break
 		}
 	}
 	return best
 }
 
 // TestPickVarIncrementalAgreesWithRecompute random-walks conditioning and
-// propagation over random clause sets and checks at every step that the
-// array pick of scratch equals the map-based oracle.
+// propagation over random clause sets, with a random share of the
+// variables (none to all) marked as auxiliaries, and checks at every step
+// that the array pick of scratch equals the map-based oracle.
 func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	for trial := 0; trial < 60; trial++ {
@@ -45,9 +56,16 @@ func TestPickVarIncrementalAgreesWithRecompute(t *testing.T) {
 			}
 		}
 		clauses, orig := densify(clauses)
-		s := newScratch(orig)
+		share := rng.Intn(4) // marks none, a third, two thirds or all
+		aux, denseAux := map[int]bool{}, map[int]bool{}
+		for d, v := range orig[1:] {
+			if rng.Intn(3) < share {
+				aux[v], denseAux[d+1] = true, true
+			}
+		}
+		s := newScratch(orig, aux)
 		for step := 0; len(clauses) > 0; step++ {
-			if got, want := s.pickVar(clauses), pickMostFrequentRecompute(clauses); got != want {
+			if got, want := s.pickVar(clauses), pickMostFrequentRecompute(clauses, denseAux); got != want {
 				t.Fatalf("trial %d step %d: array pick %d, oracle pick %d", trial, step, got, want)
 			}
 			// Alternate conditioning steps with propagation rounds, like the
@@ -87,11 +105,11 @@ func BenchmarkPickVar(b *testing.B) {
 	clauses, orig := densify(clauses)
 	b.Run("map", func(b *testing.B) {
 		for b.Loop() {
-			pickMostFrequentRecompute(clauses)
+			pickMostFrequentRecompute(clauses, nil)
 		}
 	})
 	b.Run("array", func(b *testing.B) {
-		s := newScratch(orig)
+		s := newScratch(orig, nil)
 		for b.Loop() {
 			s.pickVar(clauses)
 		}

@@ -38,8 +38,8 @@ func renumber(clauses []cnf.Clause) (orig []int) {
 
 // scratch is one goroutine's working memory for the compile recursion over
 // dense variables 1..n. Every array is indexed by dense variable, and every
-// array but parent is all zero between calls: each method restores the
-// entries it touched before it returns.
+// array but aux and parent is all zero between calls: each method restores
+// the entries it touched before it returns.
 //
 // The clause sets the recursion derives — propagate's and assign's residual
 // clause lists and shortened clauses, components' groups and the children
@@ -47,6 +47,7 @@ func renumber(clauses []cnf.Clause) (orig []int) {
 // releases everything above its mark on return, so the chunks are reused
 // from decision to decision.
 type scratch struct {
+	aux    []bool  // pickVar: the Tseytin auxiliaries, fixed per compile
 	count  []int32 // pickVar: clauses mentioning each variable
 	value  []int8  // propagate: +1 / -1 for a variable implied true / false
 	parent []int32 // components: union-find forest, set up per call
@@ -68,14 +69,15 @@ type scratch struct {
 }
 
 // newScratch returns a scratch for the dense variables that orig maps back
-// (see densify).
-func newScratch(orig []int) *scratch {
+// (see renumber), with aux marking the formula's auxiliaries.
+func newScratch(orig []int, aux map[int]bool) *scratch {
 	n := len(orig)
 	// Tseytin CNFs have two to three clauses per variable, so a chunk of
 	// 4n clauses holds any one clause list of the recursion. A frame takes
 	// only a few groups and gate children, so a chunk of n of them serves
 	// a whole path of decisions.
-	return &scratch{
+	s := &scratch{
+		aux:     make([]bool, n),
 		count:   make([]int32, n),
 		value:   make([]int8, n),
 		parent:  make([]int32, n),
@@ -85,6 +87,10 @@ func newScratch(orig []int) *scratch {
 		groups:  stack[[]cnf.Clause]{chunk: n},
 		nodes:   stack[*Node]{chunk: n},
 	}
+	for d, v := range orig[1:] {
+		s.aux[d+1] = aux[v]
+	}
+	return s
 }
 
 // frame marks the tops of a scratch's stacks.
@@ -340,20 +346,31 @@ func (s *scratch) components(clauses []cnf.Clause) [][]cnf.Clause {
 	return out
 }
 
-// pickVar selects the branching variable: the one occurring in the most
-// clauses, ties broken by the smaller variable.
+// pickVar selects the branching variable: the fact (non-auxiliary
+// variable) occurring in the most clauses, ties broken by the smaller
+// variable. An auxiliary is picked, by the same rule, only when the clauses
+// mention no fact. On a Tseytin CNF the facts determine the auxiliaries —
+// an assignment that satisfies the circuit has exactly one extension to
+// them, any other none (Lemma 4.6) — and unit propagation fixes an
+// auxiliary once its gate's inputs are set. So decisions on facts alone
+// settle every auxiliary, and a decision on one would only be stripped from
+// its gate again by EliminateAux.
 func (s *scratch) pickVar(clauses []cnf.Clause) int {
 	for _, cl := range clauses {
 		for _, l := range cl {
 			s.count[l.Var()]++
 		}
 	}
-	best, bestCount := 0, int32(-1)
+	best, bestCount, bestAux := 0, int32(-1), true
 	for _, cl := range clauses {
 		for _, l := range cl {
 			v := l.Var()
-			if n := s.count[v]; n > bestCount || (n == bestCount && v < best) {
-				best, bestCount = v, n
+			n, aux := s.count[v], s.aux[v]
+			if aux && !bestAux {
+				continue
+			}
+			if aux != bestAux || n > bestCount || (n == bestCount && v < best) {
+				best, bestCount, bestAux = v, n, aux
 			}
 		}
 	}
