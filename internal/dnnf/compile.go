@@ -108,10 +108,11 @@ func (c *compiler) lit(l cnf.Lit) *Node {
 // exhaustive DPLL with unit propagation, connected-component decomposition
 // (yielding decomposable ∧-gates), Shannon decisions (yielding deterministic
 // ∨-gates), and component caching — the classic construction behind c2d and
-// dsharp. The context carries external cancellation (distinct from
-// Options.Timeout, which is this compilation's own budget and yields
-// ErrTimeout); ctx errors are returned as-is. Compile opens no span: the
-// caller's "compile" stage reports the returned Stats.
+// dsharp. A decision branches on a variable f.Aux marks only in a component
+// that mentions no other (see pickVar). The context carries external
+// cancellation (distinct from Options.Timeout, which is this compilation's
+// own budget and yields ErrTimeout); ctx errors are returned as-is. Compile
+// opens no span: the caller's "compile" stage reports the returned Stats.
 func Compile(ctx context.Context, f *cnf.Formula, opts Options) (*Node, Stats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {

@@ -255,7 +255,9 @@ func TestConditionPreservesSemantics(t *testing.T) {
 // TestEliminateAux verifies Lemma 4.6 end to end: circuit → Tseytin →
 // compile → eliminate, then compare against the original circuit pointwise
 // and check the d-D structural properties. The compiler branches on facts
-// only, so no ∨-node of a compiled Tseytin circuit decides an auxiliary.
+// first, and propagation leaves every component of a Tseytin CNF a fact to
+// branch on, so no ∨-node of a compiled Tseytin circuit decides an
+// auxiliary.
 func TestEliminateAux(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 100; trial++ {
